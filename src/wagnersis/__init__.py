@@ -27,7 +27,6 @@ from .zqlin import (
 )
 from .dgauss import (
     GaussParam,
-    SimilarityBudget,
     empirical_similarity,
     eta_qary_bound,
     eta_zn_bound,

@@ -16,15 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .dgauss import GaussParam, _draw_z, _width_floor_sq
 from .errors import BlockSumMismatch, NotInLattice, WidthTooSmall
-from .zqlin import SisInstance, matvec_mod
-
-_INT64_SAFE = 1 << 62
+from .zqlin import SisInstance, int_array, int_matmul, matvec_mod
 
 
 @dataclass(frozen=True)
@@ -68,16 +67,15 @@ class StagedVector:
     stage: StageDescriptor
 
     def check(self):
+        """Validate the scaled form and return y_last."""
         st = self.stage
-        y = []
-        for t, kk in zip(self.tail_num, self.k):
-            num = t - st.q * kk
-            if num % st.p:
-                raise NotInLattice("tail numerator is not p*y + q*k")
-            y.append(num // st.p)
-        if tuple(kk % st.p for kk in self.k) != self.label:
+        y = self.y_last()
+        if any(st.p * yj + st.q * kk != t
+               for yj, kk, t in zip(y, self.k, self.tail_num)):
+            raise NotInLattice("tail numerator is not p*y + q*k")
+        if coset_label(self) != self.label:
             raise NotInLattice("label does not match k mod p")
-        return tuple(y)
+        return y
 
     def y_last(self) -> tuple:
         return tuple((t - self.stage.q * kk) // self.stage.p
@@ -120,13 +118,38 @@ def build_chain(inst: SisInstance, block_sizes: Sequence[int],
 def _check_membership(stage: StageDescriptor, x: Sequence[int]):
     if len(x) != stage.dim_in:
         raise NotInLattice(f"vector length {len(x)}, expected {stage.dim_in}")
-    top = [int(v) for v in x[: stage.m_minus_n]]
-    bottom = [int(v) for v in x[stage.m_minus_n:]]
     if stage.kappa_prev:
-        syn = matvec_mod(stage.a_prev, top, stage.q)
-        for sv, bv in zip(syn, bottom):
-            if (int(sv) + bv) % stage.q:
-                raise NotInLattice("earlier parity rows are not satisfied")
+        syn = matvec_mod(stage.a_prev, x[: stage.m_minus_n], stage.q)
+        if any((int(sv) + int(bv)) % stage.q
+               for sv, bv in zip(syn, x[stage.m_minus_n:])):
+            raise NotInLattice("earlier parity rows are not satisfied")
+
+
+def _lift_batch(stage: StageDescriptor, X: np.ndarray) -> np.ndarray:
+    """y_last = -(A'_new @ x_top) for every row of X, exact integers."""
+    return -int_matmul(X[:, : stage.m_minus_n], stage.a_new)
+
+
+def _difference(stage: StageDescriptor, X: np.ndarray, Y: np.ndarray,
+                K: np.ndarray, i1, i2) -> np.ndarray:
+    """Rows X[i1] - X[i2], extended by the exact tail difference
+    (Y[i1] - Y[i2]) + q (K[i1] - K[i2]) / p.  Paired rows must share their
+    coset label K mod p; the results then satisfy the first kappa_i rows."""
+    dk = K[i1] - K[i2]
+    if np.any(np.mod(dk, stage.p)):
+        raise NotInLattice("paired vectors disagree on coset label")
+    tail = (Y[i1] - Y[i2]) + stage.q * (dk // stage.p)
+    return np.hstack([X[i1] - X[i2], tail])
+
+
+def _stack(stage: StageDescriptor, staged: Sequence[StagedVector]):
+    """The X, Y, K arrays of the stage kernels for a list of staged vectors:
+    heads, y_last and offset coefficients, one vector per row."""
+    rows = len(staged)
+    X = int_array([sv.head for sv in staged]).reshape(rows, stage.dim_in)
+    Y = int_array([sv.check() for sv in staged]).reshape(rows, stage.b)
+    K = int_array([sv.k for sv in staged]).reshape(rows, stage.b)
+    return X, Y, K
 
 
 def lift_integer(stage: StageDescriptor, x: Sequence[int]) -> tuple:
@@ -137,14 +160,21 @@ def lift_integer(stage: StageDescriptor, x: Sequence[int]) -> tuple:
     [I | -A'_i] columns together with q e_j on the earlier bottom rows.
     """
     _check_membership(stage, x)
-    top = [int(v) for v in x[: stage.m_minus_n]]
-    a = stage.a_new
-    max_x = max((abs(v) for v in top), default=0)
-    if a.dtype == np.int64 and len(top) * (stage.q - 1) * max(1, max_x) < _INT64_SAFE:
-        y = -(a @ np.array(top, dtype=np.int64))
-        return tuple(int(v) for v in y)
-    return tuple(-sum(int(a[r, j]) * top[j] for j in range(len(top)))
-                 for r in range(stage.b))
+    return tuple(int(v) for v in _lift_batch(stage, int_array([x]))[0])
+
+
+@lru_cache(maxsize=256)
+def _offset_width_sq(index: int, p: int, q: int, b: int, s) -> Fraction:
+    """(p/q)^2 s^2, the squared width of the offset coefficients k, once s
+    clears the stage floor (q/p) sqrt(ln(2b+4)/pi)."""
+    s_sq = s.s_sq if isinstance(s, GaussParam) else (
+        s if isinstance(s, Fraction) else Fraction(s)) ** 2
+    floor_sq = (Fraction(q, p) ** 2) * Fraction(_width_floor_sq(b))
+    if float(s_sq) < float(floor_sq) * (1 - 1e-12):
+        raise WidthTooSmall(
+            f"stage {index}: s = {math.sqrt(float(s_sq)):.4f} below "
+            f"(q/p) sqrt(ln(2b+4)/pi) = {math.sqrt(float(floor_sq)):.4f}")
+    return s_sq * p * p / (q * q)
 
 
 def dglift(stage: StageDescriptor, x: Sequence[int], s, rng) -> StagedVector:
@@ -155,16 +185,9 @@ def dglift(stage: StageDescriptor, x: Sequence[int], s, rng) -> StagedVector:
     integer sampler at width (p/q) s, center -(p/q) y_last.  Projecting the
     output orthogonally to the new coordinates recovers x bit-exactly.
     """
-    s_sq = s.s_sq if isinstance(s, GaussParam) else (
-        s if isinstance(s, Fraction) else Fraction(s)) ** 2
-    floor_sq = (Fraction(stage.q, stage.p) ** 2) * Fraction(_width_floor_sq(stage.b))
-    if float(s_sq) < float(floor_sq) * (1 - 1e-12):
-        raise WidthTooSmall(
-            f"stage {stage.index}: s = {math.sqrt(float(s_sq)):.4f} below "
-            f"(q/p) sqrt(ln(2b+4)/pi) = {math.sqrt(float(floor_sq)):.4f}")
-    y = lift_integer(stage, x)
     p, q = stage.p, stage.q
-    scaled_s_sq = s_sq * p * p / (q * q)
+    scaled_s_sq = _offset_width_sq(stage.index, p, q, stage.b, s)
+    y = lift_integer(stage, x)
     ks = tuple(_draw_z(scaled_s_sq, -p * yj, q, rng) for yj in y)
     tail = tuple(p * yj + q * kj for yj, kj in zip(y, ks))
     return StagedVector(head=tuple(int(v) for v in x), tail_num=tail, k=ks,
@@ -192,29 +215,17 @@ def label_of_point(stage: StageDescriptor, head: Sequence[int],
 def combine_pair(sv1: StagedVector, sv2: StagedVector) -> tuple:
     """Difference of two same-label staged vectors, as an exact integer
     vector satisfying the first kappa_i parity rows."""
-    st = sv1.stage
     if sv1.label != sv2.label:
         raise NotInLattice("labels differ; difference leaves the sublattice")
-    head = tuple(a - b for a, b in zip(sv1.head, sv2.head))
-    tail = []
-    for t1, t2 in zip(sv1.tail_num, sv2.tail_num):
-        d = t1 - t2
-        if d % st.p:
-            raise NotInLattice("tail difference is not divisible by p")
-        tail.append(d // st.p)
-    return head + tuple(tail)
+    X, Y, K = _stack(sv1.stage, (sv1, sv2))
+    return tuple(int(v) for v in _difference(sv1.stage, X, Y, K, [0], [1])[0])
 
 
 def in_superlattice(stage: StageDescriptor, sv: StagedVector) -> bool:
     """Verify the represented rational vector lies in the stage superlattice
     by checking integrality of its basis coordinates."""
     y = sv.check()
-    top = sv.head[: stage.m_minus_n]
-    bottom = sv.head[stage.m_minus_n:]
-    if stage.kappa_prev:
-        syn = matvec_mod(stage.a_prev, list(top), stage.q)
-        for svv, bv in zip(syn, bottom):
-            if (int(svv) + bv) % stage.q:
-                return False
-    expected = lift_integer(stage, sv.head)
-    return tuple(y) == expected
+    try:
+        return y == lift_integer(stage, sv.head)
+    except NotInLattice:
+        return False

@@ -6,23 +6,30 @@ subcommands compose through pipes, e.g.
     wagnersis gen --n 8 --m 20 --q 257 --seed 7 | wagnersis solve --f 6.92
 
 Exit codes: 0 success, 1 solver failure or non-valid verdict, 2 usage error,
-3 precondition violation.  A fixed --seed with --threads 1 reproduces output
-byte for byte.
+3 precondition violation.  The sampler is single-threaded (--threads accepts
+only 1), and a fixed --seed reproduces output byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import replace
 
-from .errors import WagnerSisError
+from .errors import NotInLattice, WagnerSisError
 from . import estimator as est
 from . import solvers
 from .dgauss import GaussParam, sample_z, sample_zn
 from .rngutil import derive_rng
-from .zqlin import SisInstance, Solution, random_instance, systematic_form
+from .zqlin import (
+    SisInstance,
+    Solution,
+    matvec_mod,
+    permute_solution_back,
+    random_instance,
+    systematic_form,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -35,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="64-bit master seed (default 0)")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker count (default 1)")
+                        help="worker count; only 1 is supported (default 1)")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="structured output")
     common.add_argument("--stats-out", type=str, default=argparse.SUPPRESS,
@@ -120,22 +127,19 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     (doc,) = _read_stdin_docs(1)
-    inst = SisInstance.from_json(json.dumps(doc))
-    if not inst.systematic:
-        inst, _perm = systematic_form(inst)
+    given = SisInstance.from_json(json.dumps(doc))
+    inst, perm = systematic_form(given)
     mode = (solvers.MODE_PROVABLE if args.mode == "provable"
             else solvers.MODE_HEURISTIC)
+    schedule = solvers.choose_schedule(inst, args.f, args.epsilon, mode, args.norm)
     if args.certify_smoothing:
-        from .wagner import certify_smoothing, choose_heuristic_params, choose_provable_params
-        beta = (inst.q / args.f) * math.sqrt(math.log(inst.m))
-        sched = (choose_provable_params(inst.n, inst.m, inst.q, args.f, args.epsilon)
-                 if mode == solvers.MODE_PROVABLE
-                 else choose_heuristic_params(inst.n, inst.m, inst.q, beta,
-                                              epsilon=args.epsilon))
-        certify_smoothing(inst, sched)
+        from .wagner import certify_smoothing
+        certify_smoothing(inst, schedule)
     solve = solvers.solve_sis_inf if args.norm == "linf" else solvers.solve_sis_l2
     report = solve(inst, args.f, args.epsilon, mode, args.seed,
-                   threads=args.threads)
+                   schedule=schedule, threads=args.threads)
+    report.solutions = [_in_given_coordinates(given, perm, sol)
+                        for sol in report.solutions]
     if args.stats_out:
         with open(args.stats_out, "w") as fh:
             json.dump(report.stats, fh)
@@ -149,6 +153,15 @@ def _cmd_solve(args) -> int:
         print(f"no solution within {report.norm_bound_used:.4f} "
               f"among {report.attempts} samples")
     return EXIT_OK if report.success else EXIT_FAIL
+
+
+def _in_given_coordinates(given: SisInstance, perm, sol: Solution) -> Solution:
+    """A solution of the systematic form mapped back to the columns of the
+    instance the user supplied, and checked against it."""
+    x = permute_solution_back(perm, sol.x)
+    if any(int(v) for v in matvec_mod(given.A, x, given.q)):
+        raise NotInLattice("solution fails A x = 0 mod q on the input instance")
+    return replace(sol, x=x)
 
 
 def _cmd_sample(args) -> int:

@@ -75,20 +75,6 @@ class GaussParam:
         return math.sqrt(float(self.s_sq))
 
 
-@dataclass(frozen=True)
-class SimilarityBudget:
-    """Pointwise-closeness budget: e^{+-delta} slack at quality epsilon."""
-
-    delta: float
-    epsilon: float
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise PreconditionViolated("delta must satisfy delta >= 0")
-        if not (0 < self.epsilon <= 0.5):
-            raise PreconditionViolated("epsilon must satisfy 0 < epsilon <= 1/2")
-
-
 # ---------------------------------------------------------------------------
 # Exact Bernoulli(exp(-pi a)) via interval refinement
 # ---------------------------------------------------------------------------

@@ -261,19 +261,15 @@ def estimate(query: CostQuery, *, max_log2N: float = 4000.0) -> CostReport:
     )
 
 
-def dilithium_presets() -> List[CostQuery]:
-    """The three infinity-norm SIS parameter sets underlying Dilithium."""
-    rows = [
-        (256 * 4, 256 * 9, 8380417, 350209),
-        (256 * 6, 256 * 12, 8380417, 724481),
-        (256 * 8, 256 * 16, 8380417, 769537),
-    ]
-    return [CostQuery(n=n, m=m, q=q, beta=beta) for n, m, q, beta in rows]
-
-
 PRESETS = {
     "dilithium2": (256 * 4, 256 * 9, 8380417, 350209),
     "dilithium3": (256 * 6, 256 * 12, 8380417, 724481),
     "dilithium5": (256 * 8, 256 * 16, 8380417, 769537),
     "shine": (500, 600, 1000, 250),
 }
+
+
+def dilithium_presets() -> List[CostQuery]:
+    """The three infinity-norm SIS parameter sets underlying Dilithium."""
+    return [CostQuery(*PRESETS[name])
+            for name in ("dilithium2", "dilithium3", "dilithium5")]

@@ -2,9 +2,9 @@
 
 A single 64-bit master seed expands into independent child streams via a
 counter-style hash derivation: the child seed for path ``(a, b, ...)`` is the
-first 16 bytes of ``blake2b("wagnersis|<seed>|a|b|...")``.  Concurrent workers
-and per-stage samplers each get their own path, so runs are reproducible for a
-fixed (seed, worker count) regardless of scheduling order.
+first 16 bytes of ``blake2b("wagnersis|<seed>|a|b|...")``.  The initial list
+and every stage sampler get their own path, so runs are reproducible for a
+fixed seed.
 """
 
 from __future__ import annotations

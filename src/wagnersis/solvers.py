@@ -48,7 +48,7 @@ class SolveReport:
         stats = None
         if self.stats is not None:
             # wall times stay in --stats-out files; stdout must be
-            # byte-identical for a fixed (command, flags, seed, threads=1)
+            # byte-identical for a fixed (command, flags, seed)
             stats = {k: v for k, v in self.stats.items() if k != "stage_seconds"}
         return json.dumps({
             "solutions": [{"x": list(s.x), "norm": s.norm_value}
@@ -88,17 +88,24 @@ def verify(inst: SisInstance, x) -> str:
         return VERDICT_NOT_IN_LATTICE
     if all(v == 0 for v in xs):
         return VERDICT_ZERO
-    if inst.beta is not None:
-        if inst.norm_kind == "linf":
-            ok = all(abs(v) <= inst.beta for v in xs)
-        else:
-            ok = sum(v * v for v in xs) <= inst.beta * inst.beta
-        if not ok:
-            return VERDICT_NORM
+    within = linf_within if inst.norm_kind == "linf" else l2_within
+    if inst.beta is not None and not within(xs, inst.beta):
+        return VERDICT_NORM
     return VERDICT_VALID
 
 
-def _provable_preconditions(inst: SisInstance, f: float, epsilon: float):
+def _norm_bound(inst: SisInstance, f: float, norm_kind: str) -> float:
+    """beta = (q/f) sqrt(ln m) for the infinity norm, (q/f) sqrt(m) for l2."""
+    if norm_kind == "linf":
+        return (inst.q / f) * math.sqrt(math.log(inst.m))
+    return (inst.q / f) * math.sqrt(inst.m)
+
+
+def _check_mode(inst: SisInstance, f: float, epsilon: float, mode: str):
+    if mode == MODE_HEURISTIC:
+        return
+    if mode != MODE_PROVABLE:
+        raise PreconditionViolated(f"unknown solve mode {mode!r}")
     if not inst.q_prime:
         raise PreconditionViolated("q prime")
     if inst.q ** (1 - inst.n / inst.m) < 6:
@@ -112,35 +119,45 @@ def _provable_preconditions(inst: SisInstance, f: float, epsilon: float):
         stacklevel=3)
 
 
-def _run(inst: SisInstance, f: float, epsilon: float, mode: str, rng, beta: float,
-         schedule: Optional[Schedule], threads: int):
+def choose_schedule(inst: SisInstance, f: float, epsilon: float, mode: str,
+                    norm_kind: str = "linf") -> Schedule:
+    """The schedule the ``norm_kind`` solver runs when it is given none."""
     if mode == MODE_PROVABLE:
-        _provable_preconditions(inst, f, epsilon)
-        sched = schedule or choose_provable_params(inst.n, inst.m, inst.q, f, epsilon)
-    elif mode == MODE_HEURISTIC:
-        sched = schedule or choose_heuristic_params(inst.n, inst.m, inst.q, beta,
-                                                    epsilon=epsilon)
-    else:
-        raise PreconditionViolated(f"unknown solve mode {mode!r}")
-    outputs, stats = gaussian_wagner(inst, sched, rng, threads=threads)
-    return outputs, stats, sched
+        return choose_provable_params(inst.n, inst.m, inst.q, f, epsilon)
+    if mode == MODE_HEURISTIC:
+        return choose_heuristic_params(inst.n, inst.m, inst.q,
+                                       _norm_bound(inst, f, norm_kind), epsilon=epsilon)
+    raise PreconditionViolated(f"unknown solve mode {mode!r}")
+
+
+def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
+           norm_kind: str, accept, trivial: bool, schedule: Optional[Schedule],
+           threads: int, max_solutions: int) -> SolveReport:
+    """Run the sampler and keep the outputs that ``accept`` admits."""
+    beta = _norm_bound(inst, f, norm_kind)
+    _check_mode(inst, f, epsilon, mode)
+    if schedule is None:
+        schedule = choose_schedule(inst, f, epsilon, mode, norm_kind)
+    outputs, stats = gaussian_wagner(inst, schedule, rng, threads=threads)
+    sols = []
+    for row in outputs:
+        xs = [int(v) for v in row]
+        if accept(xs, beta):
+            sols.append(Solution.from_vector(xs, norm_kind))
+            if len(sols) >= max_solutions:
+                break
+    return SolveReport(solutions=sols, attempts=len(outputs), success=bool(sols),
+                       norm_bound_used=beta, mode=schedule.mode,
+                       trivial_regime=trivial, stats=stats.as_dict())
 
 
 def solve_sis_inf(inst: SisInstance, f: float, epsilon: float, mode: str, rng, *,
                   schedule: Optional[Schedule] = None, threads: int = 1,
                   max_solutions: int = 16) -> SolveReport:
     """Infinity-norm solver at beta = (q/f) sqrt(ln m)."""
-    beta = (inst.q / f) * math.sqrt(math.log(inst.m))
-    outputs, stats, sched = _run(inst, f, epsilon, mode, rng, beta, schedule, threads)
-    sols = []
-    for row in outputs:
-        xs = [int(v) for v in row]
-        if any(xs) and linf_within(xs, beta):
-            sols.append(Solution.from_vector(xs, "linf"))
-            if len(sols) >= max_solutions:
-                break
-    return SolveReport(solutions=sols, attempts=len(outputs), success=bool(sols),
-                       norm_bound_used=beta, mode=sched.mode, stats=stats.as_dict())
+    return _solve(inst, f, epsilon, mode, rng, "linf",
+                  lambda xs, beta: any(xs) and linf_within(xs, beta),
+                  False, schedule, threads, max_solutions)
 
 
 def solve_sis_l2(inst: SisInstance, f: float, epsilon: float, mode: str, rng, *,
@@ -148,16 +165,7 @@ def solve_sis_l2(inst: SisInstance, f: float, epsilon: float, mode: str, rng, *,
                  max_solutions: int = 16) -> SolveReport:
     """Euclidean solver at beta = (q/f) sqrt(m); solutions must be nonzero
     mod q, which excludes trivia like (q, 0, ..., 0)."""
-    beta = (inst.q / f) * math.sqrt(inst.m)
-    trivial = beta >= inst.q * math.sqrt(inst.n / 12.0)
-    outputs, stats, sched = _run(inst, f, epsilon, mode, rng, beta, schedule, threads)
-    sols = []
-    for row in outputs:
-        xs = [int(v) for v in row]
-        if nonzero_mod_q(xs, inst.q) and l2_within(xs, beta):
-            sols.append(Solution.from_vector(xs, "l2"))
-            if len(sols) >= max_solutions:
-                break
-    return SolveReport(solutions=sols, attempts=len(outputs), success=bool(sols),
-                       norm_bound_used=beta, mode=sched.mode,
-                       trivial_regime=trivial, stats=stats.as_dict())
+    trivial = _norm_bound(inst, f, "l2") >= inst.q * math.sqrt(inst.n / 12.0)
+    return _solve(inst, f, epsilon, mode, rng, "l2",
+                  lambda xs, beta: nonzero_mod_q(xs, inst.q) and l2_within(xs, beta),
+                  trivial, schedule, threads, max_solutions)

@@ -11,17 +11,18 @@ Three run modes share the machinery:
 * ``naive-rounding``: the warm-up variant with ternary initial vectors and
   rounded bucketing instead of Gaussian randomized lifting.
 
-Internally lists are int64 matrices (one vector per row) with exact-integer
-fallbacks when an overflow bound cannot be certified; the object-level
-``bucket_and_combine`` delegates to the same pairing code.
+Lists are integer matrices, one vector per row: int64 where
+``zqlin.int_matmul`` certifies the overflow bound, Python integers in object
+arrays otherwise.  The single-vector ``bucket_and_combine`` stacks its staged
+vectors into the same arrays and runs the same stage kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -29,7 +30,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import estimator as _estimator
-from .chain import StageDescriptor, StagedVector, build_chain, combine_pair
+from .chain import (
+    StageDescriptor,
+    StagedVector,
+    _difference,
+    _lift_batch,
+    _stack,
+    build_chain,
+)
 from .dgauss import (
     _draw_z,
     _width_floor_sq,
@@ -43,17 +51,16 @@ from .errors import (
     Infeasible,
     InfeasibleSchedule,
     InsufficientInputs,
+    NotInLattice,
     PreconditionViolated,
     WidthTooSmall,
 )
 from .rngutil import derive_np_rng, derive_rng
-from .zqlin import SisInstance, centered, matvec_mod
+from .zqlin import _INT64_SAFE, SisInstance, centered, int_matmul
 
 MODE_PROVABLE = "provable-gaussian"
 MODE_HEURISTIC = "heuristic-gaussian"
 MODE_NAIVE = "naive-rounding"
-
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -176,61 +183,32 @@ def bucket_and_combine(stage: StageDescriptor, staged: Sequence[StagedVector],
     if not reuse and n_in < 3 * stage.p ** stage.b:
         raise InsufficientInputs(
             f"{n_in} inputs < 3 p^b = {3 * stage.p ** stage.b}")
-    labels = [sv.label for sv in staged]
-    pairs = (pair_indices_reuse(labels, out_cap) if reuse
-             else pair_indices_disjoint(labels, out_cap))
-    return [combine_pair(staged[i], staged[j]) for i, j in pairs]
+    out, _labels = _combine_stage(stage, *_stack(stage, staged), out_cap, reuse)
+    return [tuple(int(v) for v in row) for row in out]
 
 
 # ---------------------------------------------------------------------------
 # Array-level stage processing (hot path)
 # ---------------------------------------------------------------------------
 
-def _lift_batch(stage: StageDescriptor, X: np.ndarray) -> np.ndarray:
-    """y_last = -(A'_new @ x_top) for every row of X, exact integers."""
-    top = X[:, : stage.m_minus_n]
-    a = stage.a_new
-    max_x = int(np.abs(top).max()) if top.size else 0
-    if a.dtype == np.int64 and X.dtype == np.int64 and \
-            stage.m_minus_n * (stage.q - 1) * max(1, max_x) < _INT64_SAFE:
-        return -(top @ a.T)
-    out = np.empty((X.shape[0], stage.b), dtype=object)
-    for r in range(X.shape[0]):
-        for i in range(stage.b):
-            out[r, i] = -sum(int(a[i, j]) * int(top[r, j])
-                             for j in range(stage.m_minus_n))
-    return out
-
-
 def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
-                      seed_path: tuple, seed, threads: int) -> np.ndarray:
+                      seed_path: tuple, seed) -> np.ndarray:
     """Sample k ~ D_{Z^b, (p/q) s, -(p/q) y} rowwise via the exact sampler."""
     p, q = stage.p, stage.q
     scaled = width_sq * p * p / (q * q)
+    rng = derive_rng(seed, *seed_path, "chunk", 0)
     rows, b = Y.shape
-
-    def work(chunk_id: int, lo: int, hi: int) -> np.ndarray:
-        rng = derive_rng(seed, *seed_path, "chunk", chunk_id)
-        out = np.empty((hi - lo, b), dtype=np.int64)
-        for r in range(lo, hi):
-            for i in range(b):
-                out[r - lo, i] = _draw_z(scaled, -p * int(Y[r, i]), q, rng)
-        return out
-
-    if threads <= 1 or rows < 4096:
-        return work(0, 0, rows)
-    bounds = np.linspace(0, rows, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(lambda ci: work(ci, bounds[ci], bounds[ci + 1]),
-                            range(threads)))
-    return np.vstack(parts)
+    out = np.empty((rows, b), dtype=np.int64)
+    for r in range(rows):
+        for i in range(b):
+            out[r, i] = _draw_z(scaled, -p * int(Y[r, i]), q, rng)
+    return out
 
 
 def _pack_labels(K: np.ndarray, p: int):
     """Per-row coset labels as hashable scalars (or tuples when too wide)."""
+    labels = np.mod(K, p)
     b = K.shape[1]
-    labels = np.mod(K, p) if K.dtype == np.int64 else \
-        np.array([[int(v) % p for v in row] for row in K], dtype=np.int64)
     if p ** b < _INT64_SAFE:
         powers = p ** np.arange(b, dtype=np.int64)
         return (labels @ powers).tolist()
@@ -242,19 +220,24 @@ def _combine_stage(stage: StageDescriptor, X: np.ndarray, Y: np.ndarray,
     labels = _pack_labels(K, stage.p)
     pairs = (pair_indices_reuse(labels, out_cap) if reuse
              else pair_indices_disjoint(labels, out_cap))
-    if not pairs:
-        return np.zeros((0, stage.dim_out), dtype=X.dtype), labels
-    i1 = np.fromiter((a for a, _ in pairs), dtype=np.int64, count=len(pairs))
-    i2 = np.fromiter((b for _, b in pairs), dtype=np.int64, count=len(pairs))
-    head = X[i1] - X[i2]
-    dk = K[i1] - K[i2]
-    if stage.p > 1:
-        rem = np.mod(dk, stage.p) if dk.dtype == np.int64 else \
-            np.array([[int(v) % stage.p for v in row] for row in dk])
-        if np.any(rem != 0):
-            raise InsufficientInputs("paired vectors disagree on coset label")
-    tail = (Y[i1] - Y[i2]) + stage.q * (dk // stage.p)
-    return np.hstack([head, tail]), labels
+    i1, i2 = _pair_columns(pairs)
+    return _difference(stage, X, Y, K, i1, i2), labels
+
+
+def _pair_columns(pairs) -> np.ndarray:
+    """First and second members of the index pairs, as two int64 rows."""
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64,
+                       count=2 * len(pairs))
+    return flat.reshape(-1, 2).T
+
+
+def _curate(out: np.ndarray) -> np.ndarray:
+    """Drop zero rows and duplicate rows; survivors in lexicographic order."""
+    out = out[np.any(out != 0, axis=1)]
+    if len(out) < 2:
+        return out
+    out = out[np.lexsort(out.T[::-1])]
+    return out[np.concatenate(([True], np.any(out[1:] != out[:-1], axis=1)))]
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +252,13 @@ def _as_seed(rng) -> int:
     raise TypeError("rng must be an int seed or random.Random")
 
 
-def _initial_gaussian(count: int, dim: int, s0_sq: Fraction, seed: int,
-                      threads: int) -> np.ndarray:
-    def work(chunk_id: int, lo: int, hi: int) -> np.ndarray:
-        rng = derive_rng(seed, "init", "chunk", chunk_id)
-        out = np.empty((hi - lo, dim), dtype=np.int64)
-        for r in range(hi - lo):
-            for j in range(dim):
-                out[r, j] = _draw_z(s0_sq, 0, 1, rng)
-        return out
-
-    if threads <= 1 or count < 4096:
-        return work(0, 0, count)
-    bounds = np.linspace(0, count, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(lambda ci: work(ci, bounds[ci], bounds[ci + 1]),
-                            range(threads)))
-    return np.vstack(parts)
+def _initial_gaussian(count: int, dim: int, s0_sq: Fraction, seed: int) -> np.ndarray:
+    rng = derive_rng(seed, "init", "chunk", 0)
+    out = np.empty((count, dim), dtype=np.int64)
+    for r in range(count):
+        for j in range(dim):
+            out[r, j] = _draw_z(s0_sq, 0, 1, rng)
+    return out
 
 
 def _initial_ternary_sparse(count: int, dim: int, weight: int, seed: int) -> np.ndarray:
@@ -301,18 +274,8 @@ def _initial_ternary_sparse(count: int, dim: int, weight: int, seed: int) -> np.
 
 
 def _check_final_membership(inst: SisInstance, out: np.ndarray):
-    if out.size == 0:
-        return
-    A = np.asarray(inst.A)
-    max_x = int(np.abs(out).max()) if out.size else 0
-    if A.dtype == np.int64 and out.dtype == np.int64 and \
-            inst.m * (inst.q - 1) * max(1, max_x) < _INT64_SAFE:
-        if np.any(np.mod(out @ A.T, inst.q)):
-            raise AssertionError("output failed the exact membership check")
-        return
-    for row in out:
-        if any(int(v) for v in matvec_mod(A, [int(x) for x in row], inst.q)):
-            raise AssertionError("output failed the exact membership check")
+    if np.any(np.mod(int_matmul(out, inst.A), inst.q)):
+        raise NotInLattice("output failed the exact membership check")
 
 
 def _finish_stats(stats: RunStats, out: np.ndarray):
@@ -334,8 +297,11 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
     residues, and relaxes the width preconditions by flooring each stage
     width at its exact-sampler minimum.
 
-    Returns (outputs, RunStats); every output satisfies A x = 0 mod q.
+    Returns (outputs, RunStats); every output satisfies A x = 0 mod q.  The
+    sampler runs single-threaded: ``threads`` must be 1.
     """
+    if threads != 1:
+        raise PreconditionViolated(f"threads = 1 (single-threaded sampler), got {threads}")
     if schedule.mode == MODE_NAIVE:
         raise InfeasibleSchedule("use naive_wagner for the rounding mode")
     seed = _as_seed(rng)
@@ -362,7 +328,7 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
                 raise WidthTooSmall(
                     f"stage {st.index}: width below (q/p) sqrt(ln(2b+4)/pi)")
         t0 = time.perf_counter()
-        X = _initial_gaussian(init_count, dim0, schedule.s0_sq, seed, threads)
+        X = _initial_gaussian(init_count, dim0, schedule.s0_sq, seed)
         stats.stage_seconds.append(time.perf_counter() - t0)
         stats.list_sizes.append(init_count)
     else:
@@ -385,18 +351,16 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
                 Fraction(_width_floor_sq(st.b) * (1 + 1e-9))
             width_sq = max(width_sq, floor)
         Y = _lift_batch(st, X)
-        K = _gaussian_offsets(st, Y, width_sq, ("stage", st.index), seed, threads)
+        K = _gaussian_offsets(st, Y, width_sq, ("stage", st.index), seed)
         cap = len(X) // 3 if provable else 3 * schedule.N
         out, labels = _combine_stage(st, X, Y, K, cap, reuse=schedule.reuse and not provable)
         if provable and len(out) != len(X) // 3:
             raise InsufficientInputs(
                 f"stage {st.index} produced {len(out)} < floor(N/3) outputs")
-        if not provable and out.dtype == np.int64 and len(out):
+        if not provable:
             # Reuse pairing breeds exact duplicates and zero rows; both are
             # dead weight for later stages, so curate them out between stages.
-            out = out[np.any(out != 0, axis=1)]
-            if len(out):
-                out = np.unique(out, axis=0)
+            out = _curate(out)
         stats.bucket_histograms.append(_occupancy_histogram(labels))
         stats.list_sizes.append(len(out))
         stats.stage_seconds.append(time.perf_counter() - t0)
@@ -406,7 +370,7 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
         kappa = sum(schedule.b)
         if kappa < inst.n:
             rest = np.asarray(inst.a_prime)[kappa:, :]
-            syn = np.mod(-(X[:, :dim0] @ rest.T), inst.q)
+            syn = np.mod(-int_matmul(X[:, :dim0], rest), inst.q)
             X = np.hstack([X, centered(syn, inst.q)])
     _check_final_membership(inst, X)
     _finish_stats(stats, X)
@@ -447,13 +411,8 @@ def naive_wagner(inst: SisInstance, schedule: Schedule, rng, *,
         C = ((2 * p * Y + q) // (2 * q)) % p  # round((p/q) y) mod p, exact
         labels = _pack_labels(C, p)
         pairs = pair_indices_disjoint(labels, None)
-        if pairs:
-            i1 = np.fromiter((a for a, _ in pairs), dtype=np.int64, count=len(pairs))
-            i2 = np.fromiter((b for _, b in pairs), dtype=np.int64, count=len(pairs))
-            out = np.hstack([X[i1] - X[i2], Y[i1] - Y[i2]])
-            out = centered(np.mod(out, q), q)
-        else:
-            out = np.zeros((0, st.dim_out), dtype=np.int64)
+        i1, i2 = _pair_columns(pairs)
+        out = centered(np.mod(np.hstack([X[i1] - X[i2], Y[i1] - Y[i2]]), q), q)
         stats.bucket_histograms.append(_occupancy_histogram(labels))
         stats.list_sizes.append(len(out))
         stats.stage_seconds.append(time.perf_counter() - t0)

@@ -93,12 +93,7 @@ class SisInstance:
             raise BadDimensions(f"modulus must be >= 2, got {self.q}")
         if self.A.shape != (self.n, self.m):
             raise DimensionMismatch(f"A has shape {self.A.shape}, expected {(self.n, self.m)}")
-        if self.A.dtype == np.int64:
-            amin, amax = int(self.A.min()), int(self.A.max())
-        else:
-            amin = min(int(x) for row in self.A for x in row)
-            amax = max(int(x) for row in self.A for x in row)
-        if amin < 0 or amax >= self.q:
+        if int(self.A.min()) < 0 or int(self.A.max()) >= self.q:
             raise BadDimensions("matrix entries must lie in [0, q)")
         if self.norm_kind not in ("linf", "l2"):
             raise BadDimensions(f"unknown norm kind {self.norm_kind!r}")
@@ -111,12 +106,7 @@ class SisInstance:
         if self.m < self.n:
             return False
         tail = np.asarray(self.A)[:, self.m - self.n:]
-        if tail.dtype == np.int64:
-            return bool(np.array_equal(tail, np.eye(self.n, dtype=np.int64)))
-        return all(
-            int(tail[i, j]) == (1 if i == j else 0)
-            for i in range(self.n) for j in range(self.n)
-        )
+        return bool(np.array_equal(tail, np.eye(self.n, dtype=np.int64)))
 
     @classmethod
     def create(cls, rows, q: int, beta=None, norm_kind: str = "linf") -> "SisInstance":
@@ -180,23 +170,45 @@ class Solution:
         return cls(x=tuple(int(v) for v in doc["x"]), norm_value=float(doc.get("norm", 0.0)))
 
 
+_to_python_int = np.frompyfunc(int, 1, 1)
+
+
+def int_array(rows) -> np.ndarray:
+    """Integers as an int64 array, or as an object array of Python ints when
+    some entry does not fit in int64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def int_matmul(X, A) -> np.ndarray:
+    """Exact ``X @ A.T`` for integer matrices.
+
+    The toolkit's one overflow rule: the int64 product is used when both
+    operands are int64 and ``X.shape[1] * max|A| * max|X| < 2^62``, a bound on
+    every partial sum; otherwise the product is taken over Python integers in
+    an object array.
+    """
+    X, A = np.asarray(X), np.asarray(A)
+    if X.dtype == np.int64 and A.dtype == np.int64:
+        max_x = max(-int(X.min()), int(X.max())) if X.size else 0
+        max_a = max(-int(A.min()), int(A.max())) if A.size else 0
+        if X.shape[1] * max_a * max_x < _INT64_SAFE:
+            return X @ A.T
+    return _to_python_int(X) @ _to_python_int(A).T
+
+
 def matvec_mod(A, x, q: int) -> np.ndarray:
     """Exact A @ x mod q with entries in [0, q); no intermediate overflow."""
     A = np.asarray(A)
     if A.ndim != 2:
         raise DimensionMismatch("A must be a matrix")
-    n, m = A.shape
     xs = [int(v) for v in x]
-    if len(xs) != m:
-        raise DimensionMismatch(f"x has length {len(xs)}, expected {m}")
-    max_x = max((abs(v) for v in xs), default=0)
-    if A.dtype == np.int64 and m * (q - 1) * max(1, max_x) < _INT64_SAFE:
-        out = (A @ np.array(xs, dtype=np.int64)) % q
-        return out.astype(np.int64)
-    acc = [0] * n
-    for i in range(n):
-        acc[i] = sum(int(A[i, j]) * xs[j] for j in range(m)) % q
-    return np.array(acc, dtype=object if q >= (1 << 31) else np.int64)
+    if len(xs) != A.shape[1]:
+        raise DimensionMismatch(f"x has length {len(xs)}, expected {A.shape[1]}")
+    out = int_matmul(int_array([xs]), A)[0] % q
+    return out.astype(np.int64) if q < (1 << 31) else out
 
 
 def random_instance(n: int, m: int, q: int, seed: int, *, beta=None,

@@ -3,7 +3,9 @@ import json
 import math
 from contextlib import redirect_stdout
 
+from wagnersis import solvers, wagner
 from wagnersis.cli import main
+from wagnersis.zqlin import SisInstance, systematic_form
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -154,3 +156,56 @@ class TestDeterminismAndCertify:
                            "--certify-smoothing"],
                           stdin_text=inst_json, monkeypatch=monkeypatch)
         assert code == 3
+
+    def test_certified_schedule_is_the_solved_one_l2(self, monkeypatch):
+        # The l2 solver picks its schedule from beta = (q/f) sqrt(m); the
+        # certificate must be about that schedule, not an linf re-derivation.
+        certified, solved = [], []
+        monkeypatch.setattr(wagner, "certify_smoothing",
+                            lambda inst, sched: certified.append(sched))
+        run_sampler = solvers.gaussian_wagner
+
+        def recording(inst, sched, rng, **kw):
+            solved.append(sched)
+            return run_sampler(inst, sched, rng, **kw)
+
+        monkeypatch.setattr(solvers, "gaussian_wagner", recording)
+        _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
+                                "--seed", "11"])
+        run_cli(["solve", "--f", "20", "--norm", "l2", "--seed", "11",
+                 "--certify-smoothing"],
+                stdin_text=inst_json, monkeypatch=monkeypatch)
+        assert len(solved) == 1 and certified == solved
+        beta = (257 / 20) * math.sqrt(20)
+        assert solved[0] == wagner.choose_heuristic_params(8, 20, 257, beta)
+
+    def test_threads_other_than_one_exit_code(self, monkeypatch):
+        _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
+                                "--seed", "11"])
+        f = 4 * math.sqrt(math.log(20))
+        code, out = run_cli(["solve", "--f", str(f), "--seed", "11",
+                             "--threads", "2"],
+                            stdin_text=inst_json, monkeypatch=monkeypatch)
+        assert code == 3 and out == ""
+
+
+class TestSolvePermutation:
+    def test_solutions_verify_against_the_input_instance(self, monkeypatch):
+        # Seed 0 is not systematic as generated: reaching [A' | I] swaps
+        # columns 0 and 12, so solutions must be mapped back before printing.
+        _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
+                                "--seed", "0"])
+        _, perm = systematic_form(SisInstance.from_json(inst_json))
+        assert perm != tuple(range(20))
+        f = 4 * math.sqrt(math.log(20))
+        code, out = run_cli(["solve", "--f", str(f), "--seed", "0", "--json"],
+                            stdin_text=inst_json, monkeypatch=monkeypatch)
+        assert code == 0
+        sols = json.loads(out)["solutions"]
+        assert sols
+        for sol in sols:
+            code, verdict = run_cli(
+                ["verify", "--x=" + ",".join(str(v) for v in sol["x"])],
+                stdin_text=inst_json, monkeypatch=monkeypatch)
+            assert (code, verdict.strip()) == (0, "Valid")
+

@@ -6,7 +6,6 @@ import pytest
 
 from wagnersis.dgauss import (
     GaussParam,
-    SimilarityBudget,
     _decide_exact,
     _exp_neg_pi_interval,
     _LazyUniform,
@@ -226,15 +225,6 @@ class TestFormulas:
         pmf = pmf_bruteforce(enum_scaled_zn(1, 2), GaussParam.make(s=s, c=(0.3, 0.7)),
                              radius=12 * s)
         assert max(pmf.values()) <= min_entropy_bound(2, eps)
-
-
-class TestSimilarityBudget:
-    def test_validation(self):
-        SimilarityBudget(delta=0.0, epsilon=0.5)
-        with pytest.raises(PreconditionViolated):
-            SimilarityBudget(delta=-1.0, epsilon=0.5)
-        with pytest.raises(PreconditionViolated):
-            SimilarityBudget(delta=0.0, epsilon=0.6)
 
 
 class TestEmpiricalSimilarity:

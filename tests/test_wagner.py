@@ -10,6 +10,7 @@ from wagnersis.errors import (
     BudgetExceeded,
     InfeasibleSchedule,
     InsufficientInputs,
+    NotInLattice,
     PreconditionViolated,
     WidthTooSmall,
 )
@@ -19,6 +20,7 @@ from wagnersis.wagner import (
     MODE_NAIVE,
     MODE_PROVABLE,
     Schedule,
+    _check_final_membership,
     bucket_and_combine,
     certify_smoothing,
     choose_heuristic_params,
@@ -30,7 +32,7 @@ from wagnersis.wagner import (
     pair_indices_disjoint,
     pair_indices_reuse,
 )
-from wagnersis.zqlin import SisInstance, matvec_mod
+from wagnersis.zqlin import SisInstance, matvec_mod, random_instance, systematic_form
 
 
 def make_systematic(n, m, q, seed):
@@ -179,13 +181,13 @@ class TestGaussianWagnerProvable:
         out3, _ = gaussian_wagner(inst, sched, 43)
         assert not np.array_equal(out1, out3)
 
-    def test_threads_deterministic(self):
+    def test_threads_other_than_one_rejected(self):
         inst = make_systematic(2, 8, 5, seed=6)
-        sched = Schedule(mode=MODE_PROVABLE, r=1, N=2000, p=(2,), b=(2,),
+        sched = Schedule(mode=MODE_PROVABLE, r=1, N=12, p=(2,), b=(2,),
                          s0_sq=Fraction(64))
-        out1, _ = gaussian_wagner(inst, sched, 9, threads=2)
-        out2, _ = gaussian_wagner(inst, sched, 9, threads=2)
-        assert np.array_equal(out1, out2)
+        for threads in (0, 2):
+            with pytest.raises(PreconditionViolated):
+                gaussian_wagner(inst, sched, 9, threads=threads)
 
     def test_requires_systematic(self):
         inst = SisInstance.create([[0, 1], [1, 0]], 7)
@@ -193,6 +195,18 @@ class TestGaussianWagnerProvable:
                          s0_sq=Fraction(64))
         with pytest.raises(BlockSumMismatch):
             gaussian_wagner(inst, sched, 0)
+
+    def test_final_membership_check_raises_typed_error(self):
+        inst = make_systematic(2, 6, 5, seed=3)
+        sched = Schedule(mode=MODE_PROVABLE, r=1, N=12, p=(2,), b=(2,),
+                         s0_sq=Fraction(64))
+        out, _ = gaussian_wagner(inst, sched, 42)
+        _check_final_membership(inst, out)
+        bad = out.copy()
+        bad[3, 0] += 1
+        for rows in (bad, bad.astype(object)):
+            with pytest.raises(NotInLattice):
+                _check_final_membership(inst, rows)
 
 
 class TestNaiveWagner:
@@ -306,6 +320,19 @@ class TestHeuristicSchedule:
         A = np.asarray(inst.A)
         assert out.shape[1] == 20
         assert not np.any(np.mod(out @ A.T, 257))
+
+    @pytest.mark.parametrize("q", [2147483647, 2147483659])
+    def test_curation_on_int64_and_object_lists(self, q):
+        # q = 2^31 - 1 keeps int64 lists; the prime just above 2^31 makes the
+        # lists object arrays, which must be curated all the same.
+        inst, _ = systematic_form(random_instance(2, 12, q, seed=1))
+        sched = Schedule(mode=MODE_HEURISTIC, r=1, N=64, p=(4,), b=(1,),
+                         s0_sq=Fraction(4), reuse=True)
+        out, stats = gaussian_wagner(inst, sched, 3)
+        rows = [tuple(int(v) for v in row) for row in out]
+        assert rows and len(rows) == stats.list_sizes[-1]
+        assert all(any(row) for row in rows)
+        assert len(set(rows)) == len(rows)
 
     def test_infeasible_when_no_margin(self):
         with pytest.raises(InfeasibleSchedule):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wagnersis.errors import (
     BadDimensions,
@@ -9,9 +11,11 @@ from wagnersis.errors import (
     RankDeficient,
 )
 from wagnersis.zqlin import (
+    _INT64_SAFE,
     SisInstance,
     Solution,
     centered,
+    int_matmul,
     lambda1_inf_bruteforce,
     matvec_mod,
     permute_solution_back,
@@ -182,3 +186,45 @@ class TestInstanceModel:
         assert centered(4, 6) == -2
         arr = centered(np.array([0, 1, 2, 3, 4]), 5)
         assert list(arr) == [0, 1, 2, -2, -1]
+
+
+def _matmul_reference(X, A):
+    """X @ A.T over Python integers, one entry at a time."""
+    return [[sum(int(x) * int(a) for x, a in zip(xrow, arow)) for arow in A]
+            for xrow in X]
+
+
+def _matrix(data, rows, cols, elements):
+    return [[data.draw(elements) for _ in range(cols)] for _ in range(rows)]
+
+
+class TestIntMatmul:
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 6), max_a=st.integers(1, 1 << 31),
+           rows=st.integers(1, 3), b=st.integers(1, 3),
+           delta=st.integers(-2, 2), data=st.data())
+    def test_exact_on_both_sides_of_the_int64_guard(self, k, max_a, rows, b,
+                                                    delta, data):
+        # max|X| puts k max|A| max|X| within a few steps of 2^62, and entries
+        # at +-max hit the worst-case partial sums.
+        max_x = max(1, (_INT64_SAFE - 1) // (k * max_a) + delta)
+        xs = st.one_of(st.sampled_from([max_x, -max_x]), st.integers(-max_x, max_x))
+        as_ = st.one_of(st.sampled_from([max_a, -max_a]), st.integers(-max_a, max_a))
+        X = _matrix(data, rows, k, xs)
+        A = _matrix(data, b, k, as_)
+        X[0][0], A[0][0] = max_x, max_a
+        got = int_matmul(np.array(X, dtype=np.int64), np.array(A, dtype=np.int64))
+        assert got.dtype == (np.int64 if k * max_a * max_x < _INT64_SAFE else object)
+        assert got.tolist() == _matmul_reference(X, A)
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.integers(1 << 31, 1 << 80), k=st.integers(1, 5),
+           rows=st.integers(1, 3), b=st.integers(1, 3), data=st.data())
+    def test_object_operands_for_wide_moduli(self, q, k, rows, b, data):
+        A = _matrix(data, b, k, st.integers(0, q - 1))
+        X = _matrix(data, rows, k, st.integers(-q, q))
+        ref = _matmul_reference(X, A)
+        A_obj = np.array(A, dtype=object)
+        assert int_matmul(np.array(X, dtype=object), A_obj).tolist() == ref
+        assert [int(v) for v in matvec_mod(A_obj, X[0], q)] == [v % q for v in ref[0]]
+
