@@ -51,10 +51,6 @@ class StageDescriptor:
     def dim_out(self) -> int:
         return self.m_minus_n + self.kappa
 
-    def width_floor(self) -> float:
-        """Smallest width usable for the stage's exact scaled-Z^b sampler."""
-        return self.q / self.p * math.sqrt(_width_floor_sq(self.b))
-
 
 @dataclass(frozen=True)
 class StagedVector:
@@ -164,11 +160,9 @@ def lift_integer(stage: StageDescriptor, x: Sequence[int]) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _offset_width_sq(index: int, p: int, q: int, b: int, s) -> Fraction:
-    """(p/q)^2 s^2, the squared width of the offset coefficients k, once s
-    clears the stage floor (q/p) sqrt(ln(2b+4)/pi)."""
-    s_sq = s.s_sq if isinstance(s, GaussParam) else (
-        s if isinstance(s, Fraction) else Fraction(s)) ** 2
+def _offset_width_sq(index: int, p: int, q: int, b: int, s_sq: Fraction) -> Fraction:
+    """The stage width rule: (p/q)^2 s^2, the squared width of the offset
+    coefficients k, once s clears the stage floor (q/p) sqrt(ln(2b+4)/pi)."""
     floor_sq = (Fraction(q, p) ** 2) * Fraction(_width_floor_sq(b))
     if float(s_sq) < float(floor_sq) * (1 - 1e-12):
         raise WidthTooSmall(
@@ -186,7 +180,8 @@ def dglift(stage: StageDescriptor, x: Sequence[int], s, rng) -> StagedVector:
     output orthogonally to the new coordinates recovers x bit-exactly.
     """
     p, q = stage.p, stage.q
-    scaled_s_sq = _offset_width_sq(stage.index, p, q, stage.b, s)
+    s_sq = s.s_sq if isinstance(s, GaussParam) else Fraction(s) ** 2
+    scaled_s_sq = _offset_width_sq(stage.index, p, q, stage.b, s_sq)
     y = lift_integer(stage, x)
     ks = tuple(_draw_z(scaled_s_sq, -p * yj, q, rng) for yj in y)
     tail = tuple(p * yj + q * kj for yj, kj in zip(y, ks))

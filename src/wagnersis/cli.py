@@ -25,7 +25,6 @@ from .rngutil import derive_rng
 from .zqlin import (
     SisInstance,
     Solution,
-    matvec_mod,
     permute_solution_back,
     random_instance,
     systematic_form,
@@ -150,8 +149,10 @@ def _cmd_solve(args) -> int:
         print(f"valid solution found: norm {best.norm_value} <= "
               f"{report.norm_bound_used:.4f}; x = {list(best.x)}")
     else:
-        print(f"no solution within {report.norm_bound_used:.4f} "
-              f"among {report.attempts} samples")
+        bound = f"{args.norm} norm <= {report.norm_bound_used:.4f}"
+        if given.beta is not None:
+            bound += f" and {given.norm_kind} norm <= {given.beta} (the instance's beta)"
+        print(f"no solution with {bound} among {report.attempts} samples")
     return EXIT_OK if report.success else EXIT_FAIL
 
 
@@ -159,8 +160,10 @@ def _in_given_coordinates(given: SisInstance, perm, sol: Solution) -> Solution:
     """A solution of the systematic form mapped back to the columns of the
     instance the user supplied, and checked against it."""
     x = permute_solution_back(perm, sol.x)
-    if any(int(v) for v in matvec_mod(given.A, x, given.q)):
-        raise NotInLattice("solution fails A x = 0 mod q on the input instance")
+    verdict = solvers.verify(given, x)
+    if verdict != solvers.VERDICT_VALID:
+        error = NotInLattice if verdict == solvers.VERDICT_NOT_IN_LATTICE else WagnerSisError
+        raise error(f"solution is {verdict} on the input instance")
     return replace(sol, x=x)
 
 

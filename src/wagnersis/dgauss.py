@@ -3,14 +3,19 @@ formula evaluators, and the brute-force / statistical oracles used by tests
 and parameter selection.
 
 Sampler design.  ``sample_z`` draws from D_{Z,s,c} (density proportional to
-exp(-pi (x-c)^2 / s^2)) by rejection from a proposal that covers all of Z:
-a uniform window of half-width K = ceil(1.5 s) around the rounded center,
-glued to two geometric tails whose dyadic-rational parameters provably
-dominate the Gaussian there.  Every accept/reject comparison is a Bernoulli
-test "U < exp(-pi a)" with rational a; it is evaluated in double precision
-with a conservative error margin, and escalated to exact rational interval
-arithmetic whenever the margin cannot separate U from the probability.  The
-sampled distribution therefore carries no floating-point statistical gap.
+exp(-pi (x-c)^2 / s^2)).  The center is split exactly, in integer arithmetic,
+as c = round(c) + f with |f| <= 1/2, and D_{Z,s,c} = round(c) + D_{Z,s,f}.
+The offset is drawn by rejection from a proposal that covers all of Z: a
+uniform window of half-width K = ceil(1.5 s) glued to two geometric tails
+whose dyadic-rational parameters dominate the Gaussian for every |f| <= 1/2,
+so these constants depend on s^2 alone and one ``_ZSampler`` per width serves
+every center.  Every accept/reject comparison is a Bernoulli test
+"U < exp(-pi a)" with rational a; it is evaluated in double precision with a
+constant relative margin, and escalated to exact rational interval arithmetic
+whenever the margin cannot separate U from the probability.  Only f and the
+offset enter the float arithmetic, so neither the margin nor the per-draw
+cost grows with |c|, and the sampled distribution carries no floating-point
+statistical gap.
 
 Widths are carried as exact rationals s^2 (``s_sq``), which keeps widths like
 sqrt(2)^i * s0 representable exactly.
@@ -40,15 +45,9 @@ _PI_LO = Fraction(
 )
 _PI_HI = _PI_LO + Fraction(1, 10 ** 59)
 _LN2 = math.log(2.0)
-
-
-def _frac(x) -> Fraction:
-    """Exact Fraction from int/float/Fraction (floats are dyadic rationals)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)  # exact for float
+# Relative error allowed for a double-precision exp(-pi (t-f)^2 / s^2): libm
+# plus the rounding of f, (t-f)^2 and s^2, none of which grows with |c|.
+_REL_ERR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,8 @@ class GaussParam:
     def make(cls, s=None, c=0, s_sq=None) -> "GaussParam":
         if (s is None) == (s_sq is None):
             raise ValueError("give exactly one of s, s_sq")
-        ssq = _frac(s) ** 2 if s is not None else _frac(s_sq)
-        cs = tuple(_frac(v) for v in (c if isinstance(c, (tuple, list)) else (c,)))
+        ssq = Fraction(s) ** 2 if s is not None else Fraction(s_sq)
+        cs = tuple(Fraction(v) for v in (c if isinstance(c, (tuple, list)) else (c,)))
         return cls(s_sq=ssq, c=cs)
 
     @property
@@ -164,26 +163,24 @@ def _decide_exact(premul: Fraction, a: Fraction, u: _LazyUniform, rng) -> bool:
 # ---------------------------------------------------------------------------
 
 class _ZSampler:
-    """Per-(s^2, c) proposal constants plus the rejection loop."""
+    """Proposal constants for one width s^2, shared by every center, plus the
+    rejection loop, which runs on the offset t = x - round(c)."""
 
-    __slots__ = ("s_sq", "c_num", "c_den", "s_sq_f", "c_f", "x0", "K", "W",
-                 "wbits", "t_hat", "g_scaled", "g_hat", "p_window", "rel_err")
+    __slots__ = ("s_sq", "s_sq_f", "K", "W", "wbits", "t_hat", "g_scaled",
+                 "g_hat", "p_window", "p_window_exact")
 
-    def __init__(self, s_sq: Fraction, c_num: int, c_den: int):
+    def __init__(self, s_sq: Fraction):
         self.s_sq = s_sq
-        self.c_num = c_num
-        self.c_den = c_den
         self.s_sq_f = float(s_sq)
-        self.c_f = c_num / c_den
         s_f = math.sqrt(self.s_sq_f)
-        self.x0 = round(self.c_f)
         self.K = max(1, math.ceil(1.5 * s_f))
         self.W = 2 * self.K + 1
         self.wbits = self.W.bit_length()
-        # Tail domination: for |x - x0| = K + j we have |x - c| >= K + j - 0.6,
-        # hence (x-c)^2 >= (K-0.6)^2 + 2(K-0.6) j and the Gaussian weight there
-        # is at most t_hat * g_hat^j for the dyadic bounds below (floats are
-        # exact dyadic rationals, so the bounds stay usable in exact tests).
+        # Tail domination: the center is split as round(c) + f with |f| <= 1/2,
+        # so for |t| = K + j we have |t - f| >= K + j - 0.6, hence
+        # (t-f)^2 >= (K-0.6)^2 + 2(K-0.6) j and the Gaussian weight there is at
+        # most t_hat * g_hat^j for the dyadic bounds below (floats are exact
+        # dyadic rationals, so the bounds stay usable in exact tests).
         t_exp = math.pi * (self.K - 0.6) ** 2 / self.s_sq_f
         if t_exp < 700.0:
             self.t_hat = min(1.0, math.exp(-t_exp) * (1.0 + 1e-9))
@@ -195,35 +192,35 @@ class _ZSampler:
         self.g_hat = self.g_scaled / float(1 << 40)
         tail_total = self.t_hat * self.g_hat / (1.0 - self.g_hat)
         self.p_window = self.W / (self.W + 2.0 * tail_total)
-        self.rel_err = 1e-12 * abs(self.c_f) + 1e-9  # libm + center conversion
-
-    def _exact_a(self, x: int) -> Fraction:
-        return Fraction(x * self.c_den - self.c_num, self.c_den) ** 2 / self.s_sq
+        tail_exact = Fraction(self.t_hat) * Fraction(self.g_scaled,
+                                                     (1 << 40) - self.g_scaled)
+        self.p_window_exact = Fraction(self.W) / (self.W + 2 * tail_exact)
 
     def _select_window_exact(self, u_sel: float, rng) -> bool:
-        tt = Fraction(self.t_hat) * Fraction(self.g_scaled,
-                                             (1 << 40) - self.g_scaled)
-        p_w = Fraction(self.W) / (self.W + 2 * tt)
         lu = _LazyUniform(int(u_sel * (1 << 53)), 53)
         while True:
             u_lo, u_hi = lu.bounds()
-            if u_hi <= p_w:
+            if u_hi <= self.p_window_exact:
                 return True
-            if u_lo >= p_w:
+            if u_lo >= self.p_window_exact:
                 return False
             lu.extend(rng)
 
-    def draw(self, rng) -> int:
+    def draw(self, c_num: int, c_den: int, rng) -> int:
+        """One draw from D_{Z,s,c} with c = c_num / c_den, c_den > 0."""
+        # c = x0 + f_num / c_den with x0 the nearest integer (ties to even)
+        x0, f_num = divmod(c_num, c_den)
+        if 2 * f_num > c_den or (2 * f_num == c_den and x0 & 1):
+            x0 += 1
+            f_num -= c_den
+        f = f_num / c_den
         rnd = rng.random
         rbits = rng.getrandbits
         s_sq_f = self.s_sq_f
-        c_f = self.c_f
-        x0 = self.x0
         K = self.K
         W = self.W
         wbits = self.wbits
         p_window = self.p_window
-        rel_err = self.rel_err
         neg_pi = -math.pi
         exp = math.exp
         while True:
@@ -239,58 +236,57 @@ class _ZSampler:
                     off = rbits(wbits)
                     if off < W:
                         break
-                x = x0 - K + off
-                dx = x - c_f
+                t = off - K
+                dx = t - f
                 p = exp(neg_pi * dx * dx / s_sq_f)
                 u = rnd()
-                margin = rel_err * p + 1e-15
+                margin = _REL_ERR * p + 1e-15
                 if u < p - margin:
-                    return x
+                    return x0 + t
                 if u > p + margin:
                     continue
+                a = Fraction(t * c_den - f_num, c_den) ** 2 / self.s_sq
                 lu = _LazyUniform(int(u * (1 << 53)), 53)
-                if _decide_exact(Fraction(1), self._exact_a(x), lu, rng):
-                    return x
+                if _decide_exact(Fraction(1), a, lu, rng):
+                    return x0 + t
                 continue
             # Tail branch: geometric offset j >= 1 beyond the window.
             side = 1 if rbits(1) else -1
             j = 1
             while rbits(40) < self.g_scaled:
                 j += 1
-            x = x0 + side * (K + j)
-            dx = x - c_f
+            t = side * (K + j)
+            dx = t - f
             p = exp(neg_pi * dx * dx / s_sq_f)
             premul_f = self.t_hat * self.g_hat ** j
             u = rnd()
             lhs = u * premul_f
-            margin = (rel_err + 1e-10 * j) * (p + lhs) + 1e-290
+            # u is the 53-bit prefix of a uniform in [u, u + 2^-53): the
+            # premul_f * 2^-53 term keeps an accept valid for all of it.
+            margin = ((_REL_ERR + 1e-10 * j) * (p + lhs) + premul_f * 2.0 ** -53
+                      + 1e-290)
             if premul_f > 0.0 and lhs < p - margin:
-                return x
+                return x0 + t
             if premul_f > 0.0 and lhs > p + margin:
                 continue
             premul = Fraction(self.t_hat) * Fraction(self.g_scaled, 1 << 40) ** j
+            a = Fraction(t * c_den - f_num, c_den) ** 2 / self.s_sq
             lu = _LazyUniform(int(u * (1 << 53)), 53)
-            if _decide_exact(premul, self._exact_a(x), lu, rng):
-                return x
+            if _decide_exact(premul, a, lu, rng):
+                return x0 + t
 
 
 _SAMPLER_CACHE: Dict = {}
 
 
-def _get_sampler(s_sq: Fraction, c_num: int, c_den: int) -> _ZSampler:
-    key = (s_sq, c_num, c_den)
-    samp = _SAMPLER_CACHE.get(key)
+def _draw_z(s_sq: Fraction, c_num: int, c_den: int, rng) -> int:
+    """One exact draw from D_{Z, s, c} with s^2 = s_sq and c = c_num/c_den."""
+    samp = _SAMPLER_CACHE.get(s_sq)
     if samp is None:
         if len(_SAMPLER_CACHE) > 4096:
             _SAMPLER_CACHE.clear()
-        samp = _ZSampler(s_sq, c_num, c_den)
-        _SAMPLER_CACHE[key] = samp
-    return samp
-
-
-def _draw_z(s_sq: Fraction, c_num: int, c_den: int, rng) -> int:
-    """One exact draw from D_{Z, s, c} with s^2 = s_sq and c = c_num/c_den."""
-    return _get_sampler(s_sq, c_num, c_den).draw(rng)
+        samp = _SAMPLER_CACHE[s_sq] = _ZSampler(s_sq)
+    return samp.draw(c_num, c_den, rng)
 
 
 def _width_floor_sq(n: int) -> float:

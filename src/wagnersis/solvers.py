@@ -79,6 +79,13 @@ def nonzero_mod_q(x, q: int) -> bool:
     return any(int(v) % q for v in x)
 
 
+def _meets_instance_beta(inst: SisInstance, x) -> bool:
+    """x is within the instance's own beta under its norm kind; vacuous when
+    the instance carries no beta."""
+    within = linf_within if inst.norm_kind == "linf" else l2_within
+    return inst.beta is None or within(x, inst.beta)
+
+
 def verify(inst: SisInstance, x) -> str:
     """Exact verdict: lattice membership first, then zero, then the norm."""
     xs = [int(v) for v in x]
@@ -88,8 +95,7 @@ def verify(inst: SisInstance, x) -> str:
         return VERDICT_NOT_IN_LATTICE
     if all(v == 0 for v in xs):
         return VERDICT_ZERO
-    within = linf_within if inst.norm_kind == "linf" else l2_within
-    if inst.beta is not None and not within(xs, inst.beta):
+    if not _meets_instance_beta(inst, xs):
         return VERDICT_NORM
     return VERDICT_VALID
 
@@ -133,7 +139,8 @@ def choose_schedule(inst: SisInstance, f: float, epsilon: float, mode: str,
 def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
            norm_kind: str, accept, trivial: bool, schedule: Optional[Schedule],
            threads: int, max_solutions: int) -> SolveReport:
-    """Run the sampler and keep the outputs that ``accept`` admits."""
+    """Run the sampler and keep the outputs that ``accept`` admits and that
+    meet the instance's own beta."""
     beta = _norm_bound(inst, f, norm_kind)
     _check_mode(inst, f, epsilon, mode)
     if schedule is None:
@@ -142,7 +149,7 @@ def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
     sols = []
     for row in outputs:
         xs = [int(v) for v in row]
-        if accept(xs, beta):
+        if accept(xs, beta) and _meets_instance_beta(inst, xs):
             sols.append(Solution.from_vector(xs, norm_kind))
             if len(sols) >= max_solutions:
                 break

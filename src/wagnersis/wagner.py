@@ -35,6 +35,7 @@ from .chain import (
     StagedVector,
     _difference,
     _lift_batch,
+    _offset_width_sq,
     _stack,
     build_chain,
 )
@@ -195,7 +196,7 @@ def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
                       seed_path: tuple, seed) -> np.ndarray:
     """Sample k ~ D_{Z^b, (p/q) s, -(p/q) y} rowwise via the exact sampler."""
     p, q = stage.p, stage.q
-    scaled = width_sq * p * p / (q * q)
+    scaled = _offset_width_sq(stage.index, p, q, stage.b, width_sq)
     rng = derive_rng(seed, *seed_path, "chunk", 0)
     rows, b = Y.shape
     out = np.empty((rows, b), dtype=np.int64)
@@ -322,11 +323,8 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
                 f"initial list of {init_count} vectors exceeds the memory budget")
         if float(schedule.s0_sq) < _width_floor_sq(dim0) * (1 - 1e-12):
             raise WidthTooSmall("s0 below sqrt(ln(2(m-n)+4)/pi)")
-        for st in stages:
-            if float(schedule.width_sq(st.index)) < \
-                    (st.q / st.p) ** 2 * _width_floor_sq(st.b) * (1 - 1e-12):
-                raise WidthTooSmall(
-                    f"stage {st.index}: width below (q/p) sqrt(ln(2b+4)/pi)")
+        for st in stages:  # every stage width must clear its floor before any draw
+            _offset_width_sq(st.index, st.p, st.q, st.b, schedule.width_sq(st.index))
         t0 = time.perf_counter()
         X = _initial_gaussian(init_count, dim0, schedule.s0_sq, seed)
         stats.stage_seconds.append(time.perf_counter() - t0)

@@ -222,9 +222,22 @@ def random_instance(n: int, m: int, q: int, seed: int, *, beta=None,
     if q < (1 << 62):
         A = rng.integers(0, q, size=(n, m), dtype=np.int64)
     else:
-        A = np.array([[int(rng.integers(0, q)) for _ in range(m)] for _ in range(n)],
+        A = np.array([[_uniform_below(rng, q) for _ in range(m)] for _ in range(n)],
                      dtype=object)
     return SisInstance.create(A, q, beta=beta, norm_kind=norm_kind)
+
+
+def _uniform_below(rng: np.random.Generator, q: int) -> int:
+    """Uniform integer on [0, q): NumPy's own draw while q fits its int64
+    bounds, beyond that rejection on (q-1).bit_length() bits of the
+    generator's byte stream."""
+    if q < (1 << 63):
+        return int(rng.integers(0, q))
+    bits = (q - 1).bit_length()
+    while True:
+        v = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
+        if v < q:
+            return v
 
 
 def _modinv(a: int, q: int):

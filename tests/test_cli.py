@@ -1,7 +1,10 @@
+import hashlib
 import io
 import json
 import math
 from contextlib import redirect_stdout
+
+import pytest
 
 from wagnersis import solvers, wagner
 from wagnersis.cli import main
@@ -26,6 +29,16 @@ class TestGen:
         assert doc["n"] == 4 and doc["m"] == 9 and doc["q"] == 17
         assert all(0 <= v < 17 for row in doc["A"] for v in row)
 
+    def test_modulus_beyond_int64(self):
+        q = 2 ** 64 + 13
+        argv = ["gen", "--n", "2", "--m", "5", "--q", str(q), "--seed", "1"]
+        c1, o1 = run_cli(argv)
+        c2, o2 = run_cli(argv)
+        assert c1 == c2 == 0 and o1 == o2
+        doc = json.loads(o1)
+        assert doc["q"] == q
+        assert all(0 <= v < q for row in doc["A"] for v in row)
+
 
 class TestSolvePipe:
     def test_gen_solve_verify_round_trip(self, monkeypatch):
@@ -42,6 +55,30 @@ class TestSolvePipe:
             ["verify", "--x=" + ",".join(str(v) for v in sol["x"])],
             stdin_text=inst_json, monkeypatch=monkeypatch)
         assert code2 == 0 and "Valid" in out2
+
+    def test_instance_beta_is_enforced(self, monkeypatch):
+        # beta = (q/f) sqrt(ln m) is about 64 here, but the instance asks for
+        # ||x||_inf <= 20; every printed solution must meet the instance's bound.
+        _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
+                                "--seed", "7", "--beta", "20"])
+        code, out = run_cli(["solve", "--f", "6.92", "--seed", "7", "--json"],
+                            stdin_text=inst_json, monkeypatch=monkeypatch)
+        sols = json.loads(out)["solutions"]
+        assert code == 0 and sols
+        for sol in sols:
+            assert max(abs(v) for v in sol["x"]) <= 20
+            code, verdict = run_cli(
+                ["verify", "--x=" + ",".join(str(v) for v in sol["x"])],
+                stdin_text=inst_json, monkeypatch=monkeypatch)
+            assert (code, verdict.strip()) == (0, "Valid")
+
+    def test_no_solution_message_names_the_instance_beta(self, monkeypatch):
+        _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
+                                "--seed", "7", "--beta", "5"])
+        code, out = run_cli(["solve", "--f", "6.92", "--seed", "7"],
+                            stdin_text=inst_json, monkeypatch=monkeypatch)
+        assert code == 1
+        assert "linf norm <= 5 (the instance's beta)" in out
 
     def test_provable_mode_precondition_exit_code(self, monkeypatch):
         _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
@@ -145,6 +182,31 @@ class TestDeterminismAndCertify:
         c1, o1 = run_cli(list(argv), stdin_text=inst_json, monkeypatch=monkeypatch)
         c2, o2 = run_cli(list(argv), stdin_text=inst_json, monkeypatch=monkeypatch)
         assert (c1, o1) == (c2, o2)
+
+    # sha256 of stdout, computed before the sampler keyed its constants on
+    # the width alone: a change to any seeded stream fails here
+    @pytest.mark.parametrize("argv, digest", [
+        (["sample", "--width", "3", "--center", "0.5", "--count", "400",
+          "--seed", "1", "--json"],
+         "4bf8da62ff54cdbc2c490e1b9566513c7df35bfcb4b2402921829395d8ab4660"),
+        (["sample", "--width", "2.2", "--center", "-7.25", "--count", "400",
+          "--dim", "3", "--seed", "4", "--json"],
+         "eb978ef5739ed3294406d1ac1f9fe5b13702fab609fc4be3e81dc07568340b79"),
+    ])
+    def test_sample_stream_pinned(self, argv, digest):
+        code, out = run_cli(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_solve_stream_pinned(self, monkeypatch):
+        _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
+                                "--seed", "11"])
+        f = 4 * math.sqrt(math.log(20))
+        code, out = run_cli(["solve", "--f", str(f), "--seed", "11", "--json"],
+                            stdin_text=inst_json, monkeypatch=monkeypatch)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "2c54c157175bf690cc69c8001b88e73bc667758ddda7e497ef1eb4081bdea954"
 
     def test_certify_smoothing_refuses_large_instances(self, monkeypatch):
         # certification brute-forces dual lattices; desk instances exceed the

@@ -1,14 +1,22 @@
 import math
 from fractions import Fraction
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wagnersis import dgauss
 from wagnersis.dgauss import (
     GaussParam,
     _decide_exact,
+    _draw_z,
     _exp_neg_pi_interval,
     _LazyUniform,
+    _width_floor_sq,
+    _ZSampler,
     empirical_similarity,
     enum_coset_z,
     enum_scaled_zn,
@@ -87,6 +95,148 @@ class TestSampleZ:
         rng = derive_rng(3)
         vals = {sample_z(param, rng) for _ in range(200)}
         assert all(isinstance(v, int) for v in vals)
+
+
+class TestCenterSplit:
+    @pytest.mark.parametrize("k", [2 ** 40, 2 ** 60, 2 ** 100])
+    def test_large_centers_shift_the_small_center_draws(self, k, monkeypatch):
+        # D_{Z,s,k+1/3} = k + D_{Z,s,1/3}: the same seed gives the same draws
+        # shifted by k, and no decision leaves double precision.
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _decide_exact(*args)
+
+        monkeypatch.setattr(dgauss, "_decide_exact", counting)
+        s_sq = Fraction(9)
+        rng_small, rng_large = derive_rng(5, "split"), derive_rng(5, "split")
+        small = [_draw_z(s_sq, 1, 3, rng_small) for _ in range(200)]
+        large = [_draw_z(s_sq, 3 * k + 1, 3, rng_large) for _ in range(200)]
+        assert large == [k + v for v in small]
+        assert len(calls) == 0
+
+    def test_one_sampler_per_width(self):
+        dgauss._SAMPLER_CACHE.clear()
+        rng = derive_rng(6, "cache")
+        for c_num in range(-50, 50):
+            _draw_z(Fraction(25, 4), c_num, 7, rng)
+        assert list(dgauss._SAMPLER_CACHE) == [Fraction(25, 4)]
+
+
+class _ScriptEnd(Exception):
+    pass
+
+
+class _Deferred(Exception):
+    pass
+
+
+class _ScriptedRng:
+    """Replays scripted random() and getrandbits() values; asking for more
+    means the scripted proposal was rejected and the loop went round."""
+
+    def __init__(self, floats, bits):
+        self.floats, self.bits = list(floats), list(bits)
+
+    def random(self):
+        if not self.floats:
+            raise _ScriptEnd
+        return self.floats.pop(0)
+
+    def getrandbits(self, k):
+        if not self.bits:
+            raise _ScriptEnd
+        return self.bits.pop(0)
+
+
+_FLOOR_SQ = Fraction(_width_floor_sq(1))
+_WIDTHS_SQ = st.one_of(
+    st.sampled_from([_FLOOR_SQ, _FLOOR_SQ * (1 + Fraction(1, 1 << 40)), Fraction(16, 9),
+                     Fraction(9), Fraction(1 << 40), Fraction((1 << 40) - 1, 3)]),
+    st.builds(lambda e, num: _FLOOR_SQ + Fraction(num, 1 << 10) * 2 ** e,
+              st.integers(0, 40), st.integers(0, (1 << 10) - 1)))
+# |c| >= 2^40 with a fractional part whose reduced denominator is odd (> 1)
+_CENTERS = st.builds(lambda sign, k, d, n: (sign * k * d + n % (d - 1) + 1, d),
+                     st.sampled_from([1, -1]), st.integers((1 << 40) + 1, 1 << 100),
+                     st.integers(1, 10 ** 6).map(lambda v: 2 * v + 1),
+                     st.integers(1, 10 ** 6))
+# The 53-bit uniform: anywhere, or at the acceptance threshold times
+# (1 + rel), with rel down to well inside the float margin.
+_UNIFORMS = st.one_of(
+    st.tuples(st.just("at"), st.one_of(
+        st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** -e,
+                                st.sampled_from([1, -1]), st.integers(3, 12)))),
+    st.tuples(st.just("any"), st.integers(0, (1 << 53) - 1)))
+
+
+class TestFloatFastPath:
+    """Every accept/reject the sampler decides in double precision agrees
+    with the exact decision on the same 53-bit uniform."""
+
+    @staticmethod
+    def _run(samp, c_num, c_den, floats, bits):
+        """True for a float accept, False for a float reject, None when the
+        decision went to exact arithmetic."""
+        def deferred(*args):
+            raise _Deferred
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dgauss, "_decide_exact", deferred)
+            try:
+                samp.draw(c_num, c_den, _ScriptedRng(floats, bits))
+                return True
+            except _ScriptEnd:
+                return False
+            except _Deferred:
+                return None
+
+    @staticmethod
+    def _u53(u, log_thr: float) -> int:
+        kind, v = u
+        if kind == "any":
+            return v
+        if log_thr >= 0:
+            return (1 << 53) - 1
+        return min((1 << 53) - 1, int(math.exp(log_thr) * (1 + v) * (1 << 53)))
+
+    @staticmethod
+    def _offset_a(samp, t, c_num, c_den):
+        x0 = round(Fraction(c_num, c_den))
+        return (Fraction(t) + x0 - Fraction(c_num, c_den)) ** 2 / samp.s_sq
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s_sq=_WIDTHS_SQ, c=_CENTERS, t_pos=st.integers(0, 1 << 22), u=_UNIFORMS)
+    def test_window_decisions_match_exact(self, s_sq, c, t_pos, u):
+        samp = _ZSampler(s_sq)
+        t = t_pos % samp.W - samp.K
+        a = self._offset_a(samp, t, *c)
+        u53 = self._u53(u, -math.pi * float(a))
+        got = self._run(samp, *c, [0.0, u53 / (1 << 53)], [t + samp.K])
+        if got is not None:
+            lu = _LazyUniform(u53, 53)
+            assert got == _decide_exact(Fraction(1), a, lu, random.Random(0))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(s_sq=_WIDTHS_SQ, c=_CENTERS, j=st.integers(20, 24),
+           side=st.sampled_from([1, -1]), u=_UNIFORMS)
+    # u = 0 while p is far below premul 2^-53: the uniform's unread bits
+    # decide, so a float accept would be wrong
+    @example(s_sq=Fraction(9), c=(3 * 2 ** 40 + 1, 3), j=20, side=1, u=("any", 0))
+    def test_tail_decisions_match_exact(self, s_sq, c, j, side, u):
+        samp = _ZSampler(s_sq)
+        t = side * (samp.K + j)
+        a = self._offset_a(samp, t, *c)
+        premul = Fraction(samp.t_hat) * Fraction(samp.g_scaled, 1 << 40) ** j
+        log_premul = math.log(samp.t_hat) + j * math.log(samp.g_scaled / (1 << 40))
+        u53 = self._u53(u, -math.pi * float(a) - log_premul)
+        # select the tail with the largest uniform below 1, then geometric
+        # steps: j - 1 continues and one stop
+        bits = [1 if side > 0 else 0] + [0] * (j - 1) + [(1 << 40) - 1]
+        got = self._run(samp, *c, [1.0 - 2.0 ** -53, u53 / (1 << 53)], bits)
+        if got is not None:
+            lu = _LazyUniform(u53, 53)
+            assert got == _decide_exact(premul, a, lu, random.Random(0))
 
 
 class TestSampleZn:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -180,6 +182,17 @@ class TestGaussianWagnerProvable:
         assert np.array_equal(out1, out2)
         out3, _ = gaussian_wagner(inst, sched, 43)
         assert not np.array_equal(out1, out3)
+
+    def test_output_stream_pinned(self):
+        # sha256 of the output rows, computed before the sampler keyed its
+        # constants on the width alone
+        inst, _ = systematic_form(random_instance(2, 8, 5, seed=4))
+        sched = Schedule(mode=MODE_PROVABLE, r=2, N=15, p=(2, 2), b=(1, 1),
+                         s0_sq=Fraction(144))
+        out, stats = gaussian_wagner(inst, sched, 5)
+        assert stats.list_sizes == [135, 45, 15]
+        assert hashlib.sha256(json.dumps(out.tolist()).encode()).hexdigest() == \
+            "182855aa667408fe1b6c05ce6f1dd25360e30e4572ca5652ad53c4bb908ae691"
 
     def test_threads_other_than_one_rejected(self):
         inst = make_systematic(2, 8, 5, seed=6)

@@ -10,6 +10,7 @@ from wagnersis.errors import (
     NonInvertiblePivot,
     RankDeficient,
 )
+from wagnersis.rngutil import derive_np_rng
 from wagnersis.zqlin import (
     _INT64_SAFE,
     SisInstance,
@@ -100,6 +101,22 @@ class TestRandomInstance:
     def test_bad_dimensions(self):
         with pytest.raises(BadDimensions):
             random_instance(3, 2, 5, seed=0)
+
+    def test_modulus_beyond_int64(self):
+        q = 2 ** 64 + 13
+        a = random_instance(4, 9, q, seed=1)
+        assert a.A.dtype == object
+        assert all(0 <= int(v) < q for v in a.A.flat)
+        assert np.array_equal(a.A, random_instance(4, 9, q, seed=1).A)
+        assert not np.array_equal(a.A, random_instance(4, 9, q, seed=2).A)
+        # entries beyond 2^63 occur: the draw covers all of [0, q)
+        assert any(int(v) >= 1 << 63 for v in a.A.flat)
+
+    def test_object_branch_below_2_63_is_numpy_draw(self):
+        q = (1 << 63) - 25
+        rng = derive_np_rng(3, "instance", 2, 5, q)
+        expect = [[int(rng.integers(0, q)) for _ in range(5)] for _ in range(2)]
+        assert random_instance(2, 5, q, seed=3).A.tolist() == expect
 
     def test_entry_frequencies(self):
         # Each entry position should be uniform on [0, 5) across seeds.
