@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dgauss import GaussParam, _draw_z, _width_floor_sq
+from .dgauss import GaussParam, _sampler, _width_floor_sq
 from .errors import BlockSumMismatch, NotInLattice, WidthTooSmall
 from .zqlin import SisInstance, int_array, int_matmul, matvec_mod
 
@@ -183,7 +183,8 @@ def dglift(stage: StageDescriptor, x: Sequence[int], s, rng) -> StagedVector:
     s_sq = s.s_sq if isinstance(s, GaussParam) else Fraction(s) ** 2
     scaled_s_sq = _offset_width_sq(stage.index, p, q, stage.b, s_sq)
     y = lift_integer(stage, x)
-    ks = tuple(_draw_z(scaled_s_sq, -p * yj, q, rng) for yj in y)
+    samp = _sampler(scaled_s_sq)
+    ks = tuple(samp.draw(-p * yj, q, rng) for yj in y)
     tail = tuple(p * yj + q * kj for yj, kj in zip(y, ks))
     return StagedVector(head=tuple(int(v) for v in x), tail_num=tail, k=ks,
                         label=tuple(kj % p for kj in ks), stage=stage)

@@ -17,6 +17,20 @@ offset enter the float arithmetic, so neither the margin nor the per-draw
 cost grows with |c|, and the sampled distribution carries no floating-point
 statistical gap.
 
+Two entry points run this sampler.  ``_ZSampler.draw`` is the single-value
+loop behind ``sample_z``, ``sample_zn`` and ``dglift``.  ``_draw_z_array``
+draws one value per entry of a whole array of centers (the samplers' initial
+lists and stage offsets) in NumPy rounds.  A round gives every pending entry
+k i.i.d. proposals, with k >= 2 once few entries are pending so that a
+round's fixed cost is shared, and the entry keeps its first accepted
+proposal in proposal order.  Proposals are i.i.d. and each is decided by its
+own randomness, so the first accepted one of a row has the law of the
+sequential loop's output.  Entries are processed in blocks of fixed size, so
+transient memory does not grow with the list.  Both entry points read the
+same margin constants and margin functions, and send every comparison the
+margin cannot decide to the same exact routines (``_select_window_exact``,
+``_decide_exact``).
+
 Widths are carried as exact rationals s^2 (``s_sq``), which keeps widths like
 sqrt(2)^i * s0 representable exactly.
 """
@@ -45,9 +59,34 @@ _PI_LO = Fraction(
 )
 _PI_HI = _PI_LO + Fraction(1, 10 ** 59)
 _LN2 = math.log(2.0)
+
+# Float margins of the accept/reject tests, shared by both entry points.
+# The float window probability p_window is within this of the exact one.
+_SELECT_MARGIN = 1e-11
 # Relative error allowed for a double-precision exp(-pi (t-f)^2 / s^2): libm
 # plus the rounding of f, (t-f)^2 and s^2, none of which grows with |c|.
 _REL_ERR = 1e-9
+# Absolute floor of the window margin, for probabilities near underflow.
+_WINDOW_ABS_ERR = 1e-15
+# Extra relative error per tail step j: the rounding of g_hat^j.
+_TAIL_STEP_ERR = 1e-10
+# Absolute floor of the tail margin.
+_TAIL_ABS_ERR = 1e-290
+# A 53-bit uniform u stands for the real uniform in [u, u + 2^-53).
+_U_ULP = 2.0 ** -53
+
+
+def _window_margin(p):
+    """Margin of the window test u < p (floats or arrays)."""
+    return _REL_ERR * p + _WINDOW_ABS_ERR
+
+
+def _tail_margin(p, lhs, premul_f, j):
+    """Margin of the tail test u premul_f < p at tail step j (floats or
+    arrays).  The premul_f 2^-53 term keeps an accept valid for every real
+    uniform whose 53-bit prefix is u."""
+    return ((_REL_ERR + _TAIL_STEP_ERR * j) * (p + lhs) + premul_f * _U_ULP
+            + _TAIL_ABS_ERR)
 
 
 @dataclass(frozen=True)
@@ -162,6 +201,24 @@ def _decide_exact(premul: Fraction, a: Fraction, u: _LazyUniform, rng) -> bool:
 # The sampler
 # ---------------------------------------------------------------------------
 
+@dataclass
+class SamplerCounts:
+    """Work of one array-sampler call: entries drawn, proposals made, and
+    comparisons decided in exact arithmetic (window selections and
+    accept/reject tests)."""
+
+    draws: int = 0
+    proposals: int = 0
+    fallbacks: int = 0
+
+
+# Entries per block of the array sampler (bounds its transient memory), and
+# the fewest proposals one of its rounds makes (shares a round's fixed NumPy
+# cost when few entries are pending).
+_BLOCK = 1 << 14
+_ROUND_MIN = 1 << 10
+
+
 class _ZSampler:
     """Proposal constants for one width s^2, shared by every center, plus the
     rejection loop, which runs on the offset t = x - round(c)."""
@@ -206,6 +263,15 @@ class _ZSampler:
                 return False
             lu.extend(rng)
 
+    def _accept_exact(self, t: int, j: int, f_num: int, c_den: int, u: float,
+                      rng) -> bool:
+        """Exact decision on offset t, proposed in the window (j = 0) or at
+        tail step j, for the 53-bit uniform u; fresh bits come from rng."""
+        premul = (Fraction(self.t_hat) * Fraction(self.g_scaled, 1 << 40) ** j
+                  if j else Fraction(1))
+        a = Fraction(t * c_den - f_num, c_den) ** 2 / self.s_sq
+        return _decide_exact(premul, a, _LazyUniform(int(u * (1 << 53)), 53), rng)
+
     def draw(self, c_num: int, c_den: int, rng) -> int:
         """One draw from D_{Z,s,c} with c = c_num / c_den, c_den > 0."""
         # c = x0 + f_num / c_den with x0 the nearest integer (ties to even)
@@ -225,9 +291,9 @@ class _ZSampler:
         exp = math.exp
         while True:
             u_sel = rnd()
-            if u_sel < p_window - 1e-11:
+            if u_sel < p_window - _SELECT_MARGIN:
                 in_window = True
-            elif u_sel > p_window + 1e-11:
+            elif u_sel > p_window + _SELECT_MARGIN:
                 in_window = False
             else:
                 in_window = self._select_window_exact(u_sel, rng)
@@ -240,14 +306,12 @@ class _ZSampler:
                 dx = t - f
                 p = exp(neg_pi * dx * dx / s_sq_f)
                 u = rnd()
-                margin = _REL_ERR * p + 1e-15
+                margin = _window_margin(p)
                 if u < p - margin:
                     return x0 + t
                 if u > p + margin:
                     continue
-                a = Fraction(t * c_den - f_num, c_den) ** 2 / self.s_sq
-                lu = _LazyUniform(int(u * (1 << 53)), 53)
-                if _decide_exact(Fraction(1), a, lu, rng):
+                if self._accept_exact(t, 0, f_num, c_den, u, rng):
                     return x0 + t
                 continue
             # Tail branch: geometric offset j >= 1 beyond the window.
@@ -261,32 +325,151 @@ class _ZSampler:
             premul_f = self.t_hat * self.g_hat ** j
             u = rnd()
             lhs = u * premul_f
-            # u is the 53-bit prefix of a uniform in [u, u + 2^-53): the
-            # premul_f * 2^-53 term keeps an accept valid for all of it.
-            margin = ((_REL_ERR + 1e-10 * j) * (p + lhs) + premul_f * 2.0 ** -53
-                      + 1e-290)
+            margin = _tail_margin(p, lhs, premul_f, j)
             if premul_f > 0.0 and lhs < p - margin:
                 return x0 + t
             if premul_f > 0.0 and lhs > p + margin:
                 continue
-            premul = Fraction(self.t_hat) * Fraction(self.g_scaled, 1 << 40) ** j
-            a = Fraction(t * c_den - f_num, c_den) ** 2 / self.s_sq
-            lu = _LazyUniform(int(u * (1 << 53)), 53)
-            if _decide_exact(premul, a, lu, rng):
+            if self._accept_exact(t, j, f_num, c_den, u, rng):
                 return x0 + t
+
+    # -- array path -------------------------------------------------------
+
+    def _float_decisions(self, t, j, f, u):
+        """Double-precision decisions on proposals: offsets t, tail steps j
+        (0 for window proposals), center fractions f and 53-bit uniforms u,
+        all arrays.  Returns (accept, reject); a proposal with neither is
+        left to exact arithmetic."""
+        dx = t - f
+        p = np.exp(-math.pi * dx * dx / self.s_sq_f)
+        margin = _window_margin(p)
+        accept = u < p - margin
+        reject = u > p + margin
+        tail = np.flatnonzero(j)
+        if tail.size:
+            jt, pt = j[tail], p[tail]
+            premul_f = self.t_hat * self.g_hat ** jt
+            lhs = u[tail] * premul_f
+            margin = _tail_margin(pt, lhs, premul_f, jt)
+            usable = premul_f > 0.0
+            accept[tail] = usable & (lhs < pt - margin)
+            reject[tail] = usable & (lhs > pt + margin)
+        return accept, reject
+
+    def _tail_steps(self, n: int, rng) -> np.ndarray:
+        """n i.i.d. tail steps j >= 1 with Pr[j] = (1-g) g^(j-1), g =
+        g_scaled / 2^40: j - 1 is the number of 40-bit words below g_scaled
+        before the first that is not, as in ``draw``.  Words are read in
+        chunks sized to the mean run length."""
+        chunk = int(min(256.0, 2.0 + 2.0 * self.g_hat / (1.0 - self.g_hat)))
+        j = np.ones(n, dtype=np.int64)
+        todo = np.arange(n)
+        while todo.size:
+            stop = rng.integers(0, 1 << 40, (todo.size, chunk)) >= self.g_scaled
+            hit = stop.any(axis=1)
+            j[todo] += np.where(hit, stop.argmax(axis=1), chunk)
+            todo = todo[~hit]
+        return j
+
+    def _draw_block(self, f, f_num, c_den: int, rng, exact_rng,
+                    counts: SamplerCounts) -> np.ndarray:
+        """Offsets t ~ D_{Z,s,f}, one per entry of the float array f (whose
+        exact values are f_num / c_den), in rounds of proposals."""
+        t_out = np.empty(len(f), dtype=np.int64)
+        pending = np.arange(len(f))
+        while pending.size:
+            k = -(-_ROUND_MIN // pending.size)
+            rows = np.repeat(pending, k)
+            n = rows.size
+            counts.proposals += n
+            u_sel = rng.random(n)
+            in_window = u_sel < self.p_window - _SELECT_MARGIN
+            for i in np.flatnonzero(~in_window & (u_sel <= self.p_window + _SELECT_MARGIN)):
+                counts.fallbacks += 1
+                in_window[i] = self._select_window_exact(float(u_sel[i]), exact_rng)
+            t = rng.integers(0, self.W, n) - self.K
+            u = rng.random(n)
+            j = np.zeros(n, dtype=np.int64)
+            tail = np.flatnonzero(~in_window)
+            if tail.size:
+                side = 2 * rng.integers(0, 2, tail.size) - 1
+                j[tail] = self._tail_steps(tail.size, rng)
+                t[tail] = side * (self.K + j[tail])
+            accept, reject = self._float_decisions(t, j, f[rows], u)
+            # chosen[r]: index of row r's first accepted proposal, -1 if none
+            chosen = np.full(pending.size, -1)
+            hits = np.flatnonzero(accept)
+            hit_rows = hits // k
+            first = np.ones(hits.size, dtype=bool)
+            first[1:] = hit_rows[1:] != hit_rows[:-1]
+            chosen[hit_rows[first]] = hits[first]
+            # Undecided proposals, in proposal order: one before its row's
+            # first accept is decided exactly and, if accepted, comes first.
+            for i in np.flatnonzero(~(accept | reject)):
+                r = i // k
+                if 0 <= chosen[r] < i:
+                    continue
+                counts.fallbacks += 1
+                if self._accept_exact(int(t[i]), int(j[i]), int(f_num[rows[i]]),
+                                      c_den, float(u[i]), exact_rng):
+                    chosen[r] = i
+            done = chosen >= 0
+            t_out[pending[done]] = t[chosen[done]]
+            pending = pending[~done]
+        return t_out
 
 
 _SAMPLER_CACHE: Dict = {}
 
 
-def _draw_z(s_sq: Fraction, c_num: int, c_den: int, rng) -> int:
-    """One exact draw from D_{Z, s, c} with s^2 = s_sq and c = c_num/c_den."""
+def _sampler(s_sq: Fraction) -> _ZSampler:
+    """The cached sampler of width s^2."""
     samp = _SAMPLER_CACHE.get(s_sq)
     if samp is None:
         if len(_SAMPLER_CACHE) > 4096:
             _SAMPLER_CACHE.clear()
         samp = _SAMPLER_CACHE[s_sq] = _ZSampler(s_sq)
-    return samp.draw(c_num, c_den, rng)
+    return samp
+
+
+def _draw_z(s_sq: Fraction, c_num: int, c_den: int, rng) -> int:
+    """One exact draw from D_{Z, s, c} with s^2 = s_sq and c = c_num/c_den."""
+    return _sampler(s_sq).draw(c_num, c_den, rng)
+
+
+def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
+                  exact_rng) -> Tuple[np.ndarray, SamplerCounts]:
+    """One exact draw from D_{Z,s,c} per entry of c = c_num / c_den.
+
+    ``c_num`` is an int64 or object array of integers; the draws come back in
+    its shape, int64 for int64 centers and Python ints otherwise.  Proposals
+    and uniforms come from the NumPy generator ``rng``; exact decisions take
+    their fresh bits from the ``random.Random`` stream ``exact_rng``.
+    """
+    samp = _sampler(s_sq)
+    c_num = np.asarray(c_num)
+    out = np.empty(c_num.shape, dtype=np.int64 if c_num.dtype == np.int64 else object)
+    flat_out = out.reshape(-1)
+    counts = SamplerCounts(draws=c_num.size)
+    for start in range(0, c_num.size, _BLOCK):
+        x0, f_num, f = _split_centers(c_num.flat[start:start + _BLOCK], c_den)
+        t = samp._draw_block(f, f_num, c_den, rng, exact_rng, counts)
+        flat_out[start:start + _BLOCK] = x0 + t
+    return out, counts
+
+
+def _split_centers(c_num: np.ndarray, c_den: int):
+    """c = x0 + f_num / c_den with x0 the nearest integer (ties to even), in
+    exact integer arithmetic, for a 1-D array of numerators; returns x0,
+    f_num and the float f = f_num / c_den."""
+    if c_num.dtype == np.int64 and c_den >= 1 << 62:  # 2 f_num must fit
+        c_num = c_num.astype(object)
+    x0 = c_num // c_den
+    f_num = c_num - x0 * c_den
+    up = (2 * f_num > c_den) | ((2 * f_num == c_den) & (x0 % 2 == 1))
+    x0 = np.where(up, x0 + 1, x0)
+    f_num = np.where(up, f_num - c_den, f_num)
+    return x0, f_num, np.asarray(f_num / c_den, dtype=float)
 
 
 def _width_floor_sq(n: int) -> float:
@@ -310,7 +493,8 @@ def sample_zn(param: GaussParam, n: int, rng) -> tuple:
     cs = param.c if len(param.c) == n else param.c * n
     if len(cs) != n:
         raise PreconditionViolated(f"center has length {len(param.c)}, expected {n}")
-    return tuple(_draw_z(param.s_sq, c.numerator, c.denominator, rng) for c in cs)
+    samp = _sampler(param.s_sq)
+    return tuple(samp.draw(c.numerator, c.denominator, rng) for c in cs)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,8 @@ def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
             sols.append(Solution.from_vector(xs, norm_kind))
             if len(sols) >= max_solutions:
                 break
+    if inst.beta is not None and inst.norm_kind == norm_kind:
+        beta = min(beta, float(inst.beta))  # the bound actually enforced
     return SolveReport(solutions=sols, attempts=len(outputs), success=bool(sols),
                        norm_bound_used=beta, mode=schedule.mode,
                        trivial_regime=trivial, stats=stats.as_dict())

@@ -23,7 +23,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -40,7 +40,8 @@ from .chain import (
     build_chain,
 )
 from .dgauss import (
-    _draw_z,
+    SamplerCounts,
+    _draw_z_array,
     _width_floor_sq,
     eta_qary_bruteforce,
     eta_scaled_zn_bruteforce,
@@ -57,7 +58,7 @@ from .errors import (
     WidthTooSmall,
 )
 from .rngutil import derive_np_rng, derive_rng
-from .zqlin import _INT64_SAFE, SisInstance, centered, int_matmul
+from .zqlin import _INT64_SAFE, SisInstance, centered, int_array, int_matmul
 
 MODE_PROVABLE = "provable-gaussian"
 MODE_HEURISTIC = "heuristic-gaussian"
@@ -102,6 +103,10 @@ class RunStats:
     list_sizes: List[int] = field(default_factory=list)
     stage_seconds: List[float] = field(default_factory=list)
     bucket_histograms: List[List[Tuple[int, int]]] = field(default_factory=list)
+    # one entry per list in list_sizes; lists built without Gaussian draws
+    # read zeros.  as_dict() gives one column per counter, which keeps each
+    # run's record small.
+    sampler: List[SamplerCounts] = field(default_factory=list)
     nonzero_fraction: float = 0.0
     max_linf: int = 0
     max_l2: float = 0.0
@@ -112,6 +117,8 @@ class RunStats:
             "list_sizes": list(self.list_sizes),
             "stage_seconds": [round(t, 6) for t in self.stage_seconds],
             "bucket_histograms": [[list(x) for x in h] for h in self.bucket_histograms],
+            "sampler": {f.name: [getattr(c, f.name) for c in self.sampler]
+                        for f in fields(SamplerCounts)},
             "nonzero_fraction": self.nonzero_fraction,
             "max_linf": self.max_linf,
             "max_l2": self.max_l2,
@@ -193,17 +200,16 @@ def bucket_and_combine(stage: StageDescriptor, staged: Sequence[StagedVector],
 # ---------------------------------------------------------------------------
 
 def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
-                      seed_path: tuple, seed) -> np.ndarray:
-    """Sample k ~ D_{Z^b, (p/q) s, -(p/q) y} rowwise via the exact sampler."""
+                      seed_path: tuple, seed) -> Tuple[np.ndarray, SamplerCounts]:
+    """Sample k ~ D_{Z^b, (p/q) s, -(p/q) y} rowwise via the array sampler;
+    returns the offsets and the sampler's counts."""
     p, q = stage.p, stage.q
     scaled = _offset_width_sq(stage.index, p, q, stage.b, width_sq)
-    rng = derive_rng(seed, *seed_path, "chunk", 0)
-    rows, b = Y.shape
-    out = np.empty((rows, b), dtype=np.int64)
-    for r in range(rows):
-        for i in range(b):
-            out[r, i] = _draw_z(scaled, -p * int(Y[r, i]), q, rng)
-    return out
+    # center numerators -p y, under int_matmul's overflow rule
+    c_num = int_matmul(Y.reshape(-1, 1), int_array([[-p]])).reshape(Y.shape)
+    K, counts = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
+                              derive_rng(seed, *seed_path, "exact"))
+    return K.astype(np.int64), counts
 
 
 def _pack_labels(K: np.ndarray, p: int):
@@ -253,13 +259,11 @@ def _as_seed(rng) -> int:
     raise TypeError("rng must be an int seed or random.Random")
 
 
-def _initial_gaussian(count: int, dim: int, s0_sq: Fraction, seed: int) -> np.ndarray:
-    rng = derive_rng(seed, "init", "chunk", 0)
-    out = np.empty((count, dim), dtype=np.int64)
-    for r in range(count):
-        for j in range(dim):
-            out[r, j] = _draw_z(s0_sq, 0, 1, rng)
-    return out
+def _initial_gaussian(count: int, dim: int, s0_sq: Fraction,
+                      seed: int) -> Tuple[np.ndarray, SamplerCounts]:
+    """count x dim exact draws from D_{Z,s0}, and the sampler's counts."""
+    return _draw_z_array(s0_sq, np.broadcast_to(np.int64(0), (count, dim)), 1,
+                         derive_np_rng(seed, "init"), derive_rng(seed, "init", "exact"))
 
 
 def _initial_ternary_sparse(count: int, dim: int, weight: int, seed: int) -> np.ndarray:
@@ -326,9 +330,10 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
         for st in stages:  # every stage width must clear its floor before any draw
             _offset_width_sq(st.index, st.p, st.q, st.b, schedule.width_sq(st.index))
         t0 = time.perf_counter()
-        X = _initial_gaussian(init_count, dim0, schedule.s0_sq, seed)
+        X, counts = _initial_gaussian(init_count, dim0, schedule.s0_sq, seed)
         stats.stage_seconds.append(time.perf_counter() - t0)
         stats.list_sizes.append(init_count)
+        stats.sampler.append(counts)
     else:
         init_count = 3 * schedule.N
         # Entropy margin over the estimator's minimal weight: 3N draws from a
@@ -340,6 +345,7 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
         X = _initial_ternary_sparse(init_count, dim0, w, seed)
         stats.stage_seconds.append(time.perf_counter() - t0)
         stats.list_sizes.append(init_count)
+        stats.sampler.append(SamplerCounts())
 
     for st in stages:
         t0 = time.perf_counter()
@@ -349,7 +355,7 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
                 Fraction(_width_floor_sq(st.b) * (1 + 1e-9))
             width_sq = max(width_sq, floor)
         Y = _lift_batch(st, X)
-        K = _gaussian_offsets(st, Y, width_sq, ("stage", st.index), seed)
+        K, counts = _gaussian_offsets(st, Y, width_sq, ("stage", st.index), seed)
         cap = len(X) // 3 if provable else 3 * schedule.N
         out, labels = _combine_stage(st, X, Y, K, cap, reuse=schedule.reuse and not provable)
         if provable and len(out) != len(X) // 3:
@@ -361,6 +367,7 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
             out = _curate(out)
         stats.bucket_histograms.append(_occupancy_histogram(labels))
         stats.list_sizes.append(len(out))
+        stats.sampler.append(counts)
         stats.stage_seconds.append(time.perf_counter() - t0)
         X = out
 
@@ -402,6 +409,7 @@ def naive_wagner(inst: SisInstance, schedule: Schedule, rng, *,
     X = rng_np.integers(-1, 2, size=(init_count, dim0), dtype=np.int64)
     stats = RunStats(mode=schedule.mode)
     stats.list_sizes.append(init_count)
+    stats.sampler.append(SamplerCounts())
     for st in stages:
         t0 = time.perf_counter()
         q, p = st.q, st.p
@@ -413,6 +421,7 @@ def naive_wagner(inst: SisInstance, schedule: Schedule, rng, *,
         out = centered(np.mod(np.hstack([X[i1] - X[i2], Y[i1] - Y[i2]]), q), q)
         stats.bucket_histograms.append(_occupancy_histogram(labels))
         stats.list_sizes.append(len(out))
+        stats.sampler.append(SamplerCounts())
         stats.stage_seconds.append(time.perf_counter() - t0)
         X = out
     _check_final_membership(inst, X)

@@ -72,6 +72,17 @@ class TestSolvePipe:
                 stdin_text=inst_json, monkeypatch=monkeypatch)
             assert (code, verdict.strip()) == (0, "Valid")
 
+    def test_reported_bound_is_the_enforced_one(self, monkeypatch):
+        # the instance's beta = 20 is tighter than (q/f) sqrt(ln m) = 64.28
+        _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
+                                "--seed", "7", "--beta", "20"])
+        argv = ["solve", "--f", "6.92", "--seed", "7"]
+        code, out = run_cli(argv + ["--json"], stdin_text=inst_json,
+                            monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["norm_bound_used"] == 20
+        code, out = run_cli(argv, stdin_text=inst_json, monkeypatch=monkeypatch)
+        assert code == 0 and "<= 20.0000;" in out
+
     def test_no_solution_message_names_the_instance_beta(self, monkeypatch):
         _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
                                 "--seed", "7", "--beta", "5"])
@@ -199,6 +210,8 @@ class TestDeterminismAndCertify:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_solve_stream_pinned(self, monkeypatch):
+        # sha256 of stdout, computed when the stage offsets moved to the
+        # array sampler and RunStats gained its sampler counts
         _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
                                 "--seed", "11"])
         f = 4 * math.sqrt(math.log(20))
@@ -206,7 +219,7 @@ class TestDeterminismAndCertify:
                             stdin_text=inst_json, monkeypatch=monkeypatch)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "2c54c157175bf690cc69c8001b88e73bc667758ddda7e497ef1eb4081bdea954"
+            "beba6b19becb759193b21a1bf5f3996c8a6051f1adac916fa3d29e1e4cf802ac"
 
     def test_certify_smoothing_refuses_large_instances(self, monkeypatch):
         # certification brute-forces dual lattices; desk instances exceed the

@@ -13,8 +13,10 @@ from wagnersis.dgauss import (
     GaussParam,
     _decide_exact,
     _draw_z,
+    _draw_z_array,
     _exp_neg_pi_interval,
     _LazyUniform,
+    _split_centers,
     _width_floor_sq,
     _ZSampler,
     empirical_similarity,
@@ -34,7 +36,8 @@ from wagnersis.dgauss import (
     tail_bound_linf,
 )
 from wagnersis.errors import InsufficientSamples, PreconditionViolated, WidthTooSmall
-from wagnersis.rngutil import derive_rng
+from wagnersis.rngutil import derive_np_rng, derive_rng
+from wagnersis.zqlin import int_array
 
 
 class TestExactMachinery:
@@ -237,6 +240,112 @@ class TestFloatFastPath:
         if got is not None:
             lu = _LazyUniform(u53, 53)
             assert got == _decide_exact(premul, a, lu, random.Random(0))
+
+    @staticmethod
+    def _run_batch(samp, c_num, c_den, t, j, u53):
+        """The array sampler's float decision on one proposal, with f from
+        its own center split: True, False, or None (left to exact)."""
+        _, _, f = _split_centers(int_array([c_num]), c_den)
+        accept, reject = samp._float_decisions(
+            np.array([t]), np.array([j]), f, np.array([u53 / (1 << 53)]))
+        return True if accept[0] else False if reject[0] else None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s_sq=_WIDTHS_SQ, c=_CENTERS, t_pos=st.integers(0, 1 << 22), u=_UNIFORMS)
+    def test_batch_window_decisions_match_exact(self, s_sq, c, t_pos, u):
+        samp = _ZSampler(s_sq)
+        t = t_pos % samp.W - samp.K
+        a = self._offset_a(samp, t, *c)
+        u53 = self._u53(u, -math.pi * float(a))
+        got = self._run_batch(samp, *c, t, 0, u53)
+        if got is not None:
+            lu = _LazyUniform(u53, 53)
+            assert got == _decide_exact(Fraction(1), a, lu, random.Random(0))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(s_sq=_WIDTHS_SQ, c=_CENTERS, j=st.integers(20, 24),
+           side=st.sampled_from([1, -1]), u=_UNIFORMS)
+    @example(s_sq=Fraction(9), c=(3 * 2 ** 40 + 1, 3), j=20, side=1, u=("any", 0))
+    def test_batch_tail_decisions_match_exact(self, s_sq, c, j, side, u):
+        samp = _ZSampler(s_sq)
+        t = side * (samp.K + j)
+        a = self._offset_a(samp, t, *c)
+        premul = Fraction(samp.t_hat) * Fraction(samp.g_scaled, 1 << 40) ** j
+        log_premul = math.log(samp.t_hat) + j * math.log(samp.g_scaled / (1 << 40))
+        u53 = self._u53(u, -math.pi * float(a) - log_premul)
+        got = self._run_batch(samp, *c, t, j, u53)
+        if got is not None:
+            lu = _LazyUniform(u53, 53)
+            assert got == _decide_exact(premul, a, lu, random.Random(0))
+
+
+class TestArraySampler:
+    @pytest.mark.parametrize("calls", [1, 1200])
+    @pytest.mark.parametrize("s_sq", [_FLOOR_SQ, Fraction(16, 9), Fraction(144)])
+    def test_distribution_with_mixed_centers(self, s_sq, calls):
+        # 240k draws at centers k + f: k spread over +-2^40 and f cycling
+        # through 1/3, -2/5 and 1/2 (a rounding tie).  Drawn in one call
+        # (blocks, mostly one proposal per row and round) or in calls of 200
+        # (several proposals per row and round); x - k against D_{Z,s,f}.
+        # s^2 = 16/9 has the largest tail share of these widths (9e-5).
+        n = 240_000
+        ks = np.random.default_rng(1).integers(-(1 << 40), 1 << 40, n)
+        c_num = 30 * ks + np.array([10, -12, 15])[np.arange(n) % 3]
+        rng, exact_rng = derive_np_rng(8, "mixed", calls), derive_rng(8, "mixed", calls)
+        draws = np.concatenate([_draw_z_array(s_sq, part, 30, rng, exact_rng)[0]
+                                for part in np.array_split(c_num, calls)])
+        radius = 12 * math.sqrt(float(s_sq)) + 2
+        for g, f in enumerate((Fraction(1, 3), Fraction(-2, 5), Fraction(1, 2))):
+            pmf = pmf_bruteforce(enum_z(), GaussParam(s_sq=s_sq, c=(f,)), radius)
+            res = empirical_similarity((draws - ks)[g::3].tolist(), pmf)
+            assert res.chi2_p >= 1e-3
+            assert res.excess(4.5) <= 0.0
+
+    @pytest.mark.parametrize("k", [2 ** 60, 2 ** 100])
+    def test_large_centers_shift_the_small_center_draws(self, k, monkeypatch):
+        # D_{Z,s,k+1/3} = k + D_{Z,s,1/3}: the same streams give the same
+        # draws shifted by k (int64 centers for 2^60, Python ints for 2^100),
+        # and no decision leaves double precision.
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _decide_exact(*args)
+
+        monkeypatch.setattr(dgauss, "_decide_exact", counting)
+
+        def draws(c_num):
+            out, counts = _draw_z_array(Fraction(9), int_array([c_num] * 5000), 3,
+                                        derive_np_rng(5, "split"), derive_rng(5, "split"))
+            assert counts.fallbacks == 0 and counts.proposals >= counts.draws == 5000
+            return [int(v) for v in out]
+
+        assert draws(3 * k + 1) == [k + v for v in draws(1)]
+        assert len(calls) == 0
+
+    def test_exact_fallback_keeps_the_law(self, monkeypatch):
+        # A margin of 30% sends a large share of the comparisons to exact
+        # arithmetic; rows that meet an undecided proposal before their first
+        # float accept settle in proposal order, and the law is unchanged.
+        monkeypatch.setattr(dgauss, "_REL_ERR", 0.3)
+        s_sq, c = Fraction(9), Fraction(1, 3)
+        out, counts = _draw_z_array(s_sq, np.ones(20_000, dtype=np.int64), 3,
+                                    derive_np_rng(4, "wide"), derive_rng(4, "wide"))
+        assert counts.fallbacks > 2_000
+        pmf = pmf_bruteforce(enum_z(), GaussParam(s_sq=s_sq, c=(c,)), radius=40)
+        res = empirical_similarity(out.tolist(), pmf)
+        assert res.chi2_p >= 1e-3
+        assert res.excess(4.5) <= 0.0
+
+    def test_tail_steps_are_geometric(self):
+        # Pr[j] = (1-g) g^(j-1) with g = g_scaled / 2^40, read in chunks
+        samp = _ZSampler(Fraction(144))
+        g = samp.g_scaled / (1 << 40)
+        steps = samp._tail_steps(200_000, derive_np_rng(3, "tail"))
+        pmf = {j: (1 - g) * g ** (j - 1) for j in range(1, 100)}
+        res = empirical_similarity(steps.tolist(), pmf)
+        assert res.chi2_p >= 1e-3
+        assert res.excess(4.5) <= 0.0
 
 
 class TestSampleZn:

@@ -23,6 +23,7 @@ from wagnersis.wagner import (
     MODE_PROVABLE,
     Schedule,
     _check_final_membership,
+    _gaussian_offsets,
     bucket_and_combine,
     certify_smoothing,
     choose_heuristic_params,
@@ -184,15 +185,43 @@ class TestGaussianWagnerProvable:
         assert not np.array_equal(out1, out3)
 
     def test_output_stream_pinned(self):
-        # sha256 of the output rows, computed before the sampler keyed its
-        # constants on the width alone
+        # sha256 of the output rows, computed when the initial list and the
+        # stage offsets moved to the array sampler
         inst, _ = systematic_form(random_instance(2, 8, 5, seed=4))
         sched = Schedule(mode=MODE_PROVABLE, r=2, N=15, p=(2, 2), b=(1, 1),
                          s0_sq=Fraction(144))
         out, stats = gaussian_wagner(inst, sched, 5)
         assert stats.list_sizes == [135, 45, 15]
         assert hashlib.sha256(json.dumps(out.tolist()).encode()).hexdigest() == \
-            "182855aa667408fe1b6c05ce6f1dd25360e30e4572ca5652ad53c4bb908ae691"
+            "b108e7fe2a23f6d3a8725bc6a0868a8dc8692b6a101ddd5332d5e889caa10bf5"
+
+    def test_sampler_counts_in_stats(self):
+        inst, _ = systematic_form(random_instance(2, 8, 5, seed=4))
+        sched = Schedule(mode=MODE_PROVABLE, r=2, N=15, p=(2, 2), b=(1, 1),
+                         s0_sq=Fraction(144))
+        _, stats = gaussian_wagner(inst, sched, 5)
+        doc = stats.as_dict()
+        assert list(doc) == ["mode", "list_sizes", "stage_seconds", "bucket_histograms",
+                             "sampler", "nonzero_fraction", "max_linf", "max_l2"]
+        # one entry per list: 135 x 6 initial draws, then b = 1 offset per row
+        counts = doc["sampler"]
+        assert list(counts) == ["draws", "proposals", "fallbacks"]
+        assert counts["draws"] == [810, 135, 45]
+        assert all(p >= d for p, d in zip(counts["proposals"], counts["draws"]))
+        assert counts["fallbacks"] == [0, 0, 0]
+
+    def test_offset_centers_beyond_int64_products(self):
+        # p |y| = 2^64 overflows int64, so the centers -(p/q) y need Python
+        # integers; every offset stays within a few widths of the exact center.
+        q, p = 257, 8
+        inst, _ = systematic_form(random_instance(2, 6, q, seed=1))
+        stage = build_chain(inst, [2], [p])[0]
+        Y = np.array([[(1 << 61) - 5, -(1 << 61) + 3], [(1 << 61) - 1, 1 << 60]],
+                     dtype=np.int64)
+        K, counts = _gaussian_offsets(stage, Y, Fraction(4 * q * q, p * p), ("stage", 1), 3)
+        assert K.dtype == np.int64 and counts.draws == 4
+        for k, y in zip(K.ravel().tolist(), Y.ravel().tolist()):
+            assert abs(k - Fraction(-p * y, q)) <= 10 * 2  # width (p/q) s = 2
 
     def test_threads_other_than_one_rejected(self):
         inst = make_systematic(2, 8, 5, seed=6)
