@@ -130,11 +130,13 @@ def _difference(stage: StageDescriptor, X: np.ndarray, Y: np.ndarray,
                 K: np.ndarray, i1, i2) -> np.ndarray:
     """Rows X[i1] - X[i2], extended by the exact tail difference
     (Y[i1] - Y[i2]) + q (K[i1] - K[i2]) / p.  Paired rows must share their
-    coset label K mod p; the results then satisfy the first kappa_i rows."""
+    coset label K mod p; the results then satisfy the first kappa_i rows.
+    The tail is one ``int_matmul``, exact under its overflow rule."""
     dk = K[i1] - K[i2]
     if np.any(np.mod(dk, stage.p)):
         raise NotInLattice("paired vectors disagree on coset label")
-    tail = (Y[i1] - Y[i2]) + stage.q * (dk // stage.p)
+    terms = np.stack([Y[i1], Y[i2], dk // stage.p], axis=-1).reshape(-1, 3)
+    tail = int_matmul(terms, int_array([[1, -1, stage.q]])).reshape(dk.shape)
     return np.hstack([X[i1] - X[i2], tail])
 
 

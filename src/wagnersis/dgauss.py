@@ -447,6 +447,8 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
     their fresh bits from the ``random.Random`` stream ``exact_rng``.
     """
     samp = _sampler(s_sq)
+    if samp.W >= 1 << 63:  # window offsets are drawn as int64
+        raise PreconditionViolated(f"array sampler needs 2 ceil(1.5 s) + 1 < 2^63, got {samp.W}")
     c_num = np.asarray(c_num)
     out = np.empty(c_num.shape, dtype=np.int64 if c_num.dtype == np.int64 else object)
     flat_out = out.reshape(-1)

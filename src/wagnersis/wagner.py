@@ -15,11 +15,14 @@ Lists are integer matrices, one vector per row: int64 where
 ``zqlin.int_matmul`` certifies the overflow bound, Python integers in object
 arrays otherwise.  The single-vector ``bucket_and_combine`` stacks its staged
 vectors into the same arrays and runs the same stage kernel.
+
+Each stage packs a row's coset label (k mod p as base-p digits) into one
+integer under the same rule and groups the rows by one stable argsort of the
+labels (``_buckets``): both pairings and the occupancy histogram come from it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
@@ -58,7 +61,7 @@ from .errors import (
     WidthTooSmall,
 )
 from .rngutil import derive_np_rng, derive_rng
-from .zqlin import _INT64_SAFE, SisInstance, centered, int_array, int_matmul
+from .zqlin import SisInstance, centered, int_array, int_matmul
 
 MODE_PROVABLE = "provable-gaussian"
 MODE_HEURISTIC = "heuristic-gaussian"
@@ -129,54 +132,55 @@ class RunStats:
 # Pairing
 # ---------------------------------------------------------------------------
 
-def pair_indices_disjoint(labels: Sequence, cap: Optional[int]) -> List[Tuple[int, int]]:
-    """Disjoint pairing: walk the list in insertion order; whenever the bucket
-    of the current element holds two or more unused elements, pair and remove
-    its first two (insertion order).  Stops at ``cap`` pairs if given."""
-    from collections import deque
-
-    buckets = {}
-    for idx, lab in enumerate(labels):
-        buckets.setdefault(lab, deque()).append(idx)
-    out = []
-    for lab in labels:
-        if cap is not None and len(out) >= cap:
-            break
-        b = buckets[lab]
-        if len(b) >= 2:
-            i1 = b.popleft()
-            i2 = b.popleft()
-            out.append((i1, i2))
-    return out
+def _buckets(labels) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group positions by label with one stable argsort: ``order``, the
+    positions in label order (a bucket's members in insertion order),
+    ``rank``, each ``order[i]``'s rank in its bucket, and ``sizes``, the
+    bucket sizes, buckets in label order."""
+    labels = int_array(labels)
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    edge = np.ones(len(order) + 1, dtype=bool)
+    edge[1:-1] = ranked[1:] != ranked[:-1]
+    bounds = np.flatnonzero(edge)  # bucket starts, then len(labels)
+    sizes = np.diff(bounds)
+    return order, np.arange(len(order)) - np.repeat(bounds[:-1], sizes), sizes
 
 
-def pair_indices_reuse(labels: Sequence, cap: int) -> List[Tuple[int, int]]:
-    """All within-bucket pairs, buckets in first-occurrence order, capped."""
-    members = {}
-    order = []
-    for idx, lab in enumerate(labels):
-        got = members.get(lab)
-        if got is None:
-            members[lab] = [idx]
-            order.append(lab)
-        else:
-            got.append(idx)
-    out = []
-    for lab in order:
-        mem = members[lab]
-        for a in range(len(mem)):
-            for b in range(a + 1, len(mem)):
-                out.append((mem[a], mem[b]))
-                if len(out) >= cap:
-                    return out
-    return out
+def pair_indices_disjoint(labels: Sequence, cap: Optional[int]) -> np.ndarray:
+    """Disjoint pairing, as an (npairs, 2) int64 array: pair k of a bucket is
+    its members 2k and 2k+1, emitted at its k-th member, the order of a list
+    walk that pairs off the first two unused members of each element's
+    bucket.  Stops at ``cap`` pairs if given."""
+    order, rank, sizes = _buckets(labels)
+    emit = np.flatnonzero(rank < np.repeat(sizes // 2, sizes))
+    first = emit + rank[emit]
+    pairs = order[np.stack([first, first + 1], axis=1)]
+    return pairs[np.argsort(order[emit])][:cap]
+
+
+def pair_indices_reuse(labels: Sequence, cap: int) -> np.ndarray:
+    """All within-bucket pairs, as an (npairs, 2) int64 array: buckets in
+    first-occurrence order, pairs in lexicographic member order, at most
+    ``cap`` of them."""
+    order, rank, sizes = _buckets(labels)
+    # the slots in label order regrouped by their bucket's first member; the
+    # member of rank a heads the s-1-a pairs (a, b), b > a, of its bucket
+    heads = np.argsort(order[np.arange(len(order)) - rank], kind="stable")
+    count = (np.repeat(sizes, sizes) - 1 - rank)[heads]
+    end = np.cumsum(count)
+    keep = np.searchsorted(end, cap) + 1  # the heads that reach the cap
+    heads, count, end = heads[:keep], count[:keep], end[:keep]
+    first = np.repeat(heads, count)
+    second = first + 1 + np.arange(len(first)) - np.repeat(end - count, count)
+    return order[np.stack([first, second], axis=1)][:cap]
 
 
 def _occupancy_histogram(labels: Sequence) -> List[Tuple[int, int]]:
-    from collections import Counter
-
-    occ = Counter(Counter(labels).values())
-    return sorted(occ.items())
+    """(bucket size, number of buckets of that size), sizes ascending."""
+    occupancy = np.bincount(_buckets(labels)[2])
+    sizes = np.flatnonzero(occupancy)
+    return list(zip(sizes.tolist(), occupancy[sizes].tolist()))
 
 
 def bucket_and_combine(stage: StageDescriptor, staged: Sequence[StagedVector],
@@ -212,14 +216,11 @@ def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
     return K.astype(np.int64), counts
 
 
-def _pack_labels(K: np.ndarray, p: int):
-    """Per-row coset labels as hashable scalars (or tuples when too wide)."""
-    labels = np.mod(K, p)
-    b = K.shape[1]
-    if p ** b < _INT64_SAFE:
-        powers = p ** np.arange(b, dtype=np.int64)
-        return (labels @ powers).tolist()
-    return [tuple(int(v) for v in row) for row in labels]
+def _pack_labels(K: np.ndarray, p: int) -> np.ndarray:
+    """Per-row coset labels: the residues K mod p read as base-p digits, int64
+    or Python integers under ``int_matmul``'s overflow rule."""
+    powers = int_array([[p ** j for j in range(K.shape[1])]])
+    return int_matmul(np.mod(K, p), powers).reshape(-1)
 
 
 def _combine_stage(stage: StageDescriptor, X: np.ndarray, Y: np.ndarray,
@@ -227,15 +228,7 @@ def _combine_stage(stage: StageDescriptor, X: np.ndarray, Y: np.ndarray,
     labels = _pack_labels(K, stage.p)
     pairs = (pair_indices_reuse(labels, out_cap) if reuse
              else pair_indices_disjoint(labels, out_cap))
-    i1, i2 = _pair_columns(pairs)
-    return _difference(stage, X, Y, K, i1, i2), labels
-
-
-def _pair_columns(pairs) -> np.ndarray:
-    """First and second members of the index pairs, as two int64 rows."""
-    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64,
-                       count=2 * len(pairs))
-    return flat.reshape(-1, 2).T
+    return _difference(stage, X, Y, K, pairs[:, 0], pairs[:, 1]), labels
 
 
 def _curate(out: np.ndarray) -> np.ndarray:
@@ -416,8 +409,7 @@ def naive_wagner(inst: SisInstance, schedule: Schedule, rng, *,
         Y = np.mod(_lift_batch(st, X), q)
         C = ((2 * p * Y + q) // (2 * q)) % p  # round((p/q) y) mod p, exact
         labels = _pack_labels(C, p)
-        pairs = pair_indices_disjoint(labels, None)
-        i1, i2 = _pair_columns(pairs)
+        i1, i2 = pair_indices_disjoint(labels, None).T
         out = centered(np.mod(np.hstack([X[i1] - X[i2], Y[i1] - Y[i2]]), q), q)
         stats.bucket_histograms.append(_occupancy_histogram(labels))
         stats.list_sizes.append(len(out))

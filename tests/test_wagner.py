@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wagnersis.chain import build_chain, lift_integer, StagedVector
 from wagnersis.errors import (
@@ -24,6 +27,7 @@ from wagnersis.wagner import (
     Schedule,
     _check_final_membership,
     _gaussian_offsets,
+    _occupancy_histogram,
     bucket_and_combine,
     certify_smoothing,
     choose_heuristic_params,
@@ -35,7 +39,13 @@ from wagnersis.wagner import (
     pair_indices_disjoint,
     pair_indices_reuse,
 )
-from wagnersis.zqlin import SisInstance, matvec_mod, random_instance, systematic_form
+from wagnersis.zqlin import (
+    SisInstance,
+    int_array,
+    matvec_mod,
+    random_instance,
+    systematic_form,
+)
 
 
 def make_systematic(n, m, q, seed):
@@ -52,13 +62,61 @@ def staged_from_k(stage, x, ks):
                         label=tuple(kj % stage.p for kj in ks), stage=stage)
 
 
+def disjoint_walk(labels, cap):
+    """Reference disjoint pairing: walk the list in insertion order; whenever
+    the current element's bucket holds two or more unused elements, pair off
+    its first two."""
+    buckets = {}
+    for idx, lab in enumerate(labels):
+        buckets.setdefault(lab, deque()).append(idx)
+    out = []
+    for lab in labels:
+        if cap is not None and len(out) >= cap:
+            break
+        b = buckets[lab]
+        if len(b) >= 2:
+            out.append((b.popleft(), b.popleft()))
+    return out
+
+
+def reuse_walk(labels, cap):
+    """Reference reuse pairing: all within-bucket pairs, buckets in
+    first-occurrence order, at most ``cap`` of them (the cap is checked
+    before each pair is added, so cap 0 gives none)."""
+    members = {}
+    for idx, lab in enumerate(labels):
+        members.setdefault(lab, []).append(idx)
+    out = []
+    for mem in members.values():
+        for a in range(len(mem)):
+            for b in range(a + 1, len(mem)):
+                if len(out) >= cap:
+                    return out
+                out.append((mem[a], mem[b]))
+    return out
+
+
+def histogram_count(labels):
+    """Reference occupancy histogram: (bucket size, number of buckets)."""
+    return sorted(Counter(Counter(labels).values()).items())
+
+
+@st.composite
+def label_lists(draw):
+    """Short lists over a small alphabet, as small ints or as ints >= 2^63."""
+    alphabet = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.integers(0, alphabet - 1), max_size=40))
+    offset = draw(st.sampled_from([0, 1 << 63, 1 << 80]))
+    return [offset + v for v in labels]
+
+
 class TestPairing:
     def test_hand_trace_even_odd(self):
         # Values 0..5 bucketed mod 2: pairs (0,2) and (1,3), both differencing
         # to -2, and exactly floor(6/3) = 2 outputs.
         labels = [v % 2 for v in range(6)]
         pairs = pair_indices_disjoint(labels, 2)
-        assert pairs == [(0, 2), (1, 3)]
+        assert pairs.tolist() == [[0, 2], [1, 3]]
         values = list(range(6))
         diffs = [values[i] - values[j] for i, j in pairs]
         assert diffs == [-2, -2]
@@ -76,11 +134,28 @@ class TestPairing:
     def test_reuse_first_occurrence_order(self):
         labels = [7, 1, 7, 7, 1]
         pairs = pair_indices_reuse(labels, 10)
-        assert pairs == [(0, 2), (0, 3), (2, 3), (1, 4)]
+        assert pairs.tolist() == [[0, 2], [0, 3], [2, 3], [1, 4]]
 
     def test_reuse_cap(self):
         labels = [0] * 10
         assert len(pair_indices_reuse(labels, 7)) == 7
+
+    def test_reuse_cap_zero_gives_no_pairs(self):
+        assert pair_indices_reuse([7, 7], 0).shape == (0, 2)
+        assert pair_indices_disjoint([7, 7], 0).shape == (0, 2)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(labels=label_lists(), data=st.data())
+    def test_matches_reference_walks(self, labels, data):
+        cap = data.draw(st.integers(0, len(labels) + 1))
+        # as a list, or as the int64 or object array that _pack_labels returns
+        as_given = int_array(labels) if data.draw(st.booleans()) else labels
+        for pairs, expect in ((pair_indices_disjoint(as_given, cap), disjoint_walk(labels, cap)),
+                              (pair_indices_disjoint(as_given, None), disjoint_walk(labels, None)),
+                              (pair_indices_reuse(as_given, cap), reuse_walk(labels, cap))):
+            assert pairs.dtype == np.int64 and pairs.shape == (len(expect), 2)
+            assert [tuple(p) for p in pairs.tolist()] == expect
+        assert _occupancy_histogram(as_given) == histogram_count(labels)
 
 
 class TestBucketAndCombine:
@@ -99,6 +174,12 @@ class TestBucketAndCombine:
         assert len(out) == 2
         tails = [v[4] for v in out]
         assert tails == [-5, -5]  # (q/p) dk = (5/2) * (-2)
+
+    def test_reuse_cap_zero_gives_no_outputs(self):
+        st = self._stage()
+        svs = [staged_from_k(st, (0, 0, 0, 0), (1, 1)) for _ in range(2)]
+        assert bucket_and_combine(st, svs, out_cap=0, reuse=True) == []
+        assert len(bucket_and_combine(st, svs, out_cap=1, reuse=True)) == 1
 
     def test_insufficient_inputs(self):
         st = self._stage()
@@ -195,6 +276,27 @@ class TestGaussianWagnerProvable:
         assert hashlib.sha256(json.dumps(out.tolist()).encode()).hexdigest() == \
             "b108e7fe2a23f6d3a8725bc6a0868a8dc8692b6a101ddd5332d5e889caa10bf5"
 
+    def test_stage_tail_beyond_int64_products(self):
+        # q (dk / p) with q = 2^61 - 1 overflows int64; the tail must be
+        # formed over Python integers and every output must be in the lattice.
+        q = 2**61 - 1
+        inst, _ = systematic_form(random_instance(2, 6, q, seed=1))
+        sched = Schedule(mode=MODE_PROVABLE, r=1, N=12, p=(2,), b=(2,),
+                         s0_sq=Fraction(q // 2) ** 2)
+        out, stats = gaussian_wagner(inst, sched, 5)
+        assert len(out) == 12 and stats.list_sizes == [36, 12]
+        _check_final_membership(inst, out)
+
+    def test_array_sampler_window_bound_is_typed(self):
+        # s0 = 4q puts the window 2 ceil(1.5 s0) + 1 above 2^63, beyond the
+        # array sampler's int64 offsets: a precondition, not a ValueError.
+        q = 2**61 - 1
+        inst, _ = systematic_form(random_instance(2, 6, q, seed=1))
+        sched = Schedule(mode=MODE_PROVABLE, r=1, N=12, p=(2,), b=(2,),
+                         s0_sq=Fraction(4 * q) ** 2)
+        with pytest.raises(PreconditionViolated, match="2\\^63"):
+            gaussian_wagner(inst, sched, 5)
+
     def test_sampler_counts_in_stats(self):
         inst, _ = systematic_form(random_instance(2, 8, 5, seed=4))
         sched = Schedule(mode=MODE_PROVABLE, r=2, N=15, p=(2, 2), b=(1, 1),
@@ -277,6 +379,16 @@ class TestNaiveWagner:
         # zero rows may appear; they stay in the list and in the stats
         assert stats.list_sizes[-1] == len(out)
         assert 0.0 <= stats.nonzero_fraction <= 1.0
+
+    def test_output_stream_pinned(self):
+        # sha256 of the output rows and the seed-determined stats, computed
+        # before pairing moved from dict walks to one stable sort per stage
+        inst, sched, out, stats = self._run(3)
+        doc = stats.as_dict()
+        del doc["stage_seconds"]
+        assert doc["list_sizes"] == [144, 55, 24]
+        assert hashlib.sha256(json.dumps([out.tolist(), doc]).encode()).hexdigest() == \
+            "7aa9f47a044c23c73a39b9d6fb8e6088cf0134c147879348cea9cad676394e52"
 
     def test_mode_check(self):
         inst = make_systematic(4, 12, 16, seed=0)
