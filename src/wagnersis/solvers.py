@@ -4,8 +4,9 @@ The infinity-norm solver filters sampler outputs by 0 < ||x||_inf <= beta
 with beta = (q/f) sqrt(ln m); the Euclidean variant uses beta = (q/f) sqrt(m)
 and additionally insists the solution is nonzero mod q (multiples of q such
 as (q, 0, ..., 0) are rejected).  Norm comparisons against the real-valued
-beta are exact: the float beta is interpreted as the dyadic rational it is,
-and integer norms are compared by cross-multiplication.
+beta are exact: the float beta is read as the dyadic rational it is, and for
+integer vectors ||x||_inf <= beta iff max |x_i| <= floor(beta), and
+||x||_2 <= beta iff sum x_i^2 <= floor(beta^2).
 """
 
 from __future__ import annotations
@@ -62,16 +63,28 @@ class SolveReport:
         })
 
 
+def _norm_limit(beta, norm_kind: str) -> int:
+    """The integer bound equivalent to beta >= 0 for integer vectors:
+    floor(beta) on max |x_i|, floor(beta^2) on sum x_i^2."""
+    b = Fraction(beta)
+    return math.floor(b if norm_kind == "linf" else b * b)
+
+
+def _norm_stat(xs, norm_kind: str) -> int:
+    """max |x_i| or sum x_i^2 of a list of Python ints."""
+    if norm_kind == "linf":
+        return max(map(abs, xs), default=0)
+    return sum(v * v for v in xs)
+
+
 def linf_within(x, beta) -> bool:
     """||x||_inf <= beta, exactly (beta read as the dyadic rational it is)."""
-    b = Fraction(beta)
-    return all(abs(int(v)) <= b for v in x)
+    return _norm_stat([int(v) for v in x], "linf") <= _norm_limit(beta, "linf")
 
 
 def l2_within(x, beta) -> bool:
-    """||x||_2 <= beta via cross-multiplied squares, exactly."""
-    b = Fraction(beta)
-    return sum(int(v) * int(v) for v in x) <= b * b
+    """||x||_2 <= beta, exactly, as sum x_i^2 <= floor(beta^2)."""
+    return _norm_stat([int(v) for v in x], "l2") <= _norm_limit(beta, "l2")
 
 
 def nonzero_mod_q(x, q: int) -> bool:
@@ -139,17 +152,20 @@ def choose_schedule(inst: SisInstance, f: float, epsilon: float, mode: str,
 def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
            norm_kind: str, accept, trivial: bool, schedule: Optional[Schedule],
            threads: int, max_solutions: int) -> SolveReport:
-    """Run the sampler and keep the outputs that ``accept`` admits and that
-    meet the instance's own beta."""
+    """Run the sampler and keep the outputs that ``accept`` admits, within
+    beta under ``norm_kind`` and within the instance's own beta."""
     beta = _norm_bound(inst, f, norm_kind)
     _check_mode(inst, f, epsilon, mode)
     if schedule is None:
         schedule = choose_schedule(inst, f, epsilon, mode, norm_kind)
     outputs, stats = gaussian_wagner(inst, schedule, rng, threads=threads)
+    limits = [(norm_kind, _norm_limit(beta, norm_kind))]
+    if inst.beta is not None:
+        limits.append((inst.norm_kind, _norm_limit(inst.beta, inst.norm_kind)))
     sols = []
     for row in outputs:
         xs = [int(v) for v in row]
-        if accept(xs, beta) and _meets_instance_beta(inst, xs):
+        if accept(xs) and all(_norm_stat(xs, kind) <= limit for kind, limit in limits):
             sols.append(Solution.from_vector(xs, norm_kind))
             if len(sols) >= max_solutions:
                 break
@@ -165,7 +181,7 @@ def solve_sis_inf(inst: SisInstance, f: float, epsilon: float, mode: str, rng, *
                   max_solutions: int = 16) -> SolveReport:
     """Infinity-norm solver at beta = (q/f) sqrt(ln m)."""
     return _solve(inst, f, epsilon, mode, rng, "linf",
-                  lambda xs, beta: any(xs) and linf_within(xs, beta),
+                  any,
                   False, schedule, threads, max_solutions)
 
 
@@ -176,5 +192,5 @@ def solve_sis_l2(inst: SisInstance, f: float, epsilon: float, mode: str, rng, *,
     mod q, which excludes trivia like (q, 0, ..., 0)."""
     trivial = _norm_bound(inst, f, "l2") >= inst.q * math.sqrt(inst.n / 12.0)
     return _solve(inst, f, epsilon, mode, rng, "l2",
-                  lambda xs, beta: nonzero_mod_q(xs, inst.q) and l2_within(xs, beta),
+                  lambda xs: nonzero_mod_q(xs, inst.q),
                   trivial, schedule, threads, max_solutions)

@@ -17,8 +17,9 @@ arrays otherwise.  The single-vector ``bucket_and_combine`` stacks its staged
 vectors into the same arrays and runs the same stage kernel.
 
 Each stage packs a row's coset label (k mod p as base-p digits) into one
-integer under the same rule and groups the rows by one stable argsort of the
-labels (``_buckets``): both pairings and the occupancy histogram come from it.
+integer under the same rule and groups the rows once, by one stable argsort
+of the labels (``_buckets``): the pairing and the occupancy histogram both
+read that grouping.
 """
 
 from __future__ import annotations
@@ -132,12 +133,27 @@ class RunStats:
 # Pairing
 # ---------------------------------------------------------------------------
 
-def _buckets(labels) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group positions by label with one stable argsort: ``order``, the
-    positions in label order (a bucket's members in insertion order),
-    ``rank``, each ``order[i]``'s rank in its bucket, and ``sizes``, the
-    bucket sizes, buckets in label order."""
+Buckets = Tuple[np.ndarray, np.ndarray, np.ndarray]  # order, rank, sizes
+
+# Labels below this bound are sorted as uint16 keys: NumPy's stable argsort
+# on integers of at most 16 bits is a radix sort.
+_NARROW_KEYS = 1 << 16
+
+
+def _buckets(labels, bound: Optional[int] = None) -> Buckets:
+    """Group positions by label with one stable argsort.
+
+    Returns ``order``, the positions in label order (a bucket's members in
+    insertion order), ``rank``, each ``order[i]``'s rank in its bucket, and
+    ``sizes``, the bucket sizes, buckets in label order.  ``bound`` is an
+    exclusive upper bound on nonnegative labels, known from how they were
+    made (p^b for a stage); when it is at most 2^16 the labels are sorted as
+    uint16 keys.  A stable order is unique, so the grouping does not depend
+    on the key width.
+    """
     labels = int_array(labels)
+    if bound is not None and bound <= _NARROW_KEYS:
+        labels = labels.astype(np.uint16)
     order = np.argsort(labels, kind="stable")
     ranked = labels[order]
     edge = np.ones(len(order) + 1, dtype=bool)
@@ -147,23 +163,23 @@ def _buckets(labels) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, np.arange(len(order)) - np.repeat(bounds[:-1], sizes), sizes
 
 
-def pair_indices_disjoint(labels: Sequence, cap: Optional[int]) -> np.ndarray:
-    """Disjoint pairing, as an (npairs, 2) int64 array: pair k of a bucket is
-    its members 2k and 2k+1, emitted at its k-th member, the order of a list
-    walk that pairs off the first two unused members of each element's
-    bucket.  Stops at ``cap`` pairs if given."""
-    order, rank, sizes = _buckets(labels)
+def pair_indices_disjoint(buckets: Buckets, cap: Optional[int]) -> np.ndarray:
+    """Disjoint pairing of a ``_buckets`` grouping, as an (npairs, 2) int64
+    array: pair k of a bucket is its members 2k and 2k+1, emitted at its k-th
+    member, the order of a list walk that pairs off the first two unused
+    members of each element's bucket.  Stops at ``cap`` pairs if given."""
+    order, rank, sizes = buckets
     emit = np.flatnonzero(rank < np.repeat(sizes // 2, sizes))
     first = emit + rank[emit]
     pairs = order[np.stack([first, first + 1], axis=1)]
     return pairs[np.argsort(order[emit])][:cap]
 
 
-def pair_indices_reuse(labels: Sequence, cap: int) -> np.ndarray:
-    """All within-bucket pairs, as an (npairs, 2) int64 array: buckets in
-    first-occurrence order, pairs in lexicographic member order, at most
-    ``cap`` of them."""
-    order, rank, sizes = _buckets(labels)
+def pair_indices_reuse(buckets: Buckets, cap: int) -> np.ndarray:
+    """All within-bucket pairs of a ``_buckets`` grouping, as an (npairs, 2)
+    int64 array: buckets in first-occurrence order, pairs in lexicographic
+    member order, at most ``cap`` of them."""
+    order, rank, sizes = buckets
     # the slots in label order regrouped by their bucket's first member; the
     # member of rank a heads the s-1-a pairs (a, b), b > a, of its bucket
     heads = np.argsort(order[np.arange(len(order)) - rank], kind="stable")
@@ -176,9 +192,10 @@ def pair_indices_reuse(labels: Sequence, cap: int) -> np.ndarray:
     return order[np.stack([first, second], axis=1)][:cap]
 
 
-def _occupancy_histogram(labels: Sequence) -> List[Tuple[int, int]]:
-    """(bucket size, number of buckets of that size), sizes ascending."""
-    occupancy = np.bincount(_buckets(labels)[2])
+def _occupancy_histogram(buckets: Buckets) -> List[Tuple[int, int]]:
+    """(bucket size, number of buckets of that size) of a ``_buckets``
+    grouping, sizes ascending."""
+    occupancy = np.bincount(buckets[2])
     sizes = np.flatnonzero(occupancy)
     return list(zip(sizes.tolist(), occupancy[sizes].tolist()))
 
@@ -195,7 +212,7 @@ def bucket_and_combine(stage: StageDescriptor, staged: Sequence[StagedVector],
     if not reuse and n_in < 3 * stage.p ** stage.b:
         raise InsufficientInputs(
             f"{n_in} inputs < 3 p^b = {3 * stage.p ** stage.b}")
-    out, _labels = _combine_stage(stage, *_stack(stage, staged), out_cap, reuse)
+    out, _ = _combine_stage(stage, *_stack(stage, staged), out_cap, reuse)
     return [tuple(int(v) for v in row) for row in out]
 
 
@@ -206,14 +223,15 @@ def bucket_and_combine(stage: StageDescriptor, staged: Sequence[StagedVector],
 def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
                       seed_path: tuple, seed) -> Tuple[np.ndarray, SamplerCounts]:
     """Sample k ~ D_{Z^b, (p/q) s, -(p/q) y} rowwise via the array sampler;
-    returns the offsets and the sampler's counts."""
+    returns the offsets, int64 when every one fits and Python integers
+    otherwise, and the sampler's counts."""
     p, q = stage.p, stage.q
     scaled = _offset_width_sq(stage.index, p, q, stage.b, width_sq)
     # center numerators -p y, under int_matmul's overflow rule
     c_num = int_matmul(Y.reshape(-1, 1), int_array([[-p]])).reshape(Y.shape)
     K, counts = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
                               derive_rng(seed, *seed_path, "exact"))
-    return K.astype(np.int64), counts
+    return int_array(K), counts
 
 
 def _pack_labels(K: np.ndarray, p: int) -> np.ndarray:
@@ -225,10 +243,29 @@ def _pack_labels(K: np.ndarray, p: int) -> np.ndarray:
 
 def _combine_stage(stage: StageDescriptor, X: np.ndarray, Y: np.ndarray,
                    K: np.ndarray, out_cap: int, reuse: bool):
-    labels = _pack_labels(K, stage.p)
-    pairs = (pair_indices_reuse(labels, out_cap) if reuse
-             else pair_indices_disjoint(labels, out_cap))
-    return _difference(stage, X, Y, K, pairs[:, 0], pairs[:, 1]), labels
+    """Pair same-coset rows and subtract them; returns the differences and
+    the stage's grouping, for its occupancy histogram."""
+    buckets = _buckets(_pack_labels(K, stage.p), stage.p ** stage.b)
+    pairs = (pair_indices_reuse(buckets, out_cap) if reuse
+             else pair_indices_disjoint(buckets, out_cap))
+    return _difference(stage, X, Y, K, pairs[:, 0], pairs[:, 1]), buckets
+
+
+def _round_scaled(Y: np.ndarray, p: int, q: int) -> np.ndarray:
+    """round((p/q) y), halves up, for entries y >= 0: floor((2 p y + q) / 2q),
+    with 2 p y + q formed under ``int_matmul``'s overflow rule."""
+    terms = np.stack([Y, np.ones_like(Y)], axis=-1).reshape(-1, 2)
+    return int_matmul(terms, int_array([[2 * p, q]])).reshape(Y.shape) // (2 * q)
+
+
+def _center_in_place(D: np.ndarray, q: int) -> None:
+    """Replace every entry d of D, which must lie in [-q, q], by its centered
+    residue mod q in (-q/2, q/2]: one conditional step of -q above q//2 and
+    of +q at or below q//2 - q.  No value leaves [-q, q], so int64 arrays do
+    not overflow for q < 2^63, and object arrays stay exact."""
+    half = q // 2
+    np.subtract(D, q, out=D, where=D > half)
+    np.add(D, q, out=D, where=D <= half - q)
 
 
 def _curate(out: np.ndarray) -> np.ndarray:
@@ -350,7 +387,7 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
         Y = _lift_batch(st, X)
         K, counts = _gaussian_offsets(st, Y, width_sq, ("stage", st.index), seed)
         cap = len(X) // 3 if provable else 3 * schedule.N
-        out, labels = _combine_stage(st, X, Y, K, cap, reuse=schedule.reuse and not provable)
+        out, buckets = _combine_stage(st, X, Y, K, cap, reuse=schedule.reuse and not provable)
         if provable and len(out) != len(X) // 3:
             raise InsufficientInputs(
                 f"stage {st.index} produced {len(out)} < floor(N/3) outputs")
@@ -358,7 +395,7 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
             # Reuse pairing breeds exact duplicates and zero rows; both are
             # dead weight for later stages, so curate them out between stages.
             out = _curate(out)
-        stats.bucket_histograms.append(_occupancy_histogram(labels))
+        stats.bucket_histograms.append(_occupancy_histogram(buckets))
         stats.list_sizes.append(len(out))
         stats.sampler.append(counts)
         stats.stage_seconds.append(time.perf_counter() - t0)
@@ -385,6 +422,13 @@ def naive_wagner(inst: SisInstance, schedule: Schedule, rng, *,
     coordinates are kept as centered residues, so every output obeys
     ||x||_inf <= max_i 2^(r-i) q/p_i with p_0 = q.  Zero vectors are counted,
     not errors.
+
+    Labels are exact for every q: 2 p y + q goes through ``int_matmul``.
+    Each stage groups its rows once.  The differences of the heads and of
+    the completions y are written into one array and centered by one
+    conditional step of q (``_center_in_place``): heads are centered
+    residues (ternary at the first stage) and y lies in [0, q), so every
+    difference lies in [-q, q].
     """
     if schedule.mode != MODE_NAIVE:
         raise InfeasibleSchedule("schedule mode must be naive-rounding")
@@ -407,11 +451,14 @@ def naive_wagner(inst: SisInstance, schedule: Schedule, rng, *,
         t0 = time.perf_counter()
         q, p = st.q, st.p
         Y = np.mod(_lift_batch(st, X), q)
-        C = ((2 * p * Y + q) // (2 * q)) % p  # round((p/q) y) mod p, exact
-        labels = _pack_labels(C, p)
-        i1, i2 = pair_indices_disjoint(labels, None).T
-        out = centered(np.mod(np.hstack([X[i1] - X[i2], Y[i1] - Y[i2]]), q), q)
-        stats.bucket_histograms.append(_occupancy_histogram(labels))
+        buckets = _buckets(_pack_labels(_round_scaled(Y, p, q), p), p ** st.b)
+        i1, i2 = pair_indices_disjoint(buckets, None).T
+        dim = X.shape[1]
+        out = np.empty((len(i1), dim + st.b), dtype=np.result_type(X, Y))
+        np.subtract(np.take(X, i1, axis=0), np.take(X, i2, axis=0), out=out[:, :dim])
+        np.subtract(np.take(Y, i1, axis=0), np.take(Y, i2, axis=0), out=out[:, dim:])
+        _center_in_place(out, q)
+        stats.bucket_histograms.append(_occupancy_histogram(buckets))
         stats.list_sizes.append(len(out))
         stats.sampler.append(SamplerCounts())
         stats.stage_seconds.append(time.perf_counter() - t0)

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wagnersis.errors import PreconditionViolated
 from wagnersis.rngutil import derive_np_rng
@@ -59,6 +62,31 @@ class TestFilters:
         assert not linf_within([5], 4.999999999)
         assert l2_within([3, 4], 5.0)
         assert not l2_within([3, 4], 4.9999999999)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_integer_limits_match_fraction_comparison(self, data):
+        # beta at an integer k, or a dyadic rational just either side of it;
+        # entries near +-k or small, so the comparisons are tight, and some
+        # beyond 2^63
+        k = data.draw(st.one_of(st.integers(0, 64), st.integers(2**52, 2**53),
+                                st.integers(2**63, 2**70)))
+        beta = data.draw(st.one_of(
+            st.just(Fraction(k)),
+            st.integers(1, 80).map(lambda j: Fraction(k) + Fraction(1, 2**j)),
+            st.integers(1, 80).map(lambda j: Fraction(k) - Fraction(1, 2**j)),
+            st.sampled_from([math.nextafter(float(k), math.inf),
+                             math.nextafter(float(k), -math.inf)])))
+        if beta < 0:
+            beta = -beta
+        if data.draw(st.booleans()) and float(beta) == beta:
+            beta = float(beta)
+        x = data.draw(st.lists(st.one_of(st.integers(k - 2, k + 2), st.integers(-k - 2, -k + 2),
+                                         st.integers(-3, 3), st.integers(-2**70, 2**70)),
+                               max_size=4))
+        b = Fraction(beta)
+        assert linf_within(x, beta) == all(abs(v) <= b for v in x)
+        assert l2_within(x, beta) == (sum(v * v for v in x) <= b * b)
 
     def test_sisx_rejects_q_multiples(self):
         # (q, 0, ..., 0) is always in the lattice and short enough in l2 for

@@ -17,6 +17,7 @@ from wagnersis.errors import (
     InsufficientInputs,
     NotInLattice,
     PreconditionViolated,
+    WagnerSisError,
     WidthTooSmall,
 )
 from wagnersis.rngutil import derive_np_rng
@@ -25,9 +26,12 @@ from wagnersis.wagner import (
     MODE_NAIVE,
     MODE_PROVABLE,
     Schedule,
+    _buckets,
+    _center_in_place,
     _check_final_membership,
     _gaussian_offsets,
     _occupancy_histogram,
+    _round_scaled,
     bucket_and_combine,
     certify_smoothing,
     choose_heuristic_params,
@@ -41,7 +45,9 @@ from wagnersis.wagner import (
 )
 from wagnersis.zqlin import (
     SisInstance,
+    centered,
     int_array,
+    is_probable_prime,
     matvec_mod,
     random_instance,
     systematic_form,
@@ -110,12 +116,51 @@ def label_lists(draw):
     return [offset + v for v in labels]
 
 
+def _prime_near(start, step):
+    while not is_probable_prime(start):
+        start += step
+    return start
+
+
+# primes just below and just above 2^31, 2^62 and 2^63, and 2^64 + 13
+NAIVE_LADDER = [_prime_near(2**k + d, d) for k in (31, 62, 63) for d in (-1, 1)] + [2**64 + 13]
+
+
+def reachable_differences(draw, q):
+    """Two entries of one kind and their difference: centered residues,
+    residues in [0, q), or ternary entries."""
+    kind = draw(st.sampled_from(["centered", "residue", "ternary"]))
+    lo, hi = {"centered": (-((q - 1) // 2), q // 2), "residue": (0, q - 1),
+              "ternary": (-1, 1)}[kind]
+    return draw(st.integers(lo, hi)) - draw(st.integers(lo, hi))
+
+
+class TestCenterInPlace:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_centered(self, data):
+        q = data.draw(st.one_of(
+            st.sampled_from([2, 3]), st.integers(4, 10**6),
+            st.integers(2**62 - 1000, 2**62 + 1000), st.integers(2**63 - 1000, 2**63 - 1),
+            st.integers(2**63, 2**80)))
+        half = q // 2
+        # the step's edges, each a difference of two residues in [0, q)
+        edges = [d for d in (half, half + 1, half - q, half - q + 1) if abs(d) < q]
+        diffs = edges + [reachable_differences(data.draw, q)
+                         for _ in range(data.draw(st.integers(1, 8)))]
+        as_object = q >= 2**63 or data.draw(st.booleans())
+        D = np.array(diffs, dtype=object if as_object else np.int64).reshape(-1, 1)
+        _center_in_place(D, q)
+        assert D.dtype == (object if as_object else np.int64)
+        assert D.ravel().tolist() == [centered(d, q) for d in diffs]
+
+
 class TestPairing:
     def test_hand_trace_even_odd(self):
         # Values 0..5 bucketed mod 2: pairs (0,2) and (1,3), both differencing
         # to -2, and exactly floor(6/3) = 2 outputs.
         labels = [v % 2 for v in range(6)]
-        pairs = pair_indices_disjoint(labels, 2)
+        pairs = pair_indices_disjoint(_buckets(labels), 2)
         assert pairs.tolist() == [[0, 2], [1, 3]]
         values = list(range(6))
         diffs = [values[i] - values[j] for i, j in pairs]
@@ -125,7 +170,7 @@ class TestPairing:
         rng = derive_np_rng(0, "pairs")
         for _ in range(50):
             labels = [int(v) for v in rng.integers(0, 4, size=30)]
-            pairs = pair_indices_disjoint(labels, len(labels) // 3)
+            pairs = pair_indices_disjoint(_buckets(labels), len(labels) // 3)
             used = [i for pr in pairs for i in pr]
             assert len(used) == len(set(used))
             for i, j in pairs:
@@ -133,16 +178,16 @@ class TestPairing:
 
     def test_reuse_first_occurrence_order(self):
         labels = [7, 1, 7, 7, 1]
-        pairs = pair_indices_reuse(labels, 10)
+        pairs = pair_indices_reuse(_buckets(labels), 10)
         assert pairs.tolist() == [[0, 2], [0, 3], [2, 3], [1, 4]]
 
     def test_reuse_cap(self):
         labels = [0] * 10
-        assert len(pair_indices_reuse(labels, 7)) == 7
+        assert len(pair_indices_reuse(_buckets(labels), 7)) == 7
 
     def test_reuse_cap_zero_gives_no_pairs(self):
-        assert pair_indices_reuse([7, 7], 0).shape == (0, 2)
-        assert pair_indices_disjoint([7, 7], 0).shape == (0, 2)
+        assert pair_indices_reuse(_buckets([7, 7]), 0).shape == (0, 2)
+        assert pair_indices_disjoint(_buckets([7, 7]), 0).shape == (0, 2)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(labels=label_lists(), data=st.data())
@@ -150,12 +195,35 @@ class TestPairing:
         cap = data.draw(st.integers(0, len(labels) + 1))
         # as a list, or as the int64 or object array that _pack_labels returns
         as_given = int_array(labels) if data.draw(st.booleans()) else labels
-        for pairs, expect in ((pair_indices_disjoint(as_given, cap), disjoint_walk(labels, cap)),
-                              (pair_indices_disjoint(as_given, None), disjoint_walk(labels, None)),
-                              (pair_indices_reuse(as_given, cap), reuse_walk(labels, cap))):
+        for pairs, expect in ((pair_indices_disjoint(_buckets(as_given), cap), disjoint_walk(labels, cap)),
+                              (pair_indices_disjoint(_buckets(as_given), None), disjoint_walk(labels, None)),
+                              (pair_indices_reuse(_buckets(as_given), cap), reuse_walk(labels, cap))):
             assert pairs.dtype == np.int64 and pairs.shape == (len(expect), 2)
             assert [tuple(p) for p in pairs.tolist()] == expect
-        assert _occupancy_histogram(as_given) == histogram_count(labels)
+        assert _occupancy_histogram(_buckets(as_given)) == histogram_count(labels)
+
+    @pytest.mark.parametrize("bound, top, narrow", [(2**16, 2**16 - 1, True),
+                                                    (2**16 + 1, 2**16, False)])
+    def test_key_width_edge(self, bound, top, narrow, monkeypatch):
+        # labels below p^b <= 2^16 sort as uint16 keys; one more and 2^16
+        # would wrap onto 0, so the sort must stay wide
+        labels = [top, 0, 5, top, 0, top, 5, 0]
+        sorted_dtypes = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            sorted_dtypes.append(np.asarray(a).dtype)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        grouping = _buckets(int_array(labels), bound)
+        monkeypatch.undo()
+        assert (sorted_dtypes[0] == np.uint16) == narrow
+        for got, want in zip(grouping, _buckets(labels)):
+            assert got.tolist() == want.tolist()
+        assert [tuple(p) for p in pair_indices_disjoint(grouping, None).tolist()] == \
+            disjoint_walk(labels, None)
+        assert _occupancy_histogram(grouping) == [(2, 1), (3, 2)]
 
 
 class TestBucketAndCombine:
@@ -325,6 +393,33 @@ class TestGaussianWagnerProvable:
         for k, y in zip(K.ravel().tolist(), Y.ravel().tolist()):
             assert abs(k - Fraction(-p * y, q)) <= 10 * 2  # width (p/q) s = 2
 
+    def test_offsets_beyond_int64_stay_exact(self):
+        # p y / q near 2^65: the offsets leave int64 and must come back as
+        # Python integers, each within a few widths of its exact center
+        q = 2**64 + 13
+        p = q // 2
+        inst, _ = systematic_form(random_instance(2, 6, q, seed=1))
+        stage = build_chain(inst, [1], [p], allow_partial=True)[0]
+        Y = int_array([[3 * q + 5], [-(2 * q) - 7], [11]])
+        K, counts = _gaussian_offsets(stage, Y, Fraction(4 * q * q, p * p), ("stage", 1), 3)
+        assert K.dtype == object and counts.draws == 3
+        for k, y in zip(K.ravel().tolist(), Y.ravel().tolist()):
+            assert abs(k - Fraction(-p * y, q)) <= 10 * 2  # width (p/q) s = 2
+
+    def test_heuristic_run_with_offsets_beyond_int64(self):
+        # stage offsets near -y/2 with y up to about m q: lattice rows or a
+        # typed error, never an OverflowError
+        q = 2**64 + 13
+        inst, _ = systematic_form(random_instance(2, 16, q, seed=1))
+        sched = Schedule(mode=MODE_HEURISTIC, r=1, N=16, p=(q // 2,), b=(1,),
+                         s0_sq=Fraction(64), reuse=True)
+        try:
+            out, stats = gaussian_wagner(inst, sched, 5)
+        except WagnerSisError:
+            return
+        assert stats.list_sizes[0] == 48
+        _check_final_membership(inst, out)
+
     def test_threads_other_than_one_rejected(self):
         inst = make_systematic(2, 8, 5, seed=6)
         sched = Schedule(mode=MODE_PROVABLE, r=1, N=12, p=(2,), b=(2,),
@@ -389,6 +484,51 @@ class TestNaiveWagner:
         assert doc["list_sizes"] == [144, 55, 24]
         assert hashlib.sha256(json.dumps([out.tolist(), doc]).encode()).hexdigest() == \
             "7aa9f47a044c23c73a39b9d6fb8e6088cf0134c147879348cea9cad676394e52"
+
+    def test_workload_shape_pinned(self):
+        # sha256 of a run at the benchmark's naive shape (12 x 30 mod 257,
+        # choose_naive_params(12, 257, 4.0)), computed before the stage kernel
+        # moved to narrow sort keys, one grouping and in-place centering
+        inst, _ = systematic_form(random_instance(12, 30, 257, seed=1))
+        out, stats = naive_wagner(inst, choose_naive_params(12, 257, 4.0), 7)
+        doc = stats.as_dict()
+        del doc["stage_seconds"]
+        assert doc["list_sizes"] == [97929, 48930, 24452, 12218, 6039, 9]
+        assert hashlib.sha256(json.dumps([out.tolist(), doc]).encode()).hexdigest() == \
+            "93b7653e71caf686855ec211014ffa28ebac8be08cc7a22da28393f602750492"
+
+    def test_rounding_label_beyond_int64(self):
+        # 2 p y + q = 2^79 / 3 + 2^40 for q = 2^40, p = 2^39, y = q // 3
+        q, p = 2**40, 2**39
+        Y = np.array([[q // 3]], dtype=np.int64)
+        assert _round_scaled(Y, p, q)[0, 0] % p == 183251937963
+
+    def test_int64_instance_buckets_by_exact_labels(self):
+        # An int64 matrix at q = 2^40: the completions y = a and q - a of
+        # x = -1 and x = 1 have distinct labels 2^22 and 2^39 - 2^22, and
+        # must not be paired (their difference has norm 2^24).
+        q = 2**40
+        inst = SisInstance(n=1, m=2, q=q, A=np.array([[2**23, 1]], dtype=np.int64))
+        sched = Schedule(mode=MODE_NAIVE, r=1, N=8, p=(2**39,), b=(1,))
+        out, stats = naive_wagner(inst, sched, 0)
+        _check_final_membership(inst, out)
+        assert stats.list_sizes[0] == 24
+        assert all(abs(int(v)) <= eq1_norm_bound(sched, q) for v in out.ravel())
+
+    @pytest.mark.parametrize("q", NAIVE_LADDER)
+    def test_modulus_ladder(self, q):
+        # lattice rows within the Eq. (1) bound, or a typed error
+        inst, _ = systematic_form(random_instance(2, 6, q, seed=1))
+        sched = Schedule(mode=MODE_NAIVE, r=2, N=16, p=(4, 2), b=(1, 1))
+        try:
+            out, stats = naive_wagner(inst, sched, 3)
+        except WagnerSisError:
+            return
+        rows = [[int(v) for v in row] for row in out]
+        assert len(rows) == stats.list_sizes[-1] and any(any(row) for row in rows)
+        assert not any(int(v) for row in rows for v in matvec_mod(inst.A, row, q))
+        bound = eq1_norm_bound(sched, q)
+        assert all(abs(v) <= bound for row in rows for v in row)
 
     def test_mode_check(self):
         inst = make_systematic(4, 12, 16, seed=0)
