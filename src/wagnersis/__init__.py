@@ -36,6 +36,7 @@ from .dgauss import (
     rho_bruteforce,
     sample_z,
     sample_zn,
+    sample_zn_rows,
     tail_bound_linf,
 )
 from .chain import StagedVector, StageDescriptor, build_chain, coset_label, dglift, lift_integer

@@ -17,12 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .dgauss import GaussParam, _sampler, _width_floor_sq
+from .dgauss import GaussParam, SamplerCounts, _draw_z_array, _width_floor_sq
 from .errors import BlockSumMismatch, NotInLattice, WidthTooSmall
+from .rngutil import derive_np_rng, derive_rng
 from .zqlin import SisInstance, int_array, int_matmul, matvec_mod
 
 
@@ -173,20 +174,36 @@ def _offset_width_sq(index: int, p: int, q: int, b: int, s_sq: Fraction) -> Frac
     return s_sq * p * p / (q * q)
 
 
+def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
+                      seed_path: tuple, seed) -> Tuple[np.ndarray, SamplerCounts]:
+    """Sample k ~ D_{Z^b, (p/q) s, -(p/q) y} rowwise via the array sampler;
+    returns the offsets, int64 when every one fits and Python integers
+    otherwise, and the sampler's counts."""
+    p, q = stage.p, stage.q
+    scaled = _offset_width_sq(stage.index, p, q, stage.b, width_sq)
+    # center numerators -p y, under int_matmul's overflow rule
+    c_num = int_matmul(Y.reshape(-1, 1), int_array([[-p]])).reshape(Y.shape)
+    K, counts = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
+                              derive_rng(seed, *seed_path, "exact"))
+    return int_array(K), counts
+
+
 def dglift(stage: StageDescriptor, x: Sequence[int], s, rng) -> StagedVector:
     """Randomized lift into the stage superlattice.
 
     Computes the canonical integer lift and adds a discrete Gaussian offset
     of width s over (q/p) Z^b; the offset coefficients come from the exact
     integer sampler at width (p/q) s, center -(p/q) y_last.  Projecting the
-    output orthogonally to the new coordinates recovers x bit-exactly.
+    output orthogonally to the new coordinates recovers x bit-exactly.  The
+    offsets are the samplers' own ``_gaussian_offsets`` on a 1-row list, at
+    stream path ``("dglift",)`` under the seed ``rng.getrandbits(63)``.
     """
     p, q = stage.p, stage.q
     s_sq = s.s_sq if isinstance(s, GaussParam) else Fraction(s) ** 2
-    scaled_s_sq = _offset_width_sq(stage.index, p, q, stage.b, s_sq)
     y = lift_integer(stage, x)
-    samp = _sampler(scaled_s_sq)
-    ks = tuple(samp.draw(-p * yj, q, rng) for yj in y)
+    K, _ = _gaussian_offsets(stage, int_array([y]), s_sq, ("dglift",),
+                             rng.getrandbits(63))
+    ks = tuple(int(v) for v in K[0])
     tail = tuple(p * yj + q * kj for yj, kj in zip(y, ks))
     return StagedVector(head=tuple(int(v) for v in x), tail_num=tail, k=ks,
                         label=tuple(kj % p for kj in ks), stage=stage)

@@ -20,7 +20,7 @@ from dataclasses import replace
 from .errors import NotInLattice, WagnerSisError
 from . import estimator as est
 from . import solvers
-from .dgauss import GaussParam, sample_z, sample_zn
+from .dgauss import GaussParam, sample_zn_rows
 from .rngutil import derive_rng
 from .zqlin import (
     SisInstance,
@@ -173,10 +173,8 @@ def _in_given_coordinates(given: SisInstance, perm, sol: Solution) -> Solution:
 def _cmd_sample(args) -> int:
     rng = derive_rng(args.seed, "cli-sample")
     param = GaussParam.make(s=args.width, c=args.center)
-    if args.dim == 1:
-        vals = [sample_z(param, rng) for _ in range(args.count)]
-    else:
-        vals = [list(sample_zn(param, args.dim, rng)) for _ in range(args.count)]
+    draws = sample_zn_rows(param, args.dim, args.count, rng)
+    vals = (draws[:, 0] if args.dim == 1 else draws).tolist()
     if args.json:
         print(json.dumps(vals))
     else:
@@ -244,7 +242,7 @@ def _cmd_selftest(args) -> int:
     from .dgauss import empirical_similarity, enum_z, pmf_bruteforce
     rng = derive_rng(args.seed, "selftest")
     param = GaussParam.make(s=2, c=0.3)
-    draws = [sample_z(param, rng) for _ in range(100_000)]
+    draws = sample_zn_rows(param, 1, 100_000, rng)[:, 0].tolist()
     pmf = pmf_bruteforce(enum_z(), param, radius=40)
     res = empirical_similarity(draws, pmf)
     check("sampler matches brute-force pmf (chi2 p >= 1e-4)", res.chi2_p >= 1e-4)

@@ -2,9 +2,10 @@
 formula evaluators, and the brute-force / statistical oracles used by tests
 and parameter selection.
 
-Sampler design.  ``sample_z`` draws from D_{Z,s,c} (density proportional to
-exp(-pi (x-c)^2 / s^2)).  The center is split exactly, in integer arithmetic,
-as c = round(c) + f with |f| <= 1/2, and D_{Z,s,c} = round(c) + D_{Z,s,f}.
+Sampler design.  The base sampler draws from D_{Z,s,c} (density
+proportional to exp(-pi (x-c)^2 / s^2)).  The center is split exactly, in
+integer arithmetic, as c = round(c) + f with |f| <= 1/2, and
+D_{Z,s,c} = round(c) + D_{Z,s,f}.
 The offset is drawn by rejection from a proposal that covers all of Z: a
 uniform window of half-width K = ceil(1.5 s) glued to two geometric tails
 whose dyadic-rational parameters dominate the Gaussian for every |f| <= 1/2,
@@ -17,19 +18,18 @@ offset enter the float arithmetic, so neither the margin nor the per-draw
 cost grows with |c|, and the sampled distribution carries no floating-point
 statistical gap.
 
-Two entry points run this sampler.  ``_ZSampler.draw`` is the single-value
-loop behind ``sample_z``, ``sample_zn`` and ``dglift``.  ``_draw_z_array``
-draws one value per entry of a whole array of centers (the samplers' initial
-lists and stage offsets) in NumPy rounds.  A round gives every pending entry
-k i.i.d. proposals, with k >= 2 once few entries are pending so that a
-round's fixed cost is shared, and the entry keeps its first accepted
-proposal in proposal order.  Proposals are i.i.d. and each is decided by its
-own randomness, so the first accepted one of a row has the law of the
-sequential loop's output.  Entries are processed in blocks of fixed size, so
-transient memory does not grow with the list.  Both entry points read the
-same margin constants and margin functions, and send every comparison the
-margin cannot decide to the same exact routines (``_select_window_exact``,
-``_decide_exact``).
+One entry point runs this sampler: ``_draw_z_array`` draws one value per
+entry of a whole array of centers in NumPy rounds.  The samplers' initial
+lists and stage offsets call it, and so does the public batch form
+``sample_zn_rows``, of which ``sample_z``, ``sample_zn`` and ``dglift`` are
+1-row views.  A round gives every pending entry k i.i.d. proposals, with
+k >= 2 once few entries are pending so that a round's fixed cost is shared,
+and the entry keeps its first accepted proposal in proposal order.
+Proposals are i.i.d. and each is decided by its own randomness, so the
+first accepted one of a row has the law of a sequential rejection loop.
+Entries are processed in blocks of fixed size, so transient memory does not
+grow with the list.  Every comparison the float margin cannot decide goes to
+the exact routines (``_select_window_exact``, ``_decide_exact``).
 
 Widths are carried as exact rationals s^2 (``s_sq``), which keeps widths like
 sqrt(2)^i * s0 representable exactly.
@@ -51,6 +51,8 @@ from .errors import (
     PreconditionViolated,
     WidthTooSmall,
 )
+from .rngutil import derive_np_rng, derive_rng
+from .zqlin import int_array
 
 # Rational enclosure of pi (60 digits), used by the exact Bernoulli fallback.
 _PI_LO = Fraction(
@@ -60,7 +62,7 @@ _PI_LO = Fraction(
 _PI_HI = _PI_LO + Fraction(1, 10 ** 59)
 _LN2 = math.log(2.0)
 
-# Float margins of the accept/reject tests, shared by both entry points.
+# Float margins of the accept/reject tests.
 # The float window probability p_window is within this of the exact one.
 _SELECT_MARGIN = 1e-11
 # Relative error allowed for a double-precision exp(-pi (t-f)^2 / s^2): libm
@@ -221,7 +223,7 @@ _ROUND_MIN = 1 << 10
 
 class _ZSampler:
     """Proposal constants for one width s^2, shared by every center, plus the
-    rejection loop, which runs on the offset t = x - round(c)."""
+    rejection loop on arrays, which runs on the offsets t = x - round(c)."""
 
     __slots__ = ("s_sq", "s_sq_f", "K", "W", "wbits", "t_hat", "g_scaled",
                  "g_hat", "p_window", "p_window_exact")
@@ -272,69 +274,6 @@ class _ZSampler:
         a = Fraction(t * c_den - f_num, c_den) ** 2 / self.s_sq
         return _decide_exact(premul, a, _LazyUniform(int(u * (1 << 53)), 53), rng)
 
-    def draw(self, c_num: int, c_den: int, rng) -> int:
-        """One draw from D_{Z,s,c} with c = c_num / c_den, c_den > 0."""
-        # c = x0 + f_num / c_den with x0 the nearest integer (ties to even)
-        x0, f_num = divmod(c_num, c_den)
-        if 2 * f_num > c_den or (2 * f_num == c_den and x0 & 1):
-            x0 += 1
-            f_num -= c_den
-        f = f_num / c_den
-        rnd = rng.random
-        rbits = rng.getrandbits
-        s_sq_f = self.s_sq_f
-        K = self.K
-        W = self.W
-        wbits = self.wbits
-        p_window = self.p_window
-        neg_pi = -math.pi
-        exp = math.exp
-        while True:
-            u_sel = rnd()
-            if u_sel < p_window - _SELECT_MARGIN:
-                in_window = True
-            elif u_sel > p_window + _SELECT_MARGIN:
-                in_window = False
-            else:
-                in_window = self._select_window_exact(u_sel, rng)
-            if in_window:
-                while True:
-                    off = rbits(wbits)
-                    if off < W:
-                        break
-                t = off - K
-                dx = t - f
-                p = exp(neg_pi * dx * dx / s_sq_f)
-                u = rnd()
-                margin = _window_margin(p)
-                if u < p - margin:
-                    return x0 + t
-                if u > p + margin:
-                    continue
-                if self._accept_exact(t, 0, f_num, c_den, u, rng):
-                    return x0 + t
-                continue
-            # Tail branch: geometric offset j >= 1 beyond the window.
-            side = 1 if rbits(1) else -1
-            j = 1
-            while rbits(40) < self.g_scaled:
-                j += 1
-            t = side * (K + j)
-            dx = t - f
-            p = exp(neg_pi * dx * dx / s_sq_f)
-            premul_f = self.t_hat * self.g_hat ** j
-            u = rnd()
-            lhs = u * premul_f
-            margin = _tail_margin(p, lhs, premul_f, j)
-            if premul_f > 0.0 and lhs < p - margin:
-                return x0 + t
-            if premul_f > 0.0 and lhs > p + margin:
-                continue
-            if self._accept_exact(t, j, f_num, c_den, u, rng):
-                return x0 + t
-
-    # -- array path -------------------------------------------------------
-
     def _float_decisions(self, t, j, f, u):
         """Double-precision decisions on proposals: offsets t, tail steps j
         (0 for window proposals), center fractions f and 53-bit uniforms u,
@@ -359,8 +298,8 @@ class _ZSampler:
     def _tail_steps(self, n: int, rng) -> np.ndarray:
         """n i.i.d. tail steps j >= 1 with Pr[j] = (1-g) g^(j-1), g =
         g_scaled / 2^40: j - 1 is the number of 40-bit words below g_scaled
-        before the first that is not, as in ``draw``.  Words are read in
-        chunks sized to the mean run length."""
+        before the first that is not.  Words are read in chunks sized to the
+        mean run length."""
         chunk = int(min(256.0, 2.0 + 2.0 * self.g_hat / (1.0 - self.g_hat)))
         j = np.ones(n, dtype=np.int64)
         todo = np.arange(n)
@@ -432,11 +371,6 @@ def _sampler(s_sq: Fraction) -> _ZSampler:
     return samp
 
 
-def _draw_z(s_sq: Fraction, c_num: int, c_den: int, rng) -> int:
-    """One exact draw from D_{Z, s, c} with s^2 = s_sq and c = c_num/c_den."""
-    return _sampler(s_sq).draw(c_num, c_den, rng)
-
-
 def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
                   exact_rng) -> Tuple[np.ndarray, SamplerCounts]:
     """One exact draw from D_{Z,s,c} per entry of c = c_num / c_den.
@@ -478,25 +412,39 @@ def _width_floor_sq(n: int) -> float:
     return math.log(2 * n + 4) / math.pi
 
 
-def sample_z(param: GaussParam, rng) -> int:
-    """Exact draw from D_{Z, s, c}; requires s >= sqrt(ln(6)/pi)."""
-    if len(param.c) != 1:
-        raise PreconditionViolated("sample_z needs a scalar center")
-    if float(param.s_sq) < _width_floor_sq(1) * (1 - 1e-12):
-        raise WidthTooSmall(f"s = {param.s:.4f} < sqrt(ln(6)/pi)")
-    c = param.c[0]
-    return _draw_z(param.s_sq, c.numerator, c.denominator, rng)
+def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
+    """``rows`` independent exact draws from D_{Z^n, s, c}, as a (rows, n)
+    array (int64, or Python integers when the centers need them); requires
+    s >= sqrt(ln(2n+4)/pi).  A scalar center applies to every coordinate.
 
-
-def sample_zn(param: GaussParam, n: int, rng) -> tuple:
-    """Exact draw from D_{Z^n, s, c}; coordinates independent."""
+    One array-sampler call, on the Philox stream ``("z",)`` and its exact
+    sibling ``("z", "exact")`` under the seed ``rng.getrandbits(63)``.
+    """
     if float(param.s_sq) < _width_floor_sq(n) * (1 - 1e-12):
         raise WidthTooSmall(f"s = {param.s:.4f} < sqrt(ln({2 * n + 4})/pi)")
     cs = param.c if len(param.c) == n else param.c * n
     if len(cs) != n:
         raise PreconditionViolated(f"center has length {len(param.c)}, expected {n}")
-    samp = _sampler(param.s_sq)
-    return tuple(samp.draw(c.numerator, c.denominator, rng) for c in cs)
+    den = math.lcm(*(c.denominator for c in cs))
+    c_num = int_array([c.numerator * (den // c.denominator) for c in cs])
+    seed = rng.getrandbits(63)
+    out, _ = _draw_z_array(param.s_sq, np.broadcast_to(c_num, (rows, n)), den,
+                           derive_np_rng(seed, "z"), derive_rng(seed, "z", "exact"))
+    return out
+
+
+def sample_z(param: GaussParam, rng) -> int:
+    """Exact draw from D_{Z, s, c}; requires s >= sqrt(ln(6)/pi).  Each call
+    is one ``sample_zn_rows`` call: draw many values with one of those."""
+    if len(param.c) != 1:
+        raise PreconditionViolated("sample_z needs a scalar center")
+    return int(sample_zn_rows(param, 1, 1, rng)[0, 0])
+
+
+def sample_zn(param: GaussParam, n: int, rng) -> tuple:
+    """Exact draw from D_{Z^n, s, c}; coordinates independent.  Each call is
+    one ``sample_zn_rows`` call: draw many vectors with one of those."""
+    return tuple(int(v) for v in sample_zn_rows(param, n, 1, rng)[0])
 
 
 # ---------------------------------------------------------------------------

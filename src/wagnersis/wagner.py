@@ -38,6 +38,7 @@ from .chain import (
     StageDescriptor,
     StagedVector,
     _difference,
+    _gaussian_offsets,
     _lift_batch,
     _offset_width_sq,
     _stack,
@@ -219,20 +220,6 @@ def bucket_and_combine(stage: StageDescriptor, staged: Sequence[StagedVector],
 # ---------------------------------------------------------------------------
 # Array-level stage processing (hot path)
 # ---------------------------------------------------------------------------
-
-def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
-                      seed_path: tuple, seed) -> Tuple[np.ndarray, SamplerCounts]:
-    """Sample k ~ D_{Z^b, (p/q) s, -(p/q) y} rowwise via the array sampler;
-    returns the offsets, int64 when every one fits and Python integers
-    otherwise, and the sampler's counts."""
-    p, q = stage.p, stage.q
-    scaled = _offset_width_sq(stage.index, p, q, stage.b, width_sq)
-    # center numerators -p y, under int_matmul's overflow rule
-    c_num = int_matmul(Y.reshape(-1, 1), int_array([[-p]])).reshape(Y.shape)
-    K, counts = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
-                              derive_rng(seed, *seed_path, "exact"))
-    return int_array(K), counts
-
 
 def _pack_labels(K: np.ndarray, p: int) -> np.ndarray:
     """Per-row coset labels: the residues K mod p read as base-p digits, int64

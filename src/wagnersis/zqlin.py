@@ -95,6 +95,9 @@ class SisInstance:
             raise DimensionMismatch(f"A has shape {self.A.shape}, expected {(self.n, self.m)}")
         if int(self.A.min()) < 0 or int(self.A.max()) >= self.q:
             raise BadDimensions("matrix entries must lie in [0, q)")
+        # store A as create does (as_matrix): int64 only for q < 2^31
+        if self.A.dtype != (np.int64 if self.q < (1 << 31) else object):
+            object.__setattr__(self, "A", as_matrix(self.A, self.q))
         if self.norm_kind not in ("linf", "l2"):
             raise BadDimensions(f"unknown norm kind {self.norm_kind!r}")
         if self.beta is not None and self.beta <= 0:

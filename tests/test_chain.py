@@ -6,6 +6,8 @@ import pytest
 
 from wagnersis.chain import (
     StagedVector,
+    _gaussian_offsets,
+    _lift_batch,
     build_chain,
     combine_pair,
     coset_label,
@@ -14,7 +16,7 @@ from wagnersis.chain import (
     label_of_point,
     lift_integer,
 )
-from wagnersis.dgauss import GaussParam, empirical_similarity, pmf_bruteforce
+from wagnersis.dgauss import GaussParam, empirical_similarity, pmf_bruteforce, sample_zn_rows
 from wagnersis.errors import BlockSumMismatch, NotInLattice, WidthTooSmall
 from wagnersis.estimator import CostQuery, heuristic_schedule
 from wagnersis.rngutil import derive_np_rng, derive_rng
@@ -119,6 +121,18 @@ class TestDGLift:
             assert sv.head == x
             assert sv.y_last() == lift_integer(st, x)
 
+    def test_offsets_are_the_stage_kernel_on_one_row(self):
+        # dglift's offsets are _gaussian_offsets on the 1-row list of its
+        # lift, so the batch distribution tests below cover dglift
+        inst = make_systematic(2, 6, 5, seed=4)
+        st = build_chain(inst, [2], [2])[0]
+        x = (1, -2, 0, 3)
+        for seed in range(20):
+            sv = dglift(st, x, 8, derive_rng(seed, "view"))
+            K, _ = _gaussian_offsets(st, _lift_batch(st, np.array([x])), Fraction(64),
+                                     ("dglift",), derive_rng(seed, "view").getrandbits(63))
+            assert sv.k == tuple(K[0].tolist())
+
     def test_width_too_small(self):
         inst = make_systematic(2, 6, 5, seed=4)
         st = build_chain(inst, [2], [2])[0]  # needs s >= 2.5 sqrt(ln 8 / pi)
@@ -135,12 +149,14 @@ class TestDGLift:
         assert lift_integer(st, x) == (1,)
         rng = derive_rng(9, "label")
         s = 8
-        labels = []
-        for _ in range(20_000):
-            sv = dglift(st, x, s, rng)
-            assert sv.tail_num[0] == 2 * 1 + 4 * sv.k[0]
-            assert sv.tail_num[0] % 2 == 0 and (sv.tail_num[0] // 2) % 2 == 1
-            labels.append(sv.label[0])
+        sv = dglift(st, x, s, rng)
+        assert sv.tail_num[0] == 2 * 1 + 4 * sv.k[0] and sv.label[0] == sv.k[0] % 2
+        # 20k lifts of x as dglift draws them, in one call
+        Y = _lift_batch(st, np.tile(x, (20_000, 1)))
+        K, _ = _gaussian_offsets(st, Y, Fraction(s) ** 2, ("dglift",), rng.getrandbits(63))
+        tail = st.p * Y + st.q * K
+        assert np.all(tail % 2 == 0) and np.all((tail // 2) % 2 == 1)
+        labels = (K[:, 0] % st.p).tolist()
         pmf_k = pmf_bruteforce(
             lambda R, c: [(float(k),) for k in range(-60, 61)],
             GaussParam.make(s_sq=Fraction(s) ** 2 * Fraction(1, 4), c=Fraction(-1, 2)),
@@ -228,40 +244,34 @@ class TestDGLiftDistribution:
         rng = derive_rng(21, "dist")
         param0 = GaussParam.make(s=s, c=0)
         n_draws = 1_000_000
-        from wagnersis.dgauss import sample_zn
-        counts = {}
-        for _ in range(n_draws):
-            x = sample_zn(param0, 2, rng)
-            sv = dglift(st, x, s, rng)
-            key = (sv.head[0], sv.head[1],
-                   float(Fraction(sv.tail_num[0], p)),
-                   float(Fraction(sv.tail_num[1], p)))
-            counts[key] = counts.get(key, 0) + 1
+        # heads x ~ D_{Z^2, s}, then dglift's lift of all of them in one call;
+        # a point is keyed by the exact integers (x1, x2, p y1 + q k1, p y2 + q k2)
+        X = sample_zn_rows(param0, 2, n_draws, rng)
+        Y = _lift_batch(st, X)
+        K, _ = _gaussian_offsets(st, Y, Fraction(s) ** 2, ("dglift",), rng.getrandbits(63))
+        samples = list(zip(*np.hstack([X, p * Y + q * K]).T.tolist()))
 
-        # Enumerate the superlattice within radius 6s: points (z, -A'z + (q/p)k).
+        # Enumerate the superlattice box of half-width 6s: points
+        # (z, -A'z + (q/p) k), scaled tails p (-A'z) + q k.
         R = 6 * s
         zr = np.arange(-math.ceil(R), math.ceil(R) + 1)
-        pts = []
+        Z = np.stack(np.meshgrid(zr, zr, indexing="ij"), axis=-1).reshape(-1, 2)
+        base = -(Z @ a_new.T)
         ratio = q / p
-        for z1 in zr:
-            for z2 in zr:
-                base = -(a_new @ np.array([z1, z2]))
-                kbounds = []
-                for t in range(2):
-                    lo = math.ceil((-R - base[t]) / ratio)
-                    hi = math.floor((R - base[t]) / ratio)
-                    kbounds.append(range(lo, hi + 1))
-                for k1 in kbounds[0]:
-                    for k2 in kbounds[1]:
-                        pts.append((z1, z2, base[0] + ratio * k1, base[1] + ratio * k2))
-        arr = np.array(pts, dtype=float)
-        w = np.exp(-math.pi * (arr ** 2).sum(axis=1) / (s * s))
+        lo = np.ceil((-R - base) / ratio).astype(np.int64)
+        hi = np.floor((R - base) / ratio).astype(np.int64)
+        kmax = int((hi - lo).max()) + 1
+        k1, k2 = np.meshgrid(np.arange(kmax), np.arange(kmax), indexing="ij")
+        k1, k2 = k1.ravel(), k2.ravel()
+        rows = np.repeat(np.arange(len(Z)), len(k1))
+        k = np.stack([np.tile(k1, len(Z)), np.tile(k2, len(Z))], axis=1) + lo[rows]
+        inside = np.all(k <= hi[rows], axis=1)
+        rows, k = rows[inside], k[inside]
+        pts = np.hstack([Z[rows], p * base[rows] + q * k])
+        w = np.exp(-math.pi * ((pts[:, :2] ** 2).sum(axis=1)
+                               + ((pts[:, 2:] / p) ** 2).sum(axis=1)) / (s * s))
         w /= w.sum()
-        pmf = {(int(r[0]), int(r[1]), float(r[2]), float(r[3])): wi
-               for r, wi in zip(pts, w)}
-        samples = []
-        for key, cnt in counts.items():
-            samples.extend([key] * cnt)
+        pmf = dict(zip(zip(*pts.T.tolist()), w.tolist()))
         res = empirical_similarity(samples, pmf)
         # DGLift adds at most 3 eps with eps the exact dual mass of the scaled
         # block lattice at this width: eps = theta(s p / q)^b - 1.

@@ -10,6 +10,8 @@ from wagnersis import solvers, wagner
 from wagnersis.cli import main
 from wagnersis.zqlin import SisInstance, systematic_form
 
+from test_wagner import NAIVE_LADDER
+
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
     out = io.StringIO()
@@ -194,15 +196,15 @@ class TestDeterminismAndCertify:
         c2, o2 = run_cli(list(argv), stdin_text=inst_json, monkeypatch=monkeypatch)
         assert (c1, o1) == (c2, o2)
 
-    # sha256 of stdout, computed before the sampler keyed its constants on
-    # the width alone: a change to any seeded stream fails here
+    # sha256 of stdout, computed when CLI sample became one sample_zn_rows
+    # call: a change to any seeded stream fails here
     @pytest.mark.parametrize("argv, digest", [
         (["sample", "--width", "3", "--center", "0.5", "--count", "400",
           "--seed", "1", "--json"],
-         "4bf8da62ff54cdbc2c490e1b9566513c7df35bfcb4b2402921829395d8ab4660"),
+         "e9c528ba688141183d7209748721db7b1d2c555c8bbbe1e3000c05a7d4b38427"),
         (["sample", "--width", "2.2", "--center", "-7.25", "--count", "400",
           "--dim", "3", "--seed", "4", "--json"],
-         "eb978ef5739ed3294406d1ac1f9fe5b13702fab609fc4be3e81dc07568340b79"),
+         "2f9e47c5ca9c74cc634151e4efbef748f52256f7176c04cba104ffa3100489b9"),
     ])
     def test_sample_stream_pinned(self, argv, digest):
         code, out = run_cli(argv)
@@ -262,6 +264,27 @@ class TestDeterminismAndCertify:
                              "--threads", "2"],
                             stdin_text=inst_json, monkeypatch=monkeypatch)
         assert code == 3 and out == ""
+
+
+class TestModulusLadder:
+    def test_solve(self, monkeypatch):
+        # exit 0 with solutions that verify against the instance on stdin, or
+        # a typed failure (exit 1 or 3); verified solutions at one modulus or more
+        solved = 0
+        for q in NAIVE_LADDER:
+            _, inst_json = run_cli(["gen", "--n", "2", "--m", "12", "--q", str(q),
+                                    "--seed", "1"])
+            code, out = run_cli(["solve", "--f", "4", "--seed", "3", "--json"],
+                                stdin_text=inst_json, monkeypatch=monkeypatch)
+            assert code in (0, 1, 3)
+            if code == 0:
+                given = SisInstance.from_json(inst_json)
+                sols = json.loads(out)["solutions"]
+                assert sols
+                assert all(solvers.verify(given, sol["x"]) == solvers.VERDICT_VALID
+                           for sol in sols)
+                solved += 1
+        assert solved >= 1
 
 
 class TestSolvePermutation:

@@ -12,7 +12,6 @@ from wagnersis import dgauss
 from wagnersis.dgauss import (
     GaussParam,
     _decide_exact,
-    _draw_z,
     _draw_z_array,
     _exp_neg_pi_interval,
     _LazyUniform,
@@ -33,6 +32,7 @@ from wagnersis.dgauss import (
     rho_bruteforce,
     sample_z,
     sample_zn,
+    sample_zn_rows,
     tail_bound_linf,
 )
 from wagnersis.errors import InsufficientSamples, PreconditionViolated, WidthTooSmall
@@ -74,7 +74,7 @@ class TestSampleZ:
         param = GaussParam.make(s=2, c=0.3)
         rng = derive_rng(42, "pmf")
         n = 150_000
-        draws = [sample_z(param, rng) for _ in range(n)]
+        draws = sample_zn_rows(param, 1, n, rng)[:, 0].tolist()
         pmf = pmf_bruteforce(enum_z(), param, radius=40)
         res = empirical_similarity(draws, pmf)
         assert res.chi2_p >= 1e-3
@@ -84,10 +84,8 @@ class TestSampleZ:
         param = GaussParam.make(s=3, c=0)
         rng = derive_rng(7, "sym")
         n = 100_000
-        counts = {}
-        for _ in range(n):
-            v = sample_z(param, rng)
-            counts[v] = counts.get(v, 0) + 1
+        values, freq = np.unique(sample_zn_rows(param, 1, n, rng), return_counts=True)
+        counts = dict(zip(values.tolist(), freq.tolist()))
         for k in range(1, 5):
             a, b = counts.get(k, 0), counts.get(-k, 0)
             se = math.sqrt(a + b)
@@ -101,56 +99,12 @@ class TestSampleZ:
 
 
 class TestCenterSplit:
-    @pytest.mark.parametrize("k", [2 ** 40, 2 ** 60, 2 ** 100])
-    def test_large_centers_shift_the_small_center_draws(self, k, monkeypatch):
-        # D_{Z,s,k+1/3} = k + D_{Z,s,1/3}: the same seed gives the same draws
-        # shifted by k, and no decision leaves double precision.
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return _decide_exact(*args)
-
-        monkeypatch.setattr(dgauss, "_decide_exact", counting)
-        s_sq = Fraction(9)
-        rng_small, rng_large = derive_rng(5, "split"), derive_rng(5, "split")
-        small = [_draw_z(s_sq, 1, 3, rng_small) for _ in range(200)]
-        large = [_draw_z(s_sq, 3 * k + 1, 3, rng_large) for _ in range(200)]
-        assert large == [k + v for v in small]
-        assert len(calls) == 0
-
     def test_one_sampler_per_width(self):
         dgauss._SAMPLER_CACHE.clear()
         rng = derive_rng(6, "cache")
         for c_num in range(-50, 50):
-            _draw_z(Fraction(25, 4), c_num, 7, rng)
+            sample_z(GaussParam(s_sq=Fraction(25, 4), c=(Fraction(c_num, 7),)), rng)
         assert list(dgauss._SAMPLER_CACHE) == [Fraction(25, 4)]
-
-
-class _ScriptEnd(Exception):
-    pass
-
-
-class _Deferred(Exception):
-    pass
-
-
-class _ScriptedRng:
-    """Replays scripted random() and getrandbits() values; asking for more
-    means the scripted proposal was rejected and the loop went round."""
-
-    def __init__(self, floats, bits):
-        self.floats, self.bits = list(floats), list(bits)
-
-    def random(self):
-        if not self.floats:
-            raise _ScriptEnd
-        return self.floats.pop(0)
-
-    def getrandbits(self, k):
-        if not self.bits:
-            raise _ScriptEnd
-        return self.bits.pop(0)
 
 
 _FLOOR_SQ = Fraction(_width_floor_sq(1))
@@ -178,23 +132,6 @@ class TestFloatFastPath:
     with the exact decision on the same 53-bit uniform."""
 
     @staticmethod
-    def _run(samp, c_num, c_den, floats, bits):
-        """True for a float accept, False for a float reject, None when the
-        decision went to exact arithmetic."""
-        def deferred(*args):
-            raise _Deferred
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dgauss, "_decide_exact", deferred)
-            try:
-                samp.draw(c_num, c_den, _ScriptedRng(floats, bits))
-                return True
-            except _ScriptEnd:
-                return False
-            except _Deferred:
-                return None
-
-    @staticmethod
     def _u53(u, log_thr: float) -> int:
         kind, v = u
         if kind == "any":
@@ -207,39 +144,6 @@ class TestFloatFastPath:
     def _offset_a(samp, t, c_num, c_den):
         x0 = round(Fraction(c_num, c_den))
         return (Fraction(t) + x0 - Fraction(c_num, c_den)) ** 2 / samp.s_sq
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(s_sq=_WIDTHS_SQ, c=_CENTERS, t_pos=st.integers(0, 1 << 22), u=_UNIFORMS)
-    def test_window_decisions_match_exact(self, s_sq, c, t_pos, u):
-        samp = _ZSampler(s_sq)
-        t = t_pos % samp.W - samp.K
-        a = self._offset_a(samp, t, *c)
-        u53 = self._u53(u, -math.pi * float(a))
-        got = self._run(samp, *c, [0.0, u53 / (1 << 53)], [t + samp.K])
-        if got is not None:
-            lu = _LazyUniform(u53, 53)
-            assert got == _decide_exact(Fraction(1), a, lu, random.Random(0))
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(s_sq=_WIDTHS_SQ, c=_CENTERS, j=st.integers(20, 24),
-           side=st.sampled_from([1, -1]), u=_UNIFORMS)
-    # u = 0 while p is far below premul 2^-53: the uniform's unread bits
-    # decide, so a float accept would be wrong
-    @example(s_sq=Fraction(9), c=(3 * 2 ** 40 + 1, 3), j=20, side=1, u=("any", 0))
-    def test_tail_decisions_match_exact(self, s_sq, c, j, side, u):
-        samp = _ZSampler(s_sq)
-        t = side * (samp.K + j)
-        a = self._offset_a(samp, t, *c)
-        premul = Fraction(samp.t_hat) * Fraction(samp.g_scaled, 1 << 40) ** j
-        log_premul = math.log(samp.t_hat) + j * math.log(samp.g_scaled / (1 << 40))
-        u53 = self._u53(u, -math.pi * float(a) - log_premul)
-        # select the tail with the largest uniform below 1, then geometric
-        # steps: j - 1 continues and one stop
-        bits = [1 if side > 0 else 0] + [0] * (j - 1) + [(1 << 40) - 1]
-        got = self._run(samp, *c, [1.0 - 2.0 ** -53, u53 / (1 << 53)], bits)
-        if got is not None:
-            lu = _LazyUniform(u53, 53)
-            assert got == _decide_exact(premul, a, lu, random.Random(0))
 
     @staticmethod
     def _run_batch(samp, c_num, c_den, t, j, u53):
@@ -265,6 +169,8 @@ class TestFloatFastPath:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(s_sq=_WIDTHS_SQ, c=_CENTERS, j=st.integers(20, 24),
            side=st.sampled_from([1, -1]), u=_UNIFORMS)
+    # u = 0 while p is far below premul 2^-53: the uniform's unread bits
+    # decide, so a float accept would be wrong
     @example(s_sq=Fraction(9), c=(3 * 2 ** 40 + 1, 3), j=20, side=1, u=("any", 0))
     def test_batch_tail_decisions_match_exact(self, s_sq, c, j, side, u):
         samp = _ZSampler(s_sq)
@@ -301,10 +207,11 @@ class TestArraySampler:
             assert res.chi2_p >= 1e-3
             assert res.excess(4.5) <= 0.0
 
-    @pytest.mark.parametrize("k", [2 ** 60, 2 ** 100])
+    @pytest.mark.parametrize("k", [2 ** 40, 2 ** 60, 2 ** 100])
     def test_large_centers_shift_the_small_center_draws(self, k, monkeypatch):
         # D_{Z,s,k+1/3} = k + D_{Z,s,1/3}: the same streams give the same
-        # draws shifted by k (int64 centers for 2^60, Python ints for 2^100),
+        # draws shifted by k (int64 centers for 2^40 and 2^60, Python ints
+        # for 2^100),
         # and no decision leaves double precision.
         calls = []
 
@@ -361,6 +268,14 @@ class TestSampleZn:
         ys = [sample_zn(param, 1, r2)[0] for _ in range(2000)]
         assert xs == ys  # identical stream, identical decisions
 
+    def test_single_values_are_one_row_views(self):
+        # the same rng gives the same draws through sample_zn and through a
+        # 1-row sample_zn_rows call, so the batch tests cover the scalar API
+        param = GaussParam.make(s=2, c=(0.3, Fraction(-29, 4)))
+        r1, r2 = derive_rng(6, "view"), derive_rng(6, "view")
+        for _ in range(50):
+            assert sample_zn(param, 2, r1) == tuple(sample_zn_rows(param, 2, 1, r2)[0].tolist())
+
     def test_moments_against_pmf_oracle(self):
         param = GaussParam.make(s=3, c=0)
         pmf = pmf_bruteforce(enum_z(), param, radius=45)
@@ -369,7 +284,7 @@ class TestSampleZn:
         m4 = sum((k - mean) ** 4 * p for k, p in pmf.items())
         rng = derive_rng(11, "mom")
         n = 60_000
-        draws = np.array([sample_zn(param, 2, rng) for _ in range(n)])
+        draws = sample_zn_rows(param, 2, n, rng)
         emp_var = draws.var(axis=0)
         se_var = math.sqrt((m4 - var**2) / n)
         assert np.all(np.abs(emp_var - var) < 4 * se_var)
@@ -388,7 +303,7 @@ class TestSampleZn:
             sds.append(math.sqrt(sum((k - mu) ** 2 * p for k, p in pmf.items())))
         rng = derive_rng(13)
         n = 50_000
-        draws = np.array([sample_zn(param, 2, rng) for _ in range(n)])
+        draws = sample_zn_rows(param, 2, n, rng)
         for j in range(2):
             se = sds[j] / math.sqrt(n)
             assert abs(float(draws[:, j].mean()) - means[j]) < 4 * se
@@ -465,9 +380,7 @@ class TestFormulas:
         rng = derive_rng(17)
         n = 100_000
         R = 1.5
-        exceed = sum(
-            1 for _ in range(n)
-            if max(abs(v) for v in sample_zn(param, 2, rng)) > R * 5)
+        exceed = int((np.abs(sample_zn_rows(param, 2, n, rng)).max(axis=1) > R * 5).sum())
         bound = tail_bound_linf(2, R)
         sigma = math.sqrt(bound * (1 - bound) / n)
         assert exceed / n <= bound + 3 * sigma
@@ -499,7 +412,7 @@ class TestEmpiricalSimilarity:
         param = GaussParam.make(s=3, c=0)
         pmf = pmf_bruteforce(enum_z(), param, radius=45)
         rng = derive_rng(23, "null")
-        draws = [sample_z(param, rng) for _ in range(50_000)]
+        draws = sample_zn_rows(param, 1, 50_000, rng)[:, 0].tolist()
         res = empirical_similarity(draws, pmf)
         assert res.chi2_p >= 1e-3
         assert res.n_bins >= 5
@@ -508,7 +421,7 @@ class TestEmpiricalSimilarity:
         wide = GaussParam.make(s=3 * math.sqrt(2), c=0)
         narrow_pmf = pmf_bruteforce(enum_z(), GaussParam.make(s=3, c=0), radius=60)
         rng = derive_rng(29, "power")
-        draws = [sample_z(wide, rng) for _ in range(100_000)]
+        draws = sample_zn_rows(wide, 1, 100_000, rng)[:, 0].tolist()
         draws = [d for d in draws if d in narrow_pmf]
         res = empirical_similarity(draws, narrow_pmf)
         assert res.chi2_p < 1e-6
@@ -521,11 +434,9 @@ class TestEmpiricalSimilarity:
         param_x = GaussParam.make(s=s, c=-half)
         param_y = GaussParam.make(s=s, c=0)
         n = 200_000
-        diffs = []
-        for _ in range(n):
-            x = sample_z(param_x, rng) + half
-            y = sample_z(param_y, rng)
-            diffs.append(float(x - y))
+        x = sample_zn_rows(param_x, 1, n, rng)[:, 0] + float(half)
+        y = sample_zn_rows(param_y, 1, n, rng)[:, 0]
+        diffs = (x - y).tolist()
         pmf = pmf_bruteforce(enum_coset_z(half),
                              GaussParam.make(s_sq=Fraction(2) * Fraction(s) ** 2, c=0),
                              radius=60)

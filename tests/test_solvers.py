@@ -49,6 +49,11 @@ class TestVerify:
         assert verify(inst, (1, 1)) == VERDICT_NOT_IN_LATTICE
         assert verify(inst, (5, 0, 0)) == VERDICT_NOT_IN_LATTICE  # wrong length
 
+    def test_int64_matrix_beyond_int64_modulus(self):
+        # A x mod q for an int64 matrix given to the constructor with q >= 2^63
+        inst = SisInstance(n=1, m=2, q=2**64 + 13, A=np.array([[5, 1]]))
+        assert verify(inst, [1, -5]) == VERDICT_VALID
+
     def test_l2_norm_kind(self):
         inst = SisInstance.create([[1, 1]], 3, beta=2, norm_kind="l2")
         assert verify(inst, (1, 2)) == VERDICT_NORM  # sqrt(5) > 2

@@ -365,6 +365,24 @@ class TestGaussianWagnerProvable:
         with pytest.raises(PreconditionViolated, match="2\\^63"):
             gaussian_wagner(inst, sched, 5)
 
+    def test_modulus_ladder(self):
+        # s0 = q / sqrt(2): lattice rows, or a typed error (the window bound
+        # from the primes near 2^62 up); rows at one modulus or more
+        returned = 0
+        for q in NAIVE_LADDER:
+            inst, _ = systematic_form(random_instance(2, 6, q, seed=1))
+            sched = Schedule(mode=MODE_PROVABLE, r=2, N=16, p=(4, 2), b=(1, 1),
+                             s0_sq=Fraction(q) ** 2 / 2)
+            try:
+                out, stats = gaussian_wagner(inst, sched, 3)
+            except WagnerSisError:
+                continue
+            rows = [[int(v) for v in row] for row in out]
+            assert len(rows) == stats.list_sizes[-1] == 16
+            assert not any(int(v) for row in rows for v in matvec_mod(inst.A, row, q))
+            returned += 1
+        assert returned >= 1
+
     def test_sampler_counts_in_stats(self):
         inst, _ = systematic_form(random_instance(2, 8, 5, seed=4))
         sched = Schedule(mode=MODE_PROVABLE, r=2, N=15, p=(2, 2), b=(1, 1),
@@ -529,6 +547,15 @@ class TestNaiveWagner:
         assert not any(int(v) for row in rows for v in matvec_mod(inst.A, row, q))
         bound = eq1_norm_bound(sched, q)
         assert all(abs(v) <= bound for row in rows for v in row)
+
+    def test_int64_matrix_beyond_int64_modulus(self):
+        # the constructor stores an int64 matrix given with q >= 2^63 as
+        # Python integers, so the completions y mod q are exact
+        inst = SisInstance(n=1, m=2, q=2**64 + 13, A=np.array([[5, 1]]))
+        sched = Schedule(mode=MODE_NAIVE, r=1, N=8, p=(4,), b=(1,))
+        out, stats = naive_wagner(inst, sched, 0)
+        assert stats.list_sizes == [24, 12]
+        _check_final_membership(inst, out)
 
     def test_mode_check(self):
         inst = make_systematic(4, 12, 16, seed=0)
