@@ -48,10 +48,6 @@ class StageDescriptor:
     def dim_in(self) -> int:
         return self.m_minus_n + self.kappa_prev
 
-    @property
-    def dim_out(self) -> int:
-        return self.m_minus_n + self.kappa
-
 
 @dataclass(frozen=True)
 class StagedVector:

@@ -106,9 +106,12 @@ class GaussParam:
     def make(cls, s=None, c=0, s_sq=None) -> "GaussParam":
         if (s is None) == (s_sq is None):
             raise ValueError("give exactly one of s, s_sq")
+        c = c if isinstance(c, (tuple, list)) else (c,)
+        for name, values in (("width", (s, s_sq)), ("center", c)):
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise PreconditionViolated(f"{name} must be finite")
         ssq = Fraction(s) ** 2 if s is not None else Fraction(s_sq)
-        cs = tuple(Fraction(v) for v in (c if isinstance(c, (tuple, list)) else (c,)))
-        return cls(s_sq=ssq, c=cs)
+        return cls(s_sq=ssq, c=tuple(Fraction(v) for v in c))
 
     @property
     def s(self) -> float:
@@ -380,9 +383,11 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
     and uniforms come from the NumPy generator ``rng``; exact decisions take
     their fresh bits from the ``random.Random`` stream ``exact_rng``.
     """
-    samp = _sampler(s_sq)
-    if samp.W >= 1 << 63:  # window offsets are drawn as int64
-        raise PreconditionViolated(f"array sampler needs 2 ceil(1.5 s) + 1 < 2^63, got {samp.W}")
+    # Window offsets are drawn as int64.  Every s >= 2^63 fails the bound; it
+    # is rejected before the sampler takes float(s^2), which can overflow.
+    samp = _sampler(s_sq) if s_sq < 1 << 126 else None
+    if samp is None or samp.W >= 1 << 63:
+        raise PreconditionViolated("array sampler needs 2 ceil(1.5 s) + 1 < 2^63")
     c_num = np.asarray(c_num)
     out = np.empty(c_num.shape, dtype=np.int64 if c_num.dtype == np.int64 else object)
     flat_out = out.reshape(-1)
@@ -420,7 +425,7 @@ def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
     One array-sampler call, on the Philox stream ``("z",)`` and its exact
     sibling ``("z", "exact")`` under the seed ``rng.getrandbits(63)``.
     """
-    if float(param.s_sq) < _width_floor_sq(n) * (1 - 1e-12):
+    if param.s_sq < _width_floor_sq(n) * (1 - 1e-12):
         raise WidthTooSmall(f"s = {param.s:.4f} < sqrt(ln({2 * n + 4})/pi)")
     cs = param.c if len(param.c) == n else param.c * n
     if len(cs) != n:
@@ -457,7 +462,6 @@ def enum_z() -> Callable:
         c0 = float(c[0])
         lo, hi = math.floor(c0 - R), math.ceil(c0 + R)
         return [(float(k),) for k in range(lo, hi + 1)]
-    points.dim = 1
     return points
 
 
@@ -470,7 +474,6 @@ def enum_coset_z(offset) -> Callable:
         lo = math.floor(c0 - R - off)
         hi = math.ceil(c0 + R - off)
         return [(k + off,) for k in range(lo, hi + 1)]
-    points.dim = 1
     return points
 
 
@@ -487,7 +490,6 @@ def enum_scaled_zn(alpha, n: int) -> Callable:
         grids = np.meshgrid(*ranges, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
         return [tuple(row) for row in pts]
-    points.dim = n
     return points
 
 
@@ -504,7 +506,6 @@ def enum_qary(A, q: int) -> Callable:
         pts = np.stack([g.ravel() for g in grids], axis=1)
         ok = np.all(np.mod(pts @ A.T, q) == 0, axis=1)
         return [tuple(int(v) for v in row) for row in pts[ok]]
-    points.dim = m
     return points
 
 
@@ -697,8 +698,7 @@ def _theta(t: float) -> float:
         k += 1
 
 
-def eta_scaled_zn_bruteforce(alpha, n: int, epsilon: float,
-                             s_hi: float = 1e9) -> float:
+def eta_scaled_zn_bruteforce(alpha, n: int, epsilon: float) -> float:
     """Certified upper bound on eta_eps(alpha Z^n) by bisection on the exact
     dual series (dual lattice is (1/alpha) Z^n)."""
     a = float(alpha)
@@ -706,7 +706,7 @@ def eta_scaled_zn_bruteforce(alpha, n: int, epsilon: float,
     def dual_rho_minus_one(s: float) -> float:
         return _theta(s / a) ** n - 1.0
 
-    lo, hi = 1e-9, s_hi
+    lo, hi = 1e-9, 1e9
     if dual_rho_minus_one(hi) > epsilon:
         raise BudgetExceeded("eta above search bound")
     for _ in range(200):
@@ -722,7 +722,7 @@ def eta_zn_bruteforce(n: int, epsilon: float) -> float:
     return eta_scaled_zn_bruteforce(1.0, n, epsilon)
 
 
-def eta_qary_bruteforce(A, q: int, epsilon: float, s_hi: float = 1e6) -> float:
+def eta_qary_bruteforce(A, q: int, epsilon: float) -> float:
     """Certified upper bound on eta_eps of the kernel lattice of A mod q.
 
     The dual is (1/q) Lambda_q(A); its vectors are enumerated inside a box
@@ -758,7 +758,7 @@ def eta_qary_bruteforce(A, q: int, epsilon: float, s_hi: float = 1e6) -> float:
             return math.inf
         return total * (1 + 2 * tail_rel) - 1.0
 
-    lo, hi = 1e-6, s_hi
+    lo, hi = 1e-6, 1e6
     if dual_rho_minus_one(hi) > epsilon:
         raise BudgetExceeded("eta above search bound")
     for _ in range(80):

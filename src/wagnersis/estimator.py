@@ -36,6 +36,7 @@ _KAPPA = {
     VARIANT_ROUNDING: math.sqrt(12.0),
     VARIANT_QUANTIZATION: math.sqrt(2.0 * math.pi * math.e),
 }
+_MAX_LOG2N = 4000.0  # largest log2 N the estimate searches
 
 
 @dataclass(frozen=True)
@@ -218,14 +219,14 @@ def _log2_np(query: CostQuery, log2N: float) -> Tuple[float, Optional[int]]:
     return best, best_rp
 
 
-def estimate(query: CostQuery, *, max_log2N: float = 4000.0) -> CostReport:
+def estimate(query: CostQuery) -> CostReport:
     """Smallest log2 N on the grid for which the attack model succeeds."""
     grid = query.grid_bits
     # Exponential bracket, then a binary search down to the grid, then an
     # exact walk so the returned point is the grid minimum.
     lo, hi = 1.0, None
     x = 16.0
-    while x <= max_log2N:
+    while x <= _MAX_LOG2N:
         val, _ = _log2_np(query, x)
         if val > -1.0:
             hi = x
@@ -233,7 +234,7 @@ def estimate(query: CostQuery, *, max_log2N: float = 4000.0) -> CostReport:
         lo = x
         x *= 2.0
     if hi is None:
-        raise Infeasible(f"no success up to log2 N = {max_log2N}")
+        raise Infeasible(f"no success up to log2 N = {_MAX_LOG2N}")
     while hi - lo > grid:
         mid = (lo + hi) / 2
         val, _ = _log2_np(query, mid)

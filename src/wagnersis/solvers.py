@@ -33,6 +33,7 @@ VERDICT_VALID = "Valid"
 VERDICT_ZERO = "ZeroVector"
 VERDICT_NORM = "NormExceeded"
 VERDICT_NOT_IN_LATTICE = "NotInLattice"
+_MAX_SOLUTIONS = 16  # solutions a solve report keeps
 
 
 @dataclass
@@ -115,6 +116,8 @@ def verify(inst: SisInstance, x) -> str:
 
 def _norm_bound(inst: SisInstance, f: float, norm_kind: str) -> float:
     """beta = (q/f) sqrt(ln m) for the infinity norm, (q/f) sqrt(m) for l2."""
+    if not (math.isfinite(f) and f > 0):
+        raise PreconditionViolated(f"norm factor f must be finite and > 0, got {f}")
     if norm_kind == "linf":
         return (inst.q / f) * math.sqrt(math.log(inst.m))
     return (inst.q / f) * math.sqrt(inst.m)
@@ -141,17 +144,17 @@ def _check_mode(inst: SisInstance, f: float, epsilon: float, mode: str):
 def choose_schedule(inst: SisInstance, f: float, epsilon: float, mode: str,
                     norm_kind: str = "linf") -> Schedule:
     """The schedule the ``norm_kind`` solver runs when it is given none."""
+    beta = _norm_bound(inst, f, norm_kind)  # also rejects an unusable f in either mode
     if mode == MODE_PROVABLE:
         return choose_provable_params(inst.n, inst.m, inst.q, f, epsilon)
     if mode == MODE_HEURISTIC:
-        return choose_heuristic_params(inst.n, inst.m, inst.q,
-                                       _norm_bound(inst, f, norm_kind), epsilon=epsilon)
+        return choose_heuristic_params(inst.n, inst.m, inst.q, beta, epsilon=epsilon)
     raise PreconditionViolated(f"unknown solve mode {mode!r}")
 
 
 def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
            norm_kind: str, accept, trivial: bool, schedule: Optional[Schedule],
-           threads: int, max_solutions: int) -> SolveReport:
+           threads: int) -> SolveReport:
     """Run the sampler and keep the outputs that ``accept`` admits, within
     beta under ``norm_kind`` and within the instance's own beta."""
     beta = _norm_bound(inst, f, norm_kind)
@@ -167,7 +170,7 @@ def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
         xs = [int(v) for v in row]
         if accept(xs) and all(_norm_stat(xs, kind) <= limit for kind, limit in limits):
             sols.append(Solution.from_vector(xs, norm_kind))
-            if len(sols) >= max_solutions:
+            if len(sols) >= _MAX_SOLUTIONS:
                 break
     if inst.beta is not None and inst.norm_kind == norm_kind:
         beta = min(beta, float(inst.beta))  # the bound actually enforced
@@ -177,20 +180,16 @@ def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
 
 
 def solve_sis_inf(inst: SisInstance, f: float, epsilon: float, mode: str, rng, *,
-                  schedule: Optional[Schedule] = None, threads: int = 1,
-                  max_solutions: int = 16) -> SolveReport:
+                  schedule: Optional[Schedule] = None, threads: int = 1) -> SolveReport:
     """Infinity-norm solver at beta = (q/f) sqrt(ln m)."""
-    return _solve(inst, f, epsilon, mode, rng, "linf",
-                  any,
-                  False, schedule, threads, max_solutions)
+    return _solve(inst, f, epsilon, mode, rng, "linf", any, False, schedule, threads)
 
 
 def solve_sis_l2(inst: SisInstance, f: float, epsilon: float, mode: str, rng, *,
-                 schedule: Optional[Schedule] = None, threads: int = 1,
-                 max_solutions: int = 16) -> SolveReport:
+                 schedule: Optional[Schedule] = None, threads: int = 1) -> SolveReport:
     """Euclidean solver at beta = (q/f) sqrt(m); solutions must be nonzero
     mod q, which excludes trivia like (q, 0, ..., 0)."""
     trivial = _norm_bound(inst, f, "l2") >= inst.q * math.sqrt(inst.n / 12.0)
     return _solve(inst, f, epsilon, mode, rng, "l2",
                   lambda xs: nonzero_mod_q(xs, inst.q),
-                  trivial, schedule, threads, max_solutions)
+                  trivial, schedule, threads)

@@ -1,15 +1,19 @@
 """Bucket-and-combine list processing and the full iterative samplers.
 
-Three run modes share the machinery:
+Every run mode takes one backward walk through the chain of projected
+lattices (``_run``): an initial list, then one stage per chain lattice, and
+one ``RunStats`` entry per list.  The mode fixes the initial list and the
+stage kernel, and with it the pairing:
 
-* ``provable-gaussian``: 3^r N exact Gaussian initial draws, disjoint pairing
-  (each input used at most once), per-stage output exactly one third of the
-  input, strict width preconditions.
-* ``heuristic-gaussian``: 3N sparse ternary initial vectors, within-bucket
-  pairs with reuse, optional early abort leaving some rows lifted to plain
-  centered residues.
-* ``naive-rounding``: the warm-up variant with ternary initial vectors and
-  rounded bucketing instead of Gaussian randomized lifting.
+* ``provable-gaussian``: 3^r N exact Gaussian draws; Gaussian stages pair
+  disjointly (each input at most once) and output exactly a third of their
+  input; strict width preconditions.
+* ``heuristic-gaussian``: 3N sparse ternary vectors; Gaussian stages pair
+  within buckets with reuse, capped at 3N, and drop zero and duplicate rows;
+  an early abort leaves some rows lifted to plain centered residues.
+* ``naive-rounding``: the warm-up variant, 3^r N uniform ternary vectors;
+  rounding stages bucket by rounded completions instead of Gaussian
+  randomized lifting and pair disjointly, with no cap.
 
 Lists are integer matrices, one vector per row: int64 where
 ``zqlin.int_matmul`` certifies the overflow bound, Python integers in object
@@ -53,7 +57,6 @@ from .dgauss import (
     eta_zn_bruteforce,
 )
 from .errors import (
-    BlockSumMismatch,
     BudgetExceeded,
     Infeasible,
     InfeasibleSchedule,
@@ -81,7 +84,6 @@ class Schedule:
     b: tuple
     s0_sq: Optional[Fraction] = None   # exact s0^2; None for naive mode
     epsilon: float = 2.0 ** -10
-    reuse: bool = False
 
     def __post_init__(self):
         if self.mode not in (MODE_PROVABLE, MODE_HEURISTIC, MODE_NAIVE):
@@ -307,17 +309,116 @@ def _finish_stats(stats: RunStats, out: np.ndarray):
         stats.max_l2 = float(np.sqrt((out.astype(float) ** 2).sum(axis=1).max()))
 
 
+def _initial_list(schedule: Schedule, count: int, dim: int,
+                  seed: int) -> Tuple[np.ndarray, SamplerCounts]:
+    """The mode's initial list of ``count`` vectors of length ``dim``, and
+    its sampler counts: exact width-s0 draws (provable), sparse ternary
+    vectors (heuristic) or uniform ternary vectors (naive)."""
+    if schedule.mode == MODE_PROVABLE:
+        return _initial_gaussian(count, dim, schedule.s0_sq, seed)
+    if schedule.mode == MODE_HEURISTIC:
+        # Entropy margin over the estimator's minimal weight: 3N draws from a
+        # pool of barely N vectors would be riddled with duplicates, and
+        # duplicate inputs cancel to zero under reuse pairing.
+        w, _sigma0 = _estimator.min_weight(dim, _HEURISTIC_ENTROPY_FACTOR * schedule.N)
+        return _initial_ternary_sparse(count, dim, w, seed), SamplerCounts()
+    rng = derive_np_rng(seed, "init-ternary-uniform")
+    return rng.integers(-1, 2, size=(count, dim), dtype=np.int64), SamplerCounts()
+
+
+def _gaussian_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed: int):
+    """Lift, Gaussian offsets and pairing.  Provable mode pairs disjointly up
+    to a third of the list and must reach it; heuristic mode floors the
+    stage width at its exact-sampler minimum, pairs with reuse up to 3N and
+    curates."""
+    provable = schedule.mode == MODE_PROVABLE
+    width_sq = schedule.width_sq(st.index)
+    if not provable:
+        floor = Fraction(st.q * st.q, st.p * st.p) * \
+            Fraction(_width_floor_sq(st.b) * (1 + 1e-9))
+        width_sq = max(width_sq, floor)
+    Y = _lift_batch(st, X)
+    K, counts = _gaussian_offsets(st, Y, width_sq, ("stage", st.index), seed)
+    if provable:
+        out, buckets = _combine_stage(st, X, Y, K, len(X) // 3, reuse=False)
+        if len(out) != len(X) // 3:
+            raise InsufficientInputs(
+                f"stage {st.index} produced {len(out)} < floor(N/3) outputs")
+        return out, buckets, counts
+    out, buckets = _combine_stage(st, X, Y, K, 3 * schedule.N, reuse=True)
+    # Reuse pairing breeds exact duplicates and zero rows; both are dead
+    # weight for later stages, so curate them out between stages.
+    return _curate(out), buckets, counts
+
+
+def _rounding_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed: int):
+    """One stage of the rounding variant: the unique mod-q completion y of
+    each row is bucketed by round((p/q) y) mod p, and same-bucket rows are
+    subtracted (disjoint pairs, no cap).
+
+    Labels are exact for every q: 2 p y + q goes through ``int_matmul``.
+    The differences of the heads and of the completions y are written into
+    one array and centered by one conditional step of q
+    (``_center_in_place``): heads are centered residues (ternary at the
+    first stage) and y lies in [0, q), so every difference lies in [-q, q].
+    """
+    q, p = st.q, st.p
+    Y = np.mod(_lift_batch(st, X), q)
+    buckets = _buckets(_pack_labels(_round_scaled(Y, p, q), p), p ** st.b)
+    i1, i2 = pair_indices_disjoint(buckets, None).T
+    dim = X.shape[1]
+    out = np.empty((len(i1), dim + st.b), dtype=np.result_type(X, Y))
+    np.subtract(np.take(X, i1, axis=0), np.take(X, i2, axis=0), out=out[:, :dim])
+    np.subtract(np.take(Y, i1, axis=0), np.take(Y, i2, axis=0), out=out[:, dim:])
+    _center_in_place(out, q)
+    return out, buckets, SamplerCounts()
+
+
+def _run(inst: SisInstance, schedule: Schedule, rng, mem_budget_bytes: int):
+    """The run of every mode: the initial list, one stage per chain lattice,
+    then the rows an early abort left uncovered, as centered residues."""
+    seed = _as_seed(rng)
+    stages = build_chain(inst, schedule.b, schedule.p,
+                         allow_partial=schedule.mode == MODE_HEURISTIC)
+    dim0 = inst.m - inst.n
+    if schedule.mode == MODE_PROVABLE:
+        if schedule.N < max(st.p ** st.b for st in stages):
+            raise InfeasibleSchedule("provable mode needs N >= max p_i^b_i")
+        if float(schedule.s0_sq) < _width_floor_sq(dim0) * (1 - 1e-12):
+            raise WidthTooSmall("s0 below sqrt(ln(2(m-n)+4)/pi)")
+        for st in stages:  # every stage width must clear its floor before any draw
+            _offset_width_sq(st.index, st.p, st.q, st.b, schedule.width_sq(st.index))
+    init_count = (3 if schedule.mode == MODE_HEURISTIC else 3 ** schedule.r) * schedule.N
+    if init_count * max(1, dim0) * 8 > mem_budget_bytes:
+        raise BudgetExceeded(
+            f"initial list of {init_count} vectors exceeds the memory budget")
+    stage = _rounding_stage if schedule.mode == MODE_NAIVE else _gaussian_stage
+    stats = RunStats(mode=schedule.mode)
+    for st in (None, *stages):  # None stands for the initial list
+        t0 = time.perf_counter()
+        if st is None:
+            X, counts = _initial_list(schedule, init_count, dim0, seed)
+        else:
+            X, buckets, counts = stage(st, X, schedule, seed)
+            stats.bucket_histograms.append(_occupancy_histogram(buckets))
+        stats.list_sizes.append(len(X))
+        stats.sampler.append(counts)
+        stats.stage_seconds.append(time.perf_counter() - t0)
+    kappa = sum(schedule.b)
+    if kappa < inst.n:
+        rest = np.asarray(inst.a_prime)[kappa:, :]
+        syn = np.mod(-int_matmul(X[:, :dim0], rest), inst.q)
+        X = np.hstack([X, centered(syn, inst.q)])
+    _check_final_membership(inst, X)
+    _finish_stats(stats, X)
+    return X, stats
+
+
 def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
                     threads: int = 1, mem_budget_bytes: int = 8 << 30):
-    """Run the Gaussian sampler over the instance's lattice chain.
-
-    Provable mode starts from 3^r N exact width-s0 draws and halves nothing:
-    each stage consumes its list into exactly a third as many vectors, all in
-    the next chain lattice, with width growing by sqrt(2) per stage.
-    Heuristic mode starts from 3N sparse ternary vectors, reuses vectors
-    across pairs, lifts any rows left uncovered by the schedule to centered
-    residues, and relaxes the width preconditions by flooring each stage
-    width at its exact-sampler minimum.
+    """Run the provable or heuristic Gaussian sampler over the instance's
+    lattice chain.  The stage width grows by sqrt(2) per stage; provable mode
+    requires every width to clear its floor, heuristic mode floors it there.
 
     Returns (outputs, RunStats); every output satisfies A x = 0 mod q.  The
     sampler runs single-threaded: ``threads`` must be 1.
@@ -326,133 +427,21 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
         raise PreconditionViolated(f"threads = 1 (single-threaded sampler), got {threads}")
     if schedule.mode == MODE_NAIVE:
         raise InfeasibleSchedule("use naive_wagner for the rounding mode")
-    seed = _as_seed(rng)
-    provable = schedule.mode == MODE_PROVABLE
-    if not inst.systematic:
-        raise BlockSumMismatch("instance must be in systematic form")
-    stages = build_chain(inst, schedule.b, schedule.p,
-                         allow_partial=not provable)
-    dim0 = inst.m - inst.n
-    stats = RunStats(mode=schedule.mode)
-
-    if provable:
-        if schedule.N < max(st.p ** st.b for st in stages):
-            raise InfeasibleSchedule("provable mode needs N >= max p_i^b_i")
-        init_count = 3 ** schedule.r * schedule.N
-        if init_count * max(1, dim0) * 8 > mem_budget_bytes:
-            raise BudgetExceeded(
-                f"initial list of {init_count} vectors exceeds the memory budget")
-        if float(schedule.s0_sq) < _width_floor_sq(dim0) * (1 - 1e-12):
-            raise WidthTooSmall("s0 below sqrt(ln(2(m-n)+4)/pi)")
-        for st in stages:  # every stage width must clear its floor before any draw
-            _offset_width_sq(st.index, st.p, st.q, st.b, schedule.width_sq(st.index))
-        t0 = time.perf_counter()
-        X, counts = _initial_gaussian(init_count, dim0, schedule.s0_sq, seed)
-        stats.stage_seconds.append(time.perf_counter() - t0)
-        stats.list_sizes.append(init_count)
-        stats.sampler.append(counts)
-    else:
-        init_count = 3 * schedule.N
-        # Entropy margin over the estimator's minimal weight: 3N draws from a
-        # pool of barely N vectors would be riddled with duplicates, and
-        # duplicate inputs cancel to zero under reuse pairing.
-        w, _sigma0 = _estimator.min_weight(
-            dim0, _HEURISTIC_ENTROPY_FACTOR * schedule.N)
-        t0 = time.perf_counter()
-        X = _initial_ternary_sparse(init_count, dim0, w, seed)
-        stats.stage_seconds.append(time.perf_counter() - t0)
-        stats.list_sizes.append(init_count)
-        stats.sampler.append(SamplerCounts())
-
-    for st in stages:
-        t0 = time.perf_counter()
-        width_sq = schedule.width_sq(st.index)
-        if not provable:
-            floor = Fraction(st.q * st.q, st.p * st.p) * \
-                Fraction(_width_floor_sq(st.b) * (1 + 1e-9))
-            width_sq = max(width_sq, floor)
-        Y = _lift_batch(st, X)
-        K, counts = _gaussian_offsets(st, Y, width_sq, ("stage", st.index), seed)
-        cap = len(X) // 3 if provable else 3 * schedule.N
-        out, buckets = _combine_stage(st, X, Y, K, cap, reuse=schedule.reuse and not provable)
-        if provable and len(out) != len(X) // 3:
-            raise InsufficientInputs(
-                f"stage {st.index} produced {len(out)} < floor(N/3) outputs")
-        if not provable:
-            # Reuse pairing breeds exact duplicates and zero rows; both are
-            # dead weight for later stages, so curate them out between stages.
-            out = _curate(out)
-        stats.bucket_histograms.append(_occupancy_histogram(buckets))
-        stats.list_sizes.append(len(out))
-        stats.sampler.append(counts)
-        stats.stage_seconds.append(time.perf_counter() - t0)
-        X = out
-
-    if not provable:
-        kappa = sum(schedule.b)
-        if kappa < inst.n:
-            rest = np.asarray(inst.a_prime)[kappa:, :]
-            syn = np.mod(-int_matmul(X[:, :dim0], rest), inst.q)
-            X = np.hstack([X, centered(syn, inst.q)])
-    _check_final_membership(inst, X)
-    _finish_stats(stats, X)
-    return X, stats
+    return _run(inst, schedule, rng, mem_budget_bytes)
 
 
 def naive_wagner(inst: SisInstance, schedule: Schedule, rng, *,
                  mem_budget_bytes: int = 8 << 30):
     """The warm-up rounding variant.
 
-    Ternary initial list of 3^r N vectors; at stage i the unique mod-q
-    completion y of each vector is bucketed by round((p_i/q) y) mod p_i and
-    same-bucket vectors are subtracted (disjoint pairs, no cap).  All
-    coordinates are kept as centered residues, so every output obeys
-    ||x||_inf <= max_i 2^(r-i) q/p_i with p_0 = q.  Zero vectors are counted,
-    not errors.
-
-    Labels are exact for every q: 2 p y + q goes through ``int_matmul``.
-    Each stage groups its rows once.  The differences of the heads and of
-    the completions y are written into one array and centered by one
-    conditional step of q (``_center_in_place``): heads are centered
-    residues (ternary at the first stage) and y lies in [0, q), so every
-    difference lies in [-q, q].
+    Uniform ternary initial list of 3^r N vectors, then one rounding stage
+    (``_rounding_stage``) per chain lattice.  All coordinates are kept as
+    centered residues, so every output obeys ||x||_inf <= max_i 2^(r-i) q/p_i
+    with p_0 = q.  Zero vectors are counted, not errors.
     """
     if schedule.mode != MODE_NAIVE:
         raise InfeasibleSchedule("schedule mode must be naive-rounding")
-    if sum(schedule.b) != inst.n:
-        raise BlockSumMismatch(f"block sizes sum to {sum(schedule.b)}, expected {inst.n}")
-    seed = _as_seed(rng)
-    if not inst.systematic:
-        raise BlockSumMismatch("instance must be in systematic form")
-    stages = build_chain(inst, schedule.b, schedule.p)
-    dim0 = inst.m - inst.n
-    init_count = 3 ** schedule.r * schedule.N
-    if init_count * max(1, dim0) * 8 > mem_budget_bytes:
-        raise BudgetExceeded("initial list exceeds the memory budget")
-    rng_np = derive_np_rng(seed, "init-ternary-uniform")
-    X = rng_np.integers(-1, 2, size=(init_count, dim0), dtype=np.int64)
-    stats = RunStats(mode=schedule.mode)
-    stats.list_sizes.append(init_count)
-    stats.sampler.append(SamplerCounts())
-    for st in stages:
-        t0 = time.perf_counter()
-        q, p = st.q, st.p
-        Y = np.mod(_lift_batch(st, X), q)
-        buckets = _buckets(_pack_labels(_round_scaled(Y, p, q), p), p ** st.b)
-        i1, i2 = pair_indices_disjoint(buckets, None).T
-        dim = X.shape[1]
-        out = np.empty((len(i1), dim + st.b), dtype=np.result_type(X, Y))
-        np.subtract(np.take(X, i1, axis=0), np.take(X, i2, axis=0), out=out[:, :dim])
-        np.subtract(np.take(Y, i1, axis=0), np.take(Y, i2, axis=0), out=out[:, dim:])
-        _center_in_place(out, q)
-        stats.bucket_histograms.append(_occupancy_histogram(buckets))
-        stats.list_sizes.append(len(out))
-        stats.sampler.append(SamplerCounts())
-        stats.stage_seconds.append(time.perf_counter() - t0)
-        X = out
-    _check_final_membership(inst, X)
-    _finish_stats(stats, X)
-    return X, stats
+    return _run(inst, schedule, rng, mem_budget_bytes)
 
 
 def eq1_norm_bound(schedule: Schedule, q: int) -> Fraction:
@@ -524,7 +513,7 @@ def choose_provable_params(n: int, m: int, q: int, f: float,
             raise InfeasibleSchedule(f"N < p_{i}^b_{i}")
     s0_sq = Fraction(q) ** 2 / (Fraction(f) ** 2 * 2 ** r)
     return Schedule(mode=MODE_PROVABLE, r=r, N=N, p=p, b=tuple(b),
-                    s0_sq=s0_sq, epsilon=epsilon, reuse=False)
+                    s0_sq=s0_sq, epsilon=epsilon)
 
 
 def choose_naive_params(n: int, q: int, f: float) -> Schedule:
@@ -547,28 +536,29 @@ def choose_naive_params(n: int, q: int, f: float) -> Schedule:
         raise InfeasibleSchedule(f"last block b_r = {b_r} infeasible")
     b.append(b_r)
     return Schedule(mode=MODE_NAIVE, r=r, N=N, p=p, b=tuple(b),
-                    s0_sq=None, epsilon=1.0 / 2, reuse=False)
+                    s0_sq=None, epsilon=1.0 / 2)
 
 
 _TWO_PI = 2.0 * math.pi
 _KAPPA_QUANT = math.sqrt(2.0 * math.pi * math.e)
 _HEURISTIC_ENTROPY_FACTOR = 48  # initial pool size multiple of the list size
+_MIN_LOG2_N = 6  # the heuristic ladder's smallest list size, as log2 N
+_MIN_EXPECTED_HITS = 4.0  # expected hits N p a heuristic schedule must predict
 
 
 def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
                             epsilon: float = 2.0 ** -10,
-                            min_log2_n: int = 6, max_log2_n: int = 22,
-                            min_expected_hits: float = 4.0) -> Schedule:
+                            max_log2_n: int = 22) -> Schedule:
     """Integer schedule for desk-scale heuristic runs.
 
     Walks a ladder of list sizes; for each, derives integer stage moduli from
     the quantization-style deviation balance, scores every abort point with
     the central-Gaussian success model (using the deviations the Gaussian
     lifts will actually inject, width floors included), and returns the first
-    schedule whose expected number of hits N p clears ``min_expected_hits``.
+    schedule whose expected number of hits N p clears ``_MIN_EXPECTED_HITS``.
     """
     d = m - n
-    for log2_n in range(min_log2_n, max_log2_n + 1):
+    for log2_n in range(_MIN_LOG2_N, max_log2_n + 1):
         N = 1 << log2_n
         try:
             w, sigma0 = _estimator.min_weight(d, _HEURISTIC_ENTROPY_FACTOR * N)
@@ -613,7 +603,7 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
         if best is None:
             continue
         score, rp = best
-        if score >= math.log2(min_expected_hits):
+        if score >= math.log2(_MIN_EXPECTED_HITS):
             chosen = stages[:rp]
             width1_sq = Fraction(max(
                 sigma0 * sigma0 * _TWO_PI,
@@ -621,10 +611,10 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
             return Schedule(mode=MODE_HEURISTIC, r=rp, N=N,
                             p=tuple(p for p, _, _ in chosen),
                             b=tuple(b for _, b, _ in chosen),
-                            s0_sq=width1_sq, epsilon=epsilon, reuse=True)
+                            s0_sq=width1_sq, epsilon=epsilon)
     raise InfeasibleSchedule(
         f"no heuristic schedule up to N = 2^{max_log2_n} predicts "
-        f"{min_expected_hits} expected hits")
+        f"{_MIN_EXPECTED_HITS} expected hits")
 
 
 # ---------------------------------------------------------------------------

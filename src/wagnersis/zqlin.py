@@ -10,8 +10,10 @@ subject to rounding.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,12 +65,27 @@ def centered(v, q: int):
     return r - q if 2 * r > q else r
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_integer_matrix(arr: np.ndarray):
+    """BadDimensions unless ``arr`` is a matrix of integers: a float, a
+    string or a boolean entry is not coerced."""
+    if arr.ndim != 2:
+        raise BadDimensions("A must be a matrix of equal-length rows")
+    if arr.dtype.kind not in "iu" and not all(map(_is_integer, arr.flat)):
+        raise BadDimensions("matrix entries must be integers")
+
+
 def as_matrix(rows, q: int) -> np.ndarray:
-    """Immutable matrix with entries reduced into [0, q)."""
+    """Immutable matrix of the integer ``rows``, entries reduced into [0, q)."""
+    arr = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    _check_integer_matrix(arr)
     if q < (1 << 31):
-        arr = np.array(rows, dtype=np.int64) % q
+        arr = (arr % q).astype(np.int64, copy=False)
     else:
-        arr = np.array([[int(x) % q for x in row] for row in rows], dtype=object)
+        arr = np.array([[int(x) % q for x in row] for row in arr], dtype=object)
     arr.setflags(write=False)
     return arr
 
@@ -93,6 +110,7 @@ class SisInstance:
             raise BadDimensions(f"modulus must be >= 2, got {self.q}")
         if self.A.shape != (self.n, self.m):
             raise DimensionMismatch(f"A has shape {self.A.shape}, expected {(self.n, self.m)}")
+        _check_integer_matrix(self.A)
         if int(self.A.min()) < 0 or int(self.A.max()) >= self.q:
             raise BadDimensions("matrix entries must lie in [0, q)")
         # store A as create does (as_matrix): int64 only for q < 2^31
@@ -141,7 +159,15 @@ class SisInstance:
     @classmethod
     def from_json(cls, text: str) -> "SisInstance":
         doc = json.loads(text)
-        inst = cls.create(doc["A"], doc["q"], beta=doc.get("beta"),
+        if not isinstance(doc, dict):
+            raise ValueError("an instance document must be a JSON object")
+        if not all(_is_integer(doc[key]) for key in ("n", "m", "q")):
+            raise BadDimensions("n, m and q must be integers")
+        beta = doc.get("beta")
+        if not (beta is None or _is_integer(beta)
+                or isinstance(beta, float) and math.isfinite(beta)):
+            raise BadDimensions(f"beta must be a finite number, got {beta!r}")
+        inst = cls.create(doc["A"], doc["q"], beta=beta,
                           norm_kind=doc.get("norm", "linf"))
         if inst.n != doc["n"] or inst.m != doc["m"]:
             raise DimensionMismatch("declared dimensions disagree with the matrix")
@@ -243,21 +269,6 @@ def _uniform_below(rng: np.random.Generator, q: int) -> int:
             return v
 
 
-def _modinv(a: int, q: int):
-    g, s = _ext_gcd(a % q, q)
-    return s % q if g == 1 else None
-
-
-def _ext_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-    return old_r, old_s
-
-
 def systematic_form(inst: SisInstance):
     """Row reduce to A = [A' | I_n], swapping columns as needed.
 
@@ -271,21 +282,16 @@ def systematic_form(inst: SisInstance):
     off = m - n  # identity block target: columns off .. m-1
     for i in range(n):
         target = off + i
-        pivot_col = None
-        if _modinv(M[i][target], q) is not None:
-            pivot_col = target
+        used = range(off, off + i)  # earlier pivot columns are fixed
+        others = (j for j in range(m) if j not in used and j != target)
+        for pivot_col in chain((target,), others):
+            try:
+                inv = pow(M[i][pivot_col], -1, q)
+            except ValueError:  # not a unit mod q
+                continue
+            break
         else:
-            used = set(range(off, off + i))  # earlier pivot columns are fixed
-            for j in range(m):
-                if j in used or j == target:
-                    continue
-                if _modinv(M[i][j], q) is not None:
-                    pivot_col = j
-                    break
-        if pivot_col is None:
-            row_nonzero = any(
-                M[i][j] % q != 0 for j in range(m) if j not in range(off, off + i)
-            )
+            row_nonzero = any(M[i][j] % q != 0 for j in range(m) if j not in used)
             if row_nonzero and not inst.q_prime:
                 raise NonInvertiblePivot(
                     f"row {i}: nonzero entries but no unit pivot mod composite q={q}"
@@ -295,7 +301,6 @@ def systematic_form(inst: SisInstance):
             for row in M:
                 row[pivot_col], row[target] = row[target], row[pivot_col]
             cols[pivot_col], cols[target] = cols[target], cols[pivot_col]
-        inv = _modinv(M[i][target], q)
         M[i] = [(v * inv) % q for v in M[i]]
         for r in range(n):
             if r != i and M[r][target] % q:

@@ -101,6 +101,14 @@ class TestSolvePipe:
                           stdin_text=inst_json, monkeypatch=monkeypatch)
         assert code == 3
 
+    @pytest.mark.parametrize("f", ["0", "-1", "inf", "nan"])
+    def test_norm_factor_must_be_finite_and_positive(self, f, monkeypatch, capsys):
+        _, inst_json = run_cli(["gen", "--n", "4", "--m", "10", "--q", "17"])
+        code, _ = run_cli(["solve", "--f", f], stdin_text=inst_json,
+                          monkeypatch=monkeypatch)
+        assert code == 3
+        assert "f must be finite and > 0" in capsys.readouterr().err
+
     def test_stats_out(self, monkeypatch, tmp_path):
         _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
                                 "--seed", "3"])
@@ -133,6 +141,36 @@ class TestVerify:
         code, out = run_cli(["verify", "--instance", str(path),
                              "--x", "0,0,0,0", "--json"])
         assert json.loads(out) == {"verdict": "ZeroVector"}
+
+
+class TestInstanceDocuments:
+    """Instance documents that are not what they declare are rejected, not
+    coerced: x = (1, 1) would verify against [[1, 6]] mod 7."""
+
+    @pytest.mark.parametrize("A", ["[[1, 6.9]]", '[[1, "6"]]', "[[6, true]]"])
+    def test_non_integer_entries(self, A, monkeypatch):
+        doc = f'{{"n": 1, "m": 2, "q": 7, "A": {A}}}'
+        code, out = run_cli(["verify", "--x", "1,1"], stdin_text=doc,
+                            monkeypatch=monkeypatch)
+        assert code == 3 and "Valid" not in out
+
+    @pytest.mark.parametrize("q", ["7.0", '"abc"'])
+    def test_non_integer_modulus(self, q, monkeypatch):
+        doc = f'{{"n": 1, "m": 2, "q": {q}, "A": [[1, 6]]}}'
+        code, out = run_cli(["verify", "--x", "1,1"], stdin_text=doc,
+                            monkeypatch=monkeypatch)
+        assert code == 3 and "Valid" not in out
+
+    def test_infinite_beta(self, monkeypatch):
+        doc = '{"n": 1, "m": 2, "q": 7, "beta": 1e400, "A": [[1, 6]]}'
+        code, _ = run_cli(["verify", "--x", "1,1"], stdin_text=doc,
+                          monkeypatch=monkeypatch)
+        assert code == 3
+
+    def test_non_object_document_is_a_usage_error(self, monkeypatch):
+        code, _ = run_cli(["verify", "--x", "1,1"], stdin_text="[1, 2]",
+                          monkeypatch=monkeypatch)
+        assert code == 2
 
 
 class TestEstimate:
@@ -177,12 +215,39 @@ class TestSample:
         code, _ = run_cli(["sample", "--width", "0.1"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--width", "inf"], "width must be finite"),
+        (["--width", "nan"], "width must be finite"),
+        (["--width", "3", "--center", "inf"], "center must be finite"),
+        (["--width", "3", "--center=-inf"], "center must be finite"),
+        # finite, but its window 2 ceil(1.5 s) + 1 is far beyond 2^63
+        (["--width", "1e200"], "2^63"),
+    ])
+    def test_unusable_width_or_center_exit_code(self, argv, message, capsys):
+        code, _ = run_cli(["sample", *argv])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_selftest_passes(self, monkeypatch):
         code, out = run_cli(["selftest", "--seed", "0"])
         assert code == 0
         assert "[FAIL]" not in out
+
+    def test_off_lattice_output_fails(self, monkeypatch):
+        run = wagner.gaussian_wagner
+
+        def off_lattice(*args, **kwargs):
+            out, stats = run(*args, **kwargs)
+            out = out.copy()
+            out[0, 0] += 1
+            return out, stats
+
+        monkeypatch.setattr(wagner, "gaussian_wagner", off_lattice)
+        code, out = run_cli(["selftest", "--seed", "0"])
+        assert "[FAIL] all sampler outputs are lattice members" in out
+        assert code == 1
 
 
 class TestDeterminismAndCertify:

@@ -430,7 +430,7 @@ class TestGaussianWagnerProvable:
         q = 2**64 + 13
         inst, _ = systematic_form(random_instance(2, 16, q, seed=1))
         sched = Schedule(mode=MODE_HEURISTIC, r=1, N=16, p=(q // 2,), b=(1,),
-                         s0_sq=Fraction(64), reuse=True)
+                         s0_sq=Fraction(64))
         try:
             out, stats = gaussian_wagner(inst, sched, 5)
         except WagnerSisError:
@@ -565,6 +565,27 @@ class TestNaiveWagner:
             naive_wagner(inst, sched, 0)
 
 
+class TestRunLoop:
+    """The one run loop of every mode."""
+
+    def _run(self, mode):
+        if mode == MODE_NAIVE:
+            inst = make_systematic(4, 12, 16, seed=3)
+            sched = Schedule(mode=MODE_NAIVE, r=2, N=16, p=(8, 4), b=(2, 2))
+            return naive_wagner(inst, sched, 3)
+        inst = make_systematic(2, 16, 5, seed=4)
+        sched = Schedule(mode=mode, r=2, N=15, p=(2, 2), b=(1, 1),
+                         s0_sq=Fraction(144))
+        return gaussian_wagner(inst, sched, 5)
+
+    @pytest.mark.parametrize("mode", [MODE_PROVABLE, MODE_HEURISTIC, MODE_NAIVE])
+    def test_one_wall_time_per_list(self, mode):
+        _, stats = self._run(mode)
+        assert len(stats.list_sizes) == 3
+        assert len(stats.stage_seconds) == len(stats.list_sizes) == len(stats.sampler)
+        assert len(stats.bucket_histograms) == len(stats.list_sizes) - 1
+
+
 class TestChooseProvableParams:
     # ln(3/eps') = 14.96 <=> eps = 15 exp(-14.96)
     EPS = 15 * math.exp(-14.96)
@@ -634,7 +655,7 @@ class TestChooseNaiveParams:
 class TestHeuristicSchedule:
     def test_covers_rows_and_runs(self):
         sched = choose_heuristic_params(8, 20, 257, 64.25)
-        assert sched.mode == MODE_HEURISTIC and sched.reuse
+        assert sched.mode == MODE_HEURISTIC
         assert sum(sched.b) <= 8
         inst = make_systematic(8, 20, 257, seed=1)
         out, stats = gaussian_wagner(inst, sched, 3)
@@ -648,7 +669,7 @@ class TestHeuristicSchedule:
         # lists object arrays, which must be curated all the same.
         inst, _ = systematic_form(random_instance(2, 12, q, seed=1))
         sched = Schedule(mode=MODE_HEURISTIC, r=1, N=64, p=(4,), b=(1,),
-                         s0_sq=Fraction(4), reuse=True)
+                         s0_sq=Fraction(4))
         out, stats = gaussian_wagner(inst, sched, 3)
         rows = [tuple(int(v) for v in row) for row in out]
         assert rows and len(rows) == stats.list_sizes[-1]

@@ -180,6 +180,19 @@ class TestInstanceModel:
         assert [[int(v) for v in r] for r in SisInstance.create([[5, 0]], 5).A] \
             == [[0, 0]]
 
+    @pytest.mark.parametrize("entry", [6.9, 6.0, "6", True])
+    def test_non_integer_entries_rejected(self, entry):
+        with pytest.raises(BadDimensions):
+            SisInstance.create([[1, entry]], 7)
+        with pytest.raises(BadDimensions):
+            SisInstance(n=1, m=2, q=7, A=np.array([[1, entry]], dtype=object))
+
+    @pytest.mark.parametrize("rows", [[1, 2], [[1], [1, 2]]])
+    def test_non_matrix_rejected(self, rows):
+        # q beyond int64 takes the Python-integer branch, which walks the rows
+        with pytest.raises(BadDimensions):
+            SisInstance.create(rows, 2**64 + 13)
+
     def test_prime_flag(self):
         assert SisInstance.create([[1, 0]], 7).q_prime
         assert not SisInstance.create([[1, 0]], 8).q_prime
