@@ -59,6 +59,14 @@ class StagedVector:
     label: tuple          # k mod p, componentwise
     stage: StageDescriptor
 
+    @classmethod
+    def from_offsets(cls, stage: StageDescriptor, head, y, k) -> "StagedVector":
+        """The vector (head ; y + (q/p) k) for the canonical lift y of head."""
+        ks = tuple(int(v) for v in k)
+        tail = tuple(stage.p * int(yj) + stage.q * kj for yj, kj in zip(y, ks))
+        return cls(head=tuple(int(v) for v in head), tail_num=tail, k=ks,
+                   label=tuple(kj % stage.p for kj in ks), stage=stage)
+
     def check(self):
         """Validate the scaled form and return y_last."""
         st = self.stage
@@ -194,15 +202,11 @@ def dglift(stage: StageDescriptor, x: Sequence[int], s, rng) -> StagedVector:
     offsets are the samplers' own ``_gaussian_offsets`` on a 1-row list, at
     stream path ``("dglift",)`` under the seed ``rng.getrandbits(63)``.
     """
-    p, q = stage.p, stage.q
     s_sq = s.s_sq if isinstance(s, GaussParam) else Fraction(s) ** 2
     y = lift_integer(stage, x)
     K, _ = _gaussian_offsets(stage, int_array([y]), s_sq, ("dglift",),
                              rng.getrandbits(63))
-    ks = tuple(int(v) for v in K[0])
-    tail = tuple(p * yj + q * kj for yj, kj in zip(y, ks))
-    return StagedVector(head=tuple(int(v) for v in x), tail_num=tail, k=ks,
-                        label=tuple(kj % p for kj in ks), stage=stage)
+    return StagedVector.from_offsets(stage, x, y, K[0])
 
 
 def coset_label(sv: StagedVector) -> tuple:

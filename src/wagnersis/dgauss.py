@@ -52,7 +52,7 @@ from .errors import (
     WidthTooSmall,
 )
 from .rngutil import derive_np_rng, derive_rng
-from .zqlin import int_array
+from .zqlin import _syndromes, check_qary_preconditions, int_array
 
 # Rational enclosure of pi (60 digits), used by the exact Bernoulli fallback.
 _PI_LO = Fraction(
@@ -78,19 +78,6 @@ _TAIL_ABS_ERR = 1e-290
 _U_ULP = 2.0 ** -53
 
 
-def _window_margin(p):
-    """Margin of the window test u < p (floats or arrays)."""
-    return _REL_ERR * p + _WINDOW_ABS_ERR
-
-
-def _tail_margin(p, lhs, premul_f, j):
-    """Margin of the tail test u premul_f < p at tail step j (floats or
-    arrays).  The premul_f 2^-53 term keeps an accept valid for every real
-    uniform whose 53-bit prefix is u."""
-    return ((_REL_ERR + _TAIL_STEP_ERR * j) * (p + lhs) + premul_f * _U_ULP
-            + _TAIL_ABS_ERR)
-
-
 @dataclass(frozen=True)
 class GaussParam:
     """Width and center of a discrete Gaussian; width stored as exact s^2."""
@@ -110,6 +97,8 @@ class GaussParam:
         for name, values in (("width", (s, s_sq)), ("center", c)):
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise PreconditionViolated(f"{name} must be finite")
+        if s is not None and s <= 0:  # squaring would hide the sign
+            raise PreconditionViolated("width must satisfy s > 0")
         ssq = Fraction(s) ** 2 if s is not None else Fraction(s_sq)
         return cls(s_sq=ssq, c=tuple(Fraction(v) for v in c))
 
@@ -284,7 +273,7 @@ class _ZSampler:
         left to exact arithmetic."""
         dx = t - f
         p = np.exp(-math.pi * dx * dx / self.s_sq_f)
-        margin = _window_margin(p)
+        margin = _REL_ERR * p + _WINDOW_ABS_ERR
         accept = u < p - margin
         reject = u > p + margin
         tail = np.flatnonzero(j)
@@ -292,7 +281,10 @@ class _ZSampler:
             jt, pt = j[tail], p[tail]
             premul_f = self.t_hat * self.g_hat ** jt
             lhs = u[tail] * premul_f
-            margin = _tail_margin(pt, lhs, premul_f, jt)
+            # the premul_f 2^-53 term keeps an accept valid for every real
+            # uniform whose 53-bit prefix is u
+            margin = ((_REL_ERR + _TAIL_STEP_ERR * jt) * (pt + lhs)
+                      + premul_f * _U_ULP + _TAIL_ABS_ERR)
             usable = premul_f > 0.0
             accept[tail] = usable & (lhs < pt - margin)
             reject[tail] = usable & (lhs > pt + margin)
@@ -425,6 +417,8 @@ def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
     One array-sampler call, on the Philox stream ``("z",)`` and its exact
     sibling ``("z", "exact")`` under the seed ``rng.getrandbits(63)``.
     """
+    if n < 1 or rows < 0:
+        raise PreconditionViolated(f"need n >= 1 and rows >= 0, got n={n} rows={rows}")
     if param.s_sq < _width_floor_sq(n) * (1 - 1e-12):
         raise WidthTooSmall(f"s = {param.s:.4f} < sqrt(ln({2 * n + 4})/pi)")
     cs = param.c if len(param.c) == n else param.c * n
@@ -458,11 +452,7 @@ def sample_zn(param: GaussParam, n: int, rng) -> tuple:
 
 def enum_z() -> Callable:
     """Enumerator for Z: points x with |x - c| <= R."""
-    def points(R: float, c: Sequence[float]):
-        c0 = float(c[0])
-        lo, hi = math.floor(c0 - R), math.ceil(c0 + R)
-        return [(float(k),) for k in range(lo, hi + 1)]
-    return points
+    return enum_coset_z(0)
 
 
 def enum_coset_z(offset) -> Callable:
@@ -509,6 +499,19 @@ def enum_qary(A, q: int) -> Callable:
     return points
 
 
+def _gauss_weights(enumerator, param: GaussParam, radius: float):
+    """The enumerated points within radius, as a list and as a float array
+    (one point per row), and their weights exp(-pi ||x-c||^2 / s^2)."""
+    c = [float(v) for v in param.c]
+    pts = enumerator(radius, c)
+    if len(pts) > 5_000_000:
+        raise BudgetExceeded(f"{len(pts)} points exceeds the oracle budget")
+    arr = np.asarray(pts, dtype=float)
+    cs = np.asarray(c if arr.shape[1] == len(c) else c * arr.shape[1], dtype=float)
+    d2 = ((arr - cs) ** 2).sum(axis=1)
+    return pts, arr, np.exp(-math.pi * d2 / float(param.s_sq))
+
+
 def rho_bruteforce(enumerator, param: GaussParam, radius: float = None):
     """Sum of exp(-pi ||x-c||^2 / s^2) over enumerated points within radius
     (default 12 s, far beyond double precision).
@@ -520,31 +523,16 @@ def rho_bruteforce(enumerator, param: GaussParam, radius: float = None):
     s_sq = float(param.s_sq)
     if radius is None:
         radius = 12.0 * math.sqrt(s_sq)
-    c = [float(v) for v in param.c]
-    pts = enumerator(radius, c)
-    if len(pts) > 5_000_000:
-        raise BudgetExceeded(f"{len(pts)} points exceeds the oracle budget")
-    arr = np.asarray(pts, dtype=float)
-    cs = np.asarray(c if arr.shape[1] == len(c) else c * arr.shape[1], dtype=float)
-    d2 = ((arr - cs) ** 2).sum(axis=1)
-    val = float(np.exp(-math.pi * d2 / s_sq).sum())
+    _, arr, w = _gauss_weights(enumerator, param, radius)
     rel = 2.0 * arr.shape[1] * math.exp(-math.pi * radius * radius / s_sq)
-    return val, rel
+    return float(w.sum()), rel
 
 
 def pmf_bruteforce(enumerator, param: GaussParam, radius: float) -> Dict:
     """Normalized pmf of D over the enumerated points (keys are point tuples,
     scalars for one-dimensional enumerators).  Coverage of the true mass is
     at least 1 - rel_tail_bound from ``rho_bruteforce``."""
-    s_sq = float(param.s_sq)
-    c = [float(v) for v in param.c]
-    pts = enumerator(radius, c)
-    if len(pts) > 5_000_000:
-        raise BudgetExceeded(f"{len(pts)} points exceeds the oracle budget")
-    arr = np.asarray(pts, dtype=float)
-    cs = np.asarray(c if arr.shape[1] == len(c) else c * arr.shape[1], dtype=float)
-    d2 = ((arr - cs) ** 2).sum(axis=1)
-    w = np.exp(-math.pi * d2 / s_sq)
+    pts, arr, w = _gauss_weights(enumerator, param, radius)
     w /= w.sum()
     if arr.shape[1] == 1:
         keys = [p[0] if isinstance(p[0], float) and not p[0].is_integer() else int(p[0])
@@ -569,14 +557,7 @@ def eta_zn_bound(n: int, epsilon: float) -> float:
 def eta_qary_bound(n: int, m: int, q: int, epsilon: float) -> float:
     """High-probability bound sqrt(72 ln(1/eps)/pi) * q^(n/m) on the smoothing
     parameter of the kernel lattice of a random A in Z_q^{n x m}."""
-    from .zqlin import is_probable_prime
-
-    if not is_probable_prime(q):
-        raise PreconditionViolated("q prime")
-    if m < n:
-        raise PreconditionViolated("m >= n")
-    if q ** (1 - n / m) < 6:
-        raise PreconditionViolated("q^(1-n/m) >= 6")
+    check_qary_preconditions(n, m, q)
     if epsilon > 1 / (4 * m):
         raise PreconditionViolated("epsilon <= 1/(4m)")
     return math.sqrt(72.0 * math.log(1 / epsilon) / math.pi) * q ** (n / m)
@@ -589,13 +570,8 @@ def lambda1_inf_lower_bound(n: int, m: int, q: int, *, check: bool = True) -> fl
     ``check=False`` skips the validity preconditions and returns the bare
     formula value (useful for spot checks in regimes where the bound is
     below 1 and therefore vacuous)."""
-    from .zqlin import is_probable_prime
-
     if check:
-        if not is_probable_prime(q):
-            raise PreconditionViolated("q prime")
-        if q ** (1 - n / m) < 6:
-            raise PreconditionViolated("q^(1-n/m) >= 6")
+        check_qary_preconditions(n, m, q)
     return q ** (1 - n / m) * 2 ** (-n / m) / 3
 
 
@@ -698,24 +674,26 @@ def _theta(t: float) -> float:
         k += 1
 
 
-def eta_scaled_zn_bruteforce(alpha, n: int, epsilon: float) -> float:
-    """Certified upper bound on eta_eps(alpha Z^n) by bisection on the exact
-    dual series (dual lattice is (1/alpha) Z^n)."""
-    a = float(alpha)
-
-    def dual_rho_minus_one(s: float) -> float:
-        return _theta(s / a) ** n - 1.0
-
-    lo, hi = 1e-9, 1e9
+def _bisect_eta(dual_rho_minus_one: Callable, epsilon: float, lo: float,
+                hi: float, steps: int) -> float:
+    """The upper end of a ``steps``-step bisection on [lo, hi] for the
+    smallest s with dual_rho_minus_one(s) <= epsilon (decreasing in s)."""
     if dual_rho_minus_one(hi) > epsilon:
         raise BudgetExceeded("eta above search bound")
-    for _ in range(200):
+    for _ in range(steps):
         mid = (lo + hi) / 2
         if dual_rho_minus_one(mid) <= epsilon:
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def eta_scaled_zn_bruteforce(alpha, n: int, epsilon: float) -> float:
+    """Certified upper bound on eta_eps(alpha Z^n) by bisection on the exact
+    dual series (dual lattice is (1/alpha) Z^n)."""
+    a = float(alpha)
+    return _bisect_eta(lambda s: _theta(s / a) ** n - 1.0, epsilon, 1e-9, 1e9, 200)
 
 
 def eta_zn_bruteforce(n: int, epsilon: float) -> float:
@@ -732,11 +710,7 @@ def eta_qary_bruteforce(A, q: int, epsilon: float) -> float:
     n, m = A.shape
     if q ** n > 1 << 20:
         raise BudgetExceeded("syndrome space too large for certification")
-    syn = np.zeros((q ** n, n), dtype=np.int64)
-    rem = np.arange(q ** n, dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        syn[:, j] = rem % q
-        rem //= q
+    syn = _syndromes(q, n, 0, q ** n)
     powers = q ** np.arange(m, dtype=np.int64)
     residue_codes = np.unique(np.mod(syn @ A, q) @ powers)
 
@@ -758,13 +732,4 @@ def eta_qary_bruteforce(A, q: int, epsilon: float) -> float:
             return math.inf
         return total * (1 + 2 * tail_rel) - 1.0
 
-    lo, hi = 1e-6, 1e6
-    if dual_rho_minus_one(hi) > epsilon:
-        raise BudgetExceeded("eta above search bound")
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if dual_rho_minus_one(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect_eta(dual_rho_minus_one, epsilon, 1e-6, 1e6, 80)

@@ -195,6 +195,21 @@ def success_probability(query: CostQuery, table: StageTable, r_prime: int) -> fl
     return per_gauss ** (query.m - ell) * per_unif ** ell
 
 
+def log2_expected_hits(log2N: float, beta, groups, ell, per_unif: float) -> float:
+    """log2(N p) under the central-Gaussian success model: each (count,
+    deviation) group of coordinates passes the bound beta with probability
+    erf(beta / (deviation sqrt(2))) per coordinate, and each of the ell
+    leftover coordinates with probability ``per_unif``.  Terms are summed in
+    that order; -inf when a Gaussian factor is 0."""
+    val = log2N
+    for count, dev in groups:
+        per = math.erf(beta / (dev * math.sqrt(2.0)))
+        if per <= 0.0:
+            return -math.inf
+        val += count * math.log2(per)
+    return val + ell * math.log2(per_unif)
+
+
 def _log2_np(query: CostQuery, log2N: float) -> Tuple[float, Optional[int]]:
     """log2(N p) at the best abort point, and that abort point."""
     try:
@@ -207,12 +222,8 @@ def _log2_np(query: CostQuery, log2N: float) -> Tuple[float, Optional[int]]:
         ell = table.ell(rp, query.n)
         if ell < 0:
             break
-        sigma = table.sigma(rp)
-        per = math.erf(query.beta / (sigma * math.sqrt(2.0)))
-        if per <= 0.0:
-            continue
-        val = log2N + (query.m - ell) * math.log2(per) \
-            + ell * math.log2(min(1.0, 2.0 * query.beta / query.q))
+        val = log2_expected_hits(log2N, query.beta, [(query.m - ell, table.sigma(rp))],
+                                 ell, min(1.0, 2.0 * query.beta / query.q))
         if val > best:
             best = val
             best_rp = rp

@@ -27,7 +27,7 @@ from .wagner import (
     choose_provable_params,
     gaussian_wagner,
 )
-from .zqlin import SisInstance, Solution, matvec_mod
+from .zqlin import SisInstance, Solution, check_qary_preconditions, matvec_mod, norm_stat
 
 VERDICT_VALID = "Valid"
 VERDICT_ZERO = "ZeroVector"
@@ -71,33 +71,19 @@ def _norm_limit(beta, norm_kind: str) -> int:
     return math.floor(b if norm_kind == "linf" else b * b)
 
 
-def _norm_stat(xs, norm_kind: str) -> int:
-    """max |x_i| or sum x_i^2 of a list of Python ints."""
-    if norm_kind == "linf":
-        return max(map(abs, xs), default=0)
-    return sum(v * v for v in xs)
-
-
 def linf_within(x, beta) -> bool:
     """||x||_inf <= beta, exactly (beta read as the dyadic rational it is)."""
-    return _norm_stat([int(v) for v in x], "linf") <= _norm_limit(beta, "linf")
+    return norm_stat([int(v) for v in x], "linf") <= _norm_limit(beta, "linf")
 
 
 def l2_within(x, beta) -> bool:
     """||x||_2 <= beta, exactly, as sum x_i^2 <= floor(beta^2)."""
-    return _norm_stat([int(v) for v in x], "l2") <= _norm_limit(beta, "l2")
+    return norm_stat([int(v) for v in x], "l2") <= _norm_limit(beta, "l2")
 
 
 def nonzero_mod_q(x, q: int) -> bool:
     """The cross-variant solution requirement: x is not 0 modulo q."""
     return any(int(v) % q for v in x)
-
-
-def _meets_instance_beta(inst: SisInstance, x) -> bool:
-    """x is within the instance's own beta under its norm kind; vacuous when
-    the instance carries no beta."""
-    within = linf_within if inst.norm_kind == "linf" else l2_within
-    return inst.beta is None or within(x, inst.beta)
 
 
 def verify(inst: SisInstance, x) -> str:
@@ -109,7 +95,9 @@ def verify(inst: SisInstance, x) -> str:
         return VERDICT_NOT_IN_LATTICE
     if all(v == 0 for v in xs):
         return VERDICT_ZERO
-    if not _meets_instance_beta(inst, xs):
+    # the instance's own beta under its norm kind, when it carries one
+    if inst.beta is not None and \
+            norm_stat(xs, inst.norm_kind) > _norm_limit(inst.beta, inst.norm_kind):
         return VERDICT_NORM
     return VERDICT_VALID
 
@@ -128,10 +116,7 @@ def _check_mode(inst: SisInstance, f: float, epsilon: float, mode: str):
         return
     if mode != MODE_PROVABLE:
         raise PreconditionViolated(f"unknown solve mode {mode!r}")
-    if not inst.q_prime:
-        raise PreconditionViolated("q prime")
-    if inst.q ** (1 - inst.n / inst.m) < 6:
-        raise PreconditionViolated("q^(1-n/m) >= 6")
+    check_qary_preconditions(inst.n, inst.m, inst.q)
     if epsilon > 1.0 / (inst.m * inst.q ** 4):
         raise PreconditionViolated("epsilon <= 1/(m q^4)")
     if inst.q / f < math.sqrt(math.log(1 / epsilon)):
@@ -168,7 +153,7 @@ def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
     sols = []
     for row in outputs:
         xs = [int(v) for v in row]
-        if accept(xs) and all(_norm_stat(xs, kind) <= limit for kind, limit in limits):
+        if accept(xs) and all(norm_stat(xs, kind) <= limit for kind, limit in limits):
             sols.append(Solution.from_vector(xs, norm_kind))
             if len(sols) >= _MAX_SOLUTIONS:
                 break

@@ -66,7 +66,13 @@ from .errors import (
     WidthTooSmall,
 )
 from .rngutil import derive_np_rng, derive_rng
-from .zqlin import SisInstance, centered, int_array, int_matmul
+from .zqlin import (
+    SisInstance,
+    centered,
+    check_qary_preconditions,
+    int_array,
+    int_matmul,
+)
 
 MODE_PROVABLE = "provable-gaussian"
 MODE_HEURISTIC = "heuristic-gaussian"
@@ -475,14 +481,7 @@ def choose_provable_params(n: int, m: int, q: int, f: float,
     + 1/2]); b_i = ceil(log2 N / (log2 q - i/2) - 1) for i < r and the
     remainder at i = r; s0 = (q/f) / sqrt(2^r).
     """
-    from .zqlin import is_probable_prime
-
-    if not is_probable_prime(q):
-        raise PreconditionViolated("q prime")
-    if m < n:
-        raise PreconditionViolated("m >= n")
-    if q ** (1 - n / m) < 6:
-        raise PreconditionViolated("q^(1-n/m) >= 6")
+    check_qary_preconditions(n, m, q)
     if epsilon > 1 / m:
         raise PreconditionViolated("epsilon <= 1/m")
     if q / f < math.sqrt(math.log(1 / epsilon)):
@@ -540,7 +539,6 @@ def choose_naive_params(n: int, q: int, f: float) -> Schedule:
 
 
 _TWO_PI = 2.0 * math.pi
-_KAPPA_QUANT = math.sqrt(2.0 * math.pi * math.e)
 _HEURISTIC_ENTROPY_FACTOR = 48  # initial pool size multiple of the list size
 _MIN_LOG2_N = 6  # the heuristic ladder's smallest list size, as log2 N
 _MIN_EXPECTED_HITS = 4.0  # expected hits N p a heuristic schedule must predict
@@ -557,7 +555,7 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
     lifts will actually inject, width floors included), and returns the first
     schedule whose expected number of hits N p clears ``_MIN_EXPECTED_HITS``.
     """
-    d = m - n
+    d, kappa = m - n, _estimator._KAPPA[_estimator.VARIANT_QUANTIZATION]
     for log2_n in range(_MIN_LOG2_N, max_log2_n + 1):
         N = 1 << log2_n
         try:
@@ -570,7 +568,7 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
         stages = []   # (p, b, injected_dev)
         rows_left = n
         while rows_left > 0 and len(stages) < 64:
-            p = int(round(q / (_KAPPA_QUANT * sigma)))
+            p = int(round(q / (kappa * sigma)))
             p = max(2, min(p, q, N))
             b = max(1, int(math.log2(N) / math.log2(p)))
             b = min(b, rows_left)
@@ -580,30 +578,17 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
             stages.append((p, b, inj))
             rows_left -= b
             sigma = math.sqrt(2.0) * max(sigma, inj)
-        best = None
-        for rp in range(1, len(stages) + 1):
-            covered = sum(b for _, b, _ in stages[:rp])
-            ell = n - covered
-            score = log2_n
-            for i, (_, b, inj) in enumerate(stages[:rp], start=1):
-                dev = inj * math.sqrt(2.0) * 2.0 ** ((rp - i) / 2)
-                per = math.erf(beta / (dev * math.sqrt(2.0)))
-                if per <= 0:
-                    score = -math.inf
-                    break
-                score += b * math.log2(per)
-            dev0 = sigma0 * 2.0 ** (rp / 2)
-            per0 = math.erf(beta / (dev0 * math.sqrt(2.0)))
-            if per0 <= 0 or score == -math.inf:
-                continue
-            score += d * math.log2(per0)
-            score += ell * math.log2(min(1.0, (2 * beta + 1) / q))
-            if best is None or score > best[0]:
-                best = (score, rp)
-        if best is None:
-            continue
-        score, rp = best
-        if score >= math.log2(_MIN_EXPECTED_HITS):
+        best, rp = -math.inf, None
+        for r in range(1, len(stages) + 1):
+            groups = [(b, inj * math.sqrt(2.0) * 2.0 ** ((r - i) / 2))
+                      for i, (_, b, inj) in enumerate(stages[:r], start=1)]
+            groups.append((d, sigma0 * 2.0 ** (r / 2)))
+            score = _estimator.log2_expected_hits(
+                log2_n, beta, groups, n - sum(b for _, b, _ in stages[:r]),
+                min(1.0, (2 * beta + 1) / q))
+            if score > best:
+                best, rp = score, r
+        if best >= math.log2(_MIN_EXPECTED_HITS):
             chosen = stages[:rp]
             width1_sq = Fraction(max(
                 sigma0 * sigma0 * _TWO_PI,

@@ -23,6 +23,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     NonInvertiblePivot,
+    PreconditionViolated,
     RankDeficient,
 )
 from .rngutil import derive_np_rng
@@ -54,6 +55,26 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_qary_preconditions(n: int, m: int, q: int) -> None:
+    """PreconditionViolated unless q is prime, m >= n and q^(1-n/m) >= 6, in
+    that order: the validity conditions of the random q-ary lattice bounds
+    and of the provable parameter choice."""
+    if not is_probable_prime(q):
+        raise PreconditionViolated("q prime")
+    if m < n:
+        raise PreconditionViolated("m >= n")
+    if q ** (1 - n / m) < 6:
+        raise PreconditionViolated("q^(1-n/m) >= 6")
+
+
+def norm_stat(xs, norm_kind: str) -> int:
+    """The exact integer norm statistic of a sequence of Python ints:
+    max |x_i| for ``linf``, sum x_i^2 for ``l2``."""
+    if norm_kind == "linf":
+        return max(map(abs, xs), default=0)
+    return sum(v * v for v in xs)
 
 
 def centered(v, q: int):
@@ -184,11 +205,8 @@ class Solution:
     @classmethod
     def from_vector(cls, x: Sequence[int], norm_kind: str = "linf") -> "Solution":
         xs = tuple(int(v) for v in x)
-        if norm_kind == "linf":
-            nv = float(max((abs(v) for v in xs), default=0))
-        else:
-            nv = float(sum(v * v for v in xs)) ** 0.5
-        return cls(x=xs, norm_value=nv)
+        stat = float(norm_stat(xs, norm_kind))
+        return cls(x=xs, norm_value=stat if norm_kind == "linf" else stat ** 0.5)
 
     def to_json(self) -> str:
         return json.dumps({"x": list(self.x), "norm": self.norm_value})
@@ -324,27 +342,25 @@ def lambda1_inf_bruteforce(A, q: int, budget: int = 1 << 22) -> int:
     all q^n - 1 nonzero syndromes.  Degenerate syndromes (A^T s = 0 mod q)
     contribute only multiples of q, hence the value q for them."""
     A = np.asarray(A)
-    n, m = A.shape
+    n = A.shape[0]
     if q ** n > budget:
         raise BudgetExceeded(f"q^n = {q ** n} exceeds enumeration budget {budget}")
     best = q  # q * e_1 is always in the lattice
-    Amat = A.astype(np.int64) if A.dtype != np.int64 else A
-    chunk = 1 << 14
-    total = q ** n
-    idx = 1  # skip s = 0
-    while idx < total:
-        hi = min(total, idx + chunk)
-        ss = np.arange(idx, hi, dtype=np.int64)
-        S = np.empty((hi - idx, n), dtype=np.int64)
-        rem = ss.copy()
-        for j in range(n - 1, -1, -1):
-            S[:, j] = rem % q
-            rem //= q
-        V = np.mod(S @ Amat, q)  # rows are A^T s transposed
-        V = np.where(2 * V > q, V - q, V)
-        norms = np.abs(V).max(axis=1)
-        nz = norms[norms > 0]
-        if nz.size:
-            best = min(best, int(nz.min()))
-        idx = hi
-    return int(best)
+    Amat = A.astype(np.int64, copy=False)
+    total, chunk = q ** n, 1 << 14
+    for idx in range(1, total, chunk):  # skip s = 0
+        V = centered(_syndromes(q, n, idx, min(total, idx + chunk)) @ Amat, q)
+        norms = np.abs(V).max(axis=1)  # rows of V are A^T s transposed
+        best = int(norms.min(initial=best, where=norms > 0))
+    return best
+
+
+def _syndromes(q: int, n: int, start: int, stop: int) -> np.ndarray:
+    """The syndromes of Z_q^n numbered start .. stop-1, one per row, as int64
+    base-q digits, most significant first."""
+    S = np.empty((stop - start, n), dtype=np.int64)
+    rem = np.arange(start, stop, dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        S[:, j] = rem % q
+        rem //= q
+    return S

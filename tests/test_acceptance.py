@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import wagnersis as ws
-from wagnersis.chain import build_chain, StagedVector, lift_integer
+from helpers import make_systematic, staged
+from wagnersis.chain import build_chain
 from wagnersis.dgauss import (
     GaussParam,
     empirical_similarity,
@@ -43,13 +44,6 @@ from wagnersis.zqlin import SisInstance, lambda1_inf_bruteforce, random_instance
 def report(num: int, ok: bool, detail: str):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
     return ok
-
-
-def make_systematic(n, m, q, seed, beta=None):
-    rng = derive_np_rng(seed, "accept")
-    a_prime = rng.integers(0, q, size=(n, m - n), dtype=np.int64)
-    A = np.hstack([a_prime, np.eye(n, dtype=np.int64)])
-    return SisInstance.create(A, q, beta=beta)
 
 
 TABLE2 = {
@@ -102,7 +96,7 @@ def test_criterion_3_desk_scale_solve():
     t0 = time.perf_counter()
     wins = 0
     for seed in range(100):
-        inst = make_systematic(n, m, q, seed=seed, beta=Fraction(q, 4))
+        inst = make_systematic(n, m, q, seed=seed, beta=Fraction(q, 4), stream="accept")
         rep = solve_sis_inf(inst, f, 2.0**-10, MODE_HEURISTIC, seed)
         if rep.success:
             if all(verify(inst, s.x) == VERDICT_VALID for s in rep.solutions):
@@ -115,7 +109,7 @@ def test_criterion_3_desk_scale_solve():
 
 
 def test_criterion_4_provable_structural_laws():
-    inst = make_systematic(2, 6, 5, seed=4)
+    inst = make_systematic(2, 6, 5, seed=4, stream="accept")
     sizes_ok = True
     for N in (12, 30, 45):
         sched = Schedule(mode=MODE_PROVABLE, r=1, N=N, p=(2,), b=(2,),
@@ -129,14 +123,7 @@ def test_criterion_4_provable_structural_laws():
     for _ in range(1000):
         n_in = int(rng.integers(3 * st.p**st.b, 96))
         ks = rng.integers(-6, 7, size=(n_in, 2))
-        y = lift_integer(st, (0, 0, 0, 0))
-        svs = [StagedVector(head=(0, 0, 0, 0),
-                            tail_num=tuple(st.p * yj + st.q * int(kj)
-                                           for yj, kj in zip(y, row)),
-                            k=tuple(int(v) for v in row),
-                            label=tuple(int(v) % st.p for v in row),
-                            stage=st)
-               for row in ks]
+        svs = [staged(st, (0, 0, 0, 0), row) for row in ks]
         if len(bucket_and_combine(st, svs, out_cap=n_in // 3)) != n_in // 3:
             count_ok = False
             break
@@ -198,7 +185,7 @@ def test_criterion_7_rounding_norm_bound():
     violations = 0
     runs = 0
     for seed in range(50):
-        inst = make_systematic(4, 12, 16, seed=seed)
+        inst = make_systematic(4, 12, 16, seed=seed, stream="accept")
         sched = Schedule(mode=MODE_NAIVE, r=2, N=16, p=(8, 4), b=(2, 2))
         out, _ = naive_wagner(inst, sched, seed)
         runs += len(out)

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import make_systematic, staged
 from wagnersis.chain import (
-    StagedVector,
     _gaussian_offsets,
     _lift_batch,
     build_chain,
@@ -21,23 +21,6 @@ from wagnersis.errors import BlockSumMismatch, NotInLattice, WidthTooSmall
 from wagnersis.estimator import CostQuery, heuristic_schedule
 from wagnersis.rngutil import derive_np_rng, derive_rng
 from wagnersis.zqlin import SisInstance, matvec_mod
-
-
-def make_systematic(n, m, q, seed):
-    rng = derive_np_rng(seed, "mk")
-    a_prime = rng.integers(0, q, size=(n, m - n), dtype=np.int64)
-    A = np.hstack([a_prime, np.eye(n, dtype=np.int64)])
-    return SisInstance.create(A, q)
-
-
-def staged(stage, x, ks, y=None):
-    y = lift_integer(stage, x) if y is None else y
-    return StagedVector(head=tuple(x),
-                        tail_num=tuple(stage.p * yj + stage.q * kj
-                                       for yj, kj in zip(y, ks)),
-                        k=tuple(ks),
-                        label=tuple(k % stage.p for k in ks),
-                        stage=stage)
 
 
 class TestBuildChain:

@@ -222,6 +222,10 @@ class TestSample:
         (["--width", "3", "--center=-inf"], "center must be finite"),
         # finite, but its window 2 ceil(1.5 s) + 1 is far beyond 2^63
         (["--width", "1e200"], "2^63"),
+        # squaring s must not turn a negative width into a usable one
+        (["--width", "-2", "--count", "2"], "width must satisfy s > 0"),
+        (["--width", "3", "--dim", "0"], "need n >= 1"),
+        (["--width", "3", "--count", "-1"], "rows >= 0"),
     ])
     def test_unusable_width_or_center_exit_code(self, argv, message, capsys):
         code, _ = run_cli(["sample", *argv])

@@ -256,6 +256,15 @@ class TestArraySampler:
 
 
 class TestSampleZn:
+    @pytest.mark.parametrize("n, rows", [(0, 1), (-3, 1), (2, -1)])
+    def test_shape_preconditions(self, n, rows):
+        with pytest.raises(PreconditionViolated):
+            sample_zn_rows(GaussParam.make(s=3), n, rows, derive_rng(0))
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(PreconditionViolated, match="s > 0"):
+            GaussParam.make(s=-2)
+
     def test_width_precondition_scales_with_n(self):
         s_edge = math.sqrt(math.log(2 * 64 + 4) / math.pi)
         with pytest.raises(WidthTooSmall):
@@ -368,6 +377,11 @@ class TestFormulas:
         assert v >= 257 ** (1 - 4 / 8) / 6  # m >= n strengthens the bound
         with pytest.raises(PreconditionViolated):
             lambda1_inf_lower_bound(5, 5, 7)
+
+    def test_lambda1_lower_bound_rejects_m_below_n(self):
+        # m = 0 used to reach q^(1-n/m) and raise a bare ZeroDivisionError
+        with pytest.raises(PreconditionViolated, match="m >= n"):
+            lambda1_inf_lower_bound(1, 0, 7)
 
     def test_tail_bound(self):
         assert tail_bound_linf(1, 1) == pytest.approx(2 * math.exp(-math.pi), rel=1e-12)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import make_systematic
 from wagnersis.errors import PreconditionViolated
-from wagnersis.rngutil import derive_np_rng
 from wagnersis.solvers import (
     VERDICT_NORM,
     VERDICT_NOT_IN_LATTICE,
@@ -22,13 +22,6 @@ from wagnersis.solvers import (
 )
 from wagnersis.wagner import MODE_HEURISTIC, MODE_PROVABLE
 from wagnersis.zqlin import SisInstance
-
-
-def make_systematic(n, m, q, seed, beta=None):
-    rng = derive_np_rng(seed, "mk")
-    a_prime = rng.integers(0, q, size=(n, m - n), dtype=np.int64)
-    A = np.hstack([a_prime, np.eye(n, dtype=np.int64)])
-    return SisInstance.create(A, q, beta=beta)
 
 
 class TestVerify:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wagnersis.chain import build_chain, lift_integer, StagedVector
+from helpers import make_systematic, staged
+from wagnersis.chain import build_chain
 from wagnersis.errors import (
     BlockSumMismatch,
     BudgetExceeded,
@@ -52,20 +53,6 @@ from wagnersis.zqlin import (
     random_instance,
     systematic_form,
 )
-
-
-def make_systematic(n, m, q, seed):
-    rng = derive_np_rng(seed, "mk")
-    a_prime = rng.integers(0, q, size=(n, m - n), dtype=np.int64)
-    A = np.hstack([a_prime, np.eye(n, dtype=np.int64)])
-    return SisInstance.create(A, q)
-
-
-def staged_from_k(stage, x, ks):
-    y = lift_integer(stage, x)
-    tail = tuple(stage.p * yj + stage.q * kj for yj, kj in zip(y, ks))
-    return StagedVector(head=tuple(x), tail_num=tail, k=tuple(ks),
-                        label=tuple(kj % stage.p for kj in ks), stage=stage)
 
 
 def disjoint_walk(labels, cap):
@@ -237,7 +224,7 @@ class TestBucketAndCombine:
         # six inputs pair as (0,2) and (1,3), both differencing to dk = -2.
         inst = make_systematic(1, 5, 5, seed=0)
         st = build_chain(inst, [1], [2])[0]
-        svs = [staged_from_k(st, (0, 0, 0, 0), (v,)) for v in range(6)]
+        svs = [staged(st, (0, 0, 0, 0), (v,)) for v in range(6)]
         out = bucket_and_combine(st, svs, out_cap=2)
         assert len(out) == 2
         tails = [v[4] for v in out]
@@ -245,13 +232,13 @@ class TestBucketAndCombine:
 
     def test_reuse_cap_zero_gives_no_outputs(self):
         st = self._stage()
-        svs = [staged_from_k(st, (0, 0, 0, 0), (1, 1)) for _ in range(2)]
+        svs = [staged(st, (0, 0, 0, 0), (1, 1)) for _ in range(2)]
         assert bucket_and_combine(st, svs, out_cap=0, reuse=True) == []
         assert len(bucket_and_combine(st, svs, out_cap=1, reuse=True)) == 1
 
     def test_insufficient_inputs(self):
         st = self._stage()
-        svs = [staged_from_k(st, (0, 0, 0, 0), (v, v)) for v in range(3 * 4 - 1)]
+        svs = [staged(st, (0, 0, 0, 0), (v, v)) for v in range(3 * 4 - 1)]
         with pytest.raises(InsufficientInputs):
             bucket_and_combine(st, svs, out_cap=3)
 
@@ -262,7 +249,7 @@ class TestBucketAndCombine:
         for trial in range(1000):
             n_in = int(rng.integers(12, 60))
             ks = rng.integers(-8, 9, size=(n_in, 2))
-            svs = [staged_from_k(st, (0, 0, 0, 0), tuple(int(v) for v in row))
+            svs = [staged(st, (0, 0, 0, 0), tuple(int(v) for v in row))
                    for row in ks]
             out = bucket_and_combine(st, svs, out_cap=n_in // 3)
             assert len(out) == n_in // 3
@@ -270,7 +257,7 @@ class TestBucketAndCombine:
     def test_outputs_in_stage_lattice(self):
         st = self._stage()
         rng = derive_np_rng(2)
-        svs = [staged_from_k(st, tuple(int(v) for v in rng.integers(-2, 3, 4)),
+        svs = [staged(st, tuple(int(v) for v in rng.integers(-2, 3, 4)),
                              tuple(int(v) for v in rng.integers(-4, 5, 2)))
                for _ in range(30)]
         a_stage = np.hstack([np.asarray(st.a_new), np.eye(2, dtype=np.int64)])
