@@ -19,4 +19,5 @@ def make_systematic(n, m, q, seed, beta=None, stream="mk"):
 def staged(stage, x, ks, y=None):
     """The staged vector of head x and offsets ks over the lift y (the
     canonical integer lift of x unless given)."""
-    return StagedVector.from_offsets(stage, x, lift_integer(stage, x) if y is None else y, ks)
+    y = lift_integer(stage, x) if y is None else y
+    return StagedVector.from_offsets(stage, x, y, ks)

@@ -13,7 +13,7 @@ import pytest
 
 import wagnersis as ws
 from helpers import make_systematic, staged
-from wagnersis.chain import build_chain
+from wagnersis.chain import build_chain, lift_integer
 from wagnersis.dgauss import (
     GaussParam,
     empirical_similarity,
@@ -118,12 +118,13 @@ def test_criterion_4_provable_structural_laws():
         sizes_ok &= stats.list_sizes == [3 * N, N] and len(out) == N
 
     st = build_chain(inst, [2], [2])[0]
+    y = lift_integer(st, (0, 0, 0, 0))
     rng = derive_np_rng(4, "pigeon")
     count_ok = True
     for _ in range(1000):
         n_in = int(rng.integers(3 * st.p**st.b, 96))
         ks = rng.integers(-6, 7, size=(n_in, 2))
-        svs = [staged(st, (0, 0, 0, 0), row) for row in ks]
+        svs = [staged(st, (0, 0, 0, 0), row, y) for row in ks]
         if len(bucket_and_combine(st, svs, out_cap=n_in // 3)) != n_in // 3:
             count_ok = False
             break
