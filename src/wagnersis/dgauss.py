@@ -7,16 +7,28 @@ proportional to exp(-pi (x-c)^2 / s^2)).  The center is split exactly, in
 integer arithmetic, as c = round(c) + f with |f| <= 1/2, and
 D_{Z,s,c} = round(c) + D_{Z,s,f}.
 The offset is drawn by rejection from a proposal that covers all of Z: a
-uniform window of half-width K = ceil(1.5 s) glued to two geometric tails
-whose dyadic-rational parameters dominate the Gaussian for every |f| <= 1/2,
-so these constants depend on s^2 alone and one ``_ZSampler`` per width serves
-every center.  Every accept/reject comparison is a Bernoulli test
-"U < exp(-pi a)" with rational a; it is evaluated in double precision with a
-constant relative margin, and escalated to exact rational interval arithmetic
-whenever the margin cannot separate U from the probability.  Only f and the
-offset enter the float arithmetic, so neither the margin nor the per-draw
-cost grows with |c|, and the sampled distribution carries no floating-point
-statistical gap.
+uniform window of half-width K = max(2, ceil(0.75 s)) glued to two
+geometric tails of ratio g = exp(-pi gamma) whose envelope exp(-pi (tau +
+gamma j)) at |t| = K + j, with exact rationals tau and gamma, dominates the
+Gaussian for every |f| <= 1/2.  These constants depend on s^2 alone, so one
+``_ZSampler`` per width serves every center.  The envelope's mass is about
+1.57 s against the Gaussian's s, so a draw takes about 1.6 proposals at
+large widths.  A tail step j - 1 is drawn in bounded work at any width: by
+inversion, floor(-ln U / (pi gamma)), split as M q + r with r in [0, M)
+drawn by rejection once the mean step passes 2^21, and decided exactly by
+bisection on exact comparisons U < exp(-pi gamma k) when the float
+inversion cannot separate the uniform's cell from a boundary.  Every
+accept/reject comparison is a Bernoulli test "U < exp(-pi b)" with
+rational b >= 0 (b = (t-f)^2 / s^2 in the window, the same less the
+envelope's exponent in the tails); it is evaluated in double precision with
+a constant relative margin, and escalated to exact rational interval
+arithmetic whenever the margin cannot separate U from the probability.  Only
+f, the offset and the step enter the float arithmetic, so neither the margin
+nor the per-draw cost grows with |c|, and the sampled distribution carries
+no floating-point statistical gap.  Window offsets are drawn as int64, so
+the window 2 max(2, ceil(0.75 s)) + 1 must stay below 2^63; tail offsets
+and draws x = round(c) + t that are not proven to fit in int64 come back as
+Python integers.
 
 One entry point runs this sampler: ``_draw_z_array`` draws one value per
 entry of a whole array of centers in NumPy rounds.  The samplers' initial
@@ -29,7 +41,8 @@ Proposals are i.i.d. and each is decided by its own randomness, so the
 first accepted one of a row has the law of a sequential rejection loop.
 Entries are processed in blocks of fixed size, so transient memory does not
 grow with the list.  Every comparison the float margin cannot decide goes to
-the exact routines (``_select_window_exact``, ``_decide_exact``).
+the exact routines (``_select_window_exact``, ``_geometric_exact``,
+``_decide_exact``).
 
 Widths are carried as exact rationals s^2 (``s_sq``), which keeps widths like
 sqrt(2)^i * s0 representable exactly.
@@ -52,7 +65,7 @@ from .errors import (
     WidthTooSmall,
 )
 from .rngutil import derive_np_rng, derive_rng
-from .zqlin import _syndromes, check_qary_preconditions, int_array
+from .zqlin import _syndromes, check_qary_preconditions, int_add, int_array, int_matmul
 
 # Rational enclosure of pi (60 digits), used by the exact Bernoulli fallback.
 _PI_LO = Fraction(
@@ -65,17 +78,23 @@ _LN2 = math.log(2.0)
 # Float margins of the accept/reject tests.
 # The float window probability p_window is within this of the exact one.
 _SELECT_MARGIN = 1e-11
-# Relative error allowed for a double-precision exp(-pi (t-f)^2 / s^2): libm
-# plus the rounding of f, (t-f)^2 and s^2, none of which grows with |c|.
+# Relative error allowed for a double-precision exp(-pi b) with b = (t-f)^2 /
+# s^2, or b of a tail proposal or a tail step: libm plus the rounding of f, of
+# b's terms and of s^2, none of which grows with |c|.
 _REL_ERR = 1e-9
-# Absolute floor of the window margin, for probabilities near underflow.
-_WINDOW_ABS_ERR = 1e-15
-# Extra relative error per tail step j: the rounding of g_hat^j.
-_TAIL_STEP_ERR = 1e-10
-# Absolute floor of the tail margin.
-_TAIL_ABS_ERR = 1e-290
+# Absolute floor of that margin, for probabilities near underflow; it also
+# exceeds the 2^-53 that a 53-bit uniform leaves unread.
+_ABS_ERR = 1e-15
+# Relative error allowed for the float inversion -ln(u) / rate of a tail step:
+# libm's log plus the rounding of the rate, a few ulp each.
+_STEP_ERR = 1e-12
 # A 53-bit uniform u stands for the real uniform in [u, u + 2^-53).
 _U_ULP = 2.0 ** -53
+# Tail steps are drawn as j - 1 = M q + r.  M is the power of two that brings
+# the rate of q's law into [2^-21, 2^-20) when it is below that, so q's float
+# inversion -ln(u) / rate stays below 2^27, and r's rejection step accepts
+# with probability above exp(-2^-20).
+_STEP_RATE_EXP = -20
 
 
 @dataclass(frozen=True)
@@ -198,8 +217,8 @@ def _decide_exact(premul: Fraction, a: Fraction, u: _LazyUniform, rng) -> bool:
 @dataclass
 class SamplerCounts:
     """Work of one array-sampler call: entries drawn, proposals made, and
-    comparisons decided in exact arithmetic (window selections and
-    accept/reject tests)."""
+    decisions taken in exact arithmetic (window selections, accept/reject
+    tests and tail steps)."""
 
     draws: int = 0
     proposals: int = 0
@@ -213,102 +232,175 @@ _BLOCK = 1 << 14
 _ROUND_MIN = 1 << 10
 
 
+def _float_bernoulli(p, u):
+    """Double-precision decisions of U < p for arrays of 53-bit uniforms u
+    and probabilities p within relative ``_REL_ERR`` of the exact ones.
+    Returns (accept, reject); a comparison with neither is left to exact
+    arithmetic."""
+    margin = _REL_ERR * p + _ABS_ERR
+    return u < p - margin, u > p + margin
+
+
+def _lazy(u: float) -> _LazyUniform:
+    """The lazy uniform whose first 53 bits are the 53-bit uniform u."""
+    return _LazyUniform(int(u * (1 << 53)), 53)
+
+
 class _ZSampler:
     """Proposal constants for one width s^2, shared by every center, plus the
-    rejection loop on arrays, which runs on the offsets t = x - round(c)."""
+    rejection loop on arrays, which runs on the offsets t = x - round(c).
 
-    __slots__ = ("s_sq", "s_sq_f", "K", "W", "wbits", "t_hat", "g_scaled",
-                 "g_hat", "p_window", "p_window_exact")
+    The envelope has weight 1 on the window |t| <= K and exp(-pi (tau +
+    gamma j)) at |t| = K + j, j >= 1.  The center is split as round(c) + f
+    with |f| <= 1/2, so |t - f| >= kappa + j for kappa = K - 3/5, hence
+    (t-f)^2 >= kappa^2 + 2 kappa j and the envelope dominates the Gaussian
+    weight for tau = kappa^2 / s^2 and gamma = 2 kappa / s^2, both exact
+    rationals.  A tail proposal's acceptance is therefore exp(-pi b) with
+    b = a - tau - gamma j >= 0, and its step j - 1 is geometric with ratio
+    g = exp(-pi gamma).
+    """
+
+    __slots__ = ("s_sq", "s_sq_f", "K", "W", "tau", "gamma", "rate", "M", "p_window")
 
     def __init__(self, s_sq: Fraction):
         self.s_sq = s_sq
         self.s_sq_f = float(s_sq)
-        s_f = math.sqrt(self.s_sq_f)
-        self.K = max(1, math.ceil(1.5 * s_f))
+        self.K = max(2, math.ceil(0.75 * math.sqrt(self.s_sq_f)))
         self.W = 2 * self.K + 1
-        self.wbits = self.W.bit_length()
-        # Tail domination: the center is split as round(c) + f with |f| <= 1/2,
-        # so for |t| = K + j we have |t - f| >= K + j - 0.6, hence
-        # (t-f)^2 >= (K-0.6)^2 + 2(K-0.6) j and the Gaussian weight there is at
-        # most t_hat * g_hat^j for the dyadic bounds below (floats are exact
-        # dyadic rationals, so the bounds stay usable in exact tests).
-        t_exp = math.pi * (self.K - 0.6) ** 2 / self.s_sq_f
-        if t_exp < 700.0:
-            self.t_hat = min(1.0, math.exp(-t_exp) * (1.0 + 1e-9))
-        else:
-            self.t_hat = math.ldexp(1.0, -max(0, int(t_exp / _LN2) - 2))
-        g_exp = 2.0 * math.pi * (self.K - 0.6) / self.s_sq_f
-        self.g_scaled = min((1 << 40) - 1,
-                            int(math.exp(-g_exp) * (1.0 + 1e-9) * (1 << 40)) + 1)
-        self.g_hat = self.g_scaled / float(1 << 40)
-        tail_total = self.t_hat * self.g_hat / (1.0 - self.g_hat)
+        kappa = self.K - Fraction(3, 5)
+        self.tau = kappa * kappa / s_sq
+        self.gamma = 2 * kappa / s_sq
+        # -ln g, and M of the tail step j - 1 = M q + r
+        self.rate = math.pi * float(self.gamma)
+        self.M = 1 << max(0, _STEP_RATE_EXP - math.frexp(self.rate)[1])
+        # window share of the envelope mass W + 2 exp(-pi tau) g / (1 - g)
+        tail_total = (math.exp(-math.pi * float(self.tau) - self.rate)
+                      / -math.expm1(-self.rate))
         self.p_window = self.W / (self.W + 2.0 * tail_total)
-        tail_exact = Fraction(self.t_hat) * Fraction(self.g_scaled,
-                                                     (1 << 40) - self.g_scaled)
-        self.p_window_exact = Fraction(self.W) / (self.W + 2 * tail_exact)
 
     def _select_window_exact(self, u_sel: float, rng) -> bool:
-        lu = _LazyUniform(int(u_sel * (1 << 53)), 53)
+        """Decide U < p_window exactly for the uniform U whose first 53 bits
+        are u_sel, from enclosures of exp(-pi tau) and g refined on demand."""
+        lu = _lazy(u_sel)
+        prec = 96
         while True:
-            u_lo, u_hi = lu.bounds()
-            if u_hi <= self.p_window_exact:
-                return True
-            if u_lo >= self.p_window_exact:
-                return False
-            lu.extend(rng)
+            e_lo, e_hi = _exp_neg_pi_interval(self.tau, prec)
+            g_lo, g_hi = _exp_neg_pi_interval(self.gamma, prec)
+            if g_hi < 1:
+                # the tail mass exp(-pi tau) g / (1 - g) grows with both
+                p_lo = self.W / (self.W + 2 * e_hi * g_hi / (1 - g_hi))
+                p_hi = self.W / (self.W + 2 * e_lo * g_lo / (1 - g_lo))
+                u_lo, u_hi = lu.bounds()
+                if u_hi <= p_lo:
+                    return True
+                if u_lo >= p_hi:
+                    return False
+                if p_hi - p_lo <= u_hi - u_lo:
+                    lu.extend(rng)
+                    continue
+            prec *= 2
 
     def _accept_exact(self, t: int, j: int, f_num: int, c_den: int, u: float,
                       rng) -> bool:
         """Exact decision on offset t, proposed in the window (j = 0) or at
         tail step j, for the 53-bit uniform u; fresh bits come from rng."""
-        premul = (Fraction(self.t_hat) * Fraction(self.g_scaled, 1 << 40) ** j
-                  if j else Fraction(1))
         a = Fraction(t * c_den - f_num, c_den) ** 2 / self.s_sq
-        return _decide_exact(premul, a, _LazyUniform(int(u * (1 << 53)), 53), rng)
+        if j:
+            a -= self.tau + self.gamma * j
+        return _decide_exact(Fraction(1), a, _lazy(u), rng)
 
     def _float_decisions(self, t, j, f, u):
         """Double-precision decisions on proposals: offsets t, tail steps j
         (0 for window proposals), center fractions f and 53-bit uniforms u,
         all arrays.  Returns (accept, reject); a proposal with neither is
         left to exact arithmetic."""
-        dx = t - f
+        dx = np.asarray(t, dtype=float) - f
         p = np.exp(-math.pi * dx * dx / self.s_sq_f)
-        margin = _REL_ERR * p + _WINDOW_ABS_ERR
-        accept = u < p - margin
-        reject = u > p + margin
         tail = np.flatnonzero(j)
         if tail.size:
-            jt, pt = j[tail], p[tail]
-            premul_f = self.t_hat * self.g_hat ** jt
-            lhs = u[tail] * premul_f
-            # the premul_f 2^-53 term keeps an accept valid for every real
-            # uniform whose 53-bit prefix is u
-            margin = ((_REL_ERR + _TAIL_STEP_ERR * jt) * (pt + lhs)
-                      + premul_f * _U_ULP + _TAIL_ABS_ERR)
-            usable = premul_f > 0.0
-            accept[tail] = usable & (lhs < pt - margin)
-            reject[tail] = usable & (lhs > pt + margin)
-        return accept, reject
+            # b = a - tau - gamma j = ((j + e)^2 + 2 kappa e) / s^2 with
+            # e = 3/5 - sign(t) f in [1/10, 11/10]: positive terms only, so
+            # b keeps its relative precision however large j is
+            e = 0.6 - np.sign(dx[tail]) * f[tail]
+            jt = np.asarray(j[tail], dtype=float)
+            b = ((jt + e) ** 2 + 2.0 * (self.K - 0.6) * e) / self.s_sq_f
+            p[tail] = np.exp(-math.pi * b)
+        return _float_bernoulli(p, u)
 
-    def _tail_steps(self, n: int, rng) -> np.ndarray:
-        """n i.i.d. tail steps j >= 1 with Pr[j] = (1-g) g^(j-1), g =
-        g_scaled / 2^40: j - 1 is the number of 40-bit words below g_scaled
-        before the first that is not.  Words are read in chunks sized to the
-        mean run length."""
-        chunk = int(min(256.0, 2.0 + 2.0 * self.g_hat / (1.0 - self.g_hat)))
-        j = np.ones(n, dtype=np.int64)
+    def _tail_steps(self, n: int, rng, exact_rng, counts: SamplerCounts) -> np.ndarray:
+        """n i.i.d. tail steps j >= 1 with Pr[j] = (1-g) g^(j-1), in bounded
+        work whatever the width: j - 1 = M q + r with q ~ Geom(g^M) by
+        inversion (``_geometric``) and r in [0, M) of weight g^r by rejection
+        from a uniform, which accepts with probability above exp(-2^-20).
+        Returns int64 when ``int_matmul``'s bound proves M q + r + 1 fits,
+        Python ints otherwise."""
+        q = self._geometric(rng.random(n), exact_rng, counts)
+        if self.M == 1:
+            return q + 1
+        r = np.empty(n, dtype=np.int64)
         todo = np.arange(n)
         while todo.size:
-            stop = rng.integers(0, 1 << 40, (todo.size, chunk)) >= self.g_scaled
-            hit = stop.any(axis=1)
-            j[todo] += np.where(hit, stop.argmax(axis=1), chunk)
-            todo = todo[~hit]
-        return j
+            cand = rng.integers(0, self.M, todo.size)
+            u = rng.random(todo.size)
+            accept, reject = _float_bernoulli(np.exp(-self.rate * cand), u)
+            for i in np.flatnonzero(~(accept | reject)):
+                counts.fallbacks += 1
+                accept[i] = _decide_exact(Fraction(1), self.gamma * int(cand[i]),
+                                          _lazy(float(u[i])), exact_rng)
+            r[todo[accept]] = cand[accept]
+            todo = todo[~accept]
+        return int_matmul(np.stack([q, r + 1], axis=1), int_array([[self.M, 1]]))[:, 0]
+
+    def _geometric(self, u, exact_rng, counts: SamplerCounts) -> np.ndarray:
+        """q = floor(-ln U / (M rate)) for the uniforms U whose first 53 bits
+        are the array u, so that Pr[q >= k] = g^(M k).  Decided in floats
+        when the whole 53-bit cell [u, u + 2^-53) has one q, exactly
+        otherwise (``_geometric_exact``)."""
+        rate = self.rate * self.M
+        with np.errstate(divide="ignore"):
+            hi = np.floor(-np.log(u) / rate * (1.0 + _STEP_ERR))
+        lo = np.floor(-np.log(u + _U_ULP) / rate * (1.0 - _STEP_ERR))
+        q = lo.astype(np.int64)
+        for i in np.flatnonzero(lo != hi):
+            counts.fallbacks += 1
+            q[i] = self._geometric_exact(float(u[i]), exact_rng)
+        return q
+
+    def _geometric_exact(self, u: float, rng) -> int:
+        """The q of ``_geometric`` for one uniform, exactly: the largest k
+        with U < exp(-pi gamma M k), by bisection on exact comparisons of
+        one lazy uniform (fresh bits from rng), between float bounds that
+        the comparisons verify.  Every exponent is the rational gamma M k,
+        so no power of g is formed."""
+        lu = _lazy(u)
+        while lu.num == 0:
+            lu.extend(rng)
+        rate = self.rate * self.M
+        ln_lo = math.log(lu.num) - lu.bits * _LN2
+        ln_hi = math.log(lu.num + 1) - lu.bits * _LN2
+        lo = max(0, math.floor(-ln_hi / rate * (1 - 1e-9)) - 1)
+        hi = math.floor(-ln_lo / rate * (1 + 1e-9)) + 2
+
+        def below(k: int) -> bool:
+            return _decide_exact(Fraction(1), self.gamma * self.M * k, lu, rng)
+
+        if not below(lo):
+            lo = 0  # U < g^0 = 1 always
+        while below(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def _draw_block(self, f, f_num, c_den: int, rng, exact_rng,
                     counts: SamplerCounts) -> np.ndarray:
         """Offsets t ~ D_{Z,s,f}, one per entry of the float array f (whose
-        exact values are f_num / c_den), in rounds of proposals."""
+        exact values are f_num / c_den), in rounds of proposals; int64, or
+        Python ints once a tail offset is not proven to fit."""
         t_out = np.empty(len(f), dtype=np.int64)
         pending = np.arange(len(f))
         while pending.size:
@@ -327,8 +419,11 @@ class _ZSampler:
             tail = np.flatnonzero(~in_window)
             if tail.size:
                 side = 2 * rng.integers(0, 2, tail.size) - 1
-                j[tail] = self._tail_steps(tail.size, rng)
-                t[tail] = side * (self.K + j[tail])
+                steps = self._tail_steps(tail.size, rng, exact_rng, counts)
+                t_tail = int_add(side * self.K, side * steps)
+                if t_tail.dtype == object:
+                    t, j = t.astype(object), j.astype(object)
+                t[tail], j[tail] = t_tail, steps
             accept, reject = self._float_decisions(t, j, f[rows], u)
             # chosen[r]: index of row r's first accepted proposal, -1 if none
             chosen = np.full(pending.size, -1)
@@ -348,6 +443,8 @@ class _ZSampler:
                                       c_den, float(u[i]), exact_rng):
                     chosen[r] = i
             done = chosen >= 0
+            if t.dtype == object:
+                t_out = t_out.astype(object, copy=False)
             t_out[pending[done]] = t[chosen[done]]
             pending = pending[~done]
         return t_out
@@ -371,24 +468,27 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
     """One exact draw from D_{Z,s,c} per entry of c = c_num / c_den.
 
     ``c_num`` is an int64 or object array of integers; the draws come back in
-    its shape, int64 for int64 centers and Python ints otherwise.  Proposals
-    and uniforms come from the NumPy generator ``rng``; exact decisions take
-    their fresh bits from the ``random.Random`` stream ``exact_rng``.
+    its shape, x = round(c) + t formed by ``int_add``: int64 when its bound
+    proves every sum fits, Python ints otherwise.
+    Proposals and uniforms come from the NumPy generator ``rng``; exact
+    decisions take their fresh bits from the ``random.Random`` stream
+    ``exact_rng``.
     """
     # Window offsets are drawn as int64.  Every s >= 2^63 fails the bound; it
     # is rejected before the sampler takes float(s^2), which can overflow.
     samp = _sampler(s_sq) if s_sq < 1 << 126 else None
     if samp is None or samp.W >= 1 << 63:
-        raise PreconditionViolated("array sampler needs 2 ceil(1.5 s) + 1 < 2^63")
+        raise PreconditionViolated(
+            "array sampler needs a window 2 max(2, ceil(0.75 s)) + 1 < 2^63")
     c_num = np.asarray(c_num)
-    out = np.empty(c_num.shape, dtype=np.int64 if c_num.dtype == np.int64 else object)
-    flat_out = out.reshape(-1)
     counts = SamplerCounts(draws=c_num.size)
+    parts = []
     for start in range(0, c_num.size, _BLOCK):
         x0, f_num, f = _split_centers(c_num.flat[start:start + _BLOCK], c_den)
         t = samp._draw_block(f, f_num, c_den, rng, exact_rng, counts)
-        flat_out[start:start + _BLOCK] = x0 + t
-    return out, counts
+        parts.append(int_add(x0, t))
+    flat = np.concatenate(parts or [np.empty(0, dtype=c_num.dtype)])
+    return flat.reshape(c_num.shape), counts
 
 
 def _split_centers(c_num: np.ndarray, c_den: int):

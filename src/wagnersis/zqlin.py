@@ -58,13 +58,15 @@ def is_probable_prime(n: int) -> bool:
 
 
 def check_qary_preconditions(n: int, m: int, q: int) -> None:
-    """PreconditionViolated unless q is prime, m >= n and q^(1-n/m) >= 6, in
-    that order: the validity conditions of the random q-ary lattice bounds
-    and of the provable parameter choice."""
+    """PreconditionViolated unless q is prime, m >= n, n >= 1 and q^(1-n/m)
+    >= 6, in that order: the validity conditions of the random q-ary lattice
+    bounds and of the provable parameter choice."""
     if not is_probable_prime(q):
         raise PreconditionViolated("q prime")
     if m < n:
         raise PreconditionViolated("m >= n")
+    if n < 1:
+        raise PreconditionViolated("n >= 1")
     if q ** (1 - n / m) < 6:
         raise PreconditionViolated("q^(1-n/m) >= 6")
 
@@ -239,11 +241,24 @@ def int_matmul(X, A) -> np.ndarray:
     """
     X, A = np.asarray(X), np.asarray(A)
     if X.dtype == np.int64 and A.dtype == np.int64:
-        max_x = max(-int(X.min()), int(X.max())) if X.size else 0
-        max_a = max(-int(A.min()), int(A.max())) if A.size else 0
-        if X.shape[1] * max_a * max_x < _INT64_SAFE:
+        if X.shape[1] * _max_abs(A) * _max_abs(X) < _INT64_SAFE:
             return X @ A.T
     return _to_python_int(X) @ _to_python_int(A).T
+
+
+def int_add(a, b) -> np.ndarray:
+    """Exact elementwise a + b: ``int_matmul``'s rule for the columns (a, b)
+    times (1, 1), without forming them.  int64 when both are int64 and
+    2 max(|a|, |b|) < 2^62, Python integers in an object array otherwise."""
+    a, b = np.asarray(a), np.asarray(b)
+    if (a.dtype == np.int64 and b.dtype == np.int64
+            and 2 * max(_max_abs(a), _max_abs(b)) < _INT64_SAFE):
+        return a + b
+    return _to_python_int(a) + _to_python_int(b)
+
+
+def _max_abs(X: np.ndarray) -> int:
+    return max(-int(X.min()), int(X.max())) if X.size else 0
 
 
 def matvec_mod(A, x, q: int) -> np.ndarray:

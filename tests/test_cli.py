@@ -211,6 +211,17 @@ class TestSample:
                              "--count", "2", "--seed", "2", "--json"])
         assert len(json.loads(out)) == 2
 
+    def test_draws_past_int64_are_exact(self):
+        # center 2^63 - 1024 at s = 2000: draws past 2^63 print as integers,
+        # never as int64 values wrapped to near -2^63
+        center = 9223372036854774784
+        code, out = run_cli(["sample", "--width", "2000", "--center", str(center),
+                             "--count", "400", "--seed", "1", "--json"])
+        vals = json.loads(out)
+        assert code == 0 and len(vals) == 400
+        assert all(abs(v - center) < 40_000 for v in vals)
+        assert any(v >= 2**63 for v in vals)
+
     def test_width_too_small_exit_code(self, monkeypatch):
         code, _ = run_cli(["sample", "--width", "0.1"])
         assert code == 3
@@ -220,7 +231,7 @@ class TestSample:
         (["--width", "nan"], "width must be finite"),
         (["--width", "3", "--center", "inf"], "center must be finite"),
         (["--width", "3", "--center=-inf"], "center must be finite"),
-        # finite, but its window 2 ceil(1.5 s) + 1 is far beyond 2^63
+        # finite, but its window 2 max(2, ceil(0.75 s)) + 1 is far beyond 2^63
         (["--width", "1e200"], "2^63"),
         # squaring s must not turn a negative width into a usable one
         (["--width", "-2", "--count", "2"], "width must satisfy s > 0"),
@@ -265,16 +276,17 @@ class TestDeterminismAndCertify:
         c2, o2 = run_cli(list(argv), stdin_text=inst_json, monkeypatch=monkeypatch)
         assert (c1, o1) == (c2, o2)
 
-    # sha256 of stdout, computed when CLI sample became one sample_zn_rows
-    # call: a change to any seeded stream fails here
+    # sha256 of stdout, computed when the sampler's window became
+    # K = max(2, ceil(0.75 s)) and its tail steps exact inversions: a change
+    # to any seeded stream fails here
     @pytest.mark.parametrize("argv, digest", [
         (["sample", "--width", "3", "--center", "0.5", "--count", "400",
           "--seed", "1", "--json"],
-         "e9c528ba688141183d7209748721db7b1d2c555c8bbbe1e3000c05a7d4b38427"),
+         "10ab2fa47d0e3b7de5856e53f07f4c23fa4ba9c361cf77bb656aac3bd7673794"),
         (["sample", "--width", "2.2", "--center", "-7.25", "--count", "400",
           "--dim", "3", "--seed", "4", "--json"],
-         "2f9e47c5ca9c74cc634151e4efbef748f52256f7176c04cba104ffa3100489b9"),
-    ])
+         "f9ef9055ef1a48fe5eeb4b36470aff22632e73ef403cf0c83aba164874600c53"),
+    ], ids=["scalar", "dim3"])
     def test_sample_stream_pinned(self, argv, digest):
         code, out = run_cli(argv)
         assert code == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wagnersis import dgauss
 from wagnersis.dgauss import (
     GaussParam,
+    SamplerCounts,
     _decide_exact,
     _draw_z_array,
     _exp_neg_pi_interval,
@@ -37,6 +38,7 @@ from wagnersis.dgauss import (
 )
 from wagnersis.errors import InsufficientSamples, PreconditionViolated, WidthTooSmall
 from wagnersis.rngutil import derive_np_rng, derive_rng
+from wagnersis.wagner import choose_provable_params
 from wagnersis.zqlin import int_array
 
 
@@ -126,6 +128,14 @@ _UNIFORMS = st.one_of(
                                 st.sampled_from([1, -1]), st.integers(3, 12)))),
     st.tuples(st.just("any"), st.integers(0, (1 << 53) - 1)))
 
+# Widths for the tail step: from the floor up to 2^120, where j - 1 = M q + r
+# has M = 2^37
+_TAIL_WIDTHS_SQ = st.one_of(
+    st.sampled_from([_FLOOR_SQ, Fraction(144), Fraction(1 << 46), Fraction(1 << 60),
+                     Fraction(1 << 120), Fraction((1 << 120) - 1, 3)]),
+    st.builds(lambda e, num: _FLOOR_SQ + Fraction(num, 1 << 10) * 2 ** e,
+              st.integers(0, 120), st.integers(0, (1 << 10) - 1)))
+
 
 class TestFloatFastPath:
     """Every accept/reject the sampler decides in double precision agrees
@@ -176,13 +186,79 @@ class TestFloatFastPath:
         samp = _ZSampler(s_sq)
         t = side * (samp.K + j)
         a = self._offset_a(samp, t, *c)
-        premul = Fraction(samp.t_hat) * Fraction(samp.g_scaled, 1 << 40) ** j
-        log_premul = math.log(samp.t_hat) + j * math.log(samp.g_scaled / (1 << 40))
-        u53 = self._u53(u, -math.pi * float(a) - log_premul)
+        # acceptance exp(-pi b): a over the envelope exp(-pi (tau + gamma j))
+        b = a - samp.tau - samp.gamma * j
+        u53 = self._u53(u, -math.pi * float(b))
         got = self._run_batch(samp, *c, t, j, u53)
         if got is not None:
             lu = _LazyUniform(u53, 53)
-            assert got == _decide_exact(premul, a, lu, random.Random(0))
+            assert got == _decide_exact(Fraction(1), b, lu, random.Random(0))
+
+    @staticmethod
+    def _below(x: Fraction, a: Fraction) -> bool:
+        """x <= exp(-pi a) exactly, for x != exp(-pi a)."""
+        prec = 96
+        while True:
+            lo, hi = _exp_neg_pi_interval(a, prec)
+            if x <= lo:
+                return True
+            if x >= hi:
+                return False
+            prec *= 2
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(s_sq=_TAIL_WIDTHS_SQ)
+    def test_window_share_within_its_margin(self, s_sq):
+        # p_window = W / (W + 2 exp(-pi tau) g / (1 - g)) is transcendental:
+        # its float is within _SELECT_MARGIN of an exact enclosure, and the
+        # exact selection decides uniforms just outside that margin alike
+        samp = _ZSampler(s_sq)
+        e_lo, e_hi = _exp_neg_pi_interval(samp.tau, 256)
+        g_lo, g_hi = _exp_neg_pi_interval(samp.gamma, 256)
+        p_lo = samp.W / (samp.W + 2 * e_hi * g_hi / (1 - g_hi))
+        p_hi = samp.W / (samp.W + 2 * e_lo * g_lo / (1 - g_lo))
+        p = Fraction(samp.p_window)
+        assert p_lo - dgauss._SELECT_MARGIN < p < p_hi + dgauss._SELECT_MARGIN
+        for u in (samp.p_window - 2 * dgauss._SELECT_MARGIN,
+                  samp.p_window + 2 * dgauss._SELECT_MARGIN):
+            if 0 <= u < 1:
+                u = math.floor(u * (1 << 53)) / (1 << 53)
+                assert samp._select_window_exact(u, random.Random(0)) == (u < samp.p_window)
+        # the 53-bit cell holding p_window is settled by fresh bits
+        cell = math.floor(samp.p_window * (1 << 53)) / (1 << 53)
+        assert samp._select_window_exact(cell, random.Random(0)) in (True, False)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s_sq=_TAIL_WIDTHS_SQ, k=st.integers(0, 1 << 40), u=_UNIFORMS)
+    def test_tail_step_inversion_matches_exact(self, s_sq, k, u):
+        # q = floor(-ln U / (M rate)): a float q holds for the whole 53-bit
+        # cell [u, u + 2^-53), and the exact bisection finds the same q;
+        # uniforms sit at a boundary g^(M k) that a 53-bit uniform can reach
+        samp = _ZSampler(s_sq)
+        a_unit = samp.gamma * samp.M
+        k %= math.floor(36.0 / (samp.rate * samp.M)) + 1
+        u53 = self._u53(u, -samp.rate * samp.M * k)
+        counts = SamplerCounts()
+        (q,) = samp._geometric(np.array([u53 / (1 << 53)]), random.Random(0), counts)
+        if counts.fallbacks == 0:
+            assert 0 <= q <= 1 << 40
+            assert self._below(Fraction(u53 + 1, 1 << 53), a_unit * int(q))
+            assert not self._below(Fraction(u53, 1 << 53), a_unit * (int(q) + 1))
+            assert samp._geometric_exact(u53 / (1 << 53), random.Random(0)) == q
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s_sq=_TAIL_WIDTHS_SQ, r=st.integers(0, 1 << 62), u=_UNIFORMS)
+    def test_tail_step_remainder_decisions_match_exact(self, s_sq, r, u):
+        # the rejection step of r in [0, M): U < g^r = exp(-pi gamma r)
+        samp = _ZSampler(s_sq)
+        r %= samp.M
+        u53 = self._u53(u, -samp.rate * r)
+        accept, reject = dgauss._float_bernoulli(np.exp(-samp.rate * np.array([r])),
+                                                 np.array([u53 / (1 << 53)]))
+        if accept[0] or reject[0]:
+            lu = _LazyUniform(u53, 53)
+            assert accept[0] == _decide_exact(Fraction(1), samp.gamma * r, lu,
+                                              random.Random(0))
 
 
 class TestArraySampler:
@@ -245,14 +321,98 @@ class TestArraySampler:
         assert res.excess(4.5) <= 0.0
 
     def test_tail_steps_are_geometric(self):
-        # Pr[j] = (1-g) g^(j-1) with g = g_scaled / 2^40, read in chunks
+        # Pr[j] = (1-g) g^(j-1) with g = exp(-pi gamma)
         samp = _ZSampler(Fraction(144))
-        g = samp.g_scaled / (1 << 40)
-        steps = samp._tail_steps(200_000, derive_np_rng(3, "tail"))
+        g = math.exp(-samp.rate)
+        steps = samp._tail_steps(200_000, derive_np_rng(3, "tail"), derive_rng(3, "tail"),
+                                 SamplerCounts())
         pmf = {j: (1 - g) * g ** (j - 1) for j in range(1, 100)}
         res = empirical_similarity(steps.tolist(), pmf)
         assert res.chi2_p >= 1e-3
         assert res.excess(4.5) <= 0.0
+
+    @pytest.mark.parametrize("e", [46, 60])
+    def test_tail_steps_at_a_mean_step_beyond_2_20(self, e):
+        # 200k tail steps at s^2 = 2^46 (M = 1) and 2^60 (M = 2^7), whose
+        # mean step is about 2^21 and 2^28: j - 1 binned by (j - 1) rate in
+        # steps of 0.1, against the exact geometric bin masses
+        samp = _ZSampler(Fraction(1 << e))
+        assert 1 / samp.rate > 1 << 20
+        steps = samp._tail_steps(200_000, derive_np_rng(e, "big"), derive_rng(e, "big"),
+                                 SamplerCounts())
+        edges = np.ceil(np.arange(121) * 0.1 / samp.rate).astype(np.int64)
+        bins = np.searchsorted(edges, steps.astype(np.int64) - 1, side="right") - 1
+        mass = np.exp(-samp.rate * edges.astype(float))
+        pmf = dict(enumerate((mass[:-1] - mass[1:]).tolist() + [float(mass[-1])]))
+        res = empirical_similarity(bins.tolist(), pmf)
+        assert res.chi2_p >= 1e-3
+        assert res.excess(4.5) <= 0.0
+
+    @pytest.mark.parametrize("e", [46, 60])
+    def test_distribution_at_a_mean_step_beyond_2_20(self, e):
+        # 200k draws at s = 2^23 and 2^30, c = 1/3, binned in widths of s/8
+        # (the window edge K = 6 s/8 is a bin edge), against the Gaussian bin
+        # masses; at these widths they match the discrete ones to ~1/s^2
+        s_sq = Fraction(1 << e)
+        assert 1 / _ZSampler(s_sq).rate > 1 << 20
+        out, _ = _draw_z_array(s_sq, np.ones(200_000, dtype=np.int64), 3,
+                               derive_np_rng(e, "wide"), derive_rng(e, "wide"))
+        s, width = float(1 << e // 2), 1 << (e // 2 - 3)
+        edges = np.arange(-12 * 8, 12 * 8 + 1)
+        cdf = [0.5 * math.erf(math.sqrt(math.pi) * (b * width - 0.5 - 1 / 3) / s)
+               for b in edges.tolist()]
+        pmf = {int(b): hi - lo for b, lo, hi in zip(edges[:-1], cdf[:-1], cdf[1:])}
+        res = empirical_similarity((out // width).tolist(), pmf)
+        assert res.chi2_p >= 1e-3
+        assert res.excess(4.5) <= 0.0
+
+    def test_tail_offset_beyond_int64_is_exact(self):
+        # s^2 = 1.7 * 2^124 keeps the window below 2^63; every proposal of
+        # the first round goes to the tail (u_sel just below 1) with the
+        # inversion uniform u_q for its step (the uniforms in between are
+        # the acceptance ones), so K + j is past 2^63 and the draw must be
+        # that Python integer, never a wrapped int64
+        s_sq = Fraction(17, 10) * (1 << 124)
+        samp = _ZSampler(s_sq)
+        j_min = (1 << 63) - samp.K + (1 << 59)
+        u_q = math.floor(math.exp(-samp.rate * j_min) * (1 << 53)) / (1 << 53)
+        rng = _ScriptedUniforms(derive_np_rng(2, "past"), [1 - 2.0 ** -53, None, u_q])
+        out, _ = _draw_z_array(s_sq, np.zeros(1, dtype=np.int64), 1, rng,
+                               derive_rng(2, "past"))
+        (x,) = out.tolist()
+        # the step of u_q's cell: j - 1 = M q + r with q within one of its
+        # float inverse and 0 <= r < M
+        rate = samp.rate * samp.M
+        q_lo = math.floor(-math.log(u_q + 2.0 ** -53) / rate) - 1
+        q_hi = math.floor(-math.log(u_q) / rate) + 1
+        assert type(x) is int
+        assert samp.K + samp.M * q_lo + 1 <= abs(x) <= samp.K + samp.M * q_hi + samp.M
+        assert abs(x) > 1 << 63
+
+    def test_draws_past_int64_are_exact(self):
+        # x0 + t with x0 = 2^63 - 5 and s = 100 passes 2^63 for about half
+        # the draws: Python integers, never wrapped
+        center = 2**63 - 5
+        out, _ = _draw_z_array(Fraction(10000), np.full(2000, center), 1,
+                               derive_np_rng(1, "wrap"), derive_rng(1, "wrap"))
+        vals = out.tolist()
+        assert all(type(v) is int and abs(v - center) < 2000 for v in vals)
+        assert sum(v >= 1 << 63 for v in vals) > 500
+
+
+class _ScriptedUniforms:
+    """A NumPy generator whose first ``random`` calls return the scripted
+    values (one per call, None defers) and that defers to ``rng`` after."""
+
+    def __init__(self, rng, script):
+        self._rng, self._script = rng, list(script)
+
+    def random(self, n):
+        v = self._script.pop(0) if self._script else None
+        return self._rng.random(n) if v is None else np.full(n, v)
+
+    def integers(self, *args):
+        return self._rng.integers(*args)
 
 
 class TestSampleZn:
@@ -382,6 +542,16 @@ class TestFormulas:
         # m = 0 used to reach q^(1-n/m) and raise a bare ZeroDivisionError
         with pytest.raises(PreconditionViolated, match="m >= n"):
             lambda1_inf_lower_bound(1, 0, 7)
+
+    @pytest.mark.parametrize("call", [
+        lambda: lambda1_inf_lower_bound(0, 0, 7),
+        lambda: eta_qary_bound(0, 0, 7, 2.0 ** -10),
+        lambda: choose_provable_params(0, 0, 7, 2.0, 0.01),
+    ])
+    def test_qary_bounds_reject_n_zero(self, call):
+        # n = 0 used to reach q^(1-n/m) = q^(0/0): a bare ZeroDivisionError
+        with pytest.raises(PreconditionViolated, match="n >= 1"):
+            call()
 
     def test_tail_bound(self):
         assert tail_bound_linf(1, 1) == pytest.approx(2 * math.exp(-math.pi), rel=1e-12)

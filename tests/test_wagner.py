@@ -321,15 +321,15 @@ class TestGaussianWagnerProvable:
         assert not np.array_equal(out1, out3)
 
     def test_output_stream_pinned(self):
-        # sha256 of the output rows, computed when the initial list and the
-        # stage offsets moved to the array sampler
+        # sha256 of the output rows, computed when the sampler's window
+        # became K = max(2, ceil(0.75 s)) and its tail steps exact inversions
         inst, _ = systematic_form(random_instance(2, 8, 5, seed=4))
         sched = Schedule(mode=MODE_PROVABLE, r=2, N=15, p=(2, 2), b=(1, 1),
                          s0_sq=Fraction(144))
         out, stats = gaussian_wagner(inst, sched, 5)
         assert stats.list_sizes == [135, 45, 15]
         assert hashlib.sha256(json.dumps(out.tolist()).encode()).hexdigest() == \
-            "b108e7fe2a23f6d3a8725bc6a0868a8dc8692b6a101ddd5332d5e889caa10bf5"
+            "5233206cbf419b21599195e2bb44521c465a7643ff8bc752f055338bc4b576d9"
 
     def test_stage_tail_beyond_int64_products(self):
         # q (dk / p) with q = 2^61 - 1 overflows int64; the tail must be
@@ -343,7 +343,7 @@ class TestGaussianWagnerProvable:
         _check_final_membership(inst, out)
 
     def test_array_sampler_window_bound_is_typed(self):
-        # s0 = 4q puts the window 2 ceil(1.5 s0) + 1 above 2^63, beyond the
+        # s0 = 4q puts the window 2 max(2, ceil(0.75 s0)) + 1 above 2^63, beyond the
         # array sampler's int64 offsets: a precondition, not a ValueError.
         q = 2**61 - 1
         inst, _ = systematic_form(random_instance(2, 6, q, seed=1))
@@ -354,7 +354,7 @@ class TestGaussianWagnerProvable:
 
     def test_modulus_ladder(self):
         # s0 = q / sqrt(2): lattice rows, or a typed error (the window bound
-        # from the primes near 2^62 up); rows at one modulus or more
+        # from the primes near 2^63 up); rows at one modulus or more
         returned = 0
         for q in NAIVE_LADDER:
             inst, _ = systematic_form(random_instance(2, 6, q, seed=1))

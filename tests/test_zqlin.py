@@ -16,6 +16,7 @@ from wagnersis.zqlin import (
     SisInstance,
     Solution,
     centered,
+    int_add,
     int_matmul,
     lambda1_inf_bruteforce,
     matvec_mod,
@@ -246,6 +247,15 @@ class TestIntMatmul:
         got = int_matmul(np.array(X, dtype=np.int64), np.array(A, dtype=np.int64))
         assert got.dtype == (np.int64 if k * max_a * max_x < _INT64_SAFE else object)
         assert got.tolist() == _matmul_reference(X, A)
+
+    @pytest.mark.parametrize("a, b", [
+        (2**61 - 1, -(2**61 - 1)), (2**61, 0), (-(2**61), 5), (2**63 - 1, 2**63 - 1),
+        (-(2**63), -(2**63)), (7, -3)])
+    def test_add_on_both_sides_of_the_int64_guard(self, a, b):
+        # the sum form of the rule: int64 exactly when 2 max(|a|, |b|) < 2^62
+        got = int_add(np.array([a, b], dtype=np.int64), np.array([b, a], dtype=np.int64))
+        assert got.dtype == (np.int64 if 2 * max(abs(a), abs(b)) < _INT64_SAFE else object)
+        assert got.tolist() == [a + b, a + b]
 
     @settings(max_examples=200, deadline=None)
     @given(q=st.integers(1 << 31, 1 << 80), k=st.integers(1, 5),
