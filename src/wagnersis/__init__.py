@@ -39,14 +39,13 @@ from .dgauss import (
     sample_zn_rows,
     tail_bound_linf,
 )
-from .chain import StagedVector, StageDescriptor, build_chain, coset_label, dglift, lift_integer
+from .chain import StageDescriptor, build_chain
 from .wagner import (
     MODE_HEURISTIC,
     MODE_NAIVE,
     MODE_PROVABLE,
     RunStats,
     Schedule,
-    bucket_and_combine,
     certify_smoothing,
     choose_heuristic_params,
     choose_naive_params,

@@ -1,14 +1,15 @@
 """The projected-lattice chain behind the iterative sampler.
 
-Stage i covers ``b_i`` fresh parity rows.  A vector x already satisfying the
-first kappa_{i-1} rows lifts canonically to y_last = -(A'_new @ x_top), an
-exact integer vector (no mod-q reduction), and then gets a Gaussian offset
-(q/p_i) k on the new coordinates.  Tail coordinates y_last + (q/p_i) k are
-kept as exact p_i-scaled integers ``tail_num = p_i y_last + q k`` because
-q/p_i is usually not an integer.  The residue k mod p_i is precisely the
-coset of the vector in the stage's superlattice quotient, which has p_i^{b_i}
-classes, so same-label vectors subtract to vectors satisfying the first
-kappa_i rows.
+Stage i covers ``b_i`` fresh parity rows.  A stage list is three integer
+arrays with one vector per row: the heads X, each already satisfying the
+first kappa_{i-1} rows; their canonical lifts Y = -(A'_new @ X_top)
+(``_lift_batch``), exact integers with no mod-q reduction; and the offset
+coefficients K (``_gaussian_offsets``), which place the row (x ; y + (q/p_i) k)
+in the stage superlattice.  That tail is exact as the p_i-scaled integers
+p_i Y + q K, because q/p_i is usually not an integer.  The residue K mod p_i
+is precisely the coset of the row in the stage's superlattice quotient,
+which has p_i^{b_i} classes, so same-label rows subtract (``_difference``)
+to vectors satisfying the first kappa_i rows.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .dgauss import GaussParam, SamplerCounts, _draw_z_array, _width_floor_sq
+from .dgauss import _WIDTH_TOL, SamplerCounts, _draw_z_array, _width_floor_sq
 from .errors import BlockSumMismatch, NotInLattice, WidthTooSmall
 from .rngutil import derive_np_rng, derive_rng
-from .zqlin import SisInstance, int_array, int_matmul, matvec_mod
+from .zqlin import SisInstance, int_array, int_matmul
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class StageDescriptor:
     q: int
     m_minus_n: int
     a_new: np.ndarray     # b x (m-n) slice of new parity rows
-    a_prev: np.ndarray    # kappa_prev x (m-n) earlier rows (membership checks)
+    a_prev: np.ndarray    # kappa_prev x (m-n) earlier rows
 
     @property
     def kappa(self) -> int:
@@ -47,40 +48,6 @@ class StageDescriptor:
     @property
     def dim_in(self) -> int:
         return self.m_minus_n + self.kappa_prev
-
-
-@dataclass(frozen=True)
-class StagedVector:
-    """A vector of the stage superlattice in exact scaled-integer form."""
-
-    head: tuple           # length m-n+kappa_prev, plain integers
-    tail_num: tuple       # length b: p*y_last + q*k (numerators over p)
-    k: tuple              # length b: the scaled-offset coefficients
-    label: tuple          # k mod p, componentwise
-    stage: StageDescriptor
-
-    @classmethod
-    def from_offsets(cls, stage: StageDescriptor, head, y, k) -> "StagedVector":
-        """The vector (head ; y + (q/p) k) for the canonical lift y of head."""
-        ks = tuple(int(v) for v in k)
-        tail = tuple(stage.p * int(yj) + stage.q * kj for yj, kj in zip(y, ks))
-        return cls(head=tuple(int(v) for v in head), tail_num=tail, k=ks,
-                   label=tuple(kj % stage.p for kj in ks), stage=stage)
-
-    def check(self):
-        """Validate the scaled form and return y_last."""
-        st = self.stage
-        y = self.y_last()
-        if any(st.p * yj + st.q * kk != t
-               for yj, kk, t in zip(y, self.k, self.tail_num)):
-            raise NotInLattice("tail numerator is not p*y + q*k")
-        if coset_label(self) != self.label:
-            raise NotInLattice("label does not match k mod p")
-        return y
-
-    def y_last(self) -> tuple:
-        return tuple((t - self.stage.q * kk) // self.stage.p
-                     for t, kk in zip(self.tail_num, self.k))
 
 
 def build_chain(inst: SisInstance, block_sizes: Sequence[int],
@@ -116,16 +83,6 @@ def build_chain(inst: SisInstance, block_sizes: Sequence[int],
     return stages
 
 
-def _check_membership(stage: StageDescriptor, x: Sequence[int]):
-    if len(x) != stage.dim_in:
-        raise NotInLattice(f"vector length {len(x)}, expected {stage.dim_in}")
-    if stage.kappa_prev:
-        syn = matvec_mod(stage.a_prev, x[: stage.m_minus_n], stage.q)
-        if any((int(sv) + int(bv)) % stage.q
-               for sv, bv in zip(syn, x[stage.m_minus_n:])):
-            raise NotInLattice("earlier parity rows are not satisfied")
-
-
 def _lift_batch(stage: StageDescriptor, X: np.ndarray) -> np.ndarray:
     """y_last = -(A'_new @ x_top) for every row of X, exact integers."""
     return -int_matmul(X[:, : stage.m_minus_n], stage.a_new)
@@ -145,33 +102,12 @@ def _difference(stage: StageDescriptor, X: np.ndarray, Y: np.ndarray,
     return np.hstack([X[i1] - X[i2], tail])
 
 
-def _stack(stage: StageDescriptor, staged: Sequence[StagedVector]):
-    """The X, Y, K arrays of the stage kernels for a list of staged vectors:
-    heads, y_last and offset coefficients, one vector per row."""
-    rows = len(staged)
-    X = int_array([sv.head for sv in staged]).reshape(rows, stage.dim_in)
-    Y = int_array([sv.check() for sv in staged]).reshape(rows, stage.b)
-    K = int_array([sv.k for sv in staged]).reshape(rows, stage.b)
-    return X, Y, K
-
-
-def lift_integer(stage: StageDescriptor, x: Sequence[int]) -> tuple:
-    """Exact integer lift: y_last = -(A'_new @ x_top), not reduced mod q.
-
-    The assembled vector (x ; y_last) satisfies all kappa_i parity rows, and
-    is the unique lift of x inside the complement spanned by the
-    [I | -A'_i] columns together with q e_j on the earlier bottom rows.
-    """
-    _check_membership(stage, x)
-    return tuple(int(v) for v in _lift_batch(stage, int_array([x]))[0])
-
-
 @lru_cache(maxsize=256)
 def _offset_width_sq(index: int, p: int, q: int, b: int, s_sq: Fraction) -> Fraction:
     """The stage width rule: (p/q)^2 s^2, the squared width of the offset
     coefficients k, once s clears the stage floor (q/p) sqrt(ln(2b+4)/pi)."""
     floor_sq = (Fraction(q, p) ** 2) * Fraction(_width_floor_sq(b))
-    if float(s_sq) < float(floor_sq) * (1 - 1e-12):
+    if float(s_sq) < float(floor_sq) * _WIDTH_TOL:
         raise WidthTooSmall(
             f"stage {index}: s = {math.sqrt(float(s_sq)):.4f} below "
             f"(q/p) sqrt(ln(2b+4)/pi) = {math.sqrt(float(floor_sq)):.4f}")
@@ -190,57 +126,3 @@ def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
     K, counts = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
                               derive_rng(seed, *seed_path, "exact"))
     return int_array(K), counts
-
-
-def dglift(stage: StageDescriptor, x: Sequence[int], s, rng) -> StagedVector:
-    """Randomized lift into the stage superlattice.
-
-    Computes the canonical integer lift and adds a discrete Gaussian offset
-    of width s over (q/p) Z^b; the offset coefficients come from the exact
-    integer sampler at width (p/q) s, center -(p/q) y_last.  Projecting the
-    output orthogonally to the new coordinates recovers x bit-exactly.  The
-    offsets are the samplers' own ``_gaussian_offsets`` on a 1-row list, at
-    stream path ``("dglift",)`` under the seed ``rng.getrandbits(63)``.
-    """
-    s_sq = s.s_sq if isinstance(s, GaussParam) else Fraction(s) ** 2
-    y = lift_integer(stage, x)
-    K, _ = _gaussian_offsets(stage, int_array([y]), s_sq, ("dglift",),
-                             rng.getrandbits(63))
-    return StagedVector.from_offsets(stage, x, y, K[0])
-
-
-def coset_label(sv: StagedVector) -> tuple:
-    """The class of the vector in the stage quotient: k mod p componentwise."""
-    return tuple(kk % sv.stage.p for kk in sv.k)
-
-
-def label_of_point(stage: StageDescriptor, head: Sequence[int],
-                   tail_num: Sequence[int]) -> tuple:
-    """Coset label of an arbitrary superlattice point given in scaled form."""
-    y = lift_integer(stage, head)
-    ks = []
-    for t, yj in zip(tail_num, y):
-        num = int(t) - stage.p * yj
-        if num % stage.q:
-            raise NotInLattice("point is not in the stage superlattice")
-        ks.append(num // stage.q)
-    return tuple(kk % stage.p for kk in ks)
-
-
-def combine_pair(sv1: StagedVector, sv2: StagedVector) -> tuple:
-    """Difference of two same-label staged vectors, as an exact integer
-    vector satisfying the first kappa_i parity rows."""
-    if sv1.label != sv2.label:
-        raise NotInLattice("labels differ; difference leaves the sublattice")
-    X, Y, K = _stack(sv1.stage, (sv1, sv2))
-    return tuple(int(v) for v in _difference(sv1.stage, X, Y, K, [0], [1])[0])
-
-
-def in_superlattice(stage: StageDescriptor, sv: StagedVector) -> bool:
-    """Verify the represented rational vector lies in the stage superlattice
-    by checking integrality of its basis coordinates."""
-    y = sv.check()
-    try:
-        return y == lift_integer(stage, sv.head)
-    except NotInLattice:
-        return False

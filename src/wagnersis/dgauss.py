@@ -33,8 +33,8 @@ Python integers.
 One entry point runs this sampler: ``_draw_z_array`` draws one value per
 entry of a whole array of centers in NumPy rounds.  The samplers' initial
 lists and stage offsets call it, and so does the public batch form
-``sample_zn_rows``, of which ``sample_z``, ``sample_zn`` and ``dglift`` are
-1-row views.  A round gives every pending entry k i.i.d. proposals, with
+``sample_zn_rows``, of which ``sample_z`` and ``sample_zn`` are 1-row
+views.  A round gives every pending entry k i.i.d. proposals, with
 k >= 2 once few entries are pending so that a round's fixed cost is shared,
 and the entry keeps its first accepted proposal in proposal order.
 Proposals are i.i.d. and each is decided by its own randomness, so the
@@ -509,6 +509,14 @@ def _width_floor_sq(n: int) -> float:
     return math.log(2 * n + 4) / math.pi
 
 
+# Margins on ``_width_floor_sq``: a width check passes down to _WIDTH_TOL
+# times the floor, and heuristic schedules floor their widths _WIDTH_SLACK
+# times above it.  The slack must exceed the tolerance, so that a floored
+# heuristic width always clears ``chain._offset_width_sq``.
+_WIDTH_TOL = 1 - 1e-12
+_WIDTH_SLACK = 1 + 1e-9
+
+
 def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
     """``rows`` independent exact draws from D_{Z^n, s, c}, as a (rows, n)
     array (int64, or Python integers when the centers need them); requires
@@ -519,7 +527,7 @@ def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
     """
     if n < 1 or rows < 0:
         raise PreconditionViolated(f"need n >= 1 and rows >= 0, got n={n} rows={rows}")
-    if param.s_sq < _width_floor_sq(n) * (1 - 1e-12):
+    if param.s_sq < _width_floor_sq(n) * _WIDTH_TOL:
         raise WidthTooSmall(f"s = {param.s:.4f} < sqrt(ln({2 * n + 4})/pi)")
     cs = param.c if len(param.c) == n else param.c * n
     if len(cs) != n:

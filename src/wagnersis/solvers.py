@@ -71,16 +71,6 @@ def _norm_limit(beta, norm_kind: str) -> int:
     return math.floor(b if norm_kind == "linf" else b * b)
 
 
-def linf_within(x, beta) -> bool:
-    """||x||_inf <= beta, exactly (beta read as the dyadic rational it is)."""
-    return norm_stat([int(v) for v in x], "linf") <= _norm_limit(beta, "linf")
-
-
-def l2_within(x, beta) -> bool:
-    """||x||_2 <= beta, exactly, as sum x_i^2 <= floor(beta^2)."""
-    return norm_stat([int(v) for v in x], "l2") <= _norm_limit(beta, "l2")
-
-
 def nonzero_mod_q(x, q: int) -> bool:
     """The cross-variant solution requirement: x is not 0 modulo q."""
     return any(int(v) % q for v in x)

@@ -17,8 +17,8 @@ stage kernel, and with it the pairing:
 
 Lists are integer matrices, one vector per row: int64 where
 ``zqlin.int_matmul`` certifies the overflow bound, Python integers in object
-arrays otherwise.  The single-vector ``bucket_and_combine`` stacks its staged
-vectors into the same arrays and runs the same stage kernel.
+arrays otherwise.  A Gaussian stage carries its list as the chain's (X, Y, K)
+arrays: heads, lifts and offset coefficients (see ``chain``).
 
 Each stage packs a row's coset label (k mod p as base-p digits) into one
 integer under the same rule and groups the rows once, by one stable argsort
@@ -33,22 +33,22 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import estimator as _estimator
 from .chain import (
     StageDescriptor,
-    StagedVector,
     _difference,
     _gaussian_offsets,
     _lift_batch,
     _offset_width_sq,
-    _stack,
     build_chain,
 )
 from .dgauss import (
+    _WIDTH_SLACK,
+    _WIDTH_TOL,
     SamplerCounts,
     _draw_z_array,
     _width_floor_sq,
@@ -209,22 +209,6 @@ def _occupancy_histogram(buckets: Buckets) -> List[Tuple[int, int]]:
     return list(zip(sizes.tolist(), occupancy[sizes].tolist()))
 
 
-def bucket_and_combine(stage: StageDescriptor, staged: Sequence[StagedVector],
-                       out_cap: int, *, reuse: bool = False):
-    """Pair same-coset vectors and subtract them into the stage sublattice.
-
-    Without reuse this requires at least 3 p^b inputs and then always returns
-    exactly ``out_cap`` = floor(len/3) vectors (pigeonhole over the cosets);
-    with reuse every within-bucket pair is formed, capped at ``out_cap``.
-    """
-    n_in = len(staged)
-    if not reuse and n_in < 3 * stage.p ** stage.b:
-        raise InsufficientInputs(
-            f"{n_in} inputs < 3 p^b = {3 * stage.p ** stage.b}")
-    out, _ = _combine_stage(stage, *_stack(stage, staged), out_cap, reuse)
-    return [tuple(int(v) for v in row) for row in out]
-
-
 # ---------------------------------------------------------------------------
 # Array-level stage processing (hot path)
 # ---------------------------------------------------------------------------
@@ -341,7 +325,7 @@ def _gaussian_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed
     width_sq = schedule.width_sq(st.index)
     if not provable:
         floor = Fraction(st.q * st.q, st.p * st.p) * \
-            Fraction(_width_floor_sq(st.b) * (1 + 1e-9))
+            Fraction(_width_floor_sq(st.b) * _WIDTH_SLACK)
         width_sq = max(width_sq, floor)
     Y = _lift_batch(st, X)
     K, counts = _gaussian_offsets(st, Y, width_sq, ("stage", st.index), seed)
@@ -390,7 +374,7 @@ def _run(inst: SisInstance, schedule: Schedule, rng, mem_budget_bytes: int):
     if schedule.mode == MODE_PROVABLE:
         if schedule.N < max(st.p ** st.b for st in stages):
             raise InfeasibleSchedule("provable mode needs N >= max p_i^b_i")
-        if float(schedule.s0_sq) < _width_floor_sq(dim0) * (1 - 1e-12):
+        if float(schedule.s0_sq) < _width_floor_sq(dim0) * _WIDTH_TOL:
             raise WidthTooSmall("s0 below sqrt(ln(2(m-n)+4)/pi)")
         for st in stages:  # every stage width must clear its floor before any draw
             _offset_width_sq(st.index, st.p, st.q, st.b, schedule.width_sq(st.index))
@@ -573,7 +557,7 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
             b = max(1, int(math.log2(N) / math.log2(p)))
             b = min(b, rows_left)
             width = max(sigma * math.sqrt(_TWO_PI),
-                        (q / p) * math.sqrt(_width_floor_sq(b)) * (1 + 1e-9))
+                        (q / p) * math.sqrt(_width_floor_sq(b)) * _WIDTH_SLACK)
             inj = width / math.sqrt(_TWO_PI)
             stages.append((p, b, inj))
             rows_left -= b
@@ -592,7 +576,7 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
             chosen = stages[:rp]
             width1_sq = Fraction(max(
                 sigma0 * sigma0 * _TWO_PI,
-                (q / chosen[0][0]) ** 2 * _width_floor_sq(chosen[0][1]) * (1 + 1e-9)))
+                (q / chosen[0][0]) ** 2 * _width_floor_sq(chosen[0][1]) * _WIDTH_SLACK))
             return Schedule(mode=MODE_HEURISTIC, r=rp, N=N,
                             p=tuple(p for p, _, _ in chosen),
                             b=tuple(b for _, b, _ in chosen),

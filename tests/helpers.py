@@ -1,8 +1,7 @@
-"""Instance and staged-vector builders shared by the test modules."""
+"""Instance builders and a stage-list oracle shared by the test modules."""
 
 import numpy as np
 
-from wagnersis.chain import StagedVector, lift_integer
 from wagnersis.rngutil import derive_np_rng
 from wagnersis.zqlin import SisInstance
 
@@ -16,8 +15,37 @@ def make_systematic(n, m, q, seed, beta=None, stream="mk"):
     return SisInstance.create(A, q, beta=beta)
 
 
-def staged(stage, x, ks, y=None):
-    """The staged vector of head x and offsets ks over the lift y (the
-    canonical integer lift of x unless given)."""
-    y = lift_integer(stage, x) if y is None else y
-    return StagedVector.from_offsets(stage, x, y, ks)
+def parity_rows_ok(a_rows, q, X):
+    """Every row x of X satisfies the parity rows a_j . x_top + x[d + j] = 0
+    mod q of [A' | I], for a_j the rows of ``a_rows`` and d their length; in
+    plain Python integers."""
+    a_rows = [[int(v) for v in row] for row in np.asarray(a_rows).tolist()]
+    for x in np.asarray(X).tolist():
+        for j, a in enumerate(a_rows):
+            if (sum(ai * int(xi) for ai, xi in zip(a, x)) + int(x[len(a) + j])) % q:
+                return False
+    return True
+
+
+def stage_rows_ok(stage, X, Y, K):
+    """Oracle for a stage list (X, Y, K), one vector per row, in plain Python
+    integers: each head satisfies the first kappa_{i-1} parity rows, each lift
+    is y = -A'_new x_top, and each residue of ``np.mod(K, p)`` (the stage's
+    coset label) is k mod p, in [0, p)."""
+    p, d = stage.p, stage.m_minus_n
+    rows = np.asarray(X).tolist()
+    if not (len(rows) == len(Y) == len(K)) or \
+            any(len(x) != stage.dim_in for x in rows):
+        return False
+    if not parity_rows_ok(stage.a_prev, stage.q, X):
+        return False
+    a_new = [[int(v) for v in row] for row in np.asarray(stage.a_new).tolist()]
+    for x, y in zip(rows, np.asarray(Y).tolist()):
+        if [int(v) for v in y] != [-sum(a * int(xi) for a, xi in zip(row, x[:d]))
+                                   for row in a_new]:
+            return False
+    for k, lab in zip(np.asarray(K).tolist(), np.mod(K, p).tolist()):
+        if len(k) != stage.b or \
+                any(not 0 <= int(r) < p or int(r) != int(kj) % p for kj, r in zip(k, lab)):
+            return False
+    return True

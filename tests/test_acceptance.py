@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import wagnersis as ws
-from helpers import make_systematic, staged
-from wagnersis.chain import build_chain, lift_integer
+from helpers import make_systematic
+from wagnersis.chain import _lift_batch, build_chain
 from wagnersis.dgauss import (
     GaussParam,
     empirical_similarity,
@@ -33,7 +33,7 @@ from wagnersis.wagner import (
     MODE_NAIVE,
     MODE_PROVABLE,
     Schedule,
-    bucket_and_combine,
+    _combine_stage,
     certify_smoothing,
     gaussian_wagner,
     naive_wagner,
@@ -118,14 +118,14 @@ def test_criterion_4_provable_structural_laws():
         sizes_ok &= stats.list_sizes == [3 * N, N] and len(out) == N
 
     st = build_chain(inst, [2], [2])[0]
-    y = lift_integer(st, (0, 0, 0, 0))
     rng = derive_np_rng(4, "pigeon")
     count_ok = True
     for _ in range(1000):
         n_in = int(rng.integers(3 * st.p**st.b, 96))
-        ks = rng.integers(-6, 7, size=(n_in, 2))
-        svs = [staged(st, (0, 0, 0, 0), row, y) for row in ks]
-        if len(bucket_and_combine(st, svs, out_cap=n_in // 3)) != n_in // 3:
+        K = rng.integers(-6, 7, size=(n_in, 2))
+        X = np.zeros((n_in, 4), dtype=np.int64)
+        out, _ = _combine_stage(st, X, _lift_batch(st, X), K, n_in // 3, reuse=False)
+        if len(out) != n_in // 3:
             count_ok = False
             break
     ok = sizes_ok and count_ok

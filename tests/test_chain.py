@@ -4,22 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import make_systematic, staged
-from wagnersis.chain import (
-    _gaussian_offsets,
-    _lift_batch,
-    build_chain,
-    combine_pair,
-    coset_label,
-    dglift,
-    in_superlattice,
-    label_of_point,
-    lift_integer,
-)
+from helpers import make_systematic, parity_rows_ok, stage_rows_ok
+from wagnersis.chain import _difference, _gaussian_offsets, _lift_batch, build_chain
 from wagnersis.dgauss import GaussParam, empirical_similarity, pmf_bruteforce, sample_zn_rows
 from wagnersis.errors import BlockSumMismatch, NotInLattice, WidthTooSmall
 from wagnersis.estimator import CostQuery, heuristic_schedule
 from wagnersis.rngutil import derive_np_rng, derive_rng
+from wagnersis.wagner import _pack_labels
 from wagnersis.zqlin import SisInstance, matvec_mod
 
 
@@ -65,62 +56,51 @@ class TestLiftInteger:
     def test_zero_maps_to_zero(self):
         inst = make_systematic(2, 5, 11, seed=2)
         st = build_chain(inst, [1, 1], [3, 2])[0]
-        assert lift_integer(st, (0, 0, 0)) == (0,)
+        assert _lift_batch(st, np.zeros((1, 3), dtype=np.int64)).tolist() == [[0]]
 
     def test_hand_example(self):
         # New parity row (1, 1) mod 5 and x_top = (1, 2): y = -3 exactly,
         # and A (1, 2, -3) = 1 + 2 - 3 = 0.
         inst = SisInstance.create([[1, 1, 1]], 5)
         st = build_chain(inst, [1], [2])[0]
-        y = lift_integer(st, (1, 2))
-        assert y == (-3,)
+        X = np.array([[1, 2]])
+        Y = _lift_batch(st, X)
+        assert Y.tolist() == [[-3]]
+        assert stage_rows_ok(st, X, Y, np.zeros((1, 1), dtype=np.int64))
         assert not any(matvec_mod(inst.A, [1, 2, -3], 5))
 
-    def test_not_in_lattice(self):
+    def test_oracle_flags_broken_rows(self):
+        # a head off the first parity row, and a lift off -A'_new x_top
         inst = make_systematic(2, 5, 11, seed=3)
-        stages = build_chain(inst, [1, 1], [3, 2])
-        st2 = stages[1]
-        bad = (1, 0, 0, 5)  # wrong bottom coordinate for the first row
+        st2 = build_chain(inst, [1, 1], [3, 2])[1]
         top_syn = int(matvec_mod(st2.a_prev, [1, 0, 0], 11)[0])
-        if (top_syn + 5) % 11 == 0:
-            bad = (1, 0, 0, 6)
-        with pytest.raises(NotInLattice):
-            lift_integer(st2, bad)
+        good = np.array([[1, 0, 0, -top_syn]])
+        K = np.zeros((1, 1), dtype=np.int64)
+        assert stage_rows_ok(st2, good, _lift_batch(st2, good), K)
+        bad = good + [[0, 0, 0, 1]]
+        assert not stage_rows_ok(st2, bad, _lift_batch(st2, bad), K)
+        assert not stage_rows_ok(st2, good, _lift_batch(st2, good) + 1, K)
 
     def test_unreduced_integers(self):
         inst = SisInstance.create([[4, 4, 1]], 5)
         st = build_chain(inst, [1], [2])[0]
-        assert lift_integer(st, (10**6, 10**6)) == (-8 * 10**6,)
+        assert _lift_batch(st, np.array([[10**6, 10**6]])).tolist() == [[-8 * 10**6]]
+
+
+def _offsets(st, X, s_sq, seed):
+    """The lifts of the rows of X and their Gaussian offsets at width^2
+    ``s_sq``, on the run loop's stream path for the stage."""
+    Y = _lift_batch(st, X)
+    K, _ = _gaussian_offsets(st, Y, Fraction(s_sq), ("stage", st.index), seed)
+    return Y, K
 
 
 class TestDGLift:
-    def test_projection_identity(self):
-        inst = make_systematic(2, 6, 5, seed=4)
-        st = build_chain(inst, [2], [2])[0]
-        rng = derive_rng(0, "proj")
-        for trial in range(20):
-            x = tuple(int(v) for v in derive_np_rng(trial).integers(-3, 4, size=4))
-            sv = dglift(st, x, 8, rng)
-            assert sv.head == x
-            assert sv.y_last() == lift_integer(st, x)
-
-    def test_offsets_are_the_stage_kernel_on_one_row(self):
-        # dglift's offsets are _gaussian_offsets on the 1-row list of its
-        # lift, so the batch distribution tests below cover dglift
-        inst = make_systematic(2, 6, 5, seed=4)
-        st = build_chain(inst, [2], [2])[0]
-        x = (1, -2, 0, 3)
-        for seed in range(20):
-            sv = dglift(st, x, 8, derive_rng(seed, "view"))
-            K, _ = _gaussian_offsets(st, _lift_batch(st, np.array([x])), Fraction(64),
-                                     ("dglift",), derive_rng(seed, "view").getrandbits(63))
-            assert sv.k == tuple(K[0].tolist())
-
     def test_width_too_small(self):
         inst = make_systematic(2, 6, 5, seed=4)
         st = build_chain(inst, [2], [2])[0]  # needs s >= 2.5 sqrt(ln 8 / pi)
         with pytest.raises(WidthTooSmall):
-            dglift(st, (0, 0, 0, 0), 1.0, derive_rng(1))
+            _offsets(st, np.zeros((1, 4), dtype=np.int64), 1, derive_rng(1).getrandbits(63))
 
     def test_scaled_coset_structure_and_label_pmf(self):
         # b=1, q=4, p=2: with y_last = 1 the tail numerator is 2 + 4k, and
@@ -129,17 +109,17 @@ class TestDGLift:
             np.hstack([np.array([[1, 1], [3, 1]]), np.eye(2, dtype=np.int64)]), 4)
         st = build_chain(inst, [1, 1], [2, 2])[0]
         x = (-1, 0)  # first parity row (1, 1): y_last = 1
-        assert lift_integer(st, x) == (1,)
         rng = derive_rng(9, "label")
         s = 8
-        sv = dglift(st, x, s, rng)
-        assert sv.tail_num[0] == 2 * 1 + 4 * sv.k[0] and sv.label[0] == sv.k[0] % 2
-        # 20k lifts of x as dglift draws them, in one call
-        Y = _lift_batch(st, np.tile(x, (20_000, 1)))
-        K, _ = _gaussian_offsets(st, Y, Fraction(s) ** 2, ("dglift",), rng.getrandbits(63))
+        Y, K = _offsets(st, np.array([x]), s * s, rng.getrandbits(63))
+        assert Y.tolist() == [[1]] and stage_rows_ok(st, np.array([x]), Y, K)
+        # 20k lifts of x in one call
+        X = np.tile(x, (20_000, 1))
+        Y, K = _offsets(st, X, s * s, rng.getrandbits(63))
+        assert stage_rows_ok(st, X, Y, K)
         tail = st.p * Y + st.q * K
         assert np.all(tail % 2 == 0) and np.all((tail // 2) % 2 == 1)
-        labels = (K[:, 0] % st.p).tolist()
+        labels = _pack_labels(K, st.p).tolist()
         pmf_k = pmf_bruteforce(
             lambda R, c: [(float(k),) for k in range(-60, 61)],
             GaussParam.make(s_sq=Fraction(s) ** 2 * Fraction(1, 4), c=Fraction(-1, 2)),
@@ -152,67 +132,57 @@ class TestDGLift:
     def test_same_label_difference_in_lattice(self):
         inst = make_systematic(2, 6, 5, seed=6)
         st = build_chain(inst, [2], [2])[0]
-        rng = derive_rng(10, "difflat")
-        rng_np = derive_np_rng(10, "x")
+        X = derive_np_rng(10, "x").integers(-2, 3, size=(200, 4))
+        Y, K = _offsets(st, X, 64, derive_rng(10, "difflat").getrandbits(63))
+        assert stage_rows_ok(st, X, Y, K)
         by_label = {}
-        for _ in range(200):
-            x = tuple(int(v) for v in rng_np.integers(-2, 3, size=4))
-            sv = dglift(st, x, 8, rng)
-            by_label.setdefault(sv.label, []).append(sv)
-        a_stage = np.hstack([np.asarray(st.a_new),
-                             np.eye(st.b, dtype=np.int64)])
-        checked = 0
-        for svs in by_label.values():
-            for s1, s2 in zip(svs, svs[1:]):
-                v = combine_pair(s1, s2)
-                assert not any(int(t) for t in matvec_mod(a_stage, list(v), 5))
-                checked += 1
-        assert checked > 20
+        for i, lab in enumerate(_pack_labels(K, st.p).tolist()):
+            by_label.setdefault(lab, []).append(i)
+        i1 = [i for rows in by_label.values() for i in rows[:-1]]
+        i2 = [i for rows in by_label.values() for i in rows[1:]]
+        out = _difference(st, X, Y, K, i1, i2)
+        assert parity_rows_ok(st.a_new, st.q, out)
+        assert len(out) > 20
 
     def test_different_labels_refuse_to_combine(self):
         inst = make_systematic(1, 4, 5, seed=8)
         st = build_chain(inst, [1], [2])[0]
-        rng = derive_rng(12)
-        seen = {}
-        while len(seen) < 2:
-            sv = dglift(st, (1, 0, 2), 8, rng)
-            seen[sv.label] = sv
-        a, b = list(seen.values())[:2]
+        X = np.tile((1, 0, 2), (20, 1))
+        Y, K = _offsets(st, X, 64, derive_rng(12).getrandbits(63))
+        labels = _pack_labels(K, st.p).tolist()
+        i2 = next(i for i, lab in enumerate(labels) if lab != labels[0])
         with pytest.raises(NotInLattice):
-            combine_pair(a, b)
+            _difference(st, X, Y, K, [0], [i2])
 
     def test_staged_vector_invariants(self):
         inst = make_systematic(2, 6, 7, seed=14)
         st = build_chain(inst, [2], [3])[0]
-        rng = derive_rng(15)
-        for _ in range(30):
-            sv = dglift(st, (1, -1, 0, 2), 8, rng)
-            assert in_superlattice(st, sv)
-            for t, y in zip(sv.tail_num, sv.y_last()):
-                assert t % st.q == (st.p * y) % st.q
-            assert all(0 <= lab < st.p for lab in sv.label)
-            assert coset_label(sv) == sv.label
+        X = np.tile((1, -1, 0, 2), (30, 1))
+        Y, K = _offsets(st, X, 64, derive_rng(15).getrandbits(63))
+        assert stage_rows_ok(st, X, Y, K)
+        tail = st.p * Y + st.q * K
+        assert np.all(tail % st.q == (st.p * Y) % st.q)
 
     def test_label_reduction(self):
         inst = make_systematic(1, 4, 7, seed=17)
         st = build_chain(inst, [1], [3])[0]
-        y = lift_integer(st, (0, 0, 0))
-        zero = staged(st, (0, 0, 0), (0,), y)
-        neg = staged(st, (0, 0, 0), (-4,), y)
-        assert coset_label(zero) == (0,)
-        assert coset_label(neg) == (2,)  # -4 mod 3
+        X = np.zeros((2, 3), dtype=np.int64)
+        Y = _lift_batch(st, X)
+        for K in (np.array([[0], [-4]]), np.array([[0], [-4]], dtype=object)):
+            assert stage_rows_ok(st, X, Y, K)
+            assert _pack_labels(K, st.p).tolist() == [0, 2]  # -4 mod 3
 
     def test_all_labels_realized(self):
         inst = make_systematic(2, 6, 5, seed=16)
         st = build_chain(inst, [2], [2])[0]
-        x = (1, 0, 0, 0)
-        y = lift_integer(st, x)
-        seen = set()
-        for k0 in range(-2, 2):
-            for k1 in range(-2, 2):
-                tail = tuple(st.p * yj + st.q * kj for yj, kj in zip(y, (k0, k1)))
-                seen.add(label_of_point(st, x, tail))
-        assert len(seen) == st.p ** st.b  # every coset class is hit
+        X = np.tile((1, 0, 0, 0), (16, 1))
+        Y = _lift_batch(st, X)
+        K = np.array([(k0, k1) for k0 in range(-2, 2) for k1 in range(-2, 2)])
+        # the offsets read back from the scaled tails p y + q k
+        tail = st.p * Y + st.q * K
+        assert not np.any((tail - st.p * Y) % st.q)
+        labels = _pack_labels((tail - st.p * Y) // st.q, st.p).tolist()
+        assert len(set(labels)) == st.p ** st.b  # every coset class is hit
 
 
 @pytest.mark.slow
@@ -227,11 +197,12 @@ class TestDGLiftDistribution:
         rng = derive_rng(21, "dist")
         param0 = GaussParam.make(s=s, c=0)
         n_draws = 1_000_000
-        # heads x ~ D_{Z^2, s}, then dglift's lift of all of them in one call;
+        # heads x ~ D_{Z^2, s}, then the Gaussian lift of all of them in one call;
         # a point is keyed by the exact integers (x1, x2, p y1 + q k1, p y2 + q k2)
         X = sample_zn_rows(param0, 2, n_draws, rng)
         Y = _lift_batch(st, X)
-        K, _ = _gaussian_offsets(st, Y, Fraction(s) ** 2, ("dglift",), rng.getrandbits(63))
+        K, _ = _gaussian_offsets(st, Y, Fraction(s) ** 2, ("stage", st.index),
+                                 rng.getrandbits(63))
         samples = list(zip(*np.hstack([X, p * Y + q * K]).T.tolist()))
 
         # Enumerate the superlattice box of half-width 6s: points

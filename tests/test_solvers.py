@@ -13,15 +13,14 @@ from wagnersis.solvers import (
     VERDICT_NOT_IN_LATTICE,
     VERDICT_VALID,
     VERDICT_ZERO,
-    l2_within,
-    linf_within,
+    _norm_limit,
     nonzero_mod_q,
     solve_sis_inf,
     solve_sis_l2,
     verify,
 )
 from wagnersis.wagner import MODE_HEURISTIC, MODE_PROVABLE
-from wagnersis.zqlin import SisInstance
+from wagnersis.zqlin import SisInstance, norm_stat
 
 
 class TestVerify:
@@ -56,10 +55,11 @@ class TestVerify:
 
 class TestFilters:
     def test_exact_boundary_comparison(self):
-        assert linf_within([4, -4], 4.0)
-        assert not linf_within([5], 4.999999999)
-        assert l2_within([3, 4], 5.0)
-        assert not l2_within([3, 4], 4.9999999999)
+        # the comparison _solve and verify make
+        assert norm_stat([4, -4], "linf") <= _norm_limit(4.0, "linf")
+        assert norm_stat([5], "linf") > _norm_limit(4.999999999, "linf")
+        assert norm_stat([3, 4], "l2") <= _norm_limit(5.0, "l2")
+        assert norm_stat([3, 4], "l2") > _norm_limit(4.9999999999, "l2")
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -83,8 +83,8 @@ class TestFilters:
                                          st.integers(-3, 3), st.integers(-2**70, 2**70)),
                                max_size=4))
         b = Fraction(beta)
-        assert linf_within(x, beta) == all(abs(v) <= b for v in x)
-        assert l2_within(x, beta) == (sum(v * v for v in x) <= b * b)
+        assert (norm_stat(x, "linf") <= _norm_limit(beta, "linf")) == all(abs(v) <= b for v in x)
+        assert (norm_stat(x, "l2") <= _norm_limit(beta, "l2")) == (sum(v * v for v in x) <= b * b)
 
     def test_sisx_rejects_q_multiples(self):
         # (q, 0, ..., 0) is always in the lattice and short enough in l2 for

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_systematic, staged
-from wagnersis.chain import build_chain
+from helpers import make_systematic, parity_rows_ok, stage_rows_ok
+from wagnersis.chain import _lift_batch, build_chain
 from wagnersis.errors import (
     BlockSumMismatch,
     BudgetExceeded,
     InfeasibleSchedule,
-    InsufficientInputs,
     NotInLattice,
     PreconditionViolated,
     WagnerSisError,
@@ -30,10 +29,10 @@ from wagnersis.wagner import (
     _buckets,
     _center_in_place,
     _check_final_membership,
+    _combine_stage,
     _gaussian_offsets,
     _occupancy_histogram,
     _round_scaled,
-    bucket_and_combine,
     certify_smoothing,
     choose_heuristic_params,
     choose_naive_params,
@@ -224,23 +223,18 @@ class TestBucketAndCombine:
         # six inputs pair as (0,2) and (1,3), both differencing to dk = -2.
         inst = make_systematic(1, 5, 5, seed=0)
         st = build_chain(inst, [1], [2])[0]
-        svs = [staged(st, (0, 0, 0, 0), (v,)) for v in range(6)]
-        out = bucket_and_combine(st, svs, out_cap=2)
+        X = np.zeros((6, 4), dtype=np.int64)
+        K = np.arange(6).reshape(6, 1)
+        out, _ = _combine_stage(st, X, _lift_batch(st, X), K, 2, reuse=False)
         assert len(out) == 2
-        tails = [v[4] for v in out]
-        assert tails == [-5, -5]  # (q/p) dk = (5/2) * (-2)
+        assert out[:, 4].tolist() == [-5, -5]  # (q/p) dk = (5/2) * (-2)
 
     def test_reuse_cap_zero_gives_no_outputs(self):
         st = self._stage()
-        svs = [staged(st, (0, 0, 0, 0), (1, 1)) for _ in range(2)]
-        assert bucket_and_combine(st, svs, out_cap=0, reuse=True) == []
-        assert len(bucket_and_combine(st, svs, out_cap=1, reuse=True)) == 1
-
-    def test_insufficient_inputs(self):
-        st = self._stage()
-        svs = [staged(st, (0, 0, 0, 0), (v, v)) for v in range(3 * 4 - 1)]
-        with pytest.raises(InsufficientInputs):
-            bucket_and_combine(st, svs, out_cap=3)
+        X = np.zeros((2, 4), dtype=np.int64)
+        Y, K = _lift_batch(st, X), np.ones((2, 2), dtype=np.int64)
+        assert len(_combine_stage(st, X, Y, K, 0, reuse=True)[0]) == 0
+        assert len(_combine_stage(st, X, Y, K, 1, reuse=True)[0]) == 1
 
     def test_pigeonhole_exact_output_count(self):
         # With N >= 3 p^b inputs the output is always exactly floor(N/3).
@@ -248,21 +242,27 @@ class TestBucketAndCombine:
         rng = derive_np_rng(1, "pigeon")
         for trial in range(1000):
             n_in = int(rng.integers(12, 60))
-            ks = rng.integers(-8, 9, size=(n_in, 2))
-            svs = [staged(st, (0, 0, 0, 0), tuple(int(v) for v in row))
-                   for row in ks]
-            out = bucket_and_combine(st, svs, out_cap=n_in // 3)
+            K = rng.integers(-8, 9, size=(n_in, 2))
+            X = np.zeros((n_in, 4), dtype=np.int64)
+            out, _ = _combine_stage(st, X, _lift_batch(st, X), K, n_in // 3, reuse=False)
             assert len(out) == n_in // 3
 
     def test_outputs_in_stage_lattice(self):
+        # the same stage list at q = 5 in int64, and as an object array at
+        # q = 2^64 + 13, where the tails q dk / p leave int64
         st = self._stage()
         rng = derive_np_rng(2)
-        svs = [staged(st, tuple(int(v) for v in rng.integers(-2, 3, 4)),
-                             tuple(int(v) for v in rng.integers(-4, 5, 2)))
-               for _ in range(30)]
-        a_stage = np.hstack([np.asarray(st.a_new), np.eye(2, dtype=np.int64)])
-        for v in bucket_and_combine(st, svs, out_cap=10):
-            assert not any(int(t) for t in matvec_mod(a_stage, list(v), st.q))
+        rows = [(rng.integers(-2, 3, 4), rng.integers(-4, 5, 2)) for _ in range(30)]
+        X = np.array([x for x, _ in rows])
+        K = np.array([k for _, k in rows])
+        big = build_chain(SisInstance.create(make_systematic(2, 6, 5, seed=0).A, 2**64 + 13),
+                          [2], [2])[0]
+        for stage, X, K in ((st, X, K), (big, X.astype(object), K.astype(object))):
+            Y = _lift_batch(stage, X)
+            assert stage_rows_ok(stage, X, Y, K)
+            out, _ = _combine_stage(stage, X, Y, K, 10, reuse=False)
+            assert len(out) == 10 and parity_rows_ok(stage.a_new, stage.q, out)
+        assert out.dtype == object and np.abs(out[:, 4:]).max() > 2**63
 
 
 class TestGaussianWagnerProvable:
