@@ -49,3 +49,18 @@ def stage_rows_ok(stage, X, Y, K):
                 any(not 0 <= int(r) < p or int(r) != int(kj) % p for kj, r in zip(k, lab)):
             return False
     return True
+
+
+class ScriptedUniforms:
+    """A NumPy generator whose first ``random`` calls return the scripted
+    values (one per call, None defers) and that defers to ``rng`` after."""
+
+    def __init__(self, rng, script):
+        self._rng, self._script = rng, list(script)
+
+    def random(self, n):
+        v = self._script.pop(0) if self._script else None
+        return self._rng.random(n) if v is None else np.full(n, v)
+
+    def integers(self, *args):
+        return self._rng.integers(*args)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import ScriptedUniforms
 from wagnersis import dgauss
 from wagnersis.dgauss import (
     GaussParam,
@@ -376,7 +377,7 @@ class TestArraySampler:
         samp = _ZSampler(s_sq)
         j_min = (1 << 63) - samp.K + (1 << 59)
         u_q = math.floor(math.exp(-samp.rate * j_min) * (1 << 53)) / (1 << 53)
-        rng = _ScriptedUniforms(derive_np_rng(2, "past"), [1 - 2.0 ** -53, None, u_q])
+        rng = ScriptedUniforms(derive_np_rng(2, "past"), [1 - 2.0 ** -53, None, u_q])
         out, _ = _draw_z_array(s_sq, np.zeros(1, dtype=np.int64), 1, rng,
                                derive_rng(2, "past"))
         (x,) = out.tolist()
@@ -398,21 +399,6 @@ class TestArraySampler:
         vals = out.tolist()
         assert all(type(v) is int and abs(v - center) < 2000 for v in vals)
         assert sum(v >= 1 << 63 for v in vals) > 500
-
-
-class _ScriptedUniforms:
-    """A NumPy generator whose first ``random`` calls return the scripted
-    values (one per call, None defers) and that defers to ``rng`` after."""
-
-    def __init__(self, rng, script):
-        self._rng, self._script = rng, list(script)
-
-    def random(self, n):
-        v = self._script.pop(0) if self._script else None
-        return self._rng.random(n) if v is None else np.full(n, v)
-
-    def integers(self, *args):
-        return self._rng.integers(*args)
 
 
 class TestSampleZn:

@@ -1,6 +1,7 @@
-"""Byte-identity pin over the parameter choosers, the estimator and the
-brute-force oracles: every value they return, as its ``repr`` (or its typed
-error), hashed together."""
+"""Byte-identity pins: over the parameter choosers, the estimator and the
+brute-force oracles (every value they return, as its ``repr`` or its typed
+error), and over the array sampler's streams (draws and counts), each
+hashed together."""
 
 import hashlib
 import json
@@ -9,8 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from helpers import ScriptedUniforms
 from wagnersis import dgauss, estimator, wagner, zqlin
 from wagnersis.errors import WagnerSisError
+from wagnersis.rngutil import derive_np_rng, derive_rng
 
 PROVABLE_EPS = 15 * math.exp(-14.96)  # ln(3/eps') = 14.96, a feasible regime
 
@@ -68,3 +71,67 @@ def test_outputs_match_pin():
     digest = hashlib.sha256("\n".join(_pin_lines()).encode()).hexdigest()
     assert digest == \
         "3d382207a59dc864e0925c338e9295adce6c82bd86607b7166f0af3a064f972d"
+
+
+def _sampler_lines(monkeypatch):
+    lines = []
+
+    def draw(s_sq, c_num, c_den, rng, exact_rng):
+        out, counts = dgauss._draw_z_array(s_sq, c_num, c_den, rng, exact_rng)
+        lines.append(f"{out.dtype} {out.shape} {out.tolist()} {counts}")
+
+    def streams(name):
+        return derive_np_rng(9, "pin", name), derive_rng(9, "pin", name, "exact")
+
+    ks = np.random.default_rng(9).integers(-(1 << 40), 1 << 40, 3000)
+    # zero centers broadcast past one block, so a block edge falls mid-array
+    draw(Fraction(144), np.broadcast_to(np.int64(0), (3, 6000)), 1, *streams("init"))
+    # stage-offset centers -p y / q with q = 257
+    draw(Fraction(6400, 257), 257 * ks[:2000] + np.arange(2000) % 257, 257,
+         *streams("stage"))
+    # one entry (1024 proposals a round) and ~300 entries (4 a round)
+    rng, exact_rng = streams("one")
+    for c_num in (1, -2, 5):
+        draw(Fraction(9), zqlin.int_array([c_num]), 3, rng, exact_rng)
+    draw(Fraction(16, 9), 5 * ks[:300] + np.arange(300) % 5, 5, *streams("small"))
+    # numerators past int64, and int64 numerators over c_den = 2^62
+    draw(Fraction(25), zqlin.int_array([(1 << 64) + 7 * i + i % 7 for i in range(400)]),
+         7, *streams("object"))
+    draw(Fraction(25), ks[:400] << 20, 1 << 62, *streams("wide-den"))
+    # s^2 = 2^60: tail steps j - 1 = M q + r with M > 1
+    draw(Fraction(1 << 60), 3 * ks[:1000] + 1, 3, *streams("wide"))
+    # a tail offset past int64 (see test_tail_offset_beyond_int64_is_exact)
+    s_sq = Fraction(17, 10) * (1 << 124)
+    samp = dgauss._ZSampler(s_sq)
+    j_min = (1 << 63) - samp.K + (1 << 59)
+    u_q = math.floor(math.exp(-samp.rate * j_min) * (1 << 53)) / (1 << 53)
+    rng, exact_rng = streams("past")
+    draw(s_sq, np.zeros(3, dtype=np.int64), 1,
+         ScriptedUniforms(rng, [1 - 2.0 ** -53, None, u_q]), exact_rng)
+    # one tail proposal whose inversion uniform sits at a step boundary
+    # g^(M k) near 1/e, so its step is found by the exact bisection
+    samp = dgauss._ZSampler(Fraction(1 << 60))
+    u_sel = np.full(1024, 0.5)
+    u_sel[0] = 1 - 2.0 ** -53
+    k = math.floor(1 / (samp.rate * samp.M))
+    u_q = math.floor(math.exp(-samp.rate * samp.M * k) * (1 << 53)) / (1 << 53)
+    rng, exact_rng = streams("boundary")
+    draw(Fraction(1 << 60), zqlin.int_array([1]), 3,
+         ScriptedUniforms(rng, [u_sel, None, u_q]), exact_rng)
+    # forced fallbacks: window selections, accept/reject tests and tail
+    # remainders in exact arithmetic, with rows of one and of many proposals
+    monkeypatch.setattr(dgauss, "_REL_ERR", 0.3)
+    monkeypatch.setattr(dgauss, "_SELECT_MARGIN", 0.02)
+    draw(Fraction(9), 3 * ks[:2000] + 1, 3, *streams("fallback"))
+    draw(Fraction(9), 3 * ks[:60] - 1, 3, *streams("fallback-small"))
+    draw(Fraction(1 << 60), 3 * ks[:200] + 1, 3, *streams("fallback-wide"))
+    monkeypatch.undo()
+    return lines
+
+
+def test_array_sampler_streams_match_pin(monkeypatch):
+    # sha256 computed at commit 6a70ead, before the sampler round was
+    # rewritten to make fewer NumPy passes over the same proposals
+    digest = hashlib.sha256("\n".join(_sampler_lines(monkeypatch)).encode()).hexdigest()
+    assert digest == \
+        "2acad73349c9d49a1c8a38012731bde32b0be75784a5177bb43e39f5eed79351"
