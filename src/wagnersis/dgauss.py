@@ -3,49 +3,41 @@ formula evaluators, and the brute-force / statistical oracles used by tests
 and parameter selection.
 
 Sampler design.  The base sampler draws from D_{Z,s,c} (density
-proportional to exp(-pi (x-c)^2 / s^2)).  The center is split exactly, in
-integer arithmetic, as c = round(c) + f with |f| <= 1/2, and
-D_{Z,s,c} = round(c) + D_{Z,s,f}.
-The offset is drawn by rejection from a proposal that covers all of Z: a
-uniform window of half-width K = max(2, ceil(0.75 s)) glued to two
-geometric tails of ratio g = exp(-pi gamma) whose envelope exp(-pi (tau +
-gamma j)) at |t| = K + j, with exact rationals tau and gamma, dominates the
-Gaussian for every |f| <= 1/2.  These constants depend on s^2 alone, so one
-``_ZSampler`` per width serves every center.  The envelope's mass is about
-1.57 s against the Gaussian's s, so a draw takes about 1.6 proposals at
-large widths.  A tail step j - 1 is drawn in bounded work at any width: by
-inversion, floor(-ln U / (pi gamma)), split as M q + r with r in [0, M)
-drawn by rejection once the mean step passes 2^21, and decided exactly by
-bisection on exact comparisons U < exp(-pi gamma k) when the float
-inversion cannot separate the uniform's cell from a boundary.  Every
-accept/reject comparison is a Bernoulli test "U < exp(-pi b)" with
-rational b >= 0 (b = (t-f)^2 / s^2 in the window, the same less the
-envelope's exponent in the tails); it is evaluated in double precision with
-a constant relative margin, and escalated to exact rational interval
-arithmetic whenever the margin cannot separate U from the probability.  Only
-f, the offset and the step enter the float arithmetic, so neither the margin
-nor the per-draw cost grows with |c|, and the sampled distribution carries
-no floating-point statistical gap.  Window offsets are drawn as int64, so
-the window 2 max(2, ceil(0.75 s)) + 1 must stay below 2^63; tail offsets
-and draws x = round(c) + t that are not proven to fit in int64 come back as
-Python integers.
+proportional to exp(-pi (x-c)^2 / s^2)) as round(c) + D_{Z,s,f}, where the
+center is split exactly, in integer arithmetic, as c = round(c) + f with
+|f| <= 1/2 (integer centers skip the split: f = 0).  The offset is drawn by
+rejection from a proposal that covers all of Z: a uniform window of
+half-width K = max(2, ceil(0.75 s)) glued to two geometric tails of ratio
+g = exp(-pi gamma), whose envelope exp(-pi (tau + gamma j)) at |t| = K + j,
+with exact rationals tau and gamma, dominates the Gaussian for every
+|f| <= 1/2.  These constants depend on s^2 alone, so one ``_ZSampler`` per
+width serves every center; a draw takes about 1.6 proposals at large
+widths.  A tail step j - 1 = M q + r is drawn in bounded work at any width:
+q by inversion, floor(-ln U / (pi gamma M)), decided exactly by bisection
+when the float inversion cannot separate the uniform's cell from a boundary,
+and r in [0, M) by rejection once the mean step passes 2^21.  Every
+accept/reject comparison is a Bernoulli test "U < exp(-pi b)" with rational
+b >= 0 (b = (t-f)^2 / s^2 in the window, less the envelope's exponent in the
+tails), evaluated in double precision with a constant relative margin and
+escalated to exact rational interval arithmetic whenever the margin cannot
+separate U from the probability.  Only f, the offset and the step enter the
+float arithmetic, so neither the margin nor the cost grows with |c|, and the
+sampled law carries no floating-point statistical gap.  Window offsets are
+int64 (the window 2K + 1 must stay below 2^63); tail offsets and draws not
+proven to fit in int64 come back as Python integers.
 
 One entry point runs this sampler: ``_draw_z_array`` draws one value per
-entry of a whole array of centers in NumPy rounds.  The samplers' initial
-lists and stage offsets call it, and so does the public batch form
-``sample_zn_rows``, of which ``sample_z`` and ``sample_zn`` are 1-row
-views.  A round gives every pending entry k i.i.d. proposals, with
-k >= 2 once few entries are pending so that a round's fixed cost is shared,
-and the entry keeps its first accepted proposal in proposal order.
-Proposals are i.i.d. and each is decided by its own randomness, so the
-first accepted one of a row has the law of a sequential rejection loop.
-Entries are processed in blocks of fixed size, so transient memory does not
-grow with the list.  Every comparison the float margin cannot decide goes to
-the exact routines (``_select_window_exact``, ``_geometric_exact``,
-``_decide_exact``).
-
-Widths are carried as exact rationals s^2 (``s_sq``), which keeps widths like
-sqrt(2)^i * s0 representable exactly.
+entry of an array of centers, in fixed-size blocks and NumPy rounds.  The
+samplers' initial lists and stage offsets call it, and so does
+``sample_zn_rows``, of which ``sample_z`` and ``sample_zn`` are 1-row views.
+A round gives every pending entry k i.i.d. proposals (k >= 2 once few are
+pending, to share a round's fixed cost), and the entry keeps its first
+accepted one in proposal order: the law of a sequential rejection loop.
+Comparisons the float margin cannot decide go to ``_select_window_exact``,
+``_geometric_exact`` and ``_decide_exact``.  Stream contract: a seeded draw
+is fixed by the order of the generator calls in each round and the order of
+the exact decisions; a round's arithmetic may change freely, that order may
+not.  Widths are exact rationals s^2 (``s_sq``), so sqrt(2)^i * s0 is exact.
 """
 
 from __future__ import annotations
@@ -236,9 +228,11 @@ def _float_bernoulli(p, u):
     """Double-precision decisions of U < p for arrays of 53-bit uniforms u
     and probabilities p within relative ``_REL_ERR`` of the exact ones.
     Returns (accept, reject); a comparison with neither is left to exact
-    arithmetic."""
-    margin = _REL_ERR * p + _ABS_ERR
-    return u < p - margin, u > p + margin
+    arithmetic.  Overwrites p."""
+    margin = _REL_ERR * p
+    margin += _ABS_ERR
+    accept = u < p - margin
+    return accept, u > np.add(p, margin, out=p)
 
 
 def _lazy(u: float) -> _LazyUniform:
@@ -300,30 +294,34 @@ class _ZSampler:
                     continue
             prec *= 2
 
-    def _accept_exact(self, t: int, j: int, f_num: int, c_den: int, u: float,
-                      rng) -> bool:
-        """Exact decision on offset t, proposed in the window (j = 0) or at
-        tail step j, for the 53-bit uniform u; fresh bits come from rng."""
+    def _accept_exact(self, t: int, f_num: int, c_den: int, u: float, rng) -> bool:
+        """Exact decision on offset t (at tail step j = |t| - K if that is
+        positive) for the 53-bit uniform u; fresh bits come from rng."""
         a = Fraction(t * c_den - f_num, c_den) ** 2 / self.s_sq
-        if j:
+        j = abs(t) - self.K
+        if j > 0:
             a -= self.tau + self.gamma * j
         return _decide_exact(Fraction(1), a, _lazy(u), rng)
 
-    def _float_decisions(self, t, j, f, u):
-        """Double-precision decisions on proposals: offsets t, tail steps j
-        (0 for window proposals), center fractions f and 53-bit uniforms u,
-        all arrays.  Returns (accept, reject); a proposal with neither is
-        left to exact arithmetic."""
-        dx = np.asarray(t, dtype=float) - f
-        p = np.exp(-math.pi * dx * dx / self.s_sq_f)
-        tail = np.flatnonzero(j)
+    def _float_decisions(self, t, f, u, tail, steps):
+        """Double-precision decisions on proposals: offsets t, center
+        fractions f and 53-bit uniforms u, all arrays, where the proposals at
+        positions ``tail`` came from the tails at steps ``steps``.  Returns
+        (accept, reject); a proposal with neither is left to exact
+        arithmetic."""
+        dx = np.asarray(t, dtype=float)
+        dx -= f
+        p = -math.pi * dx
+        p *= dx
+        p /= self.s_sq_f
+        np.exp(p, out=p)
         if tail.size:
             # b = a - tau - gamma j = ((j + e)^2 + 2 kappa e) / s^2 with
             # e = 3/5 - sign(t) f in [1/10, 11/10]: positive terms only, so
             # b keeps its relative precision however large j is
             e = 0.6 - np.sign(dx[tail]) * f[tail]
-            jt = np.asarray(j[tail], dtype=float)
-            b = ((jt + e) ** 2 + 2.0 * (self.K - 0.6) * e) / self.s_sq_f
+            b = ((np.asarray(steps, dtype=float) + e) ** 2
+                 + 2.0 * (self.K - 0.6) * e) / self.s_sq_f
             p[tail] = np.exp(-math.pi * b)
         return _float_bernoulli(p, u)
 
@@ -343,7 +341,7 @@ class _ZSampler:
             cand = rng.integers(0, self.M, todo.size)
             u = rng.random(todo.size)
             accept, reject = _float_bernoulli(np.exp(-self.rate * cand), u)
-            for i in np.flatnonzero(~(accept | reject)):
+            for i in np.flatnonzero(accept == reject):
                 counts.fallbacks += 1
                 accept[i] = _decide_exact(Fraction(1), self.gamma * int(cand[i]),
                                           _lazy(float(u[i])), exact_rng)
@@ -402,51 +400,51 @@ class _ZSampler:
         exact values are f_num / c_den), in rounds of proposals; int64, or
         Python ints once a tail offset is not proven to fit."""
         t_out = np.empty(len(f), dtype=np.int64)
-        pending = np.arange(len(f))
+        pending, f_pending = np.arange(len(f)), f
         while pending.size:
-            k = -(-_ROUND_MIN // pending.size)
-            rows = np.repeat(pending, k)
-            n = rows.size
+            k = -(-_ROUND_MIN // pending.size)  # row r: proposals r k to r k + k - 1
+            n = pending.size * k
             counts.proposals += n
             u_sel = rng.random(n)
-            in_window = u_sel < self.p_window - _SELECT_MARGIN
-            for i in np.flatnonzero(~in_window & (u_sel <= self.p_window + _SELECT_MARGIN)):
+            tail = np.flatnonzero(u_sel >= self.p_window - _SELECT_MARGIN)
+            near = u_sel[tail] <= self.p_window + _SELECT_MARGIN
+            for i in np.flatnonzero(near):
                 counts.fallbacks += 1
-                in_window[i] = self._select_window_exact(float(u_sel[i]), exact_rng)
-            t = rng.integers(0, self.W, n) - self.K
+                near[i] = self._select_window_exact(float(u_sel[tail[i]]), exact_rng)
+            tail = tail[~near]
+            t = rng.integers(-self.K, self.K + 1, n)
             u = rng.random(n)
-            j = np.zeros(n, dtype=np.int64)
-            tail = np.flatnonzero(~in_window)
+            steps = tail
             if tail.size:
                 side = 2 * rng.integers(0, 2, tail.size) - 1
                 steps = self._tail_steps(tail.size, rng, exact_rng, counts)
                 t_tail = int_add(side * self.K, side * steps)
-                if t_tail.dtype == object:
-                    t, j = t.astype(object), j.astype(object)
-                t[tail], j[tail] = t_tail, steps
-            accept, reject = self._float_decisions(t, j, f[rows], u)
-            # chosen[r]: index of row r's first accepted proposal, -1 if none
-            chosen = np.full(pending.size, -1)
-            hits = np.flatnonzero(accept)
-            hit_rows = hits // k
-            first = np.ones(hits.size, dtype=bool)
-            first[1:] = hit_rows[1:] != hit_rows[:-1]
-            chosen[hit_rows[first]] = hits[first]
+                t = t.astype(t_tail.dtype, copy=False)
+                t[tail] = t_tail
+            accept, reject = self._float_decisions(
+                t, f_pending if k == 1 else np.repeat(f_pending, k), u, tail, steps)
+            # first[i]: proposal i is its row's first accept
+            first = accept if k == 1 else \
+                accept & (accept.reshape(-1, k).cumsum(axis=1) == 1).ravel()
             # Undecided proposals, in proposal order: one before its row's
             # first accept is decided exactly and, if accepted, comes first.
-            for i in np.flatnonzero(~(accept | reject)):
-                r = i // k
-                if 0 <= chosen[r] < i:
+            for i in np.flatnonzero(accept == reject):  # neither accept nor reject
+                row = i - i % k
+                if first[row:i].any():
                     continue
                 counts.fallbacks += 1
-                if self._accept_exact(int(t[i]), int(j[i]), int(f_num[rows[i]]),
-                                      c_den, float(u[i]), exact_rng):
-                    chosen[r] = i
-            done = chosen >= 0
+                if self._accept_exact(int(t[i]), int(f_num[pending[i // k]]), c_den,
+                                      float(u[i]), exact_rng):
+                    first[row:row + k] = False
+                    first[i] = True
+            # gathers by index: several times faster than by a boolean mask
+            picks = np.flatnonzero(first)
+            done = first if k == 1 else first.reshape(-1, k).any(axis=1)
             if t.dtype == object:
                 t_out = t_out.astype(object, copy=False)
-            t_out[pending[done]] = t[chosen[done]]
-            pending = pending[~done]
+            t_out[pending[picks if k == 1 else picks // k]] = t[picks]
+            keep = np.flatnonzero(~done)
+            pending, f_pending = pending[keep], f_pending[keep]
         return t_out
 
 
@@ -469,11 +467,9 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
 
     ``c_num`` is an int64 or object array of integers; the draws come back in
     its shape, x = round(c) + t formed by ``int_add``: int64 when its bound
-    proves every sum fits, Python ints otherwise.
-    Proposals and uniforms come from the NumPy generator ``rng``; exact
-    decisions take their fresh bits from the ``random.Random`` stream
-    ``exact_rng``.
-    """
+    proves every sum fits, Python ints otherwise.  Proposals and uniforms
+    come from the NumPy generator ``rng``, and exact decisions take their
+    fresh bits from the ``random.Random`` stream ``exact_rng``."""
     # Window offsets are drawn as int64.  Every s >= 2^63 fails the bound; it
     # is rejected before the sampler takes float(s^2), which can overflow.
     samp = _sampler(s_sq) if s_sq < 1 << 126 else None
@@ -494,13 +490,17 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
 def _split_centers(c_num: np.ndarray, c_den: int):
     """c = x0 + f_num / c_den with x0 the nearest integer (ties to even), in
     exact integer arithmetic, for a 1-D array of numerators; returns x0,
-    f_num and the float f = f_num / c_den."""
-    if c_num.dtype == np.int64 and c_den >= 1 << 62:  # 2 f_num must fit
+    f_num and the float f = f_num / c_den.  Integer centers (c_den = 1) skip
+    the split: x0 = c, f = 0."""
+    if c_den == 1:
+        return c_num, np.zeros(c_num.shape, dtype=c_num.dtype), np.zeros(c_num.shape)
+    if c_num.dtype == np.int64 and c_den >= 1 << 62:  # 2 f_num + 1 must fit
         c_num = c_num.astype(object)
     x0 = c_num // c_den
     f_num = c_num - x0 * c_den
-    up = (2 * f_num > c_den) | ((2 * f_num == c_den) & (x0 % 2 == 1))
-    x0 = np.where(up, x0 + 1, x0)
+    # round up when 2 f_num > c_den, or 2 f_num = c_den and x0 is odd
+    up = 2 * f_num + (x0 & 1) > c_den
+    x0 += up
     f_num = np.where(up, f_num - c_den, f_num)
     return x0, f_num, np.asarray(f_num / c_den, dtype=float)
 

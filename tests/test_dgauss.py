@@ -109,6 +109,33 @@ class TestCenterSplit:
             sample_z(GaussParam(s_sq=Fraction(25, 4), c=(Fraction(c_num, 7),)), rng)
         assert list(dgauss._SAMPLER_CACHE) == [Fraction(25, 4)]
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), c_den=st.sampled_from([1, 2, 3, 257, 1 << 61, 1 << 62]),
+           wide=st.booleans())
+    def test_split_is_exact_round_half_even(self, data, c_den, wide):
+        # c = x0 + f_num / c_den against Fraction's round-half-even, for
+        # int64 numerators up to +-(2^63 - 1) and object ones past int64;
+        # c_den = 1 skips the split, and c_den >= 2^62 switches to objects
+        bound = (1 << 100) if wide else (1 << 63) - 1
+        k_max = bound // c_den - 1
+        tie = st.integers(-k_max, k_max).map(lambda k: k * c_den + c_den // 2)
+        nums = data.draw(st.lists(
+            st.one_of(st.integers(-bound, bound), st.sampled_from([bound, -bound]), tie),
+            min_size=1, max_size=6))
+        x0, f_num, f = _split_centers(np.array(nums, dtype=object if wide else np.int64),
+                                      c_den)
+        dtype = np.dtype(object if wide or c_den >= 1 << 62 else np.int64)
+        assert x0.dtype == f_num.dtype == dtype and f.dtype == np.float64
+        if dtype == object:
+            assert all(type(v) is int for v in [*x0, *f_num])
+        for c_num, x, fn, ff in zip(nums, x0.tolist(), f_num.tolist(), f.tolist()):
+            c = Fraction(c_num, c_den)
+            assert x + Fraction(fn, c_den) == c and 2 * abs(fn) <= c_den
+            assert x == round(c)  # ties to even
+            if 2 * abs(fn) == c_den:
+                assert x % 2 == 0
+            assert ff == fn / c_den
+
 
 _FLOOR_SQ = Fraction(_width_floor_sq(1))
 _WIDTHS_SQ = st.one_of(
@@ -161,8 +188,9 @@ class TestFloatFastPath:
         """The array sampler's float decision on one proposal, with f from
         its own center split: True, False, or None (left to exact)."""
         _, _, f = _split_centers(int_array([c_num]), c_den)
+        tail = np.flatnonzero([j])
         accept, reject = samp._float_decisions(
-            np.array([t]), np.array([j]), f, np.array([u53 / (1 << 53)]))
+            np.array([t]), f, np.array([u53 / (1 << 53)]), tail, np.array([j])[tail])
         return True if accept[0] else False if reject[0] else None
 
     @settings(max_examples=200, deadline=None, derandomize=True)
