@@ -33,11 +33,11 @@ samplers' initial lists and stage offsets call it, and so does
 A round gives every pending entry k i.i.d. proposals (k >= 2 once few are
 pending, to share a round's fixed cost), and the entry keeps its first
 accepted one in proposal order: the law of a sequential rejection loop.
-Comparisons the float margin cannot decide go to ``_select_window_exact``,
-``_geometric_exact`` and ``_decide_exact``.  Stream contract: a seeded draw
-is fixed by the order of the generator calls in each round and the order of
-the exact decisions; a round's arithmetic may change freely, that order may
-not.  Widths are exact rationals s^2 (``s_sq``), so sqrt(2)^i * s0 is exact.
+Undecided comparisons go to ``_select_window_exact``, ``_geometric_exact``
+and ``_decide_exact``.  Stream contract: a seeded draw is fixed by the order
+of the generator calls in each round and the order of the exact decisions; a
+round's arithmetic may change freely, that order may not.  Widths are exact
+rationals s^2 (``s_sq``), so sqrt(2)^i * s0 is exact.
 """
 
 from __future__ import annotations
@@ -477,14 +477,14 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
         raise PreconditionViolated(
             "array sampler needs a window 2 max(2, ceil(0.75 s)) + 1 < 2^63")
     c_num = np.asarray(c_num)
+    centers = c_num.reshape(-1)  # a view where the layout allows; .flat slices copy
     counts = SamplerCounts(draws=c_num.size)
     parts = []
     for start in range(0, c_num.size, _BLOCK):
-        x0, f_num, f = _split_centers(c_num.flat[start:start + _BLOCK], c_den)
+        x0, f_num, f = _split_centers(centers[start:start + _BLOCK], c_den)
         t = samp._draw_block(f, f_num, c_den, rng, exact_rng, counts)
         parts.append(int_add(x0, t))
-    flat = np.concatenate(parts or [np.empty(0, dtype=c_num.dtype)])
-    return flat.reshape(c_num.shape), counts
+    return np.concatenate(parts or [centers[:0]]).reshape(c_num.shape), counts
 
 
 def _split_centers(c_num: np.ndarray, c_den: int):
