@@ -15,10 +15,14 @@ stage kernel, and with it the pairing:
   rounding stages bucket by rounded completions instead of Gaussian
   randomized lifting and pair disjointly, with no cap.
 
-Lists are integer matrices, one vector per row: int64 where
-``zqlin.int_matmul`` certifies the overflow bound, Python integers in object
-arrays otherwise.  A Gaussian stage carries its list as the chain's (X, Y, K)
-arrays: heads, lifts and offset coefficients (see ``chain``).
+Lists are integer matrices, one vector per row.  Gaussian lists are int64
+where ``zqlin.int_matmul`` certifies the overflow bound, Python integers in
+object arrays otherwise; a Gaussian stage carries its list as the chain's
+(X, Y, K) arrays: heads, lifts and offset coefficients (see ``chain``).
+Rounding lists hold entries in [-q, q] only, so they are stored in the
+narrowest signed integer type that holds that range (``_rounding_dtype``:
+int8 up to q = 127, then int16, int32, int64, and object from q = 2^63).
+Every run returns int64 or object rows.
 
 Each stage packs a row's coset label (k mod p as base-p digits) into one
 integer under the same rule and groups the rows once, by one stable argsort
@@ -237,11 +241,19 @@ def _round_scaled(Y: np.ndarray, p: int, q: int) -> np.ndarray:
     return int_matmul(terms, int_array([[2 * p, q]])).reshape(Y.shape) // (2 * q)
 
 
+def _rounding_dtype(q: int) -> np.dtype:
+    """The rounding variant's list type: the narrowest signed integer type
+    that holds [-q, q], object from q = 2^63.  It is ``min_scalar_type(-q-1)``,
+    since ``min_scalar_type(-q)`` is int8 at q = 128, which cannot hold q."""
+    return np.min_scalar_type(-q - 1)
+
+
 def _center_in_place(D: np.ndarray, q: int) -> None:
     """Replace every entry d of D, which must lie in [-q, q], by its centered
     residue mod q in (-q/2, q/2]: one conditional step of -q above q//2 and
-    of +q at or below q//2 - q.  No value leaves [-q, q], so int64 arrays do
-    not overflow for q < 2^63, and object arrays stay exact."""
+    of +q at or below q//2 - q.  No value leaves [-q, q], so a signed integer
+    array whose type holds q (``_rounding_dtype(q)`` or wider) does not
+    overflow, and object arrays stay exact."""
     half = q // 2
     np.subtract(D, q, out=D, where=D > half)
     np.add(D, q, out=D, where=D <= half - q)
@@ -299,11 +311,12 @@ def _finish_stats(stats: RunStats, out: np.ndarray):
         stats.max_l2 = float(np.sqrt((out.astype(float) ** 2).sum(axis=1).max()))
 
 
-def _initial_list(schedule: Schedule, count: int, dim: int,
+def _initial_list(schedule: Schedule, count: int, dim: int, q: int,
                   seed: int) -> Tuple[np.ndarray, SamplerCounts]:
     """The mode's initial list of ``count`` vectors of length ``dim``, and
     its sampler counts: exact width-s0 draws (provable), sparse ternary
-    vectors (heuristic) or uniform ternary vectors (naive)."""
+    vectors (heuristic) or uniform ternary vectors in the rounding list type
+    (naive)."""
     if schedule.mode == MODE_PROVABLE:
         return _initial_gaussian(count, dim, schedule.s0_sq, seed)
     if schedule.mode == MODE_HEURISTIC:
@@ -312,8 +325,11 @@ def _initial_list(schedule: Schedule, count: int, dim: int,
         # duplicate inputs cancel to zero under reuse pairing.
         w, _sigma0 = _estimator.min_weight(dim, _HEURISTIC_ENTROPY_FACTOR * schedule.N)
         return _initial_ternary_sparse(count, dim, w, seed), SamplerCounts()
+    # int32 and int64 draws of a range below 2^32 read the same 32-bit words,
+    # so this is the int64 stream; int8 and int16 draws are not
     rng = derive_np_rng(seed, "init-ternary-uniform")
-    return rng.integers(-1, 2, size=(count, dim), dtype=np.int64), SamplerCounts()
+    X = rng.integers(-1, 2, size=(count, dim), dtype=np.int32)
+    return X.astype(_rounding_dtype(q), copy=False), SamplerCounts()
 
 
 def _gaussian_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed: int):
@@ -350,14 +366,16 @@ def _rounding_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed
     The differences of the heads and of the completions y are written into
     one array and centered by one conditional step of q
     (``_center_in_place``): heads are centered residues (ternary at the
-    first stage) and y lies in [0, q), so every difference lies in [-q, q].
+    first stage) and y lies in [0, q), so every difference lies in [-q, q],
+    and the differences are stored in the list type ``_rounding_dtype(q)``.
     """
     q, p = st.q, st.p
     Y = np.mod(_lift_batch(st, X), q)
     buckets = _buckets(_pack_labels(_round_scaled(Y, p, q), p), p ** st.b)
     i1, i2 = pair_indices_disjoint(buckets, None).T
-    dim = X.shape[1]
-    out = np.empty((len(i1), dim + st.b), dtype=np.result_type(X, Y))
+    dim, dtype = X.shape[1], _rounding_dtype(q)
+    Y = Y.astype(dtype, copy=False)
+    out = np.empty((len(i1), dim + st.b), dtype=dtype)
     np.subtract(np.take(X, i1, axis=0), np.take(X, i2, axis=0), out=out[:, :dim])
     np.subtract(np.take(Y, i1, axis=0), np.take(Y, i2, axis=0), out=out[:, dim:])
     _center_in_place(out, q)
@@ -387,7 +405,7 @@ def _run(inst: SisInstance, schedule: Schedule, rng, mem_budget_bytes: int):
     for st in (None, *stages):  # None stands for the initial list
         t0 = time.perf_counter()
         if st is None:
-            X, counts = _initial_list(schedule, init_count, dim0, seed)
+            X, counts = _initial_list(schedule, init_count, dim0, inst.q, seed)
         else:
             X, buckets, counts = stage(st, X, schedule, seed)
             stats.bucket_histograms.append(_occupancy_histogram(buckets))
@@ -401,7 +419,7 @@ def _run(inst: SisInstance, schedule: Schedule, rng, mem_budget_bytes: int):
         X = np.hstack([X, centered(syn, inst.q)])
     _check_final_membership(inst, X)
     _finish_stats(stats, X)
-    return X, stats
+    return X.astype(np.result_type(X, np.int64), copy=False), stats
 
 
 def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,

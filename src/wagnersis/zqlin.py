@@ -1,10 +1,10 @@
 """Exact linear algebra over Z_q, SIS instance modeling, and q-ary lattice
 brute-force oracles.
 
-All arithmetic on matrix entries is exact: int64 NumPy kernels are used only
-when a proven bound rules out overflow, otherwise computation falls back to
-Python big integers.  Lattice membership (A x = 0 mod q) is therefore never
-subject to rounding.
+All arithmetic on matrix entries is exact: int64 NumPy kernels (on operands
+of any signed integer type) are used only when a proven bound rules out
+overflow, otherwise computation falls back to Python big integers.  Lattice
+membership (A x = 0 mod q) is therefore never subject to rounding.
 """
 
 from __future__ import annotations
@@ -234,22 +234,25 @@ def int_array(rows) -> np.ndarray:
 def int_matmul(X, A) -> np.ndarray:
     """Exact ``X @ A.T`` for integer matrices.
 
-    The toolkit's one overflow rule: the int64 product is used when both
-    operands are int64 and ``X.shape[1] * max|A| * max|X| < 2^62``, a bound on
-    every partial sum; otherwise the product is taken over Python integers in
-    an object array.
+    The toolkit's one overflow rule: the product is taken in int64 when both
+    operands have a signed integer dtype (int8 to int64, mixed or not) and
+    ``X.shape[1] * max|A| * max|X| < 2^62``, a bound on every partial sum;
+    otherwise it is taken over Python integers in an object array.  The
+    result is int64 or object, never a narrower type, whose product could
+    wrap.
     """
     X, A = np.asarray(X), np.asarray(A)
-    if X.dtype == np.int64 and A.dtype == np.int64:
+    if X.dtype.kind == "i" and A.dtype.kind == "i":
         if X.shape[1] * _max_abs(A) * _max_abs(X) < _INT64_SAFE:
-            return X @ A.T
+            return np.matmul(X, A.T, dtype=np.int64)
     return _to_python_int(X) @ _to_python_int(A).T
 
 
 def int_add(a, b) -> np.ndarray:
     """Exact elementwise a + b: ``int_matmul``'s rule for the columns (a, b)
-    times (1, 1), without forming them.  int64 when both are int64 and
-    2 max(|a|, |b|) < 2^62, Python integers in an object array otherwise."""
+    times (1, 1) of int64 operands, without forming them.  int64 when both
+    are int64 and 2 max(|a|, |b|) < 2^62, Python integers in an object array
+    otherwise."""
     a, b = np.asarray(a), np.asarray(b)
     if (a.dtype == np.int64 and b.dtype == np.int64
             and 2 * max(_max_abs(a), _max_abs(b)) < _INT64_SAFE):

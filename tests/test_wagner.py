@@ -33,6 +33,8 @@ from wagnersis.wagner import (
     _gaussian_offsets,
     _occupancy_histogram,
     _round_scaled,
+    _rounding_dtype,
+    _rounding_stage,
     certify_smoothing,
     choose_heuristic_params,
     choose_naive_params,
@@ -122,6 +124,24 @@ def reachable_differences(draw, q):
 
 
 class TestCenterInPlace:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_narrow_types_at_their_edge(self, data):
+        # rounding lists are stored in the narrowest type that holds [-q, q]:
+        # at the largest q such a type holds (127 for int8), entries at +-q
+        # and at the step's edges must come out centered, in the same type
+        dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int32]))
+        top = int(np.iinfo(dtype).max)
+        q = data.draw(st.one_of(st.just(top), st.integers(2, top)))
+        half = q // 2
+        edges = [q, -q, half, half + 1, half - q, half - q + 1]
+        diffs = edges + [reachable_differences(data.draw, q)
+                         for _ in range(data.draw(st.integers(1, 8)))]
+        D = np.array(diffs, dtype=dtype).reshape(-1, 1)
+        _center_in_place(D, q)
+        assert D.dtype == dtype
+        assert D.ravel().tolist() == [centered(d, q) for d in diffs]
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_matches_centered(self, data):
@@ -550,6 +570,69 @@ class TestNaiveWagner:
                          s0_sq=Fraction(64))
         with pytest.raises(InfeasibleSchedule):
             naive_wagner(inst, sched, 0)
+
+
+# primes on both sides of each edge of the rounding list type (int8 | int16,
+# int16 | int32, int32 | int64), and the powers of two at the edges, where
+# the type must hold q itself
+LIST_TYPE_EDGES = [
+    (127, np.int8), (128, np.int16), (131, np.int16),
+    (32749, np.int16), (32768, np.int32), (32771, np.int32),
+    (2**31 - 1, np.int32), (2**31, np.int64), (2147483659, np.int64),
+    (2**63, object)]
+
+
+class TestRoundingListType:
+    """Rounding lists in the narrowest signed type that holds [-q, q]."""
+
+    SCHED = Schedule(mode=MODE_NAIVE, r=2, N=64, p=(4, 2), b=(1, 1))
+
+    @pytest.mark.parametrize("q, list_type", LIST_TYPE_EDGES)
+    def test_stage_on_narrow_list_matches_int64(self, q, list_type):
+        inst = make_systematic(2, 8, q, seed=5)
+        st1 = build_chain(inst, self.SCHED.b, self.SCHED.p)[0]
+        # centered residues, with both ends of (-q/2, q/2] in every column
+        lo, hi = -((q - 1) // 2), q // 2
+        X = derive_np_rng(5, "edge-list").integers(lo, hi, size=(192, 6),
+                                                   dtype=np.int64, endpoint=True)
+        X[0], X[1] = hi, lo
+        assert _rounding_dtype(q) == list_type
+        narrow = X.astype(list_type)
+        assert _lift_batch(st1, narrow).tolist() == _lift_batch(st1, X).tolist()
+        out, buckets, _ = _rounding_stage(st1, narrow, self.SCHED, 0)
+        out64, buckets64, _ = _rounding_stage(st1, X, self.SCHED, 0)
+        assert out.dtype == list_type
+        assert out.tolist() == out64.tolist()
+        assert all(np.array_equal(a, b) for a, b in zip(buckets, buckets64))
+        # oracle: centered differences of the pairs, in plain integers
+        rows = X.tolist()
+        a_new = [int(v) for v in np.asarray(st1.a_new)[0]]
+        y = [-sum(a * x for a, x in zip(a_new, row)) % q for row in rows]
+        want = [[centered(u - v, q) for u, v in zip(rows[i] + [y[i]], rows[j] + [y[j]])]
+                for i, j in pair_indices_disjoint(buckets, None).tolist()]
+        assert len(want) > 0 and out.tolist() == want
+        assert parity_rows_ok(st1.a_new, q, out)
+
+    @pytest.mark.parametrize("q, list_type", LIST_TYPE_EDGES)
+    def test_runs_return_int64_within_the_eq1_bound(self, q, list_type):
+        inst = make_systematic(2, 8, q, seed=5)
+        out, stats = naive_wagner(inst, self.SCHED, 3)
+        assert out.dtype == np.result_type(list_type, np.int64)
+        assert len(out) == stats.list_sizes[-1] > 0
+        _check_final_membership(inst, out)
+        assert max(abs(int(v)) for v in out.ravel()) <= eq1_norm_bound(self.SCHED, q)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("shape", [(3, 5), (1000, 18), (97929, 18)])
+    def test_int32_ternary_draw_is_the_int64_stream(self, seed, shape):
+        # the initial list is drawn as int32; NumPy fills int32 and int64
+        # draws of a range below 2^32 from the same 32-bit bounded draws
+        def draw(dtype):
+            rng = derive_np_rng(seed, "init-ternary-uniform")
+            return rng.integers(-1, 2, size=shape, dtype=dtype)
+        assert np.array_equal(draw(np.int32), draw(np.int64)), (
+            "Generator.integers no longer draws int32 and int64 ranges from "
+            "one stream: every seeded naive-mode output moves")
 
 
 class TestRunLoop:

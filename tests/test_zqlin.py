@@ -229,24 +229,38 @@ def _matrix(data, rows, cols, elements):
     return [[data.draw(elements) for _ in range(cols)] for _ in range(rows)]
 
 
+_SIGNED = [np.int8, np.int16, np.int32, np.int64]
+
+
 class TestIntMatmul:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(k=st.integers(1, 6), max_a=st.integers(1, 1 << 31),
            rows=st.integers(1, 3), b=st.integers(1, 3),
-           delta=st.integers(-2, 2), data=st.data())
+           delta=st.integers(-2, 2), x_type=st.sampled_from(_SIGNED),
+           a_type=st.sampled_from(_SIGNED), data=st.data())
     def test_exact_on_both_sides_of_the_int64_guard(self, k, max_a, rows, b,
-                                                    delta, data):
-        # max|X| puts k max|A| max|X| within a few steps of 2^62, and entries
-        # at +-max hit the worst-case partial sums.
-        max_x = max(1, (_INT64_SAFE - 1) // (k * max_a) + delta)
+                                                    delta, x_type, a_type, data):
+        # Operands of every signed type, mixed or not.  max|X| puts
+        # k max|A| max|X| within a few steps of 2^62 where X's type holds it
+        # (at its largest value otherwise), and entries at +-max hit the
+        # worst-case partial sums.
+        max_a = min(max_a, int(np.iinfo(a_type).max))
+        max_x = min(max(1, (_INT64_SAFE - 1) // (k * max_a) + delta),
+                    int(np.iinfo(x_type).max))
         xs = st.one_of(st.sampled_from([max_x, -max_x]), st.integers(-max_x, max_x))
         as_ = st.one_of(st.sampled_from([max_a, -max_a]), st.integers(-max_a, max_a))
         X = _matrix(data, rows, k, xs)
         A = _matrix(data, b, k, as_)
         X[0][0], A[0][0] = max_x, max_a
-        got = int_matmul(np.array(X, dtype=np.int64), np.array(A, dtype=np.int64))
+        got = int_matmul(np.array(X, dtype=x_type), np.array(A, dtype=a_type))
         assert got.dtype == (np.int64 if k * max_a * max_x < _INT64_SAFE else object)
         assert got.tolist() == _matmul_reference(X, A)
+
+    def test_narrow_product_does_not_wrap(self):
+        # 2 * 300 * 300 = 180000 overflows int16: the product is int64
+        X = np.array([[300, 300]], dtype=np.int16)
+        got = int_matmul(X, X)
+        assert got.dtype == np.int64 and got.tolist() == [[180000]]
 
     @pytest.mark.parametrize("a, b", [
         (2**61 - 1, -(2**61 - 1)), (2**61, 0), (-(2**61), 5), (2**63 - 1, 2**63 - 1),
