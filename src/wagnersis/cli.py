@@ -207,6 +207,14 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _solution_x(doc):
+    """The ``x`` list of a solution document, unconverted: ``verify`` judges
+    its entries, so none is truncated."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("x"), list)):
+        raise ValueError("a solution document must be a JSON object with a list x")
+    return doc["x"]
+
+
 def _cmd_verify(args) -> int:
     stdin_docs = []
     if args.instance:
@@ -219,10 +227,9 @@ def _cmd_verify(args) -> int:
         x = [int(t) for t in args.x.split(",")]
     elif args.solution:
         with open(args.solution) as fh:
-            x = Solution.from_json(fh.read()).x
+            x = _solution_x(json.load(fh))
     else:
-        doc = stdin_docs[-1] if not args.instance else _read_stdin_docs(1)[0]
-        x = [int(v) for v in doc["x"]]
+        x = _solution_x(stdin_docs[-1] if not args.instance else _read_stdin_docs(1)[0])
     verdict = solvers.verify(inst, x)
     if args.json:
         print(json.dumps({"verdict": verdict}))

@@ -38,6 +38,11 @@ and ``_decide_exact``.  Stream contract: a seeded draw is fixed by the order
 of the generator calls in each round and the order of the exact decisions; a
 round's arithmetic may change freely, that order may not.  Widths are exact
 rationals s^2 (``s_sq``), so sqrt(2)^i * s0 is exact.
+
+Importing this module loads NumPy and the top-level ``scipy`` package only.
+SciPy's special functions (``scipy.special.chdtrc``, the kernel of
+``scipy.stats.chi2.sf``) load on the first ``empirical_similarity`` call,
+which only the statistical tests and ``selftest`` make.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
+import scipy  # a declared dependency: fail here, not at the first statistical check
 
 from .errors import (
     BudgetExceeded,
@@ -758,7 +763,11 @@ def empirical_similarity(samples: Sequence, pmf: Dict, *, min_expected: float = 
     if tail_expected >= 5.0:
         stat += (tail_observed - tail_expected) ** 2 / tail_expected
         dof += 1
-    p_value = float(_chi2_dist.sf(stat, dof)) if dof >= 1 else 1.0
+    if dof >= 1:
+        from scipy.special import chdtrc  # the chi2.sf kernel, without scipy.stats
+        p_value = float(chdtrc(dof, stat))
+    else:
+        p_value = 1.0
     max_ratio = max((abs(lr) for _, _, _, lr, _ in bins), default=0.0)
     return SimilarityResult(max_ratio_log=max_ratio, chi2_p=p_value,
                             n_bins=len(bins), bins=bins)

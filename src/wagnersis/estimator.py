@@ -54,7 +54,7 @@ class CostQuery:
         if self.variant not in _KAPPA:
             raise PreconditionViolated(f"unknown variant {self.variant!r}")
         if not (0 < self.beta < self.q / 2):
-            raise PreconditionViolated("beta < q/2 (otherwise the attack is trivial)")
+            raise PreconditionViolated(f"need 0 < beta < q/2, got beta={self.beta}")
         if not (1 <= self.n < self.m):
             raise PreconditionViolated("1 <= n < m")
 

@@ -27,7 +27,14 @@ from .wagner import (
     choose_provable_params,
     gaussian_wagner,
 )
-from .zqlin import SisInstance, Solution, check_qary_preconditions, matvec_mod, norm_stat
+from .zqlin import (
+    SisInstance,
+    Solution,
+    _is_integer,
+    check_qary_preconditions,
+    matvec_mod,
+    norm_stat,
+)
 
 VERDICT_VALID = "Valid"
 VERDICT_ZERO = "ZeroVector"
@@ -77,10 +84,13 @@ def nonzero_mod_q(x, q: int) -> bool:
 
 
 def verify(inst: SisInstance, x) -> str:
-    """Exact verdict: lattice membership first, then zero, then the norm."""
-    xs = [int(v) for v in x]
-    if len(xs) != inst.m:
+    """Exact verdict: lattice membership first, then zero, then the norm.
+    An entry that is not an integer (a float, a bool, a string) is not in the
+    lattice: it is never truncated."""
+    xs = list(x)
+    if len(xs) != inst.m or not all(map(_is_integer, xs)):
         return VERDICT_NOT_IN_LATTICE
+    xs = [int(v) for v in xs]
     if any(int(v) for v in matvec_mod(inst.A, xs, inst.q)):
         return VERDICT_NOT_IN_LATTICE
     if all(v == 0 for v in xs):

@@ -216,7 +216,10 @@ class Solution:
     @classmethod
     def from_json(cls, text: str) -> "Solution":
         doc = json.loads(text)
-        return cls(x=tuple(int(v) for v in doc["x"]), norm_value=float(doc.get("norm", 0.0)))
+        x = doc["x"]
+        if not (isinstance(x, list) and all(map(_is_integer, x))):
+            raise BadDimensions(f"solution x must be a list of integers, got {x!r}")
+        return cls(x=tuple(x), norm_value=float(doc.get("norm", 0.0)))
 
 
 _to_python_int = np.frompyfunc(int, 1, 1)

@@ -1,4 +1,10 @@
-"""Instance builders and a stage-list oracle shared by the test modules."""
+"""Instance builders, a stage-list oracle and a fresh-interpreter runner
+shared by the test modules."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -64,3 +70,16 @@ class ScriptedUniforms:
 
     def integers(self, *args):
         return self._rng.integers(*args)
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(snippet):
+    """Run ``snippet`` in a fresh interpreter with PYTHONPATH=src and return
+    its stdout; a non-zero exit fails with the child's stderr."""
+    proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(_SRC)))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -142,6 +142,39 @@ class TestVerify:
                              "--x", "0,0,0,0", "--json"])
         assert json.loads(out) == {"verdict": "ZeroVector"}
 
+    # (5, 0, 0, 0, 0, 0) is in this lattice, so truncating x with int()
+    # made [5.7, 0.4, 0, 0, 0, 0] verify
+    INSTANCE = ('{"n": 2, "m": 6, "q": 5, "beta": null, "norm": "linf", '
+                '"A": [[1, 1, 1, 1, 2, 1], [0, 0, 4, 3, 2, 1]]}')
+
+    @pytest.mark.parametrize("x", ["[5.7, 0.4, 0, 0, 0, 0]", "[5.0, 0, 0, 0, 0, 0]",
+                                   '["5", 0, 0, 0, 0, 0]'])
+    def test_non_integer_entries_on_stdin(self, x, monkeypatch):
+        code, out = run_cli(["verify"], stdin_text=self.INSTANCE + f'{{"x": {x}}}',
+                            monkeypatch=monkeypatch)
+        assert code == 1 and out == "NotInLattice\n"
+        code, out = run_cli(["verify"], stdin_text=self.INSTANCE + '{"x": [5, 0, 0, 0, 0, 0]}',
+                            monkeypatch=monkeypatch)
+        assert code == 0 and out == "Valid\n"
+
+    def test_non_integer_entries_in_solution_document(self, monkeypatch, tmp_path):
+        path = tmp_path / "sol.json"
+        path.write_text('{"x": [5.7, 0.4, 0, 0, 0, 0], "norm": 5}')
+        code, out = run_cli(["verify", "--solution", str(path)],
+                            stdin_text=self.INSTANCE, monkeypatch=monkeypatch)
+        assert code == 1 and out == "NotInLattice\n"
+
+    @pytest.mark.parametrize("doc", ['{"x": 5}', '{"x": "500000"}', "[5, 0, 0, 0, 0, 0]"])
+    def test_malformed_solution_is_a_usage_error(self, doc, monkeypatch, tmp_path):
+        code, out = run_cli(["verify"], stdin_text=self.INSTANCE + doc,
+                            monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        path = tmp_path / "sol.json"
+        path.write_text(doc)
+        code, out = run_cli(["verify", "--solution", str(path)],
+                            stdin_text=self.INSTANCE, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+
 
 class TestInstanceDocuments:
     """Instance documents that are not what they declare are rejected, not
@@ -190,6 +223,14 @@ class TestEstimate:
         header, row = csv_path.read_text().strip().split("\n")
         assert header == "log2N,w,sigma0,r_prime,sigma_rprime,ell,variant"
         assert row.startswith("269.9,37,0.1700,40,")
+
+    @pytest.mark.parametrize("beta", ["0", "9"])
+    def test_beta_out_of_range_names_the_bound(self, beta, capsys):
+        code, _ = run_cli(["estimate", "--n", "4", "--m", "8", "--q", "17",
+                           "--beta", beta])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            f"precondition violated: need 0 < beta < q/2, got beta={beta}\n"
 
     def test_missing_dims_usage_error(self, monkeypatch):
         code, _ = run_cli(["estimate", "--n", "4"])

@@ -5,10 +5,12 @@ import random
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
-from helpers import ScriptedUniforms
+from helpers import ScriptedUniforms, run_fresh
 from wagnersis import dgauss
 from wagnersis.dgauss import (
     GaussParam,
@@ -643,6 +645,61 @@ class TestEmpiricalSimilarity:
         eps = 2.0 / (math.exp(math.pi * (s / math.sqrt(2)) ** 2) / 1 - 2)
         assert res.excess(4.5) <= 3 * eps + 1e-9
         assert res.chi2_p >= 1e-3
+
+
+class TestChiSquarePValue:
+    """``empirical_similarity`` takes its p-value from ``scipy.special.chdtrc``,
+    the kernel of ``scipy.stats.chi2.sf``, which it loads on first use."""
+
+    # dof 1-59, 100, 499, 1000, 2900 and 5000, at x = dof + z sqrt(2 dof)
+    # for z from -3 to 7 in steps of 1/4: 2624 points.  A statistic is never
+    # negative (chdtrc gives nan there, chi2.sf 1), so x is clipped at 0.
+    DOFS = np.array(list(range(1, 60)) + [100, 499, 1000, 2900, 5000], dtype=float)
+    Z = np.arange(-12, 29) / 4
+
+    def test_kernel_is_chi2_sf_bit_for_bit(self):
+        dof, z = np.meshgrid(self.DOFS, self.Z)
+        x = np.maximum(dof + z * np.sqrt(2 * dof), 0.0)
+        assert x.size == 2624
+        assert np.array_equal(scipy.special.chdtrc(dof, x), chi2.sf(x, dof))
+
+    def test_seeded_sample_matches_chi2_sf(self, monkeypatch):
+        calls, chdtrc = [], scipy.special.chdtrc
+
+        def spy(dof, stat):
+            calls.append((dof, stat))
+            return chdtrc(dof, stat)
+
+        monkeypatch.setattr(scipy.special, "chdtrc", spy)
+        param = GaussParam.make(s=3, c=0.25)
+        pmf = pmf_bruteforce(enum_z(), param, radius=45)
+        draws = sample_zn_rows(param, 1, 20_000, derive_rng(37, "pvalue"))[:, 0].tolist()
+        res = empirical_similarity(draws, pmf)
+        [(dof, stat)] = calls
+        assert dof >= 5 and stat > 0
+        assert res.chi2_p == float(chi2.sf(stat, dof))
+
+    def test_two_dof_closed_form(self):
+        # expected counts 5000, 2500, 2500; chi2 = 2 + 1 + 1 on 2 dof
+        pmf = {0: 0.5, 1: 0.25, 2: 0.25}
+        res = empirical_similarity([0] * 5100 + [1] * 2450 + [2] * 2450, pmf)
+        assert abs(res.chi2_p / math.exp(-2.0) - 1) <= 1e-13
+        x = np.linspace(0, 200, 801)
+        assert np.all(np.abs(scipy.special.chdtrc(2, x) / np.exp(-x / 2) - 1) <= 1e-13)
+
+    def test_zero_statistic_gives_one(self):
+        res = empirical_similarity([0, 1, 2, 3] * 2500, {k: 0.25 for k in range(4)})
+        assert res.chi2_p == 1.0
+
+    def test_import_defers_scipy_special(self):
+        out = run_fresh(
+            "import sys\n"
+            "import wagnersis, wagnersis.cli\n"
+            "print(*(m in sys.modules for m in ('scipy', 'scipy.stats', 'scipy.special')))\n"
+            "from wagnersis.dgauss import empirical_similarity\n"
+            "res = empirical_similarity([0, 1] * 5000, {0: 0.5, 1: 0.5})\n"
+            "print(res.chi2_p, 'scipy.special' in sys.modules)\n")
+        assert out.split("\n") == ["True False False", "1.0 True", ""]
 
 
 class TestEtaBruteforce:

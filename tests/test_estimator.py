@@ -132,8 +132,13 @@ class TestEstimate:
         assert (rep.w, rep.sigma0) == (w, sigma0)
 
     def test_beta_range_validation(self):
-        with pytest.raises(PreconditionViolated):
-            CostQuery(n=4, m=8, q=17, beta=9)  # beta >= q/2
+        # both sides of 0 < beta < q/2 fail with the condition in the message
+        for beta in (0, -1, 9, 17):
+            with pytest.raises(PreconditionViolated,
+                               match=rf"^need 0 < beta < q/2, got beta={beta}$"):
+                CostQuery(n=4, m=8, q=17, beta=beta)
+        for beta in (1, 8):
+            assert CostQuery(n=4, m=8, q=17, beta=beta).beta == beta
 
 
 class TestPresets:

@@ -20,7 +20,7 @@ from wagnersis.solvers import (
     verify,
 )
 from wagnersis.wagner import MODE_HEURISTIC, MODE_PROVABLE
-from wagnersis.zqlin import SisInstance, norm_stat
+from wagnersis.zqlin import SisInstance, norm_stat, random_instance
 
 
 class TestVerify:
@@ -40,6 +40,16 @@ class TestVerify:
         inst = SisInstance.create([[1, 1]], 3, beta=2)
         assert verify(inst, (1, 1)) == VERDICT_NOT_IN_LATTICE
         assert verify(inst, (5, 0, 0)) == VERDICT_NOT_IN_LATTICE  # wrong length
+
+    @pytest.mark.parametrize("x", [[5.9, 0.2, 0, 0, 0, 0], [5.0, 0, 0, 0, 0, 0],
+                                   [True, 0, 0, 0, 0, 0], ["5", 0, 0, 0, 0, 0]])
+    def test_non_integer_entries_not_in_lattice(self, x):
+        # int() truncates the floats and the string to (5, 0, 0, 0, 0, 0),
+        # which is in the lattice
+        inst = random_instance(2, 6, 5, seed=11)
+        assert verify(inst, [5, 0, 0, 0, 0, 0]) == VERDICT_VALID
+        assert verify(inst, np.array([5, 0, 0, 0, 0, 0])) == VERDICT_VALID
+        assert verify(inst, x) == VERDICT_NOT_IN_LATTICE
 
     def test_int64_matrix_beyond_int64_modulus(self):
         # A x mod q for an int64 matrix given to the constructor with q >= 2^63
