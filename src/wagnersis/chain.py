@@ -25,7 +25,7 @@ import numpy as np
 from .dgauss import _WIDTH_TOL, SamplerCounts, _draw_z_array, _width_floor_sq
 from .errors import BlockSumMismatch, NotInLattice, WidthTooSmall
 from .rngutil import derive_np_rng, derive_rng
-from .zqlin import SisInstance, int_array, int_matmul
+from .zqlin import SisInstance, int_array, int_lincomb, int_matmul
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,11 @@ def _difference(stage: StageDescriptor, X: np.ndarray, Y: np.ndarray,
     """Rows X[i1] - X[i2], extended by the exact tail difference
     (Y[i1] - Y[i2]) + q (K[i1] - K[i2]) / p.  Paired rows must share their
     coset label K mod p; the results then satisfy the first kappa_i rows.
-    The tail is one ``int_matmul``, exact under its overflow rule."""
+    The tail is one ``int_lincomb``, exact under its overflow rule."""
     dk = K[i1] - K[i2]
     if np.any(np.mod(dk, stage.p)):
         raise NotInLattice("paired vectors disagree on coset label")
-    terms = np.stack([Y[i1], Y[i2], dk // stage.p], axis=-1).reshape(-1, 3)
-    tail = int_matmul(terms, int_array([[1, -1, stage.q]])).reshape(dk.shape)
+    tail = int_lincomb([(1, Y[i1]), (-1, Y[i2]), (stage.q, dk // stage.p)])
     return np.hstack([X[i1] - X[i2], tail])
 
 
@@ -121,8 +120,7 @@ def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
     otherwise, and the sampler's counts."""
     p, q = stage.p, stage.q
     scaled = _offset_width_sq(stage.index, p, q, stage.b, width_sq)
-    # center numerators -p y, under int_matmul's overflow rule
-    c_num = int_matmul(Y.reshape(-1, 1), int_array([[-p]])).reshape(Y.shape)
+    c_num = int_lincomb([(-p, Y)])  # center numerators -p y
     K, counts = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
                               derive_rng(seed, *seed_path, "exact"))
     return int_array(K), counts

@@ -62,7 +62,7 @@ from .errors import (
     WidthTooSmall,
 )
 from .rngutil import derive_np_rng, derive_rng
-from .zqlin import _syndromes, check_qary_preconditions, int_add, int_array, int_matmul
+from .zqlin import _syndromes, check_qary_preconditions, int_array, int_lincomb
 
 # Rational enclosure of pi (60 digits), used by the exact Bernoulli fallback.
 _PI_LO = Fraction(
@@ -335,7 +335,7 @@ class _ZSampler:
         work whatever the width: j - 1 = M q + r with q ~ Geom(g^M) by
         inversion (``_geometric``) and r in [0, M) of weight g^r by rejection
         from a uniform, which accepts with probability above exp(-2^-20).
-        Returns int64 when ``int_matmul``'s bound proves M q + r + 1 fits,
+        Returns int64 when ``int_lincomb``'s bound proves M q + r + 1 fits,
         Python ints otherwise."""
         q = self._geometric(rng.random(n), exact_rng, counts)
         if self.M == 1:
@@ -352,7 +352,7 @@ class _ZSampler:
                                           _lazy(float(u[i])), exact_rng)
             r[todo[accept]] = cand[accept]
             todo = todo[~accept]
-        return int_matmul(np.stack([q, r + 1], axis=1), int_array([[self.M, 1]]))[:, 0]
+        return int_lincomb([(self.M, q), (1, r + 1)])
 
     def _geometric(self, u, exact_rng, counts: SamplerCounts) -> np.ndarray:
         """q = floor(-ln U / (M rate)) for the uniforms U whose first 53 bits
@@ -423,7 +423,7 @@ class _ZSampler:
             if tail.size:
                 side = 2 * rng.integers(0, 2, tail.size) - 1
                 steps = self._tail_steps(tail.size, rng, exact_rng, counts)
-                t_tail = int_add(side * self.K, side * steps)
+                t_tail = int_lincomb([(1, side * self.K), (1, side * steps)])
                 t = t.astype(t_tail.dtype, copy=False)
                 t[tail] = t_tail
             accept, reject = self._float_decisions(
@@ -471,7 +471,7 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
     """One exact draw from D_{Z,s,c} per entry of c = c_num / c_den.
 
     ``c_num`` is an int64 or object array of integers; the draws come back in
-    its shape, x = round(c) + t formed by ``int_add``: int64 when its bound
+    its shape, x = round(c) + t formed by ``int_lincomb``: int64 when its bound
     proves every sum fits, Python ints otherwise.  Proposals and uniforms
     come from the NumPy generator ``rng``, and exact decisions take their
     fresh bits from the ``random.Random`` stream ``exact_rng``."""
@@ -488,7 +488,7 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
     for start in range(0, c_num.size, _BLOCK):
         x0, f_num, f = _split_centers(centers[start:start + _BLOCK], c_den)
         t = samp._draw_block(f, f_num, c_den, rng, exact_rng, counts)
-        parts.append(int_add(x0, t))
+        parts.append(int_lincomb([(1, x0), (1, t)]))
     return np.concatenate(parts or [centers[:0]]).reshape(c_num.shape), counts
 
 

@@ -16,9 +16,9 @@ stage kernel, and with it the pairing:
   randomized lifting and pair disjointly, with no cap.
 
 Lists are integer matrices, one vector per row.  Gaussian lists are int64
-where ``zqlin.int_matmul`` certifies the overflow bound, Python integers in
-object arrays otherwise; a Gaussian stage carries its list as the chain's
-(X, Y, K) arrays: heads, lifts and offset coefficients (see ``chain``).
+where the ``zqlin`` overflow rule allows, Python integers in object arrays
+otherwise; a Gaussian stage carries its list as the chain's (X, Y, K)
+arrays: heads, lifts and offset coefficients (see ``chain``).
 Rounding lists hold entries in [-q, q] only, so they are stored in the
 narrowest signed integer type that holds that range (``_rounding_dtype``:
 int8 up to q = 127, then int16, int32, int64, and object from q = 2^63).
@@ -72,9 +72,11 @@ from .errors import (
 from .rngutil import derive_np_rng, derive_rng
 from .zqlin import (
     SisInstance,
+    _is_integer,
     centered,
     check_qary_preconditions,
     int_array,
+    int_lincomb,
     int_matmul,
 )
 
@@ -98,6 +100,10 @@ class Schedule:
     def __post_init__(self):
         if self.mode not in (MODE_PROVABLE, MODE_HEURISTIC, MODE_NAIVE):
             raise InfeasibleSchedule(f"unknown mode {self.mode!r}")
+        if not all(map(_is_integer, (self.r, self.N, *self.p, *self.b))):
+            raise InfeasibleSchedule("r, N and every p_i and b_i must be integers")
+        if self.mode != MODE_NAIVE and (self.s0_sq is None or self.s0_sq <= 0):
+            raise InfeasibleSchedule(f"{self.mode} mode needs a width s0_sq > 0")
         if len(self.p) != self.r or len(self.b) != self.r:
             raise InfeasibleSchedule("need r moduli and r block sizes")
         if self.N < 1 or self.r < 1:
@@ -236,9 +242,8 @@ def _combine_stage(stage: StageDescriptor, X: np.ndarray, Y: np.ndarray,
 
 def _round_scaled(Y: np.ndarray, p: int, q: int) -> np.ndarray:
     """round((p/q) y), halves up, for entries y >= 0: floor((2 p y + q) / 2q),
-    with 2 p y + q formed under ``int_matmul``'s overflow rule."""
-    terms = np.stack([Y, np.ones_like(Y)], axis=-1).reshape(-1, 2)
-    return int_matmul(terms, int_array([[2 * p, q]])).reshape(Y.shape) // (2 * q)
+    with 2 p y + q formed by ``int_lincomb``."""
+    return int_lincomb([(2 * p, Y), (q, 1)]) // (2 * q)
 
 
 def _rounding_dtype(q: int) -> np.dtype:
@@ -362,7 +367,7 @@ def _rounding_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed
     each row is bucketed by round((p/q) y) mod p, and same-bucket rows are
     subtracted (disjoint pairs, no cap).
 
-    Labels are exact for every q: 2 p y + q goes through ``int_matmul``.
+    Labels are exact for every q: 2 p y + q goes through ``int_lincomb``.
     The differences of the heads and of the completions y are written into
     one array and centered by one conditional step of q
     (``_center_in_place``): heads are centered residues (ternary at the

@@ -81,11 +81,10 @@ def norm_stat(xs, norm_kind: str) -> int:
 
 def centered(v, q: int):
     """Representative of v mod q in (-q/2, q/2], elementwise for arrays."""
-    if isinstance(v, np.ndarray):
-        r = np.mod(v, q)
-        return np.where(2 * r > q, r - q, r)
     r = v % q
-    return r - q if 2 * r > q else r
+    if isinstance(v, np.ndarray):
+        return np.where(r > q // 2, r - q, r)
+    return r - q if r > q // 2 else r
 
 
 def _is_integer(x) -> bool:
@@ -235,15 +234,12 @@ def int_array(rows) -> np.ndarray:
 
 
 def int_matmul(X, A) -> np.ndarray:
-    """Exact ``X @ A.T`` for integer matrices.
-
-    The toolkit's one overflow rule: the product is taken in int64 when both
-    operands have a signed integer dtype (int8 to int64, mixed or not) and
-    ``X.shape[1] * max|A| * max|X| < 2^62``, a bound on every partial sum;
-    otherwise it is taken over Python integers in an object array.  The
-    result is int64 or object, never a narrower type, whose product could
-    wrap.
-    """
+    """Exact ``X @ A.T`` for integer matrices, under the toolkit's one
+    overflow rule: the product is taken in int64 when both operands have a
+    signed integer dtype (int8 to int64, mixed or not) and
+    ``X.shape[1] * max|A| * max|X| < 2^62``, a bound on every partial sum,
+    and over Python integers in an object array otherwise; never in a
+    narrower type, where it could wrap."""
     X, A = np.asarray(X), np.asarray(A)
     if X.dtype.kind == "i" and A.dtype.kind == "i":
         if X.shape[1] * _max_abs(A) * _max_abs(X) < _INT64_SAFE:
@@ -251,16 +247,18 @@ def int_matmul(X, A) -> np.ndarray:
     return _to_python_int(X) @ _to_python_int(A).T
 
 
-def int_add(a, b) -> np.ndarray:
-    """Exact elementwise a + b: ``int_matmul``'s rule for the columns (a, b)
-    times (1, 1) of int64 operands, without forming them.  int64 when both
-    are int64 and 2 max(|a|, |b|) < 2^62, Python integers in an object array
-    otherwise."""
-    a, b = np.asarray(a), np.asarray(b)
-    if (a.dtype == np.int64 and b.dtype == np.int64
-            and 2 * max(_max_abs(a), _max_abs(b)) < _INT64_SAFE):
-        return a + b
-    return _to_python_int(a) + _to_python_int(b)
+def int_lincomb(terms) -> np.ndarray:
+    """Exact elementwise sum of c a over the (integer c, integer array a)
+    ``terms``, broadcast together: ``int_matmul``'s rule term by term.  int64
+    when every a has a signed integer dtype and sum |c| max(1, max|a|) < 2^62,
+    a bound on every partial sum, each term formed in int64; Python integers
+    in an object array otherwise."""
+    terms = [(int(c), np.asarray(a)) for c, a in terms]
+    if (all(a.dtype.kind == "i" for _, a in terms) and sum(
+            abs(c) * max(1, _max_abs(a)) for c, a in terms) < _INT64_SAFE):
+        terms = [(c, a.astype(np.int64, copy=False)) for c, a in terms]
+        return sum(a if c == 1 else c * a for c, a in terms)
+    return np.asarray(sum(c * _to_python_int(a) for c, a in terms), dtype=object)
 
 
 def _max_abs(X: np.ndarray) -> int:
@@ -287,7 +285,7 @@ def random_instance(n: int, m: int, q: int, seed: int, *, beta=None,
     if q < 2:
         raise BadDimensions(f"modulus must be >= 2, got {q}")
     rng = derive_np_rng(seed, "instance", n, m, q)
-    if q < (1 << 62):
+    if q < (1 << 63):
         A = rng.integers(0, q, size=(n, m), dtype=np.int64)
     else:
         A = np.array([[_uniform_below(rng, q) for _ in range(m)] for _ in range(n)],
@@ -296,11 +294,8 @@ def random_instance(n: int, m: int, q: int, seed: int, *, beta=None,
 
 
 def _uniform_below(rng: np.random.Generator, q: int) -> int:
-    """Uniform integer on [0, q): NumPy's own draw while q fits its int64
-    bounds, beyond that rejection on (q-1).bit_length() bits of the
-    generator's byte stream."""
-    if q < (1 << 63):
-        return int(rng.integers(0, q))
+    """Uniform integer on [0, q) for q beyond NumPy's int64 draw: rejection
+    on (q-1).bit_length() bits of the generator's byte stream."""
     bits = (q - 1).bit_length()
     while True:
         v = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)

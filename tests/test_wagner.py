@@ -656,6 +656,27 @@ class TestRunLoop:
         assert len(stats.bucket_histograms) == len(stats.list_sizes) - 1
 
 
+class TestScheduleValidation:
+    @pytest.mark.parametrize("mode, s0_sq", [
+        (MODE_PROVABLE, None), (MODE_HEURISTIC, None), (MODE_PROVABLE, Fraction(0)),
+        (MODE_HEURISTIC, Fraction(-9))])
+    def test_gaussian_mode_needs_a_positive_width(self, mode, s0_sq):
+        with pytest.raises(InfeasibleSchedule):
+            Schedule(mode=mode, r=1, N=30, p=(2,), b=(2,), s0_sq=s0_sq)
+
+    @pytest.mark.parametrize("field, value", [
+        ("N", 2.5), ("N", True), ("r", 1.0), ("p", (2.0,)), ("b", ("2",))])
+    def test_sizes_must_be_integers(self, field, value):
+        args = {"mode": MODE_NAIVE, "r": 1, "N": 30, "p": (2,), "b": (2,), field: value}
+        with pytest.raises(InfeasibleSchedule):
+            Schedule(**args)
+
+    def test_valid_schedules(self):
+        Schedule(mode=MODE_NAIVE, r=1, N=30, p=(2,), b=(2,))
+        Schedule(mode=MODE_HEURISTIC, r=1, N=np.int64(30), p=(np.int64(2),), b=(2,),
+                 s0_sq=Fraction(1, 9))
+
+
 class TestChooseProvableParams:
     # ln(3/eps') = 14.96 <=> eps = 15 exp(-14.96)
     EPS = 15 * math.exp(-14.96)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wagnersis.errors import (
@@ -16,7 +18,7 @@ from wagnersis.zqlin import (
     SisInstance,
     Solution,
     centered,
-    int_add,
+    int_lincomb,
     int_matmul,
     lambda1_inf_bruteforce,
     matvec_mod,
@@ -112,6 +114,14 @@ class TestRandomInstance:
         assert not np.array_equal(a.A, random_instance(4, 9, q, seed=2).A)
         # entries beyond 2^63 occur: the draw covers all of [0, q)
         assert any(int(v) >= 1 << 63 for v in a.A.flat)
+
+    def test_instance_pinned_between_2_62_and_2_63(self):
+        # drawn vectorised since the per-entry draw gives the same stream
+        assert random_instance(2, 4, (1 << 62) + 7, seed=5).A.tolist() == [
+            [2841358078700360161, 3829753090711543447, 1069563306211825940,
+             3709932285398049752],
+            [3523117236739605770, 3099561703807989914, 1838832977960621695,
+             1311965129186973397]]
 
     def test_object_branch_below_2_63_is_numpy_draw(self):
         q = (1 << 63) - 25
@@ -223,6 +233,20 @@ class TestInstanceModel:
         arr = centered(np.array([0, 1, 2, 3, 4]), 5)
         assert list(arr) == [0, 1, 2, -2, -1]
 
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.one_of(st.integers((1 << 62) - 1000, (1 << 62) + 1000),
+                       st.integers((1 << 62) - 1000, (1 << 63) - 1)),
+           data=st.data())
+    def test_array_branch_matches_scalar_near_int64_limit(self, q, data):
+        # 2 r wraps int64 for residues r >= 2^62; the array branch must not
+        edges = st.sampled_from([q // 2, q // 2 + 1, q - 1, -1, -q // 2, 1 - (1 << 63)])
+        vs = data.draw(st.lists(st.one_of(edges, st.integers(-(1 << 63), (1 << 63) - 1)),
+                                min_size=1, max_size=8))
+        expect = [centered(v, q) for v in vs]
+        for dtype in (np.int64, object):
+            got = centered(np.array(vs, dtype=dtype), q)
+            assert [int(v) for v in got] == expect
+
 
 def _matmul_reference(X, A):
     """X @ A.T over Python integers, one entry at a time."""
@@ -272,7 +296,8 @@ class TestIntMatmul:
         (-(2**63), -(2**63)), (7, -3)])
     def test_add_on_both_sides_of_the_int64_guard(self, a, b):
         # the sum form of the rule: int64 exactly when 2 max(|a|, |b|) < 2^62
-        got = int_add(np.array([a, b], dtype=np.int64), np.array([b, a], dtype=np.int64))
+        got = int_lincomb([(1, np.array([a, b], dtype=np.int64)),
+                           (1, np.array([b, a], dtype=np.int64))])
         assert got.dtype == (np.int64 if 2 * max(abs(a), abs(b)) < _INT64_SAFE else object)
         assert got.tolist() == [a + b, a + b]
 
@@ -286,4 +311,59 @@ class TestIntMatmul:
         A_obj = np.array(A, dtype=object)
         assert int_matmul(np.array(X, dtype=object), A_obj).tolist() == ref
         assert [int(v) for v in matvec_mod(A_obj, X[0], q)] == [v % q for v in ref[0]]
+
+
+_SHAPES = [(3,), (2, 3), (2, 1)]
+
+
+@st.composite
+def _lincomb_terms(draw):
+    """1 to 3 terms (c, a) of every signed type and broadcastable shapes.
+    The last coefficient puts the bound sum |c| max(1, max|a|) within two
+    steps of 2^62, on either side, a step being the last term's max(1,
+    max|a|); entries at +-max|a| hit the worst-case partial sums."""
+    k = draw(st.integers(1, 3))
+    terms, bound = [], 0
+    for i in range(k):
+        dtype = draw(st.sampled_from(_SIGNED))
+        cap = int(np.iinfo(dtype).max)
+        if i < k - 1:  # earlier terms keep the bound below 2^61
+            cap = min(cap, 1 << 40)
+        max_a = draw(st.one_of(st.sampled_from([0, 1, cap]), st.integers(0, cap)))
+        if i < k - 1:
+            c = draw(st.integers(-(1 << 20), 1 << 20))
+        else:
+            c = max(1, (_INT64_SAFE - 1 - bound) // max(1, max_a)
+                    + draw(st.integers(-2, 2)))
+            c *= draw(st.sampled_from([1, -1]))
+        bound += abs(c) * max(1, max_a)
+        elems = st.one_of(st.sampled_from([max_a, -max_a]), st.integers(-max_a, max_a))
+        shape = draw(st.sampled_from(_SHAPES))
+        vals = [draw(elems) for _ in range(math.prod(shape))]
+        vals[0] = max_a
+        terms.append((c, np.array(vals, dtype=dtype).reshape(shape)))
+    return terms
+
+
+def _lincomb_reference(terms):
+    """The elementwise sum over Python integers, one entry at a time."""
+    shape = np.broadcast_shapes(*(np.shape(a) for _, a in terms))
+    cols = [[int(c) * int(v) for v in np.broadcast_to(np.array(a, dtype=object), shape).flat]
+            for c, a in terms]
+    return np.array([sum(col) for col in zip(*cols)], dtype=object).reshape(shape).tolist()
+
+
+class TestIntLincomb:
+    @settings(max_examples=600, deadline=None)
+    @given(terms=_lincomb_terms())
+    # a scalar term, with 10 * 32767 formed in int64 where int16 would wrap,
+    # and a coefficient past int64 on an all-zero array
+    @example(terms=[(2 * 5, np.array([0, 300, -32767], dtype=np.int16)), (61, 1)])
+    @example(terms=[(1 << 64, np.zeros(3, dtype=np.int64))])
+    def test_exact_on_both_sides_of_the_int64_guard(self, terms):
+        bound = sum(abs(c) * max(1, max(map(abs, np.ravel(a).tolist()), default=0))
+                    for c, a in terms)
+        got = int_lincomb(terms)
+        assert got.dtype == (np.int64 if bound < _INT64_SAFE else object)
+        assert got.tolist() == _lincomb_reference(terms)
 
