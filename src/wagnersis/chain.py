@@ -5,11 +5,10 @@ arrays with one vector per row: the heads X, each already satisfying the
 first kappa_{i-1} rows; their canonical lifts Y = -(A'_new @ X_top)
 (``_lift_batch``), exact integers with no mod-q reduction; and the offset
 coefficients K (``_gaussian_offsets``), which place the row (x ; y + (q/p_i) k)
-in the stage superlattice.  That tail is exact as the p_i-scaled integers
-p_i Y + q K, because q/p_i is usually not an integer.  The residue K mod p_i
-is precisely the coset of the row in the stage's superlattice quotient,
-which has p_i^{b_i} classes, so same-label rows subtract (``_difference``)
-to vectors satisfying the first kappa_i rows.
+in the stage superlattice.  The residue K mod p_i is precisely the coset of
+the row in the stage's superlattice quotient, which has p_i^{b_i} classes,
+so rows with the same residue subtract to vectors satisfying the first
+kappa_i rows (``wagner._combine_stage``).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .dgauss import _WIDTH_TOL, SamplerCounts, _draw_z_array, _width_floor_sq
-from .errors import BlockSumMismatch, NotInLattice, WidthTooSmall
+from .errors import BlockSumMismatch, WidthTooSmall
 from .rngutil import derive_np_rng, derive_rng
 from .zqlin import SisInstance, int_array, int_lincomb, int_matmul
 
@@ -86,19 +85,6 @@ def build_chain(inst: SisInstance, block_sizes: Sequence[int],
 def _lift_batch(stage: StageDescriptor, X: np.ndarray) -> np.ndarray:
     """y_last = -(A'_new @ x_top) for every row of X, exact integers."""
     return -int_matmul(X[:, : stage.m_minus_n], stage.a_new)
-
-
-def _difference(stage: StageDescriptor, X: np.ndarray, Y: np.ndarray,
-                K: np.ndarray, i1, i2) -> np.ndarray:
-    """Rows X[i1] - X[i2], extended by the exact tail difference
-    (Y[i1] - Y[i2]) + q (K[i1] - K[i2]) / p.  Paired rows must share their
-    coset label K mod p; the results then satisfy the first kappa_i rows.
-    The tail is one ``int_lincomb``, exact under its overflow rule."""
-    dk = K[i1] - K[i2]
-    if np.any(np.mod(dk, stage.p)):
-        raise NotInLattice("paired vectors disagree on coset label")
-    tail = int_lincomb([(1, Y[i1]), (-1, Y[i2]), (stage.q, dk // stage.p)])
-    return np.hstack([X[i1] - X[i2], tail])
 
 
 @lru_cache(maxsize=256)

@@ -191,17 +191,17 @@ class _LazyUniform:
         return Fraction(self.num, d), Fraction(self.num + 1, d)
 
 
-def _decide_exact(premul: Fraction, a: Fraction, u: _LazyUniform, rng) -> bool:
-    """Decide premul * U < exp(-pi a) exactly (terminates with prob. 1)."""
+def _decide_exact(a: Fraction, u: _LazyUniform, rng) -> bool:
+    """Decide U < exp(-pi a) exactly (terminates with prob. 1)."""
     prec = 96
     while True:
         lo, hi = _exp_neg_pi_interval(a, prec)
         u_lo, u_hi = u.bounds()
-        if premul * u_hi <= lo:
+        if u_hi <= lo:
             return True
-        if premul * u_lo >= hi:
+        if u_lo >= hi:
             return False
-        if (hi - lo) > premul * (u_hi - u_lo):
+        if hi - lo > u_hi - u_lo:
             prec *= 2
         else:
             u.extend(rng)
@@ -306,7 +306,7 @@ class _ZSampler:
         j = abs(t) - self.K
         if j > 0:
             a -= self.tau + self.gamma * j
-        return _decide_exact(Fraction(1), a, _lazy(u), rng)
+        return _decide_exact(a, _lazy(u), rng)
 
     def _float_decisions(self, t, f, u, tail, steps):
         """Double-precision decisions on proposals: offsets t, center
@@ -348,7 +348,7 @@ class _ZSampler:
             accept, reject = _float_bernoulli(np.exp(-self.rate * cand), u)
             for i in np.flatnonzero(accept == reject):
                 counts.fallbacks += 1
-                accept[i] = _decide_exact(Fraction(1), self.gamma * int(cand[i]),
+                accept[i] = _decide_exact(self.gamma * int(cand[i]),
                                           _lazy(float(u[i])), exact_rng)
             r[todo[accept]] = cand[accept]
             todo = todo[~accept]
@@ -385,7 +385,7 @@ class _ZSampler:
         hi = math.floor(-ln_lo / rate * (1 + 1e-9)) + 2
 
         def below(k: int) -> bool:
-            return _decide_exact(Fraction(1), self.gamma * self.M * k, lu, rng)
+            return _decide_exact(self.gamma * self.M * k, lu, rng)
 
         if not below(lo):
             lo = 0  # U < g^0 = 1 always
@@ -660,10 +660,15 @@ def pmf_bruteforce(enumerator, param: GaussParam, radius: float) -> Dict:
 # Formula evaluators
 # ---------------------------------------------------------------------------
 
+def check_epsilon(epsilon: float) -> None:
+    """PreconditionViolated unless epsilon > 0 (NaN fails), before any ln(1/eps)."""
+    if not epsilon > 0:
+        raise PreconditionViolated("epsilon > 0")
+
+
 def eta_zn_bound(n: int, epsilon: float) -> float:
     """Upper bound sqrt(ln(2n(1+1/eps))/pi) on the smoothing parameter of Z^n."""
-    if epsilon <= 0:
-        raise PreconditionViolated("epsilon must satisfy epsilon > 0")
+    check_epsilon(epsilon)
     return math.sqrt(math.log(2 * n * (1 + 1 / epsilon)) / math.pi)
 
 
@@ -671,6 +676,7 @@ def eta_qary_bound(n: int, m: int, q: int, epsilon: float) -> float:
     """High-probability bound sqrt(72 ln(1/eps)/pi) * q^(n/m) on the smoothing
     parameter of the kernel lattice of a random A in Z_q^{n x m}."""
     check_qary_preconditions(n, m, q)
+    check_epsilon(epsilon)
     if epsilon > 1 / (4 * m):
         raise PreconditionViolated("epsilon <= 1/(4m)")
     return math.sqrt(72.0 * math.log(1 / epsilon) / math.pi) * q ** (n / m)
@@ -710,7 +716,6 @@ def min_entropy_bound(n: int, epsilon: float) -> float:
 
 @dataclass
 class SimilarityResult:
-    max_ratio_log: float
     chi2_p: float
     n_bins: int
     bins: List[tuple]  # (key, observed, expected_prob, log_ratio, std_err)
@@ -742,12 +747,10 @@ def empirical_similarity(samples: Sequence, pmf: Dict, *, min_expected: float = 
     chi_terms = []
     tail_expected = (1.0 - coverage) * n
     tail_observed = 0
-    covered_keys = set()
     for key, p in pmf.items():
         exp_count = p * n
         obs = counts.get(key, 0)
         if exp_count >= min_expected:
-            covered_keys.add(key)
             log_ratio = math.log(obs / exp_count) if obs > 0 else -math.inf
             se = math.sqrt(max(1e-300, (1.0 - p)) / (n * p))
             bins.append((key, obs, p, log_ratio, se))
@@ -768,9 +771,7 @@ def empirical_similarity(samples: Sequence, pmf: Dict, *, min_expected: float = 
         p_value = float(chdtrc(dof, stat))
     else:
         p_value = 1.0
-    max_ratio = max((abs(lr) for _, _, _, lr, _ in bins), default=0.0)
-    return SimilarityResult(max_ratio_log=max_ratio, chi2_p=p_value,
-                            n_bins=len(bins), bins=bins)
+    return SimilarityResult(chi2_p=p_value, n_bins=len(bins), bins=bins)
 
 
 # ---------------------------------------------------------------------------

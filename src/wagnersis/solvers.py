@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
+from .dgauss import check_epsilon
 from .errors import PreconditionViolated
 from .wagner import (
     MODE_HEURISTIC,
@@ -112,6 +113,7 @@ def _norm_bound(inst: SisInstance, f: float, norm_kind: str) -> float:
 
 
 def _check_mode(inst: SisInstance, f: float, epsilon: float, mode: str):
+    check_epsilon(epsilon)
     if mode == MODE_HEURISTIC:
         return
     if mode != MODE_PROVABLE:

@@ -15,19 +15,20 @@ stage kernel, and with it the pairing:
   rounding stages bucket by rounded completions instead of Gaussian
   randomized lifting and pair disjointly, with no cap.
 
-Lists are integer matrices, one vector per row.  Gaussian lists are int64
-where the ``zqlin`` overflow rule allows, Python integers in object arrays
-otherwise; a Gaussian stage carries its list as the chain's (X, Y, K)
-arrays: heads, lifts and offset coefficients (see ``chain``).
-Rounding lists hold entries in [-q, q] only, so they are stored in the
-narrowest signed integer type that holds that range (``_rounding_dtype``:
-int8 up to q = 127, then int16, int32, int64, and object from q = 2^63).
-Every run returns int64 or object rows.
+Lists are integer matrices, one vector per row: Gaussian lists int64 where
+the ``zqlin`` overflow rule allows and Python integers in object arrays
+otherwise; rounding lists, whose entries lie in [-q, q], in the narrowest
+signed type that holds that range (``_rounding_dtype``: int8 up to q = 127,
+then int16, int32, int64, and object from q = 2^63).  Every run returns
+int64 or object rows.
 
-Each stage packs a row's coset label (k mod p as base-p digits) into one
-integer under the same rule and groups the rows once, by one stable argsort
-of the labels (``_buckets``): the pairing and the occupancy histogram both
-read that grouping.
+Every stage ends in one combine kernel (``_combine_stage``): one stable
+argsort groups the rows by a packed label (``_buckets``), and same-label
+pairs subtract in their heads X and an integer tail T.  A Gaussian stage
+labels a row by its offsets' coset k mod p (see ``chain``) and takes
+T = y + q floor(k/p); same-label rows share (q/p)(k mod p), so T1 - T2 is
+the exact tail difference (y1 - y2) + q (k1 - k2)/p.  A rounding stage
+labels by round((p/q) y) mod p and takes T = y mod q.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -44,7 +45,6 @@ import numpy as np
 from . import estimator as _estimator
 from .chain import (
     StageDescriptor,
-    _difference,
     _gaussian_offsets,
     _lift_batch,
     _offset_width_sq,
@@ -56,6 +56,7 @@ from .dgauss import (
     SamplerCounts,
     _draw_z_array,
     _width_floor_sq,
+    check_epsilon,
     eta_qary_bruteforce,
     eta_scaled_zn_bruteforce,
     eta_zn_bruteforce,
@@ -71,8 +72,10 @@ from .errors import (
 )
 from .rngutil import derive_np_rng, derive_rng
 from .zqlin import (
+    _INT64_SAFE,
     SisInstance,
     _is_integer,
+    _max_abs,
     centered,
     check_qary_preconditions,
     int_array,
@@ -108,10 +111,8 @@ class Schedule:
             raise InfeasibleSchedule("need r moduli and r block sizes")
         if self.N < 1 or self.r < 1:
             raise InfeasibleSchedule("need N >= 1 and r >= 1")
-
-    @property
-    def s0(self) -> Optional[float]:
-        return None if self.s0_sq is None else math.sqrt(float(self.s0_sq))
+        if not 0 < self.epsilon < 1:  # NaN fails too
+            raise InfeasibleSchedule("need 0 < epsilon < 1")
 
     def width_sq(self, i: int) -> Fraction:
         """Exact squared width at the start of stage i (1-based): 2^(i-1) s0^2."""
@@ -230,14 +231,23 @@ def _pack_labels(K: np.ndarray, p: int) -> np.ndarray:
     return int_matmul(np.mod(K, p), powers).reshape(-1)
 
 
-def _combine_stage(stage: StageDescriptor, X: np.ndarray, Y: np.ndarray,
-                   K: np.ndarray, out_cap: int, reuse: bool):
-    """Pair same-coset rows and subtract them; returns the differences and
-    the stage's grouping, for its occupancy histogram."""
-    buckets = _buckets(_pack_labels(K, stage.p), stage.p ** stage.b)
-    pairs = (pair_indices_reuse(buckets, out_cap) if reuse
-             else pair_indices_disjoint(buckets, out_cap))
-    return _difference(stage, X, Y, K, pairs[:, 0], pairs[:, 1]), buckets
+def _combine_stage(stage: StageDescriptor, X: np.ndarray, T: np.ndarray,
+                   labels: np.ndarray, cap: Optional[int], reuse: bool):
+    """Group rows by label (below p^b), pair within groups (with reuse or
+    disjointly, at most ``cap`` pairs) and write X[i1] - X[i2] and T[i1] - T[i2]
+    into one ``np.result_type(X, T)`` array; returns it and the grouping.
+    Int64 heads reaching 2^62 (``int_lincomb``'s bound for a - b) subtract as
+    Python integers; the caller vouches that T's differences fit T's type."""
+    if X.dtype == np.int64 and _max_abs(X) >= _INT64_SAFE:
+        X = X.astype(object)
+    buckets = _buckets(labels, stage.p ** stage.b)
+    i1, i2 = (pair_indices_reuse(buckets, cap) if reuse
+              else pair_indices_disjoint(buckets, cap)).T
+    dim = X.shape[1]
+    out = np.empty((len(i1), dim + T.shape[1]), dtype=np.result_type(X, T))
+    np.subtract(np.take(X, i1, axis=0), np.take(X, i2, axis=0), out=out[:, :dim])
+    np.subtract(np.take(T, i1, axis=0), np.take(T, i2, axis=0), out=out[:, dim:])
+    return out, buckets
 
 
 def _round_scaled(Y: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -350,13 +360,15 @@ def _gaussian_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed
         width_sq = max(width_sq, floor)
     Y = _lift_batch(st, X)
     K, counts = _gaussian_offsets(st, Y, width_sq, ("stage", st.index), seed)
+    cap = len(X) // 3 if provable else 3 * schedule.N
+    # T = y + q floor(k/p), with |T| < 2^62 under int_lincomb's rule
+    out, buckets = _combine_stage(st, X, int_lincomb([(1, Y), (st.q, K // st.p)]),
+                                  _pack_labels(K, st.p), cap, reuse=not provable)
     if provable:
-        out, buckets = _combine_stage(st, X, Y, K, len(X) // 3, reuse=False)
-        if len(out) != len(X) // 3:
+        if len(out) != cap:
             raise InsufficientInputs(
                 f"stage {st.index} produced {len(out)} < floor(N/3) outputs")
         return out, buckets, counts
-    out, buckets = _combine_stage(st, X, Y, K, 3 * schedule.N, reuse=True)
     # Reuse pairing breeds exact duplicates and zero rows; both are dead
     # weight for later stages, so curate them out between stages.
     return _curate(out), buckets, counts
@@ -368,21 +380,15 @@ def _rounding_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed
     subtracted (disjoint pairs, no cap).
 
     Labels are exact for every q: 2 p y + q goes through ``int_lincomb``.
-    The differences of the heads and of the completions y are written into
-    one array and centered by one conditional step of q
-    (``_center_in_place``): heads are centered residues (ternary at the
-    first stage) and y lies in [0, q), so every difference lies in [-q, q],
-    and the differences are stored in the list type ``_rounding_dtype(q)``.
+    Heads are centered residues (ternary at the first stage) and y lies in
+    [0, q), so every difference lies in [-q, q]: the kernel writes them in
+    the list type ``_rounding_dtype(q)``, and one conditional step of q
+    centers them (``_center_in_place``).
     """
     q, p = st.q, st.p
     Y = np.mod(_lift_batch(st, X), q)
-    buckets = _buckets(_pack_labels(_round_scaled(Y, p, q), p), p ** st.b)
-    i1, i2 = pair_indices_disjoint(buckets, None).T
-    dim, dtype = X.shape[1], _rounding_dtype(q)
-    Y = Y.astype(dtype, copy=False)
-    out = np.empty((len(i1), dim + st.b), dtype=dtype)
-    np.subtract(np.take(X, i1, axis=0), np.take(X, i2, axis=0), out=out[:, :dim])
-    np.subtract(np.take(Y, i1, axis=0), np.take(Y, i2, axis=0), out=out[:, dim:])
+    out, buckets = _combine_stage(st, X, Y.astype(_rounding_dtype(q), copy=False),
+                                  _pack_labels(_round_scaled(Y, p, q), p), None, reuse=False)
     _center_in_place(out, q)
     return out, buckets, SamplerCounts()
 
@@ -489,6 +495,7 @@ def choose_provable_params(n: int, m: int, q: int, f: float,
     remainder at i = r; s0 = (q/f) / sqrt(2^r).
     """
     check_qary_preconditions(n, m, q)
+    check_epsilon(epsilon)
     if epsilon > 1 / m:
         raise PreconditionViolated("epsilon <= 1/m")
     if q / f < math.sqrt(math.log(1 / epsilon)):
@@ -619,10 +626,13 @@ def certify_smoothing(inst: SisInstance, schedule: Schedule,
 
     Checks sqrt(2)^(i-1) s0 >= sqrt(2) max(eta_{eps/3} of the scaled block
     lattice, eta_{eps/3} of the previous chain lattice) for every stage, which
-    suffices for the stage superlattice conditions.  Raises on failure."""
-    eps = (epsilon if epsilon is not None else schedule.epsilon) / 3.0
+    suffices for the stage superlattice conditions.  Raises on failure.  An
+    ``epsilon`` override must pass the schedule's own check."""
+    if schedule.mode == MODE_NAIVE:
+        raise InfeasibleSchedule("smoothing conditions need a Gaussian schedule")
+    eps = (schedule if epsilon is None else replace(schedule, epsilon=epsilon)).epsilon / 3.0
     stages = build_chain(inst, schedule.b, schedule.p,
-                         allow_partial=schedule.mode != MODE_PROVABLE)
+                         allow_partial=schedule.mode == MODE_HEURISTIC)
     report = {}
     for st in stages:
         width = math.sqrt(float(schedule.width_sq(st.index)))

@@ -1,5 +1,5 @@
-"""Instance builders, a stage-list oracle and a fresh-interpreter runner
-shared by the test modules."""
+"""Instance builders, a stage-list oracle, the Gaussian call of the combine
+kernel and a fresh-interpreter runner shared by the test modules."""
 
 import os
 import subprocess
@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from wagnersis.rngutil import derive_np_rng
-from wagnersis.zqlin import SisInstance
+from wagnersis.wagner import _combine_stage, _pack_labels
+from wagnersis.zqlin import SisInstance, int_lincomb
 
 
 def make_systematic(n, m, q, seed, beta=None, stream="mk"):
@@ -55,6 +56,13 @@ def stage_rows_ok(stage, X, Y, K):
                 any(not 0 <= int(r) < p or int(r) != int(kj) % p for kj, r in zip(k, lab)):
             return False
     return True
+
+
+def gaussian_combine(stage, X, Y, K, cap, reuse):
+    """``_combine_stage`` as a Gaussian stage calls it on the stage list
+    (X, Y, K): integer tails y + q floor(k/p), labels k mod p."""
+    T = int_lincomb([(1, Y), (stage.q, K // stage.p)])
+    return _combine_stage(stage, X, T, _pack_labels(K, stage.p), cap, reuse)
 
 
 class ScriptedUniforms:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wagnersis as ws
-from helpers import make_systematic
+from helpers import gaussian_combine, make_systematic
 from wagnersis.chain import _lift_batch, build_chain
 from wagnersis.dgauss import (
     GaussParam,
@@ -33,7 +33,6 @@ from wagnersis.wagner import (
     MODE_NAIVE,
     MODE_PROVABLE,
     Schedule,
-    _combine_stage,
     certify_smoothing,
     gaussian_wagner,
     naive_wagner,
@@ -124,7 +123,7 @@ def test_criterion_4_provable_structural_laws():
         n_in = int(rng.integers(3 * st.p**st.b, 96))
         K = rng.integers(-6, 7, size=(n_in, 2))
         X = np.zeros((n_in, 4), dtype=np.int64)
-        out, _ = _combine_stage(st, X, _lift_batch(st, X), K, n_in // 3, reuse=False)
+        out, _ = gaussian_combine(st, X, _lift_batch(st, X), K, n_in // 3, reuse=False)
         if len(out) != n_in // 3:
             count_ok = False
             break

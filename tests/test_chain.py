@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import make_systematic, parity_rows_ok, stage_rows_ok
-from wagnersis.chain import _difference, _gaussian_offsets, _lift_batch, build_chain
+from helpers import gaussian_combine, make_systematic, parity_rows_ok, stage_rows_ok
+from wagnersis.chain import _gaussian_offsets, _lift_batch, build_chain
 from wagnersis.dgauss import GaussParam, empirical_similarity, pmf_bruteforce, sample_zn_rows
-from wagnersis.errors import BlockSumMismatch, NotInLattice, WidthTooSmall
+from wagnersis.errors import BlockSumMismatch, WidthTooSmall
 from wagnersis.estimator import CostQuery, heuristic_schedule
 from wagnersis.rngutil import derive_np_rng, derive_rng
 from wagnersis.wagner import _pack_labels
@@ -135,24 +135,9 @@ class TestDGLift:
         X = derive_np_rng(10, "x").integers(-2, 3, size=(200, 4))
         Y, K = _offsets(st, X, 64, derive_rng(10, "difflat").getrandbits(63))
         assert stage_rows_ok(st, X, Y, K)
-        by_label = {}
-        for i, lab in enumerate(_pack_labels(K, st.p).tolist()):
-            by_label.setdefault(lab, []).append(i)
-        i1 = [i for rows in by_label.values() for i in rows[:-1]]
-        i2 = [i for rows in by_label.values() for i in rows[1:]]
-        out = _difference(st, X, Y, K, i1, i2)
+        out, _ = gaussian_combine(st, X, Y, K, None, reuse=False)
         assert parity_rows_ok(st.a_new, st.q, out)
         assert len(out) > 20
-
-    def test_different_labels_refuse_to_combine(self):
-        inst = make_systematic(1, 4, 5, seed=8)
-        st = build_chain(inst, [1], [2])[0]
-        X = np.tile((1, 0, 2), (20, 1))
-        Y, K = _offsets(st, X, 64, derive_rng(12).getrandbits(63))
-        labels = _pack_labels(K, st.p).tolist()
-        i2 = next(i for i, lab in enumerate(labels) if lab != labels[0])
-        with pytest.raises(NotInLattice):
-            _difference(st, X, Y, K, [0], [i2])
 
     def test_staged_vector_invariants(self):
         inst = make_systematic(2, 6, 7, seed=14)

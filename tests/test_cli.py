@@ -101,6 +101,17 @@ class TestSolvePipe:
                           stdin_text=inst_json, monkeypatch=monkeypatch)
         assert code == 3
 
+    @pytest.mark.parametrize("mode", ["provable", "heuristic"])
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "2"])
+    def test_invalid_epsilon_is_a_precondition_violation(self, mode, eps, monkeypatch,
+                                                         capsys):
+        _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
+                                "--seed", "3"])
+        code, _ = run_cli(["solve", "--mode", mode, "--f", str(4 * math.sqrt(math.log(20))),
+                           "--epsilon", eps], stdin_text=inst_json, monkeypatch=monkeypatch)
+        assert code == 3
+        assert "epsilon" in capsys.readouterr().err
+
     @pytest.mark.parametrize("f", ["0", "-1", "inf", "nan"])
     def test_norm_factor_must_be_finite_and_positive(self, f, monkeypatch, capsys):
         _, inst_json = run_cli(["gen", "--n", "4", "--m", "10", "--q", "17"])

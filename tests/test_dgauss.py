@@ -61,7 +61,7 @@ class TestExactMachinery:
             p = math.exp(-math.pi * float(a))
             for u in (p / 2, p * 0.9, min(0.999, p * 1.1), min(0.999, p * 2)):
                 lu = _LazyUniform(int(u * (1 << 53)), 53)
-                got = _decide_exact(Fraction(1), a, lu, rng)
+                got = _decide_exact(a, lu, rng)
                 assert got == (u < p)
 
 
@@ -205,12 +205,12 @@ class TestFloatFastPath:
         got = self._run_batch(samp, *c, t, 0, u53)
         if got is not None:
             lu = _LazyUniform(u53, 53)
-            assert got == _decide_exact(Fraction(1), a, lu, random.Random(0))
+            assert got == _decide_exact(a, lu, random.Random(0))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(s_sq=_WIDTHS_SQ, c=_CENTERS, j=st.integers(20, 24),
            side=st.sampled_from([1, -1]), u=_UNIFORMS)
-    # u = 0 while p is far below premul 2^-53: the uniform's unread bits
+    # u = 0 while p is far below 2^-53: the uniform's unread bits
     # decide, so a float accept would be wrong
     @example(s_sq=Fraction(9), c=(3 * 2 ** 40 + 1, 3), j=20, side=1, u=("any", 0))
     def test_batch_tail_decisions_match_exact(self, s_sq, c, j, side, u):
@@ -223,7 +223,7 @@ class TestFloatFastPath:
         got = self._run_batch(samp, *c, t, j, u53)
         if got is not None:
             lu = _LazyUniform(u53, 53)
-            assert got == _decide_exact(Fraction(1), b, lu, random.Random(0))
+            assert got == _decide_exact(b, lu, random.Random(0))
 
     @staticmethod
     def _below(x: Fraction, a: Fraction) -> bool:
@@ -288,8 +288,7 @@ class TestFloatFastPath:
                                                  np.array([u53 / (1 << 53)]))
         if accept[0] or reject[0]:
             lu = _LazyUniform(u53, 53)
-            assert accept[0] == _decide_exact(Fraction(1), samp.gamma * r, lu,
-                                              random.Random(0))
+            assert accept[0] == _decide_exact(samp.gamma * r, lu, random.Random(0))
 
 
 class TestArraySampler:
@@ -533,6 +532,13 @@ class TestFormulas:
     def test_eta_zn_monotone(self):
         assert eta_zn_bound(1, 0.5) > eta_zn_bound(1, 1.0) > eta_zn_bound(1, 2.0)
         assert eta_zn_bound(8, 0.01) > eta_zn_bound(4, 0.01)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan])
+    def test_bounds_need_a_positive_epsilon(self, eps):
+        with pytest.raises(PreconditionViolated, match="epsilon > 0"):
+            eta_zn_bound(4, eps)
+        with pytest.raises(PreconditionViolated, match="epsilon > 0"):
+            eta_qary_bound(2, 8, 257, eps)
 
     def test_eta_qary_value_and_preconditions(self):
         v = eta_qary_bound(4, 8, 257, 2.0**-10)

@@ -131,6 +131,13 @@ class TestSolveInf:
         with pytest.raises(PreconditionViolated):
             solve_sis_inf(inst, 4.0, 1 / 20, MODE_PROVABLE, 0)  # eps = 1/m
 
+    @pytest.mark.parametrize("mode", [MODE_PROVABLE, MODE_HEURISTIC])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_epsilon_must_be_positive(self, mode, eps):
+        inst = make_systematic(8, 20, 257, seed=0)
+        with pytest.raises(PreconditionViolated, match="epsilon > 0"):
+            solve_sis_inf(inst, self.F, eps, mode, 0)
+
     def test_provable_warns_about_asymptotics(self):
         inst = make_systematic(8, 20, 257, seed=0)
         eps = 0.9 / (20 * 257**4)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_systematic, parity_rows_ok, stage_rows_ok
+from helpers import gaussian_combine, make_systematic, parity_rows_ok, stage_rows_ok
 from wagnersis.chain import _lift_batch, build_chain
 from wagnersis.errors import (
     BlockSumMismatch,
@@ -31,6 +31,7 @@ from wagnersis.wagner import (
     _check_final_membership,
     _combine_stage,
     _gaussian_offsets,
+    _gaussian_stage,
     _occupancy_histogram,
     _round_scaled,
     _rounding_dtype,
@@ -245,7 +246,7 @@ class TestBucketAndCombine:
         st = build_chain(inst, [1], [2])[0]
         X = np.zeros((6, 4), dtype=np.int64)
         K = np.arange(6).reshape(6, 1)
-        out, _ = _combine_stage(st, X, _lift_batch(st, X), K, 2, reuse=False)
+        out, _ = gaussian_combine(st, X, _lift_batch(st, X), K, 2, reuse=False)
         assert len(out) == 2
         assert out[:, 4].tolist() == [-5, -5]  # (q/p) dk = (5/2) * (-2)
 
@@ -253,8 +254,8 @@ class TestBucketAndCombine:
         st = self._stage()
         X = np.zeros((2, 4), dtype=np.int64)
         Y, K = _lift_batch(st, X), np.ones((2, 2), dtype=np.int64)
-        assert len(_combine_stage(st, X, Y, K, 0, reuse=True)[0]) == 0
-        assert len(_combine_stage(st, X, Y, K, 1, reuse=True)[0]) == 1
+        assert len(gaussian_combine(st, X, Y, K, 0, reuse=True)[0]) == 0
+        assert len(gaussian_combine(st, X, Y, K, 1, reuse=True)[0]) == 1
 
     def test_pigeonhole_exact_output_count(self):
         # With N >= 3 p^b inputs the output is always exactly floor(N/3).
@@ -264,7 +265,7 @@ class TestBucketAndCombine:
             n_in = int(rng.integers(12, 60))
             K = rng.integers(-8, 9, size=(n_in, 2))
             X = np.zeros((n_in, 4), dtype=np.int64)
-            out, _ = _combine_stage(st, X, _lift_batch(st, X), K, n_in // 3, reuse=False)
+            out, _ = gaussian_combine(st, X, _lift_batch(st, X), K, n_in // 3, reuse=False)
             assert len(out) == n_in // 3
 
     def test_outputs_in_stage_lattice(self):
@@ -280,9 +281,76 @@ class TestBucketAndCombine:
         for stage, X, K in ((st, X, K), (big, X.astype(object), K.astype(object))):
             Y = _lift_batch(stage, X)
             assert stage_rows_ok(stage, X, Y, K)
-            out, _ = _combine_stage(stage, X, Y, K, 10, reuse=False)
+            out, _ = gaussian_combine(stage, X, Y, K, 10, reuse=False)
             assert len(out) == 10 and parity_rows_ok(stage.a_new, stage.q, out)
         assert out.dtype == object and np.abs(out[:, 4:]).max() > 2**63
+
+    @staticmethod
+    def _python_rows(X, T, pairs):
+        """The kernel's rows (x1 - x2 ; t1 - t2) over Python integers."""
+        return [[int(a) - int(b) for a, b in zip([*X[i], *T[i]], [*X[j], *T[j]])]
+                for i, j in pairs]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_tails_match_python_integers(self, data):
+        # int64 and object lists, with offsets past int64 at q = 2^64 + 13:
+        # every output's tail is (y1 - y2) + q (k1 - k2) / p over Python integers
+        q = data.draw(st.sampled_from([5, 2**31 - 1, 2**64 + 13]))
+        p = data.draw(st.sampled_from([2, 3]))
+        stage = build_chain(SisInstance.create(make_systematic(2, 6, 5, seed=0).A, q),
+                            [2], [p])[0]
+        n = data.draw(st.integers(0, 24))
+        top = data.draw(st.sampled_from([3, 2**40, 2**62, 2**70]))
+        as_object = data.draw(st.booleans())  # else int64 where every entry fits
+
+        def block(width, bound):
+            rows = [[data.draw(st.integers(-bound, bound)) for _ in range(width)]
+                    for _ in range(n)]
+            arr = np.array(rows, dtype=object) if as_object else int_array(rows)
+            return arr.reshape(n, width)
+
+        X, Y, K = block(4, 3), block(2, top), block(2, top)
+        reuse = data.draw(st.booleans())
+        cap = data.draw(st.integers(0, 3 * n) if reuse
+                        else st.one_of(st.none(), st.integers(0, n)))
+        out, buckets = gaussian_combine(stage, X, Y, K, cap, reuse)
+        pairs = (pair_indices_reuse if reuse else pair_indices_disjoint)(buckets, cap).tolist()
+        dk = [[int(a) - int(b) for a, b in zip(K[i], K[j])] for i, j in pairs]
+        assert all(d % p == 0 for ds in dk for d in ds)  # paired rows share k mod p
+        expect = [row[:4] + [t + q * (d // p) for t, d in zip(row[4:], ds)]
+                  for row, ds in zip(self._python_rows(X, Y, pairs), dk)]
+        assert out.shape == (len(pairs), 6) and out.tolist() == expect
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_heads_on_both_sides_of_2_62(self, data):
+        # int64 heads reaching 2^62 subtract as Python integers; at
+        # +-(2^62 + 2^61) their int64 difference would wrap
+        edge = data.draw(st.sampled_from([2**62 - 1, 2**62, 2**62 + 2**61, 2**63 - 1]))
+        entry = st.one_of(st.sampled_from([edge, -edge, 0]), st.integers(-edge, edge))
+        n = data.draw(st.integers(2, 12))
+        X = np.array([[data.draw(entry) for _ in range(4)] for _ in range(n)],
+                     dtype=data.draw(st.sampled_from([np.int64, object])))
+        T = np.zeros((n, 2), dtype=np.int64)
+        labels = int_array([data.draw(st.integers(0, 3)) for _ in range(n)])
+        out, buckets = _combine_stage(self._stage(), X, T, labels, None, reuse=False)
+        pairs = pair_indices_disjoint(buckets, None).tolist()
+        assert out.tolist() == self._python_rows(X, T, pairs)
+        wide = X.dtype == object or max(abs(int(v)) for v in X.flat) >= 2**62
+        assert out.dtype == (object if wide else np.int64)
+
+    def test_gaussian_stage_heads_past_2_62_stay_in_the_stage_lattice(self):
+        # heads +-(2^62 + 2^61), whose int64 differences wrap, through a
+        # whole stage: every output must lie on the stage's parity rows
+        st = self._stage()
+        E = 2**62 + 2**61
+        X = derive_np_rng(5, "big-heads").choice(np.array([-E, 0, E]), size=(30, 4))
+        sched = Schedule(mode=MODE_HEURISTIC, r=1, N=10, p=(2,), b=(2,),
+                         s0_sq=Fraction(64))
+        out, _, _ = _gaussian_stage(st, X, sched, 7)
+        assert len(out) > 0 and out.dtype == object
+        assert parity_rows_ok(st.a_new, st.q, out)
 
 
 class TestGaussianWagnerProvable:
@@ -671,6 +739,11 @@ class TestScheduleValidation:
         with pytest.raises(InfeasibleSchedule):
             Schedule(**args)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, 1.0, 2.0, math.inf, math.nan])
+    def test_epsilon_must_lie_strictly_between_0_and_1(self, epsilon):
+        with pytest.raises(InfeasibleSchedule):
+            Schedule(mode=MODE_NAIVE, r=1, N=30, p=(2,), b=(2,), epsilon=epsilon)
+
     def test_valid_schedules(self):
         Schedule(mode=MODE_NAIVE, r=1, N=30, p=(2,), b=(2,))
         Schedule(mode=MODE_HEURISTIC, r=1, N=np.int64(30), p=(np.int64(2),), b=(2,),
@@ -711,6 +784,11 @@ class TestChooseProvableParams:
             choose_provable_params(12, 24, 257, 200.0, self.EPS)  # q/f too small
         with pytest.raises(PreconditionViolated):
             choose_provable_params(12, 12, 13, 2.0, 1e-9)  # q^(1-n/m) = 1
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_epsilon_must_be_positive(self, eps):
+        with pytest.raises(PreconditionViolated, match="epsilon > 0"):
+            choose_provable_params(12, 24, 257, 4.0, eps)
 
     def test_r_below_one_regime_fails_cleanly(self):
         # Parameters driving r below 1 also force the list-size denominator
@@ -787,3 +865,16 @@ class TestCertifySmoothing:
                          s0_sq=Fraction(2), epsilon=2.0**-10)
         with pytest.raises(PreconditionViolated):
             certify_smoothing(inst, sched)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 2.0, math.nan])
+    def test_epsilon_override_gets_the_schedule_check(self, epsilon):
+        inst = make_systematic(1, 3, 3, seed=2)
+        sched = Schedule(mode=MODE_PROVABLE, r=1, N=10, p=(3,), b=(1,),
+                         s0_sq=Fraction(25), epsilon=2.0**-10)
+        with pytest.raises(InfeasibleSchedule):
+            certify_smoothing(inst, sched, epsilon)
+
+    def test_refuses_a_naive_schedule(self):
+        inst = make_systematic(1, 3, 3, seed=2)
+        with pytest.raises(InfeasibleSchedule):
+            certify_smoothing(inst, Schedule(mode=MODE_NAIVE, r=1, N=10, p=(3,), b=(1,)))
