@@ -132,6 +132,7 @@ def choose_schedule(inst: SisInstance, f: float, epsilon: float, mode: str,
                     norm_kind: str = "linf") -> Schedule:
     """The schedule the ``norm_kind`` solver runs when it is given none."""
     beta = _norm_bound(inst, f, norm_kind)  # also rejects an unusable f in either mode
+    check_epsilon(epsilon)  # name a bad epsilon before any ladder is walked
     if mode == MODE_PROVABLE:
         return choose_provable_params(inst.n, inst.m, inst.q, f, epsilon)
     if mode == MODE_HEURISTIC:

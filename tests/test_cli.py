@@ -31,6 +31,15 @@ class TestGen:
         assert doc["n"] == 4 and doc["m"] == 9 and doc["q"] == 17
         assert all(0 <= v < 17 for row in doc["A"] for v in row)
 
+    def test_stream_pinned(self):
+        # sha256 of stdout, computed while every stream was Philox: the
+        # instance stream is a public contract that the samplers' generator
+        # does not move
+        code, out = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257", "--seed", "11"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "19cedf3729c007918aba7c421bfb2ba6361e1328456d12de2e1e7eae3c0ef033"
+
     def test_modulus_beyond_int64(self):
         q = 2 ** 64 + 13
         argv = ["gen", "--n", "2", "--m", "5", "--q", str(q), "--seed", "1"]
@@ -111,6 +120,18 @@ class TestSolvePipe:
                            "--epsilon", eps], stdin_text=inst_json, monkeypatch=monkeypatch)
         assert code == 3
         assert "epsilon" in capsys.readouterr().err
+
+    def test_invalid_epsilon_is_named_before_the_heuristic_ladder(self, monkeypatch,
+                                                                  capsys):
+        # 2 x 8 mod 257 at f = 4 has no heuristic schedule up to N = 2^22, so
+        # a ladder walked first would report that instead of epsilon
+        _, inst_json = run_cli(["gen", "--n", "2", "--m", "8", "--q", "257",
+                                "--seed", "3"])
+        code, _ = run_cli(["solve", "--f", "4", "--epsilon", "0"], stdin_text=inst_json,
+                          monkeypatch=monkeypatch)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "epsilon" in err and "heuristic schedule" not in err
 
     @pytest.mark.parametrize("f", ["0", "-1", "inf", "nan"])
     def test_norm_factor_must_be_finite_and_positive(self, f, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -122,6 +124,24 @@ class TestRandomInstance:
              3709932285398049752],
             [3523117236739605770, 3099561703807989914, 1838832977960621695,
              1311965129186973397]]
+
+    # sha256 of json.dumps(A.tolist()), computed while every stream was
+    # Philox: the instances (and so the benchmark's inputs, at these shapes)
+    # must not move when the samplers' generator does
+    @pytest.mark.parametrize("n, m, q, seed, digest", [
+        (8, 20, 257, 1, "ee89f249b42d394f0d0f43fbb30558031984092af2a0c25f0408933e743ab675"),
+        (8, 20, 257, 6917529027641081861,
+         "5f476afa6e92c7368ab0555ced6e511276ef3f7e7cbd5b0a1a3e8742807098d8"),
+        (12, 30, 257, 1, "1dc55a2305a13ba59c2817c3afb182cc987509096cdff7ce5a3116a0067463e8"),
+        (12, 30, 257, 6917529027641081861,
+         "ae1796e9556b2b9af20077e77d87d17600ca9d4fa576a3dcf86f8d9d9b76b251"),
+        (2, 8, 5, 1, "f7fcbe4dbd2c334c85260111f2492273e7fddd9d10b9703cb0bd547e98094ac2"),
+        (2, 8, 5, 6917529027641081861,
+         "5cd57564f87a0e6719274465e79950a3278dad5aef31063ac6ce9a4f93c36191"),
+    ])
+    def test_instance_stream_pinned(self, n, m, q, seed, digest):
+        A = random_instance(n, m, q, seed).A
+        assert hashlib.sha256(json.dumps(A.tolist()).encode()).hexdigest() == digest
 
     def test_object_branch_below_2_63_is_numpy_draw(self):
         q = (1 << 63) - 25
