@@ -30,13 +30,18 @@ One entry point runs this sampler: ``_draw_z_array`` draws one value per
 entry of an array of centers, in fixed-size blocks and NumPy rounds.  The
 samplers' initial lists and stage offsets call it, and so does
 ``sample_zn_rows``, of which ``sample_z`` and ``sample_zn`` are 1-row views.
-A round gives every pending entry k i.i.d. proposals (k >= 2 once few are
-pending, to share a round's fixed cost), and the entry keeps its first
-accepted one in proposal order: the law of a sequential rejection loop.
-Undecided comparisons go to ``_select_window_exact``, ``_geometric_exact``
-and ``_decide_exact``.  Stream contract: a seeded draw is fixed by the order
-of the generator calls in each round and the order of the exact decisions; a
-round's arithmetic may change freely, that order may not.  Widths are exact
+A round gives every pending entry k = min(ceil(1024 / pending), k_s) i.i.d.
+proposals (k >= 2 once few are pending, to share a round's fixed cost; k_s
+is about 3 / acceptance), and the entry keeps its first accepted one in
+proposal order: the law of a sequential rejection loop.  A round draws the
+window/tail selection uniforms, the window offsets and the acceptance
+uniforms, decides the window proposals, and only then draws the sides and
+steps of the tail proposals ahead of their row's first window accept (a tail
+proposal behind it is never kept).  Undecided comparisons go to
+``_select_window_exact``, ``_geometric_exact`` and ``_decide_exact``.
+Stream contract: a seeded draw is fixed by the order of the generator calls
+in each round and the order of the exact decisions; a round's arithmetic may
+change freely, that order may not.  Widths are exact
 rationals s^2 (``s_sq``), so sqrt(2)^i * s0 is exact.
 
 Importing this module loads NumPy and the top-level ``scipy`` package only.
@@ -223,8 +228,8 @@ class SamplerCounts:
 
 
 # Entries per block of the array sampler (bounds its transient memory), and
-# the fewest proposals one of its rounds makes (shares a round's fixed NumPy
-# cost when few entries are pending).
+# the proposals one of its rounds aims at (shares a round's fixed NumPy cost
+# when few entries are pending; ``_ZSampler.k_s`` caps the proposals per entry).
 _BLOCK = 1 << 14
 _ROUND_MIN = 1 << 10
 
@@ -256,10 +261,14 @@ class _ZSampler:
     weight for tau = kappa^2 / s^2 and gamma = 2 kappa / s^2, both exact
     rationals.  A tail proposal's acceptance is therefore exp(-pi b) with
     b = a - tau - gamma j >= 0, and its step j - 1 is geometric with ratio
-    g = exp(-pi gamma).
+    g = exp(-pi gamma).  A row of a round makes at most k_s proposals, about
+    3 / (acceptance rate), where the acceptance rate is the Gaussian mass
+    (about s) over the envelope mass: a row is left pending with probability
+    about e^-3.
     """
 
-    __slots__ = ("s_sq", "s_sq_f", "K", "W", "tau", "gamma", "rate", "M", "p_window")
+    __slots__ = ("s_sq", "s_sq_f", "K", "W", "tau", "gamma", "rate", "M", "p_window",
+                 "k_s")
 
     def __init__(self, s_sq: Fraction):
         self.s_sq = s_sq
@@ -276,6 +285,7 @@ class _ZSampler:
         tail_total = (math.exp(-math.pi * float(self.tau) - self.rate)
                       / -math.expm1(-self.rate))
         self.p_window = self.W / (self.W + 2.0 * tail_total)
+        self.k_s = math.ceil(3.0 * (self.W + 2.0 * tail_total) / math.sqrt(self.s_sq_f))
 
     def _select_window_exact(self, u_sel: float, rng) -> bool:
         """Decide U < p_window exactly for the uniform U whose first 53 bits
@@ -407,7 +417,8 @@ class _ZSampler:
         t_out = np.empty(len(f), dtype=np.int64)
         pending, f_pending = np.arange(len(f)), f
         while pending.size:
-            k = -(-_ROUND_MIN // pending.size)  # row r: proposals r k to r k + k - 1
+            # row r: proposals r k to r k + k - 1
+            k = min(-(-_ROUND_MIN // pending.size), self.k_s)
             n = pending.size * k
             counts.proposals += n
             u_sel = rng.random(n)
@@ -419,15 +430,25 @@ class _ZSampler:
             tail = tail[~near]
             t = rng.integers(-self.K, self.K + 1, n)
             u = rng.random(n)
-            steps = tail
+            f_k = f_pending if k == 1 else np.repeat(f_pending, k)
+            accept, reject = self._float_decisions(t, f_k, u, tail[:0], tail[:0])
             if tail.size:
-                side = 2 * rng.integers(0, 2, tail.size) - 1
+                # Window decisions come first: a tail proposal behind its
+                # row's first window accept is never kept, so it is rejected
+                # unseen and only the others get a side and a step.
+                accept[tail], reject[tail] = False, True
+                if k > 1:
+                    rows = accept.reshape(-1, k)
+                    first_at = np.where(rows.any(axis=1), rows.argmax(axis=1), k)
+                    tail = tail[tail % k < first_at[tail // k]]
+            if tail.size:
+                side = np.where(rng.random(tail.size) < 0.5, -1, 1)  # a fair bit, exactly
                 steps = self._tail_steps(tail.size, rng, exact_rng, counts)
                 t_tail = int_lincomb([(1, side * self.K), (1, side * steps)])
                 t = t.astype(t_tail.dtype, copy=False)
                 t[tail] = t_tail
-            accept, reject = self._float_decisions(
-                t, f_pending if k == 1 else np.repeat(f_pending, k), u, tail, steps)
+                accept[tail], reject[tail] = self._float_decisions(
+                    t_tail, f_k[tail], u[tail], np.arange(tail.size), steps)
             # first[i]: proposal i is its row's first accept
             first = accept if k == 1 else \
                 accept & (accept.reshape(-1, k).cumsum(axis=1) == 1).ravel()
@@ -527,7 +548,7 @@ def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
     array (int64, or Python integers when the centers need them); requires
     s >= sqrt(ln(2n+4)/pi).  A scalar center applies to every coordinate.
 
-    One array-sampler call, on the Philox stream ``("z",)`` and its exact
+    One array-sampler call, on the SFC64 stream ``("z",)`` and its exact
     sibling ``("z", "exact")`` under the seed ``rng.getrandbits(63)``.
     """
     if n < 1 or rows < 0:

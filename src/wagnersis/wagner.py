@@ -340,11 +340,13 @@ def _initial_list(schedule: Schedule, count: int, dim: int, q: int,
         # duplicate inputs cancel to zero under reuse pairing.
         w, _sigma0 = _estimator.min_weight(dim, _HEURISTIC_ENTROPY_FACTOR * schedule.N)
         return _initial_ternary_sparse(count, dim, w, seed), SamplerCounts()
-    # int32 and int64 draws of a range below 2^32 read the same 32-bit words,
-    # so this is the int64 stream; int8 and int16 draws are not
-    rng = derive_np_rng(seed, "init-ternary-uniform")
-    X = rng.integers(-1, 2, size=(count, dim), dtype=np.int32)
-    return X.astype(_rounding_dtype(q), copy=False), SamplerCounts()
+    # drawn in the list type, or in int16 for a wider one: a narrower draw
+    # fills more entries per generator word
+    dtype = _rounding_dtype(q)
+    draw_dtype = dtype if dtype.itemsize <= 2 else np.int16  # object: 8 bytes
+    X = derive_np_rng(seed, "init-ternary-uniform").integers(
+        -1, 2, size=(count, dim), dtype=draw_dtype)
+    return X.astype(dtype, copy=False), SamplerCounts()
 
 
 def _gaussian_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed: int):

@@ -398,15 +398,16 @@ class TestArraySampler:
 
     def test_tail_offset_beyond_int64_is_exact(self):
         # s^2 = 1.7 * 2^124 keeps the window below 2^63; every proposal of
-        # the first round goes to the tail (u_sel just below 1) with the
-        # inversion uniform u_q for its step (the uniforms in between are
-        # the acceptance ones), so K + j is past 2^63 and the draw must be
-        # that Python integer, never a wrapped int64
+        # the first round goes to the tail (u_sel just below 1), accepts
+        # (acceptance uniforms 0, since a round of k_s = 5 proposals may
+        # otherwise reject them all) and, after the uniforms of its side,
+        # takes the inversion uniform u_q for its step, so K + j is past 2^63
+        # and the draw must be that Python integer, never a wrapped int64
         s_sq = Fraction(17, 10) * (1 << 124)
         samp = _ZSampler(s_sq)
         j_min = (1 << 63) - samp.K + (1 << 59)
         u_q = math.floor(math.exp(-samp.rate * j_min) * (1 << 53)) / (1 << 53)
-        rng = ScriptedUniforms(derive_np_rng(2, "past"), [1 - 2.0 ** -53, None, u_q])
+        rng = ScriptedUniforms(derive_np_rng(2, "past"), [1 - 2.0 ** -53, 0.0, None, u_q])
         out, _ = _draw_z_array(s_sq, np.zeros(1, dtype=np.int64), 1, rng,
                                derive_rng(2, "past"))
         (x,) = out.tolist()
@@ -459,6 +460,19 @@ class TestSampleZn:
         r1, r2 = derive_rng(6, "view"), derive_rng(6, "view")
         for _ in range(50):
             assert sample_zn(param, 2, r1) == tuple(sample_zn_rows(param, 2, 1, r2)[0].tolist())
+
+    @pytest.mark.parametrize("s_sq", [_FLOOR_SQ, Fraction(144)])
+    def test_one_entry_calls_keep_the_law(self, s_sq):
+        # 10k single-draw calls, each one round of at most k_s proposals: at
+        # the floor (K = 2, the lowest acceptance and the largest k_s) and at
+        # s^2 = 144, both at c = 0.3
+        param = GaussParam(s_sq=s_sq, c=(Fraction(3, 10),))
+        rng = derive_rng(43, "one-entry")
+        draws = [int(sample_zn_rows(param, 1, 1, rng)[0, 0]) for _ in range(10_000)]
+        pmf = pmf_bruteforce(enum_z(), param, 12 * math.sqrt(float(s_sq)) + 2)
+        res = empirical_similarity(draws, pmf)
+        assert res.chi2_p >= 1e-3
+        assert res.excess(4.5) <= 0.0
 
     def test_moments_against_pmf_oracle(self):
         param = GaussParam.make(s=3, c=0)

@@ -89,7 +89,7 @@ def _sampler_lines(monkeypatch):
     # stage-offset centers -p y / q with q = 257
     draw(Fraction(6400, 257), 257 * ks[:2000] + np.arange(2000) % 257, 257,
          *streams("stage"))
-    # one entry (1024 proposals a round) and ~300 entries (4 a round)
+    # one entry (k_s = 8 proposals a round) and ~300 entries (4 a round)
     rng, exact_rng = streams("one")
     for c_num in (1, -2, 5):
         draw(Fraction(9), zqlin.int_array([c_num]), 3, rng, exact_rng)
@@ -100,24 +100,26 @@ def _sampler_lines(monkeypatch):
     draw(Fraction(25), ks[:400] << 20, 1 << 62, *streams("wide-den"))
     # s^2 = 2^60: tail steps j - 1 = M q + r with M > 1
     draw(Fraction(1 << 60), 3 * ks[:1000] + 1, 3, *streams("wide"))
-    # a tail offset past int64 (see test_tail_offset_beyond_int64_is_exact)
+    # a tail offset past int64 (see test_tail_offset_beyond_int64_is_exact):
+    # every row's first proposal is a tail proposal that accepts
     s_sq = Fraction(17, 10) * (1 << 124)
     samp = dgauss._ZSampler(s_sq)
     j_min = (1 << 63) - samp.K + (1 << 59)
     u_q = math.floor(math.exp(-samp.rate * j_min) * (1 << 53)) / (1 << 53)
     rng, exact_rng = streams("past")
     draw(s_sq, np.zeros(3, dtype=np.int64), 1,
-         ScriptedUniforms(rng, [1 - 2.0 ** -53, None, u_q]), exact_rng)
+         ScriptedUniforms(rng, [1 - 2.0 ** -53, 0.0, None, u_q]), exact_rng)
     # one tail proposal whose inversion uniform sits at a step boundary
-    # g^(M k) near 1/e, so its step is found by the exact bisection
+    # g^(M k) near 1/e, so its step is found by the exact bisection; it is
+    # its row's first proposal of k_s, so its step is drawn
     samp = dgauss._ZSampler(Fraction(1 << 60))
-    u_sel = np.full(1024, 0.5)
+    u_sel = np.full(samp.k_s, 0.5)
     u_sel[0] = 1 - 2.0 ** -53
     k = math.floor(1 / (samp.rate * samp.M))
     u_q = math.floor(math.exp(-samp.rate * samp.M * k) * (1 << 53)) / (1 << 53)
     rng, exact_rng = streams("boundary")
     draw(Fraction(1 << 60), zqlin.int_array([1]), 3,
-         ScriptedUniforms(rng, [u_sel, None, u_q]), exact_rng)
+         ScriptedUniforms(rng, [u_sel, None, None, u_q]), exact_rng)
     # forced fallbacks: window selections, accept/reject tests and tail
     # remainders in exact arithmetic, with rows of one and of many proposals
     monkeypatch.setattr(dgauss, "_REL_ERR", 0.3)

@@ -32,6 +32,7 @@ from wagnersis.wagner import (
     _combine_stage,
     _gaussian_offsets,
     _gaussian_stage,
+    _initial_list,
     _occupancy_histogram,
     _round_scaled,
     _rounding_dtype,
@@ -690,11 +691,22 @@ class TestRoundingListType:
         _check_final_membership(inst, out)
         assert max(abs(int(v)) for v in out.ravel()) <= eq1_norm_bound(self.SCHED, q)
 
+    @pytest.mark.parametrize("q, list_type", LIST_TYPE_EDGES)
+    def test_ternary_list_is_drawn_in_the_list_type(self, q, list_type):
+        # int8 and int16 lists are drawn in their own type; wider ones are
+        # drawn in int16 and widened, so they share the int16 stream
+        X, _ = _initial_list(self.SCHED, 300, 7, q, 4)
+        draw_type = list_type if list_type in (np.int8, np.int16) else np.int16
+        want = derive_np_rng(4, "init-ternary-uniform").integers(
+            -1, 2, size=(300, 7), dtype=draw_type)
+        assert X.dtype == list_type and X.tolist() == want.tolist()
+
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("shape", [(3, 5), (1000, 18), (97929, 18)])
     def test_int32_ternary_draw_is_the_int64_stream(self, seed, shape):
-        # the initial list is drawn as int32; NumPy fills int32 and int64
-        # draws of a range below 2^32 from the same 32-bit bounded draws
+        # NumPy fills int32 and int64 draws of a range below 2^32 from the
+        # same 32-bit bounded draws (the ternary list, drawn in its list
+        # type, no longer relies on it)
         def draw(dtype):
             rng = derive_np_rng(seed, "init-ternary-uniform")
             return rng.integers(-1, 2, size=shape, dtype=dtype)
