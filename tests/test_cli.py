@@ -349,16 +349,16 @@ class TestDeterminismAndCertify:
         c2, o2 = run_cli(list(argv), stdin_text=inst_json, monkeypatch=monkeypatch)
         assert (c1, o1) == (c2, o2)
 
-    # sha256 of stdout, computed when the sampler's window became
-    # K = max(2, ceil(0.75 s)) and its tail steps exact inversions: a change
-    # to any seeded stream fails here
+    # sha256 of stdout, computed at the stream epoch (sampler streams on
+    # SFC64, rounds of at most k_s proposals a row, tail steps only ahead of
+    # a row's first window accept): a change to any seeded stream fails here
     @pytest.mark.parametrize("argv, digest", [
         (["sample", "--width", "3", "--center", "0.5", "--count", "400",
           "--seed", "1", "--json"],
-         "10ab2fa47d0e3b7de5856e53f07f4c23fa4ba9c361cf77bb656aac3bd7673794"),
+         "b881770dd61112de052661eec4585f525d4e1b73fdf8964d18c39dc1561de6a3"),
         (["sample", "--width", "2.2", "--center", "-7.25", "--count", "400",
           "--dim", "3", "--seed", "4", "--json"],
-         "f9ef9055ef1a48fe5eeb4b36470aff22632e73ef403cf0c83aba164874600c53"),
+         "9a14e300105786011b7ec57cce35d693dba42a8384301c135955e3bba3a0e93a"),
     ], ids=["scalar", "dim3"])
     def test_sample_stream_pinned(self, argv, digest):
         code, out = run_cli(argv)
@@ -366,8 +366,8 @@ class TestDeterminismAndCertify:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_solve_stream_pinned(self, monkeypatch):
-        # sha256 of stdout, computed when the stage offsets moved to the
-        # array sampler and RunStats gained its sampler counts
+        # sha256 of stdout, computed at the stream epoch (sampler streams on
+        # SFC64, acceptance-sized rounds, tail steps only where they count)
         _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
                                 "--seed", "11"])
         f = 4 * math.sqrt(math.log(20))
@@ -375,7 +375,7 @@ class TestDeterminismAndCertify:
                             stdin_text=inst_json, monkeypatch=monkeypatch)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "beba6b19becb759193b21a1bf5f3996c8a6051f1adac916fa3d29e1e4cf802ac"
+            "8aeac0717b8591f62ae0a77c47f903012dd6ef296ee4d30e8c77d7aac1b869dd"
 
     def test_certify_smoothing_refuses_large_instances(self, monkeypatch):
         # certification brute-forces dual lattices; desk instances exceed the

@@ -132,8 +132,8 @@ def _sampler_lines(monkeypatch):
 
 
 def test_array_sampler_streams_match_pin(monkeypatch):
-    # sha256 computed at commit 6a70ead, before the sampler round was
-    # rewritten to make fewer NumPy passes over the same proposals
+    # sha256 computed at the stream epoch: sampler streams on SFC64, rounds
+    # of at most k_s proposals a row, window decisions before tail steps
     digest = hashlib.sha256("\n".join(_sampler_lines(monkeypatch)).encode()).hexdigest()
     assert digest == \
-        "2acad73349c9d49a1c8a38012731bde32b0be75784a5177bb43e39f5eed79351"
+        "f3bee2128793fd9c090ab5a41e64527ff2064518fb1d8073271ae90132b33603"
