@@ -431,24 +431,27 @@ class _ZSampler:
             t = rng.integers(-self.K, self.K + 1, n)
             u = rng.random(n)
             f_k = f_pending if k == 1 else np.repeat(f_pending, k)
-            accept, reject = self._float_decisions(t, f_k, u, tail[:0], tail[:0])
-            if tail.size:
+            behind = tail[:0]
+            if tail.size and k > 1:
                 # Window decisions come first: a tail proposal behind its
-                # row's first window accept is never kept, so it is rejected
-                # unseen and only the others get a side and a step.
-                accept[tail], reject[tail] = False, True
-                if k > 1:
-                    rows = accept.reshape(-1, k)
-                    first_at = np.where(rows.any(axis=1), rows.argmax(axis=1), k)
-                    tail = tail[tail % k < first_at[tail // k]]
+                # row's first window accept is never kept, so it draws no
+                # side or step and is rejected unseen (with one proposal a
+                # row, none is behind).
+                win = self._float_decisions(t, f_k, u, behind, behind)[0]
+                win[tail] = False
+                rows = win.reshape(-1, k)
+                first_at = np.where(rows.any(axis=1), rows.argmax(axis=1), k)
+                ahead = tail % k < first_at[tail // k]
+                behind, tail = tail[~ahead], tail[ahead]
+            steps = tail
             if tail.size:
                 side = np.where(rng.random(tail.size) < 0.5, -1, 1)  # a fair bit, exactly
                 steps = self._tail_steps(tail.size, rng, exact_rng, counts)
                 t_tail = int_lincomb([(1, side * self.K), (1, side * steps)])
                 t = t.astype(t_tail.dtype, copy=False)
                 t[tail] = t_tail
-                accept[tail], reject[tail] = self._float_decisions(
-                    t_tail, f_k[tail], u[tail], np.arange(tail.size), steps)
+            accept, reject = self._float_decisions(t, f_k, u, tail, steps)
+            accept[behind], reject[behind] = False, True
             # first[i]: proposal i is its row's first accept
             first = accept if k == 1 else \
                 accept & (accept.reshape(-1, k).cumsum(axis=1) == 1).ravel()
