@@ -439,10 +439,8 @@ class _ZSampler:
                 # row, none is behind).
                 win = self._float_decisions(t, f_k, u, behind, behind)[0]
                 win[tail] = False
-                rows = win.reshape(-1, k)
-                first_at = np.where(rows.any(axis=1), rows.argmax(axis=1), k)
-                ahead = tail % k < first_at[tail // k]
-                behind, tail = tail[~ahead], tail[ahead]
+                seen = win.reshape(-1, k).cumsum(axis=1).ravel()[tail] > 0
+                behind, tail = tail[seen], tail[~seen]
             steps = tail
             if tail.size:
                 side = np.where(rng.random(tail.size) < 0.5, -1, 1)  # a fair bit, exactly
