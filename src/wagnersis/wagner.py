@@ -343,7 +343,7 @@ def _initial_list(schedule: Schedule, count: int, dim: int, q: int,
     # drawn in the list type, or in int16 for a wider one: a narrower draw
     # fills more entries per generator word
     dtype = _rounding_dtype(q)
-    draw_dtype = dtype if dtype.itemsize <= 2 else np.int16  # object: 8 bytes
+    draw_dtype = dtype if dtype.itemsize <= 2 else np.int16  # object has itemsize 8
     X = derive_np_rng(seed, "init-ternary-uniform").integers(
         -1, 2, size=(count, dim), dtype=draw_dtype)
     return X.astype(dtype, copy=False), SamplerCounts()
