@@ -6,7 +6,8 @@ first 16 bytes of ``blake2b("wagnersis|<seed>|a|b|...")``.  The initial list
 and every stage sampler get their own path, so runs are reproducible for a
 fixed seed.  The samplers' bulk draws run on SFC64 (``derive_np_rng``), and
 their exact fallbacks on ``random.Random`` (``derive_rng``); instances are
-drawn on Philox (``zqlin.random_instance``), a stream that stays fixed.
+drawn on Philox (``derive_instance_rng``), a stream that stays fixed when the
+samplers' generator changes.
 """
 
 from __future__ import annotations
@@ -34,3 +35,10 @@ def derive_np_rng(seed: int, *path) -> np.random.Generator:
     draws: about four times Philox's rate on ``random`` and twice on
     ``integers``."""
     return np.random.Generator(np.random.SFC64(child_seed(seed, *path)))
+
+
+def derive_instance_rng(seed: int, n: int, m: int, q: int) -> np.random.Generator:
+    """NumPy Philox stream at path ``("instance", n, m, q)``, for
+    ``zqlin.random_instance``: the instances, and so ``gen`` stdout and the
+    benchmark's inputs, stay fixed when the samplers' generator changes."""
+    return np.random.Generator(np.random.Philox(key=child_seed(seed, "instance", n, m, q)))

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     RankDeficient,
 )
-from .rngutil import child_seed
+from .rngutil import derive_instance_rng
 
 _INT64_SAFE = 1 << 62
 
@@ -280,13 +280,13 @@ def matvec_mod(A, x, q: int) -> np.ndarray:
 def random_instance(n: int, m: int, q: int, seed: int, *, beta=None,
                     norm_kind: str = "linf") -> SisInstance:
     """Uniform SIS instance; identical output for identical (n, m, q, seed).
-    Drawn on the Philox stream at path ``("instance", n, m, q)``, which stays
+    Drawn on ``rngutil.derive_instance_rng``'s Philox stream, which stays
     fixed when the samplers' generator changes."""
     if m < n or n < 1:
         raise BadDimensions(f"need m >= n >= 1, got n={n} m={m}")
     if q < 2:
         raise BadDimensions(f"modulus must be >= 2, got {q}")
-    rng = np.random.Generator(np.random.Philox(key=child_seed(seed, "instance", n, m, q)))
+    rng = derive_instance_rng(seed, n, m, q)
     if q < (1 << 63):
         A = rng.integers(0, q, size=(n, m), dtype=np.int64)
     else:

@@ -14,7 +14,7 @@ from wagnersis.errors import (
     NonInvertiblePivot,
     RankDeficient,
 )
-from wagnersis.rngutil import child_seed
+from wagnersis.rngutil import derive_instance_rng
 from wagnersis.zqlin import (
     _INT64_SAFE,
     SisInstance,
@@ -145,7 +145,7 @@ class TestRandomInstance:
 
     def test_object_branch_below_2_63_is_numpy_draw(self):
         q = (1 << 63) - 25
-        rng = np.random.Generator(np.random.Philox(key=child_seed(3, "instance", 2, 5, q)))
+        rng = derive_instance_rng(3, 2, 5, q)
         expect = [[int(rng.integers(0, q)) for _ in range(5)] for _ in range(2)]
         assert random_instance(2, 5, q, seed=3).A.tolist() == expect
 
