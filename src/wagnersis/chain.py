@@ -84,7 +84,7 @@ def build_chain(inst: SisInstance, block_sizes: Sequence[int],
 
 def _lift_batch(stage: StageDescriptor, X: np.ndarray) -> np.ndarray:
     """y_last = -(A'_new @ x_top) for every row of X, exact integers."""
-    return -int_matmul(X[:, : stage.m_minus_n], stage.a_new)
+    return int_matmul(X[:, : stage.m_minus_n], -stage.a_new)
 
 
 @lru_cache(maxsize=256)

@@ -16,11 +16,12 @@ stage kernel, and with it the pairing:
   randomized lifting and pair disjointly, with no cap.
 
 Lists are integer matrices, one vector per row: Gaussian lists int64 where
-the ``zqlin`` overflow rule allows and Python integers in object arrays
-otherwise; rounding lists, whose entries lie in [-q, q], in the narrowest
-signed type that holds that range (``_rounding_dtype``: int8 up to q = 127,
-then int16, int32, int64, and object from q = 2^63).  Every run returns
-int64 or object rows.
+the ``zqlin`` overflow rule allows and Python integers otherwise; rounding
+lists, whose entries lie in [-q, q], in the narrowest signed type that holds
+them (``_rounding_dtype``: int8 up to q = 127, then int16, int32, int64, and
+object from q = 2^63).  Every run returns int64 or object rows.  Lifts and
+membership checks multiply in the first type of ``zqlin._EXACT_TIERS`` that
+holds every partial sum exactly (float32, float64, int64): no tier rounds.
 
 Every stage ends in one combine kernel (``_combine_stage``): one stable
 argsort groups the rows by a packed label (``_buckets``), and same-label
@@ -225,10 +226,10 @@ def _occupancy_histogram(buckets: Buckets) -> List[Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def _pack_labels(K: np.ndarray, p: int) -> np.ndarray:
-    """Per-row coset labels: the residues K mod p read as base-p digits, int64
-    or Python integers under ``int_matmul``'s overflow rule."""
-    powers = int_array([[p ** j for j in range(K.shape[1])]])
-    return int_matmul(np.mod(K, p), powers).reshape(-1)
+    """Per-row coset labels: the residues K mod p read as base-p digits, one
+    ``int_lincomb`` term p^j R[:, j] per digit column (int64 under its rule)."""
+    R = np.mod(K, p)
+    return int_lincomb([(p ** j, R[:, j]) for j in range(K.shape[1])])
 
 
 def _combine_stage(stage: StageDescriptor, X: np.ndarray, T: np.ndarray,
@@ -428,7 +429,7 @@ def _run(inst: SisInstance, schedule: Schedule, rng, mem_budget_bytes: int):
     kappa = sum(schedule.b)
     if kappa < inst.n:
         rest = np.asarray(inst.a_prime)[kappa:, :]
-        syn = np.mod(-int_matmul(X[:, :dim0], rest), inst.q)
+        syn = np.mod(int_matmul(X[:, :dim0], -rest), inst.q)
         X = np.hstack([X, centered(syn, inst.q)])
     _check_final_membership(inst, X)
     _finish_stats(stats, X)

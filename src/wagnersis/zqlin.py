@@ -1,10 +1,10 @@
 """Exact linear algebra over Z_q, SIS instance modeling, and q-ary lattice
 brute-force oracles.
 
-All arithmetic on matrix entries is exact: int64 NumPy kernels (on operands
-of any signed integer type) are used only when a proven bound rules out
-overflow, otherwise computation falls back to Python big integers.  Lattice
-membership (A x = 0 mod q) is therefore never subject to rounding.
+All arithmetic on matrix entries is exact: a product with a matrix runs in
+the first type of ``_EXACT_TIERS`` (float32, float64, int64) that holds a
+proven bound on every partial sum exactly, and over Python big integers past
+it, so lattice membership (A x = 0 mod q) never rounds or wraps.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
 from .rngutil import derive_instance_rng
 
 _INT64_SAFE = 1 << 62
+_EXACT_TIERS = ((1 << 24, np.float32), (1 << 53, np.float64), (_INT64_SAFE, np.int64))
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -235,15 +236,18 @@ def int_array(rows) -> np.ndarray:
 
 def int_matmul(X, A) -> np.ndarray:
     """Exact ``X @ A.T`` for integer matrices, under the toolkit's one
-    overflow rule: the product is taken in int64 when both operands have a
-    signed integer dtype (int8 to int64, mixed or not) and
-    ``X.shape[1] * max|A| * max|X| < 2^62``, a bound on every partial sum,
-    and over Python integers in an object array otherwise; never in a
-    narrower type, where it could wrap."""
+    overflow rule: for signed integer operands, ``bound = X.shape[1] * max|A|
+    * max|X|`` bounds every partial sum in any order, and the product runs in
+    the first ``_EXACT_TIERS`` type that holds every integer below the bound
+    exactly, so it rounds nothing: float32 (sgemm) below 2^24, float64 (dgemm)
+    below 2^53, int64 below 2^62, returned as int64; Python integers beyond."""
     X, A = np.asarray(X), np.asarray(A)
     if X.dtype.kind == "i" and A.dtype.kind == "i":
-        if X.shape[1] * _max_abs(A) * _max_abs(X) < _INT64_SAFE:
-            return np.matmul(X, A.T, dtype=np.int64)
+        X = X.astype(np.float32) if np.can_cast(X.dtype, np.float32) else X  # int8, int16
+        bound = X.shape[1] * _max_abs(A) * _max_abs(X)
+        for limit, tier in _EXACT_TIERS:
+            if bound < limit:
+                return np.matmul(X.astype(tier, copy=False), A.T.astype(tier)).astype(np.int64)
     return _to_python_int(X) @ _to_python_int(A).T
 
 

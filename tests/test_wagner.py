@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import gaussian_combine, make_systematic, parity_rows_ok, stage_rows_ok
@@ -34,6 +34,7 @@ from wagnersis.wagner import (
     _gaussian_stage,
     _initial_list,
     _occupancy_histogram,
+    _pack_labels,
     _round_scaled,
     _rounding_dtype,
     _rounding_stage,
@@ -232,6 +233,37 @@ class TestPairing:
         assert [tuple(p) for p in pair_indices_disjoint(grouping, None).tolist()] == \
             disjoint_walk(labels, None)
         assert _occupancy_histogram(grouping) == [(2, 1), (3, 2)]
+
+
+@st.composite
+def offset_matrices(draw):
+    """(p, K): 1 to 5 rows of b = 1..7 offsets, as int64 (within +-2^40) or as
+    an object array (within +-2^80), for small and wide stage moduli p.  The
+    first row's top digit is p - 1, so from p^b > 2^63 on the labels' bound
+    passes 2^62."""
+    b = draw(st.integers(1, 7))
+    p = draw(st.one_of(st.integers(2, 300), st.sampled_from([2**10, 2**31 - 1])))
+    wide = draw(st.booleans())
+    lim = 1 << (80 if wide else 40)
+    K = draw(st.lists(st.lists(st.integers(-lim, lim), min_size=b, max_size=b),
+                      min_size=1, max_size=5))
+    K[0][-1] = -1
+    return p, np.array(K, dtype=object if wide else np.int64)
+
+
+class TestPackLabels:
+    @settings(max_examples=300, deadline=None)
+    @given(case=offset_matrices())
+    @example(case=(2**10, np.array([[5, 0, 7, 1, 2, 3, -1]], dtype=np.int64)))
+    def test_matches_base_p_digits(self, case):
+        p, K = case
+        got = _pack_labels(K, p)
+        assert got.tolist() == [sum(k % p * p**j for j, k in enumerate(row))
+                                for row in K.tolist()]
+        if K.dtype == object or p ** K.shape[1] > 1 << 63:
+            assert got.dtype == object
+        elif p ** K.shape[1] <= 1 << 62:
+            assert got.dtype == np.int64
 
 
 class TestBucketAndCombine:

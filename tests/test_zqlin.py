@@ -305,6 +305,64 @@ class TestIntMatmul:
         assert got.dtype == (np.int64 if k * max_a * max_x < _INT64_SAFE else object)
         assert got.tolist() == _matmul_reference(X, A)
 
+    @pytest.mark.parametrize("limit", [1 << 24, 1 << 53], ids=["2^24", "2^53"])
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([1, 3, 5]), max_a=st.integers(1, 1 << 31),
+           rows=st.integers(1, 3), b=st.integers(1, 3), step=st.integers(-1, 2),
+           sign=st.sampled_from([1, -1]), x_type=st.sampled_from(_SIGNED),
+           a_type=st.sampled_from(_SIGNED), data=st.data())
+    def test_exact_on_both_sides_of_the_float_guards(self, limit, k, max_a, rows, b, step,
+                                                      sign, x_type, a_type, data):
+        # The float tiers' twin of the 2^62 test.  k, max|A| and max|X| are
+        # odd, and the first rows sit at +max and sign * max, so the product
+        # holds +-k max|A| max|X|, an odd integer: past the limit no float of
+        # that tier holds it, and a tier chosen too narrow returns a wrong
+        # sum.  max|X| is the largest odd value whose bound is below the limit,
+        # moved by `step` odd steps (at the type's largest value, also odd, if
+        # X's type cannot reach it).
+        max_a = min(max_a | 1, int(np.iinfo(a_type).max))
+        below = (limit - 1) // (k * max_a)
+        max_x = min(max(1, below - 1 + below % 2 + 2 * step), int(np.iinfo(x_type).max))
+        xs = st.one_of(st.sampled_from([max_x, -max_x]), st.integers(-max_x, max_x))
+        as_ = st.one_of(st.sampled_from([max_a, -max_a]), st.integers(-max_a, max_a))
+        X = _matrix(data, rows, k, xs)
+        A = _matrix(data, b, k, as_)
+        X[0], A[0] = [max_x] * k, [sign * max_a] * k
+        got = int_matmul(np.array(X, dtype=x_type), np.array(A, dtype=a_type))
+        assert got.dtype == np.int64
+        assert got.tolist() == _matmul_reference(X, A)
+
+    def test_odd_sum_past_float32(self):
+        # 1 + 2^24 has no float32 value (float32 gives 16777216); the bound
+        # 2 * 1 * 2^24 puts the product in float64
+        assert int_matmul(np.array([[1, 2**24]]), np.array([[1, 1]])).tolist() == [[16777217]]
+
+    @pytest.mark.parametrize("X, A, tier", [
+        *[(np.array([[x]]), np.array([[1]]), tier) for x, tier in [
+            (2**24 - 1, np.float32), (2**24, np.float64), (2**53 - 1, np.float64),
+            (2**53, np.int64), (2**62 - 1, np.int64), (2**62, None)]],
+        # the naive-rounding lift: int16 heads at +-q/2 against 18 columns of
+        # A' entries below q = 257, bound 18 * 256 * 128 < 2^24
+        (np.full((4, 18), -128, dtype=np.int16), np.full((2, 18), 256), np.float32),
+    ], ids=["2^24-1", "2^24", "2^53-1", "2^53", "2^62-1", "2^62", "lift-shape"])
+    def test_tier_edges(self, X, A, tier, monkeypatch):
+        # np.matmul runs in the narrowest exact type on either side of each
+        # limit (bound = 1 * 1 * x) and every numeric tier returns int64;
+        # past 2^62 no numeric product runs
+        operand_types = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            operand_types.append((np.asarray(a).dtype, np.asarray(b).dtype))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        got = int_matmul(X, A)
+        monkeypatch.undo()
+        assert operand_types == ([] if tier is None else [(np.dtype(tier),) * 2])
+        assert got.dtype == (object if tier is None else np.int64)
+        assert got.tolist() == _matmul_reference(X.tolist(), A.tolist())
+
     def test_narrow_product_does_not_wrap(self):
         # 2 * 300 * 300 = 180000 overflows int16: the product is int64
         X = np.array([[300, 300]], dtype=np.int16)
