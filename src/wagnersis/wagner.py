@@ -21,7 +21,7 @@ lists, whose entries lie in [-q, q], in the narrowest signed type that holds
 them (``_rounding_dtype``: int8 up to q = 127, then int16, int32, int64, and
 object from q = 2^63).  Every run returns int64 or object rows.  Lifts and
 membership checks multiply in the first type of ``zqlin._EXACT_TIERS`` that
-holds every partial sum exactly (float32, float64, int64): no tier rounds.
+holds every partial sum exactly (float32, int64): no tier rounds.
 
 Every stage ends in one combine kernel (``_combine_stage``): one stable
 argsort groups the rows by a packed label (``_buckets``), and same-label

@@ -2,9 +2,9 @@
 brute-force oracles.
 
 All arithmetic on matrix entries is exact: a product with a matrix runs in
-the first type of ``_EXACT_TIERS`` (float32, float64, int64) that holds a
-proven bound on every partial sum exactly, and over Python big integers past
-it, so lattice membership (A x = 0 mod q) never rounds or wraps.
+the first type of ``_EXACT_TIERS`` (float32, int64) that holds a proven
+bound on every partial sum exactly, and over Python big integers past it,
+so lattice membership (A x = 0 mod q) never rounds or wraps.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
 from .rngutil import derive_instance_rng
 
 _INT64_SAFE = 1 << 62
-_EXACT_TIERS = ((1 << 24, np.float32), (1 << 53, np.float64), (_INT64_SAFE, np.int64))
+_EXACT_TIERS = ((1 << 24, np.float32), (_INT64_SAFE, np.int64))
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -239,8 +239,8 @@ def int_matmul(X, A) -> np.ndarray:
     overflow rule: for signed integer operands, ``bound = X.shape[1] * max|A|
     * max|X|`` bounds every partial sum in any order, and the product runs in
     the first ``_EXACT_TIERS`` type that holds every integer below the bound
-    exactly, so it rounds nothing: float32 (sgemm) below 2^24, float64 (dgemm)
-    below 2^53, int64 below 2^62, returned as int64; Python integers beyond."""
+    exactly, so it rounds nothing: float32 (sgemm) below 2^24, int64 below
+    2^62, returned as int64; Python integers beyond."""
     X, A = np.asarray(X), np.asarray(A)
     if X.dtype.kind == "i" and A.dtype.kind == "i":
         X = X.astype(np.float32) if np.can_cast(X.dtype, np.float32) else X  # int8, int16

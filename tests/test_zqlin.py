@@ -313,11 +313,12 @@ class TestIntMatmul:
            a_type=st.sampled_from(_SIGNED), data=st.data())
     def test_exact_on_both_sides_of_the_float_guards(self, limit, k, max_a, rows, b, step,
                                                       sign, x_type, a_type, data):
-        # The float tiers' twin of the 2^62 test.  k, max|A| and max|X| are
-        # odd, and the first rows sit at +max and sign * max, so the product
-        # holds +-k max|A| max|X|, an odd integer: past the limit no float of
-        # that tier holds it, and a tier chosen too narrow returns a wrong
-        # sum.  max|X| is the largest odd value whose bound is below the limit,
+        # The float32 tier's twin of the 2^62 test, at its limit 2^24 and at
+        # 2^53, float64's, which the int64 tier spans.  k, max|A| and max|X|
+        # are odd, and the first rows sit at +max and sign * max, so the
+        # product holds +-k max|A| max|X|, an odd integer: past the limit no
+        # float of that width holds it, and a float product taken there
+        # returns a wrong sum.  max|X| is the largest odd value whose bound is below the limit,
         # moved by `step` odd steps (at the type's largest value, also odd, if
         # X's type cannot reach it).
         max_a = min(max_a | 1, int(np.iinfo(a_type).max))
@@ -334,21 +335,28 @@ class TestIntMatmul:
 
     def test_odd_sum_past_float32(self):
         # 1 + 2^24 has no float32 value (float32 gives 16777216); the bound
-        # 2 * 1 * 2^24 puts the product in float64
+        # 2 * 1 * 2^24 puts the product in int64
         assert int_matmul(np.array([[1, 2**24]]), np.array([[1, 1]])).tolist() == [[16777217]]
 
     @pytest.mark.parametrize("X, A, tier", [
         *[(np.array([[x]]), np.array([[1]]), tier) for x, tier in [
-            (2**24 - 1, np.float32), (2**24, np.float64), (2**53 - 1, np.float64),
-            (2**53, np.int64), (2**62 - 1, np.int64), (2**62, None)]],
+            (2**24 - 1, np.float32), (2**24, np.int64),
+            (2**62 - 1, np.int64), (2**62, None)]],
+        # int8 and int16 heads, cast to float32 before the bound is read,
+        # on either side of 2^62: the float32 copy goes to int64 or to
+        # Python integers, exactly (bound = x * a)
+        *[(np.array([[x]], dtype=x_type), np.array([[a]]), tier)
+          for x_type, x in [(np.int8, 127), (np.int16, 32767)]
+          for a, tier in [((2**62 - 1) // x, np.int64), (-(-2**62 // x), None)]],
         # the naive-rounding lift: int16 heads at +-q/2 against 18 columns of
         # A' entries below q = 257, bound 18 * 256 * 128 < 2^24
         (np.full((4, 18), -128, dtype=np.int16), np.full((2, 18), 256), np.float32),
-    ], ids=["2^24-1", "2^24", "2^53-1", "2^53", "2^62-1", "2^62", "lift-shape"])
+    ], ids=["2^24-1", "2^24", "2^62-1", "2^62", "int8-2^62-1", "int8-2^62",
+            "int16-2^62-1", "int16-2^62", "lift-shape"])
     def test_tier_edges(self, X, A, tier, monkeypatch):
         # np.matmul runs in the narrowest exact type on either side of each
-        # limit (bound = 1 * 1 * x) and every numeric tier returns int64;
-        # past 2^62 no numeric product runs
+        # limit and every numeric tier returns int64; past 2^62 no numeric
+        # product runs
         operand_types = []
         matmul = np.matmul
 
