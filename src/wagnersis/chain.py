@@ -13,7 +13,6 @@ kappa_i rows (``wagner._combine_stage``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,8 +20,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .dgauss import _WIDTH_TOL, SamplerCounts, _draw_z_array, _width_floor_sq
-from .errors import BlockSumMismatch, WidthTooSmall
+from .dgauss import SamplerCounts, _draw_z_array, check_width
+from .errors import BlockSumMismatch
 from .rngutil import derive_np_rng, derive_rng
 from .zqlin import SisInstance, int_array, int_lincomb, int_matmul
 
@@ -90,13 +89,10 @@ def _lift_batch(stage: StageDescriptor, X: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _offset_width_sq(index: int, p: int, q: int, b: int, s_sq: Fraction) -> Fraction:
     """The stage width rule: (p/q)^2 s^2, the squared width of the offset
-    coefficients k, once s clears the stage floor (q/p) sqrt(ln(2b+4)/pi)."""
-    floor_sq = (Fraction(q, p) ** 2) * Fraction(_width_floor_sq(b))
-    if float(s_sq) < float(floor_sq) * _WIDTH_TOL:
-        raise WidthTooSmall(
-            f"stage {index}: s = {math.sqrt(float(s_sq)):.4f} below "
-            f"(q/p) sqrt(ln(2b+4)/pi) = {math.sqrt(float(floor_sq)):.4f}")
-    return s_sq * p * p / (q * q)
+    coefficients k, once (p/q) s clears sqrt(ln(2b+4)/pi)."""
+    scaled = s_sq * p * p / (q * q)
+    check_width(scaled, b, f"stage {index}: (p/q) s")
+    return scaled
 
 
 def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,

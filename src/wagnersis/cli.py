@@ -6,8 +6,8 @@ subcommands compose through pipes, e.g.
     wagnersis gen --n 8 --m 20 --q 257 --seed 7 | wagnersis solve --f 6.92
 
 Exit codes: 0 success, 1 solver failure or non-valid verdict, 2 usage error,
-3 precondition violation.  The sampler is single-threaded (--threads accepts
-only 1), and a fixed --seed reproduces output byte for byte.
+3 precondition violation.  The sampler is single-threaded, and a fixed --seed
+reproduces output byte for byte.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="64-bit master seed (default 0)")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker count; only 1 is supported (default 1)")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="structured output")
     common.add_argument("--stats-out", type=str, default=argparse.SUPPRESS,
@@ -136,8 +134,7 @@ def _cmd_solve(args) -> int:
         from .wagner import certify_smoothing
         certify_smoothing(inst, schedule)
     solve = solvers.solve_sis_inf if args.norm == "linf" else solvers.solve_sis_l2
-    report = solve(inst, args.f, args.epsilon, mode, args.seed,
-                   schedule=schedule, threads=args.threads)
+    report = solve(inst, args.f, args.epsilon, mode, args.seed, schedule=schedule)
     report.solutions = [_in_given_coordinates(given, perm, sol)
                         for sol in report.solutions]
     if args.stats_out:
@@ -282,8 +279,7 @@ def _cmd_selftest(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for name, default in (("seed", 0), ("threads", 1), ("json", False),
-                          ("stats_out", None)):
+    for name, default in (("seed", 0), ("json", False), ("stats_out", None)):
         if not hasattr(args, name):
             setattr(args, name, default)
     handlers = {

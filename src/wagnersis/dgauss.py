@@ -123,10 +123,6 @@ class GaussParam:
         ssq = Fraction(s) ** 2 if s is not None else Fraction(s_sq)
         return cls(s_sq=ssq, c=tuple(Fraction(v) for v in c))
 
-    @property
-    def s(self) -> float:
-        return math.sqrt(float(self.s_sq))
-
 
 # ---------------------------------------------------------------------------
 # Exact Bernoulli(exp(-pi a)) via interval refinement
@@ -536,12 +532,19 @@ def _width_floor_sq(n: int) -> float:
     return math.log(2 * n + 4) / math.pi
 
 
-# Margins on ``_width_floor_sq``: a width check passes down to _WIDTH_TOL
+# Margins on ``_width_floor_sq``: ``check_width`` passes down to _WIDTH_TOL
 # times the floor, and heuristic schedules floor their widths _WIDTH_SLACK
 # times above it.  The slack must exceed the tolerance, so that a floored
 # heuristic width always clears ``chain._offset_width_sq``.
 _WIDTH_TOL = 1 - 1e-12
 _WIDTH_SLACK = 1 + 1e-9
+
+
+def check_width(s_sq: Fraction, n: int, name: str) -> None:
+    """Raise ``WidthTooSmall`` unless s^2 >= ln(2n+4)/pi, down to _WIDTH_TOL.
+    It compares ``Fraction``s, exactly and at any width."""
+    if s_sq < Fraction(_width_floor_sq(n) * _WIDTH_TOL):
+        raise WidthTooSmall(f"{name}: s = {math.sqrt(s_sq):.4f} < sqrt(ln({2 * n + 4})/pi)")
 
 
 def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
@@ -554,8 +557,7 @@ def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
     """
     if n < 1 or rows < 0:
         raise PreconditionViolated(f"need n >= 1 and rows >= 0, got n={n} rows={rows}")
-    if param.s_sq < _width_floor_sq(n) * _WIDTH_TOL:
-        raise WidthTooSmall(f"s = {param.s:.4f} < sqrt(ln({2 * n + 4})/pi)")
+    check_width(param.s_sq, n, "width")
     cs = param.c if len(param.c) == n else param.c * n
     if len(cs) != n:
         raise PreconditionViolated(f"center has length {len(param.c)}, expected {n}")
@@ -747,8 +749,11 @@ class SimilarityResult:
         return max((abs(lr) - z * se for _, _, _, lr, se in self.bins), default=0.0)
 
 
-def empirical_similarity(samples: Sequence, pmf: Dict, *, min_expected: float = 25.0,
-                         min_samples: int = 10_000) -> SimilarityResult:
+_MIN_SAMPLES = 10_000  # fewest samples ``empirical_similarity`` judges
+
+
+def empirical_similarity(samples: Sequence, pmf: Dict, *,
+                         min_expected: float = 25.0) -> SimilarityResult:
     """Estimate the pointwise log-ratio between an empirical sample and an
     exact pmf, plus a chi-square goodness-of-fit p-value.
 
@@ -757,8 +762,8 @@ def empirical_similarity(samples: Sequence, pmf: Dict, *, min_expected: float = 
     into one tail cell for the chi-square statistic.
     """
     n = len(samples)
-    if n < min_samples:
-        raise InsufficientSamples(f"{n} samples < {min_samples}")
+    if n < _MIN_SAMPLES:
+        raise InsufficientSamples(f"{n} samples < {_MIN_SAMPLES}")
     coverage = sum(pmf.values())
     if coverage < 0.9999:
         raise PreconditionViolated("oracle covers >= 99.99% of mass")

@@ -37,6 +37,7 @@ _KAPPA = {
     VARIANT_QUANTIZATION: math.sqrt(2.0 * math.pi * math.e),
 }
 _MAX_LOG2N = 4000.0  # largest log2 N the estimate searches
+_GRID_BITS = 0.1  # the log2 N grid the estimate returns a point of
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class CostQuery:
     q: int
     beta: int
     variant: str = VARIANT_QUANTIZATION
-    grid_bits: float = 0.1
 
     def __post_init__(self):
         if self.variant not in _KAPPA:
@@ -232,7 +232,7 @@ def _log2_np(query: CostQuery, log2N: float) -> Tuple[float, Optional[int]]:
 
 def estimate(query: CostQuery) -> CostReport:
     """Smallest log2 N on the grid for which the attack model succeeds."""
-    grid = query.grid_bits
+    grid = _GRID_BITS
     # Exponential bracket, then a binary search down to the grid, then an
     # exact walk so the returned point is the grid minimum.
     lo, hi = 1.0, None

@@ -149,6 +149,8 @@ def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
     _check_mode(inst, f, epsilon, mode)
     if schedule is None:
         schedule = choose_schedule(inst, f, epsilon, mode, norm_kind)
+    elif schedule.mode != mode:
+        raise PreconditionViolated(f"schedule mode {schedule.mode} is not solve mode {mode}")
     outputs, stats = gaussian_wagner(inst, schedule, rng, threads=threads)
     limits = [(norm_kind, _norm_limit(beta, norm_kind))]
     if inst.beta is not None:

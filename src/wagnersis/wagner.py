@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -53,11 +53,11 @@ from .chain import (
 )
 from .dgauss import (
     _WIDTH_SLACK,
-    _WIDTH_TOL,
     SamplerCounts,
     _draw_z_array,
     _width_floor_sq,
     check_epsilon,
+    check_width,
     eta_qary_bruteforce,
     eta_scaled_zn_bruteforce,
     eta_zn_bruteforce,
@@ -69,7 +69,6 @@ from .errors import (
     InsufficientInputs,
     NotInLattice,
     PreconditionViolated,
-    WidthTooSmall,
 )
 from .rngutil import derive_np_rng, derive_rng
 from .zqlin import (
@@ -87,6 +86,7 @@ from .zqlin import (
 MODE_PROVABLE = "provable-gaussian"
 MODE_HEURISTIC = "heuristic-gaussian"
 MODE_NAIVE = "naive-rounding"
+_MEM_BUDGET_BYTES = 8 << 30  # largest initial list a run allocates, in int64 bytes
 
 
 @dataclass(frozen=True)
@@ -396,7 +396,7 @@ def _rounding_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed
     return out, buckets, SamplerCounts()
 
 
-def _run(inst: SisInstance, schedule: Schedule, rng, mem_budget_bytes: int):
+def _run(inst: SisInstance, schedule: Schedule, rng):
     """The run of every mode: the initial list, one stage per chain lattice,
     then the rows an early abort left uncovered, as centered residues."""
     seed = _as_seed(rng)
@@ -406,12 +406,11 @@ def _run(inst: SisInstance, schedule: Schedule, rng, mem_budget_bytes: int):
     if schedule.mode == MODE_PROVABLE:
         if schedule.N < max(st.p ** st.b for st in stages):
             raise InfeasibleSchedule("provable mode needs N >= max p_i^b_i")
-        if float(schedule.s0_sq) < _width_floor_sq(dim0) * _WIDTH_TOL:
-            raise WidthTooSmall("s0 below sqrt(ln(2(m-n)+4)/pi)")
+        check_width(schedule.s0_sq, dim0, "s0")
         for st in stages:  # every stage width must clear its floor before any draw
             _offset_width_sq(st.index, st.p, st.q, st.b, schedule.width_sq(st.index))
     init_count = (3 if schedule.mode == MODE_HEURISTIC else 3 ** schedule.r) * schedule.N
-    if init_count * max(1, dim0) * 8 > mem_budget_bytes:
+    if init_count * max(1, dim0) * 8 > _MEM_BUDGET_BYTES:
         raise BudgetExceeded(
             f"initial list of {init_count} vectors exceeds the memory budget")
     stage = _rounding_stage if schedule.mode == MODE_NAIVE else _gaussian_stage
@@ -436,8 +435,7 @@ def _run(inst: SisInstance, schedule: Schedule, rng, mem_budget_bytes: int):
     return X.astype(np.result_type(X, np.int64), copy=False), stats
 
 
-def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
-                    threads: int = 1, mem_budget_bytes: int = 8 << 30):
+def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *, threads: int = 1):
     """Run the provable or heuristic Gaussian sampler over the instance's
     lattice chain.  The stage width grows by sqrt(2) per stage; provable mode
     requires every width to clear its floor, heuristic mode floors it there.
@@ -449,11 +447,10 @@ def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *,
         raise PreconditionViolated(f"threads = 1 (single-threaded sampler), got {threads}")
     if schedule.mode == MODE_NAIVE:
         raise InfeasibleSchedule("use naive_wagner for the rounding mode")
-    return _run(inst, schedule, rng, mem_budget_bytes)
+    return _run(inst, schedule, rng)
 
 
-def naive_wagner(inst: SisInstance, schedule: Schedule, rng, *,
-                 mem_budget_bytes: int = 8 << 30):
+def naive_wagner(inst: SisInstance, schedule: Schedule, rng):
     """The warm-up rounding variant.
 
     Uniform ternary initial list of 3^r N vectors, then one rounding stage
@@ -463,7 +460,7 @@ def naive_wagner(inst: SisInstance, schedule: Schedule, rng, *,
     """
     if schedule.mode != MODE_NAIVE:
         raise InfeasibleSchedule("schedule mode must be naive-rounding")
-    return _run(inst, schedule, rng, mem_budget_bytes)
+    return _run(inst, schedule, rng)
 
 
 def eq1_norm_bound(schedule: Schedule, q: int) -> Fraction:
@@ -558,12 +555,12 @@ def choose_naive_params(n: int, q: int, f: float) -> Schedule:
 _TWO_PI = 2.0 * math.pi
 _HEURISTIC_ENTROPY_FACTOR = 48  # initial pool size multiple of the list size
 _MIN_LOG2_N = 6  # the heuristic ladder's smallest list size, as log2 N
+_MAX_LOG2_N = 22  # and its largest
 _MIN_EXPECTED_HITS = 4.0  # expected hits N p a heuristic schedule must predict
 
 
 def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
-                            epsilon: float = 2.0 ** -10,
-                            max_log2_n: int = 22) -> Schedule:
+                            epsilon: float = 2.0 ** -10) -> Schedule:
     """Integer schedule for desk-scale heuristic runs.
 
     Walks a ladder of list sizes; for each, derives integer stage moduli from
@@ -573,7 +570,7 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
     schedule whose expected number of hits N p clears ``_MIN_EXPECTED_HITS``.
     """
     d, kappa = m - n, _estimator._KAPPA[_estimator.VARIANT_QUANTIZATION]
-    for log2_n in range(_MIN_LOG2_N, max_log2_n + 1):
+    for log2_n in range(_MIN_LOG2_N, _MAX_LOG2_N + 1):
         N = 1 << log2_n
         try:
             w, sigma0 = _estimator.min_weight(d, _HEURISTIC_ENTROPY_FACTOR * N)
@@ -615,7 +612,7 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
                             b=tuple(b for _, b, _ in chosen),
                             s0_sq=width1_sq, epsilon=epsilon)
     raise InfeasibleSchedule(
-        f"no heuristic schedule up to N = 2^{max_log2_n} predicts "
+        f"no heuristic schedule up to N = 2^{_MAX_LOG2_N} predicts "
         f"{_MIN_EXPECTED_HITS} expected hits")
 
 
@@ -623,17 +620,15 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
 # Smoothing certification (tiny instances)
 # ---------------------------------------------------------------------------
 
-def certify_smoothing(inst: SisInstance, schedule: Schedule,
-                      epsilon: Optional[float] = None) -> dict:
+def certify_smoothing(inst: SisInstance, schedule: Schedule) -> dict:
     """Brute-force the smoothing conditions of every stage on a tiny instance.
 
     Checks sqrt(2)^(i-1) s0 >= sqrt(2) max(eta_{eps/3} of the scaled block
     lattice, eta_{eps/3} of the previous chain lattice) for every stage, which
-    suffices for the stage superlattice conditions.  Raises on failure.  An
-    ``epsilon`` override must pass the schedule's own check."""
+    suffices for the stage superlattice conditions.  Raises on failure."""
     if schedule.mode == MODE_NAIVE:
         raise InfeasibleSchedule("smoothing conditions need a Gaussian schedule")
-    eps = (schedule if epsilon is None else replace(schedule, epsilon=epsilon)).epsilon / 3.0
+    eps = schedule.epsilon / 3.0
     stages = build_chain(inst, schedule.b, schedule.p,
                          allow_partial=schedule.mode == MODE_HEURISTIC)
     report = {}

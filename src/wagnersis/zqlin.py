@@ -32,6 +32,7 @@ _INT64_SAFE = 1 << 62
 _EXACT_TIERS = ((1 << 24, np.float32), (_INT64_SAFE, np.int64))
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_LAMBDA1_BUDGET = 1 << 22  # most syndromes ``lambda1_inf_bruteforce`` enumerates
 
 
 def is_probable_prime(n: int) -> bool:
@@ -359,14 +360,14 @@ def permute_solution_back(perm, y):
     return tuple(x)
 
 
-def lambda1_inf_bruteforce(A, q: int, budget: int = 1 << 22) -> int:
+def lambda1_inf_bruteforce(A, q: int) -> int:
     """Exact lambda_1^infty of Lambda_q(A) = A^T Z^n + q Z^m by enumerating
     all q^n - 1 nonzero syndromes.  Degenerate syndromes (A^T s = 0 mod q)
     contribute only multiples of q, hence the value q for them."""
     A = np.asarray(A)
     n = A.shape[0]
-    if q ** n > budget:
-        raise BudgetExceeded(f"q^n = {q ** n} exceeds enumeration budget {budget}")
+    if q ** n > _LAMBDA1_BUDGET:
+        raise BudgetExceeded(f"q^n = {q ** n} exceeds enumeration budget {_LAMBDA1_BUDGET}")
     best = q  # q * e_1 is always in the lattice
     Amat = A.astype(np.int64, copy=False)
     total, chunk = q ** n, 1 << 14

@@ -343,8 +343,7 @@ class TestDeterminismAndCertify:
         _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
                                 "--seed", "11"])
         f = 4 * math.sqrt(math.log(20))
-        argv = ["solve", "--f", str(f), "--seed", "11", "--threads", "1",
-                "--json"]
+        argv = ["solve", "--f", str(f), "--seed", "11", "--json"]
         c1, o1 = run_cli(list(argv), stdin_text=inst_json, monkeypatch=monkeypatch)
         c2, o2 = run_cli(list(argv), stdin_text=inst_json, monkeypatch=monkeypatch)
         assert (c1, o1) == (c2, o2)
@@ -410,14 +409,12 @@ class TestDeterminismAndCertify:
         beta = (257 / 20) * math.sqrt(20)
         assert solved[0] == wagner.choose_heuristic_params(8, 20, 257, beta)
 
-    def test_threads_other_than_one_exit_code(self, monkeypatch):
-        _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
-                                "--seed", "11"])
-        f = 4 * math.sqrt(math.log(20))
-        code, out = run_cli(["solve", "--f", str(f), "--seed", "11",
-                             "--threads", "2"],
-                            stdin_text=inst_json, monkeypatch=monkeypatch)
-        assert code == 3 and out == ""
+    def test_threads_flag_is_a_usage_error(self):
+        # the sampler is single-threaded, and the CLI has no --threads flag
+        for threads in ("1", "2"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["solve", "--f", "4", "--seed", "11", "--threads", threads])
+            assert exc.value.code == 2
 
 
 class TestModulusLadder:

@@ -8,6 +8,7 @@ from wagnersis.estimator import (
     CostReport,
     VARIANT_QUANTIZATION,
     VARIANT_ROUNDING,
+    _GRID_BITS,
     _log2_np,
     dilithium_presets,
     estimate,
@@ -123,7 +124,7 @@ class TestEstimate:
         rep = estimate(q)
         # N p > 1/2 at the optimum; one grid step below it is not
         assert _log2_np(q, rep.log2N)[0] > -1.0
-        assert _log2_np(q, rep.log2N - q.grid_bits)[0] <= -1.0
+        assert _log2_np(q, rep.log2N - _GRID_BITS)[0] <= -1.0
 
     def test_weight_matches_min_weight_at_optimum(self):
         q = CostQuery(n=1024, m=2304, q=8380417, beta=350209)

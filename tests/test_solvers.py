@@ -19,7 +19,7 @@ from wagnersis.solvers import (
     solve_sis_l2,
     verify,
 )
-from wagnersis.wagner import MODE_HEURISTIC, MODE_PROVABLE
+from wagnersis.wagner import MODE_HEURISTIC, MODE_PROVABLE, Schedule
 from wagnersis.zqlin import SisInstance, norm_stat, random_instance
 
 
@@ -137,6 +137,19 @@ class TestSolveInf:
         inst = make_systematic(8, 20, 257, seed=0)
         with pytest.raises(PreconditionViolated, match="epsilon > 0"):
             solve_sis_inf(inst, self.F, eps, mode, 0)
+
+    @pytest.mark.parametrize("mode, error", [
+        (MODE_HEURISTIC, "is not solve mode"),
+        (MODE_PROVABLE, r"q\^\(1-n/m\) >= 6"),
+    ])
+    def test_schedule_must_match_the_mode(self, mode, error):
+        # a provable schedule under a heuristic solve would run the provable
+        # sampler and skip every provable precondition
+        inst = make_systematic(2, 8, 5, seed=0)
+        sched = Schedule(mode=MODE_PROVABLE, r=1, N=12, p=(2,), b=(2,),
+                         s0_sq=Fraction(64))
+        with pytest.raises(PreconditionViolated, match=error):
+            solve_sis_inf(inst, 1.0, 2.0**-10, mode, 3, schedule=sched)
 
     def test_provable_warns_about_asymptotics(self):
         inst = make_systematic(8, 20, 257, seed=0)

@@ -175,8 +175,7 @@ class TestLambda1Bruteforce:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            lambda1_inf_bruteforce(np.zeros((8, 8), dtype=np.int64) + 1, 257,
-                                   budget=1000)
+            lambda1_inf_bruteforce(np.zeros((8, 8), dtype=np.int64) + 1, 257)
 
     def test_range_invariants(self):
         rng = np.random.default_rng(7)
