@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -30,7 +31,87 @@ from wagnersis.zqlin import (
 )
 
 
+def _systematic_reference(A, q, q_prime):
+    """Row reduction of A to [A' | I_n] over Python integers, one entry at a
+    time: the pivot search, column swaps and errors ``systematic_form``
+    specifies.  Returns (rows, cols)."""
+    M = [[int(v) for v in row] for row in A]
+    n, m = len(M), len(M[0])
+    cols, off = list(range(m)), m - n
+    for i in range(n):
+        target = off + i
+        used = range(off, off + i)
+        others = (j for j in range(m) if j not in used and j != target)
+        for pivot_col in chain((target,), others):
+            try:
+                inv = pow(M[i][pivot_col], -1, q)
+            except ValueError:
+                continue
+            break
+        else:
+            if any(M[i][j] % q for j in range(m) if j not in used) and not q_prime:
+                raise NonInvertiblePivot(
+                    f"row {i}: nonzero entries but no unit pivot mod composite q={q}")
+            raise RankDeficient(f"row {i} lies in the span of earlier rows mod {q}")
+        if pivot_col != target:
+            for row in M:
+                row[pivot_col], row[target] = row[target], row[pivot_col]
+            cols[pivot_col], cols[target] = cols[target], cols[pivot_col]
+        M[i] = [(v * inv) % q for v in M[i]]
+        for r in range(n):
+            if r != i and M[r][target] % q:
+                f = M[r][target] % q
+                M[r] = [(M[r][j] - f * M[i][j]) % q for j in range(m)]
+    return M, tuple(cols)
+
+
 class TestSystematicForm:
+    # sha256 of json.dumps([A.tolist(), list(perm)]) of the output, computed
+    # with the Python-integer elimination: the benchmark shapes mod 257, a
+    # composite q, two object-path moduli (2^31 + 11 and 2^64 + 13) and a
+    # mod-2 instance whose pivot search swaps columns
+    @pytest.mark.parametrize("n, m, q, seed, digest", [
+        (8, 20, 257, 1, "519c28b237fbd73fa54aa001d0a07be0c464bcd2fbf229440b78a74f0e01ca82"),
+        (8, 20, 257, 6917529027641081861,
+         "14b26d0ae3bb79e1cb10992dcfd7e0737be78d99a45e7c8ed0d9824f5ede9f98"),
+        (12, 30, 257, 1, "d82e497933e21d4b97325bcf8595816739caad042bfa3d76ec1862ffc4e9eba4"),
+        (12, 30, 257, 6917529027641081861,
+         "e9450eb1b18a50a499e26f88ebdfa39065368c65ea38335ee38bf9095de38371"),
+        (4, 10, 1000, 0, "5dc051535932228b8db2fdda0afe190e1ff2bd9ce23b87356aff147d8392406e"),
+        (4, 10, 2147483659, 0,
+         "af0f461c76c1ffc6bbbaf899f770d3a2d8f0562613640a7a324ad152e7adf02c"),
+        (4, 10, 2**64 + 13, 0,
+         "7c87127a8dcae298488ebe6f331db340238eb28e77014339353377490e84a400"),
+        (6, 12, 2, 0, "957d7396b247a7af7e6e717dcfcdf53bb79879f870e71f7bbb33d9ef6b193edb"),
+    ])
+    def test_output_pinned(self, n, m, q, seed, digest):
+        out, perm = systematic_form(random_instance(n, m, q, seed))
+        doc = [[[int(v) for v in row] for row in out.A.tolist()], list(perm)]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+        if q in (2, 1000):  # these pins cover the column swaps
+            assert perm != tuple(range(m))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4), extra=st.integers(0, 3),
+           q=st.sampled_from([2, 3, 4, 6, 12, 257, 1000, (1 << 31) - 1,
+                              (1 << 31) + 11, 2**64 + 13]),
+           data=st.data())
+    def test_matches_python_integer_elimination(self, n, extra, q, data):
+        # small entries make zero pivots, non-units and dependent rows common
+        entry = st.one_of(st.integers(0, min(q - 1, 3)), st.integers(0, q - 1))
+        inst = SisInstance.create(_matrix(data, n, n + extra, entry), q)
+        try:
+            expect = _systematic_reference(inst.A, q, inst.q_prime)
+        except (RankDeficient, NonInvertiblePivot) as err:
+            with pytest.raises(type(err)) as got:
+                systematic_form(inst)
+            assert str(got.value) == str(err)
+            return
+        out, perm = systematic_form(inst)
+        assert out.A.dtype == inst.A.dtype
+        assert [[int(v) for v in row] for row in out.A.tolist()] == expect[0]
+        assert perm == expect[1]
+
     def test_already_systematic_unchanged(self):
         inst = SisInstance.create([[2, 1, 0], [3, 0, 1]], 5)
         out, perm = systematic_form(inst)
