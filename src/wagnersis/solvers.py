@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
+import numpy as np
+
 from .dgauss import check_epsilon
 from .errors import PreconditionViolated
 from .wagner import (
@@ -29,9 +31,11 @@ from .wagner import (
     gaussian_wagner,
 )
 from .zqlin import (
+    _INT64_SAFE,
     SisInstance,
     Solution,
     _is_integer,
+    _max_abs,
     check_qary_preconditions,
     matvec_mod,
     norm_stat,
@@ -77,6 +81,19 @@ def _norm_limit(beta, norm_kind: str) -> int:
     floor(beta) on max |x_i|, floor(beta^2) on sum x_i^2."""
     b = Fraction(beta)
     return math.floor(b if norm_kind == "linf" else b * b)
+
+
+def _row_norm_stats(X: np.ndarray, norm_kind: str) -> np.ndarray:
+    """``norm_stat`` of every row of the int64 or object matrix X, exactly:
+    max |x_i| as uint64 for int64 rows (|-2^63| fits), and sum x_i^2 in
+    int64 while m max|x|^2 < 2^62, which bounds every partial sum, over
+    Python integers otherwise."""
+    if norm_kind == "linf":
+        A = np.abs(X)
+        return (A.view(np.uint64) if A.dtype == np.int64 else A).max(axis=1)
+    if X.dtype != np.int64 or X.shape[1] * _max_abs(X) ** 2 >= _INT64_SAFE:
+        X = X.astype(object)
+    return (X * X).sum(axis=1)
 
 
 def nonzero_mod_q(x, q: int) -> bool:
@@ -155,10 +172,13 @@ def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
     limits = [(norm_kind, _norm_limit(beta, norm_kind))]
     if inst.beta is not None:
         limits.append((inst.norm_kind, _norm_limit(inst.beta, inst.norm_kind)))
+    within = np.ones(len(outputs), dtype=bool)
+    for kind, limit in limits:
+        within &= _row_norm_stats(outputs, kind) <= limit
     sols = []
-    for row in outputs:
-        xs = [int(v) for v in row]
-        if accept(xs) and all(norm_stat(xs, kind) <= limit for kind, limit in limits):
+    for i in np.flatnonzero(within):
+        xs = outputs[i].tolist()
+        if accept(xs):
             sols.append(Solution.from_vector(xs, norm_kind))
             if len(sols) >= _MAX_SOLUTIONS:
                 break

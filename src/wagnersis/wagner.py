@@ -30,10 +30,17 @@ labels a row by its offsets' coset k mod p (see ``chain``) and takes
 T = y + q floor(k/p); same-label rows share (q/p)(k mod p), so T1 - T2 is
 the exact tail difference (y1 - y2) + q (k1 - k2)/p.  A rounding stage
 labels by round((p/q) y) mod p and takes T = y mod q.
+
+A heuristic stage curates its output (``_curate``): it drops zero and
+duplicate rows and sorts the rest lexicographically.  Int64 rows are sorted
+as byte strings, each entry x written big-endian as the unsigned x + 2^63;
+that map keeps the order of signed values, and bytewise comparison of such
+strings is comparison entry by entry.  Object rows go through ``lexsort``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -188,12 +195,17 @@ def pair_indices_disjoint(buckets: Buckets, cap: Optional[int]) -> np.ndarray:
     """Disjoint pairing of a ``_buckets`` grouping, as an (npairs, 2) int64
     array: pair k of a bucket is its members 2k and 2k+1, emitted at its k-th
     member, the order of a list walk that pairs off the first two unused
-    members of each element's bucket.  Stops at ``cap`` pairs if given."""
+    members of each element's bucket.  Stops at ``cap`` pairs if given.
+
+    The emitting members are distinct list positions, so one scatter of the
+    pair numbers into a position-indexed array puts them in list order."""
     order, rank, sizes = buckets
     emit = np.flatnonzero(rank < np.repeat(sizes // 2, sizes))
     first = emit + rank[emit]
     pairs = order[np.stack([first, first + 1], axis=1)]
-    return pairs[np.argsort(order[emit])][:cap]
+    at = np.full(len(order), -1)
+    at[order[emit]] = np.arange(len(emit))
+    return pairs[at[at >= 0]][:cap]
 
 
 def pair_indices_reuse(buckets: Buckets, cap: int) -> np.ndarray:
@@ -275,11 +287,19 @@ def _center_in_place(D: np.ndarray, q: int) -> None:
     np.add(D, q, out=D, where=D <= half - q)
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+
 def _curate(out: np.ndarray) -> np.ndarray:
-    """Drop zero rows and duplicate rows; survivors in lexicographic order."""
+    """Drop zero rows and duplicate rows; survivors in lexicographic order,
+    int64 rows sorted as the byte keys of the module docstring."""
     out = out[np.any(out != 0, axis=1)]
     if len(out) < 2:
         return out
+    if out.dtype == np.int64:
+        keys = (out.view(np.uint64) ^ _SIGN_BIT).astype(">u8")
+        keys = keys.view(np.dtype((np.void, keys.itemsize * out.shape[1]))).ravel()
+        return out[np.unique(keys, return_index=True)[1]]
     out = out[np.lexsort(out.T[::-1])]
     return out[np.concatenate(([True], np.any(out[1:] != out[:-1], axis=1)))]
 
@@ -559,6 +579,7 @@ _MAX_LOG2_N = 22  # and its largest
 _MIN_EXPECTED_HITS = 4.0  # expected hits N p a heuristic schedule must predict
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
                             epsilon: float = 2.0 ** -10) -> Schedule:
     """Integer schedule for desk-scale heuristic runs.
@@ -568,6 +589,8 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
     the central-Gaussian success model (using the deviations the Gaussian
     lifts will actually inject, width floors included), and returns the first
     schedule whose expected number of hits N p clears ``_MIN_EXPECTED_HITS``.
+    A pure function of its arguments that returns a frozen ``Schedule``, so
+    repeat calls share one result (``typed``: 64 and 64.0 are cached apart).
     """
     d, kappa = m - n, _estimator._KAPPA[_estimator.VARIANT_QUANTIZATION]
     for log2_n in range(_MIN_LOG2_N, _MAX_LOG2_N + 1):
@@ -620,12 +643,26 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
 # Smoothing certification (tiny instances)
 # ---------------------------------------------------------------------------
 
+def _float_sqrt(x: Fraction) -> float:
+    """sqrt(x) as a float for a ``Fraction`` x >= 0, which may pass the
+    float range itself; inf where the root passes it too."""
+    k = max(0, (x.numerator.bit_length() - x.denominator.bit_length()) // 2 - 500)
+    try:
+        return math.ldexp(math.sqrt(x / 4 ** k), k)
+    except OverflowError:
+        return math.inf
+
+
 def certify_smoothing(inst: SisInstance, schedule: Schedule) -> dict:
     """Brute-force the smoothing conditions of every stage on a tiny instance.
 
     Checks sqrt(2)^(i-1) s0 >= sqrt(2) max(eta_{eps/3} of the scaled block
     lattice, eta_{eps/3} of the previous chain lattice) for every stage, which
-    suffices for the stage superlattice conditions.  Raises on failure."""
+    suffices for the stage superlattice conditions.  Raises on failure.
+
+    The check compares s^2 with 2 max(eta)^2 as ``Fraction``s, exactly and
+    at any width; the report's float ``width`` reads inf past the float
+    range."""
     if schedule.mode == MODE_NAIVE:
         raise InfeasibleSchedule("smoothing conditions need a Gaussian schedule")
     eps = schedule.epsilon / 3.0
@@ -633,7 +670,7 @@ def certify_smoothing(inst: SisInstance, schedule: Schedule) -> dict:
                          allow_partial=schedule.mode == MODE_HEURISTIC)
     report = {}
     for st in stages:
-        width = math.sqrt(float(schedule.width_sq(st.index)))
+        width_sq = schedule.width_sq(st.index)
         eta_s = eta_scaled_zn_bruteforce(Fraction(st.q, st.p), st.b, eps)
         if st.kappa_prev == 0:
             eta_prev = eta_zn_bruteforce(st.m_minus_n, eps)
@@ -643,10 +680,11 @@ def certify_smoothing(inst: SisInstance, schedule: Schedule) -> dict:
                 np.eye(st.kappa_prev, dtype=np.int64),
             ])
             eta_prev = eta_qary_bruteforce(a_prev_full, st.q, eps)
-        need = math.sqrt(2.0) * max(eta_s, eta_prev)
+        eta = max(eta_s, eta_prev)
+        width, need = _float_sqrt(width_sq), math.sqrt(2.0) * eta
         report[st.index] = {"width": width, "eta_block": eta_s,
                             "eta_prev": eta_prev, "required": need}
-        if width < need:
+        if width_sq < 2 * Fraction(eta) ** 2:
             raise PreconditionViolated(
                 f"stage {st.index}: width {width:.3f} < sqrt(2) max(eta) = {need:.3f}")
     return report

@@ -316,38 +316,41 @@ def systematic_form(inst: SisInstance):
     Returns (systematic instance, perm) where perm[t] is the input column now
     at output position t: y solves the output instance iff x with
     x[perm[t]] = y[t] solves the input.
+
+    The elimination runs on a copy of the instance's own matrix: int64 for
+    q < 2^31, where every product f a of two residues is below 2^62, and
+    Python integers otherwise.  Every entry stays reduced into [0, q).
     """
     n, m, q = inst.n, inst.m, inst.q
-    M = [[int(v) for v in row] for row in inst.A]
+    M = inst.A.copy()
     cols = list(range(m))
     off = m - n  # identity block target: columns off .. m-1
     for i in range(n):
         target = off + i
         used = range(off, off + i)  # earlier pivot columns are fixed
+        row = M[i].tolist()
         others = (j for j in range(m) if j not in used and j != target)
         for pivot_col in chain((target,), others):
             try:
-                inv = pow(M[i][pivot_col], -1, q)
+                inv = pow(row[pivot_col], -1, q)
             except ValueError:  # not a unit mod q
                 continue
             break
         else:
-            row_nonzero = any(M[i][j] % q != 0 for j in range(m) if j not in used)
-            if row_nonzero and not inst.q_prime:
+            if any(row[j] for j in range(m) if j not in used) and not inst.q_prime:
                 raise NonInvertiblePivot(
                     f"row {i}: nonzero entries but no unit pivot mod composite q={q}"
                 )
             raise RankDeficient(f"row {i} lies in the span of earlier rows mod {q}")
         if pivot_col != target:
-            for row in M:
-                row[pivot_col], row[target] = row[target], row[pivot_col]
+            M[:, [pivot_col, target]] = M[:, [target, pivot_col]]
             cols[pivot_col], cols[target] = cols[target], cols[pivot_col]
-        M[i] = [(v * inv) % q for v in M[i]]
-        for r in range(n):
-            if r != i and M[r][target] % q:
-                f = M[r][target] % q
-                M[r] = [(M[r][j] - f * M[i][j]) % q for j in range(m)]
-    out = SisInstance.create(M, q, beta=inst.beta, norm_kind=inst.norm_kind)
+        M[i] = M[i] * inv % q
+        f = M[:, target].copy()
+        f[i] = 0
+        M = (M - f[:, None] * M[i]) % q
+    M.setflags(write=False)
+    out = SisInstance(n=n, m=m, q=q, A=M, beta=inst.beta, norm_kind=inst.norm_kind)
     assert out.systematic
     return out, tuple(cols)
 

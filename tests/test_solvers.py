@@ -7,20 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_systematic
+from wagnersis import solvers
 from wagnersis.errors import PreconditionViolated
 from wagnersis.solvers import (
     VERDICT_NORM,
     VERDICT_NOT_IN_LATTICE,
     VERDICT_VALID,
     VERDICT_ZERO,
+    _norm_bound,
     _norm_limit,
     nonzero_mod_q,
     solve_sis_inf,
     solve_sis_l2,
     verify,
 )
-from wagnersis.wagner import MODE_HEURISTIC, MODE_PROVABLE, Schedule
-from wagnersis.zqlin import SisInstance, norm_stat, random_instance
+from wagnersis.wagner import MODE_HEURISTIC, MODE_PROVABLE, RunStats, Schedule
+from wagnersis.zqlin import SisInstance, Solution, norm_stat, random_instance
 
 
 class TestVerify:
@@ -101,6 +103,52 @@ class TestFilters:
         # large beta, but it is 0 mod q and must not count for the x-variant.
         assert not nonzero_mod_q([257, 0, 0], 257)
         assert nonzero_mod_q([257, 1, 0], 257)
+
+
+def _filter_reference(outputs, limits, accept, norm_kind):
+    """The solutions a solve keeps from the sampler's rows, one row at a
+    time over Python integers."""
+    sols = []
+    for row in outputs.tolist():
+        xs = [int(v) for v in row]
+        if accept(xs) and all(norm_stat(xs, kind) <= limit for kind, limit in limits):
+            sols.append(Solution.from_vector(xs, norm_kind))
+            if len(sols) == 16:
+                break
+    return sols
+
+
+class TestSolveFilter:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 5), norm_kind=st.sampled_from(["linf", "l2"]),
+           inst_kind=st.sampled_from(["linf", "l2"]),
+           inst_beta=st.sampled_from([None, 3, 2**31, 2**33, 2**64]),
+           f=st.sampled_from([0.5, 3.0, 1e-12]), wide=st.booleans(), data=st.data())
+    def test_matches_per_row_reference(self, m, norm_kind, inst_kind, inst_beta,
+                                       f, wide, data):
+        # entries near the limits, squares past int64 (|x| >= 2^32), the
+        # int64 ends, object entries past 2^63, and instance betas whose
+        # integer limits (2^64, 2^66 or 2^128) pass 2^63
+        q = 5
+        inst = SisInstance.create([[1] * m], q, beta=inst_beta, norm_kind=inst_kind)
+        entry = st.one_of(st.integers(-4, 4), st.sampled_from(
+            [q, 2**31, -(2**32), 2**33 + 1, (1 << 63) - 1, -(1 << 63)]),
+            st.integers(-(1 << 63), (1 << 63) - 1))
+        if wide:
+            entry = st.one_of(entry, st.sampled_from([1 << 63, -(1 << 64), 1 << 70]))
+        rows = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), max_size=40))
+        outputs = np.array(rows, dtype=object if wide else np.int64).reshape(len(rows), m)
+        sched = Schedule(mode=MODE_HEURISTIC, r=1, N=1, p=(2,), b=(1,), s0_sq=Fraction(1))
+        solve = solve_sis_inf if norm_kind == "linf" else solve_sis_l2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "gaussian_wagner",
+                       lambda *a, **kw: (outputs, RunStats(mode=MODE_HEURISTIC)))
+            report = solve(inst, f, 2.0**-10, MODE_HEURISTIC, 0, schedule=sched)
+        limits = [(norm_kind, _norm_limit(_norm_bound(inst, f, norm_kind), norm_kind))]
+        if inst_beta is not None:
+            limits.append((inst_kind, _norm_limit(inst.beta, inst_kind)))
+        accept = any if norm_kind == "linf" else (lambda xs: nonzero_mod_q(xs, q))
+        assert report.solutions == _filter_reference(outputs, limits, accept, norm_kind)
 
 
 class TestSolveInf:

@@ -30,6 +30,7 @@ from wagnersis.wagner import (
     _center_in_place,
     _check_final_membership,
     _combine_stage,
+    _curate,
     _gaussian_offsets,
     _gaussian_stage,
     _initial_list,
@@ -905,7 +906,55 @@ class TestHeuristicSchedule:
             choose_heuristic_params(8, 9, 7, 3.0)  # m - n = 1: no rung is feasible
 
 
+_INT64_EDGES = [0, 1, -1, 2, -2, (1 << 63) - 1, -(1 << 63) + 1, -(1 << 63)]
+
+
+class TestCurate:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(cols=st.integers(1, 5), wide=st.booleans(), data=st.data())
+    def test_matches_sorted_unique_nonzero_rows(self, cols, wide, data):
+        # int64 rows at the ends of the range, or object rows past 2^63;
+        # rows drawn from a small pool, so duplicates and zero rows are common
+        entry = st.one_of(st.sampled_from(_INT64_EDGES),
+                          st.integers(-(1 << 63), (1 << 63) - 1))
+        if wide:
+            entry = st.one_of(entry, st.sampled_from([1 << 63, -(1 << 64), 1 << 70]))
+        row = st.lists(entry, min_size=cols, max_size=cols)
+        pool = data.draw(st.lists(row, min_size=1, max_size=6))
+        rows = data.draw(st.lists(st.sampled_from(pool + [[0] * cols]), max_size=40))
+        out = np.array(rows, dtype=object if wide else np.int64).reshape(len(rows), cols)
+        got = _curate(out)
+        assert got.dtype == out.dtype
+        assert [tuple(r) for r in got.tolist()] == sorted({tuple(r) for r in rows if any(r)})
+
+
 class TestCertifySmoothing:
+    def test_width_past_the_float_range(self):
+        # s^2 = 2^1100 does not fit in a float; its root does
+        inst = make_systematic(1, 3, 3, seed=2)
+        sched = Schedule(mode=MODE_PROVABLE, r=1, N=10, p=(3,), b=(1,),
+                         s0_sq=Fraction(2) ** 1100)
+        try:
+            report = certify_smoothing(inst, sched)
+        except WagnerSisError:
+            return
+        assert report[1]["width"] == 2.0 ** 550
+
+    def test_exact_at_the_requirement(self):
+        # s^2 = 2 max(eta)^2 passes; one part in 10^12 below it fails.  At
+        # this epsilon, sqrt(float(s^2)) < sqrt(2) max(eta) in floats.
+        inst = make_systematic(1, 3, 3, seed=2)
+
+        def schedule(s0_sq):
+            return Schedule(mode=MODE_PROVABLE, r=1, N=10, p=(3,), b=(1,),
+                            s0_sq=s0_sq, epsilon=2.0**-12)
+
+        first = certify_smoothing(inst, schedule(Fraction(25)))[1]
+        need_sq = 2 * Fraction(max(first["eta_block"], first["eta_prev"])) ** 2
+        assert set(certify_smoothing(inst, schedule(need_sq))) == {1}
+        with pytest.raises(PreconditionViolated):
+            certify_smoothing(inst, schedule(need_sq * (1 - Fraction(1, 10**12))))
+
     def test_passes_on_wide_run(self):
         inst = make_systematic(1, 3, 3, seed=2)
         sched = Schedule(mode=MODE_PROVABLE, r=1, N=10, p=(3,), b=(1,),
