@@ -67,7 +67,7 @@ from .errors import (
     WidthTooSmall,
 )
 from .rngutil import derive_np_rng, derive_rng
-from .zqlin import _syndromes, check_qary_preconditions, int_array, int_lincomb
+from .zqlin import _syndromes, check_qary_preconditions, int_array, int_lincomb, residue
 
 # Rational enclosure of pi (60 digits), used by the exact Bernoulli fallback.
 _PI_LO = Fraction(
@@ -631,7 +631,7 @@ def enum_qary(A, q: int) -> Callable:
                 for ci in cs]
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
-        ok = np.all(np.mod(pts @ A.T, q) == 0, axis=1)
+        ok = np.all(residue(pts @ A.T, q) == 0, axis=1)
         return [tuple(int(v) for v in row) for row in pts[ok]]
     return points
 
@@ -857,7 +857,7 @@ def eta_qary_bruteforce(A, q: int, epsilon: float) -> float:
         raise BudgetExceeded("syndrome space too large for certification")
     syn = _syndromes(q, n, 0, q ** n)
     powers = q ** np.arange(m, dtype=np.int64)
-    residue_codes = np.unique(np.mod(syn @ A, q) @ powers)
+    residue_codes = np.unique(residue(syn @ A, q) @ powers)
 
     def dual_rho_minus_one(s: float) -> float:
         # rho_{1/s}((1/q) Lambda_q(A) \ 0) = sum exp(-pi s^2 ||v/q||^2)
@@ -868,7 +868,7 @@ def eta_qary_bruteforce(A, q: int, epsilon: float) -> float:
             raise BudgetExceeded("dual enumeration too large")
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
-        ok = np.isin(np.mod(pts, q) @ powers, residue_codes)
+        ok = np.isin(residue(pts, q) @ powers, residue_codes)
         pts = pts[ok]
         d2 = (pts.astype(float) ** 2).sum(axis=1) / (q * q)
         total = float(np.exp(-math.pi * s * s * d2).sum())

@@ -21,7 +21,11 @@ lists, whose entries lie in [-q, q], in the narrowest signed type that holds
 them (``_rounding_dtype``: int8 up to q = 127, then int16, int32, int64, and
 object from q = 2^63).  Every run returns int64 or object rows.  Lifts and
 membership checks multiply in the first type of ``zqlin._EXACT_TIERS`` that
-holds every partial sum exactly (float32, int64): no tier rounds.
+holds every partial sum exactly (float32, int64): no tier rounds.  Every
+array reduction mod q or mod p (the rounding lift, the coset labels, the
+membership check and the leftover syndrome) is ``zqlin.residue``: on int64,
+a floor-divide by the scalar modulus, then a multiply and a subtract in
+uint64, several times faster than NumPy's remainder; Python ``%`` on objects.
 
 Every stage ends in one combine kernel (``_combine_stage``): one stable
 argsort groups the rows by a packed label (``_buckets``), and same-label
@@ -29,7 +33,10 @@ pairs subtract in their heads X and an integer tail T.  A Gaussian stage
 labels a row by its offsets' coset k mod p (see ``chain``) and takes
 T = y + q floor(k/p); same-label rows share (q/p)(k mod p), so T1 - T2 is
 the exact tail difference (y1 - y2) + q (k1 - k2)/p.  A rounding stage
-labels by round((p/q) y) mod p and takes T = y mod q.
+labels by round((p/q) y) mod p and takes T = y mod q.  Disjoint pairing
+(``pair_indices_disjoint``) puts each pair's first slot in list order with
+one scatter and reads both members from the grouping's ``order`` as two 1-D
+gathers.
 
 A heuristic stage curates its output (``_curate``): it drops zero and
 duplicate rows and sorts the rest lexicographically.  Int64 rows are sorted
@@ -88,6 +95,7 @@ from .zqlin import (
     int_array,
     int_lincomb,
     int_matmul,
+    residue,
 )
 
 MODE_PROVABLE = "provable-gaussian"
@@ -197,15 +205,15 @@ def pair_indices_disjoint(buckets: Buckets, cap: Optional[int]) -> np.ndarray:
     member, the order of a list walk that pairs off the first two unused
     members of each element's bucket.  Stops at ``cap`` pairs if given.
 
-    The emitting members are distinct list positions, so one scatter of the
-    pair numbers into a position-indexed array puts them in list order."""
+    The emitting members are distinct list positions, so one scatter of each
+    pair's first slot into a position-indexed array puts the pairs in list
+    order; both members are then read from ``order`` as two 1-D gathers."""
     order, rank, sizes = buckets
     emit = np.flatnonzero(rank < np.repeat(sizes // 2, sizes))
-    first = emit + rank[emit]
-    pairs = order[np.stack([first, first + 1], axis=1)]
     at = np.full(len(order), -1)
-    at[order[emit]] = np.arange(len(emit))
-    return pairs[at[at >= 0]][:cap]
+    at[order[emit]] = emit + rank[emit]
+    first = at[at >= 0][:cap]
+    return np.stack([order[first], order[first + 1]], axis=1)
 
 
 def pair_indices_reuse(buckets: Buckets, cap: int) -> np.ndarray:
@@ -240,7 +248,7 @@ def _occupancy_histogram(buckets: Buckets) -> List[Tuple[int, int]]:
 def _pack_labels(K: np.ndarray, p: int) -> np.ndarray:
     """Per-row coset labels: the residues K mod p read as base-p digits, one
     ``int_lincomb`` term p^j R[:, j] per digit column (int64 under its rule)."""
-    R = np.mod(K, p)
+    R = residue(K, p)
     return int_lincomb([(p ** j, R[:, j]) for j in range(K.shape[1])])
 
 
@@ -336,7 +344,7 @@ def _initial_ternary_sparse(count: int, dim: int, weight: int, seed: int) -> np.
 
 
 def _check_final_membership(inst: SisInstance, out: np.ndarray):
-    if np.any(np.mod(int_matmul(out, inst.A), inst.q)):
+    if np.any(residue(int_matmul(out, inst.A), inst.q)):
         raise NotInLattice("output failed the exact membership check")
 
 
@@ -409,7 +417,7 @@ def _rounding_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed
     centers them (``_center_in_place``).
     """
     q, p = st.q, st.p
-    Y = np.mod(_lift_batch(st, X), q)
+    Y = residue(_lift_batch(st, X), q)
     out, buckets = _combine_stage(st, X, Y.astype(_rounding_dtype(q), copy=False),
                                   _pack_labels(_round_scaled(Y, p, q), p), None, reuse=False)
     _center_in_place(out, q)
@@ -448,8 +456,7 @@ def _run(inst: SisInstance, schedule: Schedule, rng):
     kappa = sum(schedule.b)
     if kappa < inst.n:
         rest = np.asarray(inst.a_prime)[kappa:, :]
-        syn = np.mod(int_matmul(X[:, :dim0], -rest), inst.q)
-        X = np.hstack([X, centered(syn, inst.q)])
+        X = np.hstack([X, centered(int_matmul(X[:, :dim0], -rest), inst.q)])
     _check_final_membership(inst, X)
     _finish_stats(stats, X)
     return X.astype(np.result_type(X, np.int64), copy=False), stats

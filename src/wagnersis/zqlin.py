@@ -81,9 +81,29 @@ def norm_stat(xs, norm_kind: str) -> int:
     return sum(v * v for v in xs)
 
 
+def residue(v, q: int):
+    """v mod q in [0, q) for an integer q >= 1, elementwise for arrays, in v's
+    own type: the array reduction mod q of the sampler paths and the oracles.
+
+    An int64 array is reduced as v - q floor(v/q), for every q < 2^63 (NumPy
+    pairs no larger scalar with int64): NumPy's floor-divide by a scalar is
+    several times faster than its remainder.  The floor quotient is exact,
+    and the product and difference are taken in uint64, where they wrap mod
+    2^64 by definition; the true result lies in [0, q), below 2^63, so the
+    wrapped one equals it for every int64 v.  Python integers and object
+    arrays use Python ``%``.
+    """
+    if not (isinstance(v, np.ndarray) and v.dtype == np.int64):
+        return v % q
+    f = (v // q).view(np.uint64)
+    f *= int(q)
+    np.subtract(v.view(np.uint64), f, out=f)
+    return f.view(np.int64)
+
+
 def centered(v, q: int):
     """Representative of v mod q in (-q/2, q/2], elementwise for arrays."""
-    r = v % q
+    r = residue(v, q)
     if isinstance(v, np.ndarray):
         return np.where(r > q // 2, r - q, r)
     return r - q if r > q // 2 else r
@@ -387,6 +407,6 @@ def _syndromes(q: int, n: int, start: int, stop: int) -> np.ndarray:
     S = np.empty((stop - start, n), dtype=np.int64)
     rem = np.arange(start, stop, dtype=np.int64)
     for j in range(n - 1, -1, -1):
-        S[:, j] = rem % q
+        S[:, j] = residue(rem, q)
         rem //= q
     return S

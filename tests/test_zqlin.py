@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from wagnersis.zqlin import (
     matvec_mod,
     permute_solution_back,
     random_instance,
+    residue,
     systematic_form,
 )
 
@@ -348,6 +350,42 @@ class TestInstanceModel:
             assert [int(v) for v in got] == expect
 
 
+_INT64_EDGES = [(1 << 62) - 1, -((1 << 62) - 1), -(1 << 62), 0, -1,
+                (1 << 63) - 1, -(1 << 63)]
+
+
+class TestResidue:
+    @settings(max_examples=400, deadline=None)
+    @given(q=st.one_of(st.sampled_from([1, 2, 3, 257, (1 << 62) - 1, 1 << 62]),
+                       st.integers(1, 1 << 62)),
+           data=st.data())
+    def test_matches_python_mod(self, q, data):
+        # int64 entries at the edges of the 2^62 bound and of the type itself,
+        # and object entries past 2^63: Python % entry by entry, in v's type
+        vs = data.draw(st.lists(st.one_of(st.sampled_from(_INT64_EDGES),
+                                          st.integers(-(1 << 63), (1 << 63) - 1)),
+                                min_size=1, max_size=8))
+        big = data.draw(st.lists(st.integers(-(1 << 80), 1 << 80), min_size=1, max_size=8))
+        for v in (np.array(vs, dtype=np.int64), np.array(vs + big, dtype=object)):
+            got = residue(v, q)
+            assert got.dtype == v.dtype
+            assert [int(r) for r in got] == [int(x) % q for x in v]
+
+    def test_shape_and_scalars(self):
+        v = np.arange(-6, 6, dtype=np.int64).reshape(3, 4)
+        assert residue(v, 5).tolist() == (v % 5).tolist()
+        assert residue(v, np.int64(5)).tolist() == (v % 5).tolist()
+        assert residue(-7, 3) == 2
+
+    def test_no_other_array_reduction_in_the_library(self):
+        # one reduction per concept: np.mod and np.remainder stay out of src/
+        src = Path(__file__).resolve().parents[1] / "src" / "wagnersis"
+        found = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if "np.mod(" in line or "np.remainder(" in line]
+        assert not found, f"reduce mod q with zqlin.residue: {found}"
+
+
 def _matmul_reference(X, A):
     """X @ A.T over Python integers, one entry at a time."""
     return [[sum(int(x) * int(a) for x, a in zip(xrow, arow)) for arow in A]
@@ -428,11 +466,21 @@ class TestIntMatmul:
         *[(np.array([[x]], dtype=x_type), np.array([[a]]), tier)
           for x_type, x in [(np.int8, 127), (np.int16, 32767)]
           for a, tier in [((2**62 - 1) // x, np.int64), (-(-2**62 // x), None)]],
+        # the asymmetric ends of the narrow types, whose magnitude the type
+        # itself cannot hold, on either side of 2^24 (bound = |x| * a)
+        *[(np.array([[x]], dtype=x_type), np.array([[a]]), tier)
+          for x_type, x in [(np.int8, -128), (np.int16, -32768)]
+          for a, tier in [(2**24 // -x - 1, np.float32), (2**24 // -x, np.int64)]],
+        # both operands narrow: k columns of -128 against -32768, bound k 2^22
+        *[(np.full((1, k), -128, dtype=np.int8), np.full((1, k), -32768, dtype=np.int16),
+           tier) for k, tier in [(3, np.float32), (4, np.int64)]],
         # the naive-rounding lift: int16 heads at +-q/2 against 18 columns of
         # A' entries below q = 257, bound 18 * 256 * 128 < 2^24
         (np.full((4, 18), -128, dtype=np.int16), np.full((2, 18), 256), np.float32),
     ], ids=["2^24-1", "2^24", "2^62-1", "2^62", "int8-2^62-1", "int8-2^62",
-            "int16-2^62-1", "int16-2^62", "lift-shape"])
+            "int16-2^62-1", "int16-2^62", "int8-min-below-2^24", "int8-min-at-2^24",
+            "int16-min-below-2^24", "int16-min-at-2^24", "int8-int16-min-below-2^24",
+            "int8-int16-min-at-2^24", "lift-shape"])
     def test_tier_edges(self, X, A, tier, monkeypatch):
         # np.matmul runs in the narrowest exact type on either side of each
         # limit and every numeric tier returns int64; past 2^62 no numeric
