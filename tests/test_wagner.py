@@ -21,6 +21,7 @@ from wagnersis.errors import (
     WidthTooSmall,
 )
 from wagnersis.rngutil import derive_np_rng
+from wagnersis.solvers import solve_sis_inf
 from wagnersis.wagner import (
     MODE_HEURISTIC,
     MODE_NAIVE,
@@ -583,6 +584,34 @@ class TestGaussianWagnerProvable:
         for rows in (bad, bad.astype(object)):
             with pytest.raises(NotInLattice):
                 _check_final_membership(inst, rows)
+
+
+class TestGaussianWorkloads:
+    def test_workload_shape_pinned(self):
+        # The twin of TestNaiveWagner's: sha256 of 10 heuristic solves at the
+        # benchmark's desk shape (8 x 20 mod 257, f = 4 sqrt(ln m)) and 2
+        # provable runs at its schedule (2 x 8 mod 5, r = 2, p = (2, 2),
+        # b = (1, 1), s0^2 = 144), each with its output rows and
+        # seed-determined stats, computed at commit 6670902
+        records = []
+        for s in range(10):
+            inst, _ = systematic_form(random_instance(8, 20, 257, seed=s))
+            report = solve_sis_inf(inst, 4.0 * math.sqrt(math.log(20)), 2.0 ** -10,
+                                   MODE_HEURISTIC, s)
+            doc = dict(report.stats)
+            del doc["stage_seconds"]
+            records.append([[list(sol.x) for sol in report.solutions], report.attempts, doc])
+        sched = Schedule(mode=MODE_PROVABLE, r=2, N=2000, p=(2, 2), b=(1, 1),
+                         s0_sq=Fraction(144))
+        for s in range(2):
+            inst, _ = systematic_form(random_instance(2, 8, 5, seed=s))
+            out, stats = gaussian_wagner(inst, sched, s)
+            doc = stats.as_dict()
+            del doc["stage_seconds"]
+            assert doc["list_sizes"] == [18000, 6000, 2000]
+            records.append([out.tolist(), doc])
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == \
+            "0d559de034af255c90bff35a2c5cac40055f83f019fed8b48682870f58e51da5"
 
 
 class TestNaiveWagner:
