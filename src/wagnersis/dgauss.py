@@ -37,12 +37,17 @@ proposal order: the law of a sequential rejection loop.  A round draws the
 window/tail selection uniforms, the window offsets and the acceptance
 uniforms, decides the window proposals, and only then draws the sides and
 steps of the tail proposals ahead of their row's first window accept (a tail
-proposal behind it is never kept).  Undecided comparisons go to
+proposal behind it is never kept).  Window thresholds p -+ (_REL_ERR p +
+_ABS_ERR), p = exp(-pi (t - f)^2 / s^2), depend only on s^2, t and
+f = f_num / c_den: ``_window_table`` holds all (c_den + 1) W of them, the
+floats the formula gives.  Past _TABLE_CAP = 2^16 entries (c_den = 2^55 for
+a center 0.1, W near 2^31 at s^2 = 2^60), for object numerators and for tail
+proposals the round evaluates the formula.  Undecided comparisons go to
 ``_select_window_exact``, ``_geometric_exact`` and ``_decide_exact``.
 Stream contract: a seeded draw is fixed by the order of the generator calls
-in each round and the order of the exact decisions; a round's arithmetic may
-change freely, that order may not.  Widths are exact
-rationals s^2 (``s_sq``), so sqrt(2)^i * s0 is exact.
+in each round, the order of the exact decisions and the formula's floats; a
+round's arithmetic may change freely otherwise.  Widths are exact rationals
+s^2 (``s_sq``), so sqrt(2)^i * s0 is exact.
 
 Importing this module loads NumPy and the top-level ``scipy`` package only.
 SciPy's special functions (``scipy.special.chdtrc``, the kernel of
@@ -55,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -228,17 +234,27 @@ class SamplerCounts:
 # when few entries are pending; ``_ZSampler.k_s`` caps the proposals per entry).
 _BLOCK = 1 << 14
 _ROUND_MIN = 1 << 10
+# Largest window threshold table, in entries (c_den + 1) W (``_window_table``).
+_TABLE_CAP = 1 << 16
 
 
-def _float_bernoulli(p, u):
-    """Double-precision decisions of U < p for arrays of 53-bit uniforms u
-    and probabilities p within relative ``_REL_ERR`` of the exact ones.
-    Returns (accept, reject); a comparison with neither is left to exact
-    arithmetic.  Overwrites p."""
+def _thresholds(p):
+    """(lo, hi) = p -+ (_REL_ERR p + _ABS_ERR) for probabilities p within
+    relative ``_REL_ERR`` of the exact ones: a 53-bit uniform u accepts U < p
+    if u < lo, rejects it if u > hi, and leaves it to exact arithmetic
+    otherwise.  Overwrites p."""
     margin = _REL_ERR * p
     margin += _ABS_ERR
-    accept = u < p - margin
-    return accept, u > np.add(p, margin, out=p)
+    return p - margin, np.add(p, margin, out=p)
+
+
+def _first_accepts(accept, k: int):
+    """Each row's first accepted proposal (its first, if none) in a mask of
+    rows of k proposals, and whether it has one."""
+    if k == 1:
+        return np.arange(accept.size), accept
+    first = accept.reshape(-1, k).argmax(axis=1) + np.arange(0, accept.size, k)
+    return first, accept[first]
 
 
 def _lazy(u: float) -> _LazyUniform:
@@ -314,27 +330,34 @@ class _ZSampler:
             a -= self.tau + self.gamma * j
         return _decide_exact(a, _lazy(u), rng)
 
-    def _float_decisions(self, t, f, u, tail, steps):
-        """Double-precision decisions on proposals: offsets t, center
-        fractions f and 53-bit uniforms u, all arrays, where the proposals at
-        positions ``tail`` came from the tails at steps ``steps``.  Returns
-        (accept, reject); a proposal with neither is left to exact
-        arithmetic."""
-        dx = np.asarray(t, dtype=float)
-        dx -= f
-        p = -math.pi * dx
-        p *= dx
-        p /= self.s_sq_f
-        np.exp(p, out=p)
-        if tail.size:
-            # b = a - tau - gamma j = ((j + e)^2 + 2 kappa e) / s^2 with
-            # e = 3/5 - sign(t) f in [1/10, 11/10]: positive terms only, so
-            # b keeps its relative precision however large j is
-            e = 0.6 - np.sign(dx[tail]) * f[tail]
-            b = ((np.asarray(steps, dtype=float) + e) ** 2
-                 + 2.0 * (self.K - 0.6) * e) / self.s_sq_f
-            p[tail] = np.exp(-math.pi * b)
-        return _float_bernoulli(p, u)
+    def _window_p(self, t, f):
+        """exp(-pi (t - f)^2 / s^2) in double precision, for window offsets t
+        and center fractions f (arrays, broadcast together)."""
+        dx = np.subtract(t, f, dtype=float)
+        return np.exp(-math.pi * dx * dx / self.s_sq_f)
+
+    def _tail_p(self, side, f, steps):
+        """exp(-pi b) for tail proposals on sides +-1 at steps j: b = a - tau
+        - gamma j = ((j + e)^2 + 2 kappa e) / s^2 with e = 3/5 - side f in
+        [1/10, 11/10], positive terms that keep b's relative precision."""
+        e = 0.6 - side * f
+        b = ((np.asarray(steps, dtype=float) + e) ** 2 + 2.0 * (self.K - 0.6) * e) / self.s_sq_f
+        return np.exp(-math.pi * b)
+
+    def _window_thresholds(self, f_num, c_den: int):
+        """(rows, t) -> ``_thresholds`` of window offsets t of the entries rows
+        of f = f_num / c_den: from ``_window_table`` for int64 f_num within
+        _TABLE_CAP, else from ``_window_p`` (the same floats)."""
+        if f_num.dtype == object or (c_den + 1) * self.W > _TABLE_CAP:
+            return lambda rows, t: _thresholds(
+                self._window_p(t, np.asarray(f_num[rows] / c_den, dtype=float)))
+        lo, hi = _window_table(self.s_sq, c_den, _REL_ERR, _ABS_ERR)
+        base = f_num * self.W + (c_den // 2 * self.W + self.K)  # the index of t = 0
+
+        def gather(rows, t):
+            at = base[rows] + t
+            return lo.take(at), hi.take(at)
+        return gather
 
     def _tail_steps(self, n: int, rng, exact_rng, counts: SamplerCounts) -> np.ndarray:
         """n i.i.d. tail steps j >= 1 with Pr[j] = (1-g) g^(j-1), in bounded
@@ -351,8 +374,9 @@ class _ZSampler:
         while todo.size:
             cand = rng.integers(0, self.M, todo.size)
             u = rng.random(todo.size)
-            accept, reject = _float_bernoulli(np.exp(-self.rate * cand), u)
-            for i in np.flatnonzero(accept == reject):
+            lo, hi = _thresholds(np.exp(-self.rate * cand))
+            accept = u < lo
+            for i in np.flatnonzero(accept != (u <= hi)):
                 counts.fallbacks += 1
                 accept[i] = _decide_exact(self.gamma * int(cand[i]),
                                           _lazy(float(u[i])), exact_rng)
@@ -405,69 +429,65 @@ class _ZSampler:
                 hi = mid
         return lo
 
-    def _draw_block(self, f, f_num, c_den: int, rng, exact_rng,
+    def _draw_block(self, f_num, c_den: int, rng, exact_rng,
                     counts: SamplerCounts) -> np.ndarray:
-        """Offsets t ~ D_{Z,s,f}, one per entry of the float array f (whose
-        exact values are f_num / c_den), in rounds of proposals; int64, or
-        Python ints once a tail offset is not proven to fit."""
-        t_out = np.empty(len(f), dtype=np.int64)
-        pending, f_pending = np.arange(len(f)), f
+        """Offsets t ~ D_{Z,s,f}, one per entry of f = f_num / c_den, in rounds
+        of proposals; int64, or Python ints once a tail offset may not fit."""
+        window = self._window_thresholds(f_num, c_den)
+        t_out = np.empty(len(f_num), dtype=np.int64)
+        pending = np.arange(len(f_num))
         while pending.size:
-            # row r: proposals r k to r k + k - 1
+            # row r: proposals r k to r k + k - 1, for entry pending[r]
             k = min(-(-_ROUND_MIN // pending.size), self.k_s)
             n = pending.size * k
             counts.proposals += n
             u_sel = rng.random(n)
-            tail = np.flatnonzero(u_sel >= self.p_window - _SELECT_MARGIN)
-            near = u_sel[tail] <= self.p_window + _SELECT_MARGIN
-            for i in np.flatnonzero(near):
-                counts.fallbacks += 1
-                near[i] = self._select_window_exact(float(u_sel[tail[i]]), exact_rng)
-            tail = tail[~near]
             t = rng.integers(-self.K, self.K + 1, n)
             u = rng.random(n)
-            f_k = f_pending if k == 1 else np.repeat(f_pending, k)
-            behind = tail[:0]
+            # (ndarray methods here: a NumPy function adds a few us a call)
+            rows = pending if k == 1 else pending.repeat(k)
+            lo, hi = window(rows, t)
+            accept, maybe = u < lo, u <= hi
+            tail = (u_sel >= self.p_window - _SELECT_MARGIN).nonzero()[0]
+            if tail.size:
+                near = u_sel[tail] <= self.p_window + _SELECT_MARGIN
+                for i in near.nonzero()[0]:
+                    counts.fallbacks += 1
+                    near[i] = self._select_window_exact(float(u_sel[tail[i]]), exact_rng)
+                tail = tail[~near]
+                accept[tail] = maybe[tail] = False
             if tail.size and k > 1:
-                # Window decisions come first: a tail proposal behind its
-                # row's first window accept is never kept, so it draws no
-                # side or step and is rejected unseen (with one proposal a
-                # row, none is behind).
-                win = self._float_decisions(t, f_k, u, behind, behind)[0]
-                win[tail] = False
-                seen = win.reshape(-1, k).cumsum(axis=1).ravel()[tail] > 0
-                behind, tail = tail[seen], tail[~seen]
-            steps = tail
+                # Window decisions come first: a tail proposal behind its row's
+                # first window accept is never kept, so it draws no side or
+                # step and stays rejected (one proposal a row: none is behind).
+                first, has = _first_accepts(accept, k)
+                tail = tail[~has[tail // k] | (first[tail // k] > tail)]
             if tail.size:
                 side = np.where(rng.random(tail.size) < 0.5, -1, 1)  # a fair bit, exactly
                 steps = self._tail_steps(tail.size, rng, exact_rng, counts)
                 t_tail = int_lincomb([(1, side * self.K), (1, side * steps)])
                 t = t.astype(t_tail.dtype, copy=False)
                 t[tail] = t_tail
-            accept, reject = self._float_decisions(t, f_k, u, tail, steps)
-            accept[behind], reject[behind] = False, True
-            # first[i]: proposal i is its row's first accept
-            first = accept if k == 1 else \
-                accept & (accept.reshape(-1, k).cumsum(axis=1) == 1).ravel()
+                lo, hi = _thresholds(self._tail_p(
+                    side, np.asarray(f_num[rows[tail]] / c_den, dtype=float), steps))
+                accept[tail], maybe[tail] = u[tail] < lo, u[tail] <= hi
+            first, done = _first_accepts(accept, k)
             # Undecided proposals, in proposal order: one before its row's
             # first accept is decided exactly and, if accepted, comes first.
-            for i in np.flatnonzero(accept == reject):  # neither accept nor reject
-                row = i - i % k
-                if first[row:i].any():
+            for i in (maybe != accept).nonzero()[0]:
+                r = i // k
+                if done[r] and first[r] < i:
                     continue
                 counts.fallbacks += 1
-                if self._accept_exact(int(t[i]), int(f_num[pending[i // k]]), c_den,
+                if self._accept_exact(int(t[i]), int(f_num[rows[i]]), c_den,
                                       float(u[i]), exact_rng):
-                    first[row:row + k] = False
-                    first[i] = True
+                    done[r], first[r] = True, i
             # gathers by index: several times faster than by a boolean mask
-            picks = np.flatnonzero(first)
-            done = first if k == 1 else first.reshape(-1, k).any(axis=1)
+            picks = done.nonzero()[0]
             if t.dtype == object:
                 t_out = t_out.astype(object, copy=False)
-            t_out[pending[picks if k == 1 else picks // k]] = t[picks]
-            keep = np.flatnonzero(~done)
-            pending, f_pending = pending[keep], f_pending[keep]
+            t_out[pending[picks]] = t[first[picks]]
+            pending = pending[(~done).nonzero()[0]]
         return t_out
 
 
@@ -482,6 +502,17 @@ def _sampler(s_sq: Fraction) -> _ZSampler:
             _SAMPLER_CACHE.clear()
         samp = _SAMPLER_CACHE[s_sq] = _ZSampler(s_sq)
     return samp
+
+
+@lru_cache(maxsize=64)
+def _window_table(s_sq: Fraction, c_den: int, rel_err: float, abs_err: float):
+    """``_thresholds(_window_p(t, f))`` of width s^2 for every t in [-K, K]
+    and f = f_num / c_den, |f_num| <= c_den / 2, flat at (f_num + c_den // 2)
+    W + t + K.  The margins (_REL_ERR, _ABS_ERR) are passed to key the cache."""
+    samp = _sampler(s_sq)
+    f = (np.arange(c_den + 1) - c_den // 2)[:, None] / c_den
+    lo, hi = _thresholds(samp._window_p(np.arange(-samp.K, samp.K + 1), f))
+    return lo.ravel(), hi.ravel()
 
 
 def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
@@ -504,19 +535,18 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
     counts = SamplerCounts(draws=c_num.size)
     parts = []
     for start in range(0, c_num.size, _BLOCK):
-        x0, f_num, f = _split_centers(centers[start:start + _BLOCK], c_den)
-        t = samp._draw_block(f, f_num, c_den, rng, exact_rng, counts)
+        x0, f_num = _split_centers(centers[start:start + _BLOCK], c_den)
+        t = samp._draw_block(f_num, c_den, rng, exact_rng, counts)
         parts.append(int_lincomb([(1, x0), (1, t)]))
     return np.concatenate(parts or [centers[:0]]).reshape(c_num.shape), counts
 
 
 def _split_centers(c_num: np.ndarray, c_den: int):
     """c = x0 + f_num / c_den with x0 the nearest integer (ties to even), in
-    exact integer arithmetic, for a 1-D array of numerators; returns x0,
-    f_num and the float f = f_num / c_den.  Integer centers (c_den = 1) skip
-    the split: x0 = c, f = 0."""
+    exact integer arithmetic, for a 1-D array of numerators; returns x0 and
+    f_num.  Integer centers (c_den = 1) skip the split: x0 = c, f_num = 0."""
     if c_den == 1:
-        return c_num, np.zeros(c_num.shape, dtype=c_num.dtype), np.zeros(c_num.shape)
+        return c_num, np.zeros(c_num.shape, dtype=c_num.dtype)
     if c_num.dtype == np.int64 and c_den >= 1 << 62:  # 2 f_num + 1 must fit
         c_num = c_num.astype(object)
     x0 = c_num // c_den
@@ -524,8 +554,7 @@ def _split_centers(c_num: np.ndarray, c_den: int):
     # round up when 2 f_num > c_den, or 2 f_num = c_den and x0 is odd
     up = 2 * f_num + (x0 & 1) > c_den
     x0 += up
-    f_num = np.where(up, f_num - c_den, f_num)
-    return x0, f_num, np.asarray(f_num / c_den, dtype=float)
+    return x0, np.where(up, f_num - c_den, f_num)
 
 
 def _width_floor_sq(n: int) -> float:

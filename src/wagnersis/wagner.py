@@ -247,9 +247,14 @@ def _occupancy_histogram(buckets: Buckets) -> List[Tuple[int, int]]:
 
 def _pack_labels(K: np.ndarray, p: int) -> np.ndarray:
     """Per-row coset labels: the residues K mod p read as base-p digits, one
-    ``int_lincomb`` term p^j R[:, j] per digit column (int64 under its rule)."""
+    term p^j R[:, j] per digit column.  Every label and partial sum is below
+    p^b, so int64 residues sum in int64 while p^b <= 2^62, with no bound
+    read from the data; ``int_lincomb`` forms them otherwise."""
     R = residue(K, p)
-    return int_lincomb([(p ** j, R[:, j]) for j in range(K.shape[1])])
+    terms = [(p ** j, R[:, j]) for j in range(K.shape[1])]
+    if R.dtype == np.int64 and p ** K.shape[1] <= _INT64_SAFE:
+        return sum(c * a for c, a in terms)
+    return int_lincomb(terms)
 
 
 def _combine_stage(stage: StageDescriptor, X: np.ndarray, T: np.ndarray,
@@ -272,8 +277,11 @@ def _combine_stage(stage: StageDescriptor, X: np.ndarray, T: np.ndarray,
 
 
 def _round_scaled(Y: np.ndarray, p: int, q: int) -> np.ndarray:
-    """round((p/q) y), halves up, for entries y >= 0: floor((2 p y + q) / 2q),
-    with 2 p y + q formed by ``int_lincomb``."""
+    """round((p/q) y), halves up, for entries y in [0, q): floor((2 p y + q) /
+    2q).  2 p y + q < q (2p + 1), so an int64 Y forms it in int64 while that
+    is at most 2^62, and ``int_lincomb`` forms it otherwise."""
+    if Y.dtype == np.int64 and q * (2 * p + 1) <= _INT64_SAFE:
+        return (2 * p * Y + q) // (2 * q)
     return int_lincomb([(2 * p, Y), (q, 1)]) // (2 * q)
 
 
@@ -410,7 +418,7 @@ def _rounding_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed
     each row is bucketed by round((p/q) y) mod p, and same-bucket rows are
     subtracted (disjoint pairs, no cap).
 
-    Labels are exact for every q: 2 p y + q goes through ``int_lincomb``.
+    Labels are exact for every q (``_round_scaled``, ``_pack_labels``).
     Heads are centered residues (ternary at the first stage) and y lies in
     [0, q), so every difference lies in [-q, q]: the kernel writes them in
     the list type ``_rounding_dtype(q)``, and one conditional step of q

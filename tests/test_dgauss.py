@@ -124,19 +124,17 @@ class TestCenterSplit:
         nums = data.draw(st.lists(
             st.one_of(st.integers(-bound, bound), st.sampled_from([bound, -bound]), tie),
             min_size=1, max_size=6))
-        x0, f_num, f = _split_centers(np.array(nums, dtype=object if wide else np.int64),
-                                      c_den)
+        x0, f_num = _split_centers(np.array(nums, dtype=object if wide else np.int64), c_den)
         dtype = np.dtype(object if wide or c_den >= 1 << 62 else np.int64)
-        assert x0.dtype == f_num.dtype == dtype and f.dtype == np.float64
+        assert x0.dtype == f_num.dtype == dtype
         if dtype == object:
             assert all(type(v) is int for v in [*x0, *f_num])
-        for c_num, x, fn, ff in zip(nums, x0.tolist(), f_num.tolist(), f.tolist()):
+        for c_num, x, fn in zip(nums, x0.tolist(), f_num.tolist()):
             c = Fraction(c_num, c_den)
             assert x + Fraction(fn, c_den) == c and 2 * abs(fn) <= c_den
             assert x == round(c)  # ties to even
             if 2 * abs(fn) == c_den:
                 assert x % 2 == 0
-            assert ff == fn / c_den
 
 
 _FLOOR_SQ = Fraction(_width_floor_sq(1))
@@ -187,13 +185,18 @@ class TestFloatFastPath:
 
     @staticmethod
     def _run_batch(samp, c_num, c_den, t, j, u53):
-        """The array sampler's float decision on one proposal, with f from
-        its own center split: True, False, or None (left to exact)."""
-        _, _, f = _split_centers(int_array([c_num]), c_den)
-        tail = np.flatnonzero([j])
-        accept, reject = samp._float_decisions(
-            np.array([t]), f, np.array([u53 / (1 << 53)]), tail, np.array([j])[tail])
-        return True if accept[0] else False if reject[0] else None
+        """The array sampler's float decision on one proposal, with f_num from
+        its own center split: True, False, or None (left to exact).  A window
+        proposal (j = 0) is decided as its round decides it, from the
+        threshold table or the formula."""
+        _, f_num = _split_centers(int_array([c_num]), c_den)
+        if j:
+            lo, hi = dgauss._thresholds(
+                samp._tail_p(np.sign([t]), np.asarray(f_num / c_den, dtype=float), [j]))
+        else:
+            lo, hi = samp._window_thresholds(f_num, c_den)([0], np.array([t]))
+        u = u53 / (1 << 53)
+        return True if u < lo[0] else None if u <= hi[0] else False
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(s_sq=_WIDTHS_SQ, c=_CENTERS, t_pos=st.integers(0, 1 << 22), u=_UNIFORMS)
@@ -224,6 +227,38 @@ class TestFloatFastPath:
         if got is not None:
             lu = _LazyUniform(u53, 53)
             assert got == _decide_exact(b, lu, random.Random(0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(s_sq=st.one_of(_WIDTHS_SQ, st.sampled_from([Fraction(144), Fraction(6400, 257)])),
+           c_den=st.sampled_from([1, 2, 3, 5, 257, 4096, 13106, 13107, 1 << 55]),
+           wide=st.booleans(), data=st.data())
+    def test_window_table_matches_formula_and_exact(self, s_sq, c_den, wide, data):
+        # Within the cap, the threshold table's row of f_num holds, bit for
+        # bit, the floats the formula path gives for the same proposals, and
+        # its decisions never contradict the exact one.  Past the cap
+        # ((c_den + 1) W > 2^16: c_den = 13107 at W = 5 is one past it) and
+        # for object numerators, the round reads no table.
+        samp = dgauss._sampler(s_sq)
+        f_num = data.draw(st.integers(-(c_den // 2), c_den // 2))
+        t = data.draw(st.integers(-samp.K, samp.K))
+        a = (t - Fraction(f_num, c_den)) ** 2 / s_sq
+        u53 = self._u53(data.draw(_UNIFORMS), -math.pi * float(a))
+        in_table = not wide and (c_den + 1) * samp.W <= dgauss._TABLE_CAP
+        before = dgauss._window_table.cache_info()
+        gather = samp._window_thresholds(
+            np.array([f_num], dtype=object if wide else np.int64), c_den)
+        (lo_t,), (hi_t,) = gather([0], np.array([t]))
+        after = dgauss._window_table.cache_info()
+        assert (after.hits + after.misses > before.hits + before.misses) == in_table
+        if in_table:
+            lo, hi = dgauss._window_table(s_sq, c_den, dgauss._REL_ERR, dgauss._ABS_ERR)
+            row = slice((f_num + c_den // 2) * samp.W, (f_num + c_den // 2 + 1) * samp.W)
+            f = np.full(samp.W, f_num) / c_den
+            f_lo, f_hi = dgauss._thresholds(samp._window_p(np.arange(-samp.K, samp.K + 1), f))
+            assert lo[row].tobytes() == f_lo.tobytes() and hi[row].tobytes() == f_hi.tobytes()
+        u = u53 / (1 << 53)
+        if u < lo_t or u > hi_t:
+            assert (u < lo_t) == _decide_exact(a, _LazyUniform(u53, 53), random.Random(0))
 
     @staticmethod
     def _below(x: Fraction, a: Fraction) -> bool:
@@ -284,11 +319,11 @@ class TestFloatFastPath:
         samp = _ZSampler(s_sq)
         r %= samp.M
         u53 = self._u53(u, -samp.rate * r)
-        accept, reject = dgauss._float_bernoulli(np.exp(-samp.rate * np.array([r])),
-                                                 np.array([u53 / (1 << 53)]))
-        if accept[0] or reject[0]:
+        (lo,), (hi,) = dgauss._thresholds(np.exp(-samp.rate * np.array([r])))
+        u = u53 / (1 << 53)
+        if u < lo or u > hi:
             lu = _LazyUniform(u53, 53)
-            assert accept[0] == _decide_exact(samp.gamma * r, lu, random.Random(0))
+            assert (u < lo) == _decide_exact(samp.gamma * r, lu, random.Random(0))
 
 
 class TestArraySampler:

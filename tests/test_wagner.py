@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import gaussian_combine, make_systematic, parity_rows_ok, stage_rows_ok
+from wagnersis import dgauss
 from wagnersis.chain import _lift_batch, build_chain
 from wagnersis.errors import (
     BlockSumMismatch,
@@ -266,6 +267,24 @@ class TestPackLabels:
             assert got.dtype == object
         elif p ** K.shape[1] <= 1 << 62:
             assert got.dtype == np.int64
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pb=st.sampled_from([(2**31, 2), (2**31 + 1, 2), (2**62, 1), (2**62 + 1, 1),
+                               (1290, 6), (1291, 6), (2**21, 3)]),
+           data=st.data())
+    def test_int64_up_to_2_62_and_objects_past_it(self, pb, data):
+        # p^b on either side of 2^62 (1290^6 < 2^62 < 1291^6): labels are
+        # summed in int64 up to it, and past it int_lincomb's object path
+        # engages, since a row of digits p - 1 puts its bound at p^b - 1
+        p, b = pb
+        K = data.draw(st.lists(st.lists(st.integers(-(1 << 62), 1 << 62),
+                                        min_size=b, max_size=b), max_size=4))
+        K = np.array([[-1] * b] + K, dtype=np.int64)
+        got = _pack_labels(K, p)
+        assert got.dtype == (np.int64 if p ** b <= 1 << 62 else object)
+        assert got.tolist() == [sum(k % p * p**j for j, k in enumerate(row))
+                                for row in K.tolist()]
 
 
 class TestBucketAndCombine:
@@ -614,6 +633,34 @@ class TestGaussianWorkloads:
             "0d559de034af255c90bff35a2c5cac40055f83f019fed8b48682870f58e51da5"
 
 
+    def test_draws_decide_windows_from_tables(self, monkeypatch):
+        # Every draw of a desk heuristic solve (stage offsets, c_den = 257)
+        # and of a provable run (the initial list, c_den = 1, and stage
+        # offsets, c_den = 5) decides its window proposals from a threshold
+        # table: the formula runs only to build those tables.
+        formula_calls, table_keys = [], []
+        window_p, window_table = dgauss._ZSampler._window_p, dgauss._window_table
+
+        def spy_p(self, t, f):
+            formula_calls.append(np.shape(f))
+            return window_p(self, t, f)
+
+        def spy_table(*key):
+            table_keys.append(key)
+            return window_table(*key)
+
+        monkeypatch.setattr(dgauss._ZSampler, "_window_p", spy_p)
+        monkeypatch.setattr(dgauss, "_window_table", spy_table)
+        window_table.cache_clear()
+        inst, _ = systematic_form(random_instance(8, 20, 257, seed=0))
+        solve_sis_inf(inst, 4.0 * math.sqrt(math.log(20)), 2.0 ** -10, MODE_HEURISTIC, 0)
+        inst, _ = systematic_form(random_instance(2, 8, 5, seed=0))
+        gaussian_wagner(inst, Schedule(mode=MODE_PROVABLE, r=2, N=2000, p=(2, 2), b=(1, 1),
+                                       s0_sq=Fraction(144)), 0)
+        assert {key[1] for key in table_keys} == {1, 5, 257}
+        assert len(formula_calls) == window_table.cache_info().misses
+
+
 class TestNaiveWagner:
     def _run(self, seed):
         inst = make_systematic(4, 12, 16, seed=seed)
@@ -669,6 +716,19 @@ class TestNaiveWagner:
         q, p = 2**40, 2**39
         Y = np.array([[q // 3]], dtype=np.int64)
         assert _round_scaled(Y, p, q)[0, 0] % p == 183251937963
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dq=st.integers(-3, 3), dp=st.integers(-3, 3), data=st.data())
+    def test_rounding_labels_on_either_side_of_2_62(self, dq, dp, data):
+        # q (2p + 1) and 2 p (q - 1) + q on either side of 2^62: 2 p y + q
+        # is formed in int64 below int_lincomb's bound and as Python
+        # integers from it on, as before the int64 shortcut
+        q, p = 2**31 + dq, 2**30 + dp
+        ys = data.draw(st.lists(st.integers(0, q - 1), max_size=5))
+        Y = np.array([[q - 1]] + [[y] for y in ys], dtype=np.int64)
+        got = _round_scaled(Y, p, q)
+        assert got.dtype == (np.int64 if 2 * p * (q - 1) + q < 1 << 62 else object)
+        assert got.ravel().tolist() == [(2 * p * y + q) // (2 * q) for y in Y.ravel().tolist()]
 
     def test_int64_instance_buckets_by_exact_labels(self):
         # An int64 matrix at q = 2^40: the completions y = a and q - a of
