@@ -22,7 +22,7 @@ import numpy as np
 
 from .dgauss import SamplerCounts, _draw_z_array, check_width
 from .errors import BlockSumMismatch
-from .rngutil import derive_np_rng, derive_rng
+from .rngutil import LazyRandom, derive_np_rng
 from .zqlin import SisInstance, int_array, int_lincomb, int_matmul
 
 
@@ -104,5 +104,5 @@ def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
     scaled = _offset_width_sq(stage.index, p, q, stage.b, width_sq)
     c_num = int_lincomb([(-p, Y)])  # center numerators -p y
     K, counts = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
-                              derive_rng(seed, *seed_path, "exact"))
+                              LazyRandom(seed, *seed_path, "exact"))
     return int_array(K), counts

@@ -27,27 +27,27 @@ int64 (the window 2K + 1 must stay below 2^63); tail offsets and draws not
 proven to fit in int64 come back as Python integers.
 
 One entry point runs this sampler: ``_draw_z_array`` draws one value per
-entry of an array of centers, in fixed-size blocks and NumPy rounds.  The
-samplers' initial lists and stage offsets call it, and so does
-``sample_zn_rows``, of which ``sample_z`` and ``sample_zn`` are 1-row views.
-A round gives every pending entry k = min(ceil(1024 / pending), k_s) i.i.d.
-proposals (k >= 2 once few are pending, to share a round's fixed cost; k_s
-is about 3 / acceptance), and the entry keeps its first accepted one in
-proposal order: the law of a sequential rejection loop.  A round draws the
-window/tail selection uniforms, the window offsets and the acceptance
-uniforms, decides the window proposals, and only then draws the sides and
-steps of the tail proposals ahead of their row's first window accept (a tail
-proposal behind it is never kept).  Window thresholds p -+ (_REL_ERR p +
-_ABS_ERR), p = exp(-pi (t - f)^2 / s^2), depend only on s^2, t and
-f = f_num / c_den: ``_window_table`` holds all (c_den + 1) W of them, the
-floats the formula gives.  Past _TABLE_CAP = 2^16 entries (c_den = 2^55 for
-a center 0.1, W near 2^31 at s^2 = 2^60), for object numerators and for tail
-proposals the round evaluates the formula.  Undecided comparisons go to
-``_select_window_exact``, ``_geometric_exact`` and ``_decide_exact``.
-Stream contract: a seeded draw is fixed by the order of the generator calls
-in each round, the order of the exact decisions and the formula's floats; a
-round's arithmetic may change freely otherwise.  Widths are exact rationals
-s^2 (``s_sq``), so sqrt(2)^i * s0 is exact.
+entry of an array of centers, in blocks and NumPy rounds; the initial lists,
+the stage offsets and ``sample_zn_rows`` (``sample_z`` and ``sample_zn`` are
+1-row views) call it.  A round gives every pending entry k = min(ceil(1024 /
+pending), k_s) i.i.d. proposals (k_s about 3 / acceptance), and the entry
+keeps its first accepted one in proposal order: the law of a sequential
+rejection loop.  A round draws the selection uniforms, window offsets and
+acceptance uniforms, decides the window proposals, then draws a side bit
+and a step for each tail proposal ahead of its row's first window accept.
+Window thresholds p -+ (_REL_ERR p + _ABS_ERR), p = exp(-pi (t - f)^2 /
+s^2), come from ``_window_table`` (the formula's (c_den + 1) W floats for
+one s^2 and c_den) up to _TABLE_CAP = 2^16 entries, and from the formula
+past it, for object numerators and for tail proposals.  Tail rounds cost a
+few NumPy calls: offsets -+(K + j) in int64 after one bound check, and
+e = 3/5 - side f by a masked negation.  Integer centers (c_den = 1, the
+whole initial list) skip the center arithmetic: window index t + K, and
+e = 3/5.  Undecided comparisons go to ``_select_window_exact``,
+``_geometric_exact`` and ``_decide_exact``.  Stream contract: a seeded draw
+is fixed by the order of the generator calls in each round, the order of
+the exact decisions and the formula's floats; a round's arithmetic may
+change freely otherwise.  Widths are exact rationals s^2 (``s_sq``), so
+sqrt(2)^i * s0 is exact.
 
 Importing this module loads NumPy and the top-level ``scipy`` package only.
 SciPy's special functions (``scipy.special.chdtrc``, the kernel of
@@ -72,8 +72,9 @@ from .errors import (
     PreconditionViolated,
     WidthTooSmall,
 )
-from .rngutil import derive_np_rng, derive_rng
-from .zqlin import _syndromes, check_qary_preconditions, int_array, int_lincomb, residue
+from .rngutil import LazyRandom, derive_np_rng
+from .zqlin import (_INT64_SAFE, _syndromes, check_qary_preconditions, int_array,
+                    int_lincomb, residue)
 
 # Rational enclosure of pi (60 digits), used by the exact Bernoulli fallback.
 _PI_LO = Fraction(
@@ -249,10 +250,10 @@ def _thresholds(p):
 
 
 def _first_accepts(accept, k: int):
-    """Each row's first accepted proposal (its first, if none) in a mask of
-    rows of k proposals, and whether it has one."""
+    """Each row's first accepted proposal (its first, if none; None for k = 1)
+    in a mask of rows of k proposals, and whether it has one."""
     if k == 1:
-        return np.arange(accept.size), accept
+        return None, accept
     first = accept.reshape(-1, k).argmax(axis=1) + np.arange(0, accept.size, k)
     return first, accept[first]
 
@@ -336,13 +337,22 @@ class _ZSampler:
         dx = np.subtract(t, f, dtype=float)
         return np.exp(-math.pi * dx * dx / self.s_sq_f)
 
-    def _tail_p(self, side, f, steps):
-        """exp(-pi b) for tail proposals on sides +-1 at steps j: b = a - tau
-        - gamma j = ((j + e)^2 + 2 kappa e) / s^2 with e = 3/5 - side f in
-        [1/10, 11/10], positive terms that keep b's relative precision."""
-        e = 0.6 - side * f
+    def _tail_p(self, e, steps):
+        """exp(-pi b) for tail proposals at steps j: b = a - tau - gamma j =
+        ((j + e)^2 + 2 kappa e) / s^2 with e = 3/5 - side f in [1/10, 11/10]
+        (an array, or one float for all), positive terms that keep b's
+        relative precision."""
         b = ((np.asarray(steps, dtype=float) + e) ** 2 + 2.0 * (self.K - 0.6) * e) / self.s_sq_f
         return np.exp(-math.pi * b)
+
+    def _tail_offsets(self, neg, steps):
+        """Offsets +-(K + j) at steps j, negative where neg is set: int64 when
+        ``int_lincomb``'s bound K + max j < 2^62 holds, Python ints otherwise."""
+        if steps.dtype == np.int64 and steps.max() < _INT64_SAFE - self.K:
+            t = steps + self.K
+            return np.negative(t, out=t, where=neg)
+        side = 1 - 2 * neg.astype(np.int64)
+        return int_lincomb([(1, side * self.K), (1, side * steps)])
 
     def _window_thresholds(self, f_num, c_den: int):
         """(rows, t) -> ``_thresholds`` of window offsets t of the entries rows
@@ -352,10 +362,11 @@ class _ZSampler:
             return lambda rows, t: _thresholds(
                 self._window_p(t, np.asarray(f_num[rows] / c_den, dtype=float)))
         lo, hi = _window_table(self.s_sq, c_den, _REL_ERR, _ABS_ERR)
-        base = f_num * self.W + (c_den // 2 * self.W + self.K)  # the index of t = 0
+        # the index of t = 0: K at every integer center (f = 0)
+        base = None if c_den == 1 else f_num * self.W + (c_den // 2 * self.W + self.K)
 
         def gather(rows, t):
-            at = base[rows] + t
+            at = t + self.K if base is None else base[rows] + t
             return lo.take(at), hi.take(at)
         return gather
 
@@ -391,10 +402,15 @@ class _ZSampler:
         otherwise (``_geometric_exact``)."""
         rate = self.rate * self.M
         with np.errstate(divide="ignore"):
-            hi = np.floor(-np.log(u) / rate * (1.0 + _STEP_ERR))
-        lo = np.floor(-np.log(u + _U_ULP) / rate * (1.0 - _STEP_ERR))
+            hi = np.log(u)
+        lo = np.log(u + _U_ULP)
+        for x, err in ((hi, _STEP_ERR), (lo, -_STEP_ERR)):  # floor(-ln / rate (1 +- err))
+            np.negative(x, out=x)
+            x /= rate
+            x *= 1.0 + err
+            np.floor(x, out=x)
         q = lo.astype(np.int64)
-        for i in np.flatnonzero(lo != hi):
+        for i in (lo != hi).nonzero()[0]:
             counts.fallbacks += 1
             q[i] = self._geometric_exact(float(u[i]), exact_rng)
         return q
@@ -463,14 +479,18 @@ class _ZSampler:
                 first, has = _first_accepts(accept, k)
                 tail = tail[~has[tail // k] | (first[tail // k] > tail)]
             if tail.size:
-                side = np.where(rng.random(tail.size) < 0.5, -1, 1)  # a fair bit, exactly
+                neg = rng.random(tail.size) < 0.5  # side -1: a fair bit, exactly
                 steps = self._tail_steps(tail.size, rng, exact_rng, counts)
-                t_tail = int_lincomb([(1, side * self.K), (1, side * steps)])
+                t_tail = self._tail_offsets(neg, steps)
                 t = t.astype(t_tail.dtype, copy=False)
                 t[tail] = t_tail
-                lo, hi = _thresholds(self._tail_p(
-                    side, np.asarray(f_num[rows[tail]] / c_den, dtype=float), steps))
-                accept[tail], maybe[tail] = u[tail] < lo, u[tail] <= hi
+                e = 0.6  # 3/5 - side f, at f = 0 for integer centers
+                if c_den != 1:
+                    f = np.asarray(f_num[rows[tail]] / c_den, dtype=float)
+                    e -= np.negative(f, out=f, where=neg)
+                lo, hi = _thresholds(self._tail_p(e, steps))
+                u_tail = u[tail]
+                accept[tail], maybe[tail] = u_tail < lo, u_tail <= hi
             first, done = _first_accepts(accept, k)
             # Undecided proposals, in proposal order: one before its row's
             # first accept is decided exactly and, if accepted, comes first.
@@ -481,12 +501,14 @@ class _ZSampler:
                 counts.fallbacks += 1
                 if self._accept_exact(int(t[i]), int(f_num[rows[i]]), c_den,
                                       float(u[i]), exact_rng):
-                    done[r], first[r] = True, i
+                    done[r] = True
+                    if k > 1:
+                        first[r] = i
             # gathers by index: several times faster than by a boolean mask
             picks = done.nonzero()[0]
             if t.dtype == object:
                 t_out = t_out.astype(object, copy=False)
-            t_out[pending[picks]] = t[first[picks]]
+            t_out[pending[picks]] = t[picks] if k == 1 else t[first[picks]]
             pending = pending[(~done).nonzero()[0]]
         return t_out
 
@@ -551,8 +573,9 @@ def _split_centers(c_num: np.ndarray, c_den: int):
         c_num = c_num.astype(object)
     x0 = c_num // c_den
     f_num = c_num - x0 * c_den
-    # round up when 2 f_num > c_den, or 2 f_num = c_den and x0 is odd
-    up = 2 * f_num + (x0 & 1) > c_den
+    # round up when 2 f_num > c_den, or 2 f_num = c_den and x0 is odd (no tie
+    # when c_den is odd, as every prime q is)
+    up = f_num > c_den // 2 if c_den & 1 else 2 * f_num + (x0 & 1) > c_den
     x0 += up
     return x0, np.where(up, f_num - c_den, f_num)
 
@@ -594,7 +617,7 @@ def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
     c_num = int_array([c.numerator * (den // c.denominator) for c in cs])
     seed = rng.getrandbits(63)
     out, _ = _draw_z_array(param.s_sq, np.broadcast_to(c_num, (rows, n)), den,
-                           derive_np_rng(seed, "z"), derive_rng(seed, "z", "exact"))
+                           derive_np_rng(seed, "z"), LazyRandom(seed, "z", "exact"))
     return out
 
 

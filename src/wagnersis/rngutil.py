@@ -5,9 +5,10 @@ counter-style hash derivation: the child seed for path ``(a, b, ...)`` is the
 first 16 bytes of ``blake2b("wagnersis|<seed>|a|b|...")``.  The initial list
 and every stage sampler get their own path, so runs are reproducible for a
 fixed seed.  The samplers' bulk draws run on SFC64 (``derive_np_rng``), and
-their exact fallbacks on ``random.Random`` (``derive_rng``); instances are
-drawn on Philox (``derive_instance_rng``), a stream that stays fixed when the
-samplers' generator changes.
+their exact fallbacks on ``random.Random`` (``derive_rng``, seeded on first
+use through ``LazyRandom``); instances are drawn on Philox
+(``derive_instance_rng``), a stream that stays fixed when the samplers'
+generator changes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,22 @@ def child_seed(seed: int, *path) -> int:
 def derive_rng(seed: int, *path) -> random.Random:
     """Python RNG stream for the given path."""
     return random.Random(child_seed(seed, *path))
+
+
+class LazyRandom:
+    """``derive_rng(seed, *path)``, built at its first ``getrandbits`` call:
+    the same stream, at no cost to a caller that never reads it (heuristic
+    draws almost never fall back to exact arithmetic)."""
+
+    __slots__ = ("_path", "_rng")
+
+    def __init__(self, seed: int, *path):
+        self._path, self._rng = (seed,) + path, None
+
+    def getrandbits(self, k: int) -> int:
+        if self._rng is None:
+            self._rng = derive_rng(*self._path)
+        return self._rng.getrandbits(k)
 
 
 def derive_np_rng(seed: int, *path) -> np.random.Generator:

@@ -84,7 +84,7 @@ from .errors import (
     NotInLattice,
     PreconditionViolated,
 )
-from .rngutil import derive_np_rng, derive_rng
+from .rngutil import LazyRandom, derive_np_rng
 from .zqlin import (
     _INT64_SAFE,
     SisInstance,
@@ -336,7 +336,7 @@ def _initial_gaussian(count: int, dim: int, s0_sq: Fraction,
                       seed: int) -> Tuple[np.ndarray, SamplerCounts]:
     """count x dim exact draws from D_{Z,s0}, and the sampler's counts."""
     return _draw_z_array(s0_sq, np.broadcast_to(np.int64(0), (count, dim)), 1,
-                         derive_np_rng(seed, "init"), derive_rng(seed, "init", "exact"))
+                         derive_np_rng(seed, "init"), LazyRandom(seed, "init", "exact"))
 
 
 def _initial_ternary_sparse(count: int, dim: int, weight: int, seed: int) -> np.ndarray:

@@ -277,12 +277,15 @@ def int_lincomb(terms) -> np.ndarray:
     ``terms``, broadcast together: ``int_matmul``'s rule term by term.  int64
     when every a has a signed integer dtype and sum |c| max(1, max|a|) < 2^62,
     a bound on every partial sum, each term formed in int64; Python integers
-    in an object array otherwise."""
+    in an object array otherwise.  The result is a new array, never a term."""
     terms = [(int(c), np.asarray(a)) for c, a in terms]
     if (all(a.dtype.kind == "i" for _, a in terms) and sum(
             abs(c) * max(1, _max_abs(a)) for c, a in terms) < _INT64_SAFE):
         terms = [(c, a.astype(np.int64, copy=False)) for c, a in terms]
-        return sum(a if c == 1 else c * a for c, a in terms)
+        if len(terms) == 1:
+            return terms[0][0] * terms[0][1]  # a new array, also for c = 1
+        parts = [a if c == 1 else c * a for c, a in terms]
+        return sum(parts[2:], parts[0] + parts[1])  # sum() from 0 copies parts[0]
     return np.asarray(sum(c * _to_python_int(a) for c, a in terms), dtype=object)
 
 

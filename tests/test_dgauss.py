@@ -40,9 +40,9 @@ from wagnersis.dgauss import (
     tail_bound_linf,
 )
 from wagnersis.errors import InsufficientSamples, PreconditionViolated, WidthTooSmall
-from wagnersis.rngutil import derive_np_rng, derive_rng
+from wagnersis.rngutil import LazyRandom, derive_np_rng, derive_rng
 from wagnersis.wagner import choose_provable_params
-from wagnersis.zqlin import int_array
+from wagnersis.zqlin import _INT64_SAFE, int_array
 
 
 class TestExactMachinery:
@@ -112,12 +112,14 @@ class TestCenterSplit:
         assert list(dgauss._SAMPLER_CACHE) == [Fraction(25, 4)]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(data=st.data(), c_den=st.sampled_from([1, 2, 3, 257, 1 << 61, 1 << 62]),
+    @given(data=st.data(),
+           c_den=st.sampled_from([1, 2, 3, 5, 257, 1 << 61, (1 << 61) + 1, 1 << 62]),
            wide=st.booleans())
     def test_split_is_exact_round_half_even(self, data, c_den, wide):
         # c = x0 + f_num / c_den against Fraction's round-half-even, for
         # int64 numerators up to +-(2^63 - 1) and object ones past int64;
-        # c_den = 1 skips the split, and c_den >= 2^62 switches to objects
+        # c_den = 1 skips the split, an odd c_den has no tie to break, and
+        # c_den >= 2^62 switches to objects
         bound = (1 << 100) if wide else (1 << 63) - 1
         k_max = bound // c_den - 1
         tie = st.integers(-k_max, k_max).map(lambda k: k * c_den + c_den // 2)
@@ -165,6 +167,17 @@ _TAIL_WIDTHS_SQ = st.one_of(
               st.integers(0, 120), st.integers(0, (1 << 10) - 1)))
 
 
+class _RecordingSampler(_ZSampler):
+    """A sampler whose exact tail-step inversion records its uniform and
+    returns -1."""
+
+    __slots__ = ("calls",)
+
+    def _geometric_exact(self, u, rng):
+        self.calls.append(u)
+        return -1
+
+
 class TestFloatFastPath:
     """Every accept/reject the sampler decides in double precision agrees
     with the exact decision on the same 53-bit uniform."""
@@ -191,8 +204,8 @@ class TestFloatFastPath:
         threshold table or the formula."""
         _, f_num = _split_centers(int_array([c_num]), c_den)
         if j:
-            lo, hi = dgauss._thresholds(
-                samp._tail_p(np.sign([t]), np.asarray(f_num / c_den, dtype=float), [j]))
+            e = 0.6 - np.sign([t]) * np.asarray(f_num / c_den, dtype=float)
+            lo, hi = dgauss._thresholds(samp._tail_p(e, [j]))
         else:
             lo, hi = samp._window_thresholds(f_num, c_den)([0], np.array([t]))
         u = u53 / (1 << 53)
@@ -311,6 +324,30 @@ class TestFloatFastPath:
             assert self._below(Fraction(u53 + 1, 1 << 53), a_unit * int(q))
             assert not self._below(Fraction(u53, 1 << 53), a_unit * (int(q) + 1))
             assert samp._geometric_exact(u53 / (1 << 53), random.Random(0)) == q
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s_sq=_TAIL_WIDTHS_SQ,
+           cells=st.lists(st.tuples(st.integers(0, 1 << 40), _UNIFORMS), max_size=8))
+    def test_tail_step_inversion_matches_its_expression(self, s_sq, cells):
+        # q and the fallback set of the in-place ``_geometric`` against the
+        # expression floor(-ln(u) / rate (1 + err)) != floor(-ln(u + 2^-53) /
+        # rate (1 - err)), on the uniforms 0 and 1 - 2^-53 and on uniforms
+        # anywhere or at a step boundary g^(M k)
+        samp = _RecordingSampler(s_sq)
+        samp.calls = []
+        rate = samp.rate * samp.M
+        k_max = math.floor(36.0 / rate) + 1
+        u53 = [0, (1 << 53) - 1] + [self._u53(u, -rate * (k % k_max)) for k, u in cells]
+        u = np.array(u53) / (1 << 53)
+        with np.errstate(divide="ignore"):
+            hi = np.floor(-np.log(u) / rate * (1.0 + dgauss._STEP_ERR))
+        lo = np.floor(-np.log(u + dgauss._U_ULP) / rate * (1.0 - dgauss._STEP_ERR))
+        exact = lo != hi
+        counts = SamplerCounts()
+        q = samp._geometric(u, random.Random(0), counts)
+        assert q.dtype == np.int64 and exact[0]
+        assert counts.fallbacks == exact.sum() and samp.calls == u[exact].tolist()
+        assert q.tolist() == np.where(exact, -1, lo).astype(np.int64).tolist()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(s_sq=_TAIL_WIDTHS_SQ, r=st.integers(0, 1 << 62), u=_UNIFORMS)
@@ -455,6 +492,20 @@ class TestArraySampler:
         assert samp.K + samp.M * q_lo + 1 <= abs(x) <= samp.K + samp.M * q_hi + samp.M
         assert abs(x) > 1 << 63
 
+    @pytest.mark.parametrize("s_sq", [Fraction(144), Fraction(17, 10) * (1 << 124)])
+    def test_tail_offsets_at_the_int64_guard(self, s_sq):
+        # +-(K + j) is int64 while K + j < 2^62 (int_lincomb's bound), Python
+        # ints from there on and for object steps, and exact on both sides
+        samp = _ZSampler(s_sq)
+        neg = np.array([False, True])
+        for j in (_INT64_SAFE - samp.K - 1, _INT64_SAFE - samp.K):
+            for steps in (np.array([j, j]), np.array([j, j], dtype=object)):
+                got = samp._tail_offsets(neg, steps)
+                fits = steps.dtype == np.int64 and samp.K + j < _INT64_SAFE
+                assert got.dtype == (np.int64 if fits else object)
+                assert got.tolist() == [samp.K + j, -(samp.K + j)]
+                assert fits or all(type(v) is int for v in got)
+
     def test_draws_past_int64_are_exact(self):
         # x0 + t with x0 = 2^63 - 5 and s = 100 passes 2^63 for about half
         # the draws: Python integers, never wrapped
@@ -464,6 +515,14 @@ class TestArraySampler:
         vals = out.tolist()
         assert all(type(v) is int and abs(v - center) < 2000 for v in vals)
         assert sum(v >= 1 << 63 for v in vals) > 500
+
+
+def test_lazy_exact_stream_is_the_derived_stream():
+    # seeded at its first read, never before, with derive_rng's stream
+    lazy = LazyRandom(5, "z", "exact")
+    assert lazy._rng is None
+    ref = derive_rng(5, "z", "exact")
+    assert [lazy.getrandbits(53) for _ in range(4)] == [ref.getrandbits(53) for _ in range(4)]
 
 
 class TestSampleZn:

@@ -581,3 +581,14 @@ class TestIntLincomb:
         assert got.dtype == (np.int64 if bound < _INT64_SAFE else object)
         assert got.tolist() == _lincomb_reference(terms)
 
+    @settings(max_examples=200, deadline=None)
+    @given(terms=_lincomb_terms())
+    # one unit term, in int64 (returned as is before the copy) and as objects
+    @example(terms=[(1, np.arange(3, dtype=np.int64))])
+    @example(terms=[(1, np.array([1 << 70], dtype=object))])
+    @example(terms=[(1, np.arange(3, dtype=np.int64)), (1, np.zeros(1, dtype=np.int64))])
+    def test_result_never_aliases_a_term(self, terms):
+        # callers write into the result: it is never one of their arrays
+        got = int_lincomb(terms)
+        assert not any(np.shares_memory(got, a) for _, a in terms)
+
