@@ -34,8 +34,6 @@ from .dgauss import (
     min_entropy_bound,
     pmf_bruteforce,
     rho_bruteforce,
-    sample_z,
-    sample_zn,
     sample_zn_rows,
     tail_bound_linf,
 )

@@ -89,10 +89,11 @@ def _build_parser() -> argparse.ArgumentParser:
     v = add_parser("verify", help="verify a solution against an instance")
     v.add_argument("--instance", type=str, default=None,
                    help="instance JSON path (default: stdin)")
-    v.add_argument("--solution", type=str, default=None,
-                   help="solution JSON path (default: stdin after instance)")
-    v.add_argument("--x", type=str, default=None,
-                   help="solution vector as comma-separated integers")
+    xs = v.add_mutually_exclusive_group()
+    xs.add_argument("--solution", type=str, default=None,
+                    help="solution JSON path (default: stdin after instance)")
+    xs.add_argument("--x", type=str, default=None,
+                    help="solution vector as comma-separated integers")
 
     add_parser("selftest", help="run the statistical self-test suite")
     return top
@@ -182,14 +183,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.preset:
-        n, m, q, beta = est.PRESETS[args.preset]
-    else:
-        if None in (args.n, args.m, args.q, args.beta):
-            print("estimate needs --preset or all of --n --m --q --beta",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        n, m, q, beta = args.n, args.m, args.q, args.beta
+    dims = (args.n, args.m, args.q, args.beta)
+    if dims.count(None) != (4 if args.preset else 0):
+        raise ValueError("estimate takes --preset or all of --n --m --q --beta, not both")
+    n, m, q, beta = est.PRESETS[args.preset] if args.preset else dims
     report = est.estimate(est.CostQuery(n=n, m=m, q=q, beta=beta,
                                         variant=args.variant))
     if args.csv_out:

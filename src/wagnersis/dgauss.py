@@ -28,11 +28,10 @@ proven to fit in int64 come back as Python integers.
 
 One entry point runs this sampler: ``_draw_z_array`` draws one value per
 entry of an array of centers, in blocks and NumPy rounds; the initial lists,
-the stage offsets and ``sample_zn_rows`` (``sample_z`` and ``sample_zn`` are
-1-row views) call it.  A round gives every pending entry k = min(ceil(1024 /
-pending), k_s) i.i.d. proposals (k_s about 3 / acceptance), and the entry
-keeps its first accepted one in proposal order: the law of a sequential
-rejection loop.  A round draws the selection uniforms, window offsets and
+the stage offsets and ``sample_zn_rows`` call it.  A round gives every
+pending entry k = min(ceil(1024 / pending), k_s) i.i.d. proposals (k_s about
+3 / acceptance), and the entry keeps its first accepted one in proposal
+order: the law of a sequential rejection loop.  A round draws the selection uniforms, window offsets and
 acceptance uniforms, decides the window proposals, then draws a side bit
 and a step for each tail proposal ahead of its row's first window accept.
 Window thresholds p -+ (_REL_ERR p + _ABS_ERR), p = exp(-pi (t - f)^2 /
@@ -43,7 +42,8 @@ few NumPy calls: offsets -+(K + j) in int64 after one bound check, and
 e = 3/5 - side f by a masked negation.  Integer centers (c_den = 1, the
 whole initial list) skip the center arithmetic: window index t + K, and
 e = 3/5.  Undecided comparisons go to ``_select_window_exact``,
-``_geometric_exact`` and ``_decide_exact``.  Stream contract: a seeded draw
+``_geometric_exact`` and ``_decide_exact``, which share one interval
+refinement loop, ``_decide``.  Stream contract: a seeded draw
 is fixed by the order of the generator calls in each round, the order of
 the exact decisions and the formula's floats; a round's arithmetic may
 change freely otherwise.  Widths are exact rationals s^2 (``s_sq``), so
@@ -73,8 +73,8 @@ from .errors import (
     WidthTooSmall,
 )
 from .rngutil import LazyRandom, derive_np_rng
-from .zqlin import (_INT64_SAFE, _syndromes, check_qary_preconditions, int_array,
-                    int_lincomb, residue)
+from .zqlin import (_INT64_SAFE, _MEM_BUDGET_BYTES, _syndromes, check_qary_preconditions,
+                    int_array, int_lincomb, residue)
 
 # Rational enclosure of pi (60 digits), used by the exact Bernoulli fallback.
 _PI_LO = Fraction(
@@ -199,11 +199,14 @@ class _LazyUniform:
         return Fraction(self.num, d), Fraction(self.num + 1, d)
 
 
-def _decide_exact(a: Fraction, u: _LazyUniform, rng) -> bool:
-    """Decide U < exp(-pi a) exactly (terminates with prob. 1)."""
+def _decide(u: _LazyUniform, rng, enclose: Callable) -> bool:
+    """Decide U < p exactly, from rational enclosures (lo, hi) = enclose(prec)
+    of p: the enclosure is refined (prec doubled) while it is wider than U's
+    cell, and U gains 53 fresh bits from rng otherwise (terminates with
+    prob. 1)."""
     prec = 96
     while True:
-        lo, hi = _exp_neg_pi_interval(a, prec)
+        lo, hi = enclose(prec)
         u_lo, u_hi = u.bounds()
         if u_hi <= lo:
             return True
@@ -213,6 +216,11 @@ def _decide_exact(a: Fraction, u: _LazyUniform, rng) -> bool:
             prec *= 2
         else:
             u.extend(rng)
+
+
+def _decide_exact(a: Fraction, u: _LazyUniform, rng) -> bool:
+    """Decide U < exp(-pi a) exactly."""
+    return _decide(u, rng, lambda prec: _exp_neg_pi_interval(a, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -303,24 +311,15 @@ class _ZSampler:
     def _select_window_exact(self, u_sel: float, rng) -> bool:
         """Decide U < p_window exactly for the uniform U whose first 53 bits
         are u_sel, from enclosures of exp(-pi tau) and g refined on demand."""
-        lu = _lazy(u_sel)
-        prec = 96
-        while True:
+        def enclose(prec):
             e_lo, e_hi = _exp_neg_pi_interval(self.tau, prec)
             g_lo, g_hi = _exp_neg_pi_interval(self.gamma, prec)
-            if g_hi < 1:
-                # the tail mass exp(-pi tau) g / (1 - g) grows with both
-                p_lo = self.W / (self.W + 2 * e_hi * g_hi / (1 - g_hi))
-                p_hi = self.W / (self.W + 2 * e_lo * g_lo / (1 - g_lo))
-                u_lo, u_hi = lu.bounds()
-                if u_hi <= p_lo:
-                    return True
-                if u_lo >= p_hi:
-                    return False
-                if p_hi - p_lo <= u_hi - u_lo:
-                    lu.extend(rng)
-                    continue
-            prec *= 2
+            if g_hi >= 1:
+                return 0, 1  # too coarse to bound the tail mass: refine
+            # the tail mass exp(-pi tau) g / (1 - g) grows with both
+            return (self.W / (self.W + 2 * e_hi * g_hi / (1 - g_hi)),
+                    self.W / (self.W + 2 * e_lo * g_lo / (1 - g_lo)))
+        return _decide(_lazy(u_sel), rng, enclose)
 
     def _accept_exact(self, t: int, f_num: int, c_den: int, u: float, rng) -> bool:
         """Exact decision on offset t (at tail step j = |t| - K if that is
@@ -347,12 +346,11 @@ class _ZSampler:
 
     def _tail_offsets(self, neg, steps):
         """Offsets +-(K + j) at steps j, negative where neg is set: int64 when
-        ``int_lincomb``'s bound K + max j < 2^62 holds, Python ints otherwise."""
-        if steps.dtype == np.int64 and steps.max() < _INT64_SAFE - self.K:
-            t = steps + self.K
-            return np.negative(t, out=t, where=neg)
-        side = 1 - 2 * neg.astype(np.int64)
-        return int_lincomb([(1, side * self.K), (1, side * steps)])
+        K + max j < 2^62 (``int_lincomb``'s bound), Python ints otherwise."""
+        if steps.dtype != np.int64 or steps.max() >= _INT64_SAFE - self.K:
+            steps = steps.astype(object)
+        t = steps + self.K
+        return np.negative(t, out=t, where=neg)
 
     def _window_thresholds(self, f_num, c_den: int):
         """(rows, t) -> ``_thresholds`` of window offsets t of the entries rows
@@ -609,6 +607,8 @@ def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
     """
     if n < 1 or rows < 0:
         raise PreconditionViolated(f"need n >= 1 and rows >= 0, got n={n} rows={rows}")
+    if max(1, rows) * n * 8 > _MEM_BUDGET_BYTES:
+        raise BudgetExceeded(f"{rows} x {n} draws exceed the memory budget")
     check_width(param.s_sq, n, "width")
     cs = param.c if len(param.c) == n else param.c * n
     if len(cs) != n:
@@ -621,23 +621,17 @@ def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
     return out
 
 
-def sample_z(param: GaussParam, rng) -> int:
-    """Exact draw from D_{Z, s, c}; requires s >= sqrt(ln(6)/pi).  Each call
-    is one ``sample_zn_rows`` call: draw many values with one of those."""
-    if len(param.c) != 1:
-        raise PreconditionViolated("sample_z needs a scalar center")
-    return int(sample_zn_rows(param, 1, 1, rng)[0, 0])
-
-
-def sample_zn(param: GaussParam, n: int, rng) -> tuple:
-    """Exact draw from D_{Z^n, s, c}; coordinates independent.  Each call is
-    one ``sample_zn_rows`` call: draw many vectors with one of those."""
-    return tuple(int(v) for v in sample_zn_rows(param, n, 1, rng)[0])
-
-
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------
+
+def _box(lo, hi) -> np.ndarray:
+    """Every integer point x with lo <= x <= hi (integer vectors), one per
+    int64 row, in row-major order: the last coordinate varies fastest."""
+    lo = np.asarray(lo, dtype=np.int64)
+    grid = np.indices(tuple(np.asarray(hi) - lo + 1), dtype=np.int64)
+    return np.ascontiguousarray(grid.reshape(len(lo), -1).T) + lo
+
 
 def enum_z() -> Callable:
     """Enumerator for Z: points x with |x - c| <= R."""
@@ -650,9 +644,7 @@ def enum_coset_z(offset) -> Callable:
 
     def points(R: float, c: Sequence[float]):
         c0 = float(c[0])
-        lo = math.floor(c0 - R - off)
-        hi = math.ceil(c0 + R - off)
-        return [(k + off,) for k in range(lo, hi + 1)]
+        return _box([math.floor(c0 - R - off)], [math.ceil(c0 + R - off)]) + off
     return points
 
 
@@ -661,14 +653,9 @@ def enum_scaled_zn(alpha, n: int) -> Callable:
     a = float(alpha)
 
     def points(R: float, c: Sequence[float]):
-        ranges = []
-        for ci in c[:n] if len(c) >= n else [c[0]] * n:
-            lo = math.floor((float(ci) - R) / a)
-            hi = math.ceil((float(ci) + R) / a)
-            ranges.append(np.arange(lo, hi + 1) * a)
-        grids = np.meshgrid(*ranges, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        return [tuple(row) for row in pts]
+        cs = [float(ci) for ci in (c[:n] if len(c) >= n else [c[0]] * n)]
+        return _box([math.floor((ci - R) / a) for ci in cs],
+                    [math.ceil((ci + R) / a) for ci in cs]) * a
     return points
 
 
@@ -679,26 +666,22 @@ def enum_qary(A, q: int) -> Callable:
 
     def points(R: float, c: Sequence[float]):
         cs = [float(ci) for ci in (c if len(c) == m else [c[0]] * m)]
-        axes = [np.arange(math.floor(ci - R), math.ceil(ci + R) + 1, dtype=np.int64)
-                for ci in cs]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        ok = np.all(residue(pts @ A.T, q) == 0, axis=1)
-        return [tuple(int(v) for v in row) for row in pts[ok]]
+        pts = _box([math.floor(ci - R) for ci in cs], [math.ceil(ci + R) for ci in cs])
+        return pts[np.all(residue(pts @ A.T, q) == 0, axis=1)]
     return points
 
 
 def _gauss_weights(enumerator, param: GaussParam, radius: float):
-    """The enumerated points within radius, as a list and as a float array
-    (one point per row), and their weights exp(-pi ||x-c||^2 / s^2)."""
+    """The enumerated points within radius as an array, one point per row (an
+    enumerator may also return a sequence of tuples), and their weights
+    exp(-pi ||x-c||^2 / s^2)."""
     c = [float(v) for v in param.c]
-    pts = enumerator(radius, c)
+    pts = np.asarray(enumerator(radius, c))
     if len(pts) > 5_000_000:
         raise BudgetExceeded(f"{len(pts)} points exceeds the oracle budget")
-    arr = np.asarray(pts, dtype=float)
-    cs = np.asarray(c if arr.shape[1] == len(c) else c * arr.shape[1], dtype=float)
-    d2 = ((arr - cs) ** 2).sum(axis=1)
-    return pts, arr, np.exp(-math.pi * d2 / float(param.s_sq))
+    cs = np.asarray(c if pts.shape[1] == len(c) else c * pts.shape[1], dtype=float)
+    d2 = ((pts - cs) ** 2).sum(axis=1)
+    return pts, np.exp(-math.pi * d2 / float(param.s_sq))
 
 
 def rho_bruteforce(enumerator, param: GaussParam, radius: float = None):
@@ -712,8 +695,8 @@ def rho_bruteforce(enumerator, param: GaussParam, radius: float = None):
     s_sq = float(param.s_sq)
     if radius is None:
         radius = 12.0 * math.sqrt(s_sq)
-    _, arr, w = _gauss_weights(enumerator, param, radius)
-    rel = 2.0 * arr.shape[1] * math.exp(-math.pi * radius * radius / s_sq)
+    pts, w = _gauss_weights(enumerator, param, radius)
+    rel = 2.0 * pts.shape[1] * math.exp(-math.pi * radius * radius / s_sq)
     return float(w.sum()), rel
 
 
@@ -721,14 +704,12 @@ def pmf_bruteforce(enumerator, param: GaussParam, radius: float) -> Dict:
     """Normalized pmf of D over the enumerated points (keys are point tuples,
     scalars for one-dimensional enumerators).  Coverage of the true mass is
     at least 1 - rel_tail_bound from ``rho_bruteforce``."""
-    pts, arr, w = _gauss_weights(enumerator, param, radius)
+    pts, w = _gauss_weights(enumerator, param, radius)
     w /= w.sum()
-    if arr.shape[1] == 1:
-        keys = [p[0] if isinstance(p[0], float) and not p[0].is_integer() else int(p[0])
-                for p in pts]
-    else:
-        keys = [tuple(int(v) if float(v).is_integer() else float(v) for v in p)
-               for p in pts]
+    keys = pts.tolist()
+    if pts.dtype == float:
+        keys = [[int(v) if v.is_integer() else v for v in p] for p in keys]
+    keys = [p[0] for p in keys] if pts.shape[1] == 1 else map(tuple, keys)
     return dict(zip(keys, w.tolist()))
 
 
@@ -893,10 +874,6 @@ def eta_scaled_zn_bruteforce(alpha, n: int, epsilon: float) -> float:
     return _bisect_eta(lambda s: _theta(s / a) ** n - 1.0, epsilon, 1e-9, 1e9, 200)
 
 
-def eta_zn_bruteforce(n: int, epsilon: float) -> float:
-    return eta_scaled_zn_bruteforce(1.0, n, epsilon)
-
-
 def eta_qary_bruteforce(A, q: int, epsilon: float) -> float:
     """Certified upper bound on eta_eps of the kernel lattice of A mod q.
 
@@ -915,13 +892,11 @@ def eta_qary_bruteforce(A, q: int, epsilon: float) -> float:
         # rho_{1/s}((1/q) Lambda_q(A) \ 0) = sum exp(-pi s^2 ||v/q||^2)
         R = max(2.0, math.sqrt(math.log(1e20) / math.pi) / (s / q))
         R = min(R, 60.0 * q)
-        axes = [np.arange(-math.ceil(R), math.ceil(R) + 1, dtype=np.int64)] * m
-        if (2 * math.ceil(R) + 1) ** m > 5_000_000:
+        r = math.ceil(R)
+        if (2 * r + 1) ** m > 5_000_000:
             raise BudgetExceeded("dual enumeration too large")
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        ok = np.isin(residue(pts, q) @ powers, residue_codes)
-        pts = pts[ok]
+        pts = _box([-r] * m, [r] * m)
+        pts = pts[np.isin(residue(pts, q) @ powers, residue_codes)]
         d2 = (pts.astype(float) ** 2).sum(axis=1) / (q * q)
         total = float(np.exp(-math.pi * s * s * d2).sum())
         tail_rel = 2.0 * m * math.exp(-math.pi * (R / q * s) ** 2)

@@ -74,7 +74,6 @@ from .dgauss import (
     check_width,
     eta_qary_bruteforce,
     eta_scaled_zn_bruteforce,
-    eta_zn_bruteforce,
 )
 from .errors import (
     BudgetExceeded,
@@ -87,6 +86,7 @@ from .errors import (
 from .rngutil import LazyRandom, derive_np_rng
 from .zqlin import (
     _INT64_SAFE,
+    _MEM_BUDGET_BYTES,
     SisInstance,
     _is_integer,
     _max_abs,
@@ -101,7 +101,6 @@ from .zqlin import (
 MODE_PROVABLE = "provable-gaussian"
 MODE_HEURISTIC = "heuristic-gaussian"
 MODE_NAIVE = "naive-rounding"
-_MEM_BUDGET_BYTES = 8 << 30  # largest initial list a run allocates, in int64 bytes
 
 
 @dataclass(frozen=True)
@@ -688,7 +687,7 @@ def certify_smoothing(inst: SisInstance, schedule: Schedule) -> dict:
         width_sq = schedule.width_sq(st.index)
         eta_s = eta_scaled_zn_bruteforce(Fraction(st.q, st.p), st.b, eps)
         if st.kappa_prev == 0:
-            eta_prev = eta_zn_bruteforce(st.m_minus_n, eps)
+            eta_prev = eta_scaled_zn_bruteforce(1.0, st.m_minus_n, eps)
         else:
             a_prev_full = np.hstack([
                 np.asarray(st.a_prev, dtype=np.int64),

@@ -33,6 +33,8 @@ _EXACT_TIERS = ((1 << 24, np.float32), (_INT64_SAFE, np.int64))
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _LAMBDA1_BUDGET = 1 << 22  # most syndromes ``lambda1_inf_bruteforce`` enumerates
+# largest int64 list a run or a sampler call allocates at the caller's request, in bytes
+_MEM_BUDGET_BYTES = 8 << 30
 
 
 def is_probable_prime(n: int) -> bool:
@@ -230,17 +232,6 @@ class Solution:
         xs = tuple(int(v) for v in x)
         stat = float(norm_stat(xs, norm_kind))
         return cls(x=xs, norm_value=stat if norm_kind == "linf" else stat ** 0.5)
-
-    def to_json(self) -> str:
-        return json.dumps({"x": list(self.x), "norm": self.norm_value})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Solution":
-        doc = json.loads(text)
-        x = doc["x"]
-        if not (isinstance(x, list) and all(map(_is_integer, x))):
-            raise BadDimensions(f"solution x must be a list of integers, got {x!r}")
-        return cls(x=tuple(x), norm_value=float(doc.get("norm", 0.0)))
 
 
 _to_python_int = np.frompyfunc(int, 1, 1)

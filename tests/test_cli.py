@@ -196,6 +196,14 @@ class TestVerify:
                             stdin_text=self.INSTANCE, monkeypatch=monkeypatch)
         assert code == 1 and out == "NotInLattice\n"
 
+    def test_x_with_solution_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "sol.json"
+        path.write_text('{"x": [5, 0, 0, 0, 0, 0]}')
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--x", "0,0,0,0,0,0", "--solution", str(path)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", ['{"x": 5}', '{"x": "500000"}', "[5, 0, 0, 0, 0, 0]"])
     def test_malformed_solution_is_a_usage_error(self, doc, monkeypatch, tmp_path):
         code, out = run_cli(["verify"], stdin_text=self.INSTANCE + doc,
@@ -268,6 +276,13 @@ class TestEstimate:
         code, _ = run_cli(["estimate", "--n", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize("dims", [["--n", "4", "--m", "8", "--q", "3", "--beta", "1"],
+                                      ["--beta", "1"]])
+    def test_preset_with_explicit_dims_is_a_usage_error(self, dims, capsys):
+        code, out = run_cli(["estimate", "--preset", "shine", *dims])
+        assert code == 2 and out == ""
+        assert "not both" in capsys.readouterr().err
+
     def test_deterministic_output(self, monkeypatch):
         args = ["estimate", "--preset", "shine", "--json"]
         assert run_cli(list(args)) == run_cli(list(args))
@@ -294,6 +309,14 @@ class TestSample:
         assert code == 0 and len(vals) == 400
         assert all(abs(v - center) < 40_000 for v in vals)
         assert any(v >= 2**63 for v in vals)
+
+    @pytest.mark.parametrize("argv", [["--count", "1000000000000"],
+                                      ["--dim", "1000000000000", "--count", "0"]])
+    def test_memory_budget_exit_code(self, argv, capsys):
+        # refused before any allocation: rows x n int64 entries past 8 GiB
+        code, out = run_cli(["sample", "--width", "3", *argv])
+        assert code == 3 and out == ""
+        assert "memory budget" in capsys.readouterr().err
 
     def test_width_too_small_exit_code(self, monkeypatch):
         code, _ = run_cli(["sample", "--width", "0.1"])

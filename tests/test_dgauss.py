@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,22 +25,21 @@ from wagnersis.dgauss import (
     _ZSampler,
     empirical_similarity,
     enum_coset_z,
+    enum_qary,
     enum_scaled_zn,
     enum_z,
     eta_qary_bound,
     eta_scaled_zn_bruteforce,
     eta_zn_bound,
-    eta_zn_bruteforce,
     lambda1_inf_lower_bound,
     min_entropy_bound,
     pmf_bruteforce,
     rho_bruteforce,
-    sample_z,
-    sample_zn,
     sample_zn_rows,
     tail_bound_linf,
 )
-from wagnersis.errors import InsufficientSamples, PreconditionViolated, WidthTooSmall
+from wagnersis.errors import (BudgetExceeded, InsufficientSamples, PreconditionViolated,
+                              WidthTooSmall)
 from wagnersis.rngutil import LazyRandom, derive_np_rng, derive_rng
 from wagnersis.wagner import choose_provable_params
 from wagnersis.zqlin import _INT64_SAFE, int_array
@@ -68,7 +68,7 @@ class TestExactMachinery:
 class TestSampleZ:
     def test_width_too_small(self):
         with pytest.raises(WidthTooSmall):
-            sample_z(GaussParam.make(s=0.1), derive_rng(0))
+            sample_zn_rows(GaussParam.make(s=0.1), 1, 1, derive_rng(0))
 
     def test_weight_ratio_zero_one(self):
         # Pr[0]/Pr[1] for D_{Z,2} equals e^{pi/4} by definition of the weights.
@@ -99,7 +99,7 @@ class TestSampleZ:
     def test_fraction_center(self):
         param = GaussParam.make(s=3, c=Fraction(1, 3))
         rng = derive_rng(3)
-        vals = {sample_z(param, rng) for _ in range(200)}
+        vals = sample_zn_rows(param, 1, 200, rng)[:, 0].tolist()
         assert all(isinstance(v, int) for v in vals)
 
 
@@ -108,7 +108,8 @@ class TestCenterSplit:
         dgauss._SAMPLER_CACHE.clear()
         rng = derive_rng(6, "cache")
         for c_num in range(-50, 50):
-            sample_z(GaussParam(s_sq=Fraction(25, 4), c=(Fraction(c_num, 7),)), rng)
+            param = GaussParam(s_sq=Fraction(25, 4), c=(Fraction(c_num, 7),))
+            sample_zn_rows(param, 1, 1, rng)
         assert list(dgauss._SAMPLER_CACHE) == [Fraction(25, 4)]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -287,6 +288,7 @@ class TestFloatFastPath:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(s_sq=_TAIL_WIDTHS_SQ)
+    @example(s_sq=Fraction(1 << 400))  # the first 96-bit enclosure of g has g_hi >= 1
     def test_window_share_within_its_margin(self, s_sq):
         # p_window = W / (W + 2 exp(-pi tau) g / (1 - g)) is transcendental:
         # its float is within _SELECT_MARGIN of an exact enclosure, and the
@@ -538,22 +540,13 @@ class TestSampleZn:
     def test_width_precondition_scales_with_n(self):
         s_edge = math.sqrt(math.log(2 * 64 + 4) / math.pi)
         with pytest.raises(WidthTooSmall):
-            sample_zn(GaussParam.make(s=s_edge * 0.9), 64, derive_rng(0))
+            sample_zn_rows(GaussParam.make(s=s_edge * 0.9), 64, 1, derive_rng(0))
 
-    def test_dimension_one_matches_sample_z(self):
-        param = GaussParam.make(s=2, c=0.3)
-        r1, r2 = derive_rng(5, "a"), derive_rng(5, "a")
-        xs = [sample_z(param, r1) for _ in range(2000)]
-        ys = [sample_zn(param, 1, r2)[0] for _ in range(2000)]
-        assert xs == ys  # identical stream, identical decisions
-
-    def test_single_values_are_one_row_views(self):
-        # the same rng gives the same draws through sample_zn and through a
-        # 1-row sample_zn_rows call, so the batch tests cover the scalar API
-        param = GaussParam.make(s=2, c=(0.3, Fraction(-29, 4)))
-        r1, r2 = derive_rng(6, "view"), derive_rng(6, "view")
-        for _ in range(50):
-            assert sample_zn(param, 2, r1) == tuple(sample_zn_rows(param, 2, 1, r2)[0].tolist())
+    @pytest.mark.parametrize("n, rows", [(1, 10 ** 12), (10 ** 12, 0)])
+    def test_memory_budget(self, n, rows):
+        # refused before the per-coordinate centers or any draw are built
+        with pytest.raises(BudgetExceeded, match="memory budget"):
+            sample_zn_rows(GaussParam.make(s=3), n, rows, derive_rng(0))
 
     @pytest.mark.parametrize("s_sq", [_FLOOR_SQ, Fraction(144)])
     def test_one_entry_calls_keep_the_law(self, s_sq):
@@ -629,6 +622,47 @@ class TestRhoBruteforce:
             c = rng.random()
             num, _ = rho_bruteforce(enum_z(), GaussParam.make(s=s, c=c), 12 * s)
             assert (1 - eps) / (1 + eps) - 1e-12 <= num / denom <= 1 + 1e-12
+
+
+class TestEnumerators:
+    """Each enumerator returns exactly the points of its box that an
+    itertools.product oracle over Python integers finds, in the same
+    row-major order."""
+
+    @staticmethod
+    def _product(lo, hi):
+        return list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+
+    @staticmethod
+    def _rows(pts):
+        return list(map(tuple, pts.tolist()))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), m=st.integers(1, 3), R=st.floats(0, 4),
+           offset=st.sampled_from([0, 0.5, 0.25, Fraction(1, 3)]),
+           alpha=st.sampled_from([1, 0.5, 1.5, Fraction(5, 2)]),
+           q=st.sampled_from([2, 3, 5, 7, 257]))
+    def test_points_match_a_python_oracle(self, data, m, R, offset, alpha, q):
+        c = data.draw(st.lists(st.floats(-5, 5), min_size=m, max_size=m))
+        A = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=m, max_size=m),
+                               min_size=1, max_size=m))
+        lo = [math.floor(ci - R) for ci in c]
+        hi = [math.ceil(ci + R) for ci in c]
+        assert self._rows(enum_z()(R, c)) == self._product(lo[:1], hi[:1])
+        off = float(offset)
+        assert self._rows(enum_coset_z(offset)(R, c)) == [
+            (k + off,) for (k,) in self._product([math.floor(c[0] - R - off)],
+                                                [math.ceil(c[0] + R - off)])]
+        a = float(alpha)
+        assert self._rows(enum_scaled_zn(alpha, m)(R, c)) == [
+            tuple(k * a for k in p) for p in self._product(
+                [math.floor((ci - R) / a) for ci in c],
+                [math.ceil((ci + R) / a) for ci in c])]
+        pts = enum_qary(np.array(A), q)(R, c)
+        assert pts.dtype == np.int64
+        assert self._rows(pts) == [
+            x for x in self._product(lo, hi)
+            if all(sum(ai * xi for ai, xi in zip(row, x)) % q == 0 for row in A)]
 
 
 class TestFormulas:
@@ -819,13 +853,13 @@ class TestChiSquarePValue:
 class TestEtaBruteforce:
     def test_zn_close_to_formula_bound(self):
         eps = 2.0**-10
-        brute = eta_zn_bruteforce(3, eps)
+        brute = eta_scaled_zn_bruteforce(1.0, 3, eps)
         assert brute <= eta_zn_bound(3, eps) + 1e-9
         assert brute >= 0.5 * eta_zn_bound(3, eps)
 
     def test_scaled_lattice_scales(self):
         eps = 2.0**-8
-        base = eta_zn_bruteforce(2, eps)
+        base = eta_scaled_zn_bruteforce(1.0, 2, eps)
         scaled = eta_scaled_zn_bruteforce(Fraction(5, 2), 2, eps)
         assert scaled == pytest.approx(2.5 * base, rel=1e-6)
 

@@ -55,7 +55,7 @@ def _pin_lines():
     lines.append(repr(dgauss.rho_bruteforce(dgauss.enum_z(),
                                             dgauss.GaussParam.make(s=1.5, c=-0.25))))
     lines.append(repr([
-        dgauss.eta_zn_bruteforce(3, 2.0 ** -10),
+        dgauss.eta_scaled_zn_bruteforce(1.0, 3, 2.0 ** -10),
         dgauss.eta_scaled_zn_bruteforce(Fraction(5, 2), 2, 2.0 ** -8),
         dgauss.eta_qary_bruteforce(A, 3, 2.0 ** -12),
         dgauss.eta_qary_bruteforce(np.array([[1, 3, 4], [0, 1, 2]]), 5, 2.0 ** -8),

@@ -320,13 +320,6 @@ class TestInstanceModel:
     def test_solution_json(self):
         sol = Solution.from_vector([1, -2, 0], "linf")
         assert sol.norm_value == 2
-        back = Solution.from_json(sol.to_json())
-        assert back.x == (1, -2, 0)
-
-    @pytest.mark.parametrize("x", ["[5.7, 0.4]", '[1, "2"]', "[true, 0]", "5"])
-    def test_solution_json_non_integer_entries(self, x):
-        with pytest.raises(BadDimensions):
-            Solution.from_json(f'{{"x": {x}, "norm": 5}}')
 
     def test_centered(self):
         assert centered(4, 5) == -1
