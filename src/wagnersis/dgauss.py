@@ -31,21 +31,27 @@ entry of an array of centers, in blocks and NumPy rounds; the initial lists,
 the stage offsets and ``sample_zn_rows`` call it.  A round gives every
 pending entry k = min(ceil(1024 / pending), k_s) i.i.d. proposals (k_s about
 3 / acceptance), and the entry keeps its first accepted one in proposal
-order: the law of a sequential rejection loop.  A round draws the selection uniforms, window offsets and
-acceptance uniforms, decides the window proposals, then draws a side bit
-and a step for each tail proposal ahead of its row's first window accept.
-Window thresholds p -+ (_REL_ERR p + _ABS_ERR), p = exp(-pi (t - f)^2 /
-s^2), come from ``_window_table`` (the formula's (c_den + 1) W floats for
-one s^2 and c_den) up to _TABLE_CAP = 2^16 entries, and from the formula
-past it, for object numerators and for tail proposals.  Tail rounds cost a
-few NumPy calls: offsets -+(K + j) in int64 after one bound check, and
-e = 3/5 - side f by a masked negation.  Integer centers (c_den = 1, the
-whole initial list) skip the center arithmetic: window index t + K, and
-e = 3/5.  Undecided comparisons go to ``_select_window_exact``,
-``_geometric_exact`` and ``_decide_exact``, which share one interval
-refinement loop, ``_decide``.  Stream contract: a seeded draw
-is fixed by the order of the generator calls in each round, the order of
-the exact decisions and the formula's floats; a round's arithmetic may
+order: the law of a sequential rejection loop.  A round draws the selection
+uniforms, window offsets and acceptance uniforms, decides the window
+proposals, then draws a side bit and a step for each tail proposal ahead of
+its row's first window accept.  Thresholds p -+ (_REL_ERR p + _ABS_ERR), p
+the acceptance exp(-pi (t - f)^2 / s^2) in the window and exp(-pi b) at a
+tail step, come from one ``_threshold_table`` per s^2 and c_den: the
+formulas' own floats for every offset |t| <= K + J, with J the least step
+count with g^J <= 2^-30, cut to keep the table within _TABLE_CAP = 2^16
+entries (J = 0 when the window alone fills it).  The formulas give the same
+floats to a tail round with a step past J or Python-int steps, and to every
+proposal of object numerators or of a c_den whose window passes the cap.
+A tail round takes one max of its steps, for both the int64 bound of its
+offsets -+(K + j) and the J check, then decides its proposals with one
+index add and two gathers.  Integer centers (c_den = 1, the whole initial
+list) skip the center arithmetic: table index t + K + J, and e = 3/5 on the
+formula path; one broadcast center 0 (the initial list) also skips the
+center split and the sum x0 + t.  Undecided comparisons go to
+``_select_window_exact``, ``_geometric_exact`` and ``_decide_exact``, which
+share one interval refinement loop, ``_decide``.  Stream contract: a seeded
+draw is fixed by the order of the generator calls in each round, the order
+of the exact decisions and the formulas' floats; a round's arithmetic may
 change freely otherwise.  Widths are exact rationals s^2 (``s_sq``), so
 sqrt(2)^i * s0 is exact.
 
@@ -99,6 +105,10 @@ _ABS_ERR = 1e-15
 _STEP_ERR = 1e-12
 # A 53-bit uniform u stands for the real uniform in [u, u + 2^-53).
 _U_ULP = 2.0 ** -53
+# Both ends of the cell [u, u + 2^-53), and the factors 1 +- _STEP_ERR that
+# round a tail step's inversion at either end away from the cell.
+_CELL_ENDS = np.array([[0.0], [_U_ULP]])
+_STEP_SCALES = np.array([[1.0 + _STEP_ERR], [1.0 - _STEP_ERR]])
 # Tail steps are drawn as j - 1 = M q + r.  M is the power of two that brings
 # the rate of q's law into [2^-21, 2^-20) when it is below that, so q's float
 # inversion -ln(u) / rate stays below 2^27, and r's rejection step accepts
@@ -243,7 +253,7 @@ class SamplerCounts:
 # when few entries are pending; ``_ZSampler.k_s`` caps the proposals per entry).
 _BLOCK = 1 << 14
 _ROUND_MIN = 1 << 10
-# Largest window threshold table, in entries (c_den + 1) W (``_window_table``).
+# Largest threshold table, in entries (c_den + 1) (W + 2 J) (``_threshold_table``).
 _TABLE_CAP = 1 << 16
 
 
@@ -344,29 +354,49 @@ class _ZSampler:
         b = ((np.asarray(steps, dtype=float) + e) ** 2 + 2.0 * (self.K - 0.6) * e) / self.s_sq_f
         return np.exp(-math.pi * b)
 
-    def _tail_offsets(self, neg, steps):
-        """Offsets +-(K + j) at steps j, negative where neg is set: int64 when
-        K + max j < 2^62 (``int_lincomb``'s bound), Python ints otherwise."""
-        if steps.dtype != np.int64 or steps.max() >= _INT64_SAFE - self.K:
+    def _tail_offsets(self, neg, steps, top):
+        """Offsets +-(K + j) at steps j of largest value top, negative where
+        neg is set: int64 when K + top < 2^62 (``int_lincomb``'s bound),
+        Python ints otherwise."""
+        if steps.dtype != np.int64 or top >= _INT64_SAFE - self.K:
             steps = steps.astype(object)
         t = steps + self.K
         return np.negative(t, out=t, where=neg)
 
-    def _window_thresholds(self, f_num, c_den: int):
-        """(rows, t) -> ``_thresholds`` of window offsets t of the entries rows
-        of f = f_num / c_den: from ``_window_table`` for int64 f_num within
-        _TABLE_CAP, else from ``_window_p`` (the same floats)."""
-        if f_num.dtype == object or (c_den + 1) * self.W > _TABLE_CAP:
-            return lambda rows, t: _thresholds(
-                self._window_p(t, np.asarray(f_num[rows] / c_den, dtype=float)))
-        lo, hi = _window_table(self.s_sq, c_den, _REL_ERR, _ABS_ERR)
-        # the index of t = 0: K at every integer center (f = 0)
-        base = None if c_den == 1 else f_num * self.W + (c_den // 2 * self.W + self.K)
+    def _proposal_thresholds(self, f_num, c_den: int):
+        """``_thresholds`` of the proposals of the entries f = f_num / c_den,
+        as (window, tail): window(rows, t) for offsets t of the entries rows,
+        |t| <= K; tail(rows, neg, steps, t, top) for their tail offsets t =
+        +-(K + j) (negative where neg is set) at steps j, of largest value
+        top.  For int64 f_num within _TABLE_CAP both read
+        ``_threshold_table``, tail proposals while top <= its J; otherwise the
+        formulas ``_window_p`` and ``_tail_p`` give the same floats."""
+        def f(rows):
+            return np.asarray(f_num[rows] / c_den, dtype=float)
 
-        def gather(rows, t):
-            at = t + self.K if base is None else base[rows] + t
-            return lo.take(at), hi.take(at)
-        return gather
+        reach = 0  # the largest step the table holds
+        if f_num.dtype == object or (c_den + 1) * self.W > _TABLE_CAP:
+            def window(rows, t):
+                return _thresholds(self._window_p(t, f(rows)))
+        else:
+            lo, hi, reach = _threshold_table(self.s_sq, c_den, _REL_ERR, _ABS_ERR)
+            # the index of t = 0: K + J at every integer center (f = 0)
+            mid, width = self.K + reach, self.W + 2 * reach
+            base = None if c_den == 1 else f_num * width + (c_den // 2 * width + mid)
+
+            def window(rows, t):
+                at = t + mid if base is None else base[rows] + t
+                return lo.take(at), hi.take(at)
+
+        def tail(rows, neg, steps, t, top):
+            if steps.dtype == np.int64 and top <= reach:
+                return window(rows, t)
+            e = 0.6  # 3/5 - side f, at f = 0 for integer centers
+            if c_den != 1:
+                f_tail = f(rows)
+                e -= np.negative(f_tail, out=f_tail, where=neg)
+            return _thresholds(self._tail_p(e, steps))
+        return window, tail
 
     def _tail_steps(self, n: int, rng, exact_rng, counts: SamplerCounts) -> np.ndarray:
         """n i.i.d. tail steps j >= 1 with Pr[j] = (1-g) g^(j-1), in bounded
@@ -398,15 +428,15 @@ class _ZSampler:
         are the array u, so that Pr[q >= k] = g^(M k).  Decided in floats
         when the whole 53-bit cell [u, u + 2^-53) has one q, exactly
         otherwise (``_geometric_exact``)."""
-        rate = self.rate * self.M
+        # rows floor(-ln(u) / rate (1 + err)) and floor(-ln(u + 2^-53) / rate
+        # (1 - err)), in one pass
+        x = np.add(u, _CELL_ENDS)
         with np.errstate(divide="ignore"):
-            hi = np.log(u)
-        lo = np.log(u + _U_ULP)
-        for x, err in ((hi, _STEP_ERR), (lo, -_STEP_ERR)):  # floor(-ln / rate (1 +- err))
-            np.negative(x, out=x)
-            x /= rate
-            x *= 1.0 + err
-            np.floor(x, out=x)
+            np.log(x, out=x)
+        np.negative(x, out=x)
+        x /= self.rate * self.M
+        x *= _STEP_SCALES
+        hi, lo = np.floor(x, out=x)
         q = lo.astype(np.int64)
         for i in (lo != hi).nonzero()[0]:
             counts.fallbacks += 1
@@ -447,7 +477,7 @@ class _ZSampler:
                     counts: SamplerCounts) -> np.ndarray:
         """Offsets t ~ D_{Z,s,f}, one per entry of f = f_num / c_den, in rounds
         of proposals; int64, or Python ints once a tail offset may not fit."""
-        window = self._window_thresholds(f_num, c_den)
+        window, tail_thresholds = self._proposal_thresholds(f_num, c_den)
         t_out = np.empty(len(f_num), dtype=np.int64)
         pending = np.arange(len(f_num))
         while pending.size:
@@ -464,11 +494,13 @@ class _ZSampler:
             accept, maybe = u < lo, u <= hi
             tail = (u_sel >= self.p_window - _SELECT_MARGIN).nonzero()[0]
             if tail.size:
-                near = u_sel[tail] <= self.p_window + _SELECT_MARGIN
-                for i in near.nonzero()[0]:
-                    counts.fallbacks += 1
-                    near[i] = self._select_window_exact(float(u_sel[tail[i]]), exact_rng)
-                tail = tail[~near]
+                u_sel = u_sel[tail]
+                if u_sel.min() <= self.p_window + _SELECT_MARGIN:
+                    near = u_sel <= self.p_window + _SELECT_MARGIN
+                    for i in near.nonzero()[0]:
+                        counts.fallbacks += 1
+                        near[i] = self._select_window_exact(float(u_sel[i]), exact_rng)
+                    tail = tail[~near]
                 accept[tail] = maybe[tail] = False
             if tail.size and k > 1:
                 # Window decisions come first: a tail proposal behind its row's
@@ -479,14 +511,11 @@ class _ZSampler:
             if tail.size:
                 neg = rng.random(tail.size) < 0.5  # side -1: a fair bit, exactly
                 steps = self._tail_steps(tail.size, rng, exact_rng, counts)
-                t_tail = self._tail_offsets(neg, steps)
+                top = steps.max()
+                t_tail = self._tail_offsets(neg, steps, top)
                 t = t.astype(t_tail.dtype, copy=False)
                 t[tail] = t_tail
-                e = 0.6  # 3/5 - side f, at f = 0 for integer centers
-                if c_den != 1:
-                    f = np.asarray(f_num[rows[tail]] / c_den, dtype=float)
-                    e -= np.negative(f, out=f, where=neg)
-                lo, hi = _thresholds(self._tail_p(e, steps))
+                lo, hi = tail_thresholds(rows[tail], neg, steps, t_tail, top)
                 u_tail = u[tail]
                 accept[tail], maybe[tail] = u_tail < lo, u_tail <= hi
             first, done = _first_accepts(accept, k)
@@ -525,14 +554,25 @@ def _sampler(s_sq: Fraction) -> _ZSampler:
 
 
 @lru_cache(maxsize=64)
-def _window_table(s_sq: Fraction, c_den: int, rel_err: float, abs_err: float):
-    """``_thresholds(_window_p(t, f))`` of width s^2 for every t in [-K, K]
-    and f = f_num / c_den, |f_num| <= c_den / 2, flat at (f_num + c_den // 2)
-    W + t + K.  The margins (_REL_ERR, _ABS_ERR) are passed to key the cache."""
+def _threshold_table(s_sq: Fraction, c_den: int, rel_err: float, abs_err: float):
+    """(lo, hi, J): ``_thresholds`` of width s^2 for every offset t in
+    [-(K + J), K + J] and f = f_num / c_den, |f_num| <= c_den / 2, flat at
+    (f_num + c_den // 2) (W + 2 J) + t + K + J: ``_window_p(t, f)`` for
+    |t| <= K, ``_tail_p`` at step j = |t| - K and e = 3/5 - sign(t) f past
+    it, so the formulas' floats bit for bit.  J is the least step count with
+    g^J <= 2^-30, cut to keep (c_den + 1) (W + 2 J) <= _TABLE_CAP, which the
+    caller checks at J = 0.  The margins (_REL_ERR, _ABS_ERR) key the cache."""
     samp = _sampler(s_sq)
+    K, W = samp.K, samp.W
+    J = min(math.ceil(30 * _LN2 / samp.rate), (_TABLE_CAP // (c_den + 1) - W) // 2)
+    t = np.arange(-(K + J), K + J + 1)
     f = (np.arange(c_den + 1) - c_den // 2)[:, None] / c_den
-    lo, hi = _thresholds(samp._window_p(np.arange(-samp.K, samp.K + 1), f))
-    return lo.ravel(), hi.ravel()
+    p = np.empty((c_den + 1, t.size))
+    p[:, J:J + W] = samp._window_p(t[J:J + W], f)
+    tails = np.r_[:J, J + W:t.size]
+    p[:, tails] = samp._tail_p(0.6 - np.sign(t[tails]) * f, np.abs(t[tails]) - K)
+    lo, hi = _thresholds(p)
+    return lo.ravel(), hi.ravel(), J
 
 
 def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
@@ -541,7 +581,8 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
 
     ``c_num`` is an int64 or object array of integers; the draws come back in
     its shape, x = round(c) + t formed by ``int_lincomb``: int64 when its bound
-    proves every sum fits, Python ints otherwise.  Proposals and uniforms
+    proves every sum fits, Python ints otherwise (x = t, as drawn, for one
+    broadcast int64 center 0).  Proposals and uniforms
     come from the NumPy generator ``rng``, and exact decisions take their
     fresh bits from the ``random.Random`` stream ``exact_rng``."""
     # Window offsets are drawn as int64.  Every s >= 2^63 fails the bound; it
@@ -553,9 +594,16 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
     c_num = np.asarray(c_num)
     centers = c_num.reshape(-1)  # a view where the layout allows; .flat slices copy
     counts = SamplerCounts(draws=c_num.size)
+    # one broadcast int64 center 0 (the initial lists): x0 = f_num = 0, x = t
+    zero = (not any(c_num.strides) and c_num.size and c_num.dtype == np.int64
+            and centers[0] == 0)
     parts = []
     for start in range(0, c_num.size, _BLOCK):
-        x0, f_num = _split_centers(centers[start:start + _BLOCK], c_den)
+        block = centers[start:start + _BLOCK]
+        if zero:
+            parts.append(samp._draw_block(block, 1, rng, exact_rng, counts))
+            continue
+        x0, f_num = _split_centers(block, c_den)
         t = samp._draw_block(f_num, c_den, rng, exact_rng, counts)
         parts.append(int_lincomb([(1, x0), (1, t)]))
     return np.concatenate(parts or [centers[:0]]).reshape(c_num.shape), counts

@@ -179,6 +179,21 @@ class _RecordingSampler(_ZSampler):
         return -1
 
 
+class _FormulaRecordingSampler(_ZSampler):
+    """A sampler that records which of its formulas (not its tables') give
+    thresholds."""
+
+    __slots__ = ("formulas",)
+
+    def _window_p(self, t, f):
+        self.formulas.append("window")
+        return super()._window_p(t, f)
+
+    def _tail_p(self, e, steps):
+        self.formulas.append("tail")
+        return super()._tail_p(e, steps)
+
+
 class TestFloatFastPath:
     """Every accept/reject the sampler decides in double precision agrees
     with the exact decision on the same 53-bit uniform."""
@@ -200,15 +215,15 @@ class TestFloatFastPath:
     @staticmethod
     def _run_batch(samp, c_num, c_den, t, j, u53):
         """The array sampler's float decision on one proposal, with f_num from
-        its own center split: True, False, or None (left to exact).  A window
-        proposal (j = 0) is decided as its round decides it, from the
-        threshold table or the formula."""
+        its own center split: True, False, or None (left to exact).  The
+        proposal (a window one for j = 0) is decided as its round decides
+        it, from the threshold table or the formulas."""
         _, f_num = _split_centers(int_array([c_num]), c_den)
+        window, tail = samp._proposal_thresholds(f_num, c_den)
         if j:
-            e = 0.6 - np.sign([t]) * np.asarray(f_num / c_den, dtype=float)
-            lo, hi = dgauss._thresholds(samp._tail_p(e, [j]))
+            lo, hi = tail([0], np.array([t < 0]), np.array([j]), np.array([t]), j)
         else:
-            lo, hi = samp._window_thresholds(f_num, c_den)([0], np.array([t]))
+            lo, hi = window([0], np.array([t]))
         u = u53 / (1 << 53)
         return True if u < lo[0] else None if u <= hi[0] else False
 
@@ -245,31 +260,71 @@ class TestFloatFastPath:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(s_sq=st.one_of(_WIDTHS_SQ, st.sampled_from([Fraction(144), Fraction(6400, 257)])),
            c_den=st.sampled_from([1, 2, 3, 5, 257, 4096, 13106, 13107, 1 << 55]),
-           wide=st.booleans(), data=st.data())
-    def test_window_table_matches_formula_and_exact(self, s_sq, c_den, wide, data):
+           wide=st.booleans(), f_pos=st.integers(0, 1 << 60), t_pos=st.integers(0, 1 << 22),
+           side=st.sampled_from([1, -1]), u=_UNIFORMS)
+    # s^2 = 144 (K = 9, J = 57): |t| = K + J, the table's last step, and
+    # step J + 1, one past it
+    @example(s_sq=Fraction(144), c_den=5, wide=False, f_pos=1, t_pos=66, side=-1,
+             u=("at", 0.0))
+    @example(s_sq=Fraction(144), c_den=5, wide=False, f_pos=3, t_pos=67, side=1,
+             u=("at", 0.0))
+    # the window alone fills the cap, (13106 + 1) 5 = 2^16 - 1: a table with
+    # J = 0, and step 1 past it
+    @example(s_sq=Fraction(16, 9), c_den=13106, wide=False, f_pos=7, t_pos=2, side=1,
+             u=("at", 0.0))
+    @example(s_sq=Fraction(16, 9), c_den=13106, wide=False, f_pos=7, t_pos=3, side=-1,
+             u=("at", 0.0))
+    def test_window_table_matches_formula_and_exact(self, s_sq, c_den, wide, f_pos, t_pos,
+                                                    side, u):
         # Within the cap, the threshold table's row of f_num holds, bit for
-        # bit, the floats the formula path gives for the same proposals, and
-        # its decisions never contradict the exact one.  Past the cap
-        # ((c_den + 1) W > 2^16: c_den = 13107 at W = 5 is one past it) and
-        # for object numerators, the round reads no table.
-        samp = dgauss._sampler(s_sq)
-        f_num = data.draw(st.integers(-(c_den // 2), c_den // 2))
-        t = data.draw(st.integers(-samp.K, samp.K))
-        a = (t - Fraction(f_num, c_den)) ** 2 / s_sq
-        u53 = self._u53(data.draw(_UNIFORMS), -math.pi * float(a))
+        # bit, the floats the formulas give: the window formula for |t| <= K
+        # and the tail formula at step j = |t| - K up to J, with J the least
+        # step count with g^J <= 2^-30 that the cap allows.  A round reads
+        # the table for every proposal in it and the formula otherwise (a
+        # step past J, a c_den past the cap (c_den = 13107 at W = 5 is one
+        # past it) and object numerators, which read no table), with the
+        # same floats; no float decision contradicts the exact one.
+        samp = _FormulaRecordingSampler(s_sq)
+        samp.formulas = []
+        f_num = f_pos % (2 * (c_den // 2) + 1) - c_den // 2
         in_table = not wide and (c_den + 1) * samp.W <= dgauss._TABLE_CAP
-        before = dgauss._window_table.cache_info()
-        gather = samp._window_thresholds(
+        before = dgauss._threshold_table.cache_info()
+        window, tail = samp._proposal_thresholds(
             np.array([f_num], dtype=object if wide else np.int64), c_den)
-        (lo_t,), (hi_t,) = gather([0], np.array([t]))
-        after = dgauss._window_table.cache_info()
+        after = dgauss._threshold_table.cache_info()
         assert (after.hits + after.misses > before.hits + before.misses) == in_table
+        key = (s_sq, c_den, dgauss._REL_ERR, dgauss._ABS_ERR)
+        J = dgauss._threshold_table(*key)[2] if in_table else 0
+        K, f = samp.K, np.full(1, f_num) / c_den
+        t = side * (t_pos % (K + J + 2))  # up to step J + 1
+        j = abs(t) - K
+        if j <= 0:
+            (lo_t,), (hi_t,) = window([0], np.array([t]))
+            p = _ZSampler._window_p(samp, np.array([t]), f)
+        else:
+            (lo_t,), (hi_t,) = tail([0], np.array([t < 0]), np.array([j]), np.array([t]), j)
+            p = _ZSampler._tail_p(samp, 0.6 - np.sign([t]) * f, np.array([j]))
+        assert samp.formulas == ([] if in_table and j <= J else ["window" if j <= 0 else "tail"])
+        f_lo, f_hi = dgauss._thresholds(p)
+        assert (lo_t, hi_t) == (f_lo[0], f_hi[0])
         if in_table:
-            lo, hi = dgauss._window_table(s_sq, c_den, dgauss._REL_ERR, dgauss._ABS_ERR)
-            row = slice((f_num + c_den // 2) * samp.W, (f_num + c_den // 2 + 1) * samp.W)
-            f = np.full(samp.W, f_num) / c_den
-            f_lo, f_hi = dgauss._thresholds(samp._window_p(np.arange(-samp.K, samp.K + 1), f))
+            lo, hi, _ = dgauss._threshold_table(*key)
+            width = samp.W + 2 * J
+            assert (c_den + 1) * width <= dgauss._TABLE_CAP
+            target = 30 * math.log(2)  # g^J <= 2^-30
+            assert J == 0 or samp.rate * (J - 1) < target
+            assert samp.rate * J >= target or (c_den + 1) * (width + 2) > dgauss._TABLE_CAP
+            row = slice((f_num + c_den // 2) * width, (f_num + c_den // 2 + 1) * width)
+            ts = np.arange(-(K + J), K + J + 1)
+            fs = np.full(ts.size, f_num) / c_den
+            f_lo, f_hi = dgauss._thresholds(np.where(
+                np.abs(ts) <= K, _ZSampler._window_p(samp, ts, fs),
+                _ZSampler._tail_p(samp, 0.6 - np.sign(ts) * fs, np.abs(ts) - K)))
             assert lo[row].tobytes() == f_lo.tobytes() and hi[row].tobytes() == f_hi.tobytes()
+        a = (t - Fraction(f_num, c_den)) ** 2 / s_sq
+        if j > 0:
+            a -= samp.tau + samp.gamma * j  # over the envelope exp(-pi (tau + gamma j))
+        u53 = self._u53(u, -math.pi * float(a))
         u = u53 / (1 << 53)
         if u < lo_t or u > hi_t:
             assert (u < lo_t) == _decide_exact(a, _LazyUniform(u53, 53), random.Random(0))
@@ -502,7 +557,7 @@ class TestArraySampler:
         neg = np.array([False, True])
         for j in (_INT64_SAFE - samp.K - 1, _INT64_SAFE - samp.K):
             for steps in (np.array([j, j]), np.array([j, j], dtype=object)):
-                got = samp._tail_offsets(neg, steps)
+                got = samp._tail_offsets(neg, steps, steps.max())
                 fits = steps.dtype == np.int64 and samp.K + j < _INT64_SAFE
                 assert got.dtype == (np.int64 if fits else object)
                 assert got.tolist() == [samp.K + j, -(samp.K + j)]

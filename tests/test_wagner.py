@@ -636,29 +636,34 @@ class TestGaussianWorkloads:
     def test_draws_decide_windows_from_tables(self, monkeypatch):
         # Every draw of a desk heuristic solve (stage offsets, c_den = 257)
         # and of a provable run (the initial list, c_den = 1, and stage
-        # offsets, c_den = 5) decides its window proposals from a threshold
-        # table: the formula runs only to build those tables.
-        formula_calls, table_keys = [], []
-        window_p, window_table = dgauss._ZSampler._window_p, dgauss._window_table
+        # offsets, c_den = 5) decides its window and tail proposals from a
+        # threshold table: both formulas run only to build those tables.
+        calls, table_keys = {"window": 0, "tail": 0, "tail rounds": 0}, []
+        cls, table = dgauss._ZSampler, dgauss._threshold_table
 
-        def spy_p(self, t, f):
-            formula_calls.append(np.shape(f))
-            return window_p(self, t, f)
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
 
         def spy_table(*key):
             table_keys.append(key)
-            return window_table(*key)
+            return table(*key)
 
-        monkeypatch.setattr(dgauss._ZSampler, "_window_p", spy_p)
-        monkeypatch.setattr(dgauss, "_window_table", spy_table)
-        window_table.cache_clear()
+        monkeypatch.setattr(cls, "_window_p", spy("window", cls._window_p))
+        monkeypatch.setattr(cls, "_tail_p", spy("tail", cls._tail_p))
+        monkeypatch.setattr(cls, "_tail_offsets", spy("tail rounds", cls._tail_offsets))
+        monkeypatch.setattr(dgauss, "_threshold_table", spy_table)
+        table.cache_clear()
         inst, _ = systematic_form(random_instance(8, 20, 257, seed=0))
         solve_sis_inf(inst, 4.0 * math.sqrt(math.log(20)), 2.0 ** -10, MODE_HEURISTIC, 0)
         inst, _ = systematic_form(random_instance(2, 8, 5, seed=0))
         gaussian_wagner(inst, Schedule(mode=MODE_PROVABLE, r=2, N=2000, p=(2, 2), b=(1, 1),
                                        s0_sq=Fraction(144)), 0)
         assert {key[1] for key in table_keys} == {1, 5, 257}
-        assert len(formula_calls) == window_table.cache_info().misses
+        assert calls["tail rounds"] > 0
+        assert calls["window"] == calls["tail"] == table.cache_info().misses
 
 
 class TestNaiveWagner:
