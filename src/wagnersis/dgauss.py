@@ -36,7 +36,7 @@ uniforms, window offsets and acceptance uniforms, decides the window
 proposals, then draws a side bit and a step for each tail proposal ahead of
 its row's first window accept.  Thresholds p -+ (_REL_ERR p + _ABS_ERR), p
 the acceptance exp(-pi (t - f)^2 / s^2) in the window and exp(-pi b) at a
-tail step, come from one ``_threshold_table`` per s^2 and c_den: the
+tail step, come from one ``_threshold_table`` per sampler and c_den: the
 formulas' own floats for every offset |t| <= K + J, with J the least step
 count with g^J <= 2^-30, cut to keep the table within _TABLE_CAP = 2^16
 entries (J = 0 when the window alone fills it).  The formulas give the same
@@ -379,7 +379,7 @@ class _ZSampler:
             def window(rows, t):
                 return _thresholds(self._window_p(t, f(rows)))
         else:
-            lo, hi, reach = _threshold_table(self.s_sq, c_den, _REL_ERR, _ABS_ERR)
+            lo, hi, reach = _threshold_table(self, c_den, _REL_ERR, _ABS_ERR)
             # the index of t = 0: K + J at every integer center (f = 0)
             mid, width = self.K + reach, self.W + 2 * reach
             base = None if c_den == 1 else f_num * width + (c_den // 2 * width + mid)
@@ -554,15 +554,15 @@ def _sampler(s_sq: Fraction) -> _ZSampler:
 
 
 @lru_cache(maxsize=64)
-def _threshold_table(s_sq: Fraction, c_den: int, rel_err: float, abs_err: float):
-    """(lo, hi, J): ``_thresholds`` of width s^2 for every offset t in
+def _threshold_table(samp: _ZSampler, c_den: int, rel_err: float, abs_err: float):
+    """(lo, hi, J): ``_thresholds`` of the sampler's s^2 for every offset t in
     [-(K + J), K + J] and f = f_num / c_den, |f_num| <= c_den / 2, flat at
     (f_num + c_den // 2) (W + 2 J) + t + K + J: ``_window_p(t, f)`` for
     |t| <= K, ``_tail_p`` at step j = |t| - K and e = 3/5 - sign(t) f past
     it, so the formulas' floats bit for bit.  J is the least step count with
     g^J <= 2^-30, cut to keep (c_den + 1) (W + 2 J) <= _TABLE_CAP, which the
-    caller checks at J = 0.  The margins (_REL_ERR, _ABS_ERR) key the cache."""
-    samp = _sampler(s_sq)
+    caller checks at J = 0.  The sampler (by identity: no Fraction hash) and
+    the margins (_REL_ERR, _ABS_ERR) key the cache."""
     K, W = samp.K, samp.W
     J = min(math.ceil(30 * _LN2 / samp.rate), (_TABLE_CAP // (c_den + 1) - W) // 2)
     t = np.arange(-(K + J), K + J + 1)

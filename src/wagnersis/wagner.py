@@ -16,10 +16,11 @@ stage kernel, and with it the pairing:
   randomized lifting and pair disjointly, with no cap.
 
 Lists are integer matrices, one vector per row: Gaussian lists int64 where
-the ``zqlin`` overflow rule allows and Python integers otherwise; rounding
-lists, whose entries lie in [-q, q], in the narrowest signed type that holds
-them (``_rounding_dtype``: int8 up to q = 127, then int16, int32, int64, and
-object from q = 2^63).  Every run returns int64 or object rows.  Lifts and
+the ``zqlin`` overflow rule allows and Python integers otherwise.  Rounding
+lists hold the top coordinates x_top alone, since a row's completions and
+labels depend on x_top mod q only; after stage i a row is a difference of
+2^i ternary rows, in the narrowest signed type that holds [-2^r, 2^r]
+(``_rounding_dtype``).  Every run returns int64 or object rows.  Lifts and
 membership checks multiply in the first type of ``zqlin._EXACT_TIERS`` that
 holds every partial sum exactly (float32, int64): no tier rounds.  Every
 array reduction mod q or mod p (the rounding lift, the coset labels, the
@@ -33,10 +34,10 @@ pairs subtract in their heads X and an integer tail T.  A Gaussian stage
 labels a row by its offsets' coset k mod p (see ``chain``) and takes
 T = y + q floor(k/p); same-label rows share (q/p)(k mod p), so T1 - T2 is
 the exact tail difference (y1 - y2) + q (k1 - k2)/p.  A rounding stage
-labels by round((p/q) y) mod p and takes T = y mod q.  Disjoint pairing
-(``pair_indices_disjoint``) puts each pair's first slot in list order with
-one scatter and reads both members from the grouping's ``order`` as two 1-D
-gathers.
+labels by round((p/q) y) mod p, y = -A'_new x_top mod q, and has no tail.
+Disjoint pairing (``pair_indices_disjoint``) puts each pair's first slot in
+list order with one scatter and reads both members from the grouping's
+``order`` as two 1-D gathers.
 
 A heuristic stage curates its output (``_curate``): it drops zero and
 duplicate rows and sorts the rest lexicographically.  Int64 rows are sorted
@@ -271,7 +272,8 @@ def _combine_stage(stage: StageDescriptor, X: np.ndarray, T: np.ndarray,
     dim = X.shape[1]
     out = np.empty((len(i1), dim + T.shape[1]), dtype=np.result_type(X, T))
     np.subtract(np.take(X, i1, axis=0), np.take(X, i2, axis=0), out=out[:, :dim])
-    np.subtract(np.take(T, i1, axis=0), np.take(T, i2, axis=0), out=out[:, dim:])
+    if T.shape[1]:  # a rounding stage's tail is empty; its gathers would still walk i1, i2
+        np.subtract(np.take(T, i1, axis=0), np.take(T, i2, axis=0), out=out[:, dim:])
     return out, buckets
 
 
@@ -284,22 +286,11 @@ def _round_scaled(Y: np.ndarray, p: int, q: int) -> np.ndarray:
     return int_lincomb([(2 * p, Y), (q, 1)]) // (2 * q)
 
 
-def _rounding_dtype(q: int) -> np.dtype:
-    """The rounding variant's list type: the narrowest signed integer type
-    that holds [-q, q], object from q = 2^63.  It is ``min_scalar_type(-q-1)``,
-    since ``min_scalar_type(-q)`` is int8 at q = 128, which cannot hold q."""
-    return np.min_scalar_type(-q - 1)
-
-
-def _center_in_place(D: np.ndarray, q: int) -> None:
-    """Replace every entry d of D, which must lie in [-q, q], by its centered
-    residue mod q in (-q/2, q/2]: one conditional step of -q above q//2 and
-    of +q at or below q//2 - q.  No value leaves [-q, q], so a signed integer
-    array whose type holds q (``_rounding_dtype(q)`` or wider) does not
-    overflow, and object arrays stay exact."""
-    half = q // 2
-    np.subtract(D, q, out=D, where=D > half)
-    np.add(D, q, out=D, where=D <= half - q)
+def _rounding_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer type that holds [-bound, bound], object
+    from 2^63: ``min_scalar_type(-bound-1)``, as ``min_scalar_type(-bound)``
+    is int8 at bound = 128, which cannot hold 128."""
+    return np.min_scalar_type(-bound - 1)
 
 
 _SIGN_BIT = np.uint64(1 << 63)
@@ -376,13 +367,13 @@ def _initial_list(schedule: Schedule, count: int, dim: int, q: int,
         # duplicate inputs cancel to zero under reuse pairing.
         w, _sigma0 = _estimator.min_weight(dim, _HEURISTIC_ENTROPY_FACTOR * schedule.N)
         return _initial_ternary_sparse(count, dim, w, seed), SamplerCounts()
-    # drawn in the list type, or in int16 for a wider one: a narrower draw
-    # fills more entries per generator word
+    # drawn in _rounding_dtype(q), or in int16 for a wider one (a narrower
+    # draw fills more entries per generator word), then cast to the list type
     dtype = _rounding_dtype(q)
     draw_dtype = dtype if dtype.itemsize <= 2 else np.int16  # object has itemsize 8
     X = derive_np_rng(seed, "init-ternary-uniform").integers(
         -1, 2, size=(count, dim), dtype=draw_dtype)
-    return X.astype(dtype, copy=False), SamplerCounts()
+    return X.astype(_rounding_dtype(2 ** schedule.r), copy=False), SamplerCounts()
 
 
 def _gaussian_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed: int):
@@ -413,27 +404,22 @@ def _gaussian_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed
 
 
 def _rounding_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed: int):
-    """One stage of the rounding variant: the unique mod-q completion y of
-    each row is bucketed by round((p/q) y) mod p, and same-bucket rows are
-    subtracted (disjoint pairs, no cap).
-
-    Labels are exact for every q (``_round_scaled``, ``_pack_labels``).
-    Heads are centered residues (ternary at the first stage) and y lies in
-    [0, q), so every difference lies in [-q, q]: the kernel writes them in
-    the list type ``_rounding_dtype(q)``, and one conditional step of q
-    centers them (``_center_in_place``).
-    """
+    """One stage of the rounding variant on the top coordinates alone: the
+    mod-q completion y = -A'_new x_top mod q of each row is bucketed by
+    round((p/q) y) mod p, and same-bucket rows are subtracted (disjoint
+    pairs, no cap), with no reduction.  Labels are exact for every q
+    (``_round_scaled``, ``_pack_labels``)."""
     q, p = st.q, st.p
     Y = residue(_lift_batch(st, X), q)
-    out, buckets = _combine_stage(st, X, Y.astype(_rounding_dtype(q), copy=False),
-                                  _pack_labels(_round_scaled(Y, p, q), p), None, reuse=False)
-    _center_in_place(out, q)
+    out, buckets = _combine_stage(st, X, X[:, :0], _pack_labels(_round_scaled(Y, p, q), p),
+                                  None, reuse=False)
     return out, buckets, SamplerCounts()
 
 
 def _run(inst: SisInstance, schedule: Schedule, rng):
     """The run of every mode: the initial list, one stage per chain lattice,
-    then the rows an early abort left uncovered, as centered residues."""
+    then the parity coordinates the stages left uncovered (all of them in
+    naive mode, an early abort's rest otherwise), as centered residues."""
     seed = _as_seed(rng)
     stages = build_chain(inst, schedule.b, schedule.p,
                          allow_partial=schedule.mode == MODE_HEURISTIC)
@@ -461,12 +447,15 @@ def _run(inst: SisInstance, schedule: Schedule, rng):
         stats.sampler.append(counts)
         stats.stage_seconds.append(time.perf_counter() - t0)
     kappa = sum(schedule.b)
+    if schedule.mode == MODE_NAIVE:  # the stages carried x_top alone
+        X = X.astype(np.result_type(_rounding_dtype(inst.q), np.int64))
+        X, kappa = centered(X, inst.q), 0
     if kappa < inst.n:
         rest = np.asarray(inst.a_prime)[kappa:, :]
-        X = np.hstack([X, centered(int_matmul(X[:, :dim0], -rest), inst.q)])
+        X = np.hstack([X, int_array(centered(int_matmul(X[:, :dim0], -rest), inst.q))])
     _check_final_membership(inst, X)
     _finish_stats(stats, X)
-    return X.astype(np.result_type(X, np.int64), copy=False), stats
+    return X, stats
 
 
 def gaussian_wagner(inst: SisInstance, schedule: Schedule, rng, *, threads: int = 1):
@@ -488,9 +477,10 @@ def naive_wagner(inst: SisInstance, schedule: Schedule, rng):
     """The warm-up rounding variant.
 
     Uniform ternary initial list of 3^r N vectors, then one rounding stage
-    (``_rounding_stage``) per chain lattice.  All coordinates are kept as
-    centered residues, so every output obeys ||x||_inf <= max_i 2^(r-i) q/p_i
-    with p_0 = q.  Zero vectors are counted, not errors.
+    (``_rounding_stage``) per chain lattice on the top coordinates alone;
+    the run then centers them and completes the parity coordinates, all as
+    centered residues, so every output obeys ||x||_inf <= max_i 2^(r-i)
+    q/p_i with p_0 = q.  Zero vectors are counted, not errors.
     """
     if schedule.mode != MODE_NAIVE:
         raise InfeasibleSchedule("schedule mode must be naive-rounding")

@@ -255,8 +255,7 @@ def int_matmul(X, A) -> np.ndarray:
     2^62, returned as int64; Python integers beyond."""
     X, A = np.asarray(X), np.asarray(A)
     if X.dtype.kind == "i" and A.dtype.kind == "i":
-        X = X.astype(np.float32) if np.can_cast(X.dtype, np.float32) else X  # int8, int16
-        bound = X.shape[1] * _max_abs(A) * _max_abs(X)
+        bound = X.shape[1] * _max_abs(A) * _max_abs(X)  # min and max in X's own type
         for limit, tier in _EXACT_TIERS:
             if bound < limit:
                 return np.matmul(X.astype(tier, copy=False), A.T.astype(tier)).astype(np.int64)

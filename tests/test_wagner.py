@@ -29,7 +29,6 @@ from wagnersis.wagner import (
     MODE_PROVABLE,
     Schedule,
     _buckets,
-    _center_in_place,
     _check_final_membership,
     _combine_stage,
     _curate,
@@ -118,53 +117,6 @@ def _prime_near(start, step):
 
 # primes just below and just above 2^31, 2^62 and 2^63, and 2^64 + 13
 NAIVE_LADDER = [_prime_near(2**k + d, d) for k in (31, 62, 63) for d in (-1, 1)] + [2**64 + 13]
-
-
-def reachable_differences(draw, q):
-    """Two entries of one kind and their difference: centered residues,
-    residues in [0, q), or ternary entries."""
-    kind = draw(st.sampled_from(["centered", "residue", "ternary"]))
-    lo, hi = {"centered": (-((q - 1) // 2), q // 2), "residue": (0, q - 1),
-              "ternary": (-1, 1)}[kind]
-    return draw(st.integers(lo, hi)) - draw(st.integers(lo, hi))
-
-
-class TestCenterInPlace:
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_narrow_types_at_their_edge(self, data):
-        # rounding lists are stored in the narrowest type that holds [-q, q]:
-        # at the largest q such a type holds (127 for int8), entries at +-q
-        # and at the step's edges must come out centered, in the same type
-        dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int32]))
-        top = int(np.iinfo(dtype).max)
-        q = data.draw(st.one_of(st.just(top), st.integers(2, top)))
-        half = q // 2
-        edges = [q, -q, half, half + 1, half - q, half - q + 1]
-        diffs = edges + [reachable_differences(data.draw, q)
-                         for _ in range(data.draw(st.integers(1, 8)))]
-        D = np.array(diffs, dtype=dtype).reshape(-1, 1)
-        _center_in_place(D, q)
-        assert D.dtype == dtype
-        assert D.ravel().tolist() == [centered(d, q) for d in diffs]
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_matches_centered(self, data):
-        q = data.draw(st.one_of(
-            st.sampled_from([2, 3]), st.integers(4, 10**6),
-            st.integers(2**62 - 1000, 2**62 + 1000), st.integers(2**63 - 1000, 2**63 - 1),
-            st.integers(2**63, 2**80)))
-        half = q // 2
-        # the step's edges, each a difference of two residues in [0, q)
-        edges = [d for d in (half, half + 1, half - q, half - q + 1) if abs(d) < q]
-        diffs = edges + [reachable_differences(data.draw, q)
-                         for _ in range(data.draw(st.integers(1, 8)))]
-        as_object = q >= 2**63 or data.draw(st.booleans())
-        D = np.array(diffs, dtype=object if as_object else np.int64).reshape(-1, 1)
-        _center_in_place(D, q)
-        assert D.dtype == (object if as_object else np.int64)
-        assert D.ravel().tolist() == [centered(d, q) for d in diffs]
 
 
 class TestPairing:
@@ -666,6 +618,63 @@ class TestGaussianWorkloads:
         assert calls["window"] == calls["tail"] == table.cache_info().misses
 
 
+def naive_stage_oracle(inst, sched, seed):
+    """The rounding variant in plain Python integers, stage by stage as its
+    kernel once ran on whole rows: each row and its completions y = -a x_top
+    mod q of the stage's parity rows, labelled by round((p/q) y) mod p as
+    base-p digits and walked into disjoint pairs, subtract to centered
+    differences.  Returns the rows, the list sizes and the bucket
+    histograms."""
+    q, d = inst.q, inst.m - inst.n
+    draw_type = np.int8 if q <= 127 else np.int16
+    rows = derive_np_rng(seed, "init-ternary-uniform").integers(
+        -1, 2, size=(3 ** sched.r * sched.N, d), dtype=draw_type).tolist()
+    a_prime = [[int(v) for v in row] for row in np.asarray(inst.a_prime)]
+
+    def center(v):
+        v %= q
+        return v - q if v > q // 2 else v
+
+    sizes, histograms, kappa = [len(rows)], [], 0
+    for p, b in zip(sched.p, sched.b):
+        ys = [[-sum(a * x for a, x in zip(a_row, row[:d])) % q
+               for a_row in a_prime[kappa:kappa + b]] for row in rows]
+        labels = [sum((2 * p * y + q) // (2 * q) % p * p ** j for j, y in enumerate(yr))
+                  for yr in ys]
+        rows = [[center(u - v) for u, v in zip(rows[i] + ys[i], rows[j] + ys[j])]
+                for i, j in disjoint_walk(labels, None)]
+        sizes.append(len(rows))
+        histograms.append([list(h) for h in histogram_count(labels)])
+        kappa += b
+    return rows, sizes, histograms
+
+
+# moduli on both sides of every edge of _rounding_dtype(q), composite ones
+# among them, and small ones, where 2^r >= q/2 and the top coordinates wrap
+NAIVE_ORACLE_MODULI = [2, 3, 4, 5, 6, 8, 9, 12, 16, 127, 128, 129, 255, 32767, 32768, 32769,
+                       2**31 - 1, 2**31, 2**31 + 1, 2**62 - 1, 2**63 - 1, 2**63, 2**63 + 1,
+                       2**64 + 13]
+
+
+@st.composite
+def naive_cases(draw):
+    """A systematic instance [A' | I_n] and a naive schedule over all n rows,
+    3^r N at most 2187 vectors."""
+    q = draw(st.one_of(st.sampled_from(NAIVE_ORACLE_MODULI), st.integers(2, 2**70)))
+    r = draw(st.integers(1, 7))
+    N = draw(st.integers(1, max(1, 2187 // 3 ** r)))
+    b = draw(st.lists(st.integers(1, 2), min_size=r, max_size=r))
+    d = draw(st.integers(1, 4))
+    p = draw(st.lists(st.one_of(st.integers(1, min(q, 8)), st.integers(1, q)),
+                      min_size=r, max_size=r))
+    n = sum(b)
+    a_prime = [[draw(st.integers(0, q - 1)) for _ in range(d)] for _ in range(n)]
+    inst = SisInstance.create([row + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(a_prime)], q)
+    sched = Schedule(mode=MODE_NAIVE, r=r, N=N, p=tuple(p), b=tuple(b))
+    return inst, sched, draw(st.integers(0, 2**32))
+
+
 class TestNaiveWagner:
     def _run(self, seed):
         inst = make_systematic(4, 12, 16, seed=seed)
@@ -715,6 +724,29 @@ class TestNaiveWagner:
         assert doc["list_sizes"] == [97929, 48931, 24451, 12218, 6048, 14]
         assert hashlib.sha256(json.dumps([out.tolist(), doc]).encode()).hexdigest() == \
             "658e8d7d93f38eeb0219290875fdf7ea8ebe7a06bf50a4d3ab7dbaad13ef2392"
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=naive_cases())
+    # 2^r >= q/2 at the int8 | int16 edge of the list type, r = 7
+    @example(case=(SisInstance.create([[5, 3, 1, 0, 0, 0, 0, 0, 0, 0],
+                                       [7, 2, 0, 1, 0, 0, 0, 0, 0, 0],
+                                       [1, 9, 0, 0, 1, 0, 0, 0, 0, 0],
+                                       [4, 4, 0, 0, 0, 1, 0, 0, 0, 0],
+                                       [8, 6, 0, 0, 0, 0, 1, 0, 0, 0],
+                                       [3, 5, 0, 0, 0, 0, 0, 1, 0, 0],
+                                       [2, 7, 0, 0, 0, 0, 0, 0, 1, 0],
+                                       [6, 1, 0, 0, 0, 0, 0, 0, 0, 1]], 11),
+                   Schedule(mode=MODE_NAIVE, r=7, N=1, p=(2,) * 7, b=(2,) + (1,) * 6), 5))
+    def test_matches_the_per_stage_oracle(self, case):
+        # the same rows, dtype, list sizes and histograms as the kernel that
+        # centered whole rows at every stage
+        inst, sched, seed = case
+        out, stats = naive_wagner(inst, sched, seed)
+        rows, sizes, histograms = naive_stage_oracle(inst, sched, seed)
+        assert out.dtype == (np.int64 if inst.q < 2**63 else object)
+        assert out.tolist() == rows
+        assert stats.list_sizes == sizes and stats.as_dict()["bucket_histograms"] == histograms
+        assert stats.max_linf == max((abs(v) for row in rows for v in row), default=0)
 
     def test_rounding_label_beyond_int64(self):
         # 2 p y + q = 2^79 / 3 + 2^40 for q = 2^40, p = 2^39, y = q // 3
@@ -779,9 +811,10 @@ class TestNaiveWagner:
             naive_wagner(inst, sched, 0)
 
 
-# primes on both sides of each edge of the rounding list type (int8 | int16,
-# int16 | int32, int32 | int64), and the powers of two at the edges, where
-# the type must hold q itself
+# primes on both sides of each edge of _rounding_dtype(q), the type that
+# holds [-q, q] (int8 | int16, int16 | int32, int32 | int64), and the powers of
+# two at the edges, where the type must hold q itself: it fixes the ternary
+# draw's type and, with int64, the output type
 LIST_TYPE_EDGES = [
     (127, np.int8), (128, np.int16), (131, np.int16),
     (32749, np.int16), (32768, np.int32), (32771, np.int32),
@@ -790,35 +823,43 @@ LIST_TYPE_EDGES = [
 
 
 class TestRoundingListType:
-    """Rounding lists in the narrowest signed type that holds [-q, q]."""
+    """Rounding stages carry the top coordinates alone, in the narrowest
+    signed type that holds +-2^r (int8 for SCHED); runs return int64 rows
+    below q = 2^63."""
 
     SCHED = Schedule(mode=MODE_NAIVE, r=2, N=64, p=(4, 2), b=(1, 1))
 
     @pytest.mark.parametrize("q, list_type", LIST_TYPE_EDGES)
     def test_stage_on_narrow_list_matches_int64(self, q, list_type):
+        assert _rounding_dtype(q) == list_type
         inst = make_systematic(2, 8, q, seed=5)
         st1 = build_chain(inst, self.SCHED.b, self.SCHED.p)[0]
-        # centered residues, with both ends of (-q/2, q/2] in every column
-        lo, hi = -((q - 1) // 2), q // 2
-        X = derive_np_rng(5, "edge-list").integers(lo, hi, size=(192, 6),
+        # a last stage's input, |x| <= 2^(r-1), with both ends in every column
+        half = 2 ** (self.SCHED.r - 1)
+        X = derive_np_rng(5, "edge-list").integers(-half, half, size=(192, 6),
                                                    dtype=np.int64, endpoint=True)
-        X[0], X[1] = hi, lo
-        assert _rounding_dtype(q) == list_type
-        narrow = X.astype(list_type)
+        X[0], X[1] = half, -half
+        narrow = X.astype(_rounding_dtype(2 ** self.SCHED.r))
+        assert narrow.dtype == np.int8
         assert _lift_batch(st1, narrow).tolist() == _lift_batch(st1, X).tolist()
         out, buckets, _ = _rounding_stage(st1, narrow, self.SCHED, 0)
         out64, buckets64, _ = _rounding_stage(st1, X, self.SCHED, 0)
-        assert out.dtype == list_type
+        assert (out.dtype, out64.dtype) == (np.int8, np.int64)
         assert out.tolist() == out64.tolist()
         assert all(np.array_equal(a, b) for a, b in zip(buckets, buckets64))
-        # oracle: centered differences of the pairs, in plain integers
-        rows = X.tolist()
+        # oracle, in plain integers: rows labelled by round((p/q) y) mod p for
+        # their completions y = -a x_top mod q, walked into disjoint pairs,
+        # subtract to plain top differences
+        rows, p = X.tolist(), st1.p
         a_new = [int(v) for v in np.asarray(st1.a_new)[0]]
         y = [-sum(a * x for a, x in zip(a_new, row)) % q for row in rows]
-        want = [[centered(u - v, q) for u, v in zip(rows[i] + [y[i]], rows[j] + [y[j]])]
-                for i, j in pair_indices_disjoint(buckets, None).tolist()]
+        labels = [(2 * p * v + q) // (2 * q) % p for v in y]
+        want = [[u - v for u, v in zip(rows[i], rows[j])]
+                for i, j in disjoint_walk(labels, None)]
         assert len(want) > 0 and out.tolist() == want
-        assert parity_rows_ok(st1.a_new, q, out)
+        # completed once, every difference lies on the stage's parity row
+        done = [row + [centered(-sum(a * x for a, x in zip(a_new, row)), q)] for row in want]
+        assert parity_rows_ok(st1.a_new, q, done)
 
     @pytest.mark.parametrize("q, list_type", LIST_TYPE_EDGES)
     def test_runs_return_int64_within_the_eq1_bound(self, q, list_type):
@@ -831,13 +872,22 @@ class TestRoundingListType:
 
     @pytest.mark.parametrize("q, list_type", LIST_TYPE_EDGES)
     def test_ternary_list_is_drawn_in_the_list_type(self, q, list_type):
-        # int8 and int16 lists are drawn in their own type; wider ones are
-        # drawn in int16 and widened, so they share the int16 stream
+        # drawn in _rounding_dtype(q) if that is int8 or int16, and in int16
+        # for a wider one, so those share the int16 stream; then cast to the
+        # list type of +-2^r
         X, _ = _initial_list(self.SCHED, 300, 7, q, 4)
         draw_type = list_type if list_type in (np.int8, np.int16) else np.int16
         want = derive_np_rng(4, "init-ternary-uniform").integers(
             -1, 2, size=(300, 7), dtype=draw_type)
-        assert X.dtype == list_type and X.tolist() == want.tolist()
+        assert X.dtype == np.int8 and X.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("r, list_type", [(6, np.int8), (7, np.int16), (14, np.int16),
+                                              (15, np.int32), (62, np.int64), (63, object)])
+    def test_list_type_holds_two_to_the_r(self, r, list_type):
+        # after stage i a row is a difference of 2^i ternary rows
+        sched = Schedule(mode=MODE_NAIVE, r=r, N=1, p=(2,) * r, b=(1,) * r)
+        X, _ = _initial_list(sched, 30, 3, 257, 0)
+        assert _rounding_dtype(2 ** r) == X.dtype == list_type
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("shape", [(3, 5), (1000, 18), (97929, 18)])

@@ -453,9 +453,9 @@ class TestIntMatmul:
         *[(np.array([[x]]), np.array([[1]]), tier) for x, tier in [
             (2**24 - 1, np.float32), (2**24, np.int64),
             (2**62 - 1, np.int64), (2**62, None)]],
-        # int8 and int16 heads, cast to float32 before the bound is read,
-        # on either side of 2^62: the float32 copy goes to int64 or to
-        # Python integers, exactly (bound = x * a)
+        # int8 and int16 heads, whose bound is read in their own type, on
+        # either side of 2^62: they go to int64 or to Python integers,
+        # exactly (bound = x * a)
         *[(np.array([[x]], dtype=x_type), np.array([[a]]), tier)
           for x_type, x in [(np.int8, 127), (np.int16, 32767)]
           for a, tier in [((2**62 - 1) // x, np.int64), (-(-2**62 // x), None)]],
@@ -467,8 +467,9 @@ class TestIntMatmul:
         # both operands narrow: k columns of -128 against -32768, bound k 2^22
         *[(np.full((1, k), -128, dtype=np.int8), np.full((1, k), -32768, dtype=np.int16),
            tier) for k, tier in [(3, np.float32), (4, np.int64)]],
-        # the naive-rounding lift: int16 heads at +-q/2 against 18 columns of
-        # A' entries below q = 257, bound 18 * 256 * 128 < 2^24
+        # a lift at the naive-rounding benchmark's shape: int16 heads of
+        # magnitude 128 against 18 columns of A' entries below q = 257,
+        # bound 18 * 256 * 128 < 2^24
         (np.full((4, 18), -128, dtype=np.int16), np.full((2, 18), 256), np.float32),
     ], ids=["2^24-1", "2^24", "2^62-1", "2^62", "int8-2^62-1", "int8-2^62",
             "int16-2^62-1", "int16-2^62", "int8-min-below-2^24", "int8-min-at-2^24",
