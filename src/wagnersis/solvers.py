@@ -26,6 +26,7 @@ from .wagner import (
     MODE_HEURISTIC,
     MODE_PROVABLE,
     Schedule,
+    check_norm_factor,
     choose_heuristic_params,
     choose_provable_params,
     gaussian_wagner,
@@ -122,8 +123,7 @@ def verify(inst: SisInstance, x) -> str:
 
 def _norm_bound(inst: SisInstance, f: float, norm_kind: str) -> float:
     """beta = (q/f) sqrt(ln m) for the infinity norm, (q/f) sqrt(m) for l2."""
-    if not (math.isfinite(f) and f > 0):
-        raise PreconditionViolated(f"norm factor f must be finite and > 0, got {f}")
+    check_norm_factor(f)
     if norm_kind == "linf":
         return (inst.q / f) * math.sqrt(math.log(inst.m))
     return (inst.q / f) * math.sqrt(inst.m)

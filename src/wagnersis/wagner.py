@@ -11,9 +11,11 @@ stage kernel, and with it the pairing:
 * ``heuristic-gaussian``: 3N sparse ternary vectors; Gaussian stages pair
   within buckets with reuse, capped at 3N, and drop zero and duplicate rows;
   an early abort leaves some rows lifted to plain centered residues.
-* ``naive-rounding``: the warm-up variant, 3^r N uniform ternary vectors;
-  rounding stages bucket by rounded completions instead of Gaussian
-  randomized lifting and pair disjointly, with no cap.
+* ``naive-rounding``: the warm-up variant, 3^r N uniform ternary vectors,
+  read from the generator's raw words as the exact stream of NumPy's
+  bounded ``integers(-1, 2)`` draw (``_uniform_ternary``); rounding stages
+  bucket by rounded completions instead of Gaussian randomized lifting and
+  pair disjointly, with no cap.
 
 Lists are integer matrices, one vector per row: Gaussian lists int64 where
 the ``zqlin`` overflow rule allows and Python integers otherwise.  Rounding
@@ -28,8 +30,10 @@ membership check and the leftover syndrome) is ``zqlin.residue``: on int64,
 a floor-divide by the scalar modulus, then a multiply and a subtract in
 uint64, several times faster than NumPy's remainder; Python ``%`` on objects.
 
-Every stage ends in one combine kernel (``_combine_stage``): one stable
-argsort groups the rows by a packed label (``_buckets``), and same-label
+Every stage ends in one combine kernel (``_combine_stage``): one sort
+groups the rows by a packed label (``_buckets``: a stable argsort of uint16
+keys below 2^16, else a plain sort of distinct (label, position) keys where
+they fit 63 bits, else a stable argsort), and same-label
 pairs subtract in their heads X and an integer tail T.  A Gaussian stage
 labels a row by its offsets' coset k mod p (see ``chain``) and takes
 T = y + q floor(k/p); same-label rows share (q/p)(k mod p), so T1 - T2 is
@@ -177,21 +181,31 @@ _NARROW_KEYS = 1 << 16
 
 
 def _buckets(labels, bound: Optional[int] = None) -> Buckets:
-    """Group positions by label with one stable argsort.
+    """Group positions by label in one sort.
 
     Returns ``order``, the positions in label order (a bucket's members in
     insertion order), ``rank``, each ``order[i]``'s rank in its bucket, and
     ``sizes``, the bucket sizes, buckets in label order.  ``bound`` is an
     exclusive upper bound on nonnegative labels, known from how they were
-    made (p^b for a stage); when it is at most 2^16 the labels are sorted as
-    uint16 keys.  A stable order is unique, so the grouping does not depend
-    on the key width.
+    made (p^b for a stage).  Up to 2^16 the labels take a stable argsort as
+    uint16 keys (a radix sort).  Past it, int64 labels whose packed keys
+    (label << s) | position, s = bits(len(labels)), fit 63 bits are grouped
+    by sorting those distinct keys: the position bits break ties in list
+    order, so masking them off gives the stable order, and shifting them off
+    the labels in that order.  Other labels take a stable argsort.  A stable
+    order is unique, so the grouping does not depend on the path.
     """
     labels = int_array(labels)
+    shift = len(labels).bit_length()
     if bound is not None and bound <= _NARROW_KEYS:
         labels = labels.astype(np.uint16)
-    order = np.argsort(labels, kind="stable")
-    ranked = labels[order]
+    if (bound is not None and labels.dtype == np.int64
+            and (bound - 1).bit_length() + shift <= 63):
+        keys = np.sort((labels << shift) | np.arange(len(labels)))
+        order, ranked = keys & ((1 << shift) - 1), keys >> shift
+    else:
+        order = np.argsort(labels, kind="stable")
+        ranked = labels[order]
     edge = np.ones(len(order) + 1, dtype=bool)
     edge[1:-1] = ranked[1:] != ranked[:-1]
     bounds = np.flatnonzero(edge)  # bucket starts, then len(labels)
@@ -353,6 +367,53 @@ def _finish_stats(stats: RunStats, out: np.ndarray):
         stats.max_l2 = float(np.sqrt((out.astype(float) ** 2).sum(axis=1).max()))
 
 
+# Raw words per batch of _uniform_ternary: 256 KB, so that a batch's
+# temporaries stay in cache and the draw's peak memory stays near its output.
+_TERNARY_BATCH_WORDS = 1 << 15
+
+
+def _uniform_ternary(bitgen: np.random.BitGenerator, count: int, width: int) -> np.ndarray:
+    """``count`` uniform draws from {-1, 0, 1} as int8, read from the bit
+    generator's raw 64-bit words as little-endian ``width``-bit chunks
+    (8 or 16): the zero chunk is dropped and a chunk v maps to
+    [v > t] + [v > 2t] - 1, t = floor(2^w / 3).  The law is exactly uniform:
+    the 2^w - 1 nonzero chunks split evenly, 85 per value at w = 8 and
+    21845 at w = 16.
+
+    This is the stream of ``Generator(bitgen).integers(-1, 2, count, dtype)``
+    for the w-bit ``dtype``, bit for bit: NumPy fills that draw from w-bit
+    chunks of successive 32-bit outputs, low chunk first; SFC64's 32-bit
+    outputs are the low and then the high half of each word; and Lemire's
+    rule for a range of 3 rejects exactly the zero chunk (its threshold is
+    (2^w - 3) mod 3 = 1) and maps v to floor(3v / 2^w), which is the map
+    above.  Words come in batches of at most ``_TERNARY_BATCH_WORDS``, with a
+    margin for the zero chunks expected among the draws still needed.  Only
+    the batch that completes the list leaves chunks unread, so the chunks
+    are read in stream order, and a short batch is simply followed by
+    another."""
+    per_word, third = 64 // width, (1 << width) // 3
+    out, filled = np.empty(count, dtype=np.int8), 0
+    while filled < count:
+        need = count - filled
+        rejects = need >> width  # zero chunks expected; drawn extra, with 4 deviations + 16
+        chunks = need + rejects + 4 * math.isqrt(rejects) + 16
+        words = bitgen.random_raw(min(-(-chunks // per_word), _TERNARY_BATCH_WORDS))
+        v = words.astype("<u8", copy=False).view(f"<u{width // 8}")
+        x = (v > third).view(np.int8)
+        x += v > 2 * third
+        x -= 1
+        zeros = np.flatnonzero(v == 0).tolist()
+        if len(zeros) << 10 > len(v):  # many (w = 8): one mask costs less than the runs
+            x = x[v != 0]
+        elif zeros:  # a few (w = 16): the runs between them, joined
+            x = np.concatenate([x[a:b] for a, b in zip([0] + [z + 1 for z in zeros],
+                                                       zeros + [len(x)])])
+        x = x[:need]
+        out[filled:filled + len(x)] = x
+        filled += len(x)
+    return out
+
+
 def _initial_list(schedule: Schedule, count: int, dim: int, q: int,
                   seed: int) -> Tuple[np.ndarray, SamplerCounts]:
     """The mode's initial list of ``count`` vectors of length ``dim``, and
@@ -367,13 +428,14 @@ def _initial_list(schedule: Schedule, count: int, dim: int, q: int,
         # duplicate inputs cancel to zero under reuse pairing.
         w, _sigma0 = _estimator.min_weight(dim, _HEURISTIC_ENTROPY_FACTOR * schedule.N)
         return _initial_ternary_sparse(count, dim, w, seed), SamplerCounts()
-    # drawn in _rounding_dtype(q), or in int16 for a wider one (a narrower
-    # draw fills more entries per generator word), then cast to the list type
-    dtype = _rounding_dtype(q)
-    draw_dtype = dtype if dtype.itemsize <= 2 else np.int16  # object has itemsize 8
-    X = derive_np_rng(seed, "init-ternary-uniform").integers(
-        -1, 2, size=(count, dim), dtype=draw_dtype)
-    return X.astype(_rounding_dtype(2 ** schedule.r), copy=False), SamplerCounts()
+    # uniform on {-1, 0, 1}: the chunks of raw words below, 8 bits where
+    # _rounding_dtype(q) is int8 and 16 otherwise, are exactly the stream of
+    # integers(-1, 2) in that type (_uniform_ternary says why); built as
+    # int8 and widened only for a list type past int8 (r >= 7)
+    bitgen = derive_np_rng(seed, "init-ternary-uniform").bit_generator
+    X = _uniform_ternary(bitgen, count * dim, 8 if _rounding_dtype(q) == np.int8 else 16)
+    return (X.reshape(count, dim).astype(_rounding_dtype(2 ** schedule.r), copy=False),
+            SamplerCounts())
 
 
 def _gaussian_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed: int):
@@ -508,6 +570,13 @@ def _ceil_pow2_float(frac_log2: float) -> int:
     return math.ceil(mant) << ip
 
 
+def check_norm_factor(f: float):
+    """The norm factor f of beta = q/f (times a norm's sqrt term) must be
+    finite and positive, checked before any arithmetic reads it."""
+    if not (math.isfinite(f) and f > 0):
+        raise PreconditionViolated(f"norm factor f must be finite and > 0, got {f}")
+
+
 def choose_provable_params(n: int, m: int, q: int, f: float,
                            epsilon: float) -> Schedule:
     """Schedule matching the provable subexponential-sampler parameter choice.
@@ -520,19 +589,21 @@ def choose_provable_params(n: int, m: int, q: int, f: float,
     """
     check_qary_preconditions(n, m, q)
     check_epsilon(epsilon)
+    check_norm_factor(f)
     if epsilon > 1 / m:
         raise PreconditionViolated("epsilon <= 1/m")
     if q / f < math.sqrt(math.log(1 / epsilon)):
         raise PreconditionViolated("q/f >= sqrt(ln(1/eps))")
     eps_p = epsilon / 5
     c_term = 144.0 * math.log(3.0 / eps_p) / math.pi
+    inner = math.log(f) + 0.5 * math.log(c_term) + 0.5
+    # read as not positive where ln(inner) is undefined (tiny f)
+    denom = math.log(math.log(q)) - math.log(inner) if inner > 0 else 0.0
+    if denom <= 0:
+        raise InfeasibleSchedule("log-log denominator is not positive")
     r = math.floor(2 * math.log2(q / f) - math.log2(c_term))
     if r < 1:
         r += 10
-    denom = math.log(math.log(q)) - math.log(
-        math.log(f) + 0.5 * math.log(c_term) + 0.5)
-    if denom <= 0:
-        raise InfeasibleSchedule("log-log denominator is not positive")
     log2_n_over_q = (n / 2) / denom
     log2_n = log2_n_over_q + math.log2(q)
     N = _ceil_pow2_float(log2_n)
@@ -557,6 +628,7 @@ def choose_naive_params(n: int, q: int, f: float) -> Schedule:
     """Warm-up parameter selection: p_i = q/2^i, r = floor(log2(q/f)) - 1,
     log2 N = n / (ln ln q - ln ln f), blocks by the same rounding discipline
     as the provable selection."""
+    check_norm_factor(f)
     if f <= 1:
         raise PreconditionViolated("f > 1")
     if q <= f:

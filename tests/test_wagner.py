@@ -40,6 +40,7 @@ from wagnersis.wagner import (
     _round_scaled,
     _rounding_dtype,
     _rounding_stage,
+    _uniform_ternary,
     certify_smoothing,
     choose_heuristic_params,
     choose_naive_params,
@@ -102,11 +103,19 @@ def histogram_count(labels):
 
 @st.composite
 def label_lists(draw):
-    """Short lists over a small alphabet, as small ints or as ints >= 2^63."""
+    """Short lists over a small alphabet, as small ints or as ints >= 2^63
+    with no bound, or counted down from bound - 1 for a bound on either side
+    of 2^16 (uint16 keys) and of 2^(63 - s), s = bits(len), the last bound
+    whose packed keys (label << s) | position fit 63 bits.  Returns the
+    labels and the bound."""
     alphabet = draw(st.integers(1, 6))
     labels = draw(st.lists(st.integers(0, alphabet - 1), max_size=40))
-    offset = draw(st.sampled_from([0, 1 << 63, 1 << 80]))
-    return [offset + v for v in labels]
+    edge = draw(st.sampled_from([None, 1 << 16, 1 << (63 - len(labels).bit_length())]))
+    if edge is None:
+        offset = draw(st.sampled_from([0, 1 << 63, 1 << 80]))
+        return [offset + v for v in labels], None
+    bound = max(edge, alphabet) + draw(st.integers(0, 1))
+    return [bound - 1 - v for v in labels], bound
 
 
 def _prime_near(start, step):
@@ -154,40 +163,59 @@ class TestPairing:
         assert pair_indices_disjoint(_buckets([7, 7]), 0).shape == (0, 2)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(labels=label_lists(), data=st.data())
-    def test_matches_reference_walks(self, labels, data):
+    @given(labels_bound=label_lists(), data=st.data())
+    def test_matches_reference_walks(self, labels_bound, data):
+        labels, bound = labels_bound
         cap = data.draw(st.integers(0, len(labels) + 1))
         # as a list, or as the int64 or object array that _pack_labels returns
         as_given = int_array(labels) if data.draw(st.booleans()) else labels
-        for pairs, expect in ((pair_indices_disjoint(_buckets(as_given), cap), disjoint_walk(labels, cap)),
-                              (pair_indices_disjoint(_buckets(as_given), None), disjoint_walk(labels, None)),
-                              (pair_indices_reuse(_buckets(as_given), cap), reuse_walk(labels, cap))):
+        grouping = _buckets(as_given, bound)
+        for pairs, expect in ((pair_indices_disjoint(grouping, cap), disjoint_walk(labels, cap)),
+                              (pair_indices_disjoint(grouping, None), disjoint_walk(labels, None)),
+                              (pair_indices_reuse(grouping, cap), reuse_walk(labels, cap))):
             assert pairs.dtype == np.int64 and pairs.shape == (len(expect), 2)
             assert [tuple(p) for p in pairs.tolist()] == expect
-        assert _occupancy_histogram(_buckets(as_given)) == histogram_count(labels)
+        assert _occupancy_histogram(grouping) == histogram_count(labels)
+
+    @staticmethod
+    def _group_edge(labels, bound, monkeypatch):
+        """``_buckets`` of ``labels`` under ``bound``, and the (function, key
+        dtype) of every sort it called."""
+        sorts = []
+
+        def spy(name, fn):
+            def sorted_by(a, *args, **kwargs):
+                sorts.append((name, np.asarray(a).dtype))
+                return fn(a, *args, **kwargs)
+            return sorted_by
+
+        monkeypatch.setattr(np, "argsort", spy("argsort", np.argsort))
+        monkeypatch.setattr(np, "sort", spy("sort", np.sort))
+        grouping = _buckets(int_array(labels), bound)
+        monkeypatch.undo()
+        for got, want in zip(grouping, _buckets(labels)):
+            assert got.tolist() == want.tolist()
+        assert [tuple(p) for p in pair_indices_disjoint(grouping, None).tolist()] == \
+            disjoint_walk(labels, None)
+        assert _occupancy_histogram(grouping) == histogram_count(labels)
+        return sorts
 
     @pytest.mark.parametrize("bound, top, narrow", [(2**16, 2**16 - 1, True),
                                                     (2**16 + 1, 2**16, False)])
     def test_key_width_edge(self, bound, top, narrow, monkeypatch):
         # labels below p^b <= 2^16 sort as uint16 keys; one more and 2^16
-        # would wrap onto 0, so the sort must stay wide
-        labels = [top, 0, 5, top, 0, top, 5, 0]
-        sorted_dtypes = []
-        argsort = np.argsort
+        # would wrap onto 0, so the labels sort as packed int64 keys
+        sorts = self._group_edge([top, 0, 5, top, 0, top, 5, 0], bound, monkeypatch)
+        assert sorts == [("argsort", np.uint16) if narrow else ("sort", np.int64)]
 
-        def spy(a, *args, **kwargs):
-            sorted_dtypes.append(np.asarray(a).dtype)
-            return argsort(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", spy)
-        grouping = _buckets(int_array(labels), bound)
-        monkeypatch.undo()
-        assert (sorted_dtypes[0] == np.uint16) == narrow
-        for got, want in zip(grouping, _buckets(labels)):
-            assert got.tolist() == want.tolist()
-        assert [tuple(p) for p in pair_indices_disjoint(grouping, None).tolist()] == \
-            disjoint_walk(labels, None)
-        assert _occupancy_histogram(grouping) == [(2, 1), (3, 2)]
+    @pytest.mark.parametrize("bound, packed", [(2**59, True), (2**59 + 1, False)],
+                             ids=["2^59", "2^59+1"])
+    def test_packed_key_budget_edge(self, bound, packed, monkeypatch):
+        # 8 positions take s = 4 bits, so (label << 4) | position fits 63
+        # bits up to p^b = 2^59; past it the labels take a stable argsort
+        top = bound - 1
+        sorts = self._group_edge([top, 0, 5, top, 0, top, 5, 0], bound, monkeypatch)
+        assert sorts == [("sort" if packed else "argsort", np.int64)]
 
 
 @st.composite
@@ -891,16 +919,41 @@ class TestRoundingListType:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("shape", [(3, 5), (1000, 18), (97929, 18)])
-    def test_int32_ternary_draw_is_the_int64_stream(self, seed, shape):
-        # NumPy fills int32 and int64 draws of a range below 2^32 from the
-        # same 32-bit bounded draws (the ternary list, drawn in its list
-        # type, no longer relies on it)
-        def draw(dtype):
-            rng = derive_np_rng(seed, "init-ternary-uniform")
-            return rng.integers(-1, 2, size=shape, dtype=dtype)
-        assert np.array_equal(draw(np.int32), draw(np.int64)), (
-            "Generator.integers no longer draws int32 and int64 ranges from "
-            "one stream: every seeded naive-mode output moves")
+    def test_ternary_list_is_the_bounded_integers_stream(self, seed, shape):
+        # the list read from raw generator words is NumPy's bounded draw, in
+        # int8 where q <= 127 and int16 otherwise; 97929 x 18 is the
+        # benchmark's list, where about 27 zero chunks are dropped
+        for q, draw_type in ((127, np.int8), (257, np.int16)):
+            X, _ = _initial_list(self.SCHED, *shape, q, seed)
+            want = derive_np_rng(seed, "init-ternary-uniform").integers(
+                -1, 2, size=shape, dtype=draw_type)
+            assert X.dtype == np.int8 and np.array_equal(X, want), (
+                "Generator.integers(-1, 2) no longer reads w-bit chunks of "
+                "the raw words as _uniform_ternary does")
+
+    @pytest.mark.parametrize("width, count, zero_words", [(8, 60, 40), (16, 60, 40),
+                                                          (16, 24000, 5)])
+    def test_ternary_top_up_follows_the_chunk_map(self, width, count, zero_words):
+        # zero words first, so the first batch falls short: by all of it
+        # (dropped by a mask), or by a few chunks in a long batch (dropped
+        # between runs); then both sides of each threshold t = floor(2^w / 3)
+        spare = derive_np_rng(3, "words").integers(0, 2**64, count // 2 + 200, dtype=np.uint64)
+        words = [0] * zero_words + [0x0000_1234_0000_FFFF, 0x5555_5556_AAAA_AAAB] + spare.tolist()
+
+        class ScriptedWords:
+            sizes = []
+
+            def random_raw(self, size):
+                at = sum(self.sizes)
+                self.sizes.append(size)
+                return np.array(words[at:at + size], dtype=np.uint64)
+
+        bitgen, t = ScriptedWords(), (1 << width) // 3
+        chunks = [w >> k & ((1 << width) - 1) for w in words for k in range(0, 64, width)]
+        want = [(v > t) + (v > 2 * t) - 1 for v in chunks if v][:count]
+        got = _uniform_ternary(bitgen, count, width)
+        assert len(bitgen.sizes) >= 2 and sum(bitgen.sizes) <= len(words)
+        assert got.dtype == np.int8 and got.tolist() == want
 
 
 class TestRunLoop:
@@ -1019,6 +1072,18 @@ class TestChooseNaiveParams:
             choose_naive_params(16, 64, 64.0)
         with pytest.raises(PreconditionViolated):
             choose_naive_params(16, 64, 0.5)
+
+
+@pytest.mark.parametrize("f", [math.nan, math.inf, 0.0, -1.0, 1e-300])
+def test_unusable_norm_factor_is_a_typed_error(f):
+    # a non-finite or non-positive f is named before any arithmetic; a tiny
+    # one leaves the provable chooser's log-log term undefined
+    usable = math.isfinite(f) and f > 0
+    with pytest.raises(PreconditionViolated, match="f > 1" if usable else "finite and > 0"):
+        choose_naive_params(12, 257, f)
+    with pytest.raises(InfeasibleSchedule if usable else PreconditionViolated,
+                       match="log-log denominator" if usable else "finite and > 0"):
+        choose_provable_params(16, 64, 12289, f, 1e-3)
 
 
 class TestHeuristicSchedule:
