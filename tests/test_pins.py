@@ -109,6 +109,13 @@ def _sampler_lines(monkeypatch):
     rng, exact_rng = streams("past")
     draw(s_sq, np.zeros(3, dtype=np.int64), 1,
          ScriptedUniforms(rng, [1 - 2.0 ** -53, 0.0, None, u_q]), exact_rng)
+    # the same tail offsets a round after an int64 one, in one block: round 1
+    # proposes in the window only and its first row accepts, round 2 gives the
+    # two pending rows tail proposals past int64 that accept
+    u_first = np.repeat([0.0, 1 - 2.0 ** -53, 1 - 2.0 ** -53], samp.k_s)
+    rng, exact_rng = streams("int64-then-past")
+    draw(s_sq, np.zeros(3, dtype=np.int64), 1,
+         ScriptedUniforms(rng, [0.5, u_first, 1 - 2.0 ** -53, 0.0, None, u_q]), exact_rng)
     # one tail proposal whose inversion uniform sits at a step boundary
     # g^(M k) near 1/e, so its step is found by the exact bisection; it is
     # its row's first proposal of k_s, so its step is drawn
@@ -133,7 +140,9 @@ def _sampler_lines(monkeypatch):
 
 def test_array_sampler_streams_match_pin(monkeypatch):
     # sha256 computed at the stream epoch: sampler streams on SFC64, rounds
-    # of at most k_s proposals a row, window decisions before tail steps
+    # of at most k_s proposals a row, window decisions before tail steps; the
+    # "int64-then-past" case was added later and pinned on the code before
+    # rounds ended in one scatter
     digest = hashlib.sha256("\n".join(_sampler_lines(monkeypatch)).encode()).hexdigest()
     assert digest == \
-        "f3bee2128793fd9c090ab5a41e64527ff2064518fb1d8073271ae90132b33603"
+        "395850514b460eaf056f1ee414f813c50c99933aa456e791fe2af830fa22f20d"
