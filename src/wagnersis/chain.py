@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .dgauss import SamplerCounts, _draw_z_array, check_width
+from .dgauss import _draw_z_array, check_width
 from .errors import BlockSumMismatch
 from .rngutil import LazyRandom, derive_np_rng
 from .zqlin import SisInstance, int_array, int_lincomb, int_matmul
@@ -46,6 +46,12 @@ class StageDescriptor:
     @property
     def dim_in(self) -> int:
         return self.m_minus_n + self.kappa_prev
+
+    def lift_bound(self, x_bound: int) -> int:
+        """A bound on |y| for y = -(A'_new @ x_top), and on each partial sum
+        of it, for heads with |x| <= x_bound: the m - n entries of a row of
+        A'_new lie in [0, q), as ``SisInstance`` checks."""
+        return self.m_minus_n * (self.q - 1) * x_bound
 
 
 def build_chain(inst: SisInstance, block_sizes: Sequence[int],
@@ -81,9 +87,13 @@ def build_chain(inst: SisInstance, block_sizes: Sequence[int],
     return stages
 
 
-def _lift_batch(stage: StageDescriptor, X: np.ndarray) -> np.ndarray:
-    """y_last = -(A'_new @ x_top) for every row of X, exact integers."""
-    return int_matmul(X[:, : stage.m_minus_n], -stage.a_new)
+def _lift_batch(stage: StageDescriptor, X: np.ndarray,
+                x_bound: Optional[int] = None) -> np.ndarray:
+    """y_last = -(A'_new @ x_top) for every row of X, exact integers, under
+    ``stage.lift_bound(x_bound)`` for a caller's bound on |x| (the data's
+    own bound when None)."""
+    bound = None if x_bound is None else stage.lift_bound(x_bound)
+    return int_matmul(X[:, : stage.m_minus_n], -stage.a_new, bound)
 
 
 @lru_cache(maxsize=256)
@@ -96,13 +106,16 @@ def _offset_width_sq(index: int, p: int, q: int, b: int, s_sq: Fraction) -> Frac
 
 
 def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
-                      seed_path: tuple, seed) -> Tuple[np.ndarray, SamplerCounts]:
+                      seed_path: tuple, seed, y_bound: Optional[int] = None):
     """Sample k ~ D_{Z^b, (p/q) s, -(p/q) y} rowwise via the array sampler;
     returns the offsets, int64 when every one fits and Python integers
-    otherwise, and the sampler's counts."""
+    otherwise, and the sampler's counts.  With ``y_bound``, a caller's bound
+    on |y|, the center numerators -p y are bounded by p y_bound, and a proven
+    bound on |k| (``_draw_z_array``'s) comes back as a third value."""
     p, q = stage.p, stage.q
     scaled = _offset_width_sq(stage.index, p, q, stage.b, width_sq)
-    c_num = int_lincomb([(-p, Y)])  # center numerators -p y
-    K, counts = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
-                              LazyRandom(seed, *seed_path, "exact"))
-    return int_array(K), counts
+    c_bound = None if y_bound is None else p * max(1, y_bound)
+    c_num = int_lincomb([(-p, Y)], c_bound)  # center numerators -p y
+    K, counts, *k_bound = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
+                                        LazyRandom(seed, *seed_path, "exact"), c_bound)
+    return (int_array(K), counts, *k_bound)

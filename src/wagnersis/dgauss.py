@@ -44,10 +44,12 @@ floats to a tail round with a step past J or Python-int steps, and to every
 proposal of object numerators or of a c_den whose window passes the cap.
 A tail round takes one max of its steps, for both the int64 bound of its
 offsets -+(K + j) and the J check, then decides its proposals with one
-index add and two gathers.  Integer centers (c_den = 1, the whole initial
-list) skip the center arithmetic: table index t + K + J, and e = 3/5 on the
-formula path; one broadcast center 0 (the initial list) also skips the
-center split and the sum x0 + t.  Undecided comparisons go to
+index add and two gathers; the block returns the largest, so a caller that
+bounds its centers gets a proven bound on x0 + t.  A round ends in one
+scatter of every pending entry's pick.  Integer centers (c_den = 1, the
+whole initial list) skip the center arithmetic: no row indices, table index
+t + K + J, and e = 3/5 on the formula path; one broadcast center 0 (the
+initial list) also skips the center split and the sum x0 + t.  Undecided comparisons go to
 ``_select_window_exact``, ``_geometric_exact`` and ``_decide_exact``, which
 share one interval refinement loop, ``_decide``.  Stream contract: a seeded
 draw is fixed by the order of the generator calls in each round, the order
@@ -67,7 +69,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy  # a declared dependency: fail here, not at the first statistical check
@@ -370,9 +372,10 @@ class _ZSampler:
         +-(K + j) (negative where neg is set) at steps j, of largest value
         top.  For int64 f_num within _TABLE_CAP both read
         ``_threshold_table``, tail proposals while top <= its J; otherwise the
-        formulas ``_window_p`` and ``_tail_p`` give the same floats."""
+        formulas ``_window_p`` and ``_tail_p`` give the same floats.  Integer
+        centers (c_den = 1, f = 0) read no entry: rows may be None."""
         def f(rows):
-            return np.asarray(f_num[rows] / c_den, dtype=float)
+            return 0.0 if c_den == 1 else np.asarray(f_num[rows] / c_den, dtype=float)
 
         reach = 0  # the largest step the table holds
         if f_num.dtype == object or (c_den + 1) * self.W > _TABLE_CAP:
@@ -403,8 +406,8 @@ class _ZSampler:
         work whatever the width: j - 1 = M q + r with q ~ Geom(g^M) by
         inversion (``_geometric``) and r in [0, M) of weight g^r by rejection
         from a uniform, which accepts with probability above exp(-2^-20).
-        Returns int64 when ``int_lincomb``'s bound proves M q + r + 1 fits,
-        Python ints otherwise."""
+        Returns int64 when M max(1, max q) + M, ``int_lincomb``'s bound with
+        r + 1 <= M, proves M q + r + 1 fits, Python ints otherwise."""
         q = self._geometric(rng.random(n), exact_rng, counts)
         if self.M == 1:
             return q + 1
@@ -421,7 +424,7 @@ class _ZSampler:
                                           _lazy(float(u[i])), exact_rng)
             r[todo[accept]] = cand[accept]
             todo = todo[~accept]
-        return int_lincomb([(self.M, q), (1, r + 1)])
+        return int_lincomb([(self.M, q), (1, r + 1)], self.M * (max(1, int(q.max())) + 1))
 
     def _geometric(self, u, exact_rng, counts: SamplerCounts) -> np.ndarray:
         """q = floor(-ln U / (M rate)) for the uniforms U whose first 53 bits
@@ -473,12 +476,15 @@ class _ZSampler:
                 hi = mid
         return lo
 
-    def _draw_block(self, f_num, c_den: int, rng, exact_rng,
-                    counts: SamplerCounts) -> np.ndarray:
+    def _draw_block(self, f_num, c_den: int, rng, exact_rng, counts: SamplerCounts):
         """Offsets t ~ D_{Z,s,f}, one per entry of f = f_num / c_den, in rounds
-        of proposals; int64, or Python ints once a tail offset may not fit."""
+        of proposals, and the largest tail step drawn (0 if none), so |t| <=
+        K + top; int64, or Python ints once a tail offset may not fit.  Each
+        round writes every pending entry's pick with one scatter: an entry
+        not done yet is overwritten by the round that finishes it, and the
+        first round's picks become the output."""
         window, tail_thresholds = self._proposal_thresholds(f_num, c_den)
-        t_out = np.empty(len(f_num), dtype=np.int64)
+        t_out, top = np.empty(0, dtype=np.int64), 0
         pending = np.arange(len(f_num))
         while pending.size:
             # row r: proposals r k to r k + k - 1, for entry pending[r]
@@ -489,7 +495,9 @@ class _ZSampler:
             t = rng.integers(-self.K, self.K + 1, n)
             u = rng.random(n)
             # (ndarray methods here: a NumPy function adds a few us a call)
-            rows = pending if k == 1 else pending.repeat(k)
+            # proposal i is for entry pending[i // k]; integer centers read no
+            # entry, so their rounds build no row indices
+            rows = None if c_den == 1 else pending if k == 1 else pending.repeat(k)
             lo, hi = window(rows, t)
             accept, maybe = u < lo, u <= hi
             tail = (u_sel >= self.p_window - _SELECT_MARGIN).nonzero()[0]
@@ -511,11 +519,12 @@ class _ZSampler:
             if tail.size:
                 neg = rng.random(tail.size) < 0.5  # side -1: a fair bit, exactly
                 steps = self._tail_steps(tail.size, rng, exact_rng, counts)
-                top = steps.max()
-                t_tail = self._tail_offsets(neg, steps, top)
+                top_round = int(steps.max())
+                top = max(top, top_round)
+                t_tail = self._tail_offsets(neg, steps, top_round)
                 t = t.astype(t_tail.dtype, copy=False)
                 t[tail] = t_tail
-                lo, hi = tail_thresholds(rows[tail], neg, steps, t_tail, top)
+                lo, hi = tail_thresholds(pending[tail // k], neg, steps, t_tail, top_round)
                 u_tail = u[tail]
                 accept[tail], maybe[tail] = u_tail < lo, u_tail <= hi
             first, done = _first_accepts(accept, k)
@@ -526,18 +535,21 @@ class _ZSampler:
                 if done[r] and first[r] < i:
                     continue
                 counts.fallbacks += 1
-                if self._accept_exact(int(t[i]), int(f_num[rows[i]]), c_den,
+                if self._accept_exact(int(t[i]), int(f_num[pending[r]]), c_den,
                                       float(u[i]), exact_rng):
                     done[r] = True
                     if k > 1:
                         first[r] = i
-            # gathers by index: several times faster than by a boolean mask
-            picks = done.nonzero()[0]
-            if t.dtype == object:
-                t_out = t_out.astype(object, copy=False)
-            t_out[pending[picks]] = t[picks] if k == 1 else t[first[picks]]
+            pick = t if k == 1 else t[first]
+            if not t_out.size:
+                t_out = pick
+            else:
+                if pick.dtype == object:
+                    t_out = t_out.astype(object, copy=False)
+                t_out[pending] = pick
+            # a gather by index: several times faster than by a boolean mask
             pending = pending[(~done).nonzero()[0]]
-        return t_out
+        return t_out, top
 
 
 _SAMPLER_CACHE: Dict = {}
@@ -576,15 +588,21 @@ def _threshold_table(samp: _ZSampler, c_den: int, rel_err: float, abs_err: float
 
 
 def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
-                  exact_rng) -> Tuple[np.ndarray, SamplerCounts]:
-    """One exact draw from D_{Z,s,c} per entry of c = c_num / c_den.
+                  exact_rng, c_bound: Optional[int] = None):
+    """One exact draw from D_{Z,s,c} per entry of c = c_num / c_den, and the
+    sampler's counts.
 
     ``c_num`` is an int64 or object array of integers; the draws come back in
-    its shape, x = round(c) + t formed by ``int_lincomb``: int64 when its bound
-    proves every sum fits, Python ints otherwise (x = t, as drawn, for one
-    broadcast int64 center 0).  Proposals and uniforms
-    come from the NumPy generator ``rng``, and exact decisions take their
-    fresh bits from the ``random.Random`` stream ``exact_rng``."""
+    its shape, x = round(c) + t formed by ``int_lincomb`` (x = t, as drawn,
+    for one broadcast int64 center 0): int64 when its bound proves every sum
+    fits, Python ints otherwise.  With ``c_bound``, the caller's bound on
+    |c_num|, the sum's bound is proven, not read: |round(c)| <= c_bound //
+    c_den + 1 and |t| <= K + top, top the block's largest tail step
+    (``_draw_block``); the call then also returns that bound, maximized over
+    the blocks, as a third value.  Without it ``int_lincomb`` reads the bound
+    from the data.  Proposals and uniforms come from the NumPy generator
+    ``rng``, and exact decisions take their fresh bits from the
+    ``random.Random`` stream ``exact_rng``."""
     # Window offsets are drawn as int64.  Every s >= 2^63 fails the bound; it
     # is rejected before the sampler takes float(s^2), which can overflow.
     samp = _sampler(s_sq) if s_sq < 1 << 126 else None
@@ -597,31 +615,46 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
     # one broadcast int64 center 0 (the initial lists): x0 = f_num = 0, x = t
     zero = (not any(c_num.strides) and c_num.size and c_num.dtype == np.int64
             and centers[0] == 0)
-    parts = []
+    x0_bound = None if c_bound is None else c_bound // c_den + 1
+    parts, top = [], 0
     for start in range(0, c_num.size, _BLOCK):
         block = centers[start:start + _BLOCK]
         if zero:
-            parts.append(samp._draw_block(block, 1, rng, exact_rng, counts))
-            continue
-        x0, f_num = _split_centers(block, c_den)
-        t = samp._draw_block(f_num, c_den, rng, exact_rng, counts)
-        parts.append(int_lincomb([(1, x0), (1, t)]))
-    return np.concatenate(parts or [centers[:0]]).reshape(c_num.shape), counts
+            t, block_top = samp._draw_block(block, 1, rng, exact_rng, counts)
+            parts.append(t)
+        else:
+            x0, f_num = _split_centers(block, c_den, c_bound)
+            t, block_top = samp._draw_block(f_num, c_den, rng, exact_rng, counts)
+            bound = None if c_bound is None else x0_bound + samp.K + block_top
+            parts.append(int_lincomb([(1, x0), (1, t)], bound))
+        top = max(top, block_top)
+    out = np.concatenate(parts or [centers[:0]]).reshape(c_num.shape)
+    if c_bound is None:
+        return out, counts
+    return out, counts, x0_bound + samp.K + top
 
 
-def _split_centers(c_num: np.ndarray, c_den: int):
+def _split_centers(c_num: np.ndarray, c_den: int, c_bound: Optional[int] = None):
     """c = x0 + f_num / c_den with x0 the nearest integer (ties to even), in
     exact integer arithmetic, for a 1-D array of numerators; returns x0 and
-    f_num.  Integer centers (c_den = 1) skip the split: x0 = c, f_num = 0."""
+    f_num.  Integer centers (c_den = 1) skip the split: x0 = c, f_num = 0.
+    An odd c_den (every prime q) has no tie, so x0 = floor((c_num + h) /
+    c_den), h = floor(c_den / 2), one floor division, wherever the sum fits:
+    on Python integers, and on int64 numerators whose bound ``c_bound``
+    proves c_bound + h < 2^62."""
     if c_den == 1:
         return c_num, np.zeros(c_num.shape, dtype=c_num.dtype)
     if c_num.dtype == np.int64 and c_den >= 1 << 62:  # 2 f_num + 1 must fit
         c_num = c_num.astype(object)
+    half = c_den // 2
+    if c_den & 1 and (c_num.dtype == object
+                      or c_bound is not None and c_bound + half < _INT64_SAFE):
+        x0 = (c_num + half) // c_den
+        return x0, c_num - x0 * c_den
     x0 = c_num // c_den
     f_num = c_num - x0 * c_den
-    # round up when 2 f_num > c_den, or 2 f_num = c_den and x0 is odd (no tie
-    # when c_den is odd, as every prime q is)
-    up = f_num > c_den // 2 if c_den & 1 else 2 * f_num + (x0 & 1) > c_den
+    # round up when 2 f_num > c_den, or 2 f_num = c_den and x0 is odd
+    up = f_num > half if c_den & 1 else 2 * f_num + (x0 & 1) > c_den
     x0 += up
     return x0, np.where(up, f_num - c_den, f_num)
 
@@ -662,10 +695,11 @@ def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
     if len(cs) != n:
         raise PreconditionViolated(f"center has length {len(param.c)}, expected {n}")
     den = math.lcm(*(c.denominator for c in cs))
-    c_num = int_array([c.numerator * (den // c.denominator) for c in cs])
+    nums = [c.numerator * (den // c.denominator) for c in cs]
     seed = rng.getrandbits(63)
-    out, _ = _draw_z_array(param.s_sq, np.broadcast_to(c_num, (rows, n)), den,
-                           derive_np_rng(seed, "z"), LazyRandom(seed, "z", "exact"))
+    out, _, _ = _draw_z_array(param.s_sq, np.broadcast_to(int_array(nums), (rows, n)), den,
+                              derive_np_rng(seed, "z"), LazyRandom(seed, "z", "exact"),
+                              max(map(abs, nums)))
     return out
 
 

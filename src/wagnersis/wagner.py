@@ -272,13 +272,16 @@ def _pack_labels(K: np.ndarray, p: int) -> np.ndarray:
 
 
 def _combine_stage(stage: StageDescriptor, X: np.ndarray, T: np.ndarray,
-                   labels: np.ndarray, cap: Optional[int], reuse: bool):
+                   labels: np.ndarray, cap: Optional[int], reuse: bool,
+                   x_bound: Optional[int] = None):
     """Group rows by label (below p^b), pair within groups (with reuse or
     disjointly, at most ``cap`` pairs) and write X[i1] - X[i2] and T[i1] - T[i2]
     into one ``np.result_type(X, T)`` array; returns it and the grouping.
-    Int64 heads reaching 2^62 (``int_lincomb``'s bound for a - b) subtract as
-    Python integers; the caller vouches that T's differences fit T's type."""
-    if X.dtype == np.int64 and _max_abs(X) >= _INT64_SAFE:
+    Int64 heads whose bound on |x| (``x_bound``, the caller's, or read from
+    the data when None) reaches 2^62, ``int_lincomb``'s bound for a - b,
+    subtract as Python integers; the caller vouches that T's differences fit
+    T's type."""
+    if X.dtype == np.int64 and (_max_abs(X) if x_bound is None else x_bound) >= _INT64_SAFE:
         X = X.astype(object)
     buckets = _buckets(labels, stage.p ** stage.b)
     i1, i2 = (pair_indices_reuse(buckets, cap) if reuse
@@ -355,8 +358,12 @@ def _initial_ternary_sparse(count: int, dim: int, weight: int, seed: int) -> np.
     return X
 
 
-def _check_final_membership(inst: SisInstance, out: np.ndarray):
-    if np.any(residue(int_matmul(out, inst.A), inst.q)):
+def _check_final_membership(inst: SisInstance, out: np.ndarray, linf: Optional[int] = None):
+    """NotInLattice unless A x = 0 mod q for every row; ``linf``, a bound on
+    |x| (read from the data when None), bounds the product by m (q - 1) linf,
+    as A's entries lie in [0, q)."""
+    bound = None if linf is None else inst.m * (inst.q - 1) * linf
+    if np.any(residue(int_matmul(out, inst.A, bound), inst.q)):
         raise NotInLattice("output failed the exact membership check")
 
 
@@ -449,12 +456,19 @@ def _gaussian_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed
         floor = Fraction(st.q * st.q, st.p * st.p) * \
             Fraction(_width_floor_sq(st.b) * _WIDTH_SLACK)
         width_sq = max(width_sq, floor)
-    Y = _lift_batch(st, X)
-    K, counts = _gaussian_offsets(st, Y, width_sq, ("stage", st.index), seed)
+    # The stage's one read of its list: every other int64 guard of the stage
+    # takes its bound from this one and from how the operands were made.
+    x_bound = _max_abs(X)
+    y_bound = st.lift_bound(x_bound)
+    Y = _lift_batch(st, X, x_bound)
+    K, counts, k_bound = _gaussian_offsets(st, Y, width_sq, ("stage", st.index), seed,
+                                           y_bound)
     cap = len(X) // 3 if provable else 3 * schedule.N
-    # T = y + q floor(k/p), with |T| < 2^62 under int_lincomb's rule
-    out, buckets = _combine_stage(st, X, int_lincomb([(1, Y), (st.q, K // st.p)]),
-                                  _pack_labels(K, st.p), cap, reuse=not provable)
+    # T = y + q floor(k/p), with |floor(k/p)| <= floor(|k|/p) + 1
+    T = int_lincomb([(1, Y), (st.q, K // st.p)],
+                    max(1, y_bound) + st.q * (k_bound // st.p + 1))
+    out, buckets = _combine_stage(st, X, T, _pack_labels(K, st.p), cap,
+                                  reuse=not provable, x_bound=x_bound)
     if provable:
         if len(out) != cap:
             raise InsufficientInputs(
@@ -470,11 +484,14 @@ def _rounding_stage(st: StageDescriptor, X: np.ndarray, schedule: Schedule, seed
     mod-q completion y = -A'_new x_top mod q of each row is bucketed by
     round((p/q) y) mod p, and same-bucket rows are subtracted (disjoint
     pairs, no cap), with no reduction.  Labels are exact for every q
-    (``_round_scaled``, ``_pack_labels``)."""
+    (``_round_scaled``, ``_pack_labels``).  A row entering stage i is a
+    difference of 2^(i-1) ternary rows, so |x| <= 2^(i-1) bounds the lift
+    and the heads' subtraction, with nothing read from the data."""
     q, p = st.q, st.p
-    Y = residue(_lift_batch(st, X), q)
+    x_bound = 2 ** (st.index - 1)
+    Y = residue(_lift_batch(st, X, x_bound), q)
     out, buckets = _combine_stage(st, X, X[:, :0], _pack_labels(_round_scaled(Y, p, q), p),
-                                  None, reuse=False)
+                                  None, reuse=False, x_bound=x_bound)
     return out, buckets, SamplerCounts()
 
 
@@ -514,9 +531,12 @@ def _run(inst: SisInstance, schedule: Schedule, rng):
         X, kappa = centered(X, inst.q), 0
     if kappa < inst.n:
         rest = np.asarray(inst.a_prime)[kappa:, :]
-        X = np.hstack([X, int_array(centered(int_matmul(X[:, :dim0], -rest), inst.q))])
-    _check_final_membership(inst, X)
+        # |x_top| <= q/2 once centered; rest's entries lie in [0, q)
+        x_top = inst.q // 2 if schedule.mode == MODE_NAIVE else _max_abs(X[:, :dim0])
+        completion = int_matmul(X[:, :dim0], -rest, dim0 * (inst.q - 1) * x_top)
+        X = np.hstack([X, int_array(centered(completion, inst.q))])
     _finish_stats(stats, X)
+    _check_final_membership(inst, X, stats.max_linf)
     return X, stats
 
 

@@ -246,31 +246,39 @@ def int_array(rows) -> np.ndarray:
         return np.array(rows, dtype=object)
 
 
-def int_matmul(X, A) -> np.ndarray:
+def int_matmul(X, A, bound: Optional[int] = None) -> np.ndarray:
     """Exact ``X @ A.T`` for integer matrices, under the toolkit's one
     overflow rule: for signed integer operands, ``bound = X.shape[1] * max|A|
     * max|X|`` bounds every partial sum in any order, and the product runs in
     the first ``_EXACT_TIERS`` type that holds every integer below the bound
     exactly, so it rounds nothing: float32 (sgemm) below 2^24, int64 below
-    2^62, returned as int64; Python integers beyond."""
+    2^62, returned as int64; Python integers beyond.  A caller that knows a
+    ``bound`` at least that one from how the operands were made passes it,
+    and nothing is read from the data; otherwise both maxima are read, each
+    in its operand's own type."""
     X, A = np.asarray(X), np.asarray(A)
     if X.dtype.kind == "i" and A.dtype.kind == "i":
-        bound = X.shape[1] * _max_abs(A) * _max_abs(X)  # min and max in X's own type
+        if bound is None:
+            bound = X.shape[1] * _max_abs(A) * _max_abs(X)
         for limit, tier in _EXACT_TIERS:
             if bound < limit:
                 return np.matmul(X.astype(tier, copy=False), A.T.astype(tier)).astype(np.int64)
     return _to_python_int(X) @ _to_python_int(A).T
 
 
-def int_lincomb(terms) -> np.ndarray:
+def int_lincomb(terms, bound: Optional[int] = None) -> np.ndarray:
     """Exact elementwise sum of c a over the (integer c, integer array a)
     ``terms``, broadcast together: ``int_matmul``'s rule term by term.  int64
-    when every a has a signed integer dtype and sum |c| max(1, max|a|) < 2^62,
-    a bound on every partial sum, each term formed in int64; Python integers
-    in an object array otherwise.  The result is a new array, never a term."""
+    when every a has a signed integer dtype and ``bound = sum |c| max(1,
+    max|a|)`` < 2^62, a bound on every partial sum and on every c, each term
+    formed in int64; Python integers in an object array otherwise.  A caller
+    that knows a ``bound`` at least that one passes it, and nothing is read
+    from the data.  The result is a new array, never a term."""
     terms = [(int(c), np.asarray(a)) for c, a in terms]
-    if (all(a.dtype.kind == "i" for _, a in terms) and sum(
-            abs(c) * max(1, _max_abs(a)) for c, a in terms) < _INT64_SAFE):
+    ints = all(a.dtype.kind == "i" for _, a in terms)
+    if ints and bound is None:
+        bound = sum(abs(c) * max(1, _max_abs(a)) for c, a in terms)
+    if ints and bound < _INT64_SAFE:
         terms = [(c, a.astype(np.int64, copy=False)) for c, a in terms]
         if len(terms) == 1:
             return terms[0][0] * terms[0][1]  # a new array, also for c = 1

@@ -112,23 +112,44 @@ class TestCenterSplit:
             sample_zn_rows(param, 1, 1, rng)
         assert list(dgauss._SAMPLER_CACHE) == [Fraction(25, 4)]
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(data=st.data(),
-           c_den=st.sampled_from([1, 2, 3, 5, 257, 1 << 61, (1 << 61) + 1, 1 << 62]),
-           wide=st.booleans())
-    def test_split_is_exact_round_half_even(self, data, c_den, wide):
+           c_den=st.sampled_from([1, 2, 3, 5, 257, (1 << 61) - 1, 1 << 61, (1 << 61) + 1,
+                                  1 << 62]),
+           wide=st.booleans(), at=st.sampled_from([None, -1, 0]))
+    def test_split_is_exact_round_half_even(self, data, c_den, wide, at):
         # c = x0 + f_num / c_den against Fraction's round-half-even, for
         # int64 numerators up to +-(2^63 - 1) and object ones past int64;
         # c_den = 1 skips the split, an odd c_den has no tie to break, and
-        # c_den >= 2^62 switches to objects
+        # c_den >= 2^62 switches to objects.  With a center bound (at = -1,
+        # 0) the numerators lie within it, and the bound plus floor(c_den/2)
+        # is 2^62 + at: an odd c_den rounds int64 numerators with one floor
+        # division (no np.where) just below 2^62 and with the general split
+        # at it, and object numerators with one division at every bound.
         bound = (1 << 100) if wide else (1 << 63) - 1
+        if at is not None:
+            bound = min(bound, max(1, _INT64_SAFE + at - c_den // 2))
         k_max = bound // c_den - 1
-        tie = st.integers(-k_max, k_max).map(lambda k: k * c_den + c_den // 2)
+        tie = (st.integers(-k_max, k_max).map(lambda k: k * c_den + c_den // 2)
+               if k_max >= 0 else st.nothing())
         nums = data.draw(st.lists(
             st.one_of(st.integers(-bound, bound), st.sampled_from([bound, -bound]), tie),
             min_size=1, max_size=6))
-        x0, f_num = _split_centers(np.array(nums, dtype=object if wide else np.int64), c_den)
-        dtype = np.dtype(object if wide or c_den >= 1 << 62 else np.int64)
+        objects = wide or c_den >= 1 << 62
+        one_division = c_den == 1 or c_den % 2 == 1 and (
+            objects or at is not None and bound + c_den // 2 < _INT64_SAFE)
+        wheres, where = [], np.where
+
+        def spy(*args):
+            wheres.append(args)
+            return where(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "where", spy)
+            x0, f_num = _split_centers(np.array(nums, dtype=object if wide else np.int64),
+                                       c_den, None if at is None else bound)
+        assert (not wheres) == one_division
+        dtype = np.dtype(object if objects else np.int64)
         assert x0.dtype == f_num.dtype == dtype
         if dtype == object:
             assert all(type(v) is int for v in [*x0, *f_num])

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import gaussian_combine, make_systematic, parity_rows_ok, stage_rows_ok
-from wagnersis import dgauss
+from wagnersis import chain, dgauss, wagner, zqlin
 from wagnersis.chain import _lift_batch, build_chain
 from wagnersis.errors import (
     BlockSumMismatch,
@@ -956,6 +956,11 @@ class TestRoundingListType:
         assert got.dtype == np.int8 and got.tolist() == want
 
 
+def _data_max(a) -> int:
+    """max |a| over Python integers: 0 for an empty array."""
+    return max(map(abs, np.ravel(a).tolist()), default=0)
+
+
 class TestRunLoop:
     """The one run loop of every mode."""
 
@@ -964,10 +969,48 @@ class TestRunLoop:
             inst = make_systematic(4, 12, 16, seed=3)
             sched = Schedule(mode=MODE_NAIVE, r=2, N=16, p=(8, 4), b=(2, 2))
             return naive_wagner(inst, sched, 3)
-        inst = make_systematic(2, 16, 5, seed=4)
-        sched = Schedule(mode=mode, r=2, N=15, p=(2, 2), b=(1, 1),
-                         s0_sq=Fraction(144))
+        # "early-abort": a heuristic run whose blocks leave a parity row over
+        inst = make_systematic(3 if mode == "early-abort" else 2, 16, 5, seed=4)
+        sched = Schedule(mode=MODE_HEURISTIC if mode == "early-abort" else mode, r=2, N=15,
+                         p=(2, 2), b=(1, 1), s0_sq=Fraction(144))
         return gaussian_wagner(inst, sched, 5)
+
+    @pytest.mark.parametrize("mode, reads", [
+        (MODE_PROVABLE, 2), (MODE_HEURISTIC, 2), ("early-abort", 3), (MODE_NAIVE, 0)])
+    def test_every_bound_passed_dominates_its_data(self, mode, reads, monkeypatch):
+        # Every int_matmul and int_lincomb call of a run passes a bound proven
+        # from how its operands were made, at least the bound the overflow
+        # rule reads from the data (here over Python integers).  The data is
+        # read once per Gaussian stage list and once for an early abort's
+        # completion, and never by a rounding run.
+        matmul, lincomb, max_abs = zqlin.int_matmul, zqlin.int_lincomb, zqlin._max_abs
+        calls, read = [], []
+
+        def spy_matmul(X, A, bound=None):
+            calls.append(("matmul", bound, np.shape(X)[1] * _data_max(A) * _data_max(X)))
+            return matmul(X, A, bound)
+
+        def spy_lincomb(terms, bound=None):
+            terms = list(terms)
+            own = sum(abs(int(c)) * max(1, _data_max(a)) for c, a in terms)
+            calls.append(("lincomb", bound, own))
+            return lincomb(terms, bound)
+
+        def spy_max_abs(X):
+            read.append(X.shape)
+            return max_abs(X)
+
+        for module in (chain, wagner):
+            monkeypatch.setattr(module, "int_matmul", spy_matmul)
+        for module in (chain, wagner, dgauss):
+            monkeypatch.setattr(module, "int_lincomb", spy_lincomb)
+        for module in (zqlin, wagner):
+            monkeypatch.setattr(module, "_max_abs", spy_max_abs)
+        self._run(mode)
+        assert {name for name, _, _ in calls} == (
+            {"matmul"} if mode == MODE_NAIVE else {"matmul", "lincomb"})
+        assert all(bound is not None and bound >= own for _, bound, own in calls), calls
+        assert len(read) == reads
 
     @pytest.mark.parametrize("mode", [MODE_PROVABLE, MODE_HEURISTIC, MODE_NAIVE])
     def test_one_wall_time_per_list(self, mode):

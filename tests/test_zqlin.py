@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wagnersis.errors import (
@@ -390,6 +390,9 @@ def _matrix(data, rows, cols, elements):
 
 
 _SIGNED = [np.int8, np.int16, np.int32, np.int64]
+# a bound from the caller, in place of the one read from the data: none, and
+# either side of 2^62
+_CALLER_BOUNDS = [None, _INT64_SAFE - 1, _INT64_SAFE]
 
 
 class TestIntMatmul:
@@ -397,23 +400,28 @@ class TestIntMatmul:
     @given(k=st.integers(1, 6), max_a=st.integers(1, 1 << 31),
            rows=st.integers(1, 3), b=st.integers(1, 3),
            delta=st.integers(-2, 2), x_type=st.sampled_from(_SIGNED),
-           a_type=st.sampled_from(_SIGNED), data=st.data())
-    def test_exact_on_both_sides_of_the_int64_guard(self, k, max_a, rows, b,
-                                                    delta, x_type, a_type, data):
+           a_type=st.sampled_from(_SIGNED), caller=st.sampled_from(_CALLER_BOUNDS),
+           data=st.data())
+    def test_exact_on_both_sides_of_the_int64_guard(self, k, max_a, rows, b, delta,
+                                                    x_type, a_type, caller, data):
         # Operands of every signed type, mixed or not.  max|X| puts
         # k max|A| max|X| within a few steps of 2^62 where X's type holds it
         # (at its largest value otherwise), and entries at +-max hit the
-        # worst-case partial sums.
+        # worst-case partial sums.  A caller's bound, at least that one,
+        # decides the tier in its place: 2^62 - 1 gives int64, 2^62 Python
+        # integers.
         max_a = min(max_a, int(np.iinfo(a_type).max))
         max_x = min(max(1, (_INT64_SAFE - 1) // (k * max_a) + delta),
                     int(np.iinfo(x_type).max))
+        assume(caller is None or k * max_a * max_x <= caller)
         xs = st.one_of(st.sampled_from([max_x, -max_x]), st.integers(-max_x, max_x))
         as_ = st.one_of(st.sampled_from([max_a, -max_a]), st.integers(-max_a, max_a))
         X = _matrix(data, rows, k, xs)
         A = _matrix(data, b, k, as_)
         X[0][0], A[0][0] = max_x, max_a
-        got = int_matmul(np.array(X, dtype=x_type), np.array(A, dtype=a_type))
-        assert got.dtype == (np.int64 if k * max_a * max_x < _INT64_SAFE else object)
+        got = int_matmul(np.array(X, dtype=x_type), np.array(A, dtype=a_type), caller)
+        bound = k * max_a * max_x if caller is None else caller
+        assert got.dtype == (np.int64 if bound < _INT64_SAFE else object)
         assert got.tolist() == _matmul_reference(X, A)
 
     @pytest.mark.parametrize("limit", [1 << 24, 1 << 53], ids=["2^24", "2^53"])
@@ -563,15 +571,23 @@ def _lincomb_reference(terms):
 
 class TestIntLincomb:
     @settings(max_examples=600, deadline=None)
-    @given(terms=_lincomb_terms())
+    @given(terms=_lincomb_terms(), caller=st.sampled_from(_CALLER_BOUNDS))
     # a scalar term, with 10 * 32767 formed in int64 where int16 would wrap,
     # and a coefficient past int64 on an all-zero array
-    @example(terms=[(2 * 5, np.array([0, 300, -32767], dtype=np.int16)), (61, 1)])
-    @example(terms=[(1 << 64, np.zeros(3, dtype=np.int64))])
-    def test_exact_on_both_sides_of_the_int64_guard(self, terms):
+    @example(terms=[(2 * 5, np.array([0, 300, -32767], dtype=np.int16)), (61, 1)],
+             caller=None)
+    @example(terms=[(1 << 64, np.zeros(3, dtype=np.int64))], caller=None)
+    # small terms under a caller's bound on either side of 2^62
+    @example(terms=[(3, np.array([5, -7])), (1, np.array([2**40]))], caller=_INT64_SAFE - 1)
+    @example(terms=[(3, np.array([5, -7])), (1, np.array([2**40]))], caller=_INT64_SAFE)
+    def test_exact_on_both_sides_of_the_int64_guard(self, terms, caller):
+        # a caller's bound, at least the data's, decides in its place
         bound = sum(abs(c) * max(1, max(map(abs, np.ravel(a).tolist()), default=0))
                     for c, a in terms)
-        got = int_lincomb(terms)
+        assume(caller is None or bound <= caller)
+        got = int_lincomb(terms, caller)
+        if caller is not None:
+            bound = caller
         assert got.dtype == (np.int64 if bound < _INT64_SAFE else object)
         assert got.tolist() == _lincomb_reference(terms)
 
