@@ -4,7 +4,9 @@ brute-force oracles.
 All arithmetic on matrix entries is exact: a product with a matrix runs in
 the first type of ``_EXACT_TIERS`` (float32, int64) that holds a proven
 bound on every partial sum exactly, and over Python big integers past it,
-so lattice membership (A x = 0 mod q) never rounds or wraps.
+so lattice membership (A x = 0 mod q) never rounds or wraps.  The bound is
+the caller's, proven from how the operands were made, or else read from
+the operands.
 """
 
 from __future__ import annotations

@@ -112,7 +112,7 @@ class TestCenterSplit:
             sample_zn_rows(param, 1, 1, rng)
         assert list(dgauss._SAMPLER_CACHE) == [Fraction(25, 4)]
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(),
            c_den=st.sampled_from([1, 2, 3, 5, 257, (1 << 61) - 1, 1 << 61, (1 << 61) + 1,
                                   1 << 62]),
@@ -584,6 +584,31 @@ class TestArraySampler:
                 assert got.dtype == (np.int64 if fits else object)
                 assert got.tolist() == [samp.K + j, -(samp.K + j)]
                 assert fits or all(type(v) is int for v in got)
+
+    def test_blocks_return_their_largest_tail_step(self, monkeypatch):
+        # _draw_block returns the largest tail step of all its rounds, so
+        # K + top bounds its offsets, and _draw_z_array, told its centers'
+        # bound, returns a bound on its draws from it; both runs draw the
+        # same values
+        drawn, tail_steps = [], _ZSampler._tail_steps
+
+        def spy(self, *args):
+            steps = tail_steps(self, *args)
+            drawn.append(steps.tolist())
+            return steps
+
+        monkeypatch.setattr(_ZSampler, "_tail_steps", spy)
+        samp, c_num = _ZSampler(Fraction(9)), np.arange(-3000, 3000) * 7 % 40001 - 20000
+        _, f_num = _split_centers(c_num, 3)
+        t, top = samp._draw_block(f_num, 3, derive_np_rng(4, "top"), derive_rng(4, "top"),
+                                  SamplerCounts())
+        assert len(drawn) > 1 and top == max(map(max, drawn))
+        assert int(np.abs(t).max()) <= samp.K + top
+        x, _ = _draw_z_array(Fraction(9), np.tile(c_num, 4), 3, derive_np_rng(4, "x"),
+                             derive_rng(4, "x"))
+        x_proven, _, bound = _draw_z_array(Fraction(9), np.tile(c_num, 4), 3,
+                                           derive_np_rng(4, "x"), derive_rng(4, "x"), 20000)
+        assert x_proven.tolist() == x.tolist() and int(np.abs(x).max()) <= bound
 
     def test_draws_past_int64_are_exact(self):
         # x0 + t with x0 = 2^63 - 5 and s = 100 passes 2^63 for about half
