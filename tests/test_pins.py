@@ -116,6 +116,11 @@ def _sampler_lines(monkeypatch):
     rng, exact_rng = streams("int64-then-past")
     draw(s_sq, np.zeros(3, dtype=np.int64), 1,
          ScriptedUniforms(rng, [0.5, u_first, 1 - 2.0 ** -53, 0.0, None, u_q]), exact_rng)
+    # one-proposal rounds (2000 entries) whose tail steps pass the threshold
+    # table's J = 2 (c_den = 2713 caps the table at s^2 = 144), so their
+    # tail proposals read the formulas
+    draw(Fraction(144), 2713 * ks[:2000] + np.arange(2000) % 2713, 2713,
+         *streams("past-reach"))
     # one tail proposal whose inversion uniform sits at a step boundary
     # g^(M k) near 1/e, so its step is found by the exact bisection; it is
     # its row's first proposal of k_s, so its step is drawn
@@ -142,7 +147,9 @@ def test_array_sampler_streams_match_pin(monkeypatch):
     # sha256 computed at the stream epoch: sampler streams on SFC64, rounds
     # of at most k_s proposals a row, window decisions before tail steps; the
     # "int64-then-past" case was added later and pinned on the code before
-    # rounds ended in one scatter
+    # rounds ended in one scatter, and the "past-reach" case on the code
+    # before one-proposal rounds decided window and tail proposals in one
+    # table lookup
     digest = hashlib.sha256("\n".join(_sampler_lines(monkeypatch)).encode()).hexdigest()
     assert digest == \
-        "395850514b460eaf056f1ee414f813c50c99933aa456e791fe2af830fa22f20d"
+        "3597c55d40144334a5d4e9e399926bc1ed9442a0496d238394ac0396c36e48a5"
