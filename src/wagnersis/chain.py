@@ -118,4 +118,4 @@ def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
     c_num = int_lincomb([(-p, Y)], c_bound)  # center numerators -p y
     K, counts, *k_bound = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
                                         LazyRandom(seed, *seed_path, "exact"), c_bound)
-    return (int_array(K), counts, *k_bound)
+    return (K if K.dtype == np.int64 else int_array(K), counts, *k_bound)

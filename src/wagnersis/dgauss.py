@@ -32,9 +32,15 @@ the stage offsets and ``sample_zn_rows`` call it.  A round gives every
 pending entry k = min(ceil(1024 / pending), k_s) i.i.d. proposals (k_s about
 3 / acceptance), and the entry keeps its first accepted one in proposal
 order: the law of a sequential rejection loop.  A round draws the selection
-uniforms, window offsets and acceptance uniforms, decides the window
-proposals, then draws a side bit and a step for each tail proposal ahead of
-its row's first window accept.  Thresholds p -+ (_REL_ERR p + _ABS_ERR), p
+uniforms, window offsets and acceptance uniforms, and settles which
+proposals are tail proposals.  With one proposal a row it then draws a side
+bit and a step for every tail proposal and decides window and tail
+proposals together: in one table lookup when the threshold table holds
+every tail offset, window first otherwise.  With several proposals a row it
+decides the window proposals first and draws a side and a step only for
+each tail proposal ahead of its row's first window accept.  Both orders
+make the same generator calls, in the same order, and take the same exact
+decisions in proposal order.  Thresholds p -+ (_REL_ERR p + _ABS_ERR), p
 the acceptance exp(-pi (t - f)^2 / s^2) in the window and exp(-pi b) at a
 tail step, come from one ``_threshold_table`` per sampler and c_den: the
 formulas' own floats for every offset |t| <= K + J, with J the least step
@@ -44,7 +50,9 @@ floats to a tail round with a step past J or Python-int steps, and to every
 proposal of object numerators or of a c_den whose window passes the cap.
 A tail round takes one max of its steps, for both the int64 bound of its
 offsets -+(K + j) and the J check, then decides its proposals with one
-index add and two gathers; the block returns the largest, so a caller that
+index add and two gathers, inside the window lookup where the round has
+one proposal a row and the table holds every tail offset; the block
+returns the largest, so a caller that
 bounds its centers gets a proven bound on x0 + t.  A round ends in one
 scatter of every pending entry's pick.  Integer centers (c_den = 1, the
 whole initial list) skip the center arithmetic: no row indices, table index
@@ -365,6 +373,14 @@ class _ZSampler:
         t = steps + self.K
         return np.negative(t, out=t, where=neg)
 
+    def _table(self, f_num, c_den: int):
+        """``_threshold_table`` of the entries f = f_num / c_den, or None for
+        object numerators and a c_den whose window passes _TABLE_CAP, whose
+        thresholds the formulas give."""
+        if f_num.dtype == object or (c_den + 1) * self.W > _TABLE_CAP:
+            return None
+        return _threshold_table(self, c_den, _REL_ERR, _ABS_ERR)
+
     def _proposal_thresholds(self, f_num, c_den: int):
         """``_thresholds`` of the proposals of the entries f = f_num / c_den,
         as (window, tail): window(rows, t) for offsets t of the entries rows,
@@ -377,12 +393,14 @@ class _ZSampler:
         def f(rows):
             return 0.0 if c_den == 1 else np.asarray(f_num[rows] / c_den, dtype=float)
 
-        reach = 0  # the largest step the table holds
-        if f_num.dtype == object or (c_den + 1) * self.W > _TABLE_CAP:
+        table = self._table(f_num, c_den)
+        if table is None:
+            reach = -1  # every step reads the formula
+
             def window(rows, t):
                 return _thresholds(self._window_p(t, f(rows)))
         else:
-            lo, hi, reach = _threshold_table(self, c_den, _REL_ERR, _ABS_ERR)
+            lo, hi, reach = table
             # the index of t = 0: K + J at every integer center (f = 0)
             mid, width = self.K + reach, self.W + 2 * reach
             base = None if c_den == 1 else f_num * width + (c_den // 2 * width + mid)
@@ -479,11 +497,21 @@ class _ZSampler:
     def _draw_block(self, f_num, c_den: int, rng, exact_rng, counts: SamplerCounts):
         """Offsets t ~ D_{Z,s,f}, one per entry of f = f_num / c_den, in rounds
         of proposals, and the largest tail step drawn (0 if none), so |t| <=
-        K + top; int64, or Python ints once a tail offset may not fit.  Each
-        round writes every pending entry's pick with one scatter: an entry
-        not done yet is overwritten by the round that finishes it, and the
-        first round's picks become the output."""
+        K + top; int64, or Python ints once a tail offset may not fit.
+
+        A round settles which proposals are tail proposals first.  With one
+        proposal a row it then draws their sides and steps, and when the
+        threshold table holds every tail offset (int64 steps up to its J) one
+        window lookup decides the whole round.  Otherwise, and in every round
+        of several proposals a row, window decisions come first and tail
+        proposals read their own thresholds.  The generator calls and the
+        exact decisions keep one order either way.  Each round writes every
+        pending entry's pick with one scatter: an entry not done yet is
+        overwritten by the round that finishes it, and the first round's
+        picks become the output."""
         window, tail_thresholds = self._proposal_thresholds(f_num, c_den)
+        table = self._table(f_num, c_den)
+        reach = -1 if table is None else table[2]  # the largest step the table holds
         t_out, top = np.empty(0, dtype=np.int64), 0
         pending = np.arange(len(f_num))
         while pending.size:
@@ -498,8 +526,6 @@ class _ZSampler:
             # proposal i is for entry pending[i // k]; integer centers read no
             # entry, so their rounds build no row indices
             rows = None if c_den == 1 else pending if k == 1 else pending.repeat(k)
-            lo, hi = window(rows, t)
-            accept, maybe = u < lo, u <= hi
             tail = (u_sel >= self.p_window - _SELECT_MARGIN).nonzero()[0]
             if tail.size:
                 u_sel = u_sel[tail]
@@ -509,37 +535,53 @@ class _ZSampler:
                         counts.fallbacks += 1
                         near[i] = self._select_window_exact(float(u_sel[i]), exact_rng)
                     tail = tail[~near]
-                accept[tail] = maybe[tail] = False
+            accept = None
             if tail.size and k > 1:
                 # Window decisions come first: a tail proposal behind its row's
                 # first window accept is never kept, so it draws no side or
                 # step and stays rejected (one proposal a row: none is behind).
+                lo, hi = window(rows, t)
+                accept, maybe = u < lo, u <= hi
+                accept[tail] = maybe[tail] = False
                 first, has = _first_accepts(accept, k)
                 tail = tail[~has[tail // k] | (first[tail // k] > tail)]
+            merged = False
             if tail.size:
                 neg = rng.random(tail.size) < 0.5  # side -1: a fair bit, exactly
                 steps = self._tail_steps(tail.size, rng, exact_rng, counts)
                 top_round = int(steps.max())
                 top = max(top, top_round)
                 t_tail = self._tail_offsets(neg, steps, top_round)
+                # one proposal a row and every tail offset in the table: the
+                # window lookup decides the tail proposals too
+                merged = accept is None and steps.dtype == np.int64 and top_round <= reach
+                if merged:
+                    t[tail] = t_tail
+            if accept is None:
+                lo, hi = window(rows, t)
+                accept, maybe = u < lo, u <= hi
+            if tail.size and not merged:
                 t = t.astype(t_tail.dtype, copy=False)
                 t[tail] = t_tail
-                lo, hi = tail_thresholds(pending[tail // k], neg, steps, t_tail, top_round)
+                lo, hi = tail_thresholds(None if c_den == 1 else pending[tail // k], neg,
+                                         steps, t_tail, top_round)
                 u_tail = u[tail]
                 accept[tail], maybe[tail] = u_tail < lo, u_tail <= hi
             first, done = _first_accepts(accept, k)
             # Undecided proposals, in proposal order: one before its row's
             # first accept is decided exactly and, if accepted, comes first.
-            for i in (maybe != accept).nonzero()[0]:
-                r = i // k
-                if done[r] and first[r] < i:
-                    continue
-                counts.fallbacks += 1
-                if self._accept_exact(int(t[i]), int(f_num[pending[r]]), c_den,
-                                      float(u[i]), exact_rng):
-                    done[r] = True
-                    if k > 1:
-                        first[r] = i
+            # (accept is within maybe, so equal counts leave none undecided)
+            if np.count_nonzero(maybe) != np.count_nonzero(accept):
+                for i in (maybe != accept).nonzero()[0]:
+                    r = i // k
+                    if done[r] and first[r] < i:
+                        continue
+                    counts.fallbacks += 1
+                    if self._accept_exact(int(t[i]), int(f_num[pending[r]]), c_den,
+                                          float(u[i]), exact_rng):
+                        done[r] = True
+                        if k > 1:
+                            first[r] = i
             pick = t if k == 1 else t[first]
             if not t_out.size:
                 t_out = pick
@@ -628,7 +670,8 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
             bound = None if c_bound is None else x0_bound + samp.K + block_top
             parts.append(int_lincomb([(1, x0), (1, t)], bound))
         top = max(top, block_top)
-    out = np.concatenate(parts or [centers[:0]]).reshape(c_num.shape)
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts or [centers[:0]])
+    out = out.reshape(c_num.shape)
     if c_bound is None:
         return out, counts
     return out, counts, x0_bound + samp.K + top

@@ -195,7 +195,8 @@ def _buckets(labels, bound: Optional[int] = None) -> Buckets:
     the labels in that order.  Other labels take a stable argsort.  A stable
     order is unique, so the grouping does not depend on the path.
     """
-    labels = int_array(labels)
+    if not (isinstance(labels, np.ndarray) and labels.dtype == np.int64):
+        labels = int_array(labels)
     shift = len(labels).bit_length()
     if bound is not None and bound <= _NARROW_KEYS:
         labels = labels.astype(np.uint16)

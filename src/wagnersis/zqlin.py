@@ -284,8 +284,17 @@ def int_lincomb(terms, bound: Optional[int] = None) -> np.ndarray:
         terms = [(c, a.astype(np.int64, copy=False)) for c, a in terms]
         if len(terms) == 1:
             return terms[0][0] * terms[0][1]  # a new array, also for c = 1
-        parts = [a if c == 1 else c * a for c, a in terms]
-        return sum(parts[2:], parts[0] + parts[1])  # sum() from 0 copies parts[0]
+        # each product is made as it is added and dropped after, and the sum
+        # of the first two is a new array (on a product's buffer where NumPy
+        # reuses a temporary), into which the rest add in place
+        parts = (a if c == 1 else c * a for c, a in terms)
+        out = next(parts) + next(parts)
+        for part in parts:
+            if part.shape == out.shape:
+                out += part
+            else:
+                out = out + part
+        return out
     return np.asarray(sum(c * _to_python_int(a) for c, a in terms), dtype=object)
 
 

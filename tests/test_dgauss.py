@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import random
 
@@ -619,6 +620,138 @@ class TestArraySampler:
         vals = out.tolist()
         assert all(type(v) is int and abs(v - center) < 2000 for v in vals)
         assert sum(v >= 1 << 63 for v in vals) > 500
+
+
+def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
+    """``_ZSampler._draw_block`` as it was before rounds of one proposal a row
+    drew their tail steps before any decision: every round decides its window
+    proposals first, then its tail proposals with a lookup of their own."""
+    window, tail_thresholds = samp._proposal_thresholds(f_num, c_den)
+    t_out, top = np.empty(0, dtype=np.int64), 0
+    pending = np.arange(len(f_num))
+    while pending.size:
+        k = min(-(-dgauss._ROUND_MIN // pending.size), samp.k_s)
+        n = pending.size * k
+        counts.proposals += n
+        u_sel = rng.random(n)
+        t = rng.integers(-samp.K, samp.K + 1, n)
+        u = rng.random(n)
+        rows = None if c_den == 1 else pending if k == 1 else pending.repeat(k)
+        lo, hi = window(rows, t)
+        accept, maybe = u < lo, u <= hi
+        tail = (u_sel >= samp.p_window - dgauss._SELECT_MARGIN).nonzero()[0]
+        if tail.size:
+            u_sel = u_sel[tail]
+            if u_sel.min() <= samp.p_window + dgauss._SELECT_MARGIN:
+                near = u_sel <= samp.p_window + dgauss._SELECT_MARGIN
+                for i in near.nonzero()[0]:
+                    counts.fallbacks += 1
+                    near[i] = samp._select_window_exact(float(u_sel[i]), exact_rng)
+                tail = tail[~near]
+            accept[tail] = maybe[tail] = False
+        if tail.size and k > 1:
+            first, has = dgauss._first_accepts(accept, k)
+            tail = tail[~has[tail // k] | (first[tail // k] > tail)]
+        if tail.size:
+            neg = rng.random(tail.size) < 0.5
+            steps = samp._tail_steps(tail.size, rng, exact_rng, counts)
+            top_round = int(steps.max())
+            top = max(top, top_round)
+            t_tail = samp._tail_offsets(neg, steps, top_round)
+            t = t.astype(t_tail.dtype, copy=False)
+            t[tail] = t_tail
+            lo, hi = tail_thresholds(pending[tail // k], neg, steps, t_tail, top_round)
+            u_tail = u[tail]
+            accept[tail], maybe[tail] = u_tail < lo, u_tail <= hi
+        first, done = dgauss._first_accepts(accept, k)
+        for i in (maybe != accept).nonzero()[0]:
+            r = i // k
+            if done[r] and first[r] < i:
+                continue
+            counts.fallbacks += 1
+            if samp._accept_exact(int(t[i]), int(f_num[pending[r]]), c_den,
+                                  float(u[i]), exact_rng):
+                done[r] = True
+                if k > 1:
+                    first[r] = i
+        pick = t if k == 1 else t[first]
+        if not t_out.size:
+            t_out = pick
+        else:
+            if pick.dtype == object:
+                t_out = t_out.astype(object, copy=False)
+            t_out[pending] = pick
+        pending = pending[(~done).nonzero()[0]]
+    return t_out, top
+
+
+class TestRoundOrder:
+    """Rounds of one proposal a row draw their tail steps before deciding
+    anything, and decide window and tail proposals in one table lookup
+    where the table holds every tail offset: the same offsets, tail steps,
+    counts and generator states as deciding window proposals first."""
+
+    @staticmethod
+    def _compare(samp, f_num, c_den, seed):
+        got = []
+        for block in (samp._draw_block, partial(_window_first_draw_block, samp)):
+            rng, exact_rng = derive_np_rng(seed, "order"), derive_rng(seed, "order", "exact")
+            counts = SamplerCounts()
+            t, top = block(f_num, c_den, rng, exact_rng, counts)
+            got.append((t.dtype, t.tolist(), top, counts, repr(rng.bit_generator.state),
+                        exact_rng.getstate()))
+        assert got[0] == got[1]
+        return got[0]
+
+    @staticmethod
+    def _numerators(c_den, wide, size, seed):
+        half = c_den // 2
+        f_num = np.random.default_rng(seed).integers(-half, half + 1, size)
+        return f_num.astype(object) if wide else f_num
+
+    # c_den = 2713 at s^2 = 144 cuts the table to J = 2, so one-proposal
+    # rounds with a step past it take the window-first order; 2^17 and
+    # object numerators have no table; s^2 = 2^40 has no table at c_den > 1
+    @pytest.mark.parametrize("size", [1, 1023, 1024, 16384])
+    @pytest.mark.parametrize("c_den, wide", [(1, False), (5, False), (257, False),
+                                             (2713, False), (1 << 17, False), (5, True)])
+    @pytest.mark.parametrize("s_sq", [_FLOOR_SQ, Fraction(16, 9), Fraction(144),
+                                      Fraction(6400, 257), Fraction(1 << 40)])
+    def test_matches_window_first_rounds(self, s_sq, c_den, wide, size):
+        samp = _ZSampler(s_sq)
+        table = (c_den + 1) * samp.W <= dgauss._TABLE_CAP and not wide
+        assert (samp._table(self._numerators(c_den, wide, 1, 0), c_den) is not None) == table
+        t_dtype, _, top, counts, _, _ = self._compare(
+            samp, self._numerators(c_den, wide, size, size), c_den, size)
+        assert counts.proposals >= size and t_dtype == np.int64
+
+    @pytest.mark.parametrize("size", [1, 1024, 3000])
+    @pytest.mark.parametrize("s_sq, c_den", [(Fraction(9), 3), (Fraction(144), 2713),
+                                             (Fraction(1 << 60), 3)])
+    def test_matches_with_forced_fallbacks(self, s_sq, c_den, size, monkeypatch):
+        # wide float margins send window selections, accept/reject tests
+        # and (at s^2 = 2^60) tail remainders to exact arithmetic
+        monkeypatch.setattr(dgauss, "_REL_ERR", 0.3)
+        monkeypatch.setattr(dgauss, "_SELECT_MARGIN", 0.02)
+        _, _, _, counts, _, _ = self._compare(
+            _ZSampler(s_sq), self._numerators(c_den, False, size, size), c_den, size)
+        assert counts.fallbacks > 0
+
+    def test_tail_offsets_past_int64_match(self):
+        # every proposal of a one-proposal round is a tail proposal past
+        # int64 ("past" in the sampler pins), in both orders
+        s_sq = Fraction(17, 10) * (1 << 124)
+        samp = _ZSampler(s_sq)
+        j_min = (1 << 63) - samp.K + (1 << 59)
+        u_q = math.floor(math.exp(-samp.rate * j_min) * (1 << 53)) / (1 << 53)
+        got = []
+        for block in (samp._draw_block, partial(_window_first_draw_block, samp)):
+            rng = ScriptedUniforms(derive_np_rng(2, "past"), [1 - 2.0 ** -53, 0.0, None, u_q])
+            counts = SamplerCounts()
+            t, top = block(np.zeros(1024, dtype=np.int64), 1, rng, derive_rng(2, "past"),
+                           counts)
+            got.append((t.dtype, t.tolist(), top, counts, repr(rng._rng.bit_generator.state)))
+        assert got[0] == got[1] and got[0][0] == object and got[0][2] >= j_min
 
 
 def test_lazy_exact_stream_is_the_derived_stream():
