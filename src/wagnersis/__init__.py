@@ -19,24 +19,13 @@ from .errors import (
 from .zqlin import (
     SisInstance,
     Solution,
-    lambda1_inf_bruteforce,
     matvec_mod,
     permute_solution_back,
     random_instance,
     systematic_form,
 )
-from .dgauss import (
-    GaussParam,
-    empirical_similarity,
-    eta_qary_bound,
-    eta_zn_bound,
-    lambda1_inf_lower_bound,
-    min_entropy_bound,
-    pmf_bruteforce,
-    rho_bruteforce,
-    sample_zn_rows,
-    tail_bound_linf,
-)
+from .dgauss import GaussParam, sample_zn_rows
+from .oracles import empirical_similarity, pmf_bruteforce
 from .chain import StageDescriptor, build_chain
 from .wagner import (
     MODE_HEURISTIC,

@@ -241,10 +241,10 @@ def _cmd_selftest(args) -> int:
         if not ok:
             failures += 1
 
-    from .dgauss import empirical_similarity, enum_z, pmf_bruteforce
+    from .oracles import empirical_similarity, enum_z, pmf_bruteforce
     rng = derive_rng(args.seed, "selftest")
     param = GaussParam.make(s=2, c=0.3)
-    draws = sample_zn_rows(param, 1, 100_000, rng)[:, 0].tolist()
+    draws = sample_zn_rows(param, 1, 100_000, rng)
     pmf = pmf_bruteforce(enum_z(), param, radius=40)
     res = empirical_similarity(draws, pmf)
     check("sampler matches brute-force pmf (chi2 p >= 1e-4)", res.chi2_p >= 1e-4)

@@ -1,6 +1,5 @@
-"""Exact discrete Gaussian sampling over Z and Z^n, smoothing and tail-bound
-formula evaluators, and the brute-force / statistical oracles used by tests
-and parameter selection.
+"""Exact discrete Gaussian sampling over Z and Z^n, and its width checks;
+the brute-force and statistical oracles that test it live in ``oracles``.
 
 Sampler design.  The base sampler draws from D_{Z,s,c} (density
 proportional to exp(-pi (x-c)^2 / s^2)) as round(c) + D_{Z,s,f}, where the
@@ -64,11 +63,6 @@ draw is fixed by the order of the generator calls in each round, the order
 of the exact decisions and the formulas' floats; a round's arithmetic may
 change freely otherwise.  Widths are exact rationals s^2 (``s_sq``), so
 sqrt(2)^i * s0 is exact.
-
-Importing this module loads NumPy and the top-level ``scipy`` package only.
-SciPy's special functions (``scipy.special.chdtrc``, the kernel of
-``scipy.stats.chi2.sf``) load on the first ``empirical_similarity`` call,
-which only the statistical tests and ``selftest`` make.
 """
 
 from __future__ import annotations
@@ -77,20 +71,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-import scipy  # a declared dependency: fail here, not at the first statistical check
 
-from .errors import (
-    BudgetExceeded,
-    InsufficientSamples,
-    PreconditionViolated,
-    WidthTooSmall,
-)
+from .errors import BudgetExceeded, PreconditionViolated, WidthTooSmall
 from .rngutil import LazyRandom, derive_np_rng
-from .zqlin import (_INT64_SAFE, _MEM_BUDGET_BYTES, _syndromes, check_qary_preconditions,
-                    int_array, int_lincomb, residue)
+from .zqlin import _INT64_SAFE, _MEM_BUDGET_BYTES, int_array, int_lincomb
 
 # Rational enclosure of pi (60 digits), used by the exact Bernoulli fallback.
 _PI_LO = Fraction(
@@ -746,287 +733,7 @@ def sample_zn_rows(param: GaussParam, n: int, rows: int, rng) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Brute-force oracles
-# ---------------------------------------------------------------------------
-
-def _box(lo, hi) -> np.ndarray:
-    """Every integer point x with lo <= x <= hi (integer vectors), one per
-    int64 row, in row-major order: the last coordinate varies fastest."""
-    lo = np.asarray(lo, dtype=np.int64)
-    grid = np.indices(tuple(np.asarray(hi) - lo + 1), dtype=np.int64)
-    return np.ascontiguousarray(grid.reshape(len(lo), -1).T) + lo
-
-
-def enum_z() -> Callable:
-    """Enumerator for Z: points x with |x - c| <= R."""
-    return enum_coset_z(0)
-
-
-def enum_coset_z(offset) -> Callable:
-    """Enumerator for Z + offset."""
-    off = float(offset)
-
-    def points(R: float, c: Sequence[float]):
-        c0 = float(c[0])
-        return _box([math.floor(c0 - R - off)], [math.ceil(c0 + R - off)]) + off
-    return points
-
-
-def enum_scaled_zn(alpha, n: int) -> Callable:
-    """Enumerator for alpha * Z^n."""
-    a = float(alpha)
-
-    def points(R: float, c: Sequence[float]):
-        cs = [float(ci) for ci in (c[:n] if len(c) >= n else [c[0]] * n)]
-        return _box([math.floor((ci - R) / a) for ci in cs],
-                    [math.ceil((ci + R) / a) for ci in cs]) * a
-    return points
-
-
-def enum_qary(A, q: int) -> Callable:
-    """Enumerator for the kernel lattice {x in Z^m : A x = 0 mod q}."""
-    A = np.asarray(A, dtype=np.int64)
-    n, m = A.shape
-
-    def points(R: float, c: Sequence[float]):
-        cs = [float(ci) for ci in (c if len(c) == m else [c[0]] * m)]
-        pts = _box([math.floor(ci - R) for ci in cs], [math.ceil(ci + R) for ci in cs])
-        return pts[np.all(residue(pts @ A.T, q) == 0, axis=1)]
-    return points
-
-
-def _gauss_weights(enumerator, param: GaussParam, radius: float):
-    """The enumerated points within radius as an array, one point per row (an
-    enumerator may also return a sequence of tuples), and their weights
-    exp(-pi ||x-c||^2 / s^2)."""
-    c = [float(v) for v in param.c]
-    pts = np.asarray(enumerator(radius, c))
-    if len(pts) > 5_000_000:
-        raise BudgetExceeded(f"{len(pts)} points exceeds the oracle budget")
-    cs = np.asarray(c if pts.shape[1] == len(c) else c * pts.shape[1], dtype=float)
-    d2 = ((pts - cs) ** 2).sum(axis=1)
-    return pts, np.exp(-math.pi * d2 / float(param.s_sq))
-
-
-def rho_bruteforce(enumerator, param: GaussParam, radius: float = None):
-    """Sum of exp(-pi ||x-c||^2 / s^2) over enumerated points within radius
-    (default 12 s, far beyond double precision).
-
-    Returns (value, rel_tail_bound): the mass outside the radius is at most
-    value * rel_tail_bound / (1 - rel_tail_bound), with rel_tail_bound =
-    2 * dim * exp(-pi (radius/s)^2).
-    """
-    s_sq = float(param.s_sq)
-    if radius is None:
-        radius = 12.0 * math.sqrt(s_sq)
-    pts, w = _gauss_weights(enumerator, param, radius)
-    rel = 2.0 * pts.shape[1] * math.exp(-math.pi * radius * radius / s_sq)
-    return float(w.sum()), rel
-
-
-def pmf_bruteforce(enumerator, param: GaussParam, radius: float) -> Dict:
-    """Normalized pmf of D over the enumerated points (keys are point tuples,
-    scalars for one-dimensional enumerators).  Coverage of the true mass is
-    at least 1 - rel_tail_bound from ``rho_bruteforce``."""
-    pts, w = _gauss_weights(enumerator, param, radius)
-    w /= w.sum()
-    keys = pts.tolist()
-    if pts.dtype == float:
-        keys = [[int(v) if v.is_integer() else v for v in p] for p in keys]
-    keys = [p[0] for p in keys] if pts.shape[1] == 1 else map(tuple, keys)
-    return dict(zip(keys, w.tolist()))
-
-
-# ---------------------------------------------------------------------------
-# Formula evaluators
-# ---------------------------------------------------------------------------
-
 def check_epsilon(epsilon: float) -> None:
     """PreconditionViolated unless epsilon > 0 (NaN fails), before any ln(1/eps)."""
     if not epsilon > 0:
         raise PreconditionViolated("epsilon > 0")
-
-
-def eta_zn_bound(n: int, epsilon: float) -> float:
-    """Upper bound sqrt(ln(2n(1+1/eps))/pi) on the smoothing parameter of Z^n."""
-    check_epsilon(epsilon)
-    return math.sqrt(math.log(2 * n * (1 + 1 / epsilon)) / math.pi)
-
-
-def eta_qary_bound(n: int, m: int, q: int, epsilon: float) -> float:
-    """High-probability bound sqrt(72 ln(1/eps)/pi) * q^(n/m) on the smoothing
-    parameter of the kernel lattice of a random A in Z_q^{n x m}."""
-    check_qary_preconditions(n, m, q)
-    check_epsilon(epsilon)
-    if epsilon > 1 / (4 * m):
-        raise PreconditionViolated("epsilon <= 1/(4m)")
-    return math.sqrt(72.0 * math.log(1 / epsilon) / math.pi) * q ** (n / m)
-
-
-def lambda1_inf_lower_bound(n: int, m: int, q: int, *, check: bool = True) -> float:
-    """High-probability lower bound q^(1-n/m) 2^(-n/m) / 3 on lambda_1^infty
-    of Lambda_q(A) for random A.
-
-    ``check=False`` skips the validity preconditions and returns the bare
-    formula value (useful for spot checks in regimes where the bound is
-    below 1 and therefore vacuous)."""
-    if check:
-        check_qary_preconditions(n, m, q)
-    return q ** (1 - n / m) * 2 ** (-n / m) / 3
-
-
-def tail_bound_linf(n: int, R: float) -> float:
-    """Bound 2n exp(-pi R^2) on the Gaussian mass outside the R-infinity-ball
-    (relative to the full Gaussian mass, width 1; scale R by 1/s otherwise)."""
-    if R <= 0:
-        raise PreconditionViolated("R > 0")
-    return 2.0 * n * math.exp(-math.pi * R * R)
-
-
-def min_entropy_bound(n: int, epsilon: float) -> float:
-    """Bound (1+eps)/(1-eps) 2^-n on the most likely outcome of D_{L,s,c}
-    in dimension n, valid for s >= 2 eta_eps(L)."""
-    if not (0 <= epsilon < 1):
-        raise PreconditionViolated("0 <= epsilon < 1")
-    return (1 + epsilon) / (1 - epsilon) * 2.0 ** (-n)
-
-
-# ---------------------------------------------------------------------------
-# Empirical similarity estimation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SimilarityResult:
-    chi2_p: float
-    n_bins: int
-    bins: List[tuple]  # (key, observed, expected_prob, log_ratio, std_err)
-
-    def excess(self, z: float = 4.0) -> float:
-        """max over bins of |log ratio| - z * (per-bin standard error)."""
-        return max((abs(lr) - z * se for _, _, _, lr, se in self.bins), default=0.0)
-
-
-_MIN_SAMPLES = 10_000  # fewest samples ``empirical_similarity`` judges
-
-
-def empirical_similarity(samples: Sequence, pmf: Dict, *,
-                         min_expected: float = 25.0) -> SimilarityResult:
-    """Estimate the pointwise log-ratio between an empirical sample and an
-    exact pmf, plus a chi-square goodness-of-fit p-value.
-
-    Bins are pmf outcomes whose expected count is at least ``min_expected``;
-    everything else (including samples outside the pmf support) is pooled
-    into one tail cell for the chi-square statistic.
-    """
-    n = len(samples)
-    if n < _MIN_SAMPLES:
-        raise InsufficientSamples(f"{n} samples < {_MIN_SAMPLES}")
-    coverage = sum(pmf.values())
-    if coverage < 0.9999:
-        raise PreconditionViolated("oracle covers >= 99.99% of mass")
-    counts: Dict = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-    bins = []
-    chi_terms = []
-    tail_expected = (1.0 - coverage) * n
-    tail_observed = 0
-    for key, p in pmf.items():
-        exp_count = p * n
-        obs = counts.get(key, 0)
-        if exp_count >= min_expected:
-            log_ratio = math.log(obs / exp_count) if obs > 0 else -math.inf
-            se = math.sqrt(max(1e-300, (1.0 - p)) / (n * p))
-            bins.append((key, obs, p, log_ratio, se))
-            chi_terms.append((obs, exp_count))
-        else:
-            tail_expected += exp_count
-            tail_observed += obs
-    for key, obs in counts.items():
-        if key not in pmf:
-            tail_observed += obs
-    dof = len(chi_terms) - 1
-    stat = sum((o - e) ** 2 / e for o, e in chi_terms)
-    if tail_expected >= 5.0:
-        stat += (tail_observed - tail_expected) ** 2 / tail_expected
-        dof += 1
-    if dof >= 1:
-        from scipy.special import chdtrc  # the chi2.sf kernel, without scipy.stats
-        p_value = float(chdtrc(dof, stat))
-    else:
-        p_value = 1.0
-    return SimilarityResult(chi2_p=p_value, n_bins=len(bins), bins=bins)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force smoothing certification (tiny lattices only)
-# ---------------------------------------------------------------------------
-
-def _theta(t: float) -> float:
-    """sum over k in Z of exp(-pi t^2 k^2)."""
-    if t <= 0:
-        raise PreconditionViolated("t > 0")
-    acc = 1.0
-    k = 1
-    while True:
-        term = 2.0 * math.exp(-math.pi * t * t * k * k)
-        acc += term
-        if term < 1e-18:
-            return acc
-        k += 1
-
-
-def _bisect_eta(dual_rho_minus_one: Callable, epsilon: float, lo: float,
-                hi: float, steps: int) -> float:
-    """The upper end of a ``steps``-step bisection on [lo, hi] for the
-    smallest s with dual_rho_minus_one(s) <= epsilon (decreasing in s)."""
-    if dual_rho_minus_one(hi) > epsilon:
-        raise BudgetExceeded("eta above search bound")
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        if dual_rho_minus_one(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def eta_scaled_zn_bruteforce(alpha, n: int, epsilon: float) -> float:
-    """Certified upper bound on eta_eps(alpha Z^n) by bisection on the exact
-    dual series (dual lattice is (1/alpha) Z^n)."""
-    a = float(alpha)
-    return _bisect_eta(lambda s: _theta(s / a) ** n - 1.0, epsilon, 1e-9, 1e9, 200)
-
-
-def eta_qary_bruteforce(A, q: int, epsilon: float) -> float:
-    """Certified upper bound on eta_eps of the kernel lattice of A mod q.
-
-    The dual is (1/q) Lambda_q(A); its vectors are enumerated inside a box
-    whose residual tail is bounded by the infinity-norm tail lemma and folded
-    into the certificate."""
-    A = np.asarray(A, dtype=np.int64)
-    n, m = A.shape
-    if q ** n > 1 << 20:
-        raise BudgetExceeded("syndrome space too large for certification")
-    syn = _syndromes(q, n, 0, q ** n)
-    powers = q ** np.arange(m, dtype=np.int64)
-    residue_codes = np.unique(residue(syn @ A, q) @ powers)
-
-    def dual_rho_minus_one(s: float) -> float:
-        # rho_{1/s}((1/q) Lambda_q(A) \ 0) = sum exp(-pi s^2 ||v/q||^2)
-        R = max(2.0, math.sqrt(math.log(1e20) / math.pi) / (s / q))
-        R = min(R, 60.0 * q)
-        r = math.ceil(R)
-        if (2 * r + 1) ** m > 5_000_000:
-            raise BudgetExceeded("dual enumeration too large")
-        pts = _box([-r] * m, [r] * m)
-        pts = pts[np.isin(residue(pts, q) @ powers, residue_codes)]
-        d2 = (pts.astype(float) ** 2).sum(axis=1) / (q * q)
-        total = float(np.exp(-math.pi * s * s * d2).sum())
-        tail_rel = 2.0 * m * math.exp(-math.pi * (R / q * s) ** 2)
-        if tail_rel >= 0.5:
-            return math.inf
-        return total * (1 + 2 * tail_rel) - 1.0
-
-    return _bisect_eta(dual_rho_minus_one, epsilon, 1e-6, 1e6, 80)

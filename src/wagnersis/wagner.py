@@ -77,8 +77,6 @@ from .dgauss import (
     _width_floor_sq,
     check_epsilon,
     check_width,
-    eta_qary_bruteforce,
-    eta_scaled_zn_bruteforce,
 )
 from .errors import (
     BudgetExceeded,
@@ -88,6 +86,7 @@ from .errors import (
     NotInLattice,
     PreconditionViolated,
 )
+from .oracles import eta_qary_bruteforce, eta_scaled_zn_bruteforce
 from .rngutil import LazyRandom, derive_np_rng
 from .zqlin import (
     _INT64_SAFE,

@@ -1,5 +1,4 @@
-"""Exact linear algebra over Z_q, SIS instance modeling, and q-ary lattice
-brute-force oracles.
+"""Exact linear algebra over Z_q and SIS instance modeling.
 
 All arithmetic on matrix entries is exact: a product with a matrix runs in
 the first type of ``_EXACT_TIERS`` (float32, int64) that holds a proven
@@ -22,7 +21,6 @@ import numpy as np
 
 from .errors import (
     BadDimensions,
-    BudgetExceeded,
     DimensionMismatch,
     NonInvertiblePivot,
     PreconditionViolated,
@@ -34,7 +32,6 @@ _INT64_SAFE = 1 << 62
 _EXACT_TIERS = ((1 << 24, np.float32), (_INT64_SAFE, np.int64))
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_LAMBDA1_BUDGET = 1 << 22  # most syndromes ``lambda1_inf_bruteforce`` enumerates
 # largest int64 list a run or a sampler call allocates at the caller's request, in bytes
 _MEM_BUDGET_BYTES = 8 << 30
 
@@ -393,32 +390,3 @@ def permute_solution_back(perm, y):
     for t, orig in enumerate(perm):
         x[orig] = int(y[t])
     return tuple(x)
-
-
-def lambda1_inf_bruteforce(A, q: int) -> int:
-    """Exact lambda_1^infty of Lambda_q(A) = A^T Z^n + q Z^m by enumerating
-    all q^n - 1 nonzero syndromes.  Degenerate syndromes (A^T s = 0 mod q)
-    contribute only multiples of q, hence the value q for them."""
-    A = np.asarray(A)
-    n = A.shape[0]
-    if q ** n > _LAMBDA1_BUDGET:
-        raise BudgetExceeded(f"q^n = {q ** n} exceeds enumeration budget {_LAMBDA1_BUDGET}")
-    best = q  # q * e_1 is always in the lattice
-    Amat = A.astype(np.int64, copy=False)
-    total, chunk = q ** n, 1 << 14
-    for idx in range(1, total, chunk):  # skip s = 0
-        V = centered(_syndromes(q, n, idx, min(total, idx + chunk)) @ Amat, q)
-        norms = np.abs(V).max(axis=1)  # rows of V are A^T s transposed
-        best = int(norms.min(initial=best, where=norms > 0))
-    return best
-
-
-def _syndromes(q: int, n: int, start: int, stop: int) -> np.ndarray:
-    """The syndromes of Z_q^n numbered start .. stop-1, one per row, as int64
-    base-q digits, most significant first."""
-    S = np.empty((stop - start, n), dtype=np.int64)
-    rem = np.arange(start, stop, dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        S[:, j] = residue(rem, q)
-        rem //= q
-    return S

@@ -6,9 +6,10 @@ import pytest
 
 from helpers import gaussian_combine, make_systematic, parity_rows_ok, stage_rows_ok
 from wagnersis.chain import _gaussian_offsets, _lift_batch, build_chain
-from wagnersis.dgauss import GaussParam, empirical_similarity, pmf_bruteforce, sample_zn_rows
+from wagnersis.dgauss import GaussParam, sample_zn_rows
 from wagnersis.errors import BlockSumMismatch, WidthTooSmall
 from wagnersis.estimator import CostQuery, heuristic_schedule
+from wagnersis.oracles import empirical_similarity, pmf_bruteforce
 from wagnersis.rngutil import derive_np_rng, derive_rng
 from wagnersis.wagner import _pack_labels
 from wagnersis.zqlin import SisInstance, matvec_mod
@@ -120,11 +121,11 @@ class TestDGLift:
         tail = st.p * Y + st.q * K
         assert np.all(tail % 2 == 0) and np.all((tail // 2) % 2 == 1)
         labels = _pack_labels(K, st.p).tolist()
-        pmf_k = pmf_bruteforce(
+        ks, p_k = pmf_bruteforce(
             lambda R, c: [(float(k),) for k in range(-60, 61)],
             GaussParam.make(s_sq=Fraction(s) ** 2 * Fraction(1, 4), c=Fraction(-1, 2)),
             radius=60)
-        p_even = sum(p for k, p in pmf_k.items() if int(k) % 2 == 0)
+        p_even = float(p_k[ks[:, 0] % 2 == 0].sum())
         frac_even = labels.count(0) / len(labels)
         se = math.sqrt(p_even * (1 - p_even) / len(labels))
         assert abs(frac_even - p_even) < 4 * se
@@ -188,7 +189,7 @@ class TestDGLiftDistribution:
         Y = _lift_batch(st, X)
         K, _ = _gaussian_offsets(st, Y, Fraction(s) ** 2, ("stage", st.index),
                                  rng.getrandbits(63))
-        samples = list(zip(*np.hstack([X, p * Y + q * K]).T.tolist()))
+        samples = np.hstack([X, p * Y + q * K])
 
         # Enumerate the superlattice box of half-width 6s: points
         # (z, -A'z + (q/p) k), scaled tails p (-A'z) + q k.
@@ -209,9 +210,7 @@ class TestDGLiftDistribution:
         pts = np.hstack([Z[rows], p * base[rows] + q * k])
         w = np.exp(-math.pi * ((pts[:, :2] ** 2).sum(axis=1)
                                + ((pts[:, 2:] / p) ** 2).sum(axis=1)) / (s * s))
-        w /= w.sum()
-        pmf = dict(zip(zip(*pts.T.tolist()), w.tolist()))
-        res = empirical_similarity(samples, pmf)
+        res = empirical_similarity(samples, (pts, w / w.sum()))
         # DGLift adds at most 3 eps with eps the exact dual mass of the scaled
         # block lattice at this width: eps = theta(s p / q)^b - 1.
         theta = 1.0 + 2.0 * sum(math.exp(-math.pi * (s * p / q) ** 2 * k * k)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import partial
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from helpers import ScriptedUniforms, run_fresh
-from wagnersis import dgauss
+from wagnersis import dgauss, oracles
 from wagnersis.dgauss import (
     GaussParam,
     SamplerCounts,
@@ -24,23 +25,27 @@ from wagnersis.dgauss import (
     _split_centers,
     _width_floor_sq,
     _ZSampler,
+    sample_zn_rows,
+)
+from wagnersis.errors import (BudgetExceeded, InsufficientSamples, PreconditionViolated,
+                              WidthTooSmall)
+from wagnersis.oracles import (
     empirical_similarity,
     enum_coset_z,
     enum_qary,
     enum_scaled_zn,
     enum_z,
     eta_qary_bound,
+    eta_qary_bruteforce,
     eta_scaled_zn_bruteforce,
     eta_zn_bound,
+    lambda1_inf_bruteforce,
     lambda1_inf_lower_bound,
     min_entropy_bound,
     pmf_bruteforce,
     rho_bruteforce,
-    sample_zn_rows,
     tail_bound_linf,
 )
-from wagnersis.errors import (BudgetExceeded, InsufficientSamples, PreconditionViolated,
-                              WidthTooSmall)
 from wagnersis.rngutil import LazyRandom, derive_np_rng, derive_rng
 from wagnersis.wagner import choose_provable_params
 from wagnersis.zqlin import _INT64_SAFE, int_array
@@ -73,14 +78,15 @@ class TestSampleZ:
 
     def test_weight_ratio_zero_one(self):
         # Pr[0]/Pr[1] for D_{Z,2} equals e^{pi/4} by definition of the weights.
-        pmf = pmf_bruteforce(enum_z(), GaussParam.make(s=2, c=0), radius=60)
-        assert pmf[0] / pmf[1] == pytest.approx(math.exp(math.pi / 4), rel=1e-12)
+        points, probs = pmf_bruteforce(enum_z(), GaussParam.make(s=2, c=0), radius=60)
+        p0, p1 = (probs[points[:, 0] == k][0] for k in (0, 1))
+        assert p0 / p1 == pytest.approx(math.exp(math.pi / 4), rel=1e-12)
 
     def test_pmf_agreement(self):
         param = GaussParam.make(s=2, c=0.3)
         rng = derive_rng(42, "pmf")
         n = 150_000
-        draws = sample_zn_rows(param, 1, n, rng)[:, 0].tolist()
+        draws = sample_zn_rows(param, 1, n, rng)
         pmf = pmf_bruteforce(enum_z(), param, radius=40)
         res = empirical_similarity(draws, pmf)
         assert res.chi2_p >= 1e-3
@@ -461,7 +467,7 @@ class TestArraySampler:
         radius = 12 * math.sqrt(float(s_sq)) + 2
         for g, f in enumerate((Fraction(1, 3), Fraction(-2, 5), Fraction(1, 2))):
             pmf = pmf_bruteforce(enum_z(), GaussParam(s_sq=s_sq, c=(f,)), radius)
-            res = empirical_similarity((draws - ks)[g::3].tolist(), pmf)
+            res = empirical_similarity((draws - ks)[g::3], pmf)
             assert res.chi2_p >= 1e-3
             assert res.excess(4.5) <= 0.0
 
@@ -498,7 +504,7 @@ class TestArraySampler:
                                     derive_np_rng(4, "wide"), derive_rng(4, "wide"))
         assert counts.fallbacks > 2_000
         pmf = pmf_bruteforce(enum_z(), GaussParam(s_sq=s_sq, c=(c,)), radius=40)
-        res = empirical_similarity(out.tolist(), pmf)
+        res = empirical_similarity(out, pmf)
         assert res.chi2_p >= 1e-3
         assert res.excess(4.5) <= 0.0
 
@@ -508,8 +514,8 @@ class TestArraySampler:
         g = math.exp(-samp.rate)
         steps = samp._tail_steps(200_000, derive_np_rng(3, "tail"), derive_rng(3, "tail"),
                                  SamplerCounts())
-        pmf = {j: (1 - g) * g ** (j - 1) for j in range(1, 100)}
-        res = empirical_similarity(steps.tolist(), pmf)
+        j = np.arange(1, 100)
+        res = empirical_similarity(steps, (j, (1 - g) * g ** (j - 1)))
         assert res.chi2_p >= 1e-3
         assert res.excess(4.5) <= 0.0
 
@@ -525,8 +531,8 @@ class TestArraySampler:
         edges = np.ceil(np.arange(121) * 0.1 / samp.rate).astype(np.int64)
         bins = np.searchsorted(edges, steps.astype(np.int64) - 1, side="right") - 1
         mass = np.exp(-samp.rate * edges.astype(float))
-        pmf = dict(enumerate((mass[:-1] - mass[1:]).tolist() + [float(mass[-1])]))
-        res = empirical_similarity(bins.tolist(), pmf)
+        pmf = (np.arange(121), np.append(mass[:-1] - mass[1:], mass[-1]))
+        res = empirical_similarity(bins, pmf)
         assert res.chi2_p >= 1e-3
         assert res.excess(4.5) <= 0.0
 
@@ -543,8 +549,8 @@ class TestArraySampler:
         edges = np.arange(-12 * 8, 12 * 8 + 1)
         cdf = [0.5 * math.erf(math.sqrt(math.pi) * (b * width - 0.5 - 1 / 3) / s)
                for b in edges.tolist()]
-        pmf = {int(b): hi - lo for b, lo, hi in zip(edges[:-1], cdf[:-1], cdf[1:])}
-        res = empirical_similarity((out // width).tolist(), pmf)
+        pmf = (edges[:-1], np.diff(cdf))
+        res = empirical_similarity(out // width, pmf)
         assert res.chi2_p >= 1e-3
         assert res.excess(4.5) <= 0.0
 
@@ -798,10 +804,10 @@ class TestSampleZn:
 
     def test_moments_against_pmf_oracle(self):
         param = GaussParam.make(s=3, c=0)
-        pmf = pmf_bruteforce(enum_z(), param, radius=45)
-        mean = sum(k * p for k, p in pmf.items())
-        var = sum((k - mean) ** 2 * p for k, p in pmf.items())
-        m4 = sum((k - mean) ** 4 * p for k, p in pmf.items())
+        k, p = pmf_bruteforce(enum_z(), param, radius=45)
+        mean = k[:, 0] @ p
+        var = (k[:, 0] - mean) ** 2 @ p
+        m4 = (k[:, 0] - mean) ** 4 @ p
         rng = derive_rng(11, "mom")
         n = 60_000
         draws = sample_zn_rows(param, 2, n, rng)
@@ -816,11 +822,8 @@ class TestSampleZn:
         param = GaussParam.make(s=4, c=(5.5, -2.25))
         pmf_a = pmf_bruteforce(enum_z(), GaussParam.make(s=4, c=5.5), radius=60)
         pmf_b = pmf_bruteforce(enum_z(), GaussParam.make(s=4, c=-2.25), radius=60)
-        means = (sum(k * p for k, p in pmf_a.items()),
-                 sum(k * p for k, p in pmf_b.items()))
-        sds = []
-        for pmf, mu in zip((pmf_a, pmf_b), means):
-            sds.append(math.sqrt(sum((k - mu) ** 2 * p for k, p in pmf.items())))
+        means = [k[:, 0] @ p for k, p in (pmf_a, pmf_b)]
+        sds = [math.sqrt((k[:, 0] - mu) ** 2 @ p) for (k, p), mu in zip((pmf_a, pmf_b), means)]
         rng = derive_rng(13)
         n = 50_000
         draws = sample_zn_rows(param, 2, n, rng)
@@ -898,6 +901,73 @@ class TestEnumerators:
         assert self._rows(pts) == [
             x for x in self._product(lo, hi)
             if all(sum(ai * xi for ai, xi in zip(row, x)) % q == 0 for row in A)]
+
+    def test_slices_walk_the_same_rows(self, monkeypatch):
+        # a box walked five rows at a time keeps the rows, in the same order,
+        # that one slice keeps
+        A, c = np.array([[1, 2, 1], [0, 1, 3]]), [0.3, -1.2, 2.0]
+        whole = enum_qary(A, 5)(3.5, c)
+        monkeypatch.setattr(oracles, "_SLICE_ROWS", 5)
+        assert np.array_equal(enum_qary(A, 5)(3.5, c), whole)
+        assert np.array_equal(enum_z()(3.5, c), np.arange(-4.0, 5.0)[:, None])
+
+    def test_kept_points_budget_stops_the_walk_at_its_slice(self, monkeypatch):
+        # 243 of the box's 729 rows lie in the kernel; with a budget of 40
+        # kept points the walk stops at the slice that passes it
+        A = np.array([[1, 2, 1, 0, 0, 0]])
+        assert len(enum_qary(A, 3)(1, [0.0] * 6)) == 243
+        monkeypatch.setattr(oracles, "_SLICE_ROWS", 100)
+        monkeypatch.setattr(oracles, "_POINTS_BUDGET", 40)
+        kept, walk = [], oracles._walk
+
+        def spy(*args):
+            for rows in walk(*args):
+                kept.append(len(rows))
+                yield rows
+
+        monkeypatch.setattr(oracles, "_walk", spy)
+        with pytest.raises(BudgetExceeded, match="kept points"):
+            enum_qary(A, 3)(1, [0.0] * 6)
+        assert sum(kept[:-1]) <= 40 < sum(kept) and len(kept) < 8
+
+    @pytest.mark.parametrize("call", [
+        lambda: enum_qary(np.array([[1, 2, 1, 0], [2, 1, 0, 1]]), 3)(80, [0.0] * 4),
+        lambda: lambda1_inf_bruteforce(np.ones((4, 6), dtype=np.int64), 257),
+        lambda: enum_z()(1e7, [0.0]),
+        lambda: enum_scaled_zn(1, 3)(100, [0.0] * 3),
+        lambda: eta_qary_bruteforce(np.ones((3, 6), dtype=np.int64), 257, 0.01),
+        lambda: eta_qary_bruteforce(np.ones((1, 9), dtype=np.int64), 139, 0.01),
+    ], ids=["qary-rows", "lambda1-rows", "z-points", "scaled-points", "eta-syndromes",
+            "eta-codes"])
+    def test_boxes_past_a_budget_are_refused_at_once(self, call):
+        # each budget is checked before the rows it limits are made: boxes
+        # of 161^4 and 257^4 rows pass the rows budget, and unfiltered boxes
+        # of 2e7 + 1, 201^3 and 257^3 rows (each under it) the points budget.
+        # The dual box's residue codes need q^m <= 2^63 (139^9 is past it).
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.slow
+    def test_two_row_kernel_box_at_radius_36(self):
+        # [[1,2,1,0],[2,1,0,1]] mod 3 at radius 36: 73^4 = 28.4M box rows,
+        # walked in slices, of which 3,156,577 lie in the kernel.  The peak
+        # is the kept slices and their concatenation (2 x 101 MB) plus one
+        # slice's transients: within 2 x the result + 16 MiB.
+        tracemalloc.start()
+        try:
+            pts = enum_qary(np.array([[1, 2, 1, 0], [2, 1, 0, 1]]), 3)(36, [0.0] * 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pts.shape == (3_156_577, 4)
+        assert not np.any((pts[:, 0] + 2 * pts[:, 1] + pts[:, 2]) % 3)
+        assert peak < 2 * pts.nbytes + (16 << 20)
 
 
 class TestFormulas:
@@ -977,25 +1047,25 @@ class TestFormulas:
     def test_min_entropy_brute_check(self):
         eps = 0.05
         s = 2 * eta_zn_bound(2, eps)
-        pmf = pmf_bruteforce(enum_scaled_zn(1, 2), GaussParam.make(s=s, c=(0.3, 0.7)),
-                             radius=12 * s)
-        assert max(pmf.values()) <= min_entropy_bound(2, eps)
+        _, probs = pmf_bruteforce(enum_scaled_zn(1, 2), GaussParam.make(s=s, c=(0.3, 0.7)),
+                                  radius=12 * s)
+        assert probs.max() <= min_entropy_bound(2, eps)
 
 
 class TestEmpiricalSimilarity:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
-            empirical_similarity([0] * 100, {0: 1.0})
+            empirical_similarity([0] * 100, ([0], [1.0]))
 
     def test_coverage_precondition(self):
         with pytest.raises(PreconditionViolated):
-            empirical_similarity([0] * 20_000, {0: 0.5})
+            empirical_similarity([0] * 20_000, ([0], [0.5]))
 
     def test_null_hypothesis_sane(self):
         param = GaussParam.make(s=3, c=0)
         pmf = pmf_bruteforce(enum_z(), param, radius=45)
         rng = derive_rng(23, "null")
-        draws = sample_zn_rows(param, 1, 50_000, rng)[:, 0].tolist()
+        draws = sample_zn_rows(param, 1, 50_000, rng)
         res = empirical_similarity(draws, pmf)
         assert res.chi2_p >= 1e-3
         assert res.n_bins >= 5
@@ -1004,10 +1074,40 @@ class TestEmpiricalSimilarity:
         wide = GaussParam.make(s=3 * math.sqrt(2), c=0)
         narrow_pmf = pmf_bruteforce(enum_z(), GaussParam.make(s=3, c=0), radius=60)
         rng = derive_rng(29, "power")
-        draws = sample_zn_rows(wide, 1, 100_000, rng)[:, 0].tolist()
-        draws = [d for d in draws if d in narrow_pmf]
+        draws = sample_zn_rows(wide, 1, 100_000, rng)[:, 0]
+        draws = draws[np.isin(draws, narrow_pmf[0])]
         res = empirical_similarity(draws, narrow_pmf)
         assert res.chi2_p < 1e-6
+
+    @pytest.mark.parametrize("points, outside", [
+        ([[0], [1], [2], [4]], [[3], [9]]),
+        ([[0, 0, 0], [1, -1, 2], [-2, 3, 1], [4, 0, -1]], [[0, 0, 1], [0, -1, 4]]),
+    ], ids=["one-coordinate", "three-coordinates"])
+    def test_tail_cell_pools_unbinned_points_and_outside_samples(self, points, outside,
+                                                                  monkeypatch):
+        # 10,000 samples against probs (0.5, 0.3, 0.198, 0.002): the last point
+        # (expected count 20 < 25) and 30 samples off the points (15 inside
+        # their bounding box, 15 outside it) share the tail cell, observed
+        # 10 + 30 = 40 against 20 expected.  chi2 = 60^2/5000 + 20^2/3000 +
+        # 20^2/1980 + 20^2/20 on 3 + 1 - 1 = 3 dof.  Packed over the points'
+        # bounding box, (0, -1, 4) would take the key of (0, 0, 0).
+        calls, chdtrc = [], scipy.special.chdtrc
+
+        def spy(dof, stat):
+            calls.append((dof, stat))
+            return chdtrc(dof, stat)
+
+        monkeypatch.setattr(scipy.special, "chdtrc", spy)
+        counts = [4940, 3020, 2000, 10, 15, 15]
+        rows = np.repeat(np.array(points + outside), counts, axis=0)
+        rows = np.random.default_rng(0).permutation(rows)
+        res = empirical_similarity(rows, (np.array(points), [0.5, 0.3, 0.198, 0.002]))
+        [(dof, stat)] = calls
+        assert dof == 3
+        assert stat == pytest.approx(0.72 + 400 / 3000 + 400 / 1980 + 20, rel=1e-12)
+        assert res.chi2_p == float(chi2.sf(stat, 3)) and res.n_bins == 3
+        assert res.bins[0].tolist() == points[:3] and res.bins[1].tolist() == [4940, 3020, 2000]
+        assert res.bins[3] == pytest.approx(np.log([0.988, 3020 / 3000, 2000 / 1980]), rel=1e-12)
 
     def test_convolution_of_cosets(self):
         # X ~ D_{Z+1/2, s}, Y ~ D_{Z, s}; X - Y against D_{Z+1/2, sqrt(2) s}.
@@ -1019,7 +1119,7 @@ class TestEmpiricalSimilarity:
         n = 200_000
         x = sample_zn_rows(param_x, 1, n, rng)[:, 0] + float(half)
         y = sample_zn_rows(param_y, 1, n, rng)[:, 0]
-        diffs = (x - y).tolist()
+        diffs = x - y
         pmf = pmf_bruteforce(enum_coset_z(half),
                              GaussParam.make(s_sq=Fraction(2) * Fraction(s) ** 2, c=0),
                              radius=60)
@@ -1056,7 +1156,7 @@ class TestChiSquarePValue:
         monkeypatch.setattr(scipy.special, "chdtrc", spy)
         param = GaussParam.make(s=3, c=0.25)
         pmf = pmf_bruteforce(enum_z(), param, radius=45)
-        draws = sample_zn_rows(param, 1, 20_000, derive_rng(37, "pvalue"))[:, 0].tolist()
+        draws = sample_zn_rows(param, 1, 20_000, derive_rng(37, "pvalue"))
         res = empirical_similarity(draws, pmf)
         [(dof, stat)] = calls
         assert dof >= 5 and stat > 0
@@ -1064,14 +1164,14 @@ class TestChiSquarePValue:
 
     def test_two_dof_closed_form(self):
         # expected counts 5000, 2500, 2500; chi2 = 2 + 1 + 1 on 2 dof
-        pmf = {0: 0.5, 1: 0.25, 2: 0.25}
+        pmf = ([0, 1, 2], [0.5, 0.25, 0.25])
         res = empirical_similarity([0] * 5100 + [1] * 2450 + [2] * 2450, pmf)
         assert abs(res.chi2_p / math.exp(-2.0) - 1) <= 1e-13
         x = np.linspace(0, 200, 801)
         assert np.all(np.abs(scipy.special.chdtrc(2, x) / np.exp(-x / 2) - 1) <= 1e-13)
 
     def test_zero_statistic_gives_one(self):
-        res = empirical_similarity([0, 1, 2, 3] * 2500, {k: 0.25 for k in range(4)})
+        res = empirical_similarity([0, 1, 2, 3] * 2500, (range(4), [0.25] * 4))
         assert res.chi2_p == 1.0
 
     def test_import_defers_scipy_special(self):
@@ -1079,8 +1179,8 @@ class TestChiSquarePValue:
             "import sys\n"
             "import wagnersis, wagnersis.cli\n"
             "print(*(m in sys.modules for m in ('scipy', 'scipy.stats', 'scipy.special')))\n"
-            "from wagnersis.dgauss import empirical_similarity\n"
-            "res = empirical_similarity([0, 1] * 5000, {0: 0.5, 1: 0.5})\n"
+            "from wagnersis.oracles import empirical_similarity\n"
+            "res = empirical_similarity([0, 1] * 5000, ([0, 1], [0.5, 0.5]))\n"
             "print(res.chi2_p, 'scipy.special' in sys.modules)\n")
         assert out.split("\n") == ["True False False", "1.0 True", ""]
 
@@ -1100,6 +1200,5 @@ class TestEtaBruteforce:
 
     def test_qary_enumeration(self):
         A = np.array([[1, 2, 1]])
-        eta = __import__("wagnersis.dgauss", fromlist=["eta_qary_bruteforce"]) \
-            .eta_qary_bruteforce(A, 3, 2.0**-12)
+        eta = eta_qary_bruteforce(A, 3, 2.0**-12)
         assert 1.0 < eta < 6.0

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from helpers import ScriptedUniforms
-from wagnersis import dgauss, estimator, wagner, zqlin
+from wagnersis import dgauss, estimator, oracles, wagner, zqlin
 from wagnersis.errors import WagnerSisError
 from wagnersis.rngutil import derive_np_rng, derive_rng
 
@@ -45,24 +45,34 @@ def _pin_lines():
             query = estimator.CostQuery(*estimator.PRESETS[name], variant=variant)
             lines.append(json.dumps(estimator.estimate(query).as_dict(), sort_keys=True))
     A = np.array([[1, 2, 1]])
-    for enum, param in ((dgauss.enum_z(), dgauss.GaussParam.make(s=2, c=0.3)),
-                        (dgauss.enum_coset_z(0.5), dgauss.GaussParam.make(s=3, c=0)),
-                        (dgauss.enum_scaled_zn(1.5, 2),
+    for enum, param in ((oracles.enum_z(), dgauss.GaussParam.make(s=2, c=0.3)),
+                        (oracles.enum_coset_z(0.5), dgauss.GaussParam.make(s=3, c=0)),
+                        (oracles.enum_scaled_zn(1.5, 2),
                          dgauss.GaussParam.make(s=2, c=(0.3, 0.7))),
-                        (dgauss.enum_qary(A, 3), dgauss.GaussParam.make(s=2, c=0))):
-        lines.append(repr(dgauss.rho_bruteforce(enum, param, 12.0)))
-        lines.append(repr(sorted(dgauss.pmf_bruteforce(enum, param, 12.0).items())))
-    lines.append(repr(dgauss.rho_bruteforce(dgauss.enum_z(),
-                                            dgauss.GaussParam.make(s=1.5, c=-0.25))))
+                        (oracles.enum_qary(A, 3), dgauss.GaussParam.make(s=2, c=0))):
+        lines.append(repr(oracles.rho_bruteforce(enum, param, 12.0)))
+        lines.append(repr(_pmf_items(oracles.pmf_bruteforce(enum, param, 12.0))))
+    lines.append(repr(oracles.rho_bruteforce(oracles.enum_z(),
+                                             dgauss.GaussParam.make(s=1.5, c=-0.25))))
     lines.append(repr([
-        dgauss.eta_scaled_zn_bruteforce(1.0, 3, 2.0 ** -10),
-        dgauss.eta_scaled_zn_bruteforce(Fraction(5, 2), 2, 2.0 ** -8),
-        dgauss.eta_qary_bruteforce(A, 3, 2.0 ** -12),
-        dgauss.eta_qary_bruteforce(np.array([[1, 3, 4], [0, 1, 2]]), 5, 2.0 ** -8),
-        zqlin.lambda1_inf_bruteforce(np.array([[1, 3, 4, 2, 7], [0, 1, 2, 5, 9]]), 11),
-        zqlin.lambda1_inf_bruteforce(np.array([[1, 1]]), 5),
+        oracles.eta_scaled_zn_bruteforce(1.0, 3, 2.0 ** -10),
+        oracles.eta_scaled_zn_bruteforce(Fraction(5, 2), 2, 2.0 ** -8),
+        oracles.eta_qary_bruteforce(A, 3, 2.0 ** -12),
+        oracles.eta_qary_bruteforce(np.array([[1, 3, 4], [0, 1, 2]]), 5, 2.0 ** -8),
+        oracles.lambda1_inf_bruteforce(np.array([[1, 3, 4, 2, 7], [0, 1, 2, 5, 9]]), 11),
+        oracles.lambda1_inf_bruteforce(np.array([[1, 1]]), 5),
     ]))
     return lines
+
+
+def _pmf_items(pmf):
+    """The sorted (key, prob) pairs of a (points, probs) pmf, each point keyed
+    as the pinned dict form keyed it: integral floats as ints, one
+    coordinate as a scalar, several as a tuple."""
+    points, probs = pmf
+    keys = [tuple(int(v) if isinstance(v, float) and v.is_integer() else v for v in row)
+            for row in points.tolist()]
+    return sorted(zip([k[0] if len(k) == 1 else k for k in keys], probs.tolist()))
 
 
 def test_outputs_match_pin():

@@ -16,6 +16,7 @@ from wagnersis.errors import (
     NonInvertiblePivot,
     RankDeficient,
 )
+from wagnersis.oracles import lambda1_inf_bruteforce, lambda1_inf_lower_bound
 from wagnersis.rngutil import derive_instance_rng
 from wagnersis.zqlin import (
     _INT64_SAFE,
@@ -24,7 +25,6 @@ from wagnersis.zqlin import (
     centered,
     int_lincomb,
     int_matmul,
-    lambda1_inf_bruteforce,
     matvec_mod,
     permute_solution_back,
     random_instance,
@@ -269,8 +269,6 @@ class TestLambda1Bruteforce:
 
     def test_lower_bound_lemma_fraction(self):
         # Nontrivial regime: the bound exceeds 1 so violations are possible.
-        from wagnersis.dgauss import lambda1_inf_lower_bound
-
         n, m, q, trials = 2, 8, 17, 200
         bound = lambda1_inf_lower_bound(n, m, q)
         assert bound > 1
