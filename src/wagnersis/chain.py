@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,10 +42,6 @@ class StageDescriptor:
     @property
     def kappa(self) -> int:
         return self.kappa_prev + self.b
-
-    @property
-    def dim_in(self) -> int:
-        return self.m_minus_n + self.kappa_prev
 
     def lift_bound(self, x_bound: int) -> int:
         """A bound on |y| for y = -(A'_new @ x_top), and on each partial sum
@@ -87,13 +83,10 @@ def build_chain(inst: SisInstance, block_sizes: Sequence[int],
     return stages
 
 
-def _lift_batch(stage: StageDescriptor, X: np.ndarray,
-                x_bound: Optional[int] = None) -> np.ndarray:
+def _lift_batch(stage: StageDescriptor, X: np.ndarray, x_bound: int) -> np.ndarray:
     """y_last = -(A'_new @ x_top) for every row of X, exact integers, under
-    ``stage.lift_bound(x_bound)`` for a caller's bound on |x| (the data's
-    own bound when None)."""
-    bound = None if x_bound is None else stage.lift_bound(x_bound)
-    return int_matmul(X[:, : stage.m_minus_n], -stage.a_new, bound)
+    ``stage.lift_bound(x_bound)`` for a caller's bound on |x|."""
+    return int_matmul(X[:, : stage.m_minus_n], -stage.a_new, stage.lift_bound(x_bound))
 
 
 @lru_cache(maxsize=256)
@@ -106,16 +99,16 @@ def _offset_width_sq(index: int, p: int, q: int, b: int, s_sq: Fraction) -> Frac
 
 
 def _gaussian_offsets(stage: StageDescriptor, Y: np.ndarray, width_sq: Fraction,
-                      seed_path: tuple, seed, y_bound: Optional[int] = None):
-    """Sample k ~ D_{Z^b, (p/q) s, -(p/q) y} rowwise via the array sampler;
-    returns the offsets, int64 when every one fits and Python integers
-    otherwise, and the sampler's counts.  With ``y_bound``, a caller's bound
-    on |y|, the center numerators -p y are bounded by p y_bound, and a proven
-    bound on |k| (``_draw_z_array``'s) comes back as a third value."""
+                      seed_path: tuple, seed, y_bound: int):
+    """Sample k ~ D_{Z^b, (p/q) s, -(p/q) y} rowwise via the array sampler,
+    for a caller's bound ``y_bound`` on |y|; returns the offsets, int64 when
+    every one fits and Python integers otherwise, the sampler's counts and
+    a proven bound on |k| (``_draw_z_array``'s, for center numerators -p y
+    bounded by p max(1, y_bound))."""
     p, q = stage.p, stage.q
     scaled = _offset_width_sq(stage.index, p, q, stage.b, width_sq)
-    c_bound = None if y_bound is None else p * max(1, y_bound)
+    c_bound = p * max(1, y_bound)
     c_num = int_lincomb([(-p, Y)], c_bound)  # center numerators -p y
-    K, counts, *k_bound = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
-                                        LazyRandom(seed, *seed_path, "exact"), c_bound)
-    return (K if K.dtype == np.int64 else int_array(K), counts, *k_bound)
+    K, counts, k_bound = _draw_z_array(scaled, c_num, q, derive_np_rng(seed, *seed_path),
+                                       LazyRandom(seed, *seed_path, "exact"), c_bound)
+    return (K if K.dtype == np.int64 else int_array(K)), counts, k_bound

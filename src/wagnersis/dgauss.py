@@ -26,37 +26,13 @@ int64 (the window 2K + 1 must stay below 2^63); tail offsets and draws not
 proven to fit in int64 come back as Python integers.
 
 One entry point runs this sampler: ``_draw_z_array`` draws one value per
-entry of an array of centers, in blocks and NumPy rounds; the initial lists,
-the stage offsets and ``sample_zn_rows`` call it.  A round gives every
-pending entry k = min(ceil(1024 / pending), k_s) i.i.d. proposals (k_s about
-3 / acceptance), and the entry keeps its first accepted one in proposal
-order: the law of a sequential rejection loop.  A round draws the selection
-uniforms, window offsets and acceptance uniforms, and settles which
-proposals are tail proposals.  With one proposal a row it then draws a side
-bit and a step for every tail proposal and decides window and tail
-proposals together: in one table lookup when the threshold table holds
-every tail offset, window first otherwise.  With several proposals a row it
-decides the window proposals first and draws a side and a step only for
-each tail proposal ahead of its row's first window accept.  Both orders
-make the same generator calls, in the same order, and take the same exact
-decisions in proposal order.  Thresholds p -+ (_REL_ERR p + _ABS_ERR), p
-the acceptance exp(-pi (t - f)^2 / s^2) in the window and exp(-pi b) at a
-tail step, come from one ``_threshold_table`` per sampler and c_den: the
-formulas' own floats for every offset |t| <= K + J, with J the least step
-count with g^J <= 2^-30, cut to keep the table within _TABLE_CAP = 2^16
-entries (J = 0 when the window alone fills it).  The formulas give the same
-floats to a tail round with a step past J or Python-int steps, and to every
-proposal of object numerators or of a c_den whose window passes the cap.
-A tail round takes one max of its steps, for both the int64 bound of its
-offsets -+(K + j) and the J check, then decides its proposals with one
-index add and two gathers, inside the window lookup where the round has
-one proposal a row and the table holds every tail offset; the block
-returns the largest, so a caller that
-bounds its centers gets a proven bound on x0 + t.  A round ends in one
-scatter of every pending entry's pick.  Integer centers (c_den = 1, the
-whole initial list) skip the center arithmetic: no row indices, table index
-t + K + J, and e = 3/5 on the formula path; one broadcast center 0 (the
-initial list) also skips the center split and the sum x0 + t.  Undecided comparisons go to
+entry of an array of centers, in blocks of NumPy rounds whose order
+``_draw_block`` gives; the initial lists, the stage offsets and
+``sample_zn_rows`` call it.  A proposal's float thresholds p -+ (_REL_ERR p
++ _ABS_ERR), p the acceptance exp(-pi (t - f)^2 / s^2) in the window and
+exp(-pi b) at a tail step, come from one ``_threshold_table`` per sampler
+and c_den or from the formulas ``_window_p`` and ``_tail_p``, which give
+the same floats (``_proposal_thresholds``).  Undecided comparisons go to
 ``_select_window_exact``, ``_geometric_exact`` and ``_decide_exact``, which
 share one interval refinement loop, ``_decide``.  Stream contract: a seeded
 draw is fixed by the order of the generator calls in each round, the order
@@ -71,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -370,13 +346,15 @@ class _ZSampler:
 
     def _proposal_thresholds(self, f_num, c_den: int):
         """``_thresholds`` of the proposals of the entries f = f_num / c_den,
-        as (window, tail): window(rows, t) for offsets t of the entries rows,
-        |t| <= K; tail(rows, neg, steps, t, top) for their tail offsets t =
-        +-(K + j) (negative where neg is set) at steps j, of largest value
-        top.  For int64 f_num within _TABLE_CAP both read
-        ``_threshold_table``, tail proposals while top <= its J; otherwise the
-        formulas ``_window_p`` and ``_tail_p`` give the same floats.  Integer
-        centers (c_den = 1, f = 0) read no entry: rows may be None."""
+        as (window, tail, reach): window(rows, t) for offsets t of the
+        entries rows, |t| <= K; tail(rows, neg, steps, t, top) for their tail
+        offsets t = +-(K + j) (negative where neg is set) at steps j, of
+        largest value top.  For int64 f_num within _TABLE_CAP both read
+        ``_threshold_table``, tail proposals while top <= reach, its J;
+        otherwise (reach = -1) the formulas ``_window_p`` and ``_tail_p``
+        give the same floats.  Integer centers (c_den = 1, f = 0) read no
+        entry: rows may be None, the table index is t + K + J, and the tail
+        formula takes e = 3/5."""
         def f(rows):
             return 0.0 if c_den == 1 else np.asarray(f_num[rows] / c_den, dtype=float)
 
@@ -404,7 +382,7 @@ class _ZSampler:
                 f_tail = f(rows)
                 e -= np.negative(f_tail, out=f_tail, where=neg)
             return _thresholds(self._tail_p(e, steps))
-        return window, tail
+        return window, tail, reach
 
     def _tail_steps(self, n: int, rng, exact_rng, counts: SamplerCounts) -> np.ndarray:
         """n i.i.d. tail steps j >= 1 with Pr[j] = (1-g) g^(j-1), in bounded
@@ -486,19 +464,26 @@ class _ZSampler:
         of proposals, and the largest tail step drawn (0 if none), so |t| <=
         K + top; int64, or Python ints once a tail offset may not fit.
 
-        A round settles which proposals are tail proposals first.  With one
-        proposal a row it then draws their sides and steps, and when the
-        threshold table holds every tail offset (int64 steps up to its J) one
-        window lookup decides the whole round.  Otherwise, and in every round
-        of several proposals a row, window decisions come first and tail
-        proposals read their own thresholds.  The generator calls and the
-        exact decisions keep one order either way.  Each round writes every
-        pending entry's pick with one scatter: an entry not done yet is
-        overwritten by the round that finishes it, and the first round's
-        picks become the output."""
-        window, tail_thresholds = self._proposal_thresholds(f_num, c_den)
-        table = self._table(f_num, c_den)
-        reach = -1 if table is None else table[2]  # the largest step the table holds
+        A round gives each pending entry k = min(ceil(_ROUND_MIN / pending),
+        k_s) i.i.d. proposals, and the entry keeps its first accepted one in
+        proposal order: the law of a sequential rejection loop.  The round's
+        generator calls come in this order: the selection uniforms, the
+        window offsets, the acceptance uniforms, then a side (one uniform
+        below 1/2 means -1) and a step for each tail proposal it draws.  It
+        settles which proposals are tail proposals first.  With one proposal
+        a row it then draws every tail proposal's side and step, and when
+        the threshold table holds every tail offset (int64 steps up to its
+        J) one window lookup decides the whole round.  Otherwise, and in
+        every round of several proposals a row, window decisions come first,
+        only the tail proposals ahead of their row's first window accept
+        draw a side and a step (no other can be kept), and those read their
+        own thresholds.  The generator calls and the exact decisions, in
+        proposal order, keep one order either way.  A tail round takes one
+        max of its steps, for both the int64 bound of its offsets and the J
+        check.  Each round writes every pending entry's pick with one
+        scatter: an entry not done yet is overwritten by the round that
+        finishes it, and the first round's picks become the output."""
+        window, tail_thresholds, reach = self._proposal_thresholds(f_num, c_den)
         t_out, top = np.empty(0, dtype=np.int64), 0
         pending = np.arange(len(f_num))
         while pending.size:
@@ -617,21 +602,20 @@ def _threshold_table(samp: _ZSampler, c_den: int, rel_err: float, abs_err: float
 
 
 def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
-                  exact_rng, c_bound: Optional[int] = None):
-    """One exact draw from D_{Z,s,c} per entry of c = c_num / c_den, and the
-    sampler's counts.
+                  exact_rng, c_bound: int):
+    """One exact draw from D_{Z,s,c} per entry of c = c_num / c_den, the
+    sampler's counts and a proven bound on |x|.
 
-    ``c_num`` is an int64 or object array of integers; the draws come back in
-    its shape, x = round(c) + t formed by ``int_lincomb`` (x = t, as drawn,
-    for one broadcast int64 center 0): int64 when its bound proves every sum
-    fits, Python ints otherwise.  With ``c_bound``, the caller's bound on
-    |c_num|, the sum's bound is proven, not read: |round(c)| <= c_bound //
+    ``c_num`` is an int64 or object array of integers and ``c_bound`` the
+    caller's bound on |c_num|; the draws come back in its shape, x = round(c)
+    + t formed by ``int_lincomb`` (x = t, as drawn, for c_bound = 0: every
+    center is 0), int64 when its bound proves every sum fits, Python ints
+    otherwise.  That bound is proven, not read: |round(c)| <= c_bound //
     c_den + 1 and |t| <= K + top, top the block's largest tail step
-    (``_draw_block``); the call then also returns that bound, maximized over
-    the blocks, as a third value.  Without it ``int_lincomb`` reads the bound
-    from the data.  Proposals and uniforms come from the NumPy generator
-    ``rng``, and exact decisions take their fresh bits from the
-    ``random.Random`` stream ``exact_rng``."""
+    (``_draw_block``); the call returns it, maximized over the blocks.
+    Proposals and uniforms come from the NumPy generator ``rng``, and exact
+    decisions take their fresh bits from the ``random.Random`` stream
+    ``exact_rng``."""
     # Window offsets are drawn as int64.  Every s >= 2^63 fails the bound; it
     # is rejected before the sampler takes float(s^2), which can overflow.
     samp = _sampler(s_sq) if s_sq < 1 << 126 else None
@@ -641,44 +625,36 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
     c_num = np.asarray(c_num)
     centers = c_num.reshape(-1)  # a view where the layout allows; .flat slices copy
     counts = SamplerCounts(draws=c_num.size)
-    # one broadcast int64 center 0 (the initial lists): x0 = f_num = 0, x = t
-    zero = (not any(c_num.strides) and c_num.size and c_num.dtype == np.int64
-            and centers[0] == 0)
-    x0_bound = None if c_bound is None else c_bound // c_den + 1
+    x0_bound = c_bound // c_den + 1
     parts, top = [], 0
     for start in range(0, c_num.size, _BLOCK):
         block = centers[start:start + _BLOCK]
-        if zero:
+        if c_bound == 0:  # x0 = f_num = 0: no split and no sum
             t, block_top = samp._draw_block(block, 1, rng, exact_rng, counts)
             parts.append(t)
         else:
             x0, f_num = _split_centers(block, c_den, c_bound)
             t, block_top = samp._draw_block(f_num, c_den, rng, exact_rng, counts)
-            bound = None if c_bound is None else x0_bound + samp.K + block_top
-            parts.append(int_lincomb([(1, x0), (1, t)], bound))
+            parts.append(int_lincomb([(1, x0), (1, t)], x0_bound + samp.K + block_top))
         top = max(top, block_top)
     out = parts[0] if len(parts) == 1 else np.concatenate(parts or [centers[:0]])
-    out = out.reshape(c_num.shape)
-    if c_bound is None:
-        return out, counts
-    return out, counts, x0_bound + samp.K + top
+    return out.reshape(c_num.shape), counts, x0_bound + samp.K + top
 
 
-def _split_centers(c_num: np.ndarray, c_den: int, c_bound: Optional[int] = None):
+def _split_centers(c_num: np.ndarray, c_den: int, c_bound: int):
     """c = x0 + f_num / c_den with x0 the nearest integer (ties to even), in
-    exact integer arithmetic, for a 1-D array of numerators; returns x0 and
-    f_num.  Integer centers (c_den = 1) skip the split: x0 = c, f_num = 0.
-    An odd c_den (every prime q) has no tie, so x0 = floor((c_num + h) /
-    c_den), h = floor(c_den / 2), one floor division, wherever the sum fits:
-    on Python integers, and on int64 numerators whose bound ``c_bound``
-    proves c_bound + h < 2^62."""
+    exact integer arithmetic, for a 1-D array of numerators of bound
+    ``c_bound``; returns x0 and f_num.  Integer centers (c_den = 1) skip the
+    split: x0 = c, f_num = 0.  An odd c_den (every prime q) has no tie, so
+    x0 = floor((c_num + h) / c_den), h = floor(c_den / 2), one floor
+    division, wherever the sum fits: on Python integers, and on int64
+    numerators while c_bound + h < 2^62."""
     if c_den == 1:
         return c_num, np.zeros(c_num.shape, dtype=c_num.dtype)
     if c_num.dtype == np.int64 and c_den >= 1 << 62:  # 2 f_num + 1 must fit
         c_num = c_num.astype(object)
     half = c_den // 2
-    if c_den & 1 and (c_num.dtype == object
-                      or c_bound is not None and c_bound + half < _INT64_SAFE):
+    if c_den & 1 and (c_num.dtype == object or c_bound + half < _INT64_SAFE):
         x0 = (c_num + half) // c_den
         return x0, c_num - x0 * c_den
     x0 = c_num // c_den

@@ -62,8 +62,11 @@ def _box(lo, hi, keep: Callable = None) -> np.ndarray:
 
 
 def enum_z() -> Callable:
-    """Enumerator for Z: points x with |x - c| <= R."""
-    return enum_coset_z(0)
+    """Enumerator for Z: the integers x with |x - c| <= R, as int64."""
+    def points(R: float, c: Sequence[float]):
+        c0 = float(c[0])
+        return _box([math.floor(c0 - R)], [math.ceil(c0 + R)])
+    return points
 
 
 def enum_coset_z(offset) -> Callable:

@@ -179,7 +179,7 @@ Buckets = Tuple[np.ndarray, np.ndarray, np.ndarray]  # order, rank, sizes
 _NARROW_KEYS = 1 << 16
 
 
-def _buckets(labels, bound: Optional[int] = None) -> Buckets:
+def _buckets(labels, bound: int) -> Buckets:
     """Group positions by label in one sort.
 
     Returns ``order``, the positions in label order (a bucket's members in
@@ -197,10 +197,9 @@ def _buckets(labels, bound: Optional[int] = None) -> Buckets:
     if not (isinstance(labels, np.ndarray) and labels.dtype == np.int64):
         labels = int_array(labels)
     shift = len(labels).bit_length()
-    if bound is not None and bound <= _NARROW_KEYS:
+    if bound <= _NARROW_KEYS:
         labels = labels.astype(np.uint16)
-    if (bound is not None and labels.dtype == np.int64
-            and (bound - 1).bit_length() + shift <= 63):
+    if labels.dtype == np.int64 and (bound - 1).bit_length() + shift <= 63:
         keys = np.sort((labels << shift) | np.arange(len(labels)))
         order, ranked = keys & ((1 << shift) - 1), keys >> shift
     else:
@@ -272,16 +271,14 @@ def _pack_labels(K: np.ndarray, p: int) -> np.ndarray:
 
 
 def _combine_stage(stage: StageDescriptor, X: np.ndarray, T: np.ndarray,
-                   labels: np.ndarray, cap: Optional[int], reuse: bool,
-                   x_bound: Optional[int] = None):
+                   labels: np.ndarray, cap: Optional[int], reuse: bool, x_bound: int):
     """Group rows by label (below p^b), pair within groups (with reuse or
     disjointly, at most ``cap`` pairs) and write X[i1] - X[i2] and T[i1] - T[i2]
     into one ``np.result_type(X, T)`` array; returns it and the grouping.
-    Int64 heads whose bound on |x| (``x_bound``, the caller's, or read from
-    the data when None) reaches 2^62, ``int_lincomb``'s bound for a - b,
-    subtract as Python integers; the caller vouches that T's differences fit
-    T's type."""
-    if X.dtype == np.int64 and (_max_abs(X) if x_bound is None else x_bound) >= _INT64_SAFE:
+    Int64 heads whose bound on |x| (``x_bound``, the caller's) reaches 2^62,
+    ``int_lincomb``'s bound for a - b, subtract as Python integers; the
+    caller vouches that T's differences fit T's type."""
+    if X.dtype == np.int64 and x_bound >= _INT64_SAFE:
         X = X.astype(object)
     buckets = _buckets(labels, stage.p ** stage.b)
     i1, i2 = (pair_indices_reuse(buckets, cap) if reuse
@@ -343,7 +340,7 @@ def _initial_gaussian(count: int, dim: int, s0_sq: Fraction,
                       seed: int) -> Tuple[np.ndarray, SamplerCounts]:
     """count x dim exact draws from D_{Z,s0}, and the sampler's counts."""
     return _draw_z_array(s0_sq, np.broadcast_to(np.int64(0), (count, dim)), 1,
-                         derive_np_rng(seed, "init"), LazyRandom(seed, "init", "exact"))
+                         derive_np_rng(seed, "init"), LazyRandom(seed, "init", "exact"), 0)[:2]
 
 
 def _initial_ternary_sparse(count: int, dim: int, weight: int, seed: int) -> np.ndarray:
@@ -358,12 +355,10 @@ def _initial_ternary_sparse(count: int, dim: int, weight: int, seed: int) -> np.
     return X
 
 
-def _check_final_membership(inst: SisInstance, out: np.ndarray, linf: Optional[int] = None):
+def _check_final_membership(inst: SisInstance, out: np.ndarray, linf: int):
     """NotInLattice unless A x = 0 mod q for every row; ``linf``, a bound on
-    |x| (read from the data when None), bounds the product by m (q - 1) linf,
-    as A's entries lie in [0, q)."""
-    bound = None if linf is None else inst.m * (inst.q - 1) * linf
-    if np.any(residue(int_matmul(out, inst.A, bound), inst.q)):
+    |x|, bounds the product by m (q - 1) linf, as A's entries lie in [0, q)."""
+    if np.any(residue(int_matmul(out, inst.A, inst.m * (inst.q - 1) * linf), inst.q)):
         raise NotInLattice("output failed the exact membership check")
 
 

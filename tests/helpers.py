@@ -10,7 +10,7 @@ import numpy as np
 
 from wagnersis.rngutil import derive_np_rng
 from wagnersis.wagner import _combine_stage, _pack_labels
-from wagnersis.zqlin import SisInstance, int_lincomb
+from wagnersis.zqlin import SisInstance, _max_abs, int_lincomb
 
 
 def make_systematic(n, m, q, seed, beta=None, stream="mk"):
@@ -42,7 +42,7 @@ def stage_rows_ok(stage, X, Y, K):
     p, d = stage.p, stage.m_minus_n
     rows = np.asarray(X).tolist()
     if not (len(rows) == len(Y) == len(K)) or \
-            any(len(x) != stage.dim_in for x in rows):
+            any(len(x) != stage.m_minus_n + stage.kappa_prev for x in rows):
         return False
     if not parity_rows_ok(stage.a_prev, stage.q, X):
         return False
@@ -60,9 +60,10 @@ def stage_rows_ok(stage, X, Y, K):
 
 def gaussian_combine(stage, X, Y, K, cap, reuse):
     """``_combine_stage`` as a Gaussian stage calls it on the stage list
-    (X, Y, K): integer tails y + q floor(k/p), labels k mod p."""
+    (X, Y, K): integer tails y + q floor(k/p), labels k mod p, and the
+    heads' bound max|X|, the stage's one read of its list."""
     T = int_lincomb([(1, Y), (stage.q, K // stage.p)])
-    return _combine_stage(stage, X, T, _pack_labels(K, stage.p), cap, reuse)
+    return _combine_stage(stage, X, T, _pack_labels(K, stage.p), cap, reuse, _max_abs(X))
 
 
 class ScriptedUniforms:

@@ -125,7 +125,7 @@ def test_criterion_4_provable_structural_laws():
         n_in = int(rng.integers(3 * st.p**st.b, 96))
         K = rng.integers(-6, 7, size=(n_in, 2))
         X = np.zeros((n_in, 4), dtype=np.int64)
-        out, _ = gaussian_combine(st, X, _lift_batch(st, X), K, n_in // 3, reuse=False)
+        out, _ = gaussian_combine(st, X, _lift_batch(st, X, 0), K, n_in // 3, reuse=False)
         if len(out) != n_in // 3:
             count_ok = False
             break

@@ -12,7 +12,7 @@ from wagnersis.estimator import CostQuery, heuristic_schedule
 from wagnersis.oracles import empirical_similarity, pmf_bruteforce
 from wagnersis.rngutil import derive_np_rng, derive_rng
 from wagnersis.wagner import _pack_labels
-from wagnersis.zqlin import SisInstance, matvec_mod
+from wagnersis.zqlin import SisInstance, _max_abs, matvec_mod
 
 
 class TestBuildChain:
@@ -57,7 +57,7 @@ class TestLiftInteger:
     def test_zero_maps_to_zero(self):
         inst = make_systematic(2, 5, 11, seed=2)
         st = build_chain(inst, [1, 1], [3, 2])[0]
-        assert _lift_batch(st, np.zeros((1, 3), dtype=np.int64)).tolist() == [[0]]
+        assert _lift_batch(st, np.zeros((1, 3), dtype=np.int64), 0).tolist() == [[0]]
 
     def test_hand_example(self):
         # New parity row (1, 1) mod 5 and x_top = (1, 2): y = -3 exactly,
@@ -65,7 +65,7 @@ class TestLiftInteger:
         inst = SisInstance.create([[1, 1, 1]], 5)
         st = build_chain(inst, [1], [2])[0]
         X = np.array([[1, 2]])
-        Y = _lift_batch(st, X)
+        Y = _lift_batch(st, X, 2)
         assert Y.tolist() == [[-3]]
         assert stage_rows_ok(st, X, Y, np.zeros((1, 1), dtype=np.int64))
         assert not any(matvec_mod(inst.A, [1, 2, -3], 5))
@@ -77,22 +77,26 @@ class TestLiftInteger:
         top_syn = int(matvec_mod(st2.a_prev, [1, 0, 0], 11)[0])
         good = np.array([[1, 0, 0, -top_syn]])
         K = np.zeros((1, 1), dtype=np.int64)
-        assert stage_rows_ok(st2, good, _lift_batch(st2, good), K)
+        assert stage_rows_ok(st2, good, _lift_batch(st2, good, 11), K)
         bad = good + [[0, 0, 0, 1]]
-        assert not stage_rows_ok(st2, bad, _lift_batch(st2, bad), K)
-        assert not stage_rows_ok(st2, good, _lift_batch(st2, good) + 1, K)
+        assert not stage_rows_ok(st2, bad, _lift_batch(st2, bad, 11), K)
+        assert not stage_rows_ok(st2, good, _lift_batch(st2, good, 11) + 1, K)
 
     def test_unreduced_integers(self):
         inst = SisInstance.create([[4, 4, 1]], 5)
         st = build_chain(inst, [1], [2])[0]
-        assert _lift_batch(st, np.array([[10**6, 10**6]])).tolist() == [[-8 * 10**6]]
+        assert _lift_batch(st, np.array([[10**6, 10**6]]), 10**6).tolist() == [[-8 * 10**6]]
 
 
 def _offsets(st, X, s_sq, seed):
     """The lifts of the rows of X and their Gaussian offsets at width^2
-    ``s_sq``, on the run loop's stream path for the stage."""
-    Y = _lift_batch(st, X)
-    K, _ = _gaussian_offsets(st, Y, Fraction(s_sq), ("stage", st.index), seed)
+    ``s_sq``, on the run loop's stream path for the stage, under the bounds
+    a stage passes: max|X|, read once, and the lift's bound from it."""
+    x_bound = _max_abs(X)
+    Y = _lift_batch(st, X, x_bound)
+    K, _, k_bound = _gaussian_offsets(st, Y, Fraction(s_sq), ("stage", st.index), seed,
+                                      st.lift_bound(x_bound))
+    assert _max_abs(K) <= k_bound
     return Y, K
 
 
@@ -153,7 +157,7 @@ class TestDGLift:
         inst = make_systematic(1, 4, 7, seed=17)
         st = build_chain(inst, [1], [3])[0]
         X = np.zeros((2, 3), dtype=np.int64)
-        Y = _lift_batch(st, X)
+        Y = _lift_batch(st, X, 0)
         for K in (np.array([[0], [-4]]), np.array([[0], [-4]], dtype=object)):
             assert stage_rows_ok(st, X, Y, K)
             assert _pack_labels(K, st.p).tolist() == [0, 2]  # -4 mod 3
@@ -162,7 +166,7 @@ class TestDGLift:
         inst = make_systematic(2, 6, 5, seed=16)
         st = build_chain(inst, [2], [2])[0]
         X = np.tile((1, 0, 0, 0), (16, 1))
-        Y = _lift_batch(st, X)
+        Y = _lift_batch(st, X, 1)
         K = np.array([(k0, k1) for k0 in range(-2, 2) for k1 in range(-2, 2)])
         # the offsets read back from the scaled tails p y + q k
         tail = st.p * Y + st.q * K
@@ -186,9 +190,7 @@ class TestDGLiftDistribution:
         # heads x ~ D_{Z^2, s}, then the Gaussian lift of all of them in one call;
         # a point is keyed by the exact integers (x1, x2, p y1 + q k1, p y2 + q k2)
         X = sample_zn_rows(param0, 2, n_draws, rng)
-        Y = _lift_batch(st, X)
-        K, _ = _gaussian_offsets(st, Y, Fraction(s) ** 2, ("stage", st.index),
-                                 rng.getrandbits(63))
+        Y, K = _offsets(st, X, Fraction(s) ** 2, rng.getrandbits(63))
         samples = np.hstack([X, p * Y + q * K])
 
         # Enumerate the superlattice box of half-width 6s: points

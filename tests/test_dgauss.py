@@ -128,11 +128,12 @@ class TestCenterSplit:
         # c = x0 + f_num / c_den against Fraction's round-half-even, for
         # int64 numerators up to +-(2^63 - 1) and object ones past int64;
         # c_den = 1 skips the split, an odd c_den has no tie to break, and
-        # c_den >= 2^62 switches to objects.  With a center bound (at = -1,
-        # 0) the numerators lie within it, and the bound plus floor(c_den/2)
-        # is 2^62 + at: an odd c_den rounds int64 numerators with one floor
-        # division (no np.where) just below 2^62 and with the general split
-        # at it, and object numerators with one division at every bound.
+        # c_den >= 2^62 switches to objects.  The numerators lie within the
+        # center bound passed, the range's own (at = None) or one whose sum
+        # with floor(c_den/2) is 2^62 + at (at = -1, 0): an odd c_den rounds
+        # int64 numerators with one floor division (no np.where) just below
+        # 2^62 and with the general split from it on, and object numerators
+        # with one division at every bound.
         bound = (1 << 100) if wide else (1 << 63) - 1
         if at is not None:
             bound = min(bound, max(1, _INT64_SAFE + at - c_den // 2))
@@ -144,7 +145,7 @@ class TestCenterSplit:
             min_size=1, max_size=6))
         objects = wide or c_den >= 1 << 62
         one_division = c_den == 1 or c_den % 2 == 1 and (
-            objects or at is not None and bound + c_den // 2 < _INT64_SAFE)
+            objects or bound + c_den // 2 < _INT64_SAFE)
         wheres, where = [], np.where
 
         def spy(*args):
@@ -154,7 +155,7 @@ class TestCenterSplit:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np, "where", spy)
             x0, f_num = _split_centers(np.array(nums, dtype=object if wide else np.int64),
-                                       c_den, None if at is None else bound)
+                                       c_den, bound)
         assert (not wheres) == one_division
         dtype = np.dtype(object if objects else np.int64)
         assert x0.dtype == f_num.dtype == dtype
@@ -246,8 +247,8 @@ class TestFloatFastPath:
         its own center split: True, False, or None (left to exact).  The
         proposal (a window one for j = 0) is decided as its round decides
         it, from the threshold table or the formulas."""
-        _, f_num = _split_centers(int_array([c_num]), c_den)
-        window, tail = samp._proposal_thresholds(f_num, c_den)
+        _, f_num = _split_centers(int_array([c_num]), c_den, abs(c_num))
+        window, tail, _ = samp._proposal_thresholds(f_num, c_den)
         if j:
             lo, hi = tail([0], np.array([t < 0]), np.array([j]), np.array([t]), j)
         else:
@@ -317,13 +318,14 @@ class TestFloatFastPath:
         f_num = f_pos % (2 * (c_den // 2) + 1) - c_den // 2
         in_table = not wide and (c_den + 1) * samp.W <= dgauss._TABLE_CAP
         before = dgauss._threshold_table.cache_info()
-        window, tail = samp._proposal_thresholds(
+        window, tail, reach = samp._proposal_thresholds(
             np.array([f_num], dtype=object if wide else np.int64), c_den)
         after = dgauss._threshold_table.cache_info()
         assert (after.hits + after.misses > before.hits + before.misses) == in_table
         samp.formulas = []  # the table's build runs each formula once
         key = (samp, c_den, dgauss._REL_ERR, dgauss._ABS_ERR)
         J = dgauss._threshold_table(*key)[2] if in_table else 0
+        assert reach == (J if in_table else -1)
         K, f = samp.K, np.full(1, f_num) / c_den
         t = side * (t_pos % (K + J + 2))  # up to step J + 1
         j = abs(t) - K
@@ -462,7 +464,7 @@ class TestArraySampler:
         ks = np.random.default_rng(1).integers(-(1 << 40), 1 << 40, n)
         c_num = 30 * ks + np.array([10, -12, 15])[np.arange(n) % 3]
         rng, exact_rng = derive_np_rng(8, "mixed", calls), derive_rng(8, "mixed", calls)
-        draws = np.concatenate([_draw_z_array(s_sq, part, 30, rng, exact_rng)[0]
+        draws = np.concatenate([_draw_z_array(s_sq, part, 30, rng, exact_rng, 30 << 40)[0]
                                 for part in np.array_split(c_num, calls)])
         radius = 12 * math.sqrt(float(s_sq)) + 2
         for g, f in enumerate((Fraction(1, 3), Fraction(-2, 5), Fraction(1, 2))):
@@ -486,8 +488,9 @@ class TestArraySampler:
         monkeypatch.setattr(dgauss, "_decide_exact", counting)
 
         def draws(c_num):
-            out, counts = _draw_z_array(Fraction(9), int_array([c_num] * 5000), 3,
-                                        derive_np_rng(5, "split"), derive_rng(5, "split"))
+            out, counts, _ = _draw_z_array(Fraction(9), int_array([c_num] * 5000), 3,
+                                           derive_np_rng(5, "split"), derive_rng(5, "split"),
+                                           c_num)
             assert counts.fallbacks == 0 and counts.proposals >= counts.draws == 5000
             return [int(v) for v in out]
 
@@ -500,8 +503,8 @@ class TestArraySampler:
         # float accept settle in proposal order, and the law is unchanged.
         monkeypatch.setattr(dgauss, "_REL_ERR", 0.3)
         s_sq, c = Fraction(9), Fraction(1, 3)
-        out, counts = _draw_z_array(s_sq, np.ones(20_000, dtype=np.int64), 3,
-                                    derive_np_rng(4, "wide"), derive_rng(4, "wide"))
+        out, counts, _ = _draw_z_array(s_sq, np.ones(20_000, dtype=np.int64), 3,
+                                       derive_np_rng(4, "wide"), derive_rng(4, "wide"), 1)
         assert counts.fallbacks > 2_000
         pmf = pmf_bruteforce(enum_z(), GaussParam(s_sq=s_sq, c=(c,)), radius=40)
         res = empirical_similarity(out, pmf)
@@ -543,8 +546,8 @@ class TestArraySampler:
         # masses; at these widths they match the discrete ones to ~1/s^2
         s_sq = Fraction(1 << e)
         assert 1 / _ZSampler(s_sq).rate > 1 << 20
-        out, _ = _draw_z_array(s_sq, np.ones(200_000, dtype=np.int64), 3,
-                               derive_np_rng(e, "wide"), derive_rng(e, "wide"))
+        out, _, _ = _draw_z_array(s_sq, np.ones(200_000, dtype=np.int64), 3,
+                                  derive_np_rng(e, "wide"), derive_rng(e, "wide"), 1)
         s, width = float(1 << e // 2), 1 << (e // 2 - 3)
         edges = np.arange(-12 * 8, 12 * 8 + 1)
         cdf = [0.5 * math.erf(math.sqrt(math.pi) * (b * width - 0.5 - 1 / 3) / s)
@@ -566,9 +569,10 @@ class TestArraySampler:
         j_min = (1 << 63) - samp.K + (1 << 59)
         u_q = math.floor(math.exp(-samp.rate * j_min) * (1 << 53)) / (1 << 53)
         rng = ScriptedUniforms(derive_np_rng(2, "past"), [1 - 2.0 ** -53, 0.0, None, u_q])
-        out, _ = _draw_z_array(s_sq, np.zeros(1, dtype=np.int64), 1, rng,
-                               derive_rng(2, "past"))
+        out, _, bound = _draw_z_array(s_sq, np.zeros(1, dtype=np.int64), 1, rng,
+                                      derive_rng(2, "past"), 0)
         (x,) = out.tolist()
+        assert abs(x) <= bound
         # the step of u_q's cell: j - 1 = M q + r with q within one of its
         # float inverse and 0 <= r < M
         rate = samp.rate * samp.M
@@ -595,8 +599,7 @@ class TestArraySampler:
     def test_blocks_return_their_largest_tail_step(self, monkeypatch):
         # _draw_block returns the largest tail step of all its rounds, so
         # K + top bounds its offsets, and _draw_z_array, told its centers'
-        # bound, returns a bound on its draws from it; both runs draw the
-        # same values
+        # bound, returns a bound on its draws from it
         drawn, tail_steps = [], _ZSampler._tail_steps
 
         def spy(self, *args):
@@ -606,23 +609,46 @@ class TestArraySampler:
 
         monkeypatch.setattr(_ZSampler, "_tail_steps", spy)
         samp, c_num = _ZSampler(Fraction(9)), np.arange(-3000, 3000) * 7 % 40001 - 20000
-        _, f_num = _split_centers(c_num, 3)
+        _, f_num = _split_centers(c_num, 3, 20000)
         t, top = samp._draw_block(f_num, 3, derive_np_rng(4, "top"), derive_rng(4, "top"),
                                   SamplerCounts())
         assert len(drawn) > 1 and top == max(map(max, drawn))
         assert int(np.abs(t).max()) <= samp.K + top
-        x, _ = _draw_z_array(Fraction(9), np.tile(c_num, 4), 3, derive_np_rng(4, "x"),
-                             derive_rng(4, "x"))
-        x_proven, _, bound = _draw_z_array(Fraction(9), np.tile(c_num, 4), 3,
-                                           derive_np_rng(4, "x"), derive_rng(4, "x"), 20000)
-        assert x_proven.tolist() == x.tolist() and int(np.abs(x).max()) <= bound
+        x, _, bound = _draw_z_array(Fraction(9), np.tile(c_num, 4), 3, derive_np_rng(4, "x"),
+                                    derive_rng(4, "x"), 20000)
+        assert int(np.abs(x).max()) <= bound
+
+    @pytest.mark.parametrize("c_den", [1, 3, 257])
+    @pytest.mark.parametrize("s_sq", [Fraction(16, 9), Fraction(144)])
+    def test_zero_centers_skip_the_split_with_the_same_draws(self, s_sq, c_den, monkeypatch):
+        # A center bound of 0 draws x = t with no split and no sum; on zero
+        # centers (not broadcast) the split path under bound 1 gives the
+        # same values, dtype, counts and generator states, across a block edge
+        splits, split = [], dgauss._split_centers
+
+        def spy(*args):
+            splits.append(1)
+            return split(*args)
+
+        monkeypatch.setattr(dgauss, "_split_centers", spy)
+        got = []
+        for c_bound in (0, 1):
+            del splits[:]
+            rng, exact_rng = derive_np_rng(6, "zero"), derive_rng(6, "zero")
+            out, counts, bound = _draw_z_array(s_sq, np.zeros(20_000, dtype=np.int64), c_den,
+                                               rng, exact_rng, c_bound)
+            assert len(splits) == (0 if c_bound == 0 else 2)
+            assert int(np.abs(out).max()) <= bound
+            got.append((out.dtype, out.tolist(), counts, repr(rng.bit_generator.state),
+                        exact_rng.getstate()))
+        assert got[0] == got[1]
 
     def test_draws_past_int64_are_exact(self):
         # x0 + t with x0 = 2^63 - 5 and s = 100 passes 2^63 for about half
         # the draws: Python integers, never wrapped
         center = 2**63 - 5
-        out, _ = _draw_z_array(Fraction(10000), np.full(2000, center), 1,
-                               derive_np_rng(1, "wrap"), derive_rng(1, "wrap"))
+        out, _, _ = _draw_z_array(Fraction(10000), np.full(2000, center), 1,
+                                  derive_np_rng(1, "wrap"), derive_rng(1, "wrap"), center)
         vals = out.tolist()
         assert all(type(v) is int and abs(v - center) < 2000 for v in vals)
         assert sum(v >= 1 << 63 for v in vals) > 500
@@ -632,7 +658,7 @@ def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
     """``_ZSampler._draw_block`` as it was before rounds of one proposal a row
     drew their tail steps before any decision: every round decides its window
     proposals first, then its tail proposals with a lookup of their own."""
-    window, tail_thresholds = samp._proposal_thresholds(f_num, c_den)
+    window, tail_thresholds, _ = samp._proposal_thresholds(f_num, c_den)
     t_out, top = np.empty(0, dtype=np.int64), 0
     pending = np.arange(len(f_num))
     while pending.size:
@@ -910,6 +936,10 @@ class TestEnumerators:
         monkeypatch.setattr(oracles, "_SLICE_ROWS", 5)
         assert np.array_equal(enum_qary(A, 5)(3.5, c), whole)
         assert np.array_equal(enum_z()(3.5, c), np.arange(-4.0, 5.0)[:, None])
+
+    def test_z_points_are_int64(self):
+        # Z's points are the box's own integers, with no float offset added
+        assert enum_z()(3.5, [0.3]).dtype == np.int64
 
     def test_kept_points_budget_stops_the_walk_at_its_slice(self, monkeypatch):
         # 243 of the box's 729 rows lie in the kernel; with a budget of 40

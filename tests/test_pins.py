@@ -87,7 +87,8 @@ def _sampler_lines(monkeypatch):
     lines = []
 
     def draw(s_sq, c_num, c_den, rng, exact_rng):
-        out, counts = dgauss._draw_z_array(s_sq, c_num, c_den, rng, exact_rng)
+        out, counts, _ = dgauss._draw_z_array(s_sq, c_num, c_den, rng, exact_rng,
+                                              zqlin._max_abs(c_num))
         lines.append(f"{out.dtype} {out.shape} {out.tolist()} {counts}")
 
     def streams(name):

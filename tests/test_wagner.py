@@ -53,6 +53,7 @@ from wagnersis.wagner import (
 )
 from wagnersis.zqlin import (
     SisInstance,
+    _max_abs,
     centered,
     int_array,
     is_probable_prime,
@@ -104,16 +105,16 @@ def histogram_count(labels):
 @st.composite
 def label_lists(draw):
     """Short lists over a small alphabet, as small ints or as ints >= 2^63
-    with no bound, or counted down from bound - 1 for a bound on either side
-    of 2^16 (uint16 keys) and of 2^(63 - s), s = bits(len), the last bound
-    whose packed keys (label << s) | position fit 63 bits.  Returns the
-    labels and the bound."""
+    below their offset plus the alphabet size, or counted down from bound - 1
+    for a bound on either side of 2^16 (uint16 keys) and of 2^(63 - s), s =
+    bits(len), the last bound whose packed keys (label << s) | position fit
+    63 bits.  Returns the labels and the bound."""
     alphabet = draw(st.integers(1, 6))
     labels = draw(st.lists(st.integers(0, alphabet - 1), max_size=40))
     edge = draw(st.sampled_from([None, 1 << 16, 1 << (63 - len(labels).bit_length())]))
     if edge is None:
         offset = draw(st.sampled_from([0, 1 << 63, 1 << 80]))
-        return [offset + v for v in labels], None
+        return [offset + v for v in labels], offset + alphabet
     bound = max(edge, alphabet) + draw(st.integers(0, 1))
     return [bound - 1 - v for v in labels], bound
 
@@ -133,7 +134,7 @@ class TestPairing:
         # Values 0..5 bucketed mod 2: pairs (0,2) and (1,3), both differencing
         # to -2, and exactly floor(6/3) = 2 outputs.
         labels = [v % 2 for v in range(6)]
-        pairs = pair_indices_disjoint(_buckets(labels), 2)
+        pairs = pair_indices_disjoint(_buckets(labels, 2), 2)
         assert pairs.tolist() == [[0, 2], [1, 3]]
         values = list(range(6))
         diffs = [values[i] - values[j] for i, j in pairs]
@@ -143,7 +144,7 @@ class TestPairing:
         rng = derive_np_rng(0, "pairs")
         for _ in range(50):
             labels = [int(v) for v in rng.integers(0, 4, size=30)]
-            pairs = pair_indices_disjoint(_buckets(labels), len(labels) // 3)
+            pairs = pair_indices_disjoint(_buckets(labels, 4), len(labels) // 3)
             used = [i for pr in pairs for i in pr]
             assert len(used) == len(set(used))
             for i, j in pairs:
@@ -151,16 +152,16 @@ class TestPairing:
 
     def test_reuse_first_occurrence_order(self):
         labels = [7, 1, 7, 7, 1]
-        pairs = pair_indices_reuse(_buckets(labels), 10)
+        pairs = pair_indices_reuse(_buckets(labels, 8), 10)
         assert pairs.tolist() == [[0, 2], [0, 3], [2, 3], [1, 4]]
 
     def test_reuse_cap(self):
         labels = [0] * 10
-        assert len(pair_indices_reuse(_buckets(labels), 7)) == 7
+        assert len(pair_indices_reuse(_buckets(labels, 1), 7)) == 7
 
     def test_reuse_cap_zero_gives_no_pairs(self):
-        assert pair_indices_reuse(_buckets([7, 7]), 0).shape == (0, 2)
-        assert pair_indices_disjoint(_buckets([7, 7]), 0).shape == (0, 2)
+        assert pair_indices_reuse(_buckets([7, 7], 8), 0).shape == (0, 2)
+        assert pair_indices_disjoint(_buckets([7, 7], 8), 0).shape == (0, 2)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(labels_bound=label_lists(), data=st.data())
@@ -193,7 +194,8 @@ class TestPairing:
         monkeypatch.setattr(np, "sort", spy("sort", np.sort))
         grouping = _buckets(int_array(labels), bound)
         monkeypatch.undo()
-        for got, want in zip(grouping, _buckets(labels)):
+        # against the stable argsort, which a bound past 63-bit keys takes
+        for got, want in zip(grouping, _buckets(labels, 1 << 64)):
             assert got.tolist() == want.tolist()
         assert [tuple(p) for p in pair_indices_disjoint(grouping, None).tolist()] == \
             disjoint_walk(labels, None)
@@ -280,14 +282,14 @@ class TestBucketAndCombine:
         st = build_chain(inst, [1], [2])[0]
         X = np.zeros((6, 4), dtype=np.int64)
         K = np.arange(6).reshape(6, 1)
-        out, _ = gaussian_combine(st, X, _lift_batch(st, X), K, 2, reuse=False)
+        out, _ = gaussian_combine(st, X, _lift_batch(st, X, 0), K, 2, reuse=False)
         assert len(out) == 2
         assert out[:, 4].tolist() == [-5, -5]  # (q/p) dk = (5/2) * (-2)
 
     def test_reuse_cap_zero_gives_no_outputs(self):
         st = self._stage()
         X = np.zeros((2, 4), dtype=np.int64)
-        Y, K = _lift_batch(st, X), np.ones((2, 2), dtype=np.int64)
+        Y, K = _lift_batch(st, X, 0), np.ones((2, 2), dtype=np.int64)
         assert len(gaussian_combine(st, X, Y, K, 0, reuse=True)[0]) == 0
         assert len(gaussian_combine(st, X, Y, K, 1, reuse=True)[0]) == 1
 
@@ -299,7 +301,7 @@ class TestBucketAndCombine:
             n_in = int(rng.integers(12, 60))
             K = rng.integers(-8, 9, size=(n_in, 2))
             X = np.zeros((n_in, 4), dtype=np.int64)
-            out, _ = gaussian_combine(st, X, _lift_batch(st, X), K, n_in // 3, reuse=False)
+            out, _ = gaussian_combine(st, X, _lift_batch(st, X, 0), K, n_in // 3, reuse=False)
             assert len(out) == n_in // 3
 
     def test_outputs_in_stage_lattice(self):
@@ -313,7 +315,7 @@ class TestBucketAndCombine:
         big = build_chain(SisInstance.create(make_systematic(2, 6, 5, seed=0).A, 2**64 + 13),
                           [2], [2])[0]
         for stage, X, K in ((st, X, K), (big, X.astype(object), K.astype(object))):
-            Y = _lift_batch(stage, X)
+            Y = _lift_batch(stage, X, 2)
             assert stage_rows_ok(stage, X, Y, K)
             out, _ = gaussian_combine(stage, X, Y, K, 10, reuse=False)
             assert len(out) == 10 and parity_rows_ok(stage.a_new, stage.q, out)
@@ -368,7 +370,7 @@ class TestBucketAndCombine:
                      dtype=data.draw(st.sampled_from([np.int64, object])))
         T = np.zeros((n, 2), dtype=np.int64)
         labels = int_array([data.draw(st.integers(0, 3)) for _ in range(n)])
-        out, buckets = _combine_stage(self._stage(), X, T, labels, None, reuse=False)
+        out, buckets = _combine_stage(self._stage(), X, T, labels, None, False, _max_abs(X))
         pairs = pair_indices_disjoint(buckets, None).tolist()
         assert out.tolist() == self._python_rows(X, T, pairs)
         wide = X.dtype == object or max(abs(int(v)) for v in X.flat) >= 2**62
@@ -463,7 +465,7 @@ class TestGaussianWagnerProvable:
                          s0_sq=Fraction(q // 2) ** 2)
         out, stats = gaussian_wagner(inst, sched, 5)
         assert len(out) == 12 and stats.list_sizes == [36, 12]
-        _check_final_membership(inst, out)
+        _check_final_membership(inst, out, stats.max_linf)
 
     def test_array_sampler_window_bound_is_typed(self):
         # s0 = 4q puts the window 2 max(2, ceil(0.75 s0)) + 1 above 2^63, beyond the
@@ -516,8 +518,9 @@ class TestGaussianWagnerProvable:
         stage = build_chain(inst, [2], [p])[0]
         Y = np.array([[(1 << 61) - 5, -(1 << 61) + 3], [(1 << 61) - 1, 1 << 60]],
                      dtype=np.int64)
-        K, counts = _gaussian_offsets(stage, Y, Fraction(4 * q * q, p * p), ("stage", 1), 3)
-        assert K.dtype == np.int64 and counts.draws == 4
+        K, counts, k_bound = _gaussian_offsets(stage, Y, Fraction(4 * q * q, p * p),
+                                               ("stage", 1), 3, (1 << 61) - 1)
+        assert K.dtype == np.int64 and counts.draws == 4 and _max_abs(K) <= k_bound
         for k, y in zip(K.ravel().tolist(), Y.ravel().tolist()):
             assert abs(k - Fraction(-p * y, q)) <= 10 * 2  # width (p/q) s = 2
 
@@ -529,8 +532,9 @@ class TestGaussianWagnerProvable:
         inst, _ = systematic_form(random_instance(2, 6, q, seed=1))
         stage = build_chain(inst, [1], [p], allow_partial=True)[0]
         Y = int_array([[3 * q + 5], [-(2 * q) - 7], [11]])
-        K, counts = _gaussian_offsets(stage, Y, Fraction(4 * q * q, p * p), ("stage", 1), 3)
-        assert K.dtype == object and counts.draws == 3
+        K, counts, k_bound = _gaussian_offsets(stage, Y, Fraction(4 * q * q, p * p),
+                                               ("stage", 1), 3, 3 * q + 5)
+        assert K.dtype == object and counts.draws == 3 and _max_abs(K) <= k_bound
         for k, y in zip(K.ravel().tolist(), Y.ravel().tolist()):
             assert abs(k - Fraction(-p * y, q)) <= 10 * 2  # width (p/q) s = 2
 
@@ -546,7 +550,7 @@ class TestGaussianWagnerProvable:
         except WagnerSisError:
             return
         assert stats.list_sizes[0] == 48
-        _check_final_membership(inst, out)
+        _check_final_membership(inst, out, stats.max_linf)
 
     @pytest.mark.parametrize("mode, b", [(MODE_PROVABLE, (2,)), (MODE_HEURISTIC, (1,))])
     def test_width_past_float_range_is_a_typed_error(self, mode, b):
@@ -576,13 +580,13 @@ class TestGaussianWagnerProvable:
         inst = make_systematic(2, 6, 5, seed=3)
         sched = Schedule(mode=MODE_PROVABLE, r=1, N=12, p=(2,), b=(2,),
                          s0_sq=Fraction(64))
-        out, _ = gaussian_wagner(inst, sched, 42)
-        _check_final_membership(inst, out)
+        out, stats = gaussian_wagner(inst, sched, 42)
+        _check_final_membership(inst, out, stats.max_linf)
         bad = out.copy()
         bad[3, 0] += 1
         for rows in (bad, bad.astype(object)):
             with pytest.raises(NotInLattice):
-                _check_final_membership(inst, rows)
+                _check_final_membership(inst, rows, stats.max_linf + 1)
 
 
 class TestGaussianWorkloads:
@@ -803,7 +807,7 @@ class TestNaiveWagner:
         inst = SisInstance(n=1, m=2, q=q, A=np.array([[2**23, 1]], dtype=np.int64))
         sched = Schedule(mode=MODE_NAIVE, r=1, N=8, p=(2**39,), b=(1,))
         out, stats = naive_wagner(inst, sched, 0)
-        _check_final_membership(inst, out)
+        _check_final_membership(inst, out, stats.max_linf)
         assert stats.list_sizes[0] == 24
         assert all(abs(int(v)) <= eq1_norm_bound(sched, q) for v in out.ravel())
 
@@ -829,7 +833,7 @@ class TestNaiveWagner:
         sched = Schedule(mode=MODE_NAIVE, r=1, N=8, p=(4,), b=(1,))
         out, stats = naive_wagner(inst, sched, 0)
         assert stats.list_sizes == [24, 12]
-        _check_final_membership(inst, out)
+        _check_final_membership(inst, out, stats.max_linf)
 
     def test_mode_check(self):
         inst = make_systematic(4, 12, 16, seed=0)
@@ -869,7 +873,7 @@ class TestRoundingListType:
         X[0], X[1] = half, -half
         narrow = X.astype(_rounding_dtype(2 ** self.SCHED.r))
         assert narrow.dtype == np.int8
-        assert _lift_batch(st1, narrow).tolist() == _lift_batch(st1, X).tolist()
+        assert _lift_batch(st1, narrow, half).tolist() == _lift_batch(st1, X, half).tolist()
         out, buckets, _ = _rounding_stage(st1, narrow, self.SCHED, 0)
         out64, buckets64, _ = _rounding_stage(st1, X, self.SCHED, 0)
         assert (out.dtype, out64.dtype) == (np.int8, np.int64)
@@ -895,7 +899,7 @@ class TestRoundingListType:
         out, stats = naive_wagner(inst, self.SCHED, 3)
         assert out.dtype == np.result_type(list_type, np.int64)
         assert len(out) == stats.list_sizes[-1] > 0
-        _check_final_membership(inst, out)
+        _check_final_membership(inst, out, stats.max_linf)
         assert max(abs(int(v)) for v in out.ravel()) <= eq1_norm_bound(self.SCHED, q)
 
     @pytest.mark.parametrize("q, list_type", LIST_TYPE_EDGES)
@@ -982,9 +986,12 @@ class TestRunLoop:
         # from how its operands were made, at least the bound the overflow
         # rule reads from the data (here over Python integers).  The data is
         # read once per Gaussian stage list and once for an early abort's
-        # completion, and never by a rounding run.
+        # completion, and never by a rounding run.  Every sampler call, the
+        # initial list's with center bound 0 among them, is passed a bound on
+        # its centers and returns one on its draws, each at least the data's.
         matmul, lincomb, max_abs = zqlin.int_matmul, zqlin.int_lincomb, zqlin._max_abs
-        calls, read = [], []
+        draw = dgauss._draw_z_array
+        calls, read, draws = [], [], []
 
         def spy_matmul(X, A, bound=None):
             calls.append(("matmul", bound, np.shape(X)[1] * _data_max(A) * _data_max(X)))
@@ -1000,17 +1007,27 @@ class TestRunLoop:
             read.append(X.shape)
             return max_abs(X)
 
+        def spy_draw(s_sq, c_num, c_den, rng, exact_rng, c_bound):
+            out, counts, bound = draw(s_sq, c_num, c_den, rng, exact_rng, c_bound)
+            draws.append((c_bound, _data_max(c_num), bound, _data_max(out)))
+            return out, counts, bound
+
         for module in (chain, wagner):
             monkeypatch.setattr(module, "int_matmul", spy_matmul)
         for module in (chain, wagner, dgauss):
             monkeypatch.setattr(module, "int_lincomb", spy_lincomb)
         for module in (zqlin, wagner):
             monkeypatch.setattr(module, "_max_abs", spy_max_abs)
+        for module in (chain, wagner):
+            monkeypatch.setattr(module, "_draw_z_array", spy_draw)
         self._run(mode)
         assert {name for name, _, _ in calls} == (
             {"matmul"} if mode == MODE_NAIVE else {"matmul", "lincomb"})
         assert all(bound is not None and bound >= own for _, bound, own in calls), calls
         assert len(read) == reads
+        assert len(draws) == {MODE_PROVABLE: 3, MODE_NAIVE: 0}.get(mode, 2)
+        assert all(c_bound >= c_own and bound >= own for c_bound, c_own, bound, own in draws)
+        assert mode != MODE_PROVABLE or draws[0][:2] == (0, 0), draws
 
     @pytest.mark.parametrize("mode", [MODE_PROVABLE, MODE_HEURISTIC, MODE_NAIVE])
     def test_one_wall_time_per_list(self, mode):
