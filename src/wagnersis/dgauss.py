@@ -31,12 +31,12 @@ entry of an array of centers, in blocks of NumPy rounds whose order
 ``sample_zn_rows`` call it.  A proposal's float thresholds p -+ (_REL_ERR p
 + _ABS_ERR), p the acceptance exp(-pi (t - f)^2 / s^2) in the window and
 exp(-pi b) at a tail step, come from one ``_threshold_table`` per sampler
-and c_den or from the formulas ``_window_p`` and ``_tail_p``, which give
-the same floats (``_proposal_thresholds``).  Undecided comparisons go to
+and c_den or from ``_offset_p``, which gives the same floats
+(``_proposal_thresholds``).  Undecided comparisons go to
 ``_select_window_exact``, ``_geometric_exact`` and ``_decide_exact``, which
 share one interval refinement loop, ``_decide``.  Stream contract: a seeded
 draw is fixed by the order of the generator calls in each round, the order
-of the exact decisions and the formulas' floats; a round's arithmetic may
+of the exact decisions and ``_offset_p``'s floats; a round's arithmetic may
 change freely otherwise.  Widths are exact rationals s^2 (``s_sq``), so
 sqrt(2)^i * s0 is exact.
 """
@@ -313,19 +313,26 @@ class _ZSampler:
             a -= self.tau + self.gamma * j
         return _decide_exact(a, _lazy(u), rng)
 
-    def _window_p(self, t, f):
-        """exp(-pi (t - f)^2 / s^2) in double precision, for window offsets t
-        and center fractions f (arrays, broadcast together)."""
-        dx = np.subtract(t, f, dtype=float)
-        return np.exp(-math.pi * dx * dx / self.s_sq_f)
-
-    def _tail_p(self, e, steps):
-        """exp(-pi b) for tail proposals at steps j: b = a - tau - gamma j =
-        ((j + e)^2 + 2 kappa e) / s^2 with e = 3/5 - side f in [1/10, 11/10]
-        (an array, or one float for all), positive terms that keep b's
-        relative precision."""
-        b = ((np.asarray(steps, dtype=float) + e) ** 2 + 2.0 * (self.K - 0.6) * e) / self.s_sq_f
-        return np.exp(-math.pi * b)
+    def _offset_p(self, t, f):
+        """exp(-pi b) in double precision at offsets t (an int64 or object
+        array) and center fractions f (an array of t's shape, or one float
+        for all): b = (t - f)^2 / s^2 in the window |t| <= K, and at tail
+        step j = |t| - K, b = a - tau - gamma j = ((j + e)^2 + 2 kappa e) / s^2
+        with e = 3/5 - sign(t) f in [1/10, 11/10], positive terms that keep
+        b's relative precision."""
+        dx = np.array(t, dtype=float)
+        dx -= f
+        p = -math.pi * dx  # -pi dx dx / s^2 in place: temporaries cost more than arithmetic
+        p *= dx
+        p /= self.s_sq_f
+        np.exp(p, out=p)
+        tail = (np.abs(t) > self.K).nonzero()
+        if tail[0].size:  # the tail terms, on the tail offsets only
+            # (past the window, dx has t's sign)
+            e = 0.6 - np.sign(dx[tail]) * (f if np.ndim(f) == 0 else f[tail])
+            num = ((np.abs(t[tail]) - self.K).astype(float) + e) ** 2 + 2.0 * (self.K - 0.6) * e
+            p[tail] = np.exp(-math.pi * (num / self.s_sq_f))
+        return p
 
     def _tail_offsets(self, neg, steps, top):
         """Offsets +-(K + j) at steps j of largest value top, negative where
@@ -339,50 +346,33 @@ class _ZSampler:
     def _table(self, f_num, c_den: int):
         """``_threshold_table`` of the entries f = f_num / c_den, or None for
         object numerators and a c_den whose window passes _TABLE_CAP, whose
-        thresholds the formulas give."""
+        thresholds ``_offset_p`` gives."""
         if f_num.dtype == object or (c_den + 1) * self.W > _TABLE_CAP:
             return None
         return _threshold_table(self, c_den, _REL_ERR, _ABS_ERR)
 
     def _proposal_thresholds(self, f_num, c_den: int):
         """``_thresholds`` of the proposals of the entries f = f_num / c_den,
-        as (window, tail, reach): window(rows, t) for offsets t of the
-        entries rows, |t| <= K; tail(rows, neg, steps, t, top) for their tail
-        offsets t = +-(K + j) (negative where neg is set) at steps j, of
-        largest value top.  For int64 f_num within _TABLE_CAP both read
-        ``_threshold_table``, tail proposals while top <= reach, its J;
-        otherwise (reach = -1) the formulas ``_window_p`` and ``_tail_p``
-        give the same floats.  Integer centers (c_den = 1, f = 0) read no
-        entry: rows may be None, the table index is t + K + J, and the tail
-        formula takes e = 3/5."""
-        def f(rows):
-            return 0.0 if c_den == 1 else np.asarray(f_num[rows] / c_den, dtype=float)
-
+        as thresholds(rows, t, top) for offsets t of the entries rows, of
+        tail steps up to top (0 for window offsets).  For int64 f_num within
+        _TABLE_CAP it reads ``_threshold_table`` while t is int64 and top <=
+        its J; otherwise ``_offset_p`` gives the same floats.  Integer
+        centers (c_den = 1, f = 0) read no entry: rows may be None and the
+        table index is t + K + J."""
         table = self._table(f_num, c_den)
-        if table is None:
-            reach = -1  # every step reads the formula
-
-            def window(rows, t):
-                return _thresholds(self._window_p(t, f(rows)))
-        else:
-            lo, hi, reach = table
+        if table is not None:
+            lo, hi, J = table
             # the index of t = 0: K + J at every integer center (f = 0)
-            mid, width = self.K + reach, self.W + 2 * reach
+            mid, width = self.K + J, self.W + 2 * J
             base = None if c_den == 1 else f_num * width + (c_den // 2 * width + mid)
 
-            def window(rows, t):
+        def thresholds(rows, t, top):
+            if table is not None and t.dtype == np.int64 and top <= J:
                 at = t + mid if base is None else base[rows] + t
                 return lo.take(at), hi.take(at)
-
-        def tail(rows, neg, steps, t, top):
-            if steps.dtype == np.int64 and top <= reach:
-                return window(rows, t)
-            e = 0.6  # 3/5 - side f, at f = 0 for integer centers
-            if c_den != 1:
-                f_tail = f(rows)
-                e -= np.negative(f_tail, out=f_tail, where=neg)
-            return _thresholds(self._tail_p(e, steps))
-        return window, tail, reach
+            f = 0.0 if c_den == 1 else np.asarray(f_num[rows] / c_den, dtype=float)
+            return _thresholds(self._offset_p(t, f))
+        return thresholds
 
     def _tail_steps(self, n: int, rng, exact_rng, counts: SamplerCounts) -> np.ndarray:
         """n i.i.d. tail steps j >= 1 with Pr[j] = (1-g) g^(j-1), in bounded
@@ -471,19 +461,18 @@ class _ZSampler:
         window offsets, the acceptance uniforms, then a side (one uniform
         below 1/2 means -1) and a step for each tail proposal it draws.  It
         settles which proposals are tail proposals first.  With one proposal
-        a row it then draws every tail proposal's side and step, and when
-        the threshold table holds every tail offset (int64 steps up to its
-        J) one window lookup decides the whole round.  Otherwise, and in
-        every round of several proposals a row, window decisions come first,
-        only the tail proposals ahead of their row's first window accept
-        draw a side and a step (no other can be kept), and those read their
-        own thresholds.  The generator calls and the exact decisions, in
-        proposal order, keep one order either way.  A tail round takes one
-        max of its steps, for both the int64 bound of its offsets and the J
-        check.  Each round writes every pending entry's pick with one
-        scatter: an entry not done yet is overwritten by the round that
-        finishes it, and the first round's picks become the output."""
-        window, tail_thresholds, reach = self._proposal_thresholds(f_num, c_den)
+        a row it then draws every tail proposal's side and step, and one
+        thresholds call (``_proposal_thresholds``) decides the whole round.
+        With several, one call decides the window proposals first, only the
+        tail proposals ahead of their row's first window accept draw a side
+        and a step (no other can be kept), and one more call decides those.
+        The generator calls and the exact decisions, in proposal order, keep
+        one order either way.  A tail round takes one max of its steps, for
+        both the int64 bound of its offsets and the table check.  Each round
+        writes every pending entry's pick with one scatter: an entry not done
+        yet is overwritten by the round that finishes it, and the first
+        round's picks become the output."""
+        thresholds = self._proposal_thresholds(f_num, c_den)
         t_out, top = np.empty(0, dtype=np.int64), 0
         pending = np.arange(len(f_num))
         while pending.size:
@@ -507,36 +496,27 @@ class _ZSampler:
                         counts.fallbacks += 1
                         near[i] = self._select_window_exact(float(u_sel[i]), exact_rng)
                     tail = tail[~near]
-            accept = None
-            if tail.size and k > 1:
-                # Window decisions come first: a tail proposal behind its row's
-                # first window accept is never kept, so it draws no side or
-                # step and stays rejected (one proposal a row: none is behind).
-                lo, hi = window(rows, t)
+            if k > 1:
+                lo, hi = thresholds(rows, t, 0)
                 accept, maybe = u < lo, u <= hi
-                accept[tail] = maybe[tail] = False
-                first, has = _first_accepts(accept, k)
-                tail = tail[~has[tail // k] | (first[tail // k] > tail)]
-            merged = False
+                if tail.size:
+                    accept[tail] = maybe[tail] = False
+                    first, has = _first_accepts(accept, k)
+                    tail = tail[~has[tail // k] | (first[tail // k] > tail)]
+            top_round = 0
             if tail.size:
                 neg = rng.random(tail.size) < 0.5  # side -1: a fair bit, exactly
                 steps = self._tail_steps(tail.size, rng, exact_rng, counts)
                 top_round = int(steps.max())
                 top = max(top, top_round)
                 t_tail = self._tail_offsets(neg, steps, top_round)
-                # one proposal a row and every tail offset in the table: the
-                # window lookup decides the tail proposals too
-                merged = accept is None and steps.dtype == np.int64 and top_round <= reach
-                if merged:
-                    t[tail] = t_tail
-            if accept is None:
-                lo, hi = window(rows, t)
-                accept, maybe = u < lo, u <= hi
-            if tail.size and not merged:
                 t = t.astype(t_tail.dtype, copy=False)
                 t[tail] = t_tail
-                lo, hi = tail_thresholds(None if c_den == 1 else pending[tail // k], neg,
-                                         steps, t_tail, top_round)
+            if k == 1:
+                lo, hi = thresholds(rows, t, top_round)
+                accept, maybe = u < lo, u <= hi
+            elif tail.size:
+                lo, hi = thresholds(None if rows is None else rows[tail], t_tail, top_round)
                 u_tail = u[tail]
                 accept[tail], maybe[tail] = u_tail < lo, u_tail <= hi
             first, done = _first_accepts(accept, k)
@@ -583,21 +563,15 @@ def _sampler(s_sq: Fraction) -> _ZSampler:
 def _threshold_table(samp: _ZSampler, c_den: int, rel_err: float, abs_err: float):
     """(lo, hi, J): ``_thresholds`` of the sampler's s^2 for every offset t in
     [-(K + J), K + J] and f = f_num / c_den, |f_num| <= c_den / 2, flat at
-    (f_num + c_den // 2) (W + 2 J) + t + K + J: ``_window_p(t, f)`` for
-    |t| <= K, ``_tail_p`` at step j = |t| - K and e = 3/5 - sign(t) f past
-    it, so the formulas' floats bit for bit.  J is the least step count with
+    (f_num + c_den // 2) (W + 2 J) + t + K + J: ``_offset_p(t, f)`` on the
+    whole grid, so its floats bit for bit.  J is the least step count with
     g^J <= 2^-30, cut to keep (c_den + 1) (W + 2 J) <= _TABLE_CAP, which the
     caller checks at J = 0.  The sampler (by identity: no Fraction hash) and
     the margins (_REL_ERR, _ABS_ERR) key the cache."""
-    K, W = samp.K, samp.W
-    J = min(math.ceil(30 * _LN2 / samp.rate), (_TABLE_CAP // (c_den + 1) - W) // 2)
-    t = np.arange(-(K + J), K + J + 1)
-    f = (np.arange(c_den + 1) - c_den // 2)[:, None] / c_den
-    p = np.empty((c_den + 1, t.size))
-    p[:, J:J + W] = samp._window_p(t[J:J + W], f)
-    tails = np.r_[:J, J + W:t.size]
-    p[:, tails] = samp._tail_p(0.6 - np.sign(t[tails]) * f, np.abs(t[tails]) - K)
-    lo, hi = _thresholds(p)
+    J = min(math.ceil(30 * _LN2 / samp.rate), (_TABLE_CAP // (c_den + 1) - samp.W) // 2)
+    t, f = np.broadcast_arrays(np.arange(-(samp.K + J), samp.K + J + 1),
+                               (np.arange(c_den + 1) - c_den // 2)[:, None] / c_den)
+    lo, hi = _thresholds(samp._offset_p(t, f))
     return lo.ravel(), hi.ravel(), J
 
 

@@ -53,8 +53,12 @@ class CostQuery:
     def __post_init__(self):
         if self.variant not in _KAPPA:
             raise PreconditionViolated(f"unknown variant {self.variant!r}")
-        if not (0 < self.beta < self.q / 2):
+        if not (0 < self.beta and 2 * self.beta < self.q):  # exact at any q
             raise PreconditionViolated(f"need 0 < beta < q/2, got beta={self.beta}")
+        try:
+            float(self.q)  # the cost model's arithmetic is in doubles
+        except OverflowError:
+            raise PreconditionViolated("q must be below the float range (2^1024)") from None
         if not (1 <= self.n < self.m):
             raise PreconditionViolated("1 <= n < m")
 

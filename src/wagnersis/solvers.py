@@ -40,6 +40,7 @@ from .zqlin import (
     check_qary_preconditions,
     matvec_mod,
     norm_stat,
+    residue,
 )
 
 VERDICT_VALID = "Valid"
@@ -97,11 +98,6 @@ def _row_norm_stats(X: np.ndarray, norm_kind: str) -> np.ndarray:
     return (X * X).sum(axis=1)
 
 
-def nonzero_mod_q(x, q: int) -> bool:
-    """The cross-variant solution requirement: x is not 0 modulo q."""
-    return any(int(v) % q for v in x)
-
-
 def verify(inst: SisInstance, x) -> str:
     """Exact verdict: lattice membership first, then zero, then the norm.
     An entry that is not an integer (a float, a bool, a string) is not in the
@@ -122,11 +118,16 @@ def verify(inst: SisInstance, x) -> str:
 
 
 def _norm_bound(inst: SisInstance, f: float, norm_kind: str) -> float:
-    """beta = (q/f) sqrt(ln m) for the infinity norm, (q/f) sqrt(m) for l2."""
+    """beta = (q/f) sqrt(ln m) for the infinity norm, (q/f) sqrt(m) for l2,
+    which must be a finite double."""
     check_norm_factor(f)
-    if norm_kind == "linf":
-        return (inst.q / f) * math.sqrt(math.log(inst.m))
-    return (inst.q / f) * math.sqrt(inst.m)
+    try:
+        beta = (inst.q / f) * math.sqrt(math.log(inst.m) if norm_kind == "linf" else inst.m)
+    except OverflowError:  # q past the float range
+        beta = math.inf
+    if beta == math.inf:
+        raise PreconditionViolated(f"beta = (q/f) sqrt(...) must be a finite double, got f = {f}")
+    return beta
 
 
 def _check_mode(inst: SisInstance, f: float, epsilon: float, mode: str):
@@ -158,32 +159,32 @@ def choose_schedule(inst: SisInstance, f: float, epsilon: float, mode: str,
 
 
 def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
-           norm_kind: str, accept, trivial: bool, schedule: Optional[Schedule],
-           threads: int) -> SolveReport:
-    """Run the sampler and keep the outputs that ``accept`` admits, within
-    beta under ``norm_kind`` and within the instance's own beta."""
+           norm_kind: str, schedule: Optional[Schedule], threads: int) -> SolveReport:
+    """Run the sampler and keep its first _MAX_SOLUTIONS outputs that are
+    nonzero (mod q for l2, which excludes trivia like (q, 0, ..., 0)),
+    within beta under ``norm_kind`` and within the instance's own beta."""
     beta = _norm_bound(inst, f, norm_kind)
+    trivial = norm_kind == "l2" and beta >= inst.q * math.sqrt(inst.n / 12.0)
     _check_mode(inst, f, epsilon, mode)
     if schedule is None:
         schedule = choose_schedule(inst, f, epsilon, mode, norm_kind)
     elif schedule.mode != mode:
         raise PreconditionViolated(f"schedule mode {schedule.mode} is not solve mode {mode}")
     outputs, stats = gaussian_wagner(inst, schedule, rng, threads=threads)
-    limits = [(norm_kind, _norm_limit(beta, norm_kind))]
+    norms = _row_norm_stats(outputs, norm_kind)
+    if norm_kind == "linf":
+        keep = norms > 0
+    else:  # residue's int64 path takes q < 2^63
+        keep = (residue(outputs if inst.q < 1 << 63 else outputs.astype(object),
+                        inst.q) != 0).any(axis=1)
+    keep &= norms <= _norm_limit(beta, norm_kind)
     if inst.beta is not None:
-        limits.append((inst.norm_kind, _norm_limit(inst.beta, inst.norm_kind)))
-    within = np.ones(len(outputs), dtype=bool)
-    for kind, limit in limits:
-        within &= _row_norm_stats(outputs, kind) <= limit
-    sols = []
-    for i in np.flatnonzero(within):
-        xs = outputs[i].tolist()
-        if accept(xs):
-            sols.append(Solution.from_vector(xs, norm_kind))
-            if len(sols) >= _MAX_SOLUTIONS:
-                break
-    if inst.beta is not None and inst.norm_kind == norm_kind:
-        beta = min(beta, float(inst.beta))  # the bound actually enforced
+        own = _row_norm_stats(outputs, inst.norm_kind)
+        keep &= own <= _norm_limit(inst.beta, inst.norm_kind)
+    rows = np.flatnonzero(keep)[:_MAX_SOLUTIONS]
+    sols = [Solution.from_vector(x, norm_kind) for x in outputs[rows].tolist()]
+    if inst.beta is not None and inst.norm_kind == norm_kind and inst.beta < beta:
+        beta = float(inst.beta)  # the bound actually enforced (an exact comparison)
     return SolveReport(solutions=sols, attempts=len(outputs), success=bool(sols),
                        norm_bound_used=beta, mode=schedule.mode,
                        trivial_regime=trivial, stats=stats.as_dict())
@@ -192,14 +193,11 @@ def _solve(inst: SisInstance, f: float, epsilon: float, mode: str, rng,
 def solve_sis_inf(inst: SisInstance, f: float, epsilon: float, mode: str, rng, *,
                   schedule: Optional[Schedule] = None, threads: int = 1) -> SolveReport:
     """Infinity-norm solver at beta = (q/f) sqrt(ln m)."""
-    return _solve(inst, f, epsilon, mode, rng, "linf", any, False, schedule, threads)
+    return _solve(inst, f, epsilon, mode, rng, "linf", schedule, threads)
 
 
 def solve_sis_l2(inst: SisInstance, f: float, epsilon: float, mode: str, rng, *,
                  schedule: Optional[Schedule] = None, threads: int = 1) -> SolveReport:
     """Euclidean solver at beta = (q/f) sqrt(m); solutions must be nonzero
     mod q, which excludes trivia like (q, 0, ..., 0)."""
-    trivial = _norm_bound(inst, f, "l2") >= inst.q * math.sqrt(inst.n / 12.0)
-    return _solve(inst, f, epsilon, mode, rng, "l2",
-                  lambda xs: nonzero_mod_q(xs, inst.q),
-                  trivial, schedule, threads)
+    return _solve(inst, f, epsilon, mode, rng, "l2", schedule, threads)

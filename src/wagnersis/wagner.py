@@ -346,8 +346,6 @@ def _initial_gaussian(count: int, dim: int, s0_sq: Fraction,
 def _initial_ternary_sparse(count: int, dim: int, weight: int, seed: int) -> np.ndarray:
     rng = derive_np_rng(seed, "init-ternary")
     X = np.zeros((count, dim), dtype=np.int64)
-    if weight == 0:
-        return X
     u = rng.random((count, dim))
     idx = np.argpartition(u, weight - 1, axis=1)[:, :weight]
     signs = rng.integers(0, 2, size=(count, weight), dtype=np.int64) * 2 - 1
@@ -689,8 +687,6 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
         try:
             w, sigma0 = _estimator.min_weight(d, _HEURISTIC_ENTROPY_FACTOR * N)
         except Infeasible:
-            continue
-        if w == 0:
             continue
         sigma = sigma0
         stages = []   # (p, b, injected_dev)

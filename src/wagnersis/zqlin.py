@@ -169,8 +169,6 @@ class SisInstance:
         object.__setattr__(self, "systematic", self._detect_systematic())
 
     def _detect_systematic(self) -> bool:
-        if self.m < self.n:
-            return False
         tail = np.asarray(self.A)[:, self.m - self.n:]
         return bool(np.array_equal(tail, np.eye(self.n, dtype=np.int64)))
 

@@ -141,6 +141,32 @@ class TestSolvePipe:
         assert code == 3
         assert "f must be finite and > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_modulus_past_the_float_range(self, norm, monkeypatch, capsys):
+        # beta = (q/f) sqrt(...) has no double at q = 2^1279 - 1: a typed
+        # refusal, with nothing on stdout
+        _, inst_json = run_cli(["gen", "--n", "2", "--m", "6", "--q", str(2**1279 - 1)])
+        capsys.readouterr()
+        code, out = run_cli(["solve", "--f", "4", "--norm", norm], stdin_text=inst_json,
+                            monkeypatch=monkeypatch)
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err.startswith("precondition violated: beta = (q/f) sqrt")
+
+    @pytest.mark.parametrize("verdict", [solvers.VERDICT_NOT_IN_LATTICE,
+                                         solvers.VERDICT_NORM])
+    def test_solution_failing_the_input_instance_is_not_printed(self, verdict, monkeypatch,
+                                                               capsys):
+        # a solution that does not verify on the instance the user gave is
+        # refused with the precondition exit code, never printed
+        _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
+                                "--seed", "0"])
+        monkeypatch.setattr(solvers, "verify", lambda inst, x: verdict)
+        code, out = run_cli(["solve", "--f", str(4 * math.sqrt(math.log(20))), "--seed", "0",
+                             "--json"], stdin_text=inst_json, monkeypatch=monkeypatch)
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == \
+            f"precondition violated: solution is {verdict} on the input instance\n"
+
     def test_stats_out(self, monkeypatch, tmp_path):
         _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
                                 "--seed", "3"])
@@ -271,6 +297,13 @@ class TestEstimate:
         assert code == 3
         assert capsys.readouterr().err == \
             f"precondition violated: need 0 < beta < q/2, got beta={beta}\n"
+
+    def test_modulus_past_the_float_range(self, capsys):
+        code, out = run_cli(["estimate", "--n", "2", "--m", "6", "--q", str(2**1279 - 1),
+                             "--beta", "5"])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == \
+            "precondition violated: q must be below the float range (2^1024)\n"
 
     def test_missing_dims_usage_error(self, monkeypatch):
         code, _ = run_cli(["estimate", "--n", "4"])

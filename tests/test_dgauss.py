@@ -209,18 +209,46 @@ class _RecordingSampler(_ZSampler):
 
 
 class _FormulaRecordingSampler(_ZSampler):
-    """A sampler that records which of its formulas (not its tables') give
-    thresholds."""
+    """A sampler that records the offsets at which its formula (not its
+    tables) gives thresholds."""
 
     __slots__ = ("formulas",)
 
-    def _window_p(self, t, f):
-        self.formulas.append("window")
-        return super()._window_p(t, f)
+    def _offset_p(self, t, f):
+        self.formulas.append(np.asarray(t).tolist())
+        return super()._offset_p(t, f)
 
-    def _tail_p(self, e, steps):
-        self.formulas.append("tail")
-        return super()._tail_p(e, steps)
+
+def _window_p_ref(samp, t, f):
+    """The window formula as the sampler had it apart: exp(-pi (t - f)^2 /
+    s^2) for window offsets t."""
+    dx = np.subtract(t, f, dtype=float)
+    return np.exp(-math.pi * dx * dx / samp.s_sq_f)
+
+
+def _tail_p_ref(samp, e, steps):
+    """The tail formula as the sampler had it apart: exp(-pi b) at steps j
+    with b = ((j + e)^2 + 2 kappa e) / s^2, e = 3/5 - side f."""
+    b = ((np.asarray(steps, dtype=float) + e) ** 2 + 2.0 * (samp.K - 0.6) * e) / samp.s_sq_f
+    return np.exp(-math.pi * b)
+
+
+def _two_formulas_p(samp, t, f):
+    """exp(-pi b) at the offsets t (a 1-D array) for the center fractions f
+    (an array like t, or the scalar 0.0 of integer centers), from the two
+    formulas as a round called them: the window one on the window offsets,
+    the tail one at the steps j = |t| - K of the others with e = 3/5 -
+    side f (3/5 at the scalar 0.0)."""
+    steps = np.abs(t) - samp.K
+    win, tail = (steps <= 0).nonzero()[0], (steps > 0).nonzero()[0]
+    p = np.empty(t.shape)
+    p[win] = _window_p_ref(samp, t[win].astype(np.int64), f if np.ndim(f) == 0 else f[win])
+    e = 0.6
+    if np.ndim(f):
+        f_tail = f[tail]
+        e -= np.negative(f_tail, out=f_tail, where=t[tail] < 0)
+    p[tail] = _tail_p_ref(samp, e, steps[tail])
+    return p
 
 
 class TestFloatFastPath:
@@ -246,13 +274,9 @@ class TestFloatFastPath:
         """The array sampler's float decision on one proposal, with f_num from
         its own center split: True, False, or None (left to exact).  The
         proposal (a window one for j = 0) is decided as its round decides
-        it, from the threshold table or the formulas."""
+        it, from the threshold table or ``_offset_p``."""
         _, f_num = _split_centers(int_array([c_num]), c_den, abs(c_num))
-        window, tail, _ = samp._proposal_thresholds(f_num, c_den)
-        if j:
-            lo, hi = tail([0], np.array([t < 0]), np.array([j]), np.array([t]), j)
-        else:
-            lo, hi = window([0], np.array([t]))
+        lo, hi = samp._proposal_thresholds(f_num, c_den)([0], np.array([t]), j)
         u = u53 / (1 << 53)
         return True if u < lo[0] else None if u <= hi[0] else False
 
@@ -306,37 +330,36 @@ class TestFloatFastPath:
     def test_window_table_matches_formula_and_exact(self, s_sq, c_den, wide, f_pos, t_pos,
                                                     side, u):
         # Within the cap, the threshold table's row of f_num holds, bit for
-        # bit, the floats the formulas give: the window formula for |t| <= K
-        # and the tail formula at step j = |t| - K up to J, with J the least
-        # step count with g^J <= 2^-30 that the cap allows.  A round reads
-        # the table for every proposal in it and the formula otherwise (a
-        # step past J, a c_den past the cap (c_den = 13107 at W = 5 is one
-        # past it) and object numerators, which read no table), with the
-        # same floats; no float decision contradicts the exact one.
+        # bit, the floats the two formulas gave: the window formula for
+        # |t| <= K and the tail formula at step j = |t| - K up to J, with J
+        # the least step count with g^J <= 2^-30 that the cap allows.  A
+        # round reads the table for every proposal in it, tail offsets up to
+        # step J and not past it, and the formula otherwise (a step past J, a
+        # c_den past the cap (c_den = 13107 at W = 5 is one past it) and
+        # object numerators, which read no table), with the same floats; no
+        # float decision contradicts the exact one.
         samp = _FormulaRecordingSampler(s_sq)
         samp.formulas = []
         f_num = f_pos % (2 * (c_den // 2) + 1) - c_den // 2
         in_table = not wide and (c_den + 1) * samp.W <= dgauss._TABLE_CAP
         before = dgauss._threshold_table.cache_info()
-        window, tail, reach = samp._proposal_thresholds(
+        thresholds = samp._proposal_thresholds(
             np.array([f_num], dtype=object if wide else np.int64), c_den)
         after = dgauss._threshold_table.cache_info()
         assert (after.hits + after.misses > before.hits + before.misses) == in_table
-        samp.formulas = []  # the table's build runs each formula once
         key = (samp, c_den, dgauss._REL_ERR, dgauss._ABS_ERR)
         J = dgauss._threshold_table(*key)[2] if in_table else 0
-        assert reach == (J if in_table else -1)
         K, f = samp.K, np.full(1, f_num) / c_den
+        for step, reads_table in ((J, in_table), (J + 1, False)):
+            samp.formulas = []  # drops the table build's call
+            thresholds([0], np.array([side * (K + step)]), step)
+            assert (not samp.formulas) == reads_table
+        samp.formulas = []
         t = side * (t_pos % (K + J + 2))  # up to step J + 1
         j = abs(t) - K
-        if j <= 0:
-            (lo_t,), (hi_t,) = window([0], np.array([t]))
-            p = _ZSampler._window_p(samp, np.array([t]), f)
-        else:
-            (lo_t,), (hi_t,) = tail([0], np.array([t < 0]), np.array([j]), np.array([t]), j)
-            p = _ZSampler._tail_p(samp, 0.6 - np.sign([t]) * f, np.array([j]))
-        assert samp.formulas == ([] if in_table and j <= J else ["window" if j <= 0 else "tail"])
-        f_lo, f_hi = dgauss._thresholds(p)
+        (lo_t,), (hi_t,) = thresholds([0], np.array([t]), max(j, 0))
+        assert samp.formulas == ([] if in_table and j <= J else [[t]])
+        f_lo, f_hi = dgauss._thresholds(_two_formulas_p(samp, np.array([t]), f))
         assert (lo_t, hi_t) == (f_lo[0], f_hi[0])
         if in_table:
             lo, hi, _ = dgauss._threshold_table(*key)
@@ -348,9 +371,7 @@ class TestFloatFastPath:
             row = slice((f_num + c_den // 2) * width, (f_num + c_den // 2 + 1) * width)
             ts = np.arange(-(K + J), K + J + 1)
             fs = np.full(ts.size, f_num) / c_den
-            f_lo, f_hi = dgauss._thresholds(np.where(
-                np.abs(ts) <= K, _ZSampler._window_p(samp, ts, fs),
-                _ZSampler._tail_p(samp, 0.6 - np.sign(ts) * fs, np.abs(ts) - K)))
+            f_lo, f_hi = dgauss._thresholds(_two_formulas_p(samp, ts, fs))
             assert lo[row].tobytes() == f_lo.tobytes() and hi[row].tobytes() == f_hi.tobytes()
         a = (t - Fraction(f_num, c_den)) ** 2 / s_sq
         if j > 0:
@@ -359,6 +380,32 @@ class TestFloatFastPath:
         u = u53 / (1 << 53)
         if u < lo_t or u > hi_t:
             assert (u < lo_t) == _decide_exact(a, _LazyUniform(u53, 53), random.Random(0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(s_sq=st.sampled_from([_FLOOR_SQ, Fraction(16, 9), Fraction(144), Fraction(1 << 40),
+                                 Fraction(17, 10) * (1 << 124)]),
+           integer_centers=st.booleans(), wide=st.booleans(), data=st.data())
+    def test_offset_p_is_the_two_formulas_bit_for_bit(self, s_sq, integer_centers, wide,
+                                                      data):
+        # One exp(-pi b) at every offset gives the very bytes of the window
+        # and tail formulas it replaced, so no threshold moves by an ulp (a
+        # move the seeded pins almost never see): window offsets, tail steps
+        # up to one past the table's uncut J and past 2^53, offsets past
+        # int64 (objects), int64 or object arrays, fractions f in [-1/2, 1/2]
+        # or the scalar 0.0 of integer centers.
+        samp = _ZSampler(s_sq)
+        K, J = samp.K, math.ceil(30 * math.log(2) / samp.rate)
+        steps = st.one_of(st.integers(1, J + 1), st.integers((1 << 53) - 8, (1 << 53) + 8),
+                          st.integers(_INT64_SAFE - K - 2, 1 << 70))
+        ts = data.draw(st.lists(st.one_of(
+            st.integers(-K, K), st.builds(lambda side, j: side * (K + j),
+                                          st.sampled_from([1, -1]), steps)),
+            min_size=1, max_size=8))
+        objects = wide or max(map(abs, ts)) >= _INT64_SAFE
+        t = np.array(ts, dtype=object if objects else np.int64)
+        f = 0.0 if integer_centers else np.array(data.draw(st.lists(
+            st.floats(-0.5, 0.5), min_size=len(ts), max_size=len(ts))))
+        assert samp._offset_p(t, f).tobytes() == _two_formulas_p(samp, t, f).tobytes()
 
     @staticmethod
     def _below(x: Fraction, a: Fraction) -> bool:
@@ -658,7 +705,7 @@ def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
     """``_ZSampler._draw_block`` as it was before rounds of one proposal a row
     drew their tail steps before any decision: every round decides its window
     proposals first, then its tail proposals with a lookup of their own."""
-    window, tail_thresholds, _ = samp._proposal_thresholds(f_num, c_den)
+    thresholds = samp._proposal_thresholds(f_num, c_den)
     t_out, top = np.empty(0, dtype=np.int64), 0
     pending = np.arange(len(f_num))
     while pending.size:
@@ -669,7 +716,7 @@ def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
         t = rng.integers(-samp.K, samp.K + 1, n)
         u = rng.random(n)
         rows = None if c_den == 1 else pending if k == 1 else pending.repeat(k)
-        lo, hi = window(rows, t)
+        lo, hi = thresholds(rows, t, 0)
         accept, maybe = u < lo, u <= hi
         tail = (u_sel >= samp.p_window - dgauss._SELECT_MARGIN).nonzero()[0]
         if tail.size:
@@ -692,7 +739,7 @@ def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
             t_tail = samp._tail_offsets(neg, steps, top_round)
             t = t.astype(t_tail.dtype, copy=False)
             t[tail] = t_tail
-            lo, hi = tail_thresholds(pending[tail // k], neg, steps, t_tail, top_round)
+            lo, hi = thresholds(pending[tail // k], t_tail, top_round)
             u_tail = u[tail]
             accept[tail], maybe[tail] = u_tail < lo, u_tail <= hi
         first, done = dgauss._first_accepts(accept, k)
@@ -719,9 +766,9 @@ def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
 
 class TestRoundOrder:
     """Rounds of one proposal a row draw their tail steps before deciding
-    anything, and decide window and tail proposals in one table lookup
-    where the table holds every tail offset: the same offsets, tail steps,
-    counts and generator states as deciding window proposals first."""
+    anything, and decide window and tail proposals in one thresholds call:
+    the same offsets, tail steps, counts and generator states as deciding
+    window proposals first."""
 
     @staticmethod
     def _compare(samp, f_num, c_den, seed):
@@ -742,8 +789,9 @@ class TestRoundOrder:
         return f_num.astype(object) if wide else f_num
 
     # c_den = 2713 at s^2 = 144 cuts the table to J = 2, so one-proposal
-    # rounds with a step past it take the window-first order; 2^17 and
-    # object numerators have no table; s^2 = 2^40 has no table at c_den > 1
+    # rounds with a step past it read the formula for the whole round; 2^17
+    # and object numerators have no table; s^2 = 2^40 has no table at
+    # c_den > 1
     @pytest.mark.parametrize("size", [1, 1023, 1024, 16384])
     @pytest.mark.parametrize("c_den, wide", [(1, False), (5, False), (257, False),
                                              (2713, False), (1 << 17, False), (5, True)])

@@ -16,13 +16,12 @@ from wagnersis.solvers import (
     VERDICT_ZERO,
     _norm_bound,
     _norm_limit,
-    nonzero_mod_q,
     solve_sis_inf,
     solve_sis_l2,
     verify,
 )
 from wagnersis.wagner import MODE_HEURISTIC, MODE_PROVABLE, RunStats, Schedule
-from wagnersis.zqlin import SisInstance, Solution, norm_stat, random_instance
+from wagnersis.zqlin import SisInstance, Solution, int_array, norm_stat, random_instance
 
 
 class TestVerify:
@@ -98,11 +97,47 @@ class TestFilters:
         assert (norm_stat(x, "linf") <= _norm_limit(beta, "linf")) == all(abs(v) <= b for v in x)
         assert (norm_stat(x, "l2") <= _norm_limit(beta, "l2")) == (sum(v * v for v in x) <= b * b)
 
-    def test_sisx_rejects_q_multiples(self):
+    def test_sisx_rejects_q_multiples(self, monkeypatch):
         # (q, 0, ..., 0) is always in the lattice and short enough in l2 for
-        # large beta, but it is 0 mod q and must not count for the x-variant.
-        assert not nonzero_mod_q([257, 0, 0], 257)
-        assert nonzero_mod_q([257, 1, 0], 257)
+        # large beta, but it is 0 mod q and must not count for the x-variant;
+        # the solve keeps only rows nonzero mod q, for object rows and for
+        # int64 rows at a q past int64, whatever the parity of the first
+        # nonzero residue (a row like (2, 0, 0) is kept).
+        sched = Schedule(mode=MODE_HEURISTIC, r=1, N=1, p=(2,), b=(1,), s0_sq=Fraction(1))
+        for q in (257, 2**64 + 13):
+            assert not _nonzero_mod_q([q, 0, 0], q)
+            assert _nonzero_mod_q([q, 1, 0], q)
+            inst = SisInstance.create([[1, 2, 3]], q)
+            for outputs, kept in (
+                    (int_array([[q, 0, 0], [0, -2 * q, 0], [2, 0, 0], [q, 1, 0]]),
+                     [(2, 0, 0), (q, 1, 0)]),
+                    (np.array([[0, 0, 0], [0, -1, 0]]), [(0, -1, 0)])):
+                monkeypatch.setattr(solvers, "gaussian_wagner",
+                                    lambda *a, **kw: (outputs, RunStats(mode=MODE_HEURISTIC)))
+                report = solve_sis_l2(inst, 0.5, 2.0**-10, MODE_HEURISTIC, 0, schedule=sched)
+                assert [sol.x for sol in report.solutions] == kept
+
+
+    @pytest.mark.parametrize("norm_kind", ["linf", "l2"])
+    def test_instance_beta_past_the_float_range(self, norm_kind, monkeypatch):
+        # an instance beta of 10^400 has no double: the solve compares it
+        # with its own bound exactly, reports its own bound, and keeps the
+        # rows within it
+        inst = SisInstance.create([[1, 2, 3]], 257, beta=10**400, norm_kind=norm_kind)
+        outputs = np.array([[0, 0, 0], [1, 1, -1], [1000, 0, 0]])
+        monkeypatch.setattr(solvers, "gaussian_wagner",
+                            lambda *a, **kw: (outputs, RunStats(mode=MODE_HEURISTIC)))
+        sched = Schedule(mode=MODE_HEURISTIC, r=1, N=1, p=(2,), b=(1,), s0_sq=Fraction(1))
+        solve = solve_sis_inf if norm_kind == "linf" else solve_sis_l2
+        report = solve(inst, 3.0, 2.0**-10, MODE_HEURISTIC, 0, schedule=sched)
+        assert report.norm_bound_used == _norm_bound(inst, 3.0, norm_kind)
+        assert [sol.x for sol in report.solutions] == [(1, 1, -1)]
+
+
+def _nonzero_mod_q(x, q: int) -> bool:
+    """The l2 solver's requirement on a solution, one row at a time: x is not
+    0 modulo q."""
+    return any(int(v) % q for v in x)
 
 
 def _filter_reference(outputs, limits, accept, norm_kind):
@@ -147,7 +182,7 @@ class TestSolveFilter:
         limits = [(norm_kind, _norm_limit(_norm_bound(inst, f, norm_kind), norm_kind))]
         if inst_beta is not None:
             limits.append((inst_kind, _norm_limit(inst.beta, inst_kind)))
-        accept = any if norm_kind == "linf" else (lambda xs: nonzero_mod_q(xs, q))
+        accept = any if norm_kind == "linf" else (lambda xs: _nonzero_mod_q(xs, q))
         assert report.solutions == _filter_reference(outputs, limits, accept, norm_kind)
 
 
@@ -199,6 +234,15 @@ class TestSolveInf:
         with pytest.raises(PreconditionViolated, match=error):
             solve_sis_inf(inst, 1.0, 2.0**-10, mode, 3, schedule=sched)
 
+    def test_bound_past_the_float_range(self):
+        # beta = (q/f) sqrt(ln m) overflows a double at f = 1e-320: a typed
+        # refusal before any limit is formed, with or without a schedule
+        inst = make_systematic(2, 8, 257, seed=0)
+        sched = Schedule(mode=MODE_HEURISTIC, r=1, N=12, p=(2,), b=(2,), s0_sq=Fraction(64))
+        for kw in ({}, {"schedule": sched}):
+            with pytest.raises(PreconditionViolated, match="must be a finite double"):
+                solve_sis_inf(inst, 1e-320, 2.0**-10, MODE_HEURISTIC, 0, **kw)
+
     def test_provable_warns_about_asymptotics(self):
         inst = make_systematic(8, 20, 257, seed=0)
         eps = 0.9 / (20 * 257**4)
@@ -213,7 +257,7 @@ class TestSolveL2:
         inst = make_systematic(8, 20, 257, seed=2)
         rep = solve_sis_l2(inst, 12.0, 2.0**-10, MODE_HEURISTIC, 3)
         for sol in rep.solutions:
-            assert nonzero_mod_q(sol.x, 257)
+            assert _nonzero_mod_q(sol.x, 257)
 
     def test_trivial_regime_flagged(self):
         inst = make_systematic(8, 20, 257, seed=2)

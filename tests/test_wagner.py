@@ -621,8 +621,8 @@ class TestGaussianWorkloads:
         # Every draw of a desk heuristic solve (stage offsets, c_den = 257)
         # and of a provable run (the initial list, c_den = 1, and stage
         # offsets, c_den = 5) decides its window and tail proposals from a
-        # threshold table: both formulas run only to build those tables.
-        calls, table_keys = {"window": 0, "tail": 0, "tail rounds": 0}, []
+        # threshold table: the formula runs only to build those tables.
+        calls, table_keys = {"formula": 0, "tail rounds": 0}, []
         cls, table = dgauss._ZSampler, dgauss._threshold_table
 
         def spy(name, fn):
@@ -635,8 +635,7 @@ class TestGaussianWorkloads:
             table_keys.append(key)
             return table(*key)
 
-        monkeypatch.setattr(cls, "_window_p", spy("window", cls._window_p))
-        monkeypatch.setattr(cls, "_tail_p", spy("tail", cls._tail_p))
+        monkeypatch.setattr(cls, "_offset_p", spy("formula", cls._offset_p))
         monkeypatch.setattr(cls, "_tail_offsets", spy("tail rounds", cls._tail_offsets))
         monkeypatch.setattr(dgauss, "_threshold_table", spy_table)
         table.cache_clear()
@@ -647,7 +646,7 @@ class TestGaussianWorkloads:
                                        s0_sq=Fraction(144)), 0)
         assert {key[1] for key in table_keys} == {1, 5, 257}
         assert calls["tail rounds"] > 0
-        assert calls["window"] == calls["tail"] == table.cache_info().misses
+        assert calls["formula"] == table.cache_info().misses
 
 
 def naive_stage_oracle(inst, sched, seed):
@@ -1223,6 +1222,32 @@ class TestCertifySmoothing:
         assert set(certify_smoothing(inst, schedule(need_sq))) == {1}
         with pytest.raises(PreconditionViolated):
             certify_smoothing(inst, schedule(need_sq * (1 - Fraction(1, 10**12))))
+
+    def test_second_stage_certifies_the_qary_lattice(self, monkeypatch):
+        # Stage 2 smooths over the q-ary lattice of stage 1's parity row
+        # [a_prev | 1], brute-forced: s0^2 = 9 certifies both stages, where
+        # stage 2 requires sqrt(2) eta_prev = 4.082 from the q-ary eta_prev
+        # = 2.886; s0^2 = 7 passes stage 1 and fails stage 2.
+        inst = SisInstance.create([[1, 2, 1, 0], [2, 1, 0, 1]], 3)
+        eps, calls, qary = 2.0**-10, [], wagner.eta_qary_bruteforce
+
+        def spy(A, q, epsilon):
+            calls.append((np.asarray(A).tolist(), q, epsilon))
+            return qary(A, q, epsilon)
+
+        def schedule(s0_sq):
+            return Schedule(mode=MODE_PROVABLE, r=2, N=10, p=(3, 3), b=(1, 1),
+                            s0_sq=Fraction(s0_sq), epsilon=eps)
+
+        monkeypatch.setattr(wagner, "eta_qary_bruteforce", spy)
+        report = certify_smoothing(inst, schedule(9))
+        assert set(report) == {1, 2} and calls == [([[1, 2, 1]], 3, eps / 3)]
+        assert report[2]["eta_prev"] == qary(np.array([[1, 2, 1]]), 3, eps / 3)
+        assert report[2]["eta_prev"] > report[2]["eta_block"]
+        assert report[2]["required"] == pytest.approx(4.0818, abs=1e-4)
+        with pytest.raises(PreconditionViolated,
+                           match=r"stage 2: width 3\.742 < sqrt\(2\) max\(eta\) = 4\.082"):
+            certify_smoothing(inst, schedule(7))
 
     def test_passes_on_wide_run(self):
         inst = make_systematic(1, 3, 3, seed=2)
