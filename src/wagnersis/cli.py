@@ -151,8 +151,10 @@ def _cmd_solve(args) -> int:
         bound = f"{args.norm} norm <= {report.norm_bound_used:.4f}"
         if given.beta is not None:
             beta = f"{given.norm_kind} norm <= {given.beta} (the instance's beta)"
-            # under the same norm the report already carries the tighter bound
-            same = given.norm_kind == args.norm and report.norm_bound_used == float(given.beta)
+            # under the same norm the report already carries the tighter
+            # bound; a beta past the float range is never the report's
+            same = (given.norm_kind == args.norm and given.beta <= sys.float_info.max
+                    and report.norm_bound_used == float(given.beta))
             bound = beta if same else f"{bound} and {beta}"
         print(f"no solution with {bound} among {report.attempts} samples")
     return EXIT_OK if report.success else EXIT_FAIL

@@ -4,41 +4,56 @@ the brute-force and statistical oracles that test it live in ``oracles``.
 Sampler design.  The base sampler draws from D_{Z,s,c} (density
 proportional to exp(-pi (x-c)^2 / s^2)) as round(c) + D_{Z,s,f}, where the
 center is split exactly, in integer arithmetic, as c = round(c) + f with
-|f| <= 1/2 (integer centers skip the split: f = 0).  The offset is drawn by
-rejection from a proposal that covers all of Z: a uniform window of
-half-width K = max(2, ceil(0.75 s)) glued to two geometric tails of ratio
-g = exp(-pi gamma), whose envelope exp(-pi (tau + gamma j)) at |t| = K + j,
-with exact rationals tau and gamma, dominates the Gaussian for every
-|f| <= 1/2.  These constants depend on s^2 alone, so one ``_ZSampler`` per
-width serves every center; a draw takes about 1.6 proposals at large
-widths.  A tail step j - 1 = M q + r is drawn in bounded work at any width:
-q by inversion, floor(-ln U / (pi gamma M)), decided exactly by bisection
-when the float inversion cannot separate the uniform's cell from a boundary,
-and r in [0, M) by rejection once the mean step passes 2^21.  Every
-accept/reject comparison is a Bernoulli test "U < exp(-pi b)" with rational
-b >= 0 (b = (t-f)^2 / s^2 in the window, less the envelope's exponent in the
-tails), evaluated in double precision with a constant relative margin and
-escalated to exact rational interval arithmetic whenever the margin cannot
-separate U from the probability.  Only f, the offset and the step enter the
-float arithmetic, so neither the margin nor the cost grows with |c|, and the
-sampled law carries no floating-point statistical gap.  Window offsets are
-int64 (the window 2K + 1 must stay below 2^63); tail offsets and draws not
-proven to fit in int64 come back as Python integers.
+|f| <= 1/2 (integer centers skip the split: f = 0).  A call has one width
+and one center denominator c_den, so its offsets follow at most c_den + 1
+laws D_{Z,s,f}, f = f_num / c_den.  Where their CDFs F_f fit one table
+(``_cdt``, at most _TABLE_CAP entries: every draw of the initial lists and
+stage offsets at desk scale), an offset is drawn by inversion, the CDT
+design of Peikert ("An Efficient and Parallel Gaussian Sampler for
+Lattices", CRYPTO 2010): the least k with U < F_f(k), for one uniform U.
+Floats decide k when the uniform's 53-bit cell lies more than a margin
+inside its float bin; otherwise k is found by exact comparisons of U with
+rational enclosures of F_f, whose normalizer is a finite sum plus a proven
+geometric tail bound, so the law covers all of Z.
+
+Other draws (widths whose table passes the cap, and a c_den past it, such
+as a binary center's) are drawn by rejection from a proposal that covers
+all of Z: a uniform window of half-width K = max(2, ceil(0.75 s)) glued to
+two geometric tails of ratio g = exp(-pi gamma), whose envelope exp(-pi
+(tau + gamma j)) at |t| = K + j, with exact rationals tau and gamma,
+dominates the Gaussian for every |f| <= 1/2.  These constants depend on
+s^2 alone, so one ``_ZSampler`` per width serves every center; a draw takes
+about 1.6 proposals at large widths.  A tail step j - 1 = M q + r is drawn
+in bounded work at any width: q by inversion, floor(-ln U / (pi gamma M)),
+decided exactly by bisection when the float inversion cannot separate the
+uniform's cell from a boundary, and r in [0, M) by rejection once the mean
+step passes 2^21.  Every accept/reject comparison is a Bernoulli test "U <
+exp(-pi b)" with rational b >= 0 (b = (t-f)^2 / s^2 in the window, less the
+envelope's exponent in the tails), evaluated in double precision with a
+constant relative margin and escalated to exact rational interval
+arithmetic whenever the margin cannot separate U from the probability.
+Only f, the offset and the step enter the float arithmetic, so neither the
+margin nor the cost grows with |c|, and the sampled law carries no
+floating-point statistical gap.  Window offsets are int64 (the window 2K +
+1 must stay below 2^63); tail offsets and draws not proven to fit in int64
+come back as Python integers.
 
 One entry point runs this sampler: ``_draw_z_array`` draws one value per
-entry of an array of centers, in blocks of NumPy rounds whose order
-``_draw_block`` gives; the initial lists, the stage offsets and
-``sample_zn_rows`` call it.  A proposal's float thresholds p -+ (_REL_ERR p
-+ _ABS_ERR), p the acceptance exp(-pi (t - f)^2 / s^2) in the window and
-exp(-pi b) at a tail step, come from one ``_threshold_table`` per sampler
-and c_den or from ``_offset_p``, which gives the same floats
-(``_proposal_thresholds``).  Undecided comparisons go to
-``_select_window_exact``, ``_geometric_exact`` and ``_decide_exact``, which
-share one interval refinement loop, ``_decide``.  Stream contract: a seeded
-draw is fixed by the order of the generator calls in each round, the order
-of the exact decisions and ``_offset_p``'s floats; a round's arithmetic may
-change freely otherwise.  Widths are exact rationals s^2 (``s_sq``), so
-sqrt(2)^i * s0 is exact.
+entry of an array of centers, in blocks that ``_invert_block`` inverts or
+``_draw_block`` draws in rounds of proposals; the initial lists, the stage
+offsets and ``sample_zn_rows`` call it.  A proposal's float thresholds p -+
+(_REL_ERR p + _ABS_ERR), p the acceptance exp(-pi (t - f)^2 / s^2) in the
+window and exp(-pi b) at a tail step, come from ``_offset_p``.  Undecided
+comparisons go to ``_invert_exact``, ``_select_window_exact``,
+``_geometric_exact`` and ``_decide_exact``, which share one interval
+refinement loop, ``_decide``.  Stream contract: an inverted block takes one
+uniform per entry from the NumPy generator, in entry order, and its exact
+inversions take their fresh bits from the exact stream in entry order; a
+round is fixed by the order of its generator calls, the order of its exact
+decisions and ``_offset_p``'s floats.  Which draws go exact (the float
+margins) fixes the exact stream's use; the arithmetic may change freely
+otherwise.  Widths are exact rationals s^2 (``s_sq``), so sqrt(2)^i * s0 is
+exact.
 """
 
 from __future__ import annotations
@@ -47,6 +62,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -147,21 +163,25 @@ def _exp_pos_scaled(x_scaled: int, P: int, upper: bool) -> int:
     return total
 
 
-def _exp_neg_pi_interval(a: Fraction, prec_bits: int) -> Tuple[Fraction, Fraction]:
-    """Rational enclosure of exp(-pi a) for rational a >= 0, via integer
-    fixed-point bounds on exp(pi a) and directed-rounded reciprocals."""
+def _exp_neg_pi_fixed(a: Fraction, P: int) -> Tuple[int, int]:
+    """Integers (lo, hi) with lo / 2^P <= exp(-pi a) <= hi / 2^P for rational
+    a >= 0, via integer fixed-point bounds on exp(pi a) and directed-rounded
+    reciprocals."""
     if a == 0:
-        return Fraction(1), Fraction(1)
-    P = prec_bits
+        return 1 << P, 1 << P
     num, den = a.numerator, a.denominator
     x_lo = (_PI_LO.numerator * num << P) // (_PI_LO.denominator * den)
     x_hi = -((-_PI_HI.numerator * num << P) // (_PI_HI.denominator * den))
     e_hi = _exp_pos_scaled(x_hi, P, upper=True)    # >= exp(pi a) * 2^P
     e_lo = _exp_pos_scaled(x_lo, P, upper=False)   # <= exp(pi a) * 2^P
     scale_sq = 1 << (2 * P)
-    p_lo = scale_sq // e_hi                        # floor(2^P / exp_hi) scaled
-    p_hi = -((-scale_sq) // e_lo) + 1
-    return Fraction(p_lo, 1 << P), Fraction(p_hi, 1 << P)
+    return scale_sq // e_hi, -((-scale_sq) // e_lo) + 1
+
+
+def _exp_neg_pi_interval(a: Fraction, prec_bits: int) -> Tuple[Fraction, Fraction]:
+    """Rational enclosure of exp(-pi a) for rational a >= 0 (``_exp_neg_pi_fixed``)."""
+    lo, hi = _exp_neg_pi_fixed(a, prec_bits)
+    return Fraction(lo, 1 << prec_bits), Fraction(hi, 1 << prec_bits)
 
 
 class _LazyUniform:
@@ -212,9 +232,10 @@ def _decide_exact(a: Fraction, u: _LazyUniform, rng) -> bool:
 
 @dataclass
 class SamplerCounts:
-    """Work of one array-sampler call: entries drawn, proposals made, and
-    decisions taken in exact arithmetic (window selections, accept/reject
-    tests and tail steps)."""
+    """Work of one array-sampler call: entries drawn, proposals made (an
+    inverted draw counts one, its uniform), and decisions taken in exact
+    arithmetic (an exact inversion counts one, as do a window selection, an
+    accept/reject test and a tail step of the rejection rounds)."""
 
     draws: int = 0
     proposals: int = 0
@@ -226,8 +247,10 @@ class SamplerCounts:
 # when few entries are pending; ``_ZSampler.k_s`` caps the proposals per entry).
 _BLOCK = 1 << 14
 _ROUND_MIN = 1 << 10
-# Largest threshold table, in entries (c_den + 1) (W + 2 J) (``_threshold_table``).
+# Largest inversion table, in entries (c_den + 1) (2 R + 2), and the cells
+# of its guide (``_cdt``).
 _TABLE_CAP = 1 << 16
+_GUIDE_CELLS = 1 << 14
 
 
 def _thresholds(p):
@@ -256,7 +279,8 @@ def _lazy(u: float) -> _LazyUniform:
 
 class _ZSampler:
     """Proposal constants for one width s^2, shared by every center, plus the
-    rejection loop on arrays, which runs on the offsets t = x - round(c).
+    rejection loop and the inversion on arrays, which run on the offsets t =
+    x - round(c).
 
     The envelope has weight 1 on the window |t| <= K and exp(-pi (tau +
     gamma j)) at |t| = K + j, j >= 1.  The center is split as round(c) + f
@@ -313,21 +337,20 @@ class _ZSampler:
             a -= self.tau + self.gamma * j
         return _decide_exact(a, _lazy(u), rng)
 
-    def _offset_p(self, t, f):
+    def _offset_p(self, t, f, tail):
         """exp(-pi b) in double precision at offsets t (an int64 or object
         array) and center fractions f (an array of t's shape, or one float
-        for all): b = (t - f)^2 / s^2 in the window |t| <= K, and at tail
-        step j = |t| - K, b = a - tau - gamma j = ((j + e)^2 + 2 kappa e) / s^2
-        with e = 3/5 - sign(t) f in [1/10, 11/10], positive terms that keep
-        b's relative precision."""
+        for all), where ``tail`` indexes the tail offsets |t| > K: b = (t -
+        f)^2 / s^2 in the window, and at tail step j = |t| - K, b = a - tau -
+        gamma j = ((j + e)^2 + 2 kappa e) / s^2 with e = 3/5 - sign(t) f in
+        [1/10, 11/10], positive terms that keep b's relative precision."""
         dx = np.array(t, dtype=float)
         dx -= f
         p = -math.pi * dx  # -pi dx dx / s^2 in place: temporaries cost more than arithmetic
         p *= dx
         p /= self.s_sq_f
         np.exp(p, out=p)
-        tail = (np.abs(t) > self.K).nonzero()
-        if tail[0].size:  # the tail terms, on the tail offsets only
+        if tail.size:  # the tail terms, on the tail offsets only
             # (past the window, dx has t's sign)
             e = 0.6 - np.sign(dx[tail]) * (f if np.ndim(f) == 0 else f[tail])
             num = ((np.abs(t[tail]) - self.K).astype(float) + e) ** 2 + 2.0 * (self.K - 0.6) * e
@@ -342,37 +365,6 @@ class _ZSampler:
             steps = steps.astype(object)
         t = steps + self.K
         return np.negative(t, out=t, where=neg)
-
-    def _table(self, f_num, c_den: int):
-        """``_threshold_table`` of the entries f = f_num / c_den, or None for
-        object numerators and a c_den whose window passes _TABLE_CAP, whose
-        thresholds ``_offset_p`` gives."""
-        if f_num.dtype == object or (c_den + 1) * self.W > _TABLE_CAP:
-            return None
-        return _threshold_table(self, c_den, _REL_ERR, _ABS_ERR)
-
-    def _proposal_thresholds(self, f_num, c_den: int):
-        """``_thresholds`` of the proposals of the entries f = f_num / c_den,
-        as thresholds(rows, t, top) for offsets t of the entries rows, of
-        tail steps up to top (0 for window offsets).  For int64 f_num within
-        _TABLE_CAP it reads ``_threshold_table`` while t is int64 and top <=
-        its J; otherwise ``_offset_p`` gives the same floats.  Integer
-        centers (c_den = 1, f = 0) read no entry: rows may be None and the
-        table index is t + K + J."""
-        table = self._table(f_num, c_den)
-        if table is not None:
-            lo, hi, J = table
-            # the index of t = 0: K + J at every integer center (f = 0)
-            mid, width = self.K + J, self.W + 2 * J
-            base = None if c_den == 1 else f_num * width + (c_den // 2 * width + mid)
-
-        def thresholds(rows, t, top):
-            if table is not None and t.dtype == np.int64 and top <= J:
-                at = t + mid if base is None else base[rows] + t
-                return lo.take(at), hi.take(at)
-            f = 0.0 if c_den == 1 else np.asarray(f_num[rows] / c_den, dtype=float)
-            return _thresholds(self._offset_p(t, f))
-        return thresholds
 
     def _tail_steps(self, n: int, rng, exact_rng, counts: SamplerCounts) -> np.ndarray:
         """n i.i.d. tail steps j >= 1 with Pr[j] = (1-g) g^(j-1), in bounded
@@ -459,20 +451,13 @@ class _ZSampler:
         proposal order: the law of a sequential rejection loop.  The round's
         generator calls come in this order: the selection uniforms, the
         window offsets, the acceptance uniforms, then a side (one uniform
-        below 1/2 means -1) and a step for each tail proposal it draws.  It
-        settles which proposals are tail proposals first.  With one proposal
-        a row it then draws every tail proposal's side and step, and one
-        thresholds call (``_proposal_thresholds``) decides the whole round.
-        With several, one call decides the window proposals first, only the
-        tail proposals ahead of their row's first window accept draw a side
-        and a step (no other can be kept), and one more call decides those.
-        The generator calls and the exact decisions, in proposal order, keep
-        one order either way.  A tail round takes one max of its steps, for
-        both the int64 bound of its offsets and the table check.  Each round
-        writes every pending entry's pick with one scatter: an entry not done
-        yet is overwritten by the round that finishes it, and the first
-        round's picks become the output."""
-        thresholds = self._proposal_thresholds(f_num, c_den)
+        below 1/2 means -1) and a step for every tail proposal.  One
+        ``_offset_p`` call then gives the thresholds of the whole round, and
+        its undecided proposals go to exact arithmetic in proposal order.  A
+        tail round takes one max of its steps for the int64 bound of its
+        offsets.  Each round writes every pending entry's pick with one
+        scatter: an entry not done yet is overwritten by the round that
+        finishes it, and the first round's picks become the output."""
         t_out, top = np.empty(0, dtype=np.int64), 0
         pending = np.arange(len(f_num))
         while pending.size:
@@ -484,9 +469,6 @@ class _ZSampler:
             t = rng.integers(-self.K, self.K + 1, n)
             u = rng.random(n)
             # (ndarray methods here: a NumPy function adds a few us a call)
-            # proposal i is for entry pending[i // k]; integer centers read no
-            # entry, so their rounds build no row indices
-            rows = None if c_den == 1 else pending if k == 1 else pending.repeat(k)
             tail = (u_sel >= self.p_window - _SELECT_MARGIN).nonzero()[0]
             if tail.size:
                 u_sel = u_sel[tail]
@@ -496,14 +478,6 @@ class _ZSampler:
                         counts.fallbacks += 1
                         near[i] = self._select_window_exact(float(u_sel[i]), exact_rng)
                     tail = tail[~near]
-            if k > 1:
-                lo, hi = thresholds(rows, t, 0)
-                accept, maybe = u < lo, u <= hi
-                if tail.size:
-                    accept[tail] = maybe[tail] = False
-                    first, has = _first_accepts(accept, k)
-                    tail = tail[~has[tail // k] | (first[tail // k] > tail)]
-            top_round = 0
             if tail.size:
                 neg = rng.random(tail.size) < 0.5  # side -1: a fair bit, exactly
                 steps = self._tail_steps(tail.size, rng, exact_rng, counts)
@@ -512,13 +486,11 @@ class _ZSampler:
                 t_tail = self._tail_offsets(neg, steps, top_round)
                 t = t.astype(t_tail.dtype, copy=False)
                 t[tail] = t_tail
-            if k == 1:
-                lo, hi = thresholds(rows, t, top_round)
-                accept, maybe = u < lo, u <= hi
-            elif tail.size:
-                lo, hi = thresholds(None if rows is None else rows[tail], t_tail, top_round)
-                u_tail = u[tail]
-                accept[tail], maybe[tail] = u_tail < lo, u_tail <= hi
+            # proposal i is for entry pending[i // k]; integer centers read no entry
+            f = 0.0 if c_den == 1 else np.asarray(
+                f_num[pending if k == 1 else pending.repeat(k)] / c_den, dtype=float)
+            lo, hi = _thresholds(self._offset_p(t, f, tail))
+            accept, maybe = u < lo, u <= hi
             first, done = _first_accepts(accept, k)
             # Undecided proposals, in proposal order: one before its row's
             # first accept is decided exactly and, if accepted, comes first.
@@ -545,6 +517,71 @@ class _ZSampler:
             pending = pending[(~done).nonzero()[0]]
         return t_out, top
 
+    def _invert_block(self, f_num, c_den: int, cdt, rng, exact_rng, counts: SamplerCounts):
+        """Offsets t ~ D_{Z,s,f}, one per entry of f = f_num / c_den (int64),
+        by inversion from the table ``cdt`` = ``_cdt(self, c_den)``, and top =
+        max(R, max |t|) - K, so |t| <= K + top; int64.
+
+        One uniform u per entry, in entry order, and the key r + u, looked up
+        in the guide or, past a guide cell's first bin end, searched in the
+        table, give each entry the least k with u below its row's float
+        F_f(k).  That k stands when u lies more than the margin _REL_ERR F +
+        _ABS_ERR + (c_den + 1) 2^-53 from both float ends F of its bin, which
+        covers the 53-bit cell of u, the float CDF's rounding (its sums and
+        normalizer, far within _REL_ERR) and the rounding of the row-shifted
+        entries (the keys' rounding only misplaces a bin, which the margin
+        test on u itself then refuses); the end bins |k| = R never stand.
+        Every other entry is inverted exactly (``_invert_exact``), in entry
+        order."""
+        table, guide, cells, R = cdt
+        n = f_num.size
+        counts.proposals += n
+        u = rng.random(n)
+        row = 0 if c_den == 1 else f_num + c_den // 2  # f = 0 for c_den = 1: row 0
+        key = u + row
+        # at: the table index of the bin's lower end, the last entry <= key
+        at = guide.take((key * cells).astype(np.intp))
+        far = (key >= table.take(at + 1)).nonzero()[0]
+        if far.size:  # a guide cell holding several bin ends
+            at[far] = table.searchsorted(key[far], side="right") - 1
+        base = row * (2 * R + 2)
+        np.minimum(at, base + 2 * R, out=at)  # a key rounded up to r + 1: the last bin
+        lo, hi = table.take(at), table.take(at + 1)
+        lo -= row  # exact: the entries of row r lie in [r, r + 1]
+        hi -= row
+        slack = (c_den + 1) * _U_ULP + _ABS_ERR
+        ok = u - lo > _REL_ERR * lo + slack
+        ok &= hi - u > _REL_ERR * hi + slack
+        t = at - base
+        t -= R
+        ok &= np.abs(t) < R
+        top = R
+        for i in (~ok).nonzero()[0]:
+            counts.fallbacks += 1
+            t[i] = x = self._invert_exact(int(f_num[i]), c_den, int(t[i]), float(u[i]),
+                                          exact_rng)
+            top = max(top, abs(x))
+        return t, top - self.K
+
+    def _invert_exact(self, f_num: int, c_den: int, t: int, u: float, rng) -> int:
+        """The least k with U < F_f(k), f = f_num / c_den, for the uniform U
+        whose first 53 bits are u (fresh bits from rng): exact comparisons
+        (``_cdf_interval``) walk k from the float answer t, down while U <
+        F_f(k - 1) and up while U >= F_f(k)."""
+        lu = _lazy(u)
+
+        def below(k: int) -> bool:
+            return _decide(lu, rng, lambda prec: _cdf_interval(self, f_num, c_den, prec, k))
+
+        if below(t):
+            while below(t - 1):
+                t -= 1
+            return t
+        t += 1
+        while not below(t):
+            t += 1
+        return t
+
 
 _SAMPLER_CACHE: Dict = {}
 
@@ -559,20 +596,110 @@ def _sampler(s_sq: Fraction) -> _ZSampler:
     return samp
 
 
+def _cdt_radius(samp: _ZSampler) -> int:
+    """The least R >= K at which a proven bound puts each outer mass, Pr[X <=
+    -R] and Pr[X >= R] of X ~ D_{Z,s,f} at any |f| <= 1/2, below 2^-64: with
+    h = R - 1/2 <= |j - f| for |j| >= R, each outer sum of rho_f is at most
+    exp(-pi h^2 / s^2) / (1 - exp(-2 pi h / s^2)), and rho_f(Z) >= rho_f(round
+    f) >= exp(-pi / (4 s^2)).  96-bit enclosures decide the bound exactly."""
+    one = 1 << 96
+    d_lo, _ = _exp_neg_pi_fixed(1 / (4 * samp.s_sq), 96)
+    R = max(samp.K, math.floor(math.sqrt(64 * _LN2 * samp.s_sq_f / math.pi)))
+    while True:
+        h = R - Fraction(1, 2)
+        _, a_hi = _exp_neg_pi_fixed(h * h / samp.s_sq, 96)
+        _, g_hi = _exp_neg_pi_fixed(2 * h / samp.s_sq, 96)
+        # a_hi / (one - g_hi) < 2^-64 d_lo / one
+        if a_hi << 160 < d_lo * (one - g_hi):
+            return R
+        R += 1
+
+
 @lru_cache(maxsize=64)
-def _threshold_table(samp: _ZSampler, c_den: int, rel_err: float, abs_err: float):
-    """(lo, hi, J): ``_thresholds`` of the sampler's s^2 for every offset t in
-    [-(K + J), K + J] and f = f_num / c_den, |f_num| <= c_den / 2, flat at
-    (f_num + c_den // 2) (W + 2 J) + t + K + J: ``_offset_p(t, f)`` on the
-    whole grid, so its floats bit for bit.  J is the least step count with
-    g^J <= 2^-30, cut to keep (c_den + 1) (W + 2 J) <= _TABLE_CAP, which the
-    caller checks at J = 0.  The sampler (by identity: no Fraction hash) and
-    the margins (_REL_ERR, _ABS_ERR) key the cache."""
-    J = min(math.ceil(30 * _LN2 / samp.rate), (_TABLE_CAP // (c_den + 1) - samp.W) // 2)
-    t, f = np.broadcast_arrays(np.arange(-(samp.K + J), samp.K + J + 1),
-                               (np.arange(c_den + 1) - c_den // 2)[:, None] / c_den)
-    lo, hi = _thresholds(samp._offset_p(t, f))
-    return lo.ravel(), hi.ravel(), J
+def _cdt(samp: _ZSampler, c_den: int):
+    """(table, guide, cells, R): the float CDFs F_f of D_{Z,s,f} for f =
+    f_num / c_den, |f_num| <= c_den / 2, each row r = f_num + c_den // 2
+    holding r + F_f(k) for k in [-R, R - 1] between the sentinels r and r +
+    1, flat in one sorted table, R = ``_cdt_radius``; None when (c_den + 1)
+    (2 R + 2) passes _TABLE_CAP (every c_den >= 2^62 does).  F_f is the
+    running sum of the rho_f terms over [-R, R] divided by their total: the
+    outer masses left out are below 2^-64.  The guide cuts [0, c_den + 1]
+    into cells of width 1 / cells, and holds at cell j the index of the last
+    entry <= j / cells (at most the table's second last).  The sampler (by
+    identity: no Fraction hash) keys the cache."""
+    if 4 * samp.K + 4 > _TABLE_CAP:  # R >= K: no row fits
+        return None
+    R = _cdt_radius(samp)
+    if (c_den + 1) * (2 * R + 2) > _TABLE_CAP:
+        return None
+    rows = np.arange(c_den + 1)
+    dx = np.arange(-R, R + 1) - ((rows - c_den // 2) / c_den)[:, None]
+    cdf = np.cumsum(np.exp(-math.pi * dx * dx / samp.s_sq_f), axis=1)
+    table = np.zeros((c_den + 1, 2 * R + 2))
+    table[:, 1:-1] = cdf[:, :-1] / cdf[:, -1:]
+    table[:, -1] = 1.0
+    table += rows[:, None]
+    table = table.ravel()
+    cells = _GUIDE_CELLS // (c_den + 1)
+    guide = table.searchsorted(np.arange((c_den + 1) * cells + 1) / cells, side="right") - 1
+    return table, np.minimum(guide, table.size - 2), cells, R
+
+
+@lru_cache(maxsize=256)
+def _cdf_row(samp: _ZSampler, f_num: int, c_den: int, prec: int):
+    """Enclosures, scaled by 2^Q, of D_{Z,s,f}'s CDF for f = f_num / c_den:
+    (radius, lo_sums, hi_sums, tail, z_lo, z_hi), where lo_sums[i] and
+    hi_sums[i] enclose the sum of rho_f(j) over j in [-radius, i - radius],
+    tail bounds each outer sum (|j| > radius) from above, and [z_lo, z_hi]
+    encloses rho_f(Z); tail is None while the precision cannot bound it.
+    The radius grows with prec, so that the tail shrinks with the terms'
+    rounding.  With h = radius + 1/2 <= |j - f| for |j| > radius, each outer
+    sum is at most exp(-pi h^2 / s^2) / (1 - exp(-2 pi h / s^2)).
+
+    The terms walk outward from j = 0 on each side by the exact recurrence
+    rho_g(j + 1) = rho_g(j) r_j, r_j = exp(-pi (2 (j - g) + 1) / s^2) = r_0
+    E^j with E = exp(-2 pi / s^2), for g = f (j >= 0) and g = -f (rho_f(-j)
+    = rho_{-f}(j)): two directed-rounded products a term, whose rounding Q -
+    prec = 3 bitlen(radius) extra bits absorb."""
+    f = Fraction(f_num, c_den)
+    radius = max(samp.K, math.ceil(0.5 + math.sqrt(prec * _LN2 * samp.s_sq_f / math.pi)))
+    Q = prec + 3 * radius.bit_length()
+    e_lo, e_hi = _exp_neg_pi_fixed(2 / samp.s_sq, Q)
+
+    def walk(g):
+        (rho_lo, rho_hi), (r_lo, r_hi) = (_exp_neg_pi_fixed(g * g / samp.s_sq, Q),
+                                          _exp_neg_pi_fixed((1 - 2 * g) / samp.s_sq, Q))
+        terms = [(rho_lo, rho_hi)]
+        for _ in range(radius):
+            rho_lo, rho_hi = rho_lo * r_lo >> Q, (rho_hi * r_hi >> Q) + 1
+            r_lo, r_hi = r_lo * e_lo >> Q, (r_hi * e_hi >> Q) + 1
+            terms.append((rho_lo, rho_hi))
+        return terms
+
+    terms = walk(-f)[:0:-1] + walk(f)  # j = -radius, ..., radius
+    lo_sums = list(accumulate(lo for lo, _ in terms))
+    hi_sums = list(accumulate(hi for _, hi in terms))
+    h = radius + Fraction(1, 2)
+    _, a_hi = _exp_neg_pi_fixed(h * h / samp.s_sq, Q)
+    _, g_hi = _exp_neg_pi_fixed(2 * h / samp.s_sq, Q)
+    one = 1 << Q
+    tail = -((-a_hi * one) // (one - g_hi)) if g_hi < one else None
+    return radius, lo_sums, hi_sums, tail, lo_sums[-1], hi_sums[-1] + 2 * (tail or 0)
+
+
+def _cdf_interval(samp: _ZSampler, f_num: int, c_den: int, prec: int, k: int):
+    """Rational enclosure of F_f(k) = Pr[X <= k], X ~ D_{Z,s,f}, f = f_num /
+    c_den, from ``_cdf_row`` at prec bits: the sums through k over the
+    normalizer's ends, with the left outer sum added to the upper end; a k
+    past the radius gets the enclosure of the radius's edge."""
+    radius, lo_sums, hi_sums, tail, z_lo, z_hi = _cdf_row(samp, f_num, c_den, prec)
+    if tail is None:
+        return Fraction(0), Fraction(1)
+    if k < -radius:
+        return Fraction(0), Fraction(tail, z_lo)
+    i = min(k, radius) + radius
+    return (Fraction(lo_sums[i], z_hi),
+            Fraction(1) if k >= radius else Fraction(hi_sums[i] + tail, z_lo))
 
 
 def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
@@ -600,16 +727,21 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
     centers = c_num.reshape(-1)  # a view where the layout allows; .flat slices copy
     counts = SamplerCounts(draws=c_num.size)
     x0_bound = c_bound // c_den + 1
+    cdt = _cdt(samp, 1 if c_bound == 0 else c_den)
     parts, top = [], 0
     for start in range(0, c_num.size, _BLOCK):
         block = centers[start:start + _BLOCK]
         if c_bound == 0:  # x0 = f_num = 0: no split and no sum
-            t, block_top = samp._draw_block(block, 1, rng, exact_rng, counts)
-            parts.append(t)
+            x0, f_num, den = None, block, 1
         else:
-            x0, f_num = _split_centers(block, c_den, c_bound)
-            t, block_top = samp._draw_block(f_num, c_den, rng, exact_rng, counts)
-            parts.append(int_lincomb([(1, x0), (1, t)], x0_bound + samp.K + block_top))
+            (x0, f_num), den = _split_centers(block, c_den, c_bound), c_den
+        if cdt is None:
+            t, block_top = samp._draw_block(f_num, den, rng, exact_rng, counts)
+        else:  # |f_num| <= c_den / 2 < 2^61
+            t, block_top = samp._invert_block(f_num.astype(np.int64, copy=False), den, cdt,
+                                              rng, exact_rng, counts)
+        parts.append(t if x0 is None else
+                     int_lincomb([(1, x0), (1, t)], x0_bound + samp.K + block_top))
         top = max(top, block_top)
     out = parts[0] if len(parts) == 1 else np.concatenate(parts or [centers[:0]])
     return out.reshape(c_num.shape), counts, x0_bound + samp.K + top

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -61,32 +62,42 @@ def _box(lo, hi, keep: Callable = None) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _split(v) -> Tuple[int, float]:
+    """(x0, f): v = x0 + f split exactly, x0 = round(v) (ties to even), and
+    f as a float, for a float, integer or Fraction v."""
+    v = Fraction(v)
+    x0 = round(v)
+    return x0, float(v - x0)
+
+
+def _bounds(cs: Sequence, R: float, alpha=1, offset=0):
+    """The integer box [floor((c - offset - R) / alpha), ceil((c - offset +
+    R) / alpha)] per center coordinate c of ``cs``, in exact rational
+    arithmetic, so that a center past 2^53 keeps its place."""
+    a, off, r = Fraction(alpha), Fraction(offset), Fraction(R)
+    return ([math.floor((Fraction(c) - off - r) / a) for c in cs],
+            [math.ceil((Fraction(c) - off + r) / a) for c in cs])
+
+
 def enum_z() -> Callable:
     """Enumerator for Z: the integers x with |x - c| <= R, as int64."""
-    def points(R: float, c: Sequence[float]):
-        c0 = float(c[0])
-        return _box([math.floor(c0 - R)], [math.ceil(c0 + R)])
+    def points(R: float, c: Sequence):
+        return _box(*_bounds(c[:1], R))
     return points
 
 
 def enum_coset_z(offset) -> Callable:
     """Enumerator for Z + offset."""
-    off = float(offset)
-
-    def points(R: float, c: Sequence[float]):
-        c0 = float(c[0])
-        return _box([math.floor(c0 - R - off)], [math.ceil(c0 + R - off)]) + off
+    def points(R: float, c: Sequence):
+        return _box(*_bounds(c[:1], R, offset=offset)) + float(offset)
     return points
 
 
 def enum_scaled_zn(alpha, n: int) -> Callable:
     """Enumerator for alpha * Z^n."""
-    a = float(alpha)
-
-    def points(R: float, c: Sequence[float]):
-        cs = [float(ci) for ci in (c[:n] if len(c) >= n else [c[0]] * n)]
-        return _box([math.floor((ci - R) / a) for ci in cs],
-                    [math.ceil((ci + R) / a) for ci in cs]) * a
+    def points(R: float, c: Sequence):
+        cs = c[:n] if len(c) >= n else [c[0]] * n
+        return _box(*_bounds(cs, R, alpha=alpha)) * float(alpha)
     return points
 
 
@@ -95,20 +106,24 @@ def enum_qary(A, q: int) -> Callable:
     A = np.asarray(A, dtype=np.int64)
     n, m = A.shape
 
-    def points(R: float, c: Sequence[float]):
-        cs = [float(ci) for ci in (c if len(c) == m else [c[0]] * m)]
-        return _box([math.floor(ci - R) for ci in cs], [math.ceil(ci + R) for ci in cs],
-                    lambda pts: np.all(residue(pts @ A.T, q) == 0, axis=1))
+    def points(R: float, c: Sequence):
+        cs = c if len(c) == m else [c[0]] * m
+        return _box(*_bounds(cs, R), lambda pts: np.all(residue(pts @ A.T, q) == 0, axis=1))
     return points
 
 
 def _gauss_weights(enumerator, param: GaussParam, radius: float):
     """The enumerated points within radius, one per row (an enumerator may
-    return a sequence of tuples), and their weights exp(-pi ||x-c||^2 / s^2)."""
-    c = [float(v) for v in param.c]
-    pts = np.asarray(enumerator(radius, c))
-    cs = np.asarray(c if pts.shape[1] == len(c) else c * pts.shape[1], dtype=float)
-    d2 = ((pts - cs) ** 2).sum(axis=1)
+    return a sequence of tuples), and their weights exp(-pi ||x-c||^2 / s^2).
+    Each center coordinate is split exactly as c = x0 + f (``_split``) and
+    each offset x - c is taken as (x - x0) - f, so only f and x - x0 enter
+    float arithmetic: a center past 2^53 is not rounded."""
+    pts = np.asarray(enumerator(radius, param.c))
+    splits = [_split(v) for v in param.c]
+    if pts.shape[1] != len(splits):
+        splits *= pts.shape[1]
+    x0, f = np.array([x for x, _ in splits]), np.array([g for _, g in splits])
+    d2 = ((np.asarray(pts - x0, dtype=float) - f) ** 2).sum(axis=1)
     return pts, np.exp(-math.pi * d2 / float(param.s_sq))
 
 

@@ -4,6 +4,7 @@ import json
 import math
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from wagnersis import solvers, wagner
@@ -101,6 +102,24 @@ class TestSolvePipe:
                             stdin_text=inst_json, monkeypatch=monkeypatch)
         assert code == 1
         assert "linf norm <= 5 (the instance's beta)" in out
+
+    @pytest.mark.parametrize("beta, text", [
+        (21, "21 (the instance's beta)"),
+        (64 / 3, "6004799503160661/281474976710656 (the instance's beta)"),
+        (10 ** 400, "55.6025 and linf norm <= 1" + "0" * 400 + " (the instance's beta)"),
+    ], ids=["int", "float", "past-the-float-range"])
+    def test_no_solution_message_at_any_instance_beta(self, beta, text, monkeypatch):
+        # a run with no rows: the message names the instance's beta alone
+        # when the report's bound is its float, and both bounds otherwise,
+        # even for a beta with no float (exit 1, no traceback)
+        _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257", "--seed", "0"])
+        doc = dict(json.loads(inst_json), beta=beta)
+        monkeypatch.setattr(solvers, "gaussian_wagner", lambda *a, **kw: (
+            np.empty((0, 20), dtype=np.int64), wagner.RunStats(mode=wagner.MODE_HEURISTIC)))
+        code, out = run_cli(["solve", "--f", "8"], stdin_text=json.dumps(doc),
+                            monkeypatch=monkeypatch)
+        assert code == 1
+        assert out == f"no solution with linf norm <= {text} among 0 samples\n"
 
     def test_provable_mode_precondition_exit_code(self, monkeypatch):
         _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
@@ -404,16 +423,16 @@ class TestDeterminismAndCertify:
         c2, o2 = run_cli(list(argv), stdin_text=inst_json, monkeypatch=monkeypatch)
         assert (c1, o1) == (c2, o2)
 
-    # sha256 of stdout, computed at the stream epoch (sampler streams on
-    # SFC64, rounds of at most k_s proposals a row, tail steps only ahead of
-    # a row's first window accept): a change to any seeded stream fails here
+    # sha256 of stdout, computed at the inversion epoch (sampler streams on
+    # SFC64; centers 1/2 and 1/4 are inverted from a CDT, one uniform a
+    # draw): a change to any seeded stream fails here
     @pytest.mark.parametrize("argv, digest", [
         (["sample", "--width", "3", "--center", "0.5", "--count", "400",
           "--seed", "1", "--json"],
-         "b881770dd61112de052661eec4585f525d4e1b73fdf8964d18c39dc1561de6a3"),
+         "5de4e4733823827950d83f88083fc401b21f8aed87b3dc4f15329045bd3354b0"),
         (["sample", "--width", "2.2", "--center", "-7.25", "--count", "400",
           "--dim", "3", "--seed", "4", "--json"],
-         "9a14e300105786011b7ec57cce35d693dba42a8384301c135955e3bba3a0e93a"),
+         "180b88babc18becb7aad863ca46ce7066de96266c8979b454b1ee8f1013f130a"),
     ], ids=["scalar", "dim3"])
     def test_sample_stream_pinned(self, argv, digest):
         code, out = run_cli(argv)
@@ -421,8 +440,8 @@ class TestDeterminismAndCertify:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_solve_stream_pinned(self, monkeypatch):
-        # sha256 of stdout, computed at the stream epoch (sampler streams on
-        # SFC64, acceptance-sized rounds, tail steps only where they count)
+        # sha256 of stdout, computed at the inversion epoch (sampler streams
+        # on SFC64, every stage offset inverted from a CDT)
         _, inst_json = run_cli(["gen", "--n", "8", "--m", "20", "--q", "257",
                                 "--seed", "11"])
         f = 4 * math.sqrt(math.log(20))
@@ -430,7 +449,7 @@ class TestDeterminismAndCertify:
                             stdin_text=inst_json, monkeypatch=monkeypatch)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "8aeac0717b8591f62ae0a77c47f903012dd6ef296ee4d30e8c77d7aac1b869dd"
+            "92b7bc53331bec68d2db7b4f3faf088a41977a29f70255aadddf5c50fcf7071a"
 
     def test_certify_smoothing_refuses_large_instances(self, monkeypatch):
         # certification brute-forces dual lattices; desk instances exceed the

@@ -208,15 +208,30 @@ class _RecordingSampler(_ZSampler):
         return -1
 
 
-class _FormulaRecordingSampler(_ZSampler):
-    """A sampler that records the offsets at which its formula (not its
-    tables) gives thresholds."""
+class _InversionRecordingSampler(_ZSampler):
+    """A sampler that records the uniforms its exact inversion takes."""
 
-    __slots__ = ("formulas",)
+    __slots__ = ("inverted",)
 
-    def _offset_p(self, t, f):
-        self.formulas.append(np.asarray(t).tolist())
-        return super()._offset_p(t, f)
+    def _invert_exact(self, f_num, c_den, t, u, rng):
+        self.inverted.append(u)
+        return super()._invert_exact(f_num, c_den, t, u, rng)
+
+
+class _ZeroBits:
+    """An exact stream whose first ``n`` 53-bit words are ``word`` and whose
+    later ones come from ``random.Random(0)``."""
+
+    def __init__(self, word, n):
+        self._word, self._n, self._rng = word, n, random.Random(0)
+
+    def getrandbits(self, bits):
+        self._n -= 1
+        return self._word if self._n >= 0 else self._rng.getrandbits(bits)
+
+
+def _tail_indices(samp, t):
+    return (np.abs(t) > samp.K).nonzero()[0]
 
 
 def _window_p_ref(samp, t, f):
@@ -270,13 +285,15 @@ class TestFloatFastPath:
         return (Fraction(t) + x0 - Fraction(c_num, c_den)) ** 2 / samp.s_sq
 
     @staticmethod
-    def _run_batch(samp, c_num, c_den, t, j, u53):
-        """The array sampler's float decision on one proposal, with f_num from
-        its own center split: True, False, or None (left to exact).  The
-        proposal (a window one for j = 0) is decided as its round decides
-        it, from the threshold table or ``_offset_p``."""
+    def _run_batch(samp, c_num, c_den, t, u53):
+        """The rejection rounds' float decision on one proposal, with f_num
+        from its own center split: True, False, or None (left to exact).
+        The proposal (a window one for |t| <= K) is decided as its round
+        decides it, from ``_offset_p``."""
         _, f_num = _split_centers(int_array([c_num]), c_den, abs(c_num))
-        lo, hi = samp._proposal_thresholds(f_num, c_den)([0], np.array([t]), j)
+        t = np.array([t])
+        f = np.asarray(f_num / c_den, dtype=float)
+        lo, hi = dgauss._thresholds(samp._offset_p(t, f, _tail_indices(samp, t)))
         u = u53 / (1 << 53)
         return True if u < lo[0] else None if u <= hi[0] else False
 
@@ -287,7 +304,7 @@ class TestFloatFastPath:
         t = t_pos % samp.W - samp.K
         a = self._offset_a(samp, t, *c)
         u53 = self._u53(u, -math.pi * float(a))
-        got = self._run_batch(samp, *c, t, 0, u53)
+        got = self._run_batch(samp, *c, t, u53)
         if got is not None:
             lu = _LazyUniform(u53, 53)
             assert got == _decide_exact(a, lu, random.Random(0))
@@ -305,81 +322,10 @@ class TestFloatFastPath:
         # acceptance exp(-pi b): a over the envelope exp(-pi (tau + gamma j))
         b = a - samp.tau - samp.gamma * j
         u53 = self._u53(u, -math.pi * float(b))
-        got = self._run_batch(samp, *c, t, j, u53)
+        got = self._run_batch(samp, *c, t, u53)
         if got is not None:
             lu = _LazyUniform(u53, 53)
             assert got == _decide_exact(b, lu, random.Random(0))
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(s_sq=st.one_of(_WIDTHS_SQ, st.sampled_from([Fraction(144), Fraction(6400, 257)])),
-           c_den=st.sampled_from([1, 2, 3, 5, 257, 4096, 13106, 13107, 1 << 55]),
-           wide=st.booleans(), f_pos=st.integers(0, 1 << 60), t_pos=st.integers(0, 1 << 22),
-           side=st.sampled_from([1, -1]), u=_UNIFORMS)
-    # s^2 = 144 (K = 9, J = 57): |t| = K + J, the table's last step, and
-    # step J + 1, one past it
-    @example(s_sq=Fraction(144), c_den=5, wide=False, f_pos=1, t_pos=66, side=-1,
-             u=("at", 0.0))
-    @example(s_sq=Fraction(144), c_den=5, wide=False, f_pos=3, t_pos=67, side=1,
-             u=("at", 0.0))
-    # the window alone fills the cap, (13106 + 1) 5 = 2^16 - 1: a table with
-    # J = 0, and step 1 past it
-    @example(s_sq=Fraction(16, 9), c_den=13106, wide=False, f_pos=7, t_pos=2, side=1,
-             u=("at", 0.0))
-    @example(s_sq=Fraction(16, 9), c_den=13106, wide=False, f_pos=7, t_pos=3, side=-1,
-             u=("at", 0.0))
-    def test_window_table_matches_formula_and_exact(self, s_sq, c_den, wide, f_pos, t_pos,
-                                                    side, u):
-        # Within the cap, the threshold table's row of f_num holds, bit for
-        # bit, the floats the two formulas gave: the window formula for
-        # |t| <= K and the tail formula at step j = |t| - K up to J, with J
-        # the least step count with g^J <= 2^-30 that the cap allows.  A
-        # round reads the table for every proposal in it, tail offsets up to
-        # step J and not past it, and the formula otherwise (a step past J, a
-        # c_den past the cap (c_den = 13107 at W = 5 is one past it) and
-        # object numerators, which read no table), with the same floats; no
-        # float decision contradicts the exact one.
-        samp = _FormulaRecordingSampler(s_sq)
-        samp.formulas = []
-        f_num = f_pos % (2 * (c_den // 2) + 1) - c_den // 2
-        in_table = not wide and (c_den + 1) * samp.W <= dgauss._TABLE_CAP
-        before = dgauss._threshold_table.cache_info()
-        thresholds = samp._proposal_thresholds(
-            np.array([f_num], dtype=object if wide else np.int64), c_den)
-        after = dgauss._threshold_table.cache_info()
-        assert (after.hits + after.misses > before.hits + before.misses) == in_table
-        key = (samp, c_den, dgauss._REL_ERR, dgauss._ABS_ERR)
-        J = dgauss._threshold_table(*key)[2] if in_table else 0
-        K, f = samp.K, np.full(1, f_num) / c_den
-        for step, reads_table in ((J, in_table), (J + 1, False)):
-            samp.formulas = []  # drops the table build's call
-            thresholds([0], np.array([side * (K + step)]), step)
-            assert (not samp.formulas) == reads_table
-        samp.formulas = []
-        t = side * (t_pos % (K + J + 2))  # up to step J + 1
-        j = abs(t) - K
-        (lo_t,), (hi_t,) = thresholds([0], np.array([t]), max(j, 0))
-        assert samp.formulas == ([] if in_table and j <= J else [[t]])
-        f_lo, f_hi = dgauss._thresholds(_two_formulas_p(samp, np.array([t]), f))
-        assert (lo_t, hi_t) == (f_lo[0], f_hi[0])
-        if in_table:
-            lo, hi, _ = dgauss._threshold_table(*key)
-            width = samp.W + 2 * J
-            assert (c_den + 1) * width <= dgauss._TABLE_CAP
-            target = 30 * math.log(2)  # g^J <= 2^-30
-            assert J == 0 or samp.rate * (J - 1) < target
-            assert samp.rate * J >= target or (c_den + 1) * (width + 2) > dgauss._TABLE_CAP
-            row = slice((f_num + c_den // 2) * width, (f_num + c_den // 2 + 1) * width)
-            ts = np.arange(-(K + J), K + J + 1)
-            fs = np.full(ts.size, f_num) / c_den
-            f_lo, f_hi = dgauss._thresholds(_two_formulas_p(samp, ts, fs))
-            assert lo[row].tobytes() == f_lo.tobytes() and hi[row].tobytes() == f_hi.tobytes()
-        a = (t - Fraction(f_num, c_den)) ** 2 / s_sq
-        if j > 0:
-            a -= samp.tau + samp.gamma * j  # over the envelope exp(-pi (tau + gamma j))
-        u53 = self._u53(u, -math.pi * float(a))
-        u = u53 / (1 << 53)
-        if u < lo_t or u > hi_t:
-            assert (u < lo_t) == _decide_exact(a, _LazyUniform(u53, 53), random.Random(0))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(s_sq=st.sampled_from([_FLOOR_SQ, Fraction(16, 9), Fraction(144), Fraction(1 << 40),
@@ -390,9 +336,9 @@ class TestFloatFastPath:
         # One exp(-pi b) at every offset gives the very bytes of the window
         # and tail formulas it replaced, so no threshold moves by an ulp (a
         # move the seeded pins almost never see): window offsets, tail steps
-        # up to one past the table's uncut J and past 2^53, offsets past
-        # int64 (objects), int64 or object arrays, fractions f in [-1/2, 1/2]
-        # or the scalar 0.0 of integer centers.
+        # up to J + 1 with g^J about 2^-30 and past 2^53, offsets past int64
+        # (objects), int64 or object arrays, fractions f in [-1/2, 1/2] or
+        # the scalar 0.0 of integer centers.
         samp = _ZSampler(s_sq)
         K, J = samp.K, math.ceil(30 * math.log(2) / samp.rate)
         steps = st.one_of(st.integers(1, J + 1), st.integers((1 << 53) - 8, (1 << 53) + 8),
@@ -405,7 +351,8 @@ class TestFloatFastPath:
         t = np.array(ts, dtype=object if objects else np.int64)
         f = 0.0 if integer_centers else np.array(data.draw(st.lists(
             st.floats(-0.5, 0.5), min_size=len(ts), max_size=len(ts))))
-        assert samp._offset_p(t, f).tobytes() == _two_formulas_p(samp, t, f).tobytes()
+        assert samp._offset_p(t, f, _tail_indices(samp, t)).tobytes() == \
+            _two_formulas_p(samp, t, f).tobytes()
 
     @staticmethod
     def _below(x: Fraction, a: Fraction) -> bool:
@@ -524,8 +471,8 @@ class TestArraySampler:
     def test_large_centers_shift_the_small_center_draws(self, k, monkeypatch):
         # D_{Z,s,k+1/3} = k + D_{Z,s,1/3}: the same streams give the same
         # draws shifted by k (int64 centers for 2^40 and 2^60, Python ints
-        # for 2^100),
-        # and no decision leaves double precision.
+        # for 2^100), all inverted (one uniform a draw, object numerators
+        # too), and no decision leaves double precision.
         calls = []
 
         def counting(*args):
@@ -533,21 +480,22 @@ class TestArraySampler:
             return _decide_exact(*args)
 
         monkeypatch.setattr(dgauss, "_decide_exact", counting)
+        monkeypatch.setattr(dgauss, "_decide", counting)
+        monkeypatch.setattr(_ZSampler, "_draw_block", counting)
 
         def draws(c_num):
             out, counts, _ = _draw_z_array(Fraction(9), int_array([c_num] * 5000), 3,
                                            derive_np_rng(5, "split"), derive_rng(5, "split"),
                                            c_num)
-            assert counts.fallbacks == 0 and counts.proposals >= counts.draws == 5000
+            assert counts.fallbacks == 0 and counts.proposals == counts.draws == 5000
             return [int(v) for v in out]
 
         assert draws(3 * k + 1) == [k + v for v in draws(1)]
         assert len(calls) == 0
 
     def test_exact_fallback_keeps_the_law(self, monkeypatch):
-        # A margin of 30% sends a large share of the comparisons to exact
-        # arithmetic; rows that meet an undecided proposal before their first
-        # float accept settle in proposal order, and the law is unchanged.
+        # A margin of 30% of F_f sends most inverted draws to exact
+        # inversion, and the law is unchanged.
         monkeypatch.setattr(dgauss, "_REL_ERR", 0.3)
         s_sq, c = Fraction(9), Fraction(1, 3)
         out, counts, _ = _draw_z_array(s_sq, np.ones(20_000, dtype=np.int64), 3,
@@ -645,8 +593,10 @@ class TestArraySampler:
 
     def test_blocks_return_their_largest_tail_step(self, monkeypatch):
         # _draw_block returns the largest tail step of all its rounds, so
-        # K + top bounds its offsets, and _draw_z_array, told its centers'
-        # bound, returns a bound on its draws from it
+        # K + top bounds its offsets; _invert_block returns max(R, max |t|) -
+        # K, from R and the exact draws (a margin of 30% sends most of them
+        # to exact inversion); _draw_z_array, told its centers' bound,
+        # returns a bound on its draws from it
         drawn, tail_steps = [], _ZSampler._tail_steps
 
         def spy(self, *args):
@@ -661,6 +611,14 @@ class TestArraySampler:
                                   SamplerCounts())
         assert len(drawn) > 1 and top == max(map(max, drawn))
         assert int(np.abs(t).max()) <= samp.K + top
+        cdt = dgauss._cdt(samp, 3)
+        for rel_err in (dgauss._REL_ERR, 0.3):
+            monkeypatch.setattr(dgauss, "_REL_ERR", rel_err)
+            counts = SamplerCounts()
+            t, top = samp._invert_block(f_num, 3, cdt, derive_np_rng(4, "top"),
+                                        derive_rng(4, "top"), counts)
+            assert top == max(cdt[-1], int(np.abs(t).max())) - samp.K
+            assert counts.fallbacks > 1000 or rel_err < 0.3
         x, _, bound = _draw_z_array(Fraction(9), np.tile(c_num, 4), 3, derive_np_rng(4, "x"),
                                     derive_rng(4, "x"), 20000)
         assert int(np.abs(x).max()) <= bound
@@ -701,13 +659,149 @@ class TestArraySampler:
         assert sum(v >= 1 << 63 for v in vals) > 500
 
 
+_INVERTED_SQ = [_FLOOR_SQ, Fraction(57, 100), Fraction(16, 9), Fraction(9), Fraction(6400, 257),
+                Fraction(144)]
+
+
+class TestInversion:
+    """Tabled draws: one uniform per entry, a float bin from the CDT, and
+    exact inversion wherever the float margin cannot place the uniform's
+    whole 53-bit cell in that bin."""
+
+    @staticmethod
+    def _row(samp, c_den, f_num):
+        """The stored float CDF F_f(k), k in [-R, R - 1], of f = f_num / c_den
+        (the row's entries less its index r), and R."""
+        table, _, _, R = dgauss._cdt(samp, c_den)
+        r = f_num + c_den // 2
+        return table[r * (2 * R + 2) + 1:(r + 1) * (2 * R + 2) - 1] - r, R
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(s_sq=st.sampled_from(_INVERTED_SQ), c_den=st.sampled_from([1, 3, 5, 257]),
+           f_pos=st.integers(0, 1 << 20), scale=st.sampled_from([0.5, 1.0, 1.5, 4.0, 1e3]))
+    def test_float_inversion_matches_exact_at_each_boundary(self, s_sq, c_den, f_pos, scale):
+        # At every boundary F_f(k) of one row: the 53-bit cells at, and one
+        # ulp either side of, the float boundary go exact, and so does every
+        # cell of the end bins; cells at a multiple of the margin from it
+        # may stand, and each one that stands lies wholly in its bin, by the
+        # exact enclosures of F_f.  The float row is within the margin's
+        # premise of the exact CDF: _REL_ERR F + (r + 1) 2^-53.
+        if c_den == 257 and s_sq == 144:
+            c_den = 5  # (c_den + 1) (2 R + 2) keeps within the cap, but the test fast
+        samp = _InversionRecordingSampler(s_sq)
+        samp.inverted = []
+        f_num = f_pos % (2 * (c_den // 2) + 1) - c_den // 2
+        ends, R = self._row(samp, c_den, f_num)
+        r = f_num + c_den // 2
+        exact = [dgauss._cdf_interval(samp, f_num, c_den, 128, k) for k in range(-R, R)]
+        for end, (lo, hi) in zip(ends.tolist(), exact):
+            slack = dgauss._REL_ERR * end + (r + 1) * 2.0 ** -53
+            assert lo - Fraction(slack) <= Fraction(end) <= hi + Fraction(slack)
+        margin = dgauss._REL_ERR * ends + dgauss._ABS_ERR + (r + 1) * 2.0 ** -53
+        cell = np.floor(ends * 2.0 ** 53)
+        u53 = np.concatenate([cell - 1, cell, cell + 1, np.floor((ends - scale * margin) * 2.0 ** 53),
+                              np.floor((ends + scale * margin) * 2.0 ** 53)])
+        u53 = np.clip(u53, 0, 2.0 ** 53 - 1)
+        counts = SamplerCounts()
+        t, top = samp._invert_block(np.full(u53.size, f_num), c_den, dgauss._cdt(samp, c_den),
+                                    ScriptedUniforms(None, [u53 / 2.0 ** 53]),
+                                    random.Random(0), counts)
+        assert counts.proposals == u53.size and counts.fallbacks == len(samp.inverted)
+        assert int(np.abs(t).max()) <= samp.K + top
+        inverted = set(samp.inverted)
+        assert {float(u) for u in u53[:3 * 2 * R] / 2.0 ** 53} <= inverted
+        for v, k in zip(u53.tolist(), t.tolist()):
+            if v / 2.0 ** 53 in inverted:
+                continue
+            assert abs(k) < R
+            assert dgauss._cdf_interval(samp, f_num, c_den, 128, k - 1)[1] <= \
+                Fraction(int(v), 1 << 53)
+            assert Fraction(int(v) + 1, 1 << 53) <= \
+                dgauss._cdf_interval(samp, f_num, c_den, 128, k)[0]
+
+    @pytest.mark.parametrize("s_sq", [Fraction(57, 100), Fraction(16, 9), Fraction(9)])
+    def test_radius_leaves_outer_masses_below_2_to_the_64(self, s_sq):
+        # at f = -1/2, 0 and 1/2 the exact enclosures put Pr[X <= -R] and
+        # Pr[X >= R] below 2^-64, and R >= K
+        samp = _ZSampler(s_sq)
+        R = dgauss._cdt(samp, 2)[-1]
+        assert R >= samp.K
+        for f_num in (-1, 0, 1):
+            assert dgauss._cdf_interval(samp, f_num, 2, 160, -R)[1] < Fraction(1, 1 << 64)
+            assert 1 - dgauss._cdf_interval(samp, f_num, 2, 160, R - 1)[0] < Fraction(1, 1 << 64)
+
+    @pytest.mark.parametrize("c_den", [1, 3, 5, 257])
+    @pytest.mark.parametrize("s_sq", [_FLOOR_SQ, Fraction(16, 9)])
+    def test_inverted_law_matches_the_pmf(self, s_sq, c_den):
+        # 60k draws per center fraction at centers k + f, k spread over
+        # +-2^40 and f among up to three fractions f_num / c_den; x - k
+        # against D_{Z,s,f}
+        fracs = sorted({0, c_den // 2, -(c_den // 3)})
+        n = 60_000 * len(fracs)
+        ks = np.random.default_rng(2).integers(-(1 << 40), 1 << 40, n)
+        c_num = c_den * ks + np.array(fracs)[np.arange(n) % len(fracs)]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_ZSampler, "_draw_block", lambda *args: calls.append(1))
+            draws, counts, _ = _draw_z_array(s_sq, c_num, c_den, derive_np_rng(9, "cdt", c_den),
+                                             derive_rng(9, "cdt", c_den), c_den << 40)
+        assert not calls and counts.proposals == counts.draws == n
+        radius = 12 * math.sqrt(float(s_sq)) + 2
+        for g, f_num in enumerate(fracs):
+            pmf = pmf_bruteforce(enum_z(), GaussParam(s_sq=s_sq, c=(Fraction(f_num, c_den),)),
+                                 radius)
+            res = empirical_similarity((draws - ks)[g::len(fracs)], pmf)
+            assert res.chi2_p >= 1e-3
+            assert res.excess(4.5) <= 0.0
+
+    @pytest.mark.parametrize("u, word, side", [(0.0, 0, -1), (1 - 2.0 ** -53, (1 << 53) - 1, 1)],
+                             ids=["zero", "top"])
+    def test_extreme_uniforms_go_exact_and_leave_the_table(self, u, word, side):
+        # U = 0 and U = 1 - 2^-53 lie in no bin the float margin can place
+        # them in, so both go exact; with the next 2 exact words all zeros
+        # (all ones), U is within 2^-159 of 0 (of 1), and the draw lands past
+        # the table's radius R on that side, within the returned bound
+        s_sq = Fraction(9)
+        samp = dgauss._sampler(s_sq)
+        R = dgauss._cdt(samp, 3)[-1]
+        for exact_rng, past in ((random.Random(0), False), (_ZeroBits(word, 2), True)):
+            rng = ScriptedUniforms(derive_np_rng(1, "ends"), [u])
+            out, counts, bound = _draw_z_array(s_sq, int_array([3 * 7 + 1]), 3, rng, exact_rng, 22)
+            (x,) = out.tolist()
+            assert counts.fallbacks == 1 and counts.proposals == 1
+            assert abs(x - 7) <= bound - 8 and samp.K <= bound - 8
+            assert (side * (x - 7) > R) == past
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_blocks_are_inverted_within_the_cap(self, dtype):
+        # a block is inverted iff (c_den + 1) (2 R + 2) <= _TABLE_CAP,
+        # whatever its numerators' dtype; past the cap (and at c_den = 2^62)
+        # it runs the rejection rounds
+        samp = dgauss._sampler(Fraction(16, 9))
+        R = dgauss._cdt(samp, 1)[-1]
+        edge = dgauss._TABLE_CAP // (2 * R + 2) - 1
+        for c_den, inverted in ((edge, True), (edge + 1, False), (1 << 62, False)):
+            paths = []
+            with pytest.MonkeyPatch.context() as mp:
+                for name in ("_draw_block", "_invert_block"):
+                    def spy(self, *args, _name=name, _fn=getattr(_ZSampler, name)):
+                        paths.append(_name)
+                        return _fn(self, *args)
+                    mp.setattr(_ZSampler, name, spy)
+                c_num = np.array([c_den + 1, -c_den - 1], dtype=dtype)
+                _draw_z_array(Fraction(16, 9), c_num, c_den, derive_np_rng(0, "cap"),
+                              derive_rng(0, "cap"), c_den + 1)
+            assert paths == ["_invert_block" if inverted else "_draw_block"]
+
+
 def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
-    """``_ZSampler._draw_block`` as it was before rounds of one proposal a row
-    drew their tail steps before any decision: every round decides its window
-    proposals first, then its tail proposals with a lookup of their own."""
-    thresholds = samp._proposal_thresholds(f_num, c_den)
+    """``_ZSampler._draw_block`` with its decisions split by kind: every round
+    decides its window proposals first, then draws a side and a step for
+    every tail proposal and decides those with an ``_offset_p`` call of
+    their own."""
     t_out, top = np.empty(0, dtype=np.int64), 0
     pending = np.arange(len(f_num))
+    none = np.empty(0, dtype=np.int64)
     while pending.size:
         k = min(-(-dgauss._ROUND_MIN // pending.size), samp.k_s)
         n = pending.size * k
@@ -715,8 +809,9 @@ def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
         u_sel = rng.random(n)
         t = rng.integers(-samp.K, samp.K + 1, n)
         u = rng.random(n)
-        rows = None if c_den == 1 else pending if k == 1 else pending.repeat(k)
-        lo, hi = thresholds(rows, t, 0)
+        rows = pending.repeat(k)
+        f = 0.0 if c_den == 1 else np.asarray(f_num[rows] / c_den, dtype=float)
+        lo, hi = dgauss._thresholds(samp._offset_p(t, f, none))
         accept, maybe = u < lo, u <= hi
         tail = (u_sel >= samp.p_window - dgauss._SELECT_MARGIN).nonzero()[0]
         if tail.size:
@@ -727,10 +822,6 @@ def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
                     counts.fallbacks += 1
                     near[i] = samp._select_window_exact(float(u_sel[i]), exact_rng)
                 tail = tail[~near]
-            accept[tail] = maybe[tail] = False
-        if tail.size and k > 1:
-            first, has = dgauss._first_accepts(accept, k)
-            tail = tail[~has[tail // k] | (first[tail // k] > tail)]
         if tail.size:
             neg = rng.random(tail.size) < 0.5
             steps = samp._tail_steps(tail.size, rng, exact_rng, counts)
@@ -739,7 +830,8 @@ def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
             t_tail = samp._tail_offsets(neg, steps, top_round)
             t = t.astype(t_tail.dtype, copy=False)
             t[tail] = t_tail
-            lo, hi = thresholds(pending[tail // k], t_tail, top_round)
+            f_tail = f if c_den == 1 else f[tail]
+            lo, hi = dgauss._thresholds(samp._offset_p(t_tail, f_tail, np.arange(tail.size)))
             u_tail = u[tail]
             accept[tail], maybe[tail] = u_tail < lo, u_tail <= hi
         first, done = dgauss._first_accepts(accept, k)
@@ -765,10 +857,10 @@ def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
 
 
 class TestRoundOrder:
-    """Rounds of one proposal a row draw their tail steps before deciding
-    anything, and decide window and tail proposals in one thresholds call:
-    the same offsets, tail steps, counts and generator states as deciding
-    window proposals first."""
+    """The rejection rounds draw every tail proposal's side and step before
+    deciding anything, and decide window and tail proposals in one
+    ``_offset_p`` call: the same offsets, tail steps, counts and generator
+    states as deciding window proposals first and tail proposals apart."""
 
     @staticmethod
     def _compare(samp, f_num, c_den, seed):
@@ -788,10 +880,9 @@ class TestRoundOrder:
         f_num = np.random.default_rng(seed).integers(-half, half + 1, size)
         return f_num.astype(object) if wide else f_num
 
-    # c_den = 2713 at s^2 = 144 cuts the table to J = 2, so one-proposal
-    # rounds with a step past it read the formula for the whole round; 2^17
-    # and object numerators have no table; s^2 = 2^40 has no table at
-    # c_den > 1
+    # The rounds serve the draws that no inversion table holds (c_den =
+    # 2713 at s^2 = 144 and 2^17 pass the cap, as every c_den does at s^2 =
+    # 2^40); called directly, they take any block, object numerators too
     @pytest.mark.parametrize("size", [1, 1023, 1024, 16384])
     @pytest.mark.parametrize("c_den, wide", [(1, False), (5, False), (257, False),
                                              (2713, False), (1 << 17, False), (5, True)])
@@ -799,8 +890,6 @@ class TestRoundOrder:
                                       Fraction(6400, 257), Fraction(1 << 40)])
     def test_matches_window_first_rounds(self, s_sq, c_den, wide, size):
         samp = _ZSampler(s_sq)
-        table = (c_den + 1) * samp.W <= dgauss._TABLE_CAP and not wide
-        assert (samp._table(self._numerators(c_den, wide, 1, 0), c_den) is not None) == table
         t_dtype, _, top, counts, _, _ = self._compare(
             samp, self._numerators(c_den, wide, size, size), c_den, size)
         assert counts.proposals >= size and t_dtype == np.int64
@@ -958,18 +1047,20 @@ class TestEnumerators:
         c = data.draw(st.lists(st.floats(-5, 5), min_size=m, max_size=m))
         A = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=m, max_size=m),
                                min_size=1, max_size=m))
-        lo = [math.floor(ci - R) for ci in c]
-        hi = [math.ceil(ci + R) for ci in c]
+        # the box bounds in exact rational arithmetic
+        cf, r = [Fraction(ci) for ci in c], Fraction(R)
+        lo = [math.floor(ci - r) for ci in cf]
+        hi = [math.ceil(ci + r) for ci in cf]
         assert self._rows(enum_z()(R, c)) == self._product(lo[:1], hi[:1])
         off = float(offset)
         assert self._rows(enum_coset_z(offset)(R, c)) == [
-            (k + off,) for (k,) in self._product([math.floor(c[0] - R - off)],
-                                                [math.ceil(c[0] + R - off)])]
+            (k + off,) for (k,) in self._product([math.floor(cf[0] - r - Fraction(offset))],
+                                                [math.ceil(cf[0] + r - Fraction(offset))])]
         a = float(alpha)
         assert self._rows(enum_scaled_zn(alpha, m)(R, c)) == [
             tuple(k * a for k in p) for p in self._product(
-                [math.floor((ci - R) / a) for ci in c],
-                [math.ceil((ci + R) / a) for ci in c])]
+                [math.floor((ci - r) / Fraction(alpha)) for ci in cf],
+                [math.ceil((ci + r) / Fraction(alpha)) for ci in cf])]
         pts = enum_qary(np.array(A), q)(R, c)
         assert pts.dtype == np.int64
         assert self._rows(pts) == [
@@ -984,6 +1075,14 @@ class TestEnumerators:
         monkeypatch.setattr(oracles, "_SLICE_ROWS", 5)
         assert np.array_equal(enum_qary(A, 5)(3.5, c), whole)
         assert np.array_equal(enum_z()(3.5, c), np.arange(-4.0, 5.0)[:, None])
+
+    def test_centers_past_2_53_are_not_rounded(self):
+        # the center 2^53 + 1 has no float; split exactly, its pmf's mode
+        # is the center itself, with its exact mass 1 / sum exp(-pi k^2 / 4)
+        points, probs = pmf_bruteforce(enum_z(), GaussParam(s_sq=4, c=(2 ** 53 + 1,)), 6)
+        assert points[probs.argmax(), 0] == 2 ** 53 + 1
+        mass = 1 / sum(math.exp(-math.pi * k * k / 4) for k in range(-7, 8))
+        assert probs.max() == pytest.approx(mass, rel=1e-12)
 
     def test_z_points_are_int64(self):
         # Z's points are the box's own integers, with no float offset added

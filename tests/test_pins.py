@@ -95,19 +95,24 @@ def _sampler_lines(monkeypatch):
         return derive_np_rng(9, "pin", name), derive_rng(9, "pin", name, "exact")
 
     ks = np.random.default_rng(9).integers(-(1 << 40), 1 << 40, 3000)
+    # Inverted draws first (every c_den up to 257 here has a table).
     # zero centers broadcast past one block, so a block edge falls mid-array
     draw(Fraction(144), np.broadcast_to(np.int64(0), (3, 6000)), 1, *streams("init"))
     # stage-offset centers -p y / q with q = 257
     draw(Fraction(6400, 257), 257 * ks[:2000] + np.arange(2000) % 257, 257,
          *streams("stage"))
-    # one entry (k_s = 8 proposals a round) and ~300 entries (4 a round)
+    # one-entry calls, and ~300 entries
     rng, exact_rng = streams("one")
     for c_num in (1, -2, 5):
         draw(Fraction(9), zqlin.int_array([c_num]), 3, rng, exact_rng)
     draw(Fraction(16, 9), 5 * ks[:300] + np.arange(300) % 5, 5, *streams("small"))
-    # numerators past int64, and int64 numerators over c_den = 2^62
+    # numerators past int64 (inverted: their fractions fit int64)
     draw(Fraction(25), zqlin.int_array([(1 << 64) + 7 * i + i % 7 for i in range(400)]),
          7, *streams("object"))
+    # uniforms 0: every entry goes to exact inversion from an end bin
+    rng, exact_rng = streams("ends")
+    draw(Fraction(9), zqlin.int_array([1, -2, 5]), 3, ScriptedUniforms(rng, [0.0]), exact_rng)
+    # The rejection rounds: int64 numerators over c_den = 2^62
     draw(Fraction(25), ks[:400] << 20, 1 << 62, *streams("wide-den"))
     # s^2 = 2^60: tail steps j - 1 = M q + r with M > 1
     draw(Fraction(1 << 60), 3 * ks[:1000] + 1, 3, *streams("wide"))
@@ -127,14 +132,13 @@ def _sampler_lines(monkeypatch):
     rng, exact_rng = streams("int64-then-past")
     draw(s_sq, np.zeros(3, dtype=np.int64), 1,
          ScriptedUniforms(rng, [0.5, u_first, 1 - 2.0 ** -53, 0.0, None, u_q]), exact_rng)
-    # one-proposal rounds (2000 entries) whose tail steps pass the threshold
-    # table's J = 2 (c_den = 2713 caps the table at s^2 = 144), so their
-    # tail proposals read the formulas
+    # one-proposal rounds (2000 entries) at c_den = 2713, past the inversion
+    # table's cap at s^2 = 144
     draw(Fraction(144), 2713 * ks[:2000] + np.arange(2000) % 2713, 2713,
          *streams("past-reach"))
     # one tail proposal whose inversion uniform sits at a step boundary
     # g^(M k) near 1/e, so its step is found by the exact bisection; it is
-    # its row's first proposal of k_s, so its step is drawn
+    # its row's first proposal of k_s
     samp = dgauss._ZSampler(Fraction(1 << 60))
     u_sel = np.full(samp.k_s, 0.5)
     u_sel[0] = 1 - 2.0 ** -53
@@ -143,8 +147,9 @@ def _sampler_lines(monkeypatch):
     rng, exact_rng = streams("boundary")
     draw(Fraction(1 << 60), zqlin.int_array([1]), 3,
          ScriptedUniforms(rng, [u_sel, None, None, u_q]), exact_rng)
-    # forced fallbacks: window selections, accept/reject tests and tail
-    # remainders in exact arithmetic, with rows of one and of many proposals
+    # forced fallbacks: exact inversions (s^2 = 9), and window selections,
+    # accept/reject tests and tail remainders in exact arithmetic (s^2 =
+    # 2^60), with rows of one and of many proposals
     monkeypatch.setattr(dgauss, "_REL_ERR", 0.3)
     monkeypatch.setattr(dgauss, "_SELECT_MARGIN", 0.02)
     draw(Fraction(9), 3 * ks[:2000] + 1, 3, *streams("fallback"))
@@ -155,12 +160,10 @@ def _sampler_lines(monkeypatch):
 
 
 def test_array_sampler_streams_match_pin(monkeypatch):
-    # sha256 computed at the stream epoch: sampler streams on SFC64, rounds
-    # of at most k_s proposals a row, window decisions before tail steps; the
-    # "int64-then-past" case was added later and pinned on the code before
-    # rounds ended in one scatter, and the "past-reach" case on the code
-    # before one-proposal rounds decided window and tail proposals in one
-    # table lookup
+    # sha256 computed at the inversion epoch: sampler streams on SFC64,
+    # tabled draws inverted from a CDT with one uniform an entry, and rounds
+    # of at most k_s proposals a row that draw every tail proposal's step
+    # and decide the round with one thresholds call
     digest = hashlib.sha256("\n".join(_sampler_lines(monkeypatch)).encode()).hexdigest()
     assert digest == \
-        "3597c55d40144334a5d4e9e399926bc1ed9442a0496d238394ac0396c36e48a5"
+        "d4bf060f9ee23eb6a1fbbf548864ab0398c4b9adebb5a6cbbd3bef0d9a8a77dc"

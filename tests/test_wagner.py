@@ -445,16 +445,15 @@ class TestGaussianWagnerProvable:
         assert not np.array_equal(out1, out3)
 
     def test_output_stream_pinned(self):
-        # sha256 of the output rows, computed at the stream epoch (sampler
-        # streams on SFC64, acceptance-sized rounds, tail steps only where
-        # they count)
+        # sha256 of the output rows, computed at the inversion epoch (sampler
+        # streams on SFC64, every draw inverted from a CDT)
         inst, _ = systematic_form(random_instance(2, 8, 5, seed=4))
         sched = Schedule(mode=MODE_PROVABLE, r=2, N=15, p=(2, 2), b=(1, 1),
                          s0_sq=Fraction(144))
         out, stats = gaussian_wagner(inst, sched, 5)
         assert stats.list_sizes == [135, 45, 15]
         assert hashlib.sha256(json.dumps(out.tolist()).encode()).hexdigest() == \
-            "24d61c72c644e45a9e9f95e2c03d9579886b18f2aa341927d42fcbb3aaaf1e55"
+            "b75afad1ba3f64f7d6856baae517c6dad92da6073f3193acb6b72a8a780b12f8"
 
     def test_stage_tail_beyond_int64_products(self):
         # q (dk / p) with q = 2^61 - 1 overflows int64; the tail must be
@@ -595,7 +594,8 @@ class TestGaussianWorkloads:
         # benchmark's desk shape (8 x 20 mod 257, f = 4 sqrt(ln m)) and 2
         # provable runs at its schedule (2 x 8 mod 5, r = 2, p = (2, 2),
         # b = (1, 1), s0^2 = 144), each with its output rows and
-        # seed-determined stats, computed at commit 6670902
+        # seed-determined stats, computed at the inversion epoch (every draw
+        # inverted from a CDT)
         records = []
         for s in range(10):
             inst, _ = systematic_form(random_instance(8, 20, 257, seed=s))
@@ -614,39 +614,43 @@ class TestGaussianWorkloads:
             assert doc["list_sizes"] == [18000, 6000, 2000]
             records.append([out.tolist(), doc])
         assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == \
-            "0d559de034af255c90bff35a2c5cac40055f83f019fed8b48682870f58e51da5"
+            "032560c5da2302044d4bf1ad7c6287cdd1098c291769e9053ae1f54402968624"
 
 
     def test_draws_decide_windows_from_tables(self, monkeypatch):
         # Every draw of a desk heuristic solve (stage offsets, c_den = 257)
         # and of a provable run (the initial list, c_den = 1, and stage
-        # offsets, c_den = 5) decides its window and tail proposals from a
-        # threshold table: the formula runs only to build those tables.
-        calls, table_keys = {"formula": 0, "tail rounds": 0}, []
-        cls, table = dgauss._ZSampler, dgauss._threshold_table
+        # offsets, c_den = 5) is inverted from a CDT: one uniform a draw,
+        # and no block enters the rejection rounds.
+        inverted, table_keys = [0], []
+        cls, cdt = dgauss._ZSampler, dgauss._cdt
+        invert = cls._invert_block
 
-        def spy(name, fn):
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-            return counted
+        def spy_invert(self, f_num, *args):
+            inverted[0] += len(f_num)
+            return invert(self, f_num, *args)
 
-        def spy_table(*key):
-            table_keys.append(key)
-            return table(*key)
+        def spy_cdt(*key):
+            table_keys.append(key[1])
+            return cdt(*key)
 
-        monkeypatch.setattr(cls, "_offset_p", spy("formula", cls._offset_p))
-        monkeypatch.setattr(cls, "_tail_offsets", spy("tail rounds", cls._tail_offsets))
-        monkeypatch.setattr(dgauss, "_threshold_table", spy_table)
-        table.cache_clear()
+        def no_rounds(*args):
+            raise AssertionError("a workload draw entered the rejection rounds")
+
+        monkeypatch.setattr(cls, "_invert_block", spy_invert)
+        monkeypatch.setattr(cls, "_draw_block", no_rounds)
+        monkeypatch.setattr(dgauss, "_cdt", spy_cdt)
+        draws = 0
         inst, _ = systematic_form(random_instance(8, 20, 257, seed=0))
-        solve_sis_inf(inst, 4.0 * math.sqrt(math.log(20)), 2.0 ** -10, MODE_HEURISTIC, 0)
+        report = solve_sis_inf(inst, 4.0 * math.sqrt(math.log(20)), 2.0 ** -10,
+                               MODE_HEURISTIC, 0)
+        draws += sum(report.stats["sampler"]["draws"])
         inst, _ = systematic_form(random_instance(2, 8, 5, seed=0))
-        gaussian_wagner(inst, Schedule(mode=MODE_PROVABLE, r=2, N=2000, p=(2, 2), b=(1, 1),
-                                       s0_sq=Fraction(144)), 0)
-        assert {key[1] for key in table_keys} == {1, 5, 257}
-        assert calls["tail rounds"] > 0
-        assert calls["formula"] == table.cache_info().misses
+        _, stats = gaussian_wagner(inst, Schedule(mode=MODE_PROVABLE, r=2, N=2000, p=(2, 2),
+                                                  b=(1, 1), s0_sq=Fraction(144)), 0)
+        draws += sum(c.draws for c in stats.sampler)
+        assert set(table_keys) == {1, 5, 257}
+        assert inverted[0] == draws > 0
 
 
 def naive_stage_oracle(inst, sched, seed):
