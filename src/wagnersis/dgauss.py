@@ -596,21 +596,28 @@ def _sampler(s_sq: Fraction) -> _ZSampler:
     return samp
 
 
+def _outer_sum_hi(samp: _ZSampler, h: Fraction, Q: int):
+    """An integer upper bound, scaled by 2^Q, on each outer sum of rho_f(j) =
+    exp(-pi (j - f)^2 / s^2) over the j with |j - f| >= h, for h > 0: it
+    is at most exp(-pi h^2 / s^2) / (1 - exp(-2 pi h / s^2)), a geometric
+    majorant.  None while Q bits cannot bound the denominator away from 0."""
+    _, a_hi = _exp_neg_pi_fixed(h * h / samp.s_sq, Q)
+    _, g_hi = _exp_neg_pi_fixed(2 * h / samp.s_sq, Q)
+    one = 1 << Q
+    return -((-a_hi * one) // (one - g_hi)) if g_hi < one else None
+
+
 def _cdt_radius(samp: _ZSampler) -> int:
     """The least R >= K at which a proven bound puts each outer mass, Pr[X <=
-    -R] and Pr[X >= R] of X ~ D_{Z,s,f} at any |f| <= 1/2, below 2^-64: with
-    h = R - 1/2 <= |j - f| for |j| >= R, each outer sum of rho_f is at most
-    exp(-pi h^2 / s^2) / (1 - exp(-2 pi h / s^2)), and rho_f(Z) >= rho_f(round
-    f) >= exp(-pi / (4 s^2)).  96-bit enclosures decide the bound exactly."""
-    one = 1 << 96
+    -R] and Pr[X >= R] of X ~ D_{Z,s,f} at any |f| <= 1/2, below 2^-64:
+    ``_outer_sum_hi`` at h = R - 1/2 <= |j - f| for |j| >= R, over rho_f(Z)
+    >= rho_f(round f) >= exp(-pi / (4 s^2)).  96-bit enclosures decide the
+    bound exactly."""
     d_lo, _ = _exp_neg_pi_fixed(1 / (4 * samp.s_sq), 96)
     R = max(samp.K, math.floor(math.sqrt(64 * _LN2 * samp.s_sq_f / math.pi)))
     while True:
-        h = R - Fraction(1, 2)
-        _, a_hi = _exp_neg_pi_fixed(h * h / samp.s_sq, 96)
-        _, g_hi = _exp_neg_pi_fixed(2 * h / samp.s_sq, 96)
-        # a_hi / (one - g_hi) < 2^-64 d_lo / one
-        if a_hi << 160 < d_lo * (one - g_hi):
+        tail = _outer_sum_hi(samp, R - Fraction(1, 2), 96)
+        if tail is not None and tail << 64 < d_lo:  # tail / d_lo < 2^-64
             return R
         R += 1
 
@@ -650,11 +657,10 @@ def _cdf_row(samp: _ZSampler, f_num: int, c_den: int, prec: int):
     """Enclosures, scaled by 2^Q, of D_{Z,s,f}'s CDF for f = f_num / c_den:
     (radius, lo_sums, hi_sums, tail, z_lo, z_hi), where lo_sums[i] and
     hi_sums[i] enclose the sum of rho_f(j) over j in [-radius, i - radius],
-    tail bounds each outer sum (|j| > radius) from above, and [z_lo, z_hi]
-    encloses rho_f(Z); tail is None while the precision cannot bound it.
-    The radius grows with prec, so that the tail shrinks with the terms'
-    rounding.  With h = radius + 1/2 <= |j - f| for |j| > radius, each outer
-    sum is at most exp(-pi h^2 / s^2) / (1 - exp(-2 pi h / s^2)).
+    tail bounds each outer sum (|j| > radius) from above (``_outer_sum_hi``
+    at h = radius + 1/2), and [z_lo, z_hi] encloses rho_f(Z); tail is None
+    while the precision cannot bound it.  The radius grows with prec, so
+    that the tail shrinks with the terms' rounding.
 
     The terms walk outward from j = 0 on each side by the exact recurrence
     rho_g(j + 1) = rho_g(j) r_j, r_j = exp(-pi (2 (j - g) + 1) / s^2) = r_0
@@ -679,11 +685,7 @@ def _cdf_row(samp: _ZSampler, f_num: int, c_den: int, prec: int):
     terms = walk(-f)[:0:-1] + walk(f)  # j = -radius, ..., radius
     lo_sums = list(accumulate(lo for lo, _ in terms))
     hi_sums = list(accumulate(hi for _, hi in terms))
-    h = radius + Fraction(1, 2)
-    _, a_hi = _exp_neg_pi_fixed(h * h / samp.s_sq, Q)
-    _, g_hi = _exp_neg_pi_fixed(2 * h / samp.s_sq, Q)
-    one = 1 << Q
-    tail = -((-a_hi * one) // (one - g_hi)) if g_hi < one else None
+    tail = _outer_sum_hi(samp, radius + Fraction(1, 2), Q)
     return radius, lo_sums, hi_sums, tail, lo_sums[-1], hi_sums[-1] + 2 * (tail or 0)
 
 
@@ -712,11 +714,13 @@ def _draw_z_array(s_sq: Fraction, c_num: np.ndarray, c_den: int, rng,
     + t formed by ``int_lincomb`` (x = t, as drawn, for c_bound = 0: every
     center is 0), int64 when its bound proves every sum fits, Python ints
     otherwise.  That bound is proven, not read: |round(c)| <= c_bound //
-    c_den + 1 and |t| <= K + top, top the block's largest tail step
-    (``_draw_block``); the call returns it, maximized over the blocks.
-    Proposals and uniforms come from the NumPy generator ``rng``, and exact
-    decisions take their fresh bits from the ``random.Random`` stream
-    ``exact_rng``."""
+    c_den + 1 and |t| <= K + top, top from R and the exact draws of an
+    inverted block (``_invert_block``) or the largest tail step of a block
+    of rounds (``_draw_block``); the call returns it, maximized over the
+    blocks.  A block is inverted when ``_cdt`` has a table for the width
+    and c_den.  Uniforms and proposals come from the NumPy generator
+    ``rng``, and exact decisions take their fresh bits from the
+    ``random.Random`` stream ``exact_rng``."""
     # Window offsets are drawn as int64.  Every s >= 2^63 fails the bound; it
     # is rejected before the sampler takes float(s^2), which can overflow.
     samp = _sampler(s_sq) if s_sq < 1 << 126 else None

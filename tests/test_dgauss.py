@@ -686,8 +686,6 @@ class TestInversion:
         # may stand, and each one that stands lies wholly in its bin, by the
         # exact enclosures of F_f.  The float row is within the margin's
         # premise of the exact CDF: _REL_ERR F + (r + 1) 2^-53.
-        if c_den == 257 and s_sq == 144:
-            c_den = 5  # (c_den + 1) (2 R + 2) keeps within the cap, but the test fast
         samp = _InversionRecordingSampler(s_sq)
         samp.inverted = []
         f_num = f_pos % (2 * (c_den // 2) + 1) - c_den // 2
