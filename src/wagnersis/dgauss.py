@@ -12,9 +12,9 @@ stage offsets at desk scale), an offset is drawn by inversion, the CDT
 design of Peikert ("An Efficient and Parallel Gaussian Sampler for
 Lattices", CRYPTO 2010): the least k with U < F_f(k), for one uniform U.
 Floats decide k when the uniform's 53-bit cell lies more than a margin
-inside its float bin; otherwise k is found by exact comparisons of U with
-rational enclosures of F_f, whose normalizer is a finite sum plus a proven
-geometric tail bound, so the law covers all of Z.
+inside its float bin; otherwise ``_least`` finds k by exact comparisons of
+U with rational enclosures of F_f, whose normalizer is a finite sum plus a
+proven geometric tail bound, so the law covers all of Z.
 
 Other draws (widths whose table passes the cap, and a c_den past it, such
 as a binary center's) are drawn by rejection from a proposal that covers
@@ -25,7 +25,7 @@ dominates the Gaussian for every |f| <= 1/2.  These constants depend on
 s^2 alone, so one ``_ZSampler`` per width serves every center; a draw takes
 about 1.6 proposals at large widths.  A tail step j - 1 = M q + r is drawn
 in bounded work at any width: q by inversion, floor(-ln U / (pi gamma M)),
-decided exactly by bisection when the float inversion cannot separate the
+decided exactly by ``_least`` when the float inversion cannot separate the
 uniform's cell from a boundary, and r in [0, M) by rejection once the mean
 step passes 2^21.  Every accept/reject comparison is a Bernoulli test "U <
 exp(-pi b)" with rational b >= 0 (b = (t-f)^2 / s^2 in the window, less the
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class GaussParam:
     @classmethod
     def make(cls, s=None, c=0, s_sq=None) -> "GaussParam":
         if (s is None) == (s_sq is None):
-            raise ValueError("give exactly one of s, s_sq")
+            raise PreconditionViolated("give exactly one of s, s_sq")
         c = c if isinstance(c, (tuple, list)) else (c,)
         for name, values in (("width", (s, s_sq)), ("center", c)):
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
@@ -224,6 +224,22 @@ def _decide(u: _LazyUniform, rng, enclose: Callable) -> bool:
 def _decide_exact(a: Fraction, u: _LazyUniform, rng) -> bool:
     """Decide U < exp(-pi a) exactly."""
     return _decide(u, rng, lambda prec: _exp_neg_pi_interval(a, prec))
+
+
+def _least(holds: Callable[[int], bool], t: int) -> int:
+    """The least integer n with holds(n), for a predicate that fails below n
+    and holds from n on, found from a guess t: steps of 1, 2, 4, ... from t
+    toward n bracket it and bisection closes the bracket, so the answer is
+    exact whatever the guess, after O(log |n - t|) calls of holds."""
+    d = -1 if holds(t) else 1  # the way to n
+    a, step = t, 1
+    while holds(a + d * step) == (d < 0):
+        a, step = a + d * step, 2 * step
+    lo, hi = sorted((a, a + d * step))  # holds(hi), not holds(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -413,33 +429,15 @@ class _ZSampler:
 
     def _geometric_exact(self, u: float, rng) -> int:
         """The q of ``_geometric`` for one uniform, exactly: the largest k
-        with U < exp(-pi gamma M k), by bisection on exact comparisons of
-        one lazy uniform (fresh bits from rng), between float bounds that
-        the comparisons verify.  Every exponent is the rational gamma M k,
-        so no power of g is formed."""
-        lu = _lazy(u)
-        while lu.num == 0:
-            lu.extend(rng)
-        rate = self.rate * self.M
-        ln_lo = math.log(lu.num) - lu.bits * _LN2
-        ln_hi = math.log(lu.num + 1) - lu.bits * _LN2
-        lo = max(0, math.floor(-ln_hi / rate * (1 - 1e-9)) - 1)
-        hi = math.floor(-ln_lo / rate * (1 + 1e-9)) + 2
-
-        def below(k: int) -> bool:
-            return _decide_exact(self.gamma * self.M * k, lu, rng)
-
-        if not below(lo):
-            lo = 0  # U < g^0 = 1 always
-        while below(hi):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if below(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        with U < exp(-pi gamma M k), one less than the least k where that
+        fails (``_least`` from the float guess, on exact comparisons of one
+        lazy uniform; fresh bits from rng).  Every exponent is the rational
+        gamma M k, so no power of g is formed.  A k <= 0 never fails (U < g^0
+        = 1) and is answered without a comparison: a negative exponent is
+        outside ``_exp_neg_pi_fixed``'s domain."""
+        lu, unit = _lazy(u), self.gamma * self.M
+        guess = math.floor(-math.log(u + _U_ULP / 2) / (self.rate * self.M)) + 1
+        return _least(lambda k: k > 0 and not _decide_exact(unit * k, lu, rng), guess) - 1
 
     def _draw_block(self, f_num, c_den: int, rng, exact_rng, counts: SamplerCounts):
         """Offsets t ~ D_{Z,s,f}, one per entry of f = f_num / c_den, in rounds
@@ -565,35 +563,17 @@ class _ZSampler:
 
     def _invert_exact(self, f_num: int, c_den: int, t: int, u: float, rng) -> int:
         """The least k with U < F_f(k), f = f_num / c_den, for the uniform U
-        whose first 53 bits are u (fresh bits from rng): exact comparisons
-        (``_cdf_interval``) walk k from the float answer t, down while U <
-        F_f(k - 1) and up while U >= F_f(k)."""
+        whose first 53 bits are u (fresh bits from rng): ``_least`` from the
+        float answer t, on exact comparisons (``_cdf_interval``)."""
         lu = _lazy(u)
-
-        def below(k: int) -> bool:
-            return _decide(lu, rng, lambda prec: _cdf_interval(self, f_num, c_den, prec, k))
-
-        if below(t):
-            while below(t - 1):
-                t -= 1
-            return t
-        t += 1
-        while not below(t):
-            t += 1
-        return t
+        return _least(lambda k: _decide(
+            lu, rng, lambda prec: _cdf_interval(self, f_num, c_den, prec, k)), t)
 
 
-_SAMPLER_CACHE: Dict = {}
-
-
+@lru_cache(maxsize=4096)
 def _sampler(s_sq: Fraction) -> _ZSampler:
     """The cached sampler of width s^2."""
-    samp = _SAMPLER_CACHE.get(s_sq)
-    if samp is None:
-        if len(_SAMPLER_CACHE) > 4096:
-            _SAMPLER_CACHE.clear()
-        samp = _SAMPLER_CACHE[s_sq] = _ZSampler(s_sq)
-    return samp
+    return _ZSampler(s_sq)
 
 
 def _outer_sum_hi(samp: _ZSampler, h: Fraction, Q: int):
@@ -607,19 +587,27 @@ def _outer_sum_hi(samp: _ZSampler, h: Fraction, Q: int):
     return -((-a_hi * one) // (one - g_hi)) if g_hi < one else None
 
 
+def _radius_floor(samp: _ZSampler) -> int:
+    """max(K, floor(sqrt(64 ln 2 s^2 / pi))): no smaller R meets the bound of
+    ``_cdt_radius``, whose outer sum at h = R - 1/2 is at least exp(-pi h^2 /
+    s^2), and the table needs R >= K."""
+    return max(samp.K, math.floor(math.sqrt(64 * _LN2 * samp.s_sq_f / math.pi)))
+
+
 def _cdt_radius(samp: _ZSampler) -> int:
-    """The least R >= K at which a proven bound puts each outer mass, Pr[X <=
-    -R] and Pr[X >= R] of X ~ D_{Z,s,f} at any |f| <= 1/2, below 2^-64:
-    ``_outer_sum_hi`` at h = R - 1/2 <= |j - f| for |j| >= R, over rho_f(Z)
-    >= rho_f(round f) >= exp(-pi / (4 s^2)).  96-bit enclosures decide the
-    bound exactly."""
+    """The least R >= ``_radius_floor`` at which a proven bound puts each
+    outer mass, Pr[X <= -R] and Pr[X >= R] of X ~ D_{Z,s,f} at any |f| <=
+    1/2, below 2^-64: ``_outer_sum_hi`` at h = R - 1/2 <= |j - f| for |j| >=
+    R, over rho_f(Z) >= rho_f(round f) >= exp(-pi / (4 s^2)).  96-bit
+    enclosures decide the bound exactly, and ``_least`` finds R."""
     d_lo, _ = _exp_neg_pi_fixed(1 / (4 * samp.s_sq), 96)
-    R = max(samp.K, math.floor(math.sqrt(64 * _LN2 * samp.s_sq_f / math.pi)))
-    while True:
-        tail = _outer_sum_hi(samp, R - Fraction(1, 2), 96)
-        if tail is not None and tail << 64 < d_lo:  # tail / d_lo < 2^-64
-            return R
-        R += 1
+    floor = _radius_floor(samp)
+
+    def fits(R: int) -> bool:  # tail / d_lo < 2^-64, searched from the floor up
+        tail = _outer_sum_hi(samp, R - Fraction(1, 2), 96) if R >= floor else None
+        return tail is not None and tail << 64 < d_lo
+
+    return _least(fits, floor)
 
 
 @lru_cache(maxsize=64)
@@ -634,7 +622,7 @@ def _cdt(samp: _ZSampler, c_den: int):
     into cells of width 1 / cells, and holds at cell j the index of the last
     entry <= j / cells (at most the table's second last).  The sampler (by
     identity: no Fraction hash) keys the cache."""
-    if 4 * samp.K + 4 > _TABLE_CAP:  # R >= K: no row fits
+    if (c_den + 1) * (2 * _radius_floor(samp) + 2) > _TABLE_CAP:  # before any search
         return None
     R = _cdt_radius(samp)
     if (c_den + 1) * (2 * R + 2) > _TABLE_CAP:

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -331,9 +330,7 @@ def _curate(out: np.ndarray) -> np.ndarray:
 def _as_seed(rng) -> int:
     if isinstance(rng, int):
         return rng
-    if isinstance(rng, random.Random):
-        return rng.getrandbits(63)
-    raise TypeError("rng must be an int seed or random.Random")
+    raise TypeError("rng must be an int seed")
 
 
 def _initial_gaussian(count: int, dim: int, s0_sq: Fraction,
@@ -678,8 +675,11 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
     the central-Gaussian success model (using the deviations the Gaussian
     lifts will actually inject, width floors included), and returns the first
     schedule whose expected number of hits N p clears ``_MIN_EXPECTED_HITS``.
-    A pure function of its arguments that returns a frozen ``Schedule``, so
-    repeat calls share one result (``typed``: 64 and 64.0 are cached apart).
+    The ladder stops at the first N whose pool of _HEURISTIC_ENTROPY_FACTOR N
+    same-weight ternary vectors m - n coordinates cannot supply: the largest
+    pool is fixed by m - n, while the need grows with N.  A pure function of
+    its arguments that returns a frozen ``Schedule``, so repeat calls share
+    one result (``typed``: 64 and 64.0 are cached apart).
     """
     d, kappa = m - n, _estimator._KAPPA[_estimator.VARIANT_QUANTIZATION]
     for log2_n in range(_MIN_LOG2_N, _MAX_LOG2_N + 1):
@@ -687,7 +687,9 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
         try:
             w, sigma0 = _estimator.min_weight(d, _HEURISTIC_ENTROPY_FACTOR * N)
         except Infeasible:
-            continue
+            raise InfeasibleSchedule(
+                f"m - n = {d} coordinates hold fewer than {_HEURISTIC_ENTROPY_FACTOR} N "
+                f"same-weight ternary vectors at N = 2^{log2_n}") from None
         sigma = sigma0
         stages = []   # (p, b, injected_dev)
         rows_left = n

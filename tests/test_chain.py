@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -221,3 +222,18 @@ class TestDGLiftDistribution:
         assert eps < 1e-6
         assert res.excess(4.5) <= 3 * eps + 1e-9
         assert res.chi2_p > 1e-4
+
+
+@pytest.mark.parametrize("blocks, moduli, systematic, fragment", [
+    pytest.param([2, 2], [3, 2], False, "instance must be in systematic form", id="systematic"),
+    pytest.param([2, 2], [3], True, "need one modulus per block", id="one-modulus-per-block"),
+    pytest.param([4, 0], [3, 2], True, "block sizes must be >= 1", id="block-size"),
+    pytest.param([2, 2], [3, 8], True, "stage moduli must lie in [1, q]", id="modulus-above-q"),
+    pytest.param([2, 2], [0, 2], True, "stage moduli must lie in [1, q]", id="modulus-zero"),
+])
+def test_typed_refusals(blocks, moduli, systematic, fragment):
+    inst = make_systematic(4, 10, 7, seed=0)
+    if not systematic:  # the same matrix with its identity block moved first
+        inst = SisInstance.create(np.roll(np.asarray(inst.A), 4, axis=1), 7)
+    with pytest.raises(BlockSumMismatch, match=re.escape(fragment)):
+        build_chain(inst, blocks, moduli)

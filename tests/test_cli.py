@@ -142,15 +142,16 @@ class TestSolvePipe:
 
     def test_invalid_epsilon_is_named_before_the_heuristic_ladder(self, monkeypatch,
                                                                   capsys):
-        # 2 x 8 mod 257 at f = 4 has no heuristic schedule up to N = 2^22, so
-        # a ladder walked first would report that instead of epsilon
+        # 2 x 8 mod 257 has no pool of same-weight ternary vectors for the
+        # ladder's first N, so a ladder walked first would report that instead
+        # of epsilon
         _, inst_json = run_cli(["gen", "--n", "2", "--m", "8", "--q", "257",
                                 "--seed", "3"])
         code, _ = run_cli(["solve", "--f", "4", "--epsilon", "0"], stdin_text=inst_json,
                           monkeypatch=monkeypatch)
         err = capsys.readouterr().err
         assert code == 3
-        assert "epsilon" in err and "heuristic schedule" not in err
+        assert "epsilon" in err and "ternary vectors" not in err
 
     @pytest.mark.parametrize("f", ["0", "-1", "inf", "nan"])
     def test_norm_factor_must_be_finite_and_positive(self, f, monkeypatch, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import partial
 
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -112,12 +113,12 @@ class TestSampleZ:
 
 class TestCenterSplit:
     def test_one_sampler_per_width(self):
-        dgauss._SAMPLER_CACHE.clear()
+        dgauss._sampler.cache_clear()
         rng = derive_rng(6, "cache")
         for c_num in range(-50, 50):
             param = GaussParam(s_sq=Fraction(25, 4), c=(Fraction(c_num, 7),))
             sample_zn_rows(param, 1, 1, rng)
-        assert list(dgauss._SAMPLER_CACHE) == [Fraction(25, 4)]
+        assert dgauss._sampler.cache_info().currsize == 1
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(),
@@ -792,6 +793,154 @@ class TestInversion:
             assert paths == ["_invert_block" if inverted else "_draw_block"]
 
 
+def _bisected_tail_step(samp, u, rng):
+    """The tail step's exact inversion as it was before ``_least``: bisection
+    between float bounds on q that exact comparisons verify first."""
+    lu = _LazyUniform(int(u * (1 << 53)), 53)
+    while lu.num == 0:
+        lu.extend(rng)
+    rate = samp.rate * samp.M
+    ln_lo = math.log(lu.num) - lu.bits * math.log(2.0)
+    ln_hi = math.log(lu.num + 1) - lu.bits * math.log(2.0)
+    lo = max(0, math.floor(-ln_hi / rate * (1 - 1e-9)) - 1)
+    hi = math.floor(-ln_lo / rate * (1 + 1e-9)) + 2
+
+    def below(k):
+        return _decide_exact(samp.gamma * samp.M * k, lu, rng)
+
+    if not below(lo):
+        lo = 0
+    while below(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _walked_inversion(samp, f_num, c_den, t, u, rng):
+    """The table's exact inversion as it was before ``_least``: one-step walks
+    from the float answer t, down while U < F_f(k - 1), up while U >= F_f(k)."""
+    lu = _LazyUniform(int(u * (1 << 53)), 53)
+
+    def below(k):
+        return dgauss._decide(lu, rng, lambda prec: dgauss._cdf_interval(samp, f_num, c_den,
+                                                                          prec, k))
+
+    if below(t):
+        while below(t - 1):
+            t -= 1
+        return t
+    t += 1
+    while not below(t):
+        t += 1
+    return t
+
+
+# A 53-bit uniform at a boundary's cell, or one cell to either side of it;
+# among the first four (of U near 0); or among the last four (next to 1).
+_SEARCH_UNIFORMS = st.one_of(st.tuples(st.just("at"), st.integers(-1, 1)),
+                             st.tuples(st.just("low"), st.integers(0, 3)),
+                             st.tuples(st.just("top"), st.integers(0, 3)))
+# The exact stream's first n words: 0-3 (U's later bits near the bottom of
+# its cell) or all ones (near the top)
+_FIRST_WORDS = st.tuples(st.sampled_from([0, 1, 2, 3, (1 << 53) - 1]), st.integers(0, 2))
+
+
+class TestExactSearch:
+    """``_least``, and the three exact searches built on it: the tail step,
+    the table's inversion and the table's radius."""
+
+    @staticmethod
+    def _u53(u, boundary: int) -> int:
+        kind, v = u
+        u53 = boundary + v if kind == "at" else v if kind == "low" else (1 << 53) - 1 - v
+        return min(max(u53, 0), (1 << 53) - 1)
+
+    @staticmethod
+    def _state(stream):
+        return stream._n, stream._rng.getstate()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(-(1 << 70), 1 << 70), t=st.integers(-(1 << 70), 1 << 70))
+    @example(n=0, t=0)
+    @example(n=5, t=4)
+    def test_least_finds_the_boundary_from_any_guess(self, n, t):
+        calls = []
+
+        def holds(k):
+            calls.append(k)
+            return k >= n
+
+        assert dgauss._least(holds, t) == n
+        assert len(calls) <= 2 * (abs(n - t) + 1).bit_length()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s_sq=_TAIL_WIDTHS_SQ, k=st.integers(0, 1 << 40), u=_SEARCH_UNIFORMS,
+           words=_FIRST_WORDS)
+    def test_tail_step_matches_the_bisection(self, s_sq, k, u, words):
+        # the same q and the same exact-stream state as the float-bracketed
+        # bisection, at and beside a boundary g^(M k), near 0 and next to 1;
+        # no comparison is made at an exponent gamma M k <= 0
+        samp = _ZSampler(s_sq)
+        rate = samp.rate * samp.M
+        k %= math.floor(36.0 / rate) + 1
+        u53 = self._u53(u, int(math.exp(-rate * k) * (1 << 53)))
+        ours, theirs = _ZeroBits(*words), _ZeroBits(*words)
+        exponents = []
+
+        def decide_exact(a, lu, rng, _fn=dgauss._decide_exact):
+            exponents.append(a)
+            return _fn(a, lu, rng)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dgauss, "_decide_exact", decide_exact)
+            q = samp._geometric_exact(u53 / (1 << 53), ours)
+        assert q == _bisected_tail_step(samp, u53 / (1 << 53), theirs)
+        assert self._state(ours) == self._state(theirs)
+        assert exponents and min(exponents) > 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(s_sq=st.sampled_from(_INVERTED_SQ), c_den=st.sampled_from([1, 3, 5, 257]),
+           f_pos=st.integers(0, 1 << 20), k_pos=st.integers(0, 1 << 20), u=_SEARCH_UNIFORMS,
+           guess=st.one_of(st.integers(-40, 40), st.sampled_from(["-R", "R"])),
+           words=_FIRST_WORDS)
+    def test_table_inversion_matches_the_walks(self, s_sq, c_den, f_pos, k_pos, u, guess,
+                                                words):
+        # the same k and the same exact-stream state as the one-step walks,
+        # at and beside a boundary F_f(k) of the row, near 0 and next to 1,
+        # from guesses near k and at the ends of the table
+        samp = dgauss._sampler(s_sq)
+        R = dgauss._cdt(samp, c_den)[-1]
+        f_num = f_pos % (2 * (c_den // 2) + 1) - c_den // 2
+        k = k_pos % (2 * R) - R
+        lo, _ = dgauss._cdf_interval(samp, f_num, c_den, 128, k)
+        u53 = self._u53(u, math.floor(lo * (1 << 53)))
+        t = -R if guess == "-R" else R if guess == "R" else k + guess
+        ours, theirs = _ZeroBits(*words), _ZeroBits(*words)
+        assert samp._invert_exact(f_num, c_den, t, u53 / (1 << 53), ours) == \
+            _walked_inversion(samp, f_num, c_den, t, u53 / (1 << 53), theirs)
+        assert self._state(ours) == self._state(theirs)
+
+    @pytest.mark.parametrize("s, R", [(100, 383), (1000, 3913), (4000, 15870), (10000, 40034),
+                                      (20000, 80610)])
+    def test_radius_at_wide_widths(self, s, R):
+        # the radius the one-step search found, above its proven floor
+        samp = _ZSampler(Fraction(s * s))
+        assert dgauss._cdt_radius(samp) == R
+        assert samp.K <= dgauss._radius_floor(samp) < R
+
+    def test_a_floor_past_the_cap_makes_no_table_and_no_search(self, monkeypatch):
+        # s = 5000: 2 (2 floor + 2) passes _TABLE_CAP, though 4 K + 4 does not
+        samp = _ZSampler(Fraction(5000 ** 2))
+        assert 4 * samp.K + 4 <= dgauss._TABLE_CAP
+        monkeypatch.setattr(dgauss, "_cdt_radius", lambda samp: pytest.fail("searched"))
+        assert dgauss._cdt(samp, 1) is None
+
+
 def _window_first_draw_block(samp, f_num, c_den, rng, exact_rng, counts):
     """``_ZSampler._draw_block`` with its decisions split by kind: every round
     decides its window proposals first, then draws a side and a step for
@@ -938,6 +1087,20 @@ class TestSampleZn:
     def test_negative_width_rejected(self):
         with pytest.raises(PreconditionViolated, match="s > 0"):
             GaussParam.make(s=-2)
+
+    @pytest.mark.parametrize("call, fragment", [
+        pytest.param(lambda: GaussParam.make(s=3, s_sq=9), "give exactly one of s, s_sq",
+                     id="both-widths"),
+        pytest.param(lambda: GaussParam.make(), "give exactly one of s, s_sq", id="no-width"),
+        pytest.param(lambda: GaussParam.make(s_sq=0), "width must satisfy s > 0", id="s-sq-zero"),
+        pytest.param(lambda: GaussParam(s_sq=Fraction(-1), c=(Fraction(0),)),
+                     "width must satisfy s > 0", id="s-sq-negative"),
+        pytest.param(lambda: sample_zn_rows(GaussParam.make(s=3, c=(0, 1)), 3, 1, derive_rng(0)),
+                     "center has length 2, expected 3", id="center-length"),
+    ])
+    def test_typed_refusals(self, call, fragment):
+        with pytest.raises(PreconditionViolated, match=re.escape(fragment)):
+            call()
 
     def test_width_precondition_scales_with_n(self):
         s_edge = math.sqrt(math.log(2 * 64 + 4) / math.pi)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -171,3 +172,21 @@ class TestReportFormats:
         d = rep.as_dict()
         assert set(d) >= {"log2N", "w", "sigma0", "r_prime", "sigma_rprime",
                           "ell", "p_success_single", "variant", "feasible"}
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: CostQuery(n=4, m=12, q=257, beta=3, variant="sieving"),
+                 PreconditionViolated, "unknown variant 'sieving'", id="variant"),
+    pytest.param(lambda: CostQuery(n=12, m=12, q=257, beta=3),
+                 PreconditionViolated, "1 <= n < m", id="n-below-m"),
+    pytest.param(lambda: min_weight(0, 16), PreconditionViolated, "m - n >= 1",
+                 id="min-weight-dimension"),
+    pytest.param(lambda: min_weight(8, 0), PreconditionViolated, "need at least one sample",
+                 id="min-weight-samples"),
+    # 2^w C(8, w) peaks at 1792 vectors
+    pytest.param(lambda: min_weight(8, 1793), Infeasible, "even weight 8 yields fewer",
+                 id="min-weight-pool"),
+])
+def test_typed_refusals(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

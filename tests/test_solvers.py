@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -266,3 +267,17 @@ class TestSolveL2:
         assert rep.trivial_regime
         rep2 = solve_sis_l2(inst, 12.0, 2.0**-10, MODE_HEURISTIC, 3)
         assert not rep2.trivial_regime
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda inst: solve_sis_inf(inst, 4.0, 2.0 ** -10, "greedy", 0),
+                 "unknown solve mode 'greedy'", id="solve-mode"),
+    pytest.param(lambda inst: solvers.choose_schedule(inst, 4.0, 2.0 ** -10, "greedy"),
+                 "unknown solve mode 'greedy'", id="schedule-mode"),
+    # eps <= 1/(m q^4), and sqrt(ln(1/eps)) = 26.3 > q / f = 17
+    pytest.param(lambda inst: solve_sis_inf(inst, 1.0, 1e-300, MODE_PROVABLE, 0),
+                 "q/f >= sqrt(ln(1/eps))", id="provable-q-over-f"),
+])
+def test_typed_refusals(call, fragment):
+    with pytest.raises(PreconditionViolated, match=re.escape(fragment)):
+        call(make_systematic(2, 8, 17, seed=0))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -1272,3 +1273,32 @@ class TestCertifySmoothing:
         inst = make_systematic(1, 3, 3, seed=2)
         with pytest.raises(InfeasibleSchedule):
             certify_smoothing(inst, Schedule(mode=MODE_NAIVE, r=1, N=10, p=(3,), b=(1,)))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: Schedule(mode="greedy", r=1, N=4, p=(2,), b=(1,)),
+                 InfeasibleSchedule, "unknown mode 'greedy'", id="schedule-mode"),
+    pytest.param(lambda: Schedule(mode=MODE_NAIVE, r=2, N=4, p=(2,), b=(1, 1)),
+                 InfeasibleSchedule, "need r moduli and r block sizes", id="schedule-p-length"),
+    pytest.param(lambda: Schedule(mode=MODE_NAIVE, r=1, N=4, p=(2,), b=(1, 1)),
+                 InfeasibleSchedule, "need r moduli and r block sizes", id="schedule-b-length"),
+    pytest.param(lambda: Schedule(mode=MODE_NAIVE, r=1, N=0, p=(2,), b=(1,)),
+                 InfeasibleSchedule, "need N >= 1 and r >= 1", id="schedule-N"),
+    pytest.param(lambda: Schedule(mode=MODE_NAIVE, r=0, N=4, p=(), b=()),
+                 InfeasibleSchedule, "need N >= 1 and r >= 1", id="schedule-r"),
+    pytest.param(lambda: gaussian_wagner(make_systematic(12, 24, 257, seed=0),
+                                         choose_naive_params(12, 257, 4.0), 0),
+                 InfeasibleSchedule, "use naive_wagner", id="gaussian-given-naive"),
+    # q / f = 3.5: r = floor(log2 3.5) - 1 = 0
+    pytest.param(lambda: choose_naive_params(4, 7, 2.0),
+                 InfeasibleSchedule, "r < 1", id="naive-r"),
+    # r = 8 stages of at least one row each, but n = 1
+    pytest.param(lambda: choose_naive_params(1, 1024, 2.0),
+                 InfeasibleSchedule, "last block b_r", id="naive-last-block"),
+    # sqrt(ln(1/eps)) = 26.3 > q / f = 17
+    pytest.param(lambda: choose_provable_params(2, 8, 17, 1.0, 1e-300),
+                 PreconditionViolated, "q/f >= sqrt(ln(1/eps))", id="provable-q-over-f"),
+])
+def test_typed_refusals(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -600,3 +601,35 @@ class TestIntLincomb:
         got = int_lincomb(terms)
         assert not any(np.shares_memory(got, a) for _, a in terms)
 
+
+
+def _instance_doc(**changes):
+    doc = {"n": 1, "m": 3, "q": 5, "beta": None, "norm": "linf", "A": [[1, 2, 1]]}
+    return json.dumps({**doc, **changes})
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: SisInstance(n=3, m=2, q=5, A=np.zeros((3, 2), dtype=np.int64)),
+                 BadDimensions, "need 1 <= n <= m", id="n-above-m"),
+    pytest.param(lambda: SisInstance(n=0, m=2, q=5, A=np.zeros((0, 2), dtype=np.int64)),
+                 BadDimensions, "need 1 <= n <= m", id="n-zero"),
+    pytest.param(lambda: SisInstance.create([[0, 1]], 1),
+                 BadDimensions, "modulus must be >= 2", id="modulus"),
+    pytest.param(lambda: SisInstance(n=1, m=3, q=5, A=np.zeros((1, 2), dtype=np.int64)),
+                 DimensionMismatch, "A has shape (1, 2), expected (1, 3)", id="shape"),
+    pytest.param(lambda: SisInstance.create([[1, 2, 1]], 5, norm_kind="l1"),
+                 BadDimensions, "unknown norm kind 'l1'", id="norm-kind"),
+    pytest.param(lambda: SisInstance.create([[1, 2, 1]], 5, beta=0),
+                 BadDimensions, "beta must be positive", id="beta"),
+    pytest.param(lambda: SisInstance.create([[1, 2, 3]], 5).a_prime,
+                 BadDimensions, "not in systematic form", id="a-prime"),
+    pytest.param(lambda: SisInstance.from_json(_instance_doc(m=4)),
+                 DimensionMismatch, "declared dimensions disagree", id="from-json-dims"),
+    pytest.param(lambda: matvec_mod([1, 2, 3], [1, 1, 1], 5),
+                 DimensionMismatch, "A must be a matrix", id="matvec-vector"),
+    pytest.param(lambda: random_instance(2, 4, 1, 0),
+                 BadDimensions, "modulus must be >= 2", id="random-modulus"),
+])
+def test_typed_refusals(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
