@@ -3,19 +3,27 @@
 The model scores a candidate list size N as follows.  Initial vectors are the
 sparsest ternary vectors numerous enough to fill the list: weight w is the
 smallest integer with 2^w C(m-n, w) >= N, giving per-coordinate deviation
-sigma_0 = sqrt(w/(m-n)).  Stage i buckets on p_i residues per coordinate with
-p_i = q / (kappa_v sigma_{i-1}), where kappa_v is sqrt(12) for plain rounding
-and sqrt(2 pi e) for quantization; that injects per-vector deviation
-sigma_{i-1} into the new coordinates, so after subtraction old and new
-coordinates alike sit at sigma_i = 2^(i/2) sigma_0.  Blocks are fractional:
-b_i = log2(N) / log2(p_i), and stages accrue while p_i >= 2.  Aborting after
-r' stages leaves ell = n - sum b_i rows whose coordinates are uniform mod q.
-A single sample then passes the norm bound with probability
+sigma_0 = sqrt(w/(m-n)).  One stage builder, ``stage_model``, runs the
+balanced deviation recurrence: stage i buckets on p_i residues per
+coordinate with p_i = q / (kappa_v sigma_{i-1}), where kappa_v is sqrt(12)
+for plain rounding and sqrt(2 pi e) for quantization; that injects
+per-vector deviation sigma_{i-1} into the new coordinates, so after
+subtraction old and new coordinates alike sit at sigma_i = 2^(i/2) sigma_0.
+Blocks are b_i = log2(N) / log2(p_i).  The builder has two rounding rules:
+the relaxed rule of this cost model (fractional p_i and b_i, stages accrue
+while p_i >= 2), and the integer rule of the schedules
+``wagner.choose_heuristic_params`` runs, which alone floors deviations at
+the stage width rule.  Aborting after r' stages leaves
+ell = n - sum b_i rows whose coordinates are uniform mod q.  One abort
+scorer, ``best_abort``, scores every abort point with
+``log2_expected_hits``; under the relaxed rule a single sample passes the
+norm bound with probability
 
     p = erf(beta / (sigma_r' sqrt(2)))^(m - ell) * min(1, 2 beta / q)^ell
 
-and the attack is scored successful when N p > 1/2.  ``estimate`` returns the
-smallest N on a 0.1-bit grid for which some abort point succeeds.
+and the attack is scored successful when N p > 1/2.  ``estimate`` returns
+the least N on a 0.1-bit grid, from 1 bit up to min(4000 bits, the largest
+same-weight pool), for which some abort point succeeds.
 
 All arithmetic is double precision with log-space binomials; this is a cost
 model, not a proof.
@@ -27,6 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .dgauss import _WIDTH_SLACK, _least, _width_floor_sq
 from .errors import Infeasible, PreconditionViolated
 
 VARIANT_ROUNDING = "rounding"
@@ -130,73 +139,46 @@ def min_weight(m_minus_n: int, n_samples) -> Tuple[int, float]:
     return _min_weight_log2(m_minus_n, math.log2(float(n_samples)))
 
 
-@dataclass
-class StageTable:
-    """Fractional per-stage schedule under the balanced deviation recurrence."""
-
-    sigma0: float
-    w: int
-    log2N: float
-    p: List[float]        # stage moduli (fractional)
-    b: List[float]        # fractional block sizes log2N / log2 p_i
-    cum_b: List[float]    # prefix sums of b
-
-    def sigma(self, i: int) -> float:
-        """Deviation after stage i (post-abort convention): 2^(i/2) sigma_0."""
-        return 2.0 ** (i / 2) * self.sigma0
-
-    def ell(self, r_prime: int, n: int) -> float:
-        return n - self.cum_b[r_prime - 1]
-
-    @property
-    def max_stages(self) -> int:
-        return len(self.p)
+_MAX_STAGES = 64  # the integer rule's stage cap
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def heuristic_schedule(query: CostQuery, log2N: float) -> StageTable:
-    """Fractional stage moduli, block sizes, and deviations for a list size.
+def stage_model(q: int, n: int, log2N: float, sigma0: float, kappa: float, *,
+                integer: bool = False) -> List[Tuple[float, float, float]]:
+    """Stages (p_i, b_i, dev_i) of the balanced deviation recurrence.
 
-    Stages accrue while the balanced modulus stays >= 2; block sizes increase
-    with the stage index since the moduli shrink."""
-    d = query.m - query.n
-    w, sigma0 = _min_weight_log2(d, log2N)
-    if w == 0:
-        raise Infeasible("list size 1 carries no entropy")
-    kappa = _KAPPA[query.variant]
-    p: List[float] = []
-    b: List[float] = []
-    cum: List[float] = []
-    total = 0.0
-    i = 1
-    while True:
-        pi = query.q / (kappa * sigma0 * 2.0 ** ((i - 1) / 2))
-        if pi < 2.0:
+    Stage i buckets on p_i = q / (kappa sigma_{i-1}) residues, blocks
+    b_i = log2 N / log2 p_i rows and injects per-vector deviation dev_i;
+    sigma_{i-1} = M 2^((i-1)/2), where M = max(sigma_0, dev_j / 2^((j-1)/2))
+    over the earlier stages j.  Stages accrue until they cover n rows, under
+    one of two rounding rules:
+
+    * relaxed (the cost model): fractional p and b, stopping before p < 2,
+      and dev = sigma, so the last stage may cover more than n rows;
+    * integer (runnable schedules): p rounded into [2, min(q, N)], whole b
+      in [1, rows left], at most _MAX_STAGES stages, and the width
+      sqrt(2 pi) dev floored at the stage width rule, _WIDTH_SLACK times
+      (q/p) sqrt(ln(2b+4)/pi)."""
+    stages: List[Tuple[float, float, float]] = []
+    M, covered = sigma0, 0
+    while covered < n and not (integer and len(stages) == _MAX_STAGES):
+        half = 2.0 ** (len(stages) / 2)  # 2^((i-1)/2)
+        sigma = M * half
+        p = q / (kappa * M * half)  # not kappa * sigma: the relaxed p keeps its ulps
+        if integer:
+            p = max(2, min(int(round(p)), q, int(2 ** log2N)))
+            b = min(max(1, int(log2N / math.log2(p))), n - covered)
+            dev = max(sigma * _SQRT_2PI,
+                      (q / p) * math.sqrt(_width_floor_sq(b)) * _WIDTH_SLACK) / _SQRT_2PI
+        elif p < 2.0:
             break
-        bi = log2N / math.log2(pi)
-        total += bi
-        p.append(pi)
-        b.append(bi)
-        cum.append(total)
-        if total >= query.n:
-            break
-        i += 1
-    if not p:
-        raise Infeasible("first-stage modulus below 2: initial deviation too large")
-    return StageTable(sigma0=sigma0, w=w, log2N=log2N, p=p, b=b, cum_b=cum)
-
-
-def success_probability(query: CostQuery, table: StageTable, r_prime: int) -> float:
-    """Central-Gaussian success probability of a single final sample when
-    aborting after r_prime stages."""
-    ell = table.ell(r_prime, query.n)
-    if ell < 0:
-        raise PreconditionViolated("abort point covers more than n rows")
-    sigma = table.sigma(r_prime)
-    per_gauss = math.erf(query.beta / (sigma * math.sqrt(2.0)))
-    if per_gauss <= 0.0:
-        return 0.0
-    per_unif = min(1.0, 2.0 * query.beta / query.q)
-    return per_gauss ** (query.m - ell) * per_unif ** ell
+        else:
+            b, dev = log2N / math.log2(p), sigma
+        stages.append((p, b, dev))
+        covered += b
+        if dev > sigma:
+            M = dev / half
+    return stages
 
 
 def log2_expected_hits(log2N: float, beta, groups, ell, per_unif: float) -> float:
@@ -214,64 +196,67 @@ def log2_expected_hits(log2N: float, beta, groups, ell, per_unif: float) -> floa
     return val + ell * math.log2(per_unif)
 
 
-def _log2_np(query: CostQuery, log2N: float) -> Tuple[float, Optional[int]]:
-    """log2(N p) at the best abort point, and that abort point."""
-    try:
-        table = heuristic_schedule(query, log2N)
-    except Infeasible:
-        return -math.inf, None
-    best = -math.inf
-    best_rp = None
-    for rp in range(1, table.max_stages + 1):
-        ell = table.ell(rp, query.n)
-        if ell < 0:
+def best_abort(log2N: float, beta, stages, sigma0: float, d: int, n: int,
+               per_unif: float) -> Tuple[float, Optional[int]]:
+    """The best abort point r of ``stage_model`` stages, and its log2(N p).
+
+    Aborting after r stages, stage i's b_i coordinates sit at deviation
+    dev_i sqrt(2) 2^((r-i)/2), the d = m - n initial ones at sigma_0
+    2^(r/2), and the ell = n - sum b_i uncovered ones are uniform; abort
+    points past n rows are not scored.  (-inf, None) when none is."""
+    best, best_r, covered = -math.inf, None, 0
+    for r, (_, b, _) in enumerate(stages, start=1):
+        covered += b
+        if covered > n:
             break
-        val = log2_expected_hits(log2N, query.beta, [(query.m - ell, table.sigma(rp))],
-                                 ell, min(1.0, 2.0 * query.beta / query.q))
-        if val > best:
-            best = val
-            best_rp = rp
-    return best, best_rp
+        groups = [(bi, dev * math.sqrt(2.0) * 2.0 ** ((r - i) / 2))
+                  for i, (_, bi, dev) in enumerate(stages[:r], start=1)]
+        groups.append((d, sigma0 * 2.0 ** (r / 2)))
+        score = log2_expected_hits(log2N, beta, groups, n - covered, per_unif)
+        if score > best:
+            best, best_r = score, r
+    return best, best_r
 
 
 def estimate(query: CostQuery) -> CostReport:
-    """Smallest log2 N on the grid for which the attack model succeeds."""
-    grid = _GRID_BITS
-    # Exponential bracket, then a binary search down to the grid, then an
-    # exact walk so the returned point is the grid minimum.
-    lo, hi = 1.0, None
-    x = 16.0
-    while x <= _MAX_LOG2N:
-        val, _ = _log2_np(query, x)
-        if val > -1.0:
-            hi = x
-            break
-        lo = x
-        x *= 2.0
-    if hi is None:
-        raise Infeasible(f"no success up to log2 N = {_MAX_LOG2N}")
-    while hi - lo > grid:
-        mid = (lo + hi) / 2
-        val, _ = _log2_np(query, mid)
-        if val > -1.0:
-            hi = mid
-        else:
-            lo = mid
-    x = round(hi / grid) * grid
-    while _log2_np(query, x)[0] <= -1.0:
-        x = round((x + grid) / grid) * grid
-    while x - grid >= 1.0 and _log2_np(query, x - grid)[0] > -1.0:
-        x = round((x - grid) / grid) * grid
-    val, rp = _log2_np(query, x)
-    table = heuristic_schedule(query, x)
+    """The least log2 N on the 0.1-bit grid at which some abort point of the
+    relaxed stage model succeeds (N p > 1/2).
+
+    The search runs over grid points from 1 bit up to min(4000, the log2 of
+    the largest same-weight pool m - n coordinates hold); ``dgauss._least``
+    gallops up from 1 bit and bisects, so it returns a point that succeeds
+    while the one below it fails (the least one unless the success region
+    has holes).  Raises ``Infeasible`` when the search ends at the cap and
+    the cap fails."""
+    d, n, kappa = query.m - query.n, query.n, _KAPPA[query.variant]
+    per_unif = min(1.0, 2.0 * query.beta / query.q)
+    top = math.floor(min(_MAX_LOG2N, max(w + _log2_comb(d, w) for w in range(d + 1)))
+                     / _GRID_BITS)
+    bottom = round(1.0 / _GRID_BITS)
+
+    def model(k: int):
+        log2N = k * _GRID_BITS
+        w, sigma0 = _min_weight_log2(d, log2N)
+        stages = stage_model(query.q, n, log2N, sigma0, kappa)
+        return (w, sigma0, stages,
+                *best_abort(log2N, query.beta, stages, sigma0, d, n, per_unif))
+
+    k = _least(lambda k: k >= bottom and (k >= top or model(k)[3] > -1.0), bottom)
+    w, sigma0, stages, score, rp = model(k)
+    if not score > -1.0:
+        raise Infeasible(f"no success up to log2 N = {top * _GRID_BITS:.1f}")
+    ell = n - sum(b for _, b, _ in stages[:rp])
+    sigma = 2.0 ** (rp / 2) * sigma0
+    per_gauss = math.erf(query.beta / (sigma * math.sqrt(2.0)))
     return CostReport(
-        log2N=x,
-        w=table.w,
-        sigma0=table.sigma0,
+        log2N=k * _GRID_BITS,
+        w=w,
+        sigma0=sigma0,
         r_prime=rp,
-        sigma_rprime=table.sigma(rp),
-        ell=table.ell(rp, query.n),
-        p_success_single=success_probability(query, table, rp),
+        sigma_rprime=sigma,
+        ell=ell,
+        p_success_single=per_gauss ** (query.m - ell) * per_unif ** ell
+        if per_gauss > 0.0 else 0.0,
         variant=query.variant,
         feasible=True,
     )

@@ -670,11 +670,13 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
                             epsilon: float = 2.0 ** -10) -> Schedule:
     """Integer schedule for desk-scale heuristic runs.
 
-    Walks a ladder of list sizes; for each, derives integer stage moduli from
-    the quantization-style deviation balance, scores every abort point with
-    the central-Gaussian success model (using the deviations the Gaussian
-    lifts will actually inject, width floors included), and returns the first
-    schedule whose expected number of hits N p clears ``_MIN_EXPECTED_HITS``.
+    Walks a ladder of list sizes; for each, builds stages with the cost
+    model's one stage builder, ``estimator.stage_model``, under its integer
+    rule (whole moduli and blocks, the quantization constant, and deviations
+    floored at the stage width rule, as the Gaussian lifts will inject them),
+    scores every abort point with ``estimator.best_abort`` at a per-leftover
+    pass rate of (2 beta + 1)/q, and returns the first schedule whose
+    expected number of hits N p clears ``_MIN_EXPECTED_HITS``.
     The ladder stops at the first N whose pool of _HEURISTIC_ENTROPY_FACTOR N
     same-weight ternary vectors m - n coordinates cannot supply: the largest
     pool is fixed by m - n, while the need grows with N.  A pure function of
@@ -690,38 +692,16 @@ def choose_heuristic_params(n: int, m: int, q: int, beta: float, *,
             raise InfeasibleSchedule(
                 f"m - n = {d} coordinates hold fewer than {_HEURISTIC_ENTROPY_FACTOR} N "
                 f"same-weight ternary vectors at N = 2^{log2_n}") from None
-        sigma = sigma0
-        stages = []   # (p, b, injected_dev)
-        rows_left = n
-        while rows_left > 0 and len(stages) < 64:
-            p = int(round(q / (kappa * sigma)))
-            p = max(2, min(p, q, N))
-            b = max(1, int(math.log2(N) / math.log2(p)))
-            b = min(b, rows_left)
-            width = max(sigma * math.sqrt(_TWO_PI),
-                        (q / p) * math.sqrt(_width_floor_sq(b)) * _WIDTH_SLACK)
-            inj = width / math.sqrt(_TWO_PI)
-            stages.append((p, b, inj))
-            rows_left -= b
-            sigma = math.sqrt(2.0) * max(sigma, inj)
-        best, rp = -math.inf, None
-        for r in range(1, len(stages) + 1):
-            groups = [(b, inj * math.sqrt(2.0) * 2.0 ** ((r - i) / 2))
-                      for i, (_, b, inj) in enumerate(stages[:r], start=1)]
-            groups.append((d, sigma0 * 2.0 ** (r / 2)))
-            score = _estimator.log2_expected_hits(
-                log2_n, beta, groups, n - sum(b for _, b, _ in stages[:r]),
-                min(1.0, (2 * beta + 1) / q))
-            if score > best:
-                best, rp = score, r
+        stages = _estimator.stage_model(q, n, log2_n, sigma0, kappa, integer=True)
+        best, rp = _estimator.best_abort(log2_n, beta, stages, sigma0, d, n,
+                                         min(1.0, (2 * beta + 1) / q))
         if best >= math.log2(_MIN_EXPECTED_HITS):
-            chosen = stages[:rp]
-            width1_sq = Fraction(max(
-                sigma0 * sigma0 * _TWO_PI,
-                (q / chosen[0][0]) ** 2 * _width_floor_sq(chosen[0][1]) * _WIDTH_SLACK))
+            p1, b1, _ = stages[0]
+            width1_sq = Fraction(max(sigma0 * sigma0 * _TWO_PI,
+                                     (q / p1) ** 2 * _width_floor_sq(b1) * _WIDTH_SLACK))
             return Schedule(mode=MODE_HEURISTIC, r=rp, N=N,
-                            p=tuple(p for p, _, _ in chosen),
-                            b=tuple(b for _, b, _ in chosen),
+                            p=tuple(p for p, _, _ in stages[:rp]),
+                            b=tuple(b for _, b, _ in stages[:rp]),
                             s0_sq=width1_sq, epsilon=epsilon)
     raise InfeasibleSchedule(
         f"no heuristic schedule up to N = 2^{_MAX_LOG2_N} predicts "

@@ -9,7 +9,7 @@ from helpers import gaussian_combine, make_systematic, parity_rows_ok, stage_row
 from wagnersis.chain import _gaussian_offsets, _lift_batch, build_chain
 from wagnersis.dgauss import GaussParam, sample_zn_rows
 from wagnersis.errors import BlockSumMismatch, WidthTooSmall
-from wagnersis.estimator import CostQuery, heuristic_schedule
+from wagnersis.estimator import _KAPPA, VARIANT_QUANTIZATION, min_weight, stage_model
 from wagnersis.oracles import empirical_similarity, pmf_bruteforce
 from wagnersis.rngutil import derive_np_rng, derive_rng
 from wagnersis.wagner import _pack_labels
@@ -35,19 +35,19 @@ class TestBuildChain:
             build_chain(inst, [2], [2])
 
     def test_dilithium_level2_heuristic_chain(self):
-        # Integerize the fractional table-driven schedule by largest remainder
-        # and realize it as an actual chain: 40 stages covering n - 29 rows.
-        q = CostQuery(n=1024, m=2304, q=8380417, beta=350209)
-        table = heuristic_schedule(q, 269.9)
+        # Integerize the relaxed-rule stages by largest remainder and realize
+        # them as an actual chain: 40 stages covering n - 29 rows.
+        _, sigma0 = min_weight(2304 - 1024, 2.0**269.9)
+        table = stage_model(8380417, 1024, 269.9, sigma0, _KAPPA[VARIANT_QUANTIZATION])
         rp = 40
-        fracs = table.b[:rp]
+        fracs = [b for _, b, _ in table[:rp]]
         target = round(sum(fracs))
         base = [int(x) for x in fracs]
         rem = sorted(range(rp), key=lambda i: fracs[i] - base[i], reverse=True)
         for i in rem[: target - sum(base)]:
             base[i] += 1
         base = [max(1, v) for v in base]
-        moduli = [min(8380417, max(2, int(p))) for p in table.p[:rp]]
+        moduli = [min(8380417, max(2, int(p))) for p, _, _ in table[:rp]]
         inst = make_systematic(1024, 2304, 8380417, seed=1)
         stages = build_chain(inst, base, moduli, allow_partial=True)
         assert len(stages) == rp

@@ -325,6 +325,13 @@ class TestEstimate:
         assert capsys.readouterr().err == \
             "precondition violated: q must be below the float range (2^1024)\n"
 
+    def test_least_point_at_one_bit(self):
+        # the model succeeds at 1 bit, and m - n = 6 coordinates hold at most
+        # 2^7.9 same-weight ternary vectors: the search must start low
+        code, out = run_cli(["estimate", "--n", "2", "--m", "8", "--q", "257",
+                             "--beta", "100"])
+        assert code == 0 and out.startswith("log2 N = 1.0 ")
+
     def test_missing_dims_usage_error(self, monkeypatch):
         code, _ = run_cli(["estimate", "--n", "4"])
         assert code == 2
